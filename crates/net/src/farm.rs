@@ -4,7 +4,7 @@
 //! feed and lets the protocol machines discard what is not theirs — fine
 //! for a handful of sessions, quadratic in traffic for a farm. A
 //! [`FarmHub`] instead owns **one non-blocking UDP socket** and
-//! demultiplexes arriving datagrams by the wire-v2 session id (plus the
+//! demultiplexes arriving datagrams by the wire session id (plus the
 //! message's direction: data-plane kinds go to the session's receiver
 //! half, feedback kinds to its sender half). One `Mux` can therefore
 //! drive hundreds of sessions over a single descriptor, which is the
@@ -21,6 +21,15 @@
 //! There is no reader thread: whichever endpoint polls first drains the
 //! socket (budget-bounded) into everyone's queues, which is exactly the
 //! event-driven mux's sweep pattern.
+//!
+//! **One drain per sweep.** A drain that ends on `WouldBlock` has proved
+//! the socket dry, so the next `N - 1` empty-queue polls (`N` registered
+//! halves) return `None` without a syscall: an idle sweep costs one
+//! `EAGAIN`, not `N`. A drain that ran out of budget arms nothing, a send
+//! through the hub disarms the skip (the socket may be its own peer), and
+//! the blocking `recv_timeout` always drains. Invariant: an empty-queue
+//! poll sees anything already in the kernel buffer within one sweep's
+//! worth of polls, and the rule never reads a clock.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
@@ -38,7 +47,8 @@ use crate::wire::Message;
 const RECV_BUF: usize = 65_536;
 /// Socket drains per `poll_recv` call: bounds the work one endpoint's
 /// poll can do on everyone's behalf before returning to the sweep.
-const DRAIN_BUDGET: usize = 256;
+/// (Smaller under test, so a flood past it fits a default receive buffer.)
+const DRAIN_BUDGET: usize = if cfg!(test) { 32 } else { 256 };
 /// Bound on one session half's pending-datagram queue. Overflow is
 /// dropped-and-counted exactly like kernel-buffer loss would be.
 pub const FARM_QUEUE_CAP: usize = 8_192;
@@ -89,6 +99,8 @@ pub struct FarmStats {
     /// Datagrams that were not ours at all (bad magic / truncated
     /// header); skipped silently, tallied here for diagnostics.
     pub foreign: u64,
+    /// `recv_from` calls issued, `EAGAIN` included (diagnostic only).
+    pub socket_reads: u64,
 }
 
 struct FarmCore {
@@ -99,25 +111,34 @@ struct FarmCore {
     /// First fatal socket error; once set, every endpoint's poll fails.
     fatal: Option<std::io::ErrorKind>,
     buf: Vec<u8>,
+    /// Encode scratch, so a send allocates nothing.
+    tx: Vec<u8>,
+    /// Empty-queue polls that may still skip the socket read (module docs).
+    skip: usize,
     obs: Obs,
     clock: Stopwatch,
 }
 
 impl FarmCore {
-    /// Drain up to `DRAIN_BUDGET` datagrams from the socket into the
-    /// per-session queues. Returns the first fatal error, if any.
+    /// Drain up to `DRAIN_BUDGET` datagrams into the per-session queues;
+    /// a dry socket arms the skip. Returns the first fatal error, if any.
     fn drain_socket(&mut self) -> Result<(), NetError> {
         if let Some(kind) = self.fatal {
             return Err(NetError::Io(kind.into()));
         }
+        self.skip = 0;
         for _ in 0..DRAIN_BUDGET {
+            self.stats.socket_reads += 1;
             match self.socket.recv_from(&mut self.buf) {
                 Ok((len, _src)) => {
                     let raw = bytes::Bytes::copy_from_slice(&self.buf[..len]);
                     self.route(raw);
                 }
                 Err(e) => match classify_recv_err(&e) {
-                    RecvClass::WouldBlock => break,
+                    RecvClass::WouldBlock => {
+                        self.skip = self.queues.len().saturating_sub(1);
+                        break;
+                    }
                     RecvClass::Transient => continue,
                     RecvClass::Fatal => {
                         self.fatal = Some(e.kind());
@@ -212,6 +233,8 @@ impl FarmHub {
                 stats: FarmStats::default(),
                 fatal: None,
                 buf: vec![0u8; RECV_BUF],
+                tx: Vec::new(),
+                skip: 0,
                 obs: Obs::null(),
                 clock: Stopwatch::start(),
             })),
@@ -290,7 +313,8 @@ impl FarmHub {
     /// # Errors
     /// Propagates socket send errors.
     pub fn inject_raw(&self, bytes: &[u8]) -> Result<(), NetError> {
-        let core = self.core.lock();
+        let mut core = self.core.lock();
+        core.skip = 0;
         core.socket.send_to(bytes, core.peer)?;
         Ok(())
     }
@@ -315,6 +339,24 @@ impl FarmEndpoint {
     pub fn role(&self) -> FarmRole {
         self.key.1
     }
+
+    /// Next datagram demuxed to this half. An empty queue reads the
+    /// socket, unless a drain has proved it dry and `force` is unset.
+    fn poll(&mut self, force: bool) -> Result<Option<Message>, NetError> {
+        let mut core = self.core.lock();
+        // Serve from the queue first: the socket drain below may park a
+        // fatal error that must not eat already-demuxed datagrams.
+        if let Some(item) = core.queues.get_mut(&self.key).and_then(VecDeque::pop_front) {
+            return item.map(Some);
+        }
+        if core.skip > 0 && !force {
+            core.skip -= 1;
+            return Ok(None);
+        }
+        core.drain_socket()?;
+        let queue = core.queues.get_mut(&self.key);
+        queue.and_then(VecDeque::pop_front).transpose()
+    }
 }
 
 impl Drop for FarmEndpoint {
@@ -325,9 +367,11 @@ impl Drop for FarmEndpoint {
 
 impl Transport for FarmEndpoint {
     fn send(&mut self, msg: &Message) -> Result<(), NetError> {
-        let core = self.core.lock();
-        let encoded = msg.encode();
-        match core.socket.send_to(&encoded, core.peer) {
+        let core = &mut *self.core.lock();
+        msg.encode_into(&mut core.tx);
+        // The socket may be its own peer: what a drain proved is stale.
+        core.skip = 0;
+        match core.socket.send_to(&core.tx, core.peer) {
             Ok(_) => Ok(()),
             // Transient pushback (full socket buffer) surfaces as an I/O
             // error; the drivers' retry-with-backoff machinery owns it.
@@ -339,7 +383,7 @@ impl Transport for FarmEndpoint {
         // pm-audit: allow(determinism-time): blocking recv deadline on a real transport, wall-clock by design
         let deadline = std::time::Instant::now() + timeout;
         loop {
-            match self.poll_recv()? {
+            match self.poll(true)? {
                 Some(msg) => return Ok(Some(msg)),
                 None => {
                     // pm-audit: allow(determinism-time): blocking recv deadline on a real transport, wall-clock by design
@@ -355,17 +399,7 @@ impl Transport for FarmEndpoint {
 
 impl PollTransport for FarmEndpoint {
     fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
-        let mut core = self.core.lock();
-        // Serve from the queue first: the socket drain below may park a
-        // fatal error that must not eat already-demuxed datagrams.
-        if let Some(item) = core.queues.get_mut(&self.key).and_then(VecDeque::pop_front) {
-            return item.map(Some);
-        }
-        core.drain_socket()?;
-        match core.queues.get_mut(&self.key).and_then(VecDeque::pop_front) {
-            Some(item) => item.map(Some),
-            None => Ok(None),
-        }
+        self.poll(false)
     }
 }
 
@@ -474,6 +508,118 @@ mod tests {
             }
         }
         assert_eq!(hub.stats().unknown_session, 0);
+    }
+
+    /// A datagram from outside the hub: nothing tells the hub it was sent.
+    fn send_from_elsewhere(hub: &FarmHub, msg: &Message) {
+        let outside = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let to = hub.local_addr().unwrap();
+        outside.send_to(&msg.encode(), to).unwrap();
+    }
+
+    /// `n` receiver halves (sessions `0..n`) with the skip armed by a
+    /// first, dry poll of half 0.
+    fn armed(hub: &FarmHub, n: u32) -> Vec<FarmEndpoint> {
+        let mut eps: Vec<_> = (0..n)
+            .map(|s| hub.endpoint(s, FarmRole::Receiver).unwrap())
+            .collect();
+        assert_eq!(eps[0].poll_recv().unwrap(), None);
+        assert_eq!(hub.stats().socket_reads, 1, "one EAGAIN proved it dry");
+        eps
+    }
+
+    #[test]
+    fn a_sweep_reads_the_socket_once_not_once_per_half() {
+        let hub = hub();
+        let mut set = crate::poll::PollSet::new();
+        let mut feeder = hub.endpoint(99, FarmRole::Sender).unwrap();
+        for s in 0..16 {
+            set.register(hub.endpoint(s, FarmRole::Receiver).unwrap());
+        }
+        let mut sink = Vec::new();
+        // Idle: 17 halves registered, one EAGAIN for the whole sweep.
+        assert_eq!(set.poll_round(64, &mut sink), 0);
+        assert_eq!(hub.stats().socket_reads, 1);
+        // Five datagrams pending: five reads, the EAGAIN that ends the
+        // drain, and at most one more when the skip runs out mid-sweep.
+        for s in [3, 3, 7, 11, 15] {
+            feeder.send(&Message::Fin { session: s }).unwrap();
+        }
+        assert_eq!(set.poll_round(64, &mut sink), 5);
+        let reads = hub.stats().socket_reads - 1;
+        assert!((6..=7).contains(&reads), "{reads} reads for 5 datagrams");
+        assert_eq!(hub.stats().unknown_session, 0);
+    }
+
+    #[test]
+    fn a_skipped_half_is_served_within_one_sweep_of_polls() {
+        let hub = hub();
+        let n = 8;
+        let mut eps = armed(&hub, n);
+        // Traffic from elsewhere lands while the skip is armed; only half
+        // 0 is ever polled. N - 1 polls skip, the next one drains.
+        send_from_elsewhere(&hub, &Message::Fin { session: 0 });
+        let polls = (1..=n)
+            .find(|_| eps[0].poll_recv().unwrap().is_some())
+            .expect("served within N polls");
+        assert_eq!(polls, n, "N - 1 skipped polls, then the drain");
+        assert_eq!(hub.stats().socket_reads, 3, "no syscall while skipping");
+        // The blocking API never skips: re-arm, then a zero timeout (one
+        // poll, no sleep) still finds the datagram.
+        assert_eq!(eps[0].poll_recv().unwrap(), None);
+        send_from_elsewhere(&hub, &Message::Fin { session: 0 });
+        assert_eq!(
+            eps[0].recv_timeout(Duration::ZERO).unwrap(),
+            Some(Message::Fin { session: 0 })
+        );
+    }
+
+    #[test]
+    fn a_send_disarms_the_skip() {
+        let hub = hub();
+        let mut eps = armed(&hub, 8);
+        let fin = Message::Fin { session: 0 };
+        // On a loopback farm the hub's own send lands on its own socket:
+        // the very next empty-queue poll must see it.
+        eps[1].send(&fin).unwrap();
+        assert_eq!(eps[0].poll_recv().unwrap(), Some(fin.clone()));
+        assert_eq!(eps[0].poll_recv().unwrap(), None, "re-armed");
+        hub.inject_raw(&fin.encode()).unwrap();
+        assert_eq!(eps[0].poll_recv().unwrap(), Some(fin));
+    }
+
+    #[test]
+    fn dropping_an_endpoint_mid_skip_leaves_the_rest_working() {
+        let hub = hub();
+        let mut eps = armed(&hub, 6);
+        eps.truncate(2); // four halves retire with five skips outstanding
+        assert_eq!(hub.len(), 2);
+        send_from_elsewhere(&hub, &Message::Fin { session: 1 });
+        // The stale count only delays: it was sized for the old
+        // population, so the survivor is served within that many polls.
+        let served = (0..6).any(|_| eps[1].poll_recv().unwrap().is_some());
+        assert!(served, "survivor starved after its neighbours left");
+        drop(eps);
+        assert!(hub.is_empty());
+    }
+
+    #[test]
+    fn a_budget_exhausted_drain_does_not_arm_the_skip() {
+        let hub = hub();
+        let mut r1 = hub.endpoint(1, FarmRole::Receiver).unwrap();
+        let mut r2 = hub.endpoint(2, FarmRole::Receiver).unwrap();
+        let flood = DRAIN_BUDGET + 3;
+        for _ in 0..flood {
+            r1.send(&Message::Fin { session: 2 }).unwrap();
+        }
+        // The first poll spends its whole budget without reaching EAGAIN,
+        // so the second must read again instead of skipping.
+        assert_eq!(r1.poll_recv().unwrap(), None);
+        assert_eq!(hub.stats().socket_reads, DRAIN_BUDGET as u64);
+        assert_eq!(r1.poll_recv().unwrap(), None);
+        assert_eq!(hub.stats().socket_reads, flood as u64 + 1);
+        let got = std::iter::from_fn(|| r2.poll_recv().unwrap()).count();
+        assert_eq!(got, flood);
     }
 
     #[test]

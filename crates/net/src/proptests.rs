@@ -97,21 +97,32 @@ proptest! {
         prop_assert_eq!(&reencoded[..], &raw[..]);
     }
 
-    /// The FNV-1a wire checksum detects every single-bit flip: damage
-    /// confined to one byte (any position, including the checksum field
-    /// itself) never mis-parses into a valid Message.
+    /// The XXH32 wire checksum (wire v3) absorbs a datagram in aligned
+    /// 4-byte words, each step a bijection in the word it absorbs, so any
+    /// damage confined to one whole aligned word (any position, the
+    /// checksum field included) never mis-parses into a valid Message. A
+    /// trailing partial word is absorbed byte by byte; there the
+    /// certainty covers damage to one byte.
     #[test]
-    fn checksum_detects_single_bit_flip(
+    fn checksum_detects_damage_within_one_word(
         msg in message_strategy(),
         pos in any::<usize>(),
-        bit in 0u8..8,
+        mask in 1u32..=u32::MAX,
     ) {
         let mut raw = msg.encode().to_vec();
-        let pos = pos % raw.len();
-        raw[pos] ^= 1 << bit;
+        let at = pos % raw.len();
+        let word = at - at % 4;
+        let mask = mask.to_le_bytes();
+        if word + 4 <= raw.len() {
+            for (b, m) in raw[word..word + 4].iter_mut().zip(mask) {
+                *b ^= m;
+            }
+        } else {
+            raw[at] ^= mask.into_iter().find(|&m| m != 0).expect("mask is non-zero");
+        }
         match Message::decode(Bytes::from(raw)) {
-            Ok(m) => prop_assert!(false, "single-bit flip at {} mis-parsed as {:?}", pos, m),
-            Err(e) => prop_assert!(e.is_recoverable(), "flip must stay recoverable: {}", e),
+            Ok(m) => prop_assert!(false, "damage in word at {} mis-parsed as {:?}", word, m),
+            Err(e) => prop_assert!(e.is_recoverable(), "damage must stay recoverable: {}", e),
         }
     }
 

@@ -135,7 +135,7 @@ fn run_farm(
         2 * args.sessions
     );
     // `--udp-farm`: every endpoint shares ONE real non-blocking UDP
-    // socket; the hub demultiplexes arriving datagrams by the wire-v2
+    // socket; the hub demultiplexes arriving datagrams by the wire
     // session id (and direction), counting strays instead of crashing.
     let farm = args.udp_farm.then(|| {
         let hub = FarmHub::loopback()

@@ -1,7 +1,7 @@
 //! Integration tests for the overload-robust session farm:
 //!
 //! 1. **Real-UDP farm** — 512 sessions (256 sender/receiver pairs) share
-//!    ONE UDP socket on ONE driver thread, demultiplexed by the wire-v2
+//!    ONE UDP socket on ONE driver thread, demultiplexed by the wire
 //!    session id, and every transfer completes with byte-identical data.
 //! 2. **Load shedding** — under a sustained 2×+ budget overload the mux
 //!    sheds deterministically: typed [`SessionOutcome::Shed`] reports
