@@ -6,9 +6,11 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use pm_core::runtime::{drive_receiver, drive_sender, RuntimeConfig};
+use pm_core::runtime::RuntimeConfig;
 use pm_core::{CompletionPolicy, NpConfig, NpReceiver, NpSender};
+use pm_mux::{drive_receiver, drive_sender};
 use pm_net::{FaultConfig, FaultyTransport, MemHub};
+use pm_obs::Obs;
 
 const TRANSFER: usize = 64 * 1024;
 
@@ -40,12 +42,12 @@ fn transfer_np(drop: f64, preencode: bool, seed: u64) -> usize {
     let recv_ep = hub.join();
     let expect = data.len();
     let sender = std::thread::spawn(move || {
-        let mut s = NpSender::new(1, &data, cfg).unwrap();
-        drive_sender(&mut s, &mut sender_tp, &rt()).unwrap();
+        let s = NpSender::new(1, &data, cfg).unwrap();
+        drive_sender(s, &mut sender_tp, &rt(), &Obs::null()).unwrap();
     });
     let mut tp = FaultyTransport::new(recv_ep, FaultConfig::drop_only(drop), seed);
-    let mut r = NpReceiver::new(1, 1, 0.0005, seed);
-    let report = drive_receiver(&mut r, &mut tp, &rt()).unwrap();
+    let r = NpReceiver::new(1, 1, 0.0005, seed);
+    let report = drive_receiver(r, &mut tp, &rt(), &Obs::null()).unwrap();
     sender.join().unwrap();
     assert_eq!(report.data.len(), expect);
     report.data.len()

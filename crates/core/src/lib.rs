@@ -19,16 +19,18 @@
 //! The crate is structured sans-io: [`NpSender`]/[`NpReceiver`] (and
 //! [`n2::N2Sender`]/[`n2::N2Receiver`]) are pure state machines consuming
 //! `(Message, now)` and emitting messages to send — deterministic to test,
-//! trivial to embed. [`runtime`] drives them over any
-//! [`pm_net::Transport`] (in-memory hub or real UDP multicast) with
-//! wall-clock pacing, and [`costs`] counts every packet/NAK/encode/decode
-//! so end-host processing (Section 5's metric) can be attributed with a
-//! [`pm_analysis::CostModel`]-style cost table.
+//! trivial to embed. [`runtime`] holds what a driver of those machines
+//! shares with them — the machine traits, timing/resilience configuration
+//! and session reports — and `pm-mux` is that driver, over any
+//! [`pm_net::Transport`] (in-memory hub or real UDP multicast); [`costs`]
+//! counts every packet/NAK/encode/decode so end-host processing (Section
+//! 5's metric) can be attributed with a [`pm_analysis::CostModel`]-style
+//! cost table.
 //!
 //! Every layer optionally emits structured [`pm_obs`] events: construct the
-//! machines with `with_obs` and drive them with
-//! [`runtime::drive_sender_obs`]/[`runtime::drive_receiver_obs`] to get a
-//! full session trace (see `crates/obs`).
+//! machines with `with_obs` and hand the same handle to the driver
+//! (`pm_mux::drive_sender`/`pm_mux::drive_receiver`, or `Mux::with_obs`)
+//! to get a full session trace (see `crates/obs`).
 
 pub mod carousel;
 pub mod config;

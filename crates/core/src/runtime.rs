@@ -1,14 +1,16 @@
-//! Wall-clock drivers: run a sans-io machine over a [`pm_net::Transport`].
+//! What a runtime needs to drive a sans-io machine, minus the runtime: the
+//! timing and resilience configuration, the clock-agnostic resilience
+//! accounting, the NP/N2 machine traits and the session reports.
 //!
-//! The drivers are deliberately simple single-threaded loops — structured
-//! concurrency at the application level means one thread per endpoint,
-//! joined by the caller (see the `file_multicast` example). The machines
-//! never block; all waiting happens in `recv_timeout`.
+//! Nothing here reads a clock or touches a socket. The loop that does —
+//! pacing, retry backoff, stall/linger/eviction deadlines — is `pm-mux`
+//! (`pm_mux::Mux`; `pm_mux::drive_sender` / `pm_mux::drive_receiver` run
+//! one session on the calling thread).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use pm_net::{Message, NetError, Transport};
-use pm_obs::{Event, FlightRecorder, Obs, Outcome, Role};
+use pm_net::{Message, NetError};
+use pm_obs::{Event, Obs};
 
 use crate::costs::CostCounters;
 use crate::error::ProtocolError;
@@ -17,7 +19,7 @@ use crate::receiver::{NpReceiver, ReceiverAction};
 use crate::sender::{NpSender, SenderStep};
 pub use crate::session::SessionReport;
 
-/// Timing knobs of the drivers.
+/// Timing knobs of a driven session.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuntimeConfig {
     /// Pacing between consecutive packet transmissions (the paper's
@@ -45,7 +47,7 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// Hostile-network posture of the drivers: how much datagram damage to
+/// Hostile-network posture of a driven session: how much datagram damage to
 /// absorb, how hard to retry transient send failures, and when the sender
 /// gives up on silent receivers.
 ///
@@ -99,15 +101,13 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Clock-agnostic resilience accounting shared by the blocking drivers and
-/// the event-driven multiplexer (`pm-mux`): damage counters plus the
+/// Clock-agnostic resilience accounting: damage counters plus the
 /// deterministic jitter RNG, wrapped around every transport interaction.
 ///
 /// The core never sleeps and never reads a clock — it *classifies*
-/// outcomes and *computes* backoff durations; the caller owns all waiting
-/// (a blocking driver waits on `recv_timeout`, the multiplexer schedules a
-/// timer-wheel entry). That split is what lets one resilience policy serve
-/// both runtimes with identical semantics.
+/// outcomes and *computes* backoff durations; the runtime owns all waiting
+/// (the multiplexer schedules a timer-wheel entry), which is what keeps
+/// the policy testable under a virtual clock.
 #[derive(Debug, Clone)]
 pub struct ResilienceCore {
     policy: ResiliencePolicy,
@@ -202,73 +202,6 @@ impl ResilienceCore {
             let m = u128::from(self.rng) * u128::from(n);
             if m as u64 >= threshold {
                 return (m >> 64) as u64;
-            }
-        }
-    }
-}
-
-/// Blocking-driver shell over [`ResilienceCore`]: supplies the waiting the
-/// core deliberately doesn't do.
-struct ResilienceState {
-    core: ResilienceCore,
-}
-
-impl ResilienceState {
-    fn new(policy: ResiliencePolicy) -> Self {
-        ResilienceState {
-            core: ResilienceCore::new(policy),
-        }
-    }
-
-    fn recv<T: Transport>(
-        &mut self,
-        transport: &mut T,
-        timeout: Duration,
-        now: f64,
-        obs: &Obs,
-    ) -> Result<Option<Message>, ProtocolError> {
-        let outcome = transport.recv_timeout(timeout);
-        self.core.absorb_recv(outcome, now, obs)
-    }
-
-    /// `send` with bounded retries. Transient I/O failures back off
-    /// exponentially (capped, deterministically jittered) — but the driver
-    /// keeps *receiving* through the backoff window instead of sleeping
-    /// through it: incoming datagrams land in `inbox` for the caller to
-    /// handle, so a flaky uplink cannot freeze feedback processing or blow
-    /// through a pacing deadline. Anything non-transient — or retry
-    /// exhaustion — is fatal.
-    fn send<T: Transport>(
-        &mut self,
-        transport: &mut T,
-        msg: &Message,
-        start: Instant,
-        obs: &Obs,
-        inbox: &mut Vec<Message>,
-    ) -> Result<(), ProtocolError> {
-        let mut attempt = 0u32;
-        loop {
-            match transport.send(msg) {
-                Ok(()) => return Ok(()),
-                Err(NetError::Io(_)) if attempt < self.core.policy().send_retries => {
-                    attempt += 1;
-                    let now = start.elapsed().as_secs_f64();
-                    let backoff = self.core.retry_backoff(attempt, now, obs);
-                    // Deadline-based waiting: stay on the receive path for
-                    // the whole backoff instead of `thread::sleep`ing.
-                    let until = Instant::now() + backoff;
-                    loop {
-                        let left = until.saturating_duration_since(Instant::now());
-                        if left.is_zero() {
-                            break;
-                        }
-                        let now = start.elapsed().as_secs_f64();
-                        if let Some(m) = self.recv(transport, left, now, obs)? {
-                            inbox.push(m);
-                        }
-                    }
-                }
-                Err(e) => return Err(e.into()),
             }
         }
     }
@@ -466,182 +399,6 @@ pub struct ReceiverReport {
     pub corrupt_dropped: u64,
 }
 
-/// Last message that counted as session progress, rendered as the event
-/// it corresponds to on the wire (for [`ProtocolError::Stalled`] context).
-fn progress_event(msg: &Message, sent: bool) -> Event {
-    let kind = msg.obs_kind();
-    if sent {
-        Event::NetSent { kind }
-    } else {
-        Event::NetRecv { kind }
-    }
-}
-
-/// Drive a sender machine to completion.
-///
-/// # Errors
-/// Protocol errors from the machine, fatal transport failures,
-/// [`ProtocolError::Quarantined`] when corruption exceeds the resilience
-/// policy's tolerance, or [`ProtocolError::Stalled`] when nothing happens
-/// for the configured stall timeout.
-pub fn drive_sender<S: SenderMachine, T: Transport>(
-    machine: &mut S,
-    transport: &mut T,
-    rt: &RuntimeConfig,
-) -> Result<SessionReport, ProtocolError> {
-    drive_sender_obs(machine, transport, rt, &Obs::null())
-}
-
-/// [`drive_sender`] with runtime lifecycle events (`stall_timeout`,
-/// `receiver_evicted`, `session_end`) emitted to `obs`. Per-message
-/// events come from the machine and transport, not the driver.
-///
-/// # Errors
-/// Same as [`drive_sender`]; `Stalled` errors carry the last event that
-/// counted as progress.
-pub fn drive_sender_obs<S: SenderMachine, T: Transport>(
-    machine: &mut S,
-    transport: &mut T,
-    rt: &RuntimeConfig,
-    obs: &Obs,
-) -> Result<SessionReport, ProtocolError> {
-    let start = Instant::now();
-    let mut last_progress = start;
-    // The eviction clock is stricter than the stall clock: it resets only
-    // on *receiver liveness* — feedback the machine absorbed from an
-    // unfinished receiver (see [`absorb_feedback`]) — never on our own
-    // transmissions, duplicate Dones or announce echoes. Resetting it on
-    // our own sends would make eviction unreachable for any sender that
-    // transmits continuously (the carousel never yields `WaitUntil`), and
-    // chatty-but-ignored traffic must not postpone eviction of a receiver
-    // that actually died.
-    let mut last_liveness = start;
-    let mut last_event: Option<Event> = None;
-    let mut res = ResilienceState::new(rt.resilience);
-    let mut inbox: Vec<Message> = Vec::new();
-    let mut evicted_total: u32 = 0;
-    loop {
-        let now = start.elapsed().as_secs_f64();
-        // Graceful degradation, checked on *every* step — not only when
-        // the machine goes idle: once part of the population has finished
-        // and the rest stay silent past the eviction deadline, complete
-        // for the responsive receivers rather than stalling the whole
-        // session. A sender pinned in back-to-back `Transmit` steps (the
-        // carousel under a NAK storm) evicts exactly as promptly as an
-        // idle one.
-        if let Some(deadline) = rt.resilience.eviction_timeout {
-            let quiet = Instant::now().duration_since(last_liveness);
-            if quiet > deadline && machine.outstanding() > 0 && machine.done_count() > 0 {
-                let evicted = machine.evict_outstanding();
-                if evicted > 0 {
-                    evicted_total += evicted;
-                    let completed = machine.done_count() as u32;
-                    obs.emit(now, || Event::ReceiverEvicted { evicted, completed });
-                    last_progress = Instant::now();
-                    last_liveness = Instant::now();
-                    continue;
-                }
-            }
-        }
-        match machine.next_step(now) {
-            SenderStep::Finished => {
-                let outcome = if evicted_total > 0 {
-                    Outcome::Degraded
-                } else {
-                    Outcome::Completed
-                };
-                obs.emit(now, || Event::SessionEnd {
-                    role: Role::Sender,
-                    outcome,
-                });
-                return Ok(SessionReport {
-                    counters: *machine.counters(),
-                    elapsed: start.elapsed(),
-                    completed: machine.done_ids(),
-                    evicted: evicted_total,
-                    corrupt_dropped: res.core.corrupt_dropped(),
-                    send_retries: res.core.send_retries(),
-                    postmortem: None,
-                });
-            }
-            SenderStep::Transmit(msg) => {
-                // Keep-alive re-announces are not progress; without this a
-                // sender with zero receivers would re-announce forever
-                // instead of stalling out.
-                let is_keepalive = matches!(msg, Message::Announce { .. });
-                res.send(transport, &msg, start, obs, &mut inbox)?;
-                if !is_keepalive {
-                    last_progress = Instant::now();
-                    last_event = Some(progress_event(&msg, true));
-                }
-                // Datagrams that arrived while a retry backoff was being
-                // waited out are feedback like any other: handle them
-                // before pacing so a flaky uplink can't starve the NAK
-                // path.
-                for incoming in inbox.drain(..) {
-                    let now = start.elapsed().as_secs_f64();
-                    if absorb_feedback(machine, &incoming, now)? {
-                        last_liveness = Instant::now();
-                    }
-                    last_progress = Instant::now();
-                    last_event = Some(progress_event(&incoming, false));
-                }
-                // Pace transmissions while staying responsive to feedback.
-                let pace_deadline = Instant::now() + rt.packet_spacing;
-                loop {
-                    let left = pace_deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        break;
-                    }
-                    let now = start.elapsed().as_secs_f64();
-                    match res.recv(transport, left, now, obs)? {
-                        Some(incoming) => {
-                            let now = start.elapsed().as_secs_f64();
-                            if absorb_feedback(machine, &incoming, now)? {
-                                last_liveness = Instant::now();
-                            }
-                            last_progress = Instant::now();
-                            last_event = Some(progress_event(&incoming, false));
-                        }
-                        None => break,
-                    }
-                }
-            }
-            SenderStep::WaitUntil(t) => {
-                let idle = Instant::now().duration_since(last_progress);
-                if idle > rt.stall_timeout {
-                    let waited = idle.as_secs_f64();
-                    obs.emit(now, || Event::StallTimeout {
-                        role: Role::Sender,
-                        waited_secs: waited,
-                    });
-                    obs.emit(now, || Event::SessionEnd {
-                        role: Role::Sender,
-                        outcome: Outcome::Stalled,
-                    });
-                    return Err(ProtocolError::Stalled {
-                        waited_secs: waited,
-                        last_progress: last_event,
-                    });
-                }
-                let wait = clamp_wait(
-                    t - now,
-                    Duration::from_micros(100),
-                    Duration::from_millis(50),
-                );
-                if let Some(incoming) = res.recv(transport, wait, now, obs)? {
-                    let now = start.elapsed().as_secs_f64();
-                    if absorb_feedback(machine, &incoming, now)? {
-                        last_liveness = Instant::now();
-                    }
-                    last_progress = Instant::now();
-                    last_event = Some(progress_event(&incoming, false));
-                }
-            }
-        }
-    }
-}
-
 /// Label a driver error for postmortem artifacts (`"quarantined"`,
 /// `"stalled"`, `"sender_gone"`, or `"failed"`).
 pub fn error_outcome(err: &ProtocolError) -> &'static str {
@@ -650,71 +407,6 @@ pub fn error_outcome(err: &ProtocolError) -> &'static str {
         ProtocolError::Stalled { .. } => "stalled",
         ProtocolError::SenderGone { .. } => "sender_gone",
         _ => "failed",
-    }
-}
-
-/// [`drive_sender_obs`] with a session flight recorder: when the session
-/// ends degraded, quarantined, or with any other error, the recorder's
-/// ring is frozen into a [`Postmortem`] — attached to the
-/// [`SessionReport`] on the degraded path, returned alongside the error
-/// otherwise (errors carry no report to attach to).
-///
-/// `flight` only supplies the postmortem; it sees events solely through
-/// `obs`, so tee it in (`obs.tee(flight)`) — and give the *machine* the
-/// teed handle too — before calling, or the ring stays empty.
-///
-/// # Errors
-/// Same as [`drive_sender_obs`].
-pub fn drive_sender_flight<S: SenderMachine, T: Transport>(
-    machine: &mut S,
-    transport: &mut T,
-    rt: &RuntimeConfig,
-    obs: &Obs,
-    flight: &FlightRecorder,
-) -> (
-    Result<SessionReport, ProtocolError>,
-    Option<pm_obs::Postmortem>,
-) {
-    match drive_sender_obs(machine, transport, rt, obs) {
-        Ok(mut report) => {
-            if report.is_degraded() {
-                let pm = flight.postmortem(Role::Sender.as_str(), "degraded", None);
-                report.postmortem = Some(pm.clone());
-                (Ok(report), Some(pm))
-            } else {
-                (Ok(report), None)
-            }
-        }
-        Err(e) => {
-            let pm = flight.postmortem(Role::Sender.as_str(), error_outcome(&e), None);
-            (Err(e), Some(pm))
-        }
-    }
-}
-
-/// [`drive_receiver_obs`] with a session flight recorder: any error
-/// outcome (stall, quarantine, sender gone) freezes the ring into a
-/// [`Postmortem`]. Completed receivers produce none — a receiver has no
-/// degraded-but-ok state. Same tee caveat as [`drive_sender_flight`].
-///
-/// # Errors
-/// Same as [`drive_receiver_obs`].
-pub fn drive_receiver_flight<R: ReceiverMachine, T: Transport>(
-    machine: &mut R,
-    transport: &mut T,
-    rt: &RuntimeConfig,
-    obs: &Obs,
-    flight: &FlightRecorder,
-) -> (
-    Result<ReceiverReport, ProtocolError>,
-    Option<pm_obs::Postmortem>,
-) {
-    match drive_receiver_obs(machine, transport, rt, obs) {
-        Ok(report) => (Ok(report), None),
-        Err(e) => {
-            let pm = flight.postmortem(Role::Receiver.as_str(), error_outcome(&e), None);
-            (Err(e), Some(pm))
-        }
     }
 }
 
@@ -748,286 +440,9 @@ pub fn absorb_feedback<S: SenderMachine + ?Sized>(
     })
 }
 
-/// Drive a receiver machine until the transfer is complete *and* the
-/// sender has closed the session (so late polls still get `Done` answers),
-/// or until the sender disappears.
-///
-/// # Errors
-/// [`ProtocolError::SenderGone`] if FIN arrives before completion,
-/// [`ProtocolError::Stalled`] when nothing happens for the stall timeout
-/// (unless the transfer is already complete — then the lost FIN is
-/// forgiven and the data returned).
-pub fn drive_receiver<R: ReceiverMachine, T: Transport>(
-    machine: &mut R,
-    transport: &mut T,
-    rt: &RuntimeConfig,
-) -> Result<ReceiverReport, ProtocolError> {
-    drive_receiver_obs(machine, transport, rt, &Obs::null())
-}
-
-/// [`drive_receiver`] with runtime lifecycle events (`stall_timeout`,
-/// `linger_expired`, `session_end`) emitted to `obs`. Per-message events
-/// come from the machine and transport, not the driver.
-///
-/// # Errors
-/// Same as [`drive_receiver`]; `Stalled` errors carry the last event that
-/// counted as progress.
-pub fn drive_receiver_obs<R: ReceiverMachine, T: Transport>(
-    machine: &mut R,
-    transport: &mut T,
-    rt: &RuntimeConfig,
-    obs: &Obs,
-) -> Result<ReceiverReport, ProtocolError> {
-    let start = Instant::now();
-    let mut last_progress = start;
-    let mut last_event: Option<Event> = None;
-    let mut res = ResilienceState::new(rt.resilience);
-    let mut outbound: Vec<Message> = Vec::new();
-    let mut inbox: Vec<Message> = Vec::new();
-    loop {
-        let now = start.elapsed().as_secs_f64();
-
-        // Fire due NAK timers.
-        for action in machine.on_timer(now) {
-            if let ReceiverAction::Send(m) = action {
-                outbound.push(m);
-            }
-        }
-        for m in std::mem::take(&mut outbound) {
-            res.send(transport, &m, start, obs, &mut inbox)?;
-            last_progress = Instant::now();
-            last_event = Some(progress_event(&m, true));
-        }
-        // Datagrams that arrived while a retry backoff was being waited
-        // out; their responses go out on the next loop turn.
-        for msg in inbox.drain(..) {
-            let now = start.elapsed().as_secs_f64();
-            for action in machine.handle(&msg, now)? {
-                if let ReceiverAction::Send(m) = action {
-                    outbound.push(m);
-                }
-            }
-            last_progress = Instant::now();
-            last_event = Some(progress_event(&msg, false));
-        }
-
-        if machine.fin_seen() {
-            return if machine.is_complete() {
-                obs.emit(now, || Event::SessionEnd {
-                    role: Role::Receiver,
-                    outcome: Outcome::Completed,
-                });
-                Ok(ReceiverReport {
-                    data: machine.take_data()?,
-                    counters: *machine.counters(),
-                    elapsed: start.elapsed(),
-                    corrupt_dropped: res.core.corrupt_dropped(),
-                })
-            } else {
-                obs.emit(now, || Event::SessionEnd {
-                    role: Role::Receiver,
-                    outcome: Outcome::SenderGone,
-                });
-                Err(ProtocolError::SenderGone { groups_missing: 1 })
-            };
-        }
-
-        let idle = Instant::now().duration_since(last_progress);
-        if machine.is_complete() && idle > rt.complete_linger {
-            // FIN was lost but the data is whole; stop lingering.
-            obs.emit(now, || Event::LingerExpired {
-                waited_secs: idle.as_secs_f64(),
-            });
-            obs.emit(now, || Event::SessionEnd {
-                role: Role::Receiver,
-                outcome: Outcome::Completed,
-            });
-            return Ok(ReceiverReport {
-                data: machine.take_data()?,
-                counters: *machine.counters(),
-                elapsed: start.elapsed(),
-                corrupt_dropped: res.core.corrupt_dropped(),
-            });
-        }
-        if idle > rt.stall_timeout {
-            let waited = idle.as_secs_f64();
-            obs.emit(now, || Event::StallTimeout {
-                role: Role::Receiver,
-                waited_secs: waited,
-            });
-            obs.emit(now, || Event::SessionEnd {
-                role: Role::Receiver,
-                outcome: Outcome::Stalled,
-            });
-            return Err(ProtocolError::Stalled {
-                waited_secs: waited,
-                last_progress: last_event,
-            });
-        }
-
-        // Sleep until the next NAK deadline (or a short poll tick).
-        let timeout = match machine.next_deadline() {
-            Some(d) => clamp_wait(
-                d - now,
-                Duration::from_micros(100),
-                Duration::from_millis(20),
-            ),
-            None => Duration::from_millis(20),
-        };
-        if let Some(msg) = res.recv(transport, timeout, now, obs)? {
-            let now = start.elapsed().as_secs_f64();
-            for action in machine.handle(&msg, now)? {
-                if let ReceiverAction::Send(m) = action {
-                    outbound.push(m);
-                }
-            }
-            last_progress = Instant::now();
-            last_event = Some(progress_event(&msg, false));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CompletionPolicy, NpConfig};
-    use pm_net::MemHub;
-
-    fn config(recv: u32) -> NpConfig {
-        let mut c = NpConfig::small(CompletionPolicy::KnownReceivers(recv));
-        c.k = 4;
-        c.h = 8;
-        c.payload_len = 64;
-        c.nak_slot = 0.001;
-        c
-    }
-
-    fn rt() -> RuntimeConfig {
-        RuntimeConfig {
-            packet_spacing: Duration::from_micros(50),
-            stall_timeout: Duration::from_secs(5),
-            complete_linger: Duration::from_millis(300),
-            ..RuntimeConfig::default()
-        }
-    }
-
-    fn payload(n: usize) -> Vec<u8> {
-        (0..n).map(|i| (i * 17 % 253) as u8).collect()
-    }
-
-    #[test]
-    fn np_lossless_end_to_end() {
-        let hub = MemHub::new();
-        let bytes = payload(3000);
-        let mut sender_tp = hub.join();
-        let mut recv_tp = hub.join();
-        let data = bytes.clone();
-        let sender = std::thread::spawn(move || {
-            let mut s = NpSender::new(1, &data, config(1)).unwrap();
-            drive_sender(&mut s, &mut sender_tp, &rt()).unwrap()
-        });
-        let mut r = NpReceiver::new(7, 1, 0.001, 3);
-        let report = drive_receiver(&mut r, &mut recv_tp, &rt()).unwrap();
-        let sender_report = sender.join().unwrap();
-        assert_eq!(report.data, bytes);
-        assert!(sender_report.counters.data_sent > 0);
-        assert_eq!(
-            sender_report.counters.repairs_sent, 0,
-            "lossless needs no parities"
-        );
-    }
-
-    #[test]
-    fn n2_lossless_end_to_end() {
-        let hub = MemHub::new();
-        let bytes = payload(2000);
-        let mut sender_tp = hub.join();
-        let mut recv_tp = hub.join();
-        let data = bytes.clone();
-        let sender = std::thread::spawn(move || {
-            let mut s = N2Sender::new(2, &data, config(1)).unwrap();
-            drive_sender(&mut s, &mut sender_tp, &rt()).unwrap()
-        });
-        let mut r = N2Receiver::new(8, 2, 0.001, 4);
-        let report = drive_receiver(&mut r, &mut recv_tp, &rt()).unwrap();
-        sender.join().unwrap();
-        assert_eq!(report.data, bytes);
-    }
-
-    #[test]
-    fn receiver_stall_without_sender() {
-        let hub = MemHub::new();
-        let mut tp = hub.join();
-        let mut r = NpReceiver::new(1, 1, 0.001, 5);
-        let fast = RuntimeConfig {
-            packet_spacing: Duration::from_micros(50),
-            stall_timeout: Duration::from_millis(100),
-            complete_linger: Duration::from_millis(300),
-            ..RuntimeConfig::default()
-        };
-        match drive_receiver(&mut r, &mut tp, &fast) {
-            Err(ProtocolError::Stalled { .. }) => {}
-            other => panic!("expected stall, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn quarantine_trips_on_relentless_corruption() {
-        // A hub where every datagram the receiver-side driver pulls is
-        // corrupt: after `corrupt_quarantine` drops the session aborts
-        // with the typed error instead of spinning forever.
-        let hub = MemHub::new();
-        let feeder = hub.join();
-        let mut tp = hub.join();
-        let mut r = NpReceiver::new(1, 1, 0.001, 5);
-        let mut cfg = rt();
-        cfg.stall_timeout = Duration::from_secs(30);
-        cfg.resilience.corrupt_quarantine = 5;
-        let driver = std::thread::spawn(move || drive_receiver(&mut r, &mut tp, &cfg));
-        // Keep injecting damaged-but-ours datagrams until the driver quits.
-        let mut raw = Message::Fin { session: 1 }.encode().to_vec();
-        let last = raw.len() - 1;
-        raw[last] ^= 0xFF;
-        let raw = bytes::Bytes::from(raw);
-        let verdict = loop {
-            feeder.send_raw(raw.clone());
-            if driver.is_finished() {
-                break driver.join().expect("driver must not panic");
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        };
-        match verdict {
-            Err(ProtocolError::Quarantined { corrupt_dropped }) => {
-                assert_eq!(corrupt_dropped, 5);
-            }
-            other => panic!("expected quarantine, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn sender_evicts_silent_receiver_and_degrades() {
-        // Two receivers announced, one alive: with an eviction deadline
-        // the sender completes for the responsive one and reports the
-        // straggler instead of stalling out.
-        let hub = MemHub::new();
-        let bytes = payload(1500);
-        let mut sender_tp = hub.join();
-        let mut recv_tp = hub.join();
-        let data = bytes.clone();
-        let sender = std::thread::spawn(move || {
-            let mut s = NpSender::new(5, &data, config(2)).unwrap();
-            let mut cfg = rt();
-            cfg.resilience.eviction_timeout = Some(Duration::from_millis(250));
-            drive_sender(&mut s, &mut sender_tp, &cfg).unwrap()
-        });
-        let mut r = NpReceiver::new(7, 5, 0.001, 3);
-        let report = drive_receiver(&mut r, &mut recv_tp, &rt()).unwrap();
-        let session = sender.join().unwrap();
-        assert_eq!(report.data, bytes);
-        assert!(session.is_degraded());
-        assert_eq!(session.evicted, 1);
-        assert_eq!(session.completed, vec![7]);
-    }
 
     #[test]
     fn clamp_wait_is_total_over_hostile_floats() {
@@ -1045,55 +460,6 @@ mod tests {
         assert_eq!(clamp_wait(3600.0, floor, ceil), ceil);
         // In-range deltas pass through.
         assert_eq!(clamp_wait(0.001, floor, ceil), Duration::from_millis(1));
-    }
-
-    #[test]
-    fn driver_survives_nan_wakeup_time() {
-        // A machine returning a NaN (or infinite) wakeup must delay the
-        // driver by at most the tick ceiling, never panic it.
-        struct NanMachine {
-            steps: u32,
-            counters: CostCounters,
-        }
-        impl SenderMachine for NanMachine {
-            fn next_step(&mut self, _now: f64) -> SenderStep {
-                self.steps += 1;
-                match self.steps {
-                    1 => SenderStep::WaitUntil(f64::NAN),
-                    2 => SenderStep::WaitUntil(f64::INFINITY),
-                    _ => SenderStep::Finished,
-                }
-            }
-            fn handle(&mut self, _msg: &Message, _now: f64) -> Result<(), ProtocolError> {
-                Ok(())
-            }
-            fn is_finished(&self) -> bool {
-                self.steps >= 3
-            }
-            fn counters(&self) -> &CostCounters {
-                &self.counters
-            }
-            fn done_count(&self) -> usize {
-                0
-            }
-            fn done_ids(&self) -> Vec<u32> {
-                Vec::new()
-            }
-            fn outstanding(&self) -> u32 {
-                0
-            }
-            fn evict_outstanding(&mut self) -> u32 {
-                0
-            }
-        }
-        let hub = MemHub::new();
-        let mut tp = hub.join();
-        let mut m = NanMachine {
-            steps: 0,
-            counters: CostCounters::default(),
-        };
-        let report = drive_sender(&mut m, &mut tp, &rt()).expect("NaN wakeup must not abort");
-        assert_eq!(report.completed, Vec::<u32>::new());
     }
 
     #[test]
@@ -1139,163 +505,6 @@ mod tests {
                 .min(pol.retry_backoff_cap);
             let d = c.retry_backoff(attempt, 0.0, &obs);
             assert!(d >= base && d <= base + base / 2 + Duration::from_nanos(1));
-        }
-    }
-
-    /// A transport whose first `fail_sends` sends fail transiently and
-    /// whose receive path is fed from a queue — exercises the
-    /// backoff-without-blocking path.
-    struct Flaky {
-        fail_sends: u32,
-        sends_seen: u32,
-        incoming: std::collections::VecDeque<Message>,
-    }
-    impl Transport for Flaky {
-        fn send(&mut self, _msg: &Message) -> Result<(), NetError> {
-            self.sends_seen += 1;
-            if self.fail_sends > 0 {
-                self.fail_sends -= 1;
-                Err(NetError::Io(std::io::Error::new(
-                    std::io::ErrorKind::WouldBlock,
-                    "flaky uplink",
-                )))
-            } else {
-                Ok(())
-            }
-        }
-        fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
-            match self.incoming.pop_front() {
-                Some(m) => Ok(Some(m)),
-                None => {
-                    std::thread::sleep(timeout);
-                    Ok(None)
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn send_backoff_keeps_receiving() {
-        // Two transient send failures: the driver must retry to success
-        // while capturing the datagrams that arrived during the backoff
-        // windows instead of sleeping through them.
-        let mut res = ResilienceState::new(ResiliencePolicy {
-            send_retries: 3,
-            retry_backoff: Duration::from_millis(1),
-            retry_backoff_cap: Duration::from_millis(4),
-            ..ResiliencePolicy::default()
-        });
-        let mut tp = Flaky {
-            fail_sends: 2,
-            sends_seen: 0,
-            incoming: [
-                Message::Nak {
-                    session: 9,
-                    group: 0,
-                    needed: 2,
-                    round: 1,
-                },
-                Message::Done {
-                    session: 9,
-                    receiver: 4,
-                },
-            ]
-            .into_iter()
-            .collect(),
-        };
-        let mut inbox = Vec::new();
-        let start = Instant::now();
-        res.send(
-            &mut tp,
-            &Message::Fin { session: 9 },
-            start,
-            &Obs::null(),
-            &mut inbox,
-        )
-        .expect("retries must succeed");
-        assert_eq!(tp.sends_seen, 3, "two failures then success");
-        assert_eq!(res.core.send_retries(), 2);
-        assert_eq!(inbox.len(), 2, "backoff windows kept receiving");
-        assert!(matches!(inbox[0], Message::Nak { .. }));
-    }
-
-    #[test]
-    fn carousel_evicts_dead_receiver_under_nak_storm() {
-        use crate::carousel::{CarouselConfig, CarouselSender, CarouselStop};
-        // A carousel pinned in continuous `Transmit` steps by a NAK storm:
-        // the hoisted eviction check must still fire for the receiver that
-        // never reports Done, and the session must end degraded — not
-        // stall, and not spin forever (the pre-fix behavior, where the
-        // eviction check lived only in the unreachable `WaitUntil` arm).
-        let hub = MemHub::new();
-        let mut sender_tp = hub.join();
-        let mut feeder = hub.join();
-        let session = 77;
-        let mut cfg = CarouselConfig::default_with(CarouselStop::AllDone(2));
-        cfg.k = 4;
-        cfg.h = 2;
-        cfg.payload_len = 32;
-        let data = payload(256);
-        let driver = std::thread::spawn(move || {
-            let mut s = CarouselSender::new(session, &data, cfg).unwrap();
-            let rt = RuntimeConfig {
-                packet_spacing: Duration::from_micros(20),
-                stall_timeout: Duration::from_secs(20),
-                complete_linger: Duration::from_millis(100),
-                resilience: ResiliencePolicy {
-                    eviction_timeout: Some(Duration::from_millis(200)),
-                    ..ResiliencePolicy::default()
-                },
-            };
-            drive_sender(&mut s, &mut sender_tp, &rt)
-        });
-        // One live receiver reports Done; the other stays silent forever
-        // while junk NAKs hammer the sender.
-        feeder
-            .send(&Message::Done {
-                session,
-                receiver: 1,
-            })
-            .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let report = loop {
-            feeder
-                .send(&Message::Nak {
-                    session,
-                    group: 0,
-                    needed: 1,
-                    round: 1,
-                })
-                .unwrap();
-            if driver.is_finished() {
-                break driver.join().expect("driver must not panic");
-            }
-            assert!(
-                Instant::now() < deadline,
-                "sender never evicted the dead receiver (eviction check unreachable?)"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        };
-        let report = report.expect("degraded completion, not an error");
-        assert!(report.is_degraded());
-        assert_eq!(report.evicted, 1);
-        assert_eq!(report.completed, vec![1]);
-    }
-
-    #[test]
-    fn sender_stall_without_receivers() {
-        let hub = MemHub::new();
-        let mut tp = hub.join();
-        let mut s = NpSender::new(3, &payload(500), config(1)).unwrap();
-        let fast = RuntimeConfig {
-            packet_spacing: Duration::from_micros(50),
-            stall_timeout: Duration::from_millis(150),
-            complete_linger: Duration::from_millis(300),
-            ..RuntimeConfig::default()
-        };
-        match drive_sender(&mut s, &mut tp, &fast) {
-            Err(ProtocolError::Stalled { .. }) => {}
-            other => panic!("expected stall, got {other:?}"),
         }
     }
 }

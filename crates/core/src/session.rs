@@ -15,7 +15,7 @@ use crate::error::ProtocolError;
 /// Typed outcome of a sender session: who finished, who was given up on,
 /// and how much network hostility the driver absorbed along the way.
 ///
-/// Returned by [`drive_sender`](crate::runtime::drive_sender). A session
+/// What a sender session driven by `pm-mux` ends with. A session
 /// that runs under a [`ResiliencePolicy`](crate::runtime::ResiliencePolicy)
 /// with an eviction deadline can end *degraded*: complete for the
 /// responsive population with the silent stragglers evicted and counted
@@ -35,8 +35,7 @@ pub struct SessionReport {
     /// Transient send failures absorbed by retrying.
     pub send_retries: u64,
     /// Flight-recorder dump, attached when the session ended degraded and
-    /// a recorder was wired in (see
-    /// [`drive_sender_flight`](crate::runtime::drive_sender_flight)).
+    /// a recorder was wired in (`pm_mux::MuxConfig::flight_capacity`).
     pub postmortem: Option<pm_obs::Postmortem>,
 }
 

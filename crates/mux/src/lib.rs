@@ -8,15 +8,16 @@
 //! instead of a blocking call. The driver never parks on one session's
 //! behalf, so a hostile or dead session cannot stall its neighbors.
 //!
-//! The crate reuses the blocking drivers' semantics wholesale:
+//! This is the only loop in the workspace that drives the protocol
+//! machines over a transport. The clock-free parts of its policy live
+//! beside the machines in `pm-core`:
 //! [`pm_core::runtime::ResilienceCore`] for corruption absorption and
 //! retry accounting, [`pm_core::runtime::absorb_feedback`] for the
-//! eviction liveness classification, and the same
+//! eviction liveness classification, and the
 //! [`SessionReport`](pm_core::runtime::SessionReport) /
-//! [`ReceiverReport`](pm_core::runtime::ReceiverReport) outcomes — a
-//! session driven by the mux is observably the session the blocking
-//! drivers would have run (the equivalence tests pin byte-identical
-//! transcripts).
+//! [`ReceiverReport`](pm_core::runtime::ReceiverReport) a session ends
+//! with. [`drive_sender`] / [`drive_receiver`] run one session to its end
+//! on the calling thread.
 //!
 //! Time comes from a [`MuxClock`]: [`VirtualClock`] for deterministic
 //! tests (the clock jumps to the next timer deadline when the system is
@@ -33,11 +34,13 @@
 //! at the protocol layer.
 
 pub mod clock;
+pub mod drive;
 pub mod mux;
 pub mod overload;
 pub mod wheel;
 
 pub use clock::{MuxClock, VirtualClock, WallClock};
+pub use drive::{drive_receiver, drive_sender};
 pub use mux::{Mux, MuxConfig, MuxMetrics, SessionOutcome, ShedReport};
 pub use overload::{AdmissionError, OverloadConfig, OverloadPolicy, OverloadSignal};
 pub use wheel::TimerWheel;

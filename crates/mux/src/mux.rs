@@ -1,12 +1,10 @@
 //! The multiplexer proper: N sessions, one thread, zero blocking waits.
 //!
-//! Every wait the blocking drivers express as a timed `recv` or a sleep —
-//! packet pacing, retry backoff, machine wakeups, the receiver poll
-//! cadence — becomes a [`TimerWheel`] entry keyed by `(session, kind,
-//! generation)`. Stall, linger and eviction deadlines stay what they are
-//! in the blocking drivers: checks performed at the same cadence those
-//! drivers perform them (every drive pass), so the two runtimes observe
-//! identical timeout semantics.
+//! Every wait a session needs — packet pacing, retry backoff, machine
+//! wakeups, the receiver poll cadence — is a [`TimerWheel`] entry keyed by
+//! `(session, kind, generation)`. Stall, linger and eviction deadlines are
+//! not timers but checks made on every drive pass, so a session pinned in
+//! back-to-back transmits meets them as promptly as an idle one.
 //!
 //! The run loop is three strokes per turn: sweep the socket set
 //! ([`PollSet::poll_round`] — fairness-bounded, round-robin), fire due
@@ -36,10 +34,12 @@ use crate::clock::MuxClock;
 use crate::overload::{AdmissionError, OverloadConfig, OverloadPolicy, OverloadSignal};
 use crate::wheel::TimerWheel;
 
-/// Ceiling on a sender machine's requested wait (mirrors the blocking
-/// driver's `WaitUntil` clamp).
+/// Ceiling on a sender machine's requested `WaitUntil`: an idle sender is
+/// re-driven — and its stall deadline re-checked — at least this often,
+/// whatever wakeup (`NaN`, `+inf`) the machine asked for.
 const SENDER_WAIT_CEIL: Duration = Duration::from_millis(50);
-/// Ceiling on the receiver poll cadence (mirrors the blocking driver).
+/// Ceiling on the receiver drive cadence: the interval at which a receiver
+/// with no NAK timer pending still gets its FIN/linger/stall checks.
 const RECEIVER_WAIT_CEIL: Duration = Duration::from_millis(20);
 
 /// Tuning knobs of a [`Mux`].
@@ -79,8 +79,7 @@ impl Default for MuxConfig {
 /// Which of a session's schedulable waits a timer entry represents.
 ///
 /// Stall, linger and eviction are *not* timer kinds — they are deadline
-/// checks made on every drive pass, exactly as the blocking drivers make
-/// them on every loop turn.
+/// checks made on every drive pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TimerKind {
     /// Inter-packet pacing gap after a successful transmit (sender).
@@ -109,29 +108,33 @@ enum Engine {
 }
 
 /// A transmission that hit a transient I/O failure and is waiting out its
-/// retry backoff. While parked, the session transmits nothing else — the
-/// same total order the blocking drivers' in-place retry loop enforces.
+/// retry backoff. While parked, the session transmits nothing else, so its
+/// datagrams keep their order; it keeps *receiving* (`on_io` runs
+/// regardless), so a flaky uplink cannot starve the feedback path.
 struct PendingSend {
     msg: Message,
     attempt: u32,
+    /// Keep-alive re-announces are not progress: if they were, a sender
+    /// with zero receivers would re-announce forever instead of stalling.
     keepalive: bool,
 }
 
-/// Per-session driver state: the machine plus everything the blocking
-/// drivers keep in locals.
+/// Per-session driver state: the machine, its clocks and its parked work.
 struct SessionState {
     token: Token,
     rt: RuntimeConfig,
     engine: Engine,
     res: ResilienceCore,
     /// Mux-clock time this session was added; machine time is relative
-    /// to it, so every session starts at its own `t = 0` just as it
-    /// would under a dedicated blocking driver.
+    /// to it, so every session starts at its own `t = 0` whenever it
+    /// joins.
     started: f64,
     /// Stall/linger clock (absolute mux time).
     last_progress: f64,
-    /// Eviction clock (absolute mux time) — resets only on receiver
-    /// liveness, see [`absorb_feedback`].
+    /// Eviction clock (absolute mux time). Stricter than the stall
+    /// clock: it resets only on receiver liveness (see
+    /// [`absorb_feedback`]), never on our own transmissions — or a sender
+    /// that transmits continuously (the carousel) could never evict.
     last_liveness: f64,
     /// Last event that counted as progress (`Stalled` context).
     last_event: Option<Event>,
@@ -180,8 +183,7 @@ impl SessionState {
     }
 }
 
-/// How a multiplexed session ended — the same reports and errors the
-/// blocking drivers return.
+/// How a multiplexed session ended.
 // One outcome per session lifetime; the postmortem-carrying report is
 // big, but this is never a hot-path value worth the Box indirection.
 #[allow(clippy::large_enum_variant)]
@@ -773,8 +775,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
             let sess_obs = sess.obs.clone();
             match sess.res.absorb_recv(outcome.map(Some), now_rel, &sess_obs) {
                 // Quarantine or fatal transport error: abort with the
-                // typed error and no session_end event, exactly like the
-                // blocking drivers' error path.
+                // typed error and no session_end event.
                 Err(e) => AfterIo::Finish(match sess.engine {
                     Engine::Sender(_) => SessionOutcome::Sender(Err(e)),
                     Engine::Receiver(_) => SessionOutcome::Receiver(Err(e)),
@@ -865,9 +866,9 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
         }
     }
 
-    /// One sender drive pass: the body of `drive_sender_obs`'s loop, with
-    /// every wait turned into a timer. Exits after arming exactly one of
-    /// Pace/Wake/Retry, or finishes the session.
+    /// One sender drive pass: evict if due, ask the machine for its next
+    /// step, act on it. Exits after arming exactly one of Pace/Wake/Retry,
+    /// or finishes the session.
     fn drive_sender_session(&mut self, token: Token) {
         let now_abs = self.clock.now();
         let tick = self.cfg.tick;
@@ -900,9 +901,9 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                     break 'drive None;
                 };
                 // Graceful degradation, checked on every drive — not only
-                // when the machine goes idle (the blocking drivers' hoisted
-                // check): a carousel pinned in back-to-back transmits
-                // evicts exactly as promptly as an idle sender.
+                // when the machine goes idle: a carousel pinned in
+                // back-to-back transmits evicts exactly as promptly as an
+                // idle sender.
                 if let Some(deadline) = sess.rt.resilience.eviction_timeout {
                     let quiet = now_abs - sess.last_liveness;
                     if quiet > deadline.as_secs_f64()
@@ -1128,8 +1129,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                     match sess.engine {
                         Engine::Sender(_) => {
                             // The send finally landed: resume pacing from
-                            // here, as the blocking driver does after its
-                            // in-place retry loop returns.
+                            // here.
                             let spacing = sess.rt.packet_spacing;
                             arm(wheel, sess, TimerKind::Pace, spacing, tick);
                             AfterIo::Nothing
@@ -1254,8 +1254,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
         if let Some(ring) = &sess.flight {
             match &mut outcome {
                 // Degraded-but-ok sender: the artifact travels on the
-                // report, exactly as the blocking `drive_sender_flight`
-                // attaches it.
+                // report.
                 SessionOutcome::Sender(Ok(report)) if report.is_degraded() => {
                     report.postmortem =
                         Some(ring.postmortem(role.as_str(), "degraded", Some(slot as u32)));
@@ -1337,9 +1336,8 @@ fn arm_at(wheel: &mut TimerWheel<TimerKey>, sess: &mut SessionState, kind: Timer
     );
 }
 
-/// Send everything in a receiver's outbound queue, parking on the first
-/// transient failure (mirrors `ResilienceState::send` plus the blocking
-/// receiver's one-message-at-a-time flush).
+/// Send everything in a receiver's outbound queue, one message at a
+/// time, parking on the first transient failure.
 fn flush_outbound<T: PollTransport>(
     sess: &mut SessionState,
     sockets: &mut PollSet<T>,
@@ -1384,7 +1382,7 @@ fn flush_outbound<T: PollTransport>(
     Flush::Clear
 }
 
-/// The blocking receiver driver's end-of-loop checks: FIN, linger, stall.
+/// A receiver's end-of-drive checks: FIN, linger, stall.
 fn receiver_checks(sess: &mut SessionState, now_abs: f64) -> Option<SessionOutcome> {
     let obs = sess.obs.clone();
     let now_rel = now_abs - sess.started;
@@ -1456,9 +1454,10 @@ mod tests {
     use super::*;
     use crate::clock::VirtualClock;
     use pm_core::config::{CompletionPolicy, NpConfig};
+    use pm_core::n2::{N2Receiver, N2Sender};
     use pm_core::receiver::NpReceiver;
     use pm_core::sender::NpSender;
-    use pm_net::MemHub;
+    use pm_net::{MemHub, Transport};
     use pm_obs::{MetricsRegistry, RingRecorder};
     use std::sync::Arc;
 
@@ -1483,31 +1482,48 @@ mod tests {
         Mux::new(MuxConfig::default(), VirtualClock::new())
     }
 
-    #[test]
-    fn one_pair_transfers_bytes_in_virtual_time() {
+    /// One sender and one receiver on a fresh hub, run to the end; checks
+    /// the delivered bytes and returns the sender's report.
+    fn lossless_pair<S, R>(sender: S, receiver: R, data: &[u8]) -> SessionReport
+    where
+        S: SenderMachine + 'static,
+        R: ReceiverMachine + 'static,
+    {
         let hub = MemHub::new();
         let mut m = mux();
-        let data = payload(3000);
-        let s_tok = m.add_sender(
-            NpSender::new(1, &data, np_config(1)).unwrap(),
-            hub.join(),
-            rt(),
-        );
-        let r_tok = m.add_receiver(NpReceiver::new(7, 1, 0.001, 42), hub.join(), rt());
-        let outcomes = m.run();
-        assert_eq!(outcomes.len(), 2);
-        assert!(m.is_empty());
-        for (tok, out) in &outcomes {
-            assert!(out.is_ok(), "session failed: {:?}", out.err());
-            if *tok == s_tok {
-                let rep = out.sender_report().unwrap();
-                assert_eq!(rep.completed, vec![7]);
-                assert_eq!(rep.evicted, 0);
-            } else {
-                assert_eq!(*tok, r_tok);
-                assert_eq!(out.receiver_report().unwrap().data, data);
+        m.add_sender(sender, hub.join(), rt());
+        m.add_receiver(receiver, hub.join(), rt());
+        let mut sent = None;
+        for (_, outcome) in m.run() {
+            match outcome {
+                SessionOutcome::Receiver(Ok(rep)) => assert_eq!(rep.data, data),
+                SessionOutcome::Sender(Ok(rep)) => sent = Some(rep),
+                other => panic!("session failed: {other:?}"),
             }
         }
+        assert!(m.is_empty());
+        sent.expect("sender outcome")
+    }
+
+    #[test]
+    fn np_and_n2_pairs_transfer_bytes_in_virtual_time() {
+        let data = payload(3000);
+        let np = lossless_pair(
+            NpSender::new(1, &data, np_config(1)).unwrap(),
+            NpReceiver::new(7, 1, 0.001, 42),
+            &data,
+        );
+        assert_eq!(np.completed, vec![7]);
+        assert_eq!(np.evicted, 0);
+        assert!(np.counters.data_sent > 0);
+        assert_eq!(np.counters.repairs_sent, 0, "lossless needs no parities");
+        let n2 = lossless_pair(
+            N2Sender::new(2, &data, np_config(1)).unwrap(),
+            N2Receiver::new(8, 2, 0.001, 4),
+            &data,
+        );
+        assert_eq!(n2.completed, vec![8]);
+        assert_eq!(n2.counters.repairs_sent, 0, "nothing to retransmit");
     }
 
     #[test]
@@ -1582,6 +1598,289 @@ mod tests {
         }
         // The virtual clock covered the whole hour by jumping.
         assert!(m.clock().now() > 3600.0);
+    }
+
+    #[test]
+    fn orphan_sender_stalls_because_keepalive_announces_are_not_progress() {
+        let hub = MemHub::new();
+        let mut m = mux();
+        let cfg = RuntimeConfig {
+            stall_timeout: Duration::from_millis(150),
+            ..RuntimeConfig::default()
+        };
+        let sender = NpSender::new(3, &payload(500), np_config(1)).unwrap();
+        m.add_sender(sender, hub.join(), cfg);
+        match m.run().pop() {
+            Some((
+                _,
+                SessionOutcome::Sender(Err(ProtocolError::Stalled { last_progress, .. })),
+            )) => {
+                // The sender kept re-announcing until the end, yet the last
+                // thing that counted was a data-path transmission.
+                assert!(
+                    matches!(last_progress, Some(Event::NetSent { kind }) if kind != pm_obs::MsgKind::Announce),
+                    "last progress was {last_progress:?}"
+                );
+            }
+            other => panic!("expected Stalled, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn quarantine_trips_on_relentless_corruption() {
+        // Every datagram the receiver pulls is ours but damaged: after
+        // `corrupt_quarantine` drops the session aborts with the typed
+        // error instead of absorbing forever.
+        let hub = MemHub::new();
+        let feeder = hub.join();
+        let mut m = mux();
+        let mut cfg = rt();
+        cfg.resilience.corrupt_quarantine = 5;
+        m.add_receiver(NpReceiver::new(1, 1, 0.001, 5), hub.join(), cfg);
+        let mut raw = Message::Fin { session: 1 }.encode().to_vec();
+        let last = raw.len() - 1;
+        raw[last] ^= 0xFF;
+        for _ in 0..8 {
+            feeder.send_raw(bytes::Bytes::from(raw.clone()));
+        }
+        match m.run().pop() {
+            Some((
+                _,
+                SessionOutcome::Receiver(Err(ProtocolError::Quarantined { corrupt_dropped })),
+            )) => {
+                assert_eq!(corrupt_dropped, 5);
+            }
+            other => panic!("expected quarantine, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sender_evicts_silent_receiver_and_degrades() {
+        // Two receivers announced, one alive: with an eviction deadline
+        // the sender completes for the responsive one and reports the
+        // straggler instead of stalling out.
+        let hub = MemHub::new();
+        let mut m = mux();
+        let data = payload(1500);
+        let mut cfg = rt();
+        cfg.resilience.eviction_timeout = Some(Duration::from_millis(250));
+        let s_tok = m.add_sender(
+            NpSender::new(5, &data, np_config(2)).unwrap(),
+            hub.join(),
+            cfg,
+        );
+        m.add_receiver(NpReceiver::new(7, 5, 0.001, 3), hub.join(), rt());
+        for (tok, out) in m.run() {
+            if tok == s_tok {
+                let session = out.sender_report().expect("degraded is not an error");
+                assert!(session.is_degraded());
+                assert_eq!(session.evicted, 1);
+                assert_eq!(session.completed, vec![7]);
+            } else {
+                assert_eq!(out.receiver_report().expect("receiver ok").data, data);
+            }
+        }
+    }
+
+    #[test]
+    fn carousel_evicts_dead_receiver_under_nak_storm() {
+        use pm_core::carousel::{CarouselConfig, CarouselSender, CarouselStop};
+        // A carousel never yields `WaitUntil`, so the eviction check must
+        // run on every drive pass; and it ignores NAKs, so a NAK storm must
+        // not count as liveness. One receiver reports Done, the other
+        // never does: the session must end degraded, not spin forever.
+        let hub = MemHub::new();
+        let mut feeder = hub.join();
+        let session = 77;
+        let mut cfg = CarouselConfig::default_with(CarouselStop::AllDone(2));
+        cfg.k = 4;
+        cfg.h = 2;
+        cfg.payload_len = 32;
+        let rt = RuntimeConfig {
+            packet_spacing: Duration::from_micros(20),
+            stall_timeout: Duration::from_secs(20),
+            complete_linger: Duration::from_millis(100),
+            resilience: pm_core::ResiliencePolicy {
+                eviction_timeout: Some(Duration::from_millis(200)),
+                ..Default::default()
+            },
+        };
+        let mut m = mux();
+        let sender = CarouselSender::new(session, &payload(256), cfg).unwrap();
+        m.add_sender(sender, hub.join(), rt);
+        let done = Message::Done {
+            session,
+            receiver: 1,
+        };
+        feeder.send(&done).unwrap();
+        let nak = Message::Nak {
+            session,
+            group: 0,
+            needed: 1,
+            round: 1,
+        };
+        // A NAK every other turn: a turn that drains a datagram does not
+        // advance the virtual clock, so the storm must leave gaps.
+        let mut storm = true;
+        while !m.is_empty() {
+            if storm {
+                feeder.send(&nak).unwrap();
+            }
+            storm = !storm;
+            m.turn_once();
+            assert!(m.clock().now() < 10.0, "sender never evicted");
+        }
+        match m.take_outcomes().pop() {
+            Some((_, SessionOutcome::Sender(Ok(report)))) => {
+                assert!(report.is_degraded());
+                assert_eq!(report.evicted, 1);
+                assert_eq!(report.completed, vec![1]);
+            }
+            other => panic!("expected degraded completion, got {other:?}"),
+        }
+    }
+
+    /// A sender machine that plays a fixed script of steps and counts
+    /// every message handed to it as feedback.
+    struct Scripted {
+        steps: std::vec::IntoIter<SenderStep>,
+        finished: bool,
+        counters: pm_core::CostCounters,
+    }
+
+    impl Scripted {
+        fn new(steps: Vec<SenderStep>) -> Self {
+            Scripted {
+                steps: steps.into_iter(),
+                finished: false,
+                counters: Default::default(),
+            }
+        }
+    }
+
+    impl SenderMachine for Scripted {
+        fn next_step(&mut self, _now: f64) -> SenderStep {
+            let step = self.steps.next().unwrap_or(SenderStep::Finished);
+            self.finished |= matches!(step, SenderStep::Finished);
+            step
+        }
+        fn handle(&mut self, _msg: &Message, _now: f64) -> Result<(), ProtocolError> {
+            self.counters.feedback_received += 1;
+            Ok(())
+        }
+        fn is_finished(&self) -> bool {
+            self.finished
+        }
+        fn counters(&self) -> &pm_core::CostCounters {
+            &self.counters
+        }
+        fn done_count(&self) -> usize {
+            0
+        }
+        fn done_ids(&self) -> Vec<u32> {
+            Vec::new()
+        }
+        fn outstanding(&self) -> u32 {
+            0
+        }
+        fn evict_outstanding(&mut self) -> u32 {
+            0
+        }
+    }
+
+    #[test]
+    fn hostile_wakeup_times_delay_a_session_but_never_panic_it() {
+        let hub = MemHub::new();
+        let mut m = mux();
+        let machine = Scripted::new(vec![
+            SenderStep::WaitUntil(f64::NAN),
+            SenderStep::WaitUntil(f64::INFINITY),
+        ]);
+        m.add_sender(machine, hub.join(), rt());
+        match m.run().pop() {
+            Some((_, SessionOutcome::Sender(Ok(report)))) => {
+                assert_eq!(report.completed, Vec::<u32>::new());
+                // NaN wakes at the floor, +inf at the ceiling — not never.
+                assert!(report.elapsed <= SENDER_WAIT_CEIL + 2 * MuxConfig::default().tick);
+            }
+            other => panic!("hostile wakeups must not abort: {other:?}"),
+        }
+    }
+
+    /// A transport whose first `fail_sends` sends fail transiently, and
+    /// whose queued datagrams arrive only once a send has been attempted —
+    /// i.e. during the backoff.
+    struct Flaky {
+        fail_sends: u32,
+        sends_seen: u32,
+        incoming: VecDeque<Message>,
+        /// `sends_seen` at each delivery.
+        delivered_at: Vec<u32>,
+    }
+
+    impl Transport for Flaky {
+        fn send(&mut self, _msg: &Message) -> Result<(), NetError> {
+            self.sends_seen += 1;
+            if self.fail_sends > 0 {
+                self.fail_sends -= 1;
+                return Err(NetError::Io(std::io::Error::new(
+                    std::io::ErrorKind::WouldBlock,
+                    "flaky uplink",
+                )));
+            }
+            Ok(())
+        }
+        fn recv_timeout(&mut self, _timeout: Duration) -> Result<Option<Message>, NetError> {
+            if self.sends_seen == 0 {
+                return Ok(None);
+            }
+            let msg = self.incoming.pop_front();
+            if msg.is_some() {
+                self.delivered_at.push(self.sends_seen);
+            }
+            Ok(msg)
+        }
+    }
+
+    impl PollTransport for Flaky {}
+
+    #[test]
+    fn send_backoff_keeps_receiving() {
+        // Two transient send failures: the session retries to success, and
+        // the datagrams that arrive during the backoff windows reach the
+        // machine then — not after the send finally lands.
+        let session = 9;
+        let mut tp = Flaky {
+            fail_sends: 2,
+            sends_seen: 0,
+            incoming: VecDeque::from([
+                Message::Nak {
+                    session,
+                    group: 0,
+                    needed: 2,
+                    round: 1,
+                },
+                Message::Done {
+                    session,
+                    receiver: 4,
+                },
+            ]),
+            delivered_at: Vec::new(),
+        };
+        let mut cfg = rt();
+        cfg.resilience.retry_backoff_cap = Duration::from_millis(4);
+        let mut m: Mux<&mut Flaky, VirtualClock> =
+            Mux::new(MuxConfig::default(), VirtualClock::new());
+        let machine = Scripted::new(vec![SenderStep::Transmit(Message::Fin { session })]);
+        m.add_sender(machine, &mut tp, cfg);
+        let report = match m.run().pop() {
+            Some((_, SessionOutcome::Sender(Ok(report)))) => report,
+            other => panic!("retries must succeed: {other:?}"),
+        };
+        assert_eq!(report.send_retries, 2);
+        assert_eq!(report.counters.feedback_received, 2);
+        assert_eq!(tp.sends_seen, 3, "two failures then success");
+        assert_eq!(tp.delivered_at, [1, 1], "absorbed while parked");
     }
 
     #[test]

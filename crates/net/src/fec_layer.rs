@@ -355,6 +355,10 @@ impl<T: Transport> Transport for FecTransport<T> {
     }
 }
 
+/// The default `recv_timeout(ZERO)` path drains decoded and ready frames,
+/// runs the age-based flush and returns without parking.
+impl<T: Transport> crate::poll::PollTransport for FecTransport<T> {}
+
 #[cfg(test)]
 mod tests {
     use super::*;

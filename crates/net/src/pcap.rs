@@ -217,6 +217,9 @@ impl<T: Transport, W: Write + Send> Transport for PcapTransport<T, W> {
     }
 }
 
+/// The default `recv_timeout(ZERO)` path is as non-blocking as `inner`'s.
+impl<T: Transport, W: Write + Send> crate::poll::PollTransport for PcapTransport<T, W> {}
+
 #[cfg(test)]
 mod tests {
     use super::*;

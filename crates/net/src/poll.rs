@@ -34,6 +34,12 @@ pub trait PollTransport: Transport {
     }
 }
 
+impl<T: PollTransport + ?Sized> PollTransport for &mut T {
+    fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
+        (**self).poll_recv()
+    }
+}
+
 impl Transport for Box<dyn PollTransport> {
     fn send(&mut self, msg: &Message) -> Result<(), NetError> {
         (**self).send(msg)

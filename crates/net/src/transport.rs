@@ -136,6 +136,17 @@ impl Transport for Box<dyn Transport> {
     }
 }
 
+/// A borrowed transport is a transport: lets a driver that owns its
+/// endpoints run on one the caller keeps (and reads `stats()` off after).
+impl<T: Transport + ?Sized> Transport for &mut T {
+    fn send(&mut self, msg: &Message) -> Result<(), NetError> {
+        (**self).send(msg)
+    }
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
+        (**self).recv_timeout(timeout)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -7,29 +7,29 @@
 //! the paper's Fig. 13 (`delta` between consecutive packets, `T` for the
 //! feedback/retransmission turnaround):
 //!
-//! * [`scheme::nofec`] — plain ARQ; retransmissions of a packet spaced
-//!   `delta + T`.
-//! * [`scheme::layered`] — FEC blocks of `k` data + `h` parities below an
-//!   ARQ layer; a packet keeps its block position across retransmission
-//!   rounds, consecutive blocks separated by `delta + T`.
-//! * [`scheme::integrated_1`] — parities stream right behind the data at
-//!   the full rate `1/delta`; each receiver "leaves the group" once it
-//!   holds `k` packets (no feedback, no unnecessary receptions).
-//! * [`scheme::integrated_2`] — the NP-style hybrid ARQ: after each round
-//!   the sender learns the maximum number of packets any receiver still
-//!   needs and multicasts exactly that many parities, rounds separated by
-//!   `delta + T` (which *interleaves* parities across loss bursts).
+//! * [`runner::Scheme::NoFec`] — plain ARQ; retransmissions of a packet
+//!   spaced `delta + T`.
+//! * [`runner::Scheme::Layered`] — FEC blocks of `k` data + `h` parities
+//!   below an ARQ layer; a packet keeps its block position across
+//!   retransmission rounds, consecutive blocks separated by `delta + T`.
+//! * [`runner::Scheme::Integrated1`] — parities stream right behind the
+//!   data at the full rate `1/delta`; each receiver "leaves the group"
+//!   once it holds `k` packets (no feedback, no unnecessary receptions).
+//! * [`runner::Scheme::Integrated2`] — the NP-style hybrid ARQ: after each
+//!   round the sender learns the maximum number of packets any receiver
+//!   still needs and multicasts exactly that many parities, rounds
+//!   separated by `delta + T` (which *interleaves* parities across loss
+//!   bursts).
 //!
 //! Every scheme is generic over a [`pm_loss::LossModel`], so the same code
-//! runs under independent, shared-tree (FBT) and Markov burst loss. All
-//! simulations are deterministic given the model's seed.
+//! runs under each [`runner::LossEnv`]: independent, shared-tree (FBT) and
+//! Markov burst loss. All simulations are deterministic given the seed.
 //!
 //! The [`runner`] entry points seed each trial independently via
 //! `pm_par::mix_seed(seed, trial_index)`, which makes trials order-free:
-//! [`runner::run_env_par`] and [`runner::sweep_receivers_par`] fan them
-//! across a [`pm_par::Pool`] and return results **bit-identical** to the
-//! serial [`runner::run_env`] / [`runner::sweep_receivers`] at any worker
-//! count.
+//! [`runner::run_env_par`] fans them across a [`pm_par::Pool`] and returns
+//! results **bit-identical** to the serial [`runner::run_env`] at any
+//! worker count; [`runner::run_env_par_traced`] adds per-trial events.
 //!
 //! The headline metric matches the paper: **E\[M\]**, the expected number of
 //! packet transmissions per data packet delivered reliably to every
@@ -47,7 +47,7 @@
 pub mod config;
 pub mod metrics;
 pub mod runner;
-pub mod scheme;
+mod scheme;
 
 pub use config::SimConfig;
 pub use metrics::{RunningStat, SimResult};

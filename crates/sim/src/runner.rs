@@ -1,5 +1,5 @@
-//! Scheme dispatch, deterministic per-trial seeding, and parameter sweeps
-//! — serial and parallel.
+//! Scheme dispatch and deterministic per-trial seeding — serial and
+//! parallel.
 //!
 //! # Execution model
 //!
@@ -12,11 +12,6 @@
 //! parallel variance combine), so its [`SimResult`] is **bit-identical**
 //! to the serial one for every scheme × environment pair; the
 //! `parallel_equivalence` integration test pins this.
-//!
-//! The pre-existing single-stream drivers ([`run`] and the public scheme
-//! functions) remain for callers that bring their own stateful model, but
-//! everything seeded through a [`LossEnv`] flows through the per-trial
-//! path.
 
 use pm_loss::{GilbertLoss, IndependentLoss, LossModel, TreeBurstLoss, TreeLoss, TwoClassLoss};
 use pm_obs::{Event, EventBuffer, Obs};
@@ -93,19 +88,6 @@ fn run_trial<M: LossModel>(
         Scheme::Layered { k, h } => scheme::layered_trial(cfg, k, h, model, now),
         Scheme::Integrated1 { k } => scheme::integrated_1_trial(cfg, k, model, now),
         Scheme::Integrated2 { k } => scheme::integrated_2_trial(cfg, k, model, now),
-    }
-}
-
-/// Run one scheme against one caller-supplied loss model: all
-/// `cfg.trials` trials consume the model's single random stream in order.
-/// Kept for callers with bespoke stateful models; the [`LossEnv`] entry
-/// points reseed per trial instead (and can run in parallel).
-pub fn run<M: LossModel>(cfg: &SimConfig, scheme: Scheme, model: &mut M) -> SimResult {
-    match scheme {
-        Scheme::NoFec => scheme::nofec(cfg, model),
-        Scheme::Layered { k, h } => scheme::layered(cfg, k, h, model),
-        Scheme::Integrated1 { k } => scheme::integrated_1(cfg, k, model),
-        Scheme::Integrated2 { k } => scheme::integrated_2(cfg, k, model),
     }
 }
 
@@ -347,23 +329,6 @@ pub fn run_env_par(
     .run_all(pool)
 }
 
-/// [`run_env`] with a `sim_run` summary event emitted to `obs` at
-/// timestamp `now` once the run finishes.
-///
-/// # Panics
-/// Same conditions as [`run_env`].
-pub fn run_env_traced(
-    cfg: &SimConfig,
-    scheme: Scheme,
-    env: LossEnv,
-    receivers: usize,
-    seed: u64,
-    obs: &Obs,
-    now: f64,
-) -> SimResult {
-    run_env_par_traced(cfg, scheme, env, receivers, seed, &Pool::serial(), obs, now)
-}
-
 /// [`run_env_par`] with tracing: every trial emits a `sim_trial` event
 /// (timestamped with the trial's *simulated* end time), batched in a
 /// thread-local [`EventBuffer`] and flushed to `obs` at the trial
@@ -413,81 +378,6 @@ pub fn run_env_par_traced(
         mean_rounds: res.mean_rounds,
     });
     res
-}
-
-/// Sweep receiver counts `2^0 .. 2^max_exp`, returning `(R, result)`
-/// pairs. Each sweep point derives its seed with [`mix_seed`] (the old
-/// `seed ^ (d << 32)` mixer left the low 32 RNG-seed bits identical
-/// across all points).
-pub fn sweep_receivers(
-    cfg: &SimConfig,
-    scheme: Scheme,
-    env: LossEnv,
-    max_exp: u32,
-    seed: u64,
-) -> Vec<(usize, SimResult)> {
-    sweep_receivers_par(cfg, scheme, env, max_exp, seed, &Pool::serial())
-}
-
-/// [`sweep_receivers`] fanned across `pool`: the work queue is the
-/// flattened set of `(sweep point, trial chunk)` pairs, so small-R points
-/// and the trial chunks of large-R points fill the pool together instead
-/// of the sweep serializing on its biggest point. Results are merged per
-/// point in chunk order — bit-identical to the serial sweep at any worker
-/// count.
-///
-/// # Panics
-/// Same conditions as [`run_env`] (applied per point; all points of a
-/// power-of-two sweep satisfy the tree constraints).
-pub fn sweep_receivers_par(
-    cfg: &SimConfig,
-    scheme: Scheme,
-    env: LossEnv,
-    max_exp: u32,
-    seed: u64,
-    pool: &Pool,
-) -> Vec<(usize, SimResult)> {
-    scheme.validate();
-    let points: Vec<(usize, u64)> = (0..=max_exp)
-        .map(|d| (1usize << d, mix_seed(seed, d as u64)))
-        .collect();
-    for &(r, _) in &points {
-        env.validate(r);
-    }
-    let chunks_per_point = cfg.trials.div_ceil(TRIAL_CHUNK);
-    // Flattened (point, chunk) descriptors, ordered point-major so the
-    // merge below can consume them sequentially.
-    let descs: Vec<(usize, usize)> = (0..points.len())
-        .flat_map(|p| (0..chunks_per_point).map(move |c| (p, c)))
-        .collect();
-    let parts: Vec<SchemeStats> = pool.par_map(descs.len(), |i| {
-        let (p, c) = descs[i];
-        let (receivers, point_seed) = points[p];
-        let ctx = TrialCtx {
-            cfg,
-            scheme,
-            env,
-            receivers,
-            seed: point_seed,
-            trace: None,
-        };
-        let mut acc = ctx.accum();
-        for trial in c * TRIAL_CHUNK..((c + 1) * TRIAL_CHUNK).min(cfg.trials) {
-            ctx.run_into(&mut acc, trial);
-        }
-        acc.stats
-    });
-    points
-        .iter()
-        .zip(parts.chunks(chunks_per_point))
-        .map(|(&(r, _), point_parts)| {
-            let mut stats = SchemeStats::new();
-            for part in point_parts {
-                stats.merge(part);
-            }
-            (r, stats.result())
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -571,28 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn sweep_shapes() {
-        let cfg = SimConfig::paper_timing(60);
-        let pts = sweep_receivers(&cfg, Scheme::NoFec, LossEnv::Independent { p: 0.1 }, 4, 3);
-        assert_eq!(pts.len(), 5);
-        assert_eq!(pts[0].0, 1);
-        assert_eq!(pts[4].0, 16);
-        // Monotone within noise: last >= first.
-        assert!(pts[4].1.mean_transmissions >= pts[0].1.mean_transmissions);
-    }
-
-    #[test]
-    fn sweep_points_get_distinct_low_seed_bits() {
-        // The regression the satellite fix targets: with the old
-        // `seed ^ (d << 32)` mixing, all sweep points shared identical low
-        // 32 seed bits. The derived point seeds must now differ in their
-        // low words.
-        let seeds: std::collections::HashSet<u32> =
-            (0..16u64).map(|d| mix_seed(99, d) as u32).collect();
-        assert_eq!(seeds.len(), 16);
-    }
-
-    #[test]
     fn trial_reseeding_makes_trials_order_free() {
         // Doubling the trial count must leave the first trials' samples
         // untouched: with per-trial seeding the run is a prefix-stable
@@ -634,12 +502,13 @@ mod tests {
         let ring = Arc::new(pm_obs::RingRecorder::new(64));
         let obs = Obs::new(ring.clone());
         let cfg = SimConfig::paper_timing(40);
-        let res = run_env_traced(
+        let res = run_env_par_traced(
             &cfg,
             Scheme::Integrated2 { k: 3 },
             LossEnv::Independent { p: 0.1 },
             4,
             1,
+            &Pool::serial(),
             &obs,
             2.5,
         );
@@ -695,7 +564,7 @@ mod tests {
         let plain = run_env(&cfg, Scheme::NoFec, env, 4, 9);
         let ring = Arc::new(pm_obs::RingRecorder::new(256));
         let obs = Obs::new(ring.clone());
-        let traced = run_env_traced(&cfg, Scheme::NoFec, env, 4, 9, &obs, 0.0);
+        let traced = run_env_par_traced(&cfg, Scheme::NoFec, env, 4, 9, &Pool::serial(), &obs, 0.0);
         assert_eq!(plain, traced, "tracing must not perturb statistics");
     }
 

@@ -3,14 +3,17 @@
 use pm_loss::LossModel;
 
 use crate::config::SimConfig;
-use crate::metrics::{SchemeStats, SimResult, TrialOut};
+use crate::metrics::TrialOut;
 
 /// Safety valve: a single TG may not consume more than this many
 /// transmissions (would indicate a pathological loss model, e.g. p ~ 1).
 const MAX_TX_PER_GROUP: u64 = 1_000_000;
 
 /// One integrated-FEC-1 trial: parities stream back-to-back behind the
-/// data at rate `1/delta` until every receiver holds `k` packets.
+/// data at rate `1/delta`; a receiver departs the group the moment it
+/// holds `k` packets and the sender stops once everyone has. No feedback
+/// rounds, no interleaving — under burst loss consecutive parities fall
+/// into the same burst. `E[M] = (k + L)/k`, `L` the parities streamed.
 ///
 /// # Panics
 /// Panics if the trial exceeds the internal transmission cap (loss model
@@ -50,33 +53,11 @@ pub(crate) fn integrated_1_trial<M: LossModel>(
     }
 }
 
-/// **Integrated FEC 1**: parities follow the data back-to-back at rate
-/// `1/delta`; a receiver departs the multicast group the moment it holds
-/// `k` packets, and the sender stops once everyone has departed. No
-/// feedback rounds, no interleaving — under burst loss consecutive parities
-/// fall into the same loss burst.
-///
-/// One trial is one transmission group. `E[M] = (k + L)/k` with `L` the
-/// number of parities streamed. Runs `cfg.trials` groups on `model`'s
-/// single loss stream; prefer [`crate::runner::run_env`], which reseeds
-/// per trial and therefore parallelizes.
-///
-/// # Panics
-/// Panics unless `k >= 1`; panics if a trial exceeds the internal
-/// transmission cap (loss model stuck at 100% loss).
-pub fn integrated_1<M: LossModel>(cfg: &SimConfig, k: usize, model: &mut M) -> SimResult {
-    assert!(k >= 1, "k must be at least 1");
-    let mut stats = SchemeStats::new();
-    let mut now = 0.0f64;
-    for _ in 0..cfg.trials {
-        stats.push_trial(&integrated_1_trial(cfg, k, model, &mut now));
-    }
-    stats.result()
-}
-
 /// One integrated-FEC-2 trial (protocol NP's schedule): round 1 multicasts
 /// the `k` data packets; after a feedback gap of `T` the sender multicasts
-/// exactly as many parities as the worst receiver still needs; repeat.
+/// exactly as many parities as the worst receiver still needs; repeat —
+/// which spreads a group's parities over time (implicit interleaving).
+/// `rounds` is the paper's appendix `E[T]`.
 ///
 /// # Panics
 /// As for [`integrated_1_trial`].
@@ -127,42 +108,28 @@ pub(crate) fn integrated_2_trial<M: LossModel>(
     }
 }
 
-/// **Integrated FEC 2** (protocol NP's transmission schedule): round 1
-/// multicasts the `k` data packets; after a feedback gap of `T` the sender
-/// multicasts exactly `l` parities, where `l` is the maximum number of
-/// packets any receiver still needs; repeat. Parities of one group are
-/// thereby spread over time (implicit interleaving).
-///
-/// One trial is one transmission group. Also records the mean number of
-/// rounds (`E[T]` in the paper's appendix). Runs `cfg.trials` groups on
-/// `model`'s single loss stream; prefer [`crate::runner::run_env`], which
-/// reseeds per trial and therefore parallelizes.
-///
-/// # Panics
-/// As for [`integrated_1`].
-pub fn integrated_2<M: LossModel>(cfg: &SimConfig, k: usize, model: &mut M) -> SimResult {
-    assert!(k >= 1, "k must be at least 1");
-    let mut stats = SchemeStats::new();
-    let mut now = 0.0f64;
-    for _ in 0..cfg.trials {
-        stats.push_trial(&integrated_2_trial(cfg, k, model, &mut now));
-    }
-    stats.result()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::SimResult;
+    use crate::runner::{run_env, LossEnv, Scheme};
     use pm_analysis::{integrated, rounds, Population};
-    use pm_loss::{GilbertLoss, IndependentLoss};
+    use pm_loss::IndependentLoss;
+
+    fn integrated_1(cfg: &SimConfig, k: usize, env: LossEnv, r: usize, seed: u64) -> SimResult {
+        run_env(cfg, Scheme::Integrated1 { k }, env, r, seed)
+    }
+
+    fn integrated_2(cfg: &SimConfig, k: usize, env: LossEnv, r: usize, seed: u64) -> SimResult {
+        run_env(cfg, Scheme::Integrated2 { k }, env, r, seed)
+    }
 
     #[test]
     fn lossless_is_one() {
         let cfg = SimConfig::paper_timing(50);
-        let mut m = IndependentLoss::new(8, 0.0, 1);
-        assert_eq!(integrated_1(&cfg, 7, &mut m).mean_transmissions, 1.0);
-        let mut m = IndependentLoss::new(8, 0.0, 1);
-        let res = integrated_2(&cfg, 7, &mut m);
+        let env = LossEnv::Independent { p: 0.0 };
+        assert_eq!(integrated_1(&cfg, 7, env, 8, 1).mean_transmissions, 1.0);
+        let res = integrated_2(&cfg, 7, env, 8, 1);
         assert_eq!(res.mean_transmissions, 1.0);
         assert_eq!(res.mean_rounds, 1.0);
     }
@@ -174,15 +141,14 @@ mod tests {
         let (k, p, r) = (7usize, 0.05, 16usize);
         let cfg = SimConfig::paper_timing(6000);
         let analytic = integrated::lower_bound(k, 0, &Population::homogeneous(p, r as u64));
-        let mut m = IndependentLoss::new(r, p, 3);
-        let r1 = integrated_1(&cfg, k, &mut m);
+        let env = LossEnv::Independent { p };
+        let r1 = integrated_1(&cfg, k, env, r, 3);
         assert!(
             (r1.mean_transmissions - analytic).abs() < 5.0 * r1.stderr.max(0.01),
             "int1 {} vs analytic {analytic}",
             r1.mean_transmissions
         );
-        let mut m = IndependentLoss::new(r, p, 4);
-        let r2 = integrated_2(&cfg, k, &mut m);
+        let r2 = integrated_2(&cfg, k, env, r, 4);
         assert!(
             (r2.mean_transmissions - analytic).abs() < 5.0 * r2.stderr.max(0.01),
             "int2 {} vs analytic {analytic}",
@@ -197,8 +163,7 @@ mod tests {
         // noise, and should be at least 1.
         let (k, p, r) = (20usize, 0.05, 8usize);
         let cfg = SimConfig::paper_timing(4000);
-        let mut m = IndependentLoss::new(r, p, 9);
-        let res = integrated_2(&cfg, k, &mut m);
+        let res = integrated_2(&cfg, k, LossEnv::Independent { p }, r, 9);
         let bound = rounds::expected_rounds(k, &Population::homogeneous(p, r as u64));
         assert!(res.mean_rounds >= 1.0);
         assert!(
@@ -215,10 +180,12 @@ mod tests {
         // the burst).
         let cfg = SimConfig::paper_timing(4000);
         let r = 16;
-        let mut m1 = GilbertLoss::new(r, 0.03, 2.5, cfg.delta, 21);
-        let v1 = integrated_1(&cfg, 7, &mut m1).mean_transmissions;
-        let mut m2 = GilbertLoss::new(r, 0.03, 2.5, cfg.delta, 21);
-        let v2 = integrated_2(&cfg, 7, &mut m2).mean_transmissions;
+        let env = LossEnv::Burst {
+            p: 0.03,
+            mean_burst: 2.5,
+        };
+        let v1 = integrated_1(&cfg, 7, env, r, 21).mean_transmissions;
+        let v2 = integrated_2(&cfg, 7, env, r, 21).mean_transmissions;
         assert!(v2 < v1, "int2 {v2} should beat int1 {v1} under burst loss");
     }
 
@@ -228,10 +195,12 @@ mod tests {
         // variants land close together and close to 1.
         let cfg = SimConfig::paper_timing(800);
         let r = 16;
-        let mut m1 = GilbertLoss::new(r, 0.01, 2.0, cfg.delta, 31);
-        let v1 = integrated_1(&cfg, 100, &mut m1).mean_transmissions;
-        let mut m2 = GilbertLoss::new(r, 0.01, 2.0, cfg.delta, 31);
-        let v2 = integrated_2(&cfg, 100, &mut m2).mean_transmissions;
+        let env = LossEnv::Burst {
+            p: 0.01,
+            mean_burst: 2.0,
+        };
+        let v1 = integrated_1(&cfg, 100, env, r, 31).mean_transmissions;
+        let v2 = integrated_2(&cfg, 100, env, r, 31).mean_transmissions;
         assert!(v1 < 1.2 && v2 < 1.2, "int1={v1} int2={v2}");
         assert!(
             (v1 - v2).abs() < 0.05,

@@ -11,7 +11,7 @@
 use pm_loss::LossModel;
 
 use crate::config::SimConfig;
-use crate::metrics::{SchemeStats, SimResult, TrialOut};
+use crate::metrics::TrialOut;
 
 /// One layered-FEC trial: one transmission group of `k` data packets
 /// (tracked jointly so burst loss correlates them exactly as on the
@@ -94,32 +94,28 @@ pub(crate) fn layered_trial<M: LossModel>(
     }
 }
 
-/// Simulate layered FEC with TG size `k` and `h` parities per block over
-/// `cfg.trials` consecutive groups drawn from `model`'s single loss
-/// stream. Prefer [`crate::runner::run_env`], which reseeds the model per
-/// trial and therefore parallelizes.
-///
-/// # Panics
-/// Panics unless `k >= 1`.
-pub fn layered<M: LossModel>(cfg: &SimConfig, k: usize, h: usize, model: &mut M) -> SimResult {
-    assert!(k >= 1, "k must be at least 1");
-    let mut stats = SchemeStats::new();
-    let mut now = 0.0f64;
-    for _ in 0..cfg.trials {
-        stats.push_trial(&layered_trial(cfg, k, h, model, &mut now));
-    }
-    stats.result()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::SimResult;
+    use crate::runner::{run_env, LossEnv, Scheme};
     use pm_loss::IndependentLoss;
+
+    /// `cfg.trials` groups of `k + h` to `r` receivers under independent
+    /// loss `p`.
+    fn layered(cfg: &SimConfig, (k, h): (usize, usize), r: usize, p: f64, seed: u64) -> SimResult {
+        run_env(
+            cfg,
+            Scheme::Layered { k, h },
+            LossEnv::Independent { p },
+            r,
+            seed,
+        )
+    }
 
     #[test]
     fn lossless_costs_expansion_factor() {
-        let mut model = IndependentLoss::new(8, 0.0, 1);
-        let res = layered(&SimConfig::paper_timing(50), 7, 2, &mut model);
+        let res = layered(&SimConfig::paper_timing(50), (7, 2), 8, 0.0, 1);
         assert!((res.mean_transmissions - 9.0 / 7.0).abs() < 1e-12);
         assert_eq!(res.mean_rounds, 1.0);
     }
@@ -129,8 +125,7 @@ mod tests {
         // With no parities the scheme is ARQ in blocks; per-packet E[M]
         // must match the no-FEC analysis.
         let p = 0.1;
-        let mut model = IndependentLoss::new(4, p, 11);
-        let res = layered(&SimConfig::paper_timing(5000), 5, 0, &mut model);
+        let res = layered(&SimConfig::paper_timing(5000), (5, 0), 4, p, 11);
         let analytic =
             pm_analysis::nofec::expected_transmissions(&pm_analysis::Population::homogeneous(p, 4));
         assert!(
@@ -144,8 +139,7 @@ mod tests {
     #[test]
     fn matches_layered_analysis_independent_loss() {
         let (k, h, p, r) = (7usize, 1usize, 0.05, 16usize);
-        let mut model = IndependentLoss::new(r, p, 5);
-        let res = layered(&SimConfig::paper_timing(4000), k, h, &mut model);
+        let res = layered(&SimConfig::paper_timing(4000), (k, h), r, p, 5);
         let analytic = pm_analysis::layered::expected_transmissions(
             k,
             h,
@@ -162,10 +156,8 @@ mod tests {
     #[test]
     fn parity_reduces_rounds() {
         let cfg = SimConfig::paper_timing(2000);
-        let mut m1 = IndependentLoss::new(32, 0.05, 9);
-        let mut m2 = IndependentLoss::new(32, 0.05, 9);
-        let without = layered(&cfg, 7, 0, &mut m1);
-        let with = layered(&cfg, 7, 3, &mut m2);
+        let without = layered(&cfg, (7, 0), 32, 0.05, 9);
+        let with = layered(&cfg, (7, 3), 32, 0.05, 9);
         assert!(
             with.mean_rounds < without.mean_rounds,
             "rounds with parity {} !< without {}",

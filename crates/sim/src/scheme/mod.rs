@@ -1,14 +1,9 @@
 //! The four recovery schemes (Fig. 13 timing).
 //!
-//! Each scheme exposes two layers:
-//!
-//! * a crate-private `*_trial` function simulating **one** transmission
-//!   group (one packet for no-FEC) against a caller-supplied model and
-//!   clock, returning the raw [`crate::metrics::TrialOut`] — the unit the
-//!   parallel runner fans across threads with a fresh per-trial RNG; and
-//! * the public legacy driver (`nofec`, `layered`, `integrated_1`,
-//!   `integrated_2`) looping `cfg.trials` trials over one shared loss
-//!   stream, for callers that bring their own stateful model.
+//! Each scheme is a crate-private `*_trial` function simulating **one**
+//! transmission group (one packet for no-FEC) against a caller-supplied
+//! model and clock, returning the raw [`crate::metrics::TrialOut`] — the
+//! unit [`crate::runner`] seeds independently and fans across threads.
 
 mod integrated;
 mod layered;
@@ -17,7 +12,3 @@ mod nofec;
 pub(crate) use integrated::{integrated_1_trial, integrated_2_trial};
 pub(crate) use layered::layered_trial;
 pub(crate) use nofec::nofec_trial;
-
-pub use integrated::{integrated_1, integrated_2};
-pub use layered::layered;
-pub use nofec::nofec;

@@ -3,7 +3,7 @@
 use pm_loss::LossModel;
 
 use crate::config::SimConfig;
-use crate::metrics::{SchemeStats, SimResult, TrialOut};
+use crate::metrics::TrialOut;
 
 /// One no-FEC trial: multicast one packet and retransmit — spaced
 /// `delta + T` per the paper's timing diagram — until all receivers have
@@ -44,29 +44,21 @@ pub(crate) fn nofec_trial<M: LossModel>(cfg: &SimConfig, model: &mut M, now: &mu
     }
 }
 
-/// Simulate no-FEC reliable multicast over `cfg.trials` consecutive
-/// packets drawn from `model`'s single loss stream (one trial is one
-/// packet). Prefer [`crate::runner::run_env`], which reseeds the model
-/// per trial and therefore parallelizes; this entry point remains for
-/// callers that bring their own stateful model.
-pub fn nofec<M: LossModel>(cfg: &SimConfig, model: &mut M) -> SimResult {
-    let mut stats = SchemeStats::new();
-    let mut now = 0.0f64;
-    for _ in 0..cfg.trials {
-        stats.push_trial(&nofec_trial(cfg, model, &mut now));
-    }
-    stats.result()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::SimResult;
+    use crate::runner::{run_env, LossEnv, Scheme};
     use pm_loss::IndependentLoss;
+
+    /// `cfg.trials` packets to `r` receivers under independent loss `p`.
+    fn nofec(cfg: &SimConfig, r: usize, p: f64, seed: u64) -> SimResult {
+        run_env(cfg, Scheme::NoFec, LossEnv::Independent { p }, r, seed)
+    }
 
     #[test]
     fn lossless_sends_once() {
-        let mut model = IndependentLoss::new(16, 0.0, 1);
-        let res = nofec(&SimConfig::paper_timing(100), &mut model);
+        let res = nofec(&SimConfig::paper_timing(100), 16, 0.0, 1);
         assert_eq!(res.mean_transmissions, 1.0);
         assert_eq!(res.stderr, 0.0);
         assert_eq!(res.trials, 100);
@@ -75,8 +67,7 @@ mod tests {
     #[test]
     fn single_receiver_geometric_mean() {
         let p = 0.2;
-        let mut model = IndependentLoss::new(1, p, 7);
-        let res = nofec(&SimConfig::paper_timing(20_000), &mut model);
+        let res = nofec(&SimConfig::paper_timing(20_000), 1, p, 7);
         let expect = 1.0 / (1.0 - p);
         assert!(
             (res.mean_transmissions - expect).abs() < 4.0 * res.stderr.max(0.005),
@@ -87,11 +78,9 @@ mod tests {
 
     #[test]
     fn more_receivers_cost_more() {
-        let mut small = IndependentLoss::new(2, 0.1, 3);
-        let mut large = IndependentLoss::new(64, 0.1, 3);
         let cfg = SimConfig::paper_timing(4000);
-        let a = nofec(&cfg, &mut small).mean_transmissions;
-        let b = nofec(&cfg, &mut large).mean_transmissions;
+        let a = nofec(&cfg, 2, 0.1, 3).mean_transmissions;
+        let b = nofec(&cfg, 64, 0.1, 3).mean_transmissions;
         assert!(b > a, "R=64 ({b}) should beat R=2 ({a})");
     }
 

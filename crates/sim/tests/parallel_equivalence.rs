@@ -1,19 +1,16 @@
 //! Serial ↔ parallel bit-equivalence: the determinism contract of the
 //! parallel Monte Carlo engine.
 //!
-//! `run_env_par` (and the sweep / traced variants) must return results
-//! **bit-identical** — not merely statistically close — to the serial
-//! drivers, for every scheme × loss-environment pair and any worker
+//! `run_env_par` (and its traced variant) must return results
+//! **bit-identical** — not merely statistically close — to a serial
+//! run, for every scheme × loss-environment pair and any worker
 //! count. The contract rests on per-trial seeding (`mix_seed(seed, i)`)
 //! plus a fixed chunk layout merged in chunk order; this suite is the
 //! tripwire for anything that reintroduces schedule dependence.
 
 use pm_obs::{Obs, RingRecorder};
 use pm_par::Pool;
-use pm_sim::runner::{
-    run_env, run_env_par, run_env_par_traced, run_env_traced, sweep_receivers, sweep_receivers_par,
-    LossEnv, Scheme,
-};
+use pm_sim::runner::{run_env, run_env_par, run_env_par_traced, LossEnv, Scheme};
 use pm_sim::{SimConfig, SimResult};
 use std::sync::Arc;
 
@@ -113,33 +110,6 @@ fn parallel_matches_serial_many_worker_counts() {
 }
 
 #[test]
-fn sweep_parallel_matches_serial() {
-    let cfg = SimConfig::paper_timing(25);
-    for scheme in [Scheme::NoFec, Scheme::Layered { k: 7, h: 1 }] {
-        let serial = sweep_receivers(&cfg, scheme, LossEnv::FullBinaryTree { p: 0.05 }, 5, 7);
-        for workers in [2, 3] {
-            let par = sweep_receivers_par(
-                &cfg,
-                scheme,
-                LossEnv::FullBinaryTree { p: 0.05 },
-                5,
-                7,
-                &Pool::new(workers),
-            );
-            assert_eq!(serial.len(), par.len());
-            for ((r_s, res_s), (r_p, res_p)) in serial.iter().zip(par.iter()) {
-                assert_eq!(r_s, r_p);
-                assert_bit_identical(
-                    res_s,
-                    res_p,
-                    &format!("{scheme:?} sweep R={r_s} @ {workers} workers"),
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn traced_parallel_matches_serial_stats_and_event_count() {
     // Tracing batches events thread-locally and flushes at trial
     // boundaries: the statistics stay bit-identical and every trial's
@@ -150,7 +120,7 @@ fn traced_parallel_matches_serial_stats_and_event_count() {
 
     let ring_s = Arc::new(RingRecorder::new(256));
     let obs_s = Obs::new(ring_s.clone());
-    let serial = run_env_traced(&cfg, scheme, env, 8, 5, &obs_s, 1.0);
+    let serial = run_env_par_traced(&cfg, scheme, env, 8, 5, &Pool::serial(), &obs_s, 1.0);
 
     let ring_p = Arc::new(RingRecorder::new(256));
     let obs_p = Obs::new(ring_p.clone());

@@ -27,23 +27,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parity_multicast::mux::{Mux, MuxClock, MuxConfig, SessionOutcome, WallClock};
+use parity_multicast::mux::{drive_receiver, Mux, MuxClock, MuxConfig, SessionOutcome, WallClock};
 use parity_multicast::net::udp::UdpHub;
 use parity_multicast::net::{
-    ChaosPreset, FarmHub, FarmRole, FaultConfig, FaultStats, FaultyTransport, MemHub,
-    PollTransport, Transport,
+    ChaosPreset, FarmHub, FarmRole, FaultConfig, FaultStats, FaultyTransport, MemHub, PollTransport,
 };
 use parity_multicast::obs::{
-    render_prometheus, Event, ExportServer, JsonlRecorder, MetricsRegistry, Obs, SnapshotFile,
-    WindowConfig, WindowTelemetry,
+    render_prometheus, Counter, Event, ExportServer, JsonlRecorder, MetricsRegistry, Obs, Recorder,
+    SnapshotFile, WindowConfig, WindowTelemetry,
 };
-use parity_multicast::protocol::runtime::{
-    drive_receiver_obs, drive_sender_obs, ReceiverReport, RuntimeConfig,
-};
+use parity_multicast::protocol::runtime::{ReceiverReport, RuntimeConfig};
 use parity_multicast::protocol::{
     CompletionPolicy, NpConfig, NpReceiver, NpSender, ProtocolError, ResiliencePolicy,
 };
-use parity_multicast::rse::CacheStats;
 
 struct Args {
     size: usize,
@@ -276,10 +272,27 @@ enum Net {
 }
 
 impl Net {
-    fn endpoint(&self, obs: Obs) -> Box<dyn Transport> {
+    fn endpoint(&self, obs: Obs) -> Box<dyn PollTransport> {
         match self {
             Net::Udp(hub) => Box::new(hub.endpoint().expect("udp endpoint").with_obs(obs)),
             Net::Mem(hub) => Box::new(hub.join().with_obs(obs)),
+        }
+    }
+}
+
+/// Decode-cache totals counted off the event stream: a driver consumes its
+/// receiver machine, so `decode_cache_stats()` is out of reach afterwards.
+struct CacheCensus {
+    hits: Counter,
+    misses: Counter,
+}
+
+impl Recorder for CacheCensus {
+    fn record(&self, _t: f64, event: &Event) {
+        match event {
+            Event::DecodeCacheHit { .. } => self.hits.inc(),
+            Event::DecodeCacheMiss { .. } => self.misses.inc(),
+            _ => {}
         }
     }
 }
@@ -306,6 +319,15 @@ fn main() {
     let obs = match &telemetry {
         Some(tel) => obs.tee(tel.clone()),
         None => obs,
+    };
+    // Only for `--metrics`: a live recorder makes every emit build its event.
+    let obs = if args.metrics {
+        obs.tee(Arc::new(CacheCensus {
+            hits: registry.counter("rse.decode_cache_hits"),
+            misses: registry.counter("rse.decode_cache_misses"),
+        }))
+    } else {
+        obs
     };
     let exporter = args.export.as_deref().map(|addr| {
         let reg = registry.clone();
@@ -423,11 +445,7 @@ fn main() {
         loss: fault.drop,
         backend: pm_simd::backend_name(),
     });
-    type ReceiverOutcome = (
-        Result<ReceiverReport, ProtocolError>,
-        CacheStats,
-        FaultStats,
-    );
+    type ReceiverOutcome = (Result<ReceiverReport, ProtocolError>, FaultStats);
     let receiver_handles: Vec<std::thread::JoinHandle<ReceiverOutcome>> = (0..args.receivers)
         .map(|id| {
             let endpoint = net.endpoint(obs.clone());
@@ -443,8 +461,8 @@ fn main() {
                     machine.set_decode_timer(decode_ns);
                     // Under chaos a receiver failing is a reportable outcome,
                     // not a crash.
-                    let outcome = drive_receiver_obs(&mut machine, &mut tp, &rt, &obs);
-                    (outcome, machine.decode_cache_stats(), tp.stats())
+                    let outcome = drive_receiver(machine, &mut tp, &rt, &obs);
+                    (outcome, tp.stats())
                 })
                 .expect("spawn receiver")
         })
@@ -455,20 +473,22 @@ fn main() {
         .expect("valid sender config")
         .with_obs(obs.clone());
     sender.set_encode_timer(encode_ns);
-    let report = drive_sender_obs(&mut sender, &mut sender_tp, &rt, &obs).expect("send failed");
-    // The paper's scalability argument in one number: sender-side state
-    // per receiver stays flat as R grows (ROADMAP item 2's metric).
-    registry
-        .gauge("sender.state_bytes_per_receiver")
-        .set(sender.state_bytes_per_receiver().round() as i64);
+    // A one-session mux rather than `drive_sender`, for `bind_metrics`:
+    // it publishes `sender.state_bytes_per_receiver` when the session ends
+    // — the paper's scalability argument in one number (sender-side state
+    // per receiver stays flat as R grows).
+    let mut mux = Mux::new(MuxConfig::default(), WallClock::new()).with_obs(obs.clone());
+    mux.bind_metrics(&registry);
+    mux.add_sender(sender, &mut sender_tp, rt);
+    let report = match mux.run().pop() {
+        Some((_, SessionOutcome::Sender(report))) => report.expect("send failed"),
+        other => panic!("the sender session ended as {other:?}"),
+    };
 
     let mut ok = true;
     let mut merged = parity_multicast::protocol::CostCounters::default();
-    let mut cache = CacheStats::default();
     for (id, h) in receiver_handles.into_iter().enumerate() {
-        let (outcome, rc, fs) = h.join().expect("receiver thread");
-        cache.hits += rc.hits;
-        cache.misses += rc.misses;
+        let (outcome, fs) = h.join().expect("receiver thread");
         match outcome {
             Ok(r) => {
                 merged.merge(&r.counters);
@@ -535,10 +555,6 @@ fn main() {
     if args.metrics {
         report.counters.register_into(&registry, "sender");
         merged.register_into(&registry, "receiver");
-        registry.counter("rse.decode_cache_hits").add(cache.hits);
-        registry
-            .counter("rse.decode_cache_misses")
-            .add(cache.misses);
         eprintln!("\n{}", registry.render_text());
     }
     finish_export(args.export_hold, exporter, &snap_stop, snap_thread);

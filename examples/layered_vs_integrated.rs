@@ -15,11 +15,13 @@
 
 use std::time::Duration;
 
+use parity_multicast::mux::{drive_receiver, drive_sender};
 use parity_multicast::net::{
-    FaultConfig, FaultyTransport, FecLayerConfig, FecTransport, MemHub, Transport,
+    FaultConfig, FaultyTransport, FecLayerConfig, FecTransport, MemHub, PollTransport,
 };
+use parity_multicast::obs::Obs;
 use parity_multicast::protocol::n2::{N2Receiver, N2Sender};
-use parity_multicast::protocol::runtime::{drive_receiver, drive_sender, RuntimeConfig};
+use parity_multicast::protocol::runtime::RuntimeConfig;
 use parity_multicast::protocol::{CompletionPolicy, NpConfig, NpReceiver, NpSender};
 
 struct Args {
@@ -87,8 +89,8 @@ fn run(arch: &Arch, data: &[u8], receivers: u32, drop: f64) -> (u64, bool) {
                 lossy: bool,
                 seed: u64,
                 layered: bool|
-     -> Box<dyn Transport> {
-        let base: Box<dyn Transport> = if lossy {
+     -> Box<dyn PollTransport> {
+        let base: Box<dyn PollTransport> = if lossy {
             Box::new(FaultyTransport::new(ep, FaultConfig::drop_only(drop), seed))
         } else {
             Box::new(ep)
@@ -118,13 +120,13 @@ fn run(arch: &Arch, data: &[u8], receivers: u32, drop: f64) -> (u64, bool) {
             let mut tp = wrap(hub.join(), 100 + id, true, 7 * id as u64 + 3, layered);
             std::thread::spawn(move || {
                 if integrated {
-                    let mut m = NpReceiver::new(id, session, 0.001, id as u64);
-                    drive_receiver(&mut m, &mut tp, &rt())
+                    let m = NpReceiver::new(id, session, 0.001, id as u64);
+                    drive_receiver(m, &mut tp, &rt(), &Obs::null())
                         .expect("receiver")
                         .data
                 } else {
-                    let mut m = N2Receiver::new(id, session, 0.001, id as u64);
-                    drive_receiver(&mut m, &mut tp, &rt())
+                    let m = N2Receiver::new(id, session, 0.001, id as u64);
+                    drive_receiver(m, &mut tp, &rt(), &Obs::null())
                         .expect("receiver")
                         .data
                 }
@@ -134,14 +136,14 @@ fn run(arch: &Arch, data: &[u8], receivers: u32, drop: f64) -> (u64, bool) {
 
     let mut sender_tp = wrap(hub.join(), 1, false, 0, layered);
     let frames = if integrated {
-        let mut s = NpSender::new(session, data, config(receivers, 120)).expect("config");
-        let r = drive_sender(&mut s, &mut sender_tp, &rt()).expect("sender");
+        let s = NpSender::new(session, data, config(receivers, 120)).expect("config");
+        let r = drive_sender(s, &mut sender_tp, &rt(), &Obs::null()).expect("sender");
         r.counters.data_sent + r.counters.repairs_sent
     } else {
         // For the layered run the caller scales by n/k afterwards — that
         // is the honest wire cost (Figs. 3-4's expansion factor).
-        let mut s = N2Sender::new(session, data, config(receivers, 0)).expect("config");
-        let r = drive_sender(&mut s, &mut sender_tp, &rt()).expect("sender");
+        let s = N2Sender::new(session, data, config(receivers, 0)).expect("config");
+        let r = drive_sender(s, &mut sender_tp, &rt(), &Obs::null()).expect("sender");
         r.counters.data_sent + r.counters.repairs_sent
     };
     let mut ok = true;

@@ -8,8 +8,10 @@
 
 use std::time::Duration;
 
+use parity_multicast::mux::{drive_receiver, drive_sender};
 use parity_multicast::net::{FaultConfig, FaultyTransport, MemHub};
-use parity_multicast::protocol::runtime::{drive_receiver, drive_sender, RuntimeConfig};
+use parity_multicast::obs::Obs;
+use parity_multicast::protocol::runtime::RuntimeConfig;
 use parity_multicast::protocol::{CompletionPolicy, NpConfig, NpReceiver, NpSender};
 use parity_multicast::rse::{CodeSpec, RseDecoder, RseEncoder};
 
@@ -67,8 +69,8 @@ fn protocol_demo() {
     let to_send = payload.clone();
     let sender_cfg = cfg.clone();
     let sender = std::thread::spawn(move || {
-        let mut s = NpSender::new(99, &to_send, sender_cfg).expect("valid config");
-        drive_sender(&mut s, &mut sender_tp, &rt).expect("sender completes")
+        let s = NpSender::new(99, &to_send, sender_cfg).expect("valid config");
+        drive_sender(s, &mut sender_tp, &rt, &Obs::null()).expect("sender completes")
     });
 
     // Three receivers, each independently dropping 10% of packets.
@@ -78,8 +80,8 @@ fn protocol_demo() {
             std::thread::spawn(move || {
                 let mut tp =
                     FaultyTransport::new(endpoint, FaultConfig::drop_only(0.10), id as u64);
-                let mut r = NpReceiver::new(id, 99, 0.001, id as u64);
-                drive_receiver(&mut r, &mut tp, &rt).expect("receiver completes")
+                let r = NpReceiver::new(id, 99, 0.001, id as u64);
+                drive_receiver(r, &mut tp, &rt, &Obs::null()).expect("receiver completes")
             })
         })
         .collect();

@@ -59,10 +59,11 @@
 //!
 //! ```
 //! use std::time::Duration;
+//! use parity_multicast::mux::{drive_receiver, drive_sender};
 //! use parity_multicast::net::MemHub;
+//! use parity_multicast::obs::Obs;
 //! use parity_multicast::protocol::{
-//!     runtime::{drive_receiver, drive_sender, RuntimeConfig},
-//!     CompletionPolicy, NpConfig, NpReceiver, NpSender,
+//!     runtime::RuntimeConfig, CompletionPolicy, NpConfig, NpReceiver, NpSender,
 //! };
 //!
 //! let hub = MemHub::new();
@@ -80,11 +81,11 @@
 //! let mut receiver_tp = hub.join();
 //! let to_send = payload.clone();
 //! let sender = std::thread::spawn(move || {
-//!     let mut s = NpSender::new(1, &to_send, cfg).unwrap();
-//!     drive_sender(&mut s, &mut sender_tp, &rt).unwrap()
+//!     let s = NpSender::new(1, &to_send, cfg).unwrap();
+//!     drive_sender(s, &mut sender_tp, &rt, &Obs::null()).unwrap()
 //! });
-//! let mut r = NpReceiver::new(1, 1, 0.001, 42);
-//! let report = drive_receiver(&mut r, &mut receiver_tp, &rt).unwrap();
+//! let r = NpReceiver::new(1, 1, 0.001, 42);
+//! let report = drive_receiver(r, &mut receiver_tp, &rt, &Obs::null()).unwrap();
 //! sender.join().unwrap();
 //! assert_eq!(report.data, payload);
 //! ```

@@ -10,24 +10,81 @@
 //! and never a panic or an unbounded hang. The grid is seeded: a failure
 //! reproduces bit-for-bit from the same base seed.
 //!
-//! Every endpoint drives through the flight-recorder wrappers, pinning the
-//! postmortem contract alongside the trichotomy: a schema-valid postmortem
-//! exactly when a session ends degraded or errored, never for a clean one.
+//! Each scenario's endpoints share one wall-clock mux (blackout windows
+//! are in the fault injectors' wall time) with per-session flight rings,
+//! pinning the postmortem contract alongside the trichotomy: a
+//! schema-valid postmortem exactly when a session ends degraded or
+//! errored, never for a clean one.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parity_multicast::net::{scenario_grid, FaultyTransport, MemHub};
-use parity_multicast::obs::{FlightRecorder, Obs, Postmortem};
-use parity_multicast::protocol::runtime::{
-    drive_receiver_flight, drive_sender_flight, RuntimeConfig,
-};
+use parity_multicast::mux::{Mux, MuxConfig, SessionOutcome, WallClock};
+use parity_multicast::net::mem::MemEndpoint;
+use parity_multicast::net::{scenario_grid, FaultConfig, FaultyTransport, MemHub};
+use parity_multicast::obs::Postmortem;
+use parity_multicast::protocol::runtime::{ReceiverReport, RuntimeConfig, SessionReport};
 use parity_multicast::protocol::{
-    CompletionPolicy, NpConfig, NpReceiver, NpSender, ResiliencePolicy,
+    CompletionPolicy, NpConfig, NpReceiver, NpSender, ProtocolError, ResiliencePolicy,
 };
 
 /// Events each session's bounded flight ring retains.
 const FLIGHT_CAPACITY: usize = 256;
+
+/// A verdict with the postmortem the mux froze for it, if any.
+type Verdict<R> = (Result<R, ProtocolError>, Option<Postmortem>);
+
+/// Run one sender and its receivers — `(id, fault, seed)` each — on one
+/// wall-clock mux with flight recording on. An errored session's
+/// postmortem comes from the mux's ledger, a degraded sender's rides its
+/// report; either way it is returned beside the verdict.
+fn run_recorded(
+    hub: &MemHub,
+    sender: NpSender,
+    sender_fault: (FaultConfig, u64),
+    receivers: impl IntoIterator<Item = (u32, FaultConfig, u64)>,
+    session: u32,
+) -> (Verdict<SessionReport>, Vec<Verdict<ReceiverReport>>) {
+    let cfg = MuxConfig {
+        flight_capacity: Some(FLIGHT_CAPACITY),
+        ..MuxConfig::default()
+    };
+    let mut mux: Mux<FaultyTransport<MemEndpoint>, WallClock> = Mux::new(cfg, WallClock::new());
+    let r_toks: Vec<_> = receivers
+        .into_iter()
+        .map(|(id, fault, seed)| {
+            mux.add_receiver(
+                NpReceiver::new(id, session, 0.001, seed),
+                FaultyTransport::new(hub.join(), fault, seed),
+                rt(),
+            )
+        })
+        .collect();
+    let (fault, seed) = sender_fault;
+    let s_tok = mux.add_sender(sender, FaultyTransport::new(hub.join(), fault, seed), rt());
+    let mut outcomes = mux.run();
+    let mut ledger = mux.take_postmortems();
+    let mut take = |tok| {
+        let at = outcomes.iter().position(|(t, _)| *t == tok);
+        let outcome = outcomes.swap_remove(at.expect("one outcome per session")).1;
+        let pm = ledger.iter().position(|(t, _)| *t == tok);
+        (outcome, pm.map(|at| ledger.swap_remove(at).1))
+    };
+    let sender = match take(s_tok) {
+        (SessionOutcome::Sender(verdict), ledgered) => {
+            let attached = verdict.as_ref().ok().and_then(|r| r.postmortem.clone());
+            (verdict, ledgered.or(attached))
+        }
+        (other, _) => panic!("sender slot ended as {other:?}"),
+    };
+    let receivers = r_toks
+        .into_iter()
+        .map(|tok| match take(tok) {
+            (SessionOutcome::Receiver(verdict), pm) => (verdict, pm),
+            (other, _) => panic!("receiver slot ended as {other:?}"),
+        })
+        .collect();
+    (sender, receivers)
+}
 
 /// A postmortem must exist exactly when the outcome is degraded/errored,
 /// and its JSON rendering must satisfy the `pm.postmortem.v1` schema.
@@ -88,42 +145,19 @@ fn chaos_grid_upholds_the_degradation_trichotomy() {
         let session = 0xC4A0;
         let live = RECEIVERS - scenario.dead_receivers;
 
-        let handles: Vec<_> = (0..live)
-            .map(|id| {
-                let ep = hub.join();
-                let fault = scenario.receiver_fault;
-                let seed = scenario.seed ^ (id as u64 + 1);
-                std::thread::Builder::new()
-                    .name(format!("chaos-rx-{}-{id}", scenario.name))
-                    .spawn(move || {
-                        let flight = Arc::new(FlightRecorder::new(FLIGHT_CAPACITY));
-                        let obs = Obs::null().tee(flight.clone());
-                        let mut tp = FaultyTransport::new(ep, fault, seed);
-                        let mut m = NpReceiver::new(id, session, 0.001, seed).with_obs(obs.clone());
-                        drive_receiver_flight(&mut m, &mut tp, &rt(), &obs, &flight)
-                    })
-                    .expect("spawn receiver")
-            })
-            .collect();
-
-        let flight = Arc::new(FlightRecorder::new(FLIGHT_CAPACITY));
-        let obs = Obs::null().tee(flight.clone());
-        let mut sender_tp = FaultyTransport::new(hub.join(), scenario.sender_fault, scenario.seed);
-        let mut sender = NpSender::new(session, &data, config())
-            .expect("valid config")
-            .with_obs(obs.clone());
-        let (sender_verdict, sender_pm) =
-            drive_sender_flight(&mut sender, &mut sender_tp, &rt(), &obs, &flight);
-
-        // A panicking driver thread fails the join — arm zero of the
-        // trichotomy is "no panics, ever".
-        let receiver_verdicts: Vec<_> = handles
-            .into_iter()
-            .map(|h| h.join().expect("receiver driver panicked"))
-            .collect();
+        let sender = NpSender::new(session, &data, config()).expect("valid config");
+        // A panicking driver fails the test — arm zero of the trichotomy is
+        // "no panics, ever".
+        let ((sender_verdict, sender_pm), receiver_verdicts) = run_recorded(
+            &hub,
+            sender,
+            (scenario.sender_fault, scenario.seed),
+            (0..live).map(|id| (id, scenario.receiver_fault, scenario.seed ^ (id as u64 + 1))),
+            session,
+        );
 
         // Postmortem contract, sender side: one exactly when the report is
-        // degraded or the driver errored, both attached and returned.
+        // degraded (attached to it) or the session errored (ledgered).
         let sender_degraded = match &sender_verdict {
             Ok(report) => report.is_degraded(),
             Err(_) => true,
@@ -139,7 +173,7 @@ fn chaos_grid_upholds_the_degradation_trichotomy() {
         }
 
         // Arm three of the trichotomy needs no assert: an Err is a typed
-        // ProtocolError by construction, and the join proved no panic.
+        // ProtocolError by construction, and getting here proved no panic.
         if let Ok(report) = &sender_verdict {
             // Complete or degraded-complete: everyone announced is
             // accounted for, either finished or explicitly evicted.
@@ -203,34 +237,21 @@ fn one_dead_receiver_completes_for_the_rest() {
     let session = 0xDEAD;
     let live = RECEIVERS - 1;
 
-    let handles: Vec<_> = (0..live)
-        .map(|id| {
-            let ep = hub.join();
-            std::thread::spawn(move || {
-                let flight = Arc::new(FlightRecorder::new(FLIGHT_CAPACITY));
-                let obs = Obs::null().tee(flight.clone());
-                let mut tp = ep;
-                let mut m =
-                    NpReceiver::new(id, session, 0.001, id as u64 + 9).with_obs(obs.clone());
-                drive_receiver_flight(&mut m, &mut tp, &rt(), &obs, &flight)
-            })
-        })
-        .collect();
-
-    let flight = Arc::new(FlightRecorder::new(FLIGHT_CAPACITY));
-    let obs = Obs::null().tee(flight.clone());
-    let mut sender_tp = hub.join();
-    let mut sender = NpSender::new(session, &data, config())
-        .expect("valid config")
-        .with_obs(obs.clone());
-    let (verdict, pm) = drive_sender_flight(&mut sender, &mut sender_tp, &rt(), &obs, &flight);
+    let sender = NpSender::new(session, &data, config()).expect("valid config");
+    let ((verdict, pm), receivers) = run_recorded(
+        &hub,
+        sender,
+        (FaultConfig::none(), 0),
+        (0..live).map(|id| (id, FaultConfig::none(), id as u64 + 9)),
+        session,
+    );
     let report = verdict.expect("degraded completion");
 
     assert!(report.is_degraded());
     assert_eq!(report.evicted, 1);
     assert_eq!(report.completed, vec![0, 1]);
 
-    // The degraded session yields its postmortem, attached and returned,
+    // The degraded session yields its postmortem, attached to the report,
     // labelled with the outcome and the session's own events.
     let pm = pm.expect("degraded session must yield a postmortem");
     assert_eq!(pm.outcome, "degraded");
@@ -243,8 +264,7 @@ fn one_dead_receiver_completes_for_the_rest() {
     Postmortem::validate(&serde_json::from_str(&pm.to_string_json()).expect("parses"))
         .expect("schema-valid postmortem");
 
-    for h in handles {
-        let (r, rx_pm) = h.join().expect("receiver panicked");
+    for (r, rx_pm) in receivers {
         assert_eq!(r.expect("receiver completes").data, data);
         assert!(rx_pm.is_none(), "clean receivers yield no postmortem");
     }

@@ -1,0 +1,208 @@
+//! Fixtures shared by the integration-test binaries.
+//!
+//! * [`run_session`] — one sender and its receivers on a single mux, on
+//!   the calling thread, over whichever clock the test is about.
+//! * The pinned 16-pair `VirtualClock` farm of `mux_sessions.rs` and
+//!   `mux_auto_dispatch.rs` (the latter forces `PM_SIMD=auto` first; env
+//!   overrides are memoized process-wide, hence two binaries, one
+//!   fixture). Under a virtual clock a mux run is a pure function of the
+//!   session set, so each pair's wire history is a constant of the code:
+//!   [`PINNED`] holds one digest per pair, captured at the last commit
+//!   where the mux was also checked byte-for-byte against dedicated
+//!   blocking drivers.
+
+// Each test binary uses its own subset.
+#![allow(dead_code)]
+
+use std::time::Duration;
+
+use parity_multicast::mux::{Mux, MuxClock, MuxConfig, SessionOutcome, VirtualClock};
+use parity_multicast::net::wire::{checksum_of, HEADER_LEN};
+use parity_multicast::net::{MemHub, PollTransport, Transcript, TranscriptTransport};
+use parity_multicast::obs::Obs;
+use parity_multicast::protocol::runtime::{
+    ReceiverMachine, ReceiverReport, RuntimeConfig, SenderMachine, SessionReport,
+};
+use parity_multicast::protocol::{CompletionPolicy, NpConfig, NpReceiver, NpSender, ProtocolError};
+
+/// A machine with the (borrowed) endpoint it runs on.
+pub type Endpoint<'a, M> = (M, &'a mut dyn PollTransport);
+
+/// Run one sender and its receivers on one mux over `clock` until every
+/// session has ended. Endpoints are borrowed, so `stats()` and transcripts
+/// stay readable afterwards. Returns the sender's verdict and the
+/// receivers', in the order given.
+pub fn run_session<'a, S, R>(
+    clock: impl MuxClock,
+    rt: RuntimeConfig,
+    obs: &Obs,
+    sender: Endpoint<'a, S>,
+    receivers: impl IntoIterator<Item = Endpoint<'a, R>>,
+) -> (
+    Result<SessionReport, ProtocolError>,
+    Vec<Result<ReceiverReport, ProtocolError>>,
+)
+where
+    S: SenderMachine + 'static,
+    R: ReceiverMachine + 'static,
+{
+    let mut mux = Mux::new(MuxConfig::default(), clock).with_obs(obs.clone());
+    let s_tok = mux.add_sender(sender.0, sender.1, rt);
+    let r_toks: Vec<_> = receivers
+        .into_iter()
+        .map(|(machine, tp)| mux.add_receiver(machine, tp, rt))
+        .collect();
+    let mut outcomes = mux.run();
+    let mut take = |tok| {
+        let at = outcomes.iter().position(|(t, _)| *t == tok);
+        outcomes.swap_remove(at.expect("one outcome per session")).1
+    };
+    let sender = match take(s_tok) {
+        SessionOutcome::Sender(verdict) => verdict,
+        other => panic!("sender slot ended as {other:?}"),
+    };
+    let receivers = r_toks
+        .into_iter()
+        .map(|tok| match take(tok) {
+            SessionOutcome::Receiver(verdict) => verdict,
+            other => panic!("receiver slot ended as {other:?}"),
+        })
+        .collect();
+    (sender, receivers)
+}
+
+/// Pairs in the pinned farm (twice as many sessions).
+pub const PAIRS: u32 = 16;
+
+/// `(sender endpoint, receiver endpoint)` transcript digests per pair.
+pub const PINNED: [(u32, u32); PAIRS as usize] = [
+    (0xec38815c, 0xf0b197ee),
+    (0x32e59e86, 0x06864cd9),
+    (0x792fb8b9, 0xbe22880b),
+    (0x6f530308, 0x4a7c5355),
+    (0x6bdeed96, 0x39c72910),
+    (0x74ef1561, 0x1147aac5),
+    (0x13e9bfaa, 0x7cb0a84a),
+    (0x94c08619, 0xa9d58db6),
+    (0xa3852ccd, 0x2e3a84eb),
+    (0x28a3deb0, 0x5598850b),
+    (0x7738f243, 0x6a81702b),
+    (0x3bcb2ba4, 0x0de07acd),
+    (0xdf054f60, 0x7c6ade7a),
+    (0xe7cd133e, 0x24a2380f),
+    (0xd4a03fa5, 0x798a3094),
+    (0x8c8e74cb, 0x99520157),
+];
+
+pub fn np_cfg() -> NpConfig {
+    let mut c = NpConfig::small(CompletionPolicy::KnownReceivers(1));
+    c.k = 8;
+    c.h = 40;
+    c.payload_len = 128;
+    c.nak_slot = 0.001;
+    c
+}
+
+pub fn rt() -> RuntimeConfig {
+    RuntimeConfig {
+        packet_spacing: Duration::from_micros(50),
+        stall_timeout: Duration::from_secs(5),
+        complete_linger: Duration::from_millis(250),
+        ..RuntimeConfig::default()
+    }
+}
+
+pub fn payload(n: usize) -> Vec<u8> {
+    (0..n)
+        .map(|i| (i.wrapping_mul(2654435761) >> 11) as u8)
+        .collect()
+}
+
+pub fn pair_payload(i: u32) -> Vec<u8> {
+    payload(1800 + 111 * i as usize)
+}
+
+/// The wire checksum (XXH32) over an endpoint's whole ordered history:
+/// every datagram, direction-tagged and length-prefixed, behind a blank
+/// header so the checksum's own zeroed field covers no transcript byte.
+pub fn transcript_digest(t: &Transcript) -> u32 {
+    let mut buf = vec![0u8; HEADER_LEN];
+    for (tag, datagrams) in [(b'S', &t.sent), (b'R', &t.received)] {
+        for d in datagrams {
+            buf.push(tag);
+            buf.extend_from_slice(&(d.len() as u32).to_le_bytes());
+            buf.extend_from_slice(d);
+        }
+    }
+    checksum_of(&buf).expect("buffer holds a header")
+}
+
+/// One pair's result: both endpoints' wire histories and the bytes the
+/// receiver delivered.
+pub struct PairRun {
+    pub sent: Transcript,
+    pub received: Transcript,
+    pub data: Vec<u8>,
+}
+
+/// Run the pinned farm — all 32 sessions on one mux, one thread, one
+/// virtual clock — and return the pairs in index order.
+pub fn run_pinned_farm() -> Vec<PairRun> {
+    let mut mux = Mux::new(MuxConfig::default(), VirtualClock::new());
+    let mut pairs = Vec::new();
+    for i in 0..PAIRS {
+        let hub = MemHub::new();
+        let sender_tp = TranscriptTransport::new(hub.join());
+        let receiver_tp = TranscriptTransport::new(hub.join());
+        let logs = (sender_tp.transcript(), receiver_tp.transcript());
+        mux.add_sender(
+            NpSender::new(i, &pair_payload(i), np_cfg()).expect("valid config"),
+            sender_tp,
+            rt(),
+        );
+        let r_tok = mux.add_receiver(
+            NpReceiver::new(1000 + i, i, 0.001, i as u64),
+            receiver_tp,
+            rt(),
+        );
+        pairs.push((logs, r_tok));
+    }
+    let outcomes = mux.run();
+    assert_eq!(outcomes.len(), 2 * PAIRS as usize);
+    pairs
+        .into_iter()
+        .map(|((sender_log, receiver_log), r_tok)| {
+            let (_, outcome) = outcomes
+                .iter()
+                .find(|(t, _)| *t == r_tok)
+                .expect("receiver outcome");
+            let sent = sender_log.lock().clone();
+            let received = receiver_log.lock().clone();
+            PairRun {
+                sent,
+                received,
+                data: outcome.receiver_report().expect("receiver ok").data.clone(),
+            }
+        })
+        .collect()
+}
+
+/// Every pair's transcripts hash to [`PINNED`] and every receiver holds
+/// its payload; `label` names the kernel backend in failure messages.
+pub fn assert_farm_is_pinned(farm: &[PairRun], label: &str) {
+    for (i, (run, want)) in farm.iter().zip(PINNED).enumerate() {
+        let got = (
+            transcript_digest(&run.sent),
+            transcript_digest(&run.received),
+        );
+        assert_eq!(
+            got, want,
+            "pair {i}: (sender, receiver) transcript digests moved under {label}"
+        );
+        assert_eq!(
+            run.data,
+            pair_payload(i as u32),
+            "pair {i}: received bytes under {label}"
+        );
+    }
+}

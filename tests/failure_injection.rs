@@ -2,15 +2,20 @@
 //! hits — hostile/corrupt traffic, session collisions, pathological
 //! geometry, and resource bounds.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
-use parity_multicast::net::{FaultConfig, FaultyTransport, MemHub, Message, Transport};
+use common::run_session;
+use parity_multicast::mux::{drive_receiver, drive_sender, MuxClock, VirtualClock, WallClock};
+use parity_multicast::net::mem::MemEndpoint;
+use parity_multicast::net::{
+    FaultConfig, FaultStats, FaultyTransport, MemHub, Message, PollTransport, Transport,
+};
 use parity_multicast::obs::{validate_trace, JsonlRecorder, Obs};
 use parity_multicast::protocol::harness::{run_simulation, HarnessConfig};
-use parity_multicast::protocol::runtime::{
-    drive_receiver, drive_receiver_obs, drive_sender, RuntimeConfig,
-};
+use parity_multicast::protocol::runtime::{ReceiverReport, RuntimeConfig, SessionReport};
 use parity_multicast::protocol::{CompletionPolicy, NpConfig, NpReceiver, NpSender, ProtocolError};
 
 fn rt() -> RuntimeConfig {
@@ -35,6 +40,31 @@ fn payload(n: usize) -> Vec<u8> {
     (0..n).map(|i| (i.wrapping_mul(69069) >> 5) as u8).collect()
 }
 
+/// One NP sender and one receiver behind `fault` (seeded) on `hub`, both
+/// on one mux over `clock`. Returns both reports and what the fault
+/// injector did.
+fn run_pair(
+    clock: impl MuxClock,
+    (mut sender_tp, receiver_ep): (MemEndpoint, MemEndpoint),
+    session: u32,
+    data: &[u8],
+    (fault, seed): (FaultConfig, u64),
+    obs: &Obs,
+) -> (SessionReport, ReceiverReport, FaultStats) {
+    let mut receiver_tp = FaultyTransport::new(receiver_ep, fault, seed).with_obs(obs.clone());
+    let sender = NpSender::new(session, data, config(1)).expect("config");
+    let receiver = NpReceiver::new(0, session, 0.001, seed);
+    let (sr, mut rrs) = run_session(
+        clock,
+        rt(),
+        obs,
+        (sender, &mut sender_tp),
+        [(receiver, &mut receiver_tp as &mut dyn PollTransport)],
+    );
+    let rr = rrs.pop().expect("one receiver").expect("receiver failed");
+    (sr.expect("sender failed"), rr, receiver_tp.stats())
+}
+
 #[test]
 fn hostile_garbage_on_the_group_is_ignored() {
     // A third party blasts unrelated, malformed-adjacent traffic onto the
@@ -43,9 +73,11 @@ fn hostile_garbage_on_the_group_is_ignored() {
     let data = payload(30_000);
     let session = 0xFA11;
 
-    // The saboteur: floods Done/Nak/Announce messages for OTHER sessions
-    // and self-contradictory packets for this one... on a foreign session.
+    // The saboteur: floods Done/Nak messages for ANOTHER session from its
+    // own thread, so the flood really does overlap the transfer (wall
+    // clock: under a virtual clock a non-empty queue freezes time).
     let mut saboteur = hub.join();
+    let endpoints = (hub.join(), hub.join());
     let sab = std::thread::spawn(move || {
         for i in 0..2000u32 {
             let _ = saboteur.send(&Message::Nak {
@@ -64,18 +96,15 @@ fn hostile_garbage_on_the_group_is_ignored() {
         }
     });
 
-    let recv = {
-        let ep = hub.join();
-        std::thread::spawn(move || {
-            let mut tp = FaultyTransport::new(ep, FaultConfig::drop_only(0.05), 3);
-            let mut m = NpReceiver::new(0, session, 0.001, 3);
-            drive_receiver(&mut m, &mut tp, &rt()).expect("receiver failed")
-        })
-    };
-    let mut sender_tp = hub.join();
-    let mut sender = NpSender::new(session, &data, config(1)).expect("config");
-    drive_sender(&mut sender, &mut sender_tp, &rt()).expect("sender failed");
-    assert_eq!(recv.join().unwrap().data, data);
+    let (_, rr, _) = run_pair(
+        WallClock::new(),
+        endpoints,
+        session,
+        &data,
+        (FaultConfig::drop_only(0.05), 3),
+        &Obs::null(),
+    );
+    assert_eq!(rr.data, data);
     sab.join().unwrap();
 }
 
@@ -214,8 +243,8 @@ fn stalled_errors_carry_last_progress_context() {
     // waiting for feedback: the error must remember the last transmission.
     let hub = MemHub::new();
     let mut tp = hub.join();
-    let mut s = NpSender::new(3, &payload(500), config(1)).expect("config");
-    match drive_sender(&mut s, &mut tp, &fast) {
+    let s = NpSender::new(3, &payload(500), config(1)).expect("config");
+    match drive_sender(s, &mut tp, &fast, &Obs::null()) {
         Err(ProtocolError::Stalled {
             last_progress: Some(ev),
             ..
@@ -231,8 +260,8 @@ fn stalled_errors_carry_last_progress_context() {
     // A receiver that never hears anything has no progress to report.
     let hub = MemHub::new();
     let mut tp = hub.join();
-    let mut r = NpReceiver::new(1, 1, 0.001, 5);
-    match drive_receiver(&mut r, &mut tp, &fast) {
+    let r = NpReceiver::new(1, 1, 0.001, 5);
+    match drive_receiver(r, &mut tp, &fast, &Obs::null()) {
         Err(ProtocolError::Stalled {
             last_progress: None,
             waited_secs,
@@ -275,16 +304,14 @@ fn corrupt_datagrams_on_the_wire_are_dropped_not_fatal() {
         saboteur.send_raw(bytes::Bytes::from(raw));
     }
 
-    let recv = std::thread::spawn(move || {
-        let mut tp = rx_ep;
-        let mut m = NpReceiver::new(0, session, 0.001, 11);
-        drive_receiver(&mut m, &mut tp, &rt()).expect("receiver survives corruption")
-    });
-    let mut tp = tx_ep;
-    let mut sender = NpSender::new(session, &data, config(1)).expect("config");
-    let report = drive_sender(&mut sender, &mut tp, &rt()).expect("sender survives corruption");
-
-    let rr = recv.join().unwrap();
+    let (report, rr, _) = run_pair(
+        VirtualClock::new(),
+        (tx_ep, rx_ep),
+        session,
+        &data,
+        (FaultConfig::none(), 11),
+        &Obs::null(),
+    );
     assert_eq!(rr.data, data);
     assert!(
         rr.corrupt_dropped >= 1,
@@ -320,22 +347,14 @@ fn sustained_corruption_reconciles_stats_trace_and_report() {
         ..FaultConfig::none()
     };
 
-    let recv = {
-        let ep = hub.join();
-        let obs = obs.clone();
-        std::thread::spawn(move || {
-            let mut tp = FaultyTransport::new(ep, fault, 0xC0FFEE).with_obs(obs.clone());
-            let mut m = NpReceiver::new(0, session, 0.001, 7);
-            let report =
-                drive_receiver_obs(&mut m, &mut tp, &rt(), &obs).expect("receiver completes");
-            (report, tp.stats())
-        })
-    };
-    let mut sender_tp = hub.join();
-    let mut sender = NpSender::new(session, &data, config(1)).expect("config");
-    drive_sender(&mut sender, &mut sender_tp, &rt()).expect("sender completes");
-
-    let (report, stats) = recv.join().unwrap();
+    let (_, report, stats) = run_pair(
+        VirtualClock::new(),
+        (hub.join(), hub.join()),
+        session,
+        &data,
+        (fault, 0xC0FFEE),
+        &obs,
+    );
     assert_eq!(report.data, data, "corruption may delay, never damage");
     assert!(stats.corrupted > 0, "fault rates must have fired");
 
@@ -380,20 +399,16 @@ fn blackout_window_stalls_then_recovers() {
         ..FaultConfig::none()
     };
 
-    let recv = {
-        let ep = hub.join();
-        std::thread::spawn(move || {
-            let mut tp = FaultyTransport::new(ep, fault, 0xDA4C);
-            let mut m = NpReceiver::new(0, session, 0.001, 13);
-            let report = drive_receiver(&mut m, &mut tp, &rt()).expect("recovers after blackout");
-            (report, tp.stats())
-        })
-    };
-    let mut sender_tp = hub.join();
-    let mut sender = NpSender::new(session, &data, config(1)).expect("config");
-    drive_sender(&mut sender, &mut sender_tp, &rt()).expect("sender completes");
-
-    let (report, stats) = recv.join().unwrap();
+    // The blackout window is in the fault injector's own wall time, so the
+    // session runs on the wall clock too.
+    let (_, report, stats) = run_pair(
+        WallClock::new(),
+        (hub.join(), hub.join()),
+        session,
+        &data,
+        (fault, 0xDA4C),
+        &Obs::null(),
+    );
     assert_eq!(report.data, data);
     assert!(
         stats.blackout_recv > 0,
@@ -428,16 +443,17 @@ fn corruption_over_real_udp_completes() {
         let ep = hub.endpoint().expect("endpoint");
         std::thread::spawn(move || {
             let mut tp = FaultyTransport::new(ep, fault, 0x0DD);
-            let mut m = NpReceiver::new(0, session, 0.002, 21);
-            let report = drive_receiver(&mut m, &mut tp, &rt()).expect("receiver completes");
+            let m = NpReceiver::new(0, session, 0.002, 21);
+            let report =
+                drive_receiver(m, &mut tp, &rt(), &Obs::null()).expect("receiver completes");
             (report, tp.stats())
         })
     };
     let mut sender_tp = hub.endpoint().expect("endpoint");
     let mut cfg = config(1);
     cfg.payload_len = 512;
-    let mut sender = NpSender::new(session, &data, cfg).expect("config");
-    drive_sender(&mut sender, &mut sender_tp, &rt()).expect("sender completes");
+    let sender = NpSender::new(session, &data, cfg).expect("config");
+    drive_sender(sender, &mut sender_tp, &rt(), &Obs::null()).expect("sender completes");
 
     let (report, stats) = recv.join().unwrap();
     assert_eq!(report.data, data);

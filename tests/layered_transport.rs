@@ -3,16 +3,21 @@
 //! plain N2, under identical loss. The FEC layer absorbs most packet
 //! losses before the RM layer ever notices them, cutting RM
 //! retransmissions exactly as Section 3.1 predicts.
+//!
+//! The sublayer's repair timer (`max_delay`) is wall time, so every
+//! session here runs — all endpoints on one mux — over the wall clock.
+
+mod common;
 
 use std::time::Duration;
 
+use parity_multicast::mux::WallClock;
 use parity_multicast::net::{
-    FaultConfig, FaultyTransport, FecLayerConfig, FecTransport, MemHub, Transport,
+    FaultConfig, FaultyTransport, FecLayerConfig, FecTransport, MemHub, PollTransport,
 };
+use parity_multicast::obs::Obs;
 use parity_multicast::protocol::n2::{N2Receiver, N2Sender};
-use parity_multicast::protocol::runtime::{
-    drive_receiver, drive_sender, ReceiverReport, RuntimeConfig, SessionReport,
-};
+use parity_multicast::protocol::runtime::{ReceiverReport, RuntimeConfig, SessionReport};
 use parity_multicast::protocol::{CompletionPolicy, NpConfig};
 
 fn rt() -> RuntimeConfig {
@@ -52,9 +57,9 @@ fn run_n2(
               tag: u32,
               lossy: bool,
               seed: u64|
-     -> Box<dyn Transport> {
+     -> Box<dyn PollTransport> {
         // Loss lives *below* the FEC layer (it is a network property).
-        let base: Box<dyn Transport> = if lossy {
+        let base: Box<dyn PollTransport> = if lossy {
             Box::new(FaultyTransport::new(ep, FaultConfig::drop_only(drop), seed))
         } else {
             Box::new(ep)
@@ -75,23 +80,23 @@ fn run_n2(
             None => base,
         }
     };
-    let handles: Vec<_> = (0..receivers)
-        .map(|id| {
-            let mut tp = mk(hub.join(), 1000 + id, true, seed * 31 + id as u64);
-            std::thread::spawn(move || {
-                let mut m = N2Receiver::new(id, session, 0.001, id as u64);
-                drive_receiver(&mut m, &mut tp, &rt()).expect("receiver failed")
-            })
-        })
+    let mut tps: Vec<_> = (0..receivers)
+        .map(|id| mk(hub.join(), 1000 + id, true, seed * 31 + id as u64))
         .collect();
     let mut sender_tp = mk(hub.join(), 1, false, 0);
-    let mut sender = N2Sender::new(session, data, n2_config(receivers)).expect("config");
-    let sr = drive_sender(&mut sender, &mut sender_tp, &rt()).expect("sender failed");
-    let rrs = handles
-        .into_iter()
-        .map(|h| h.join().expect("receiver thread"))
-        .collect();
-    (sr, rrs)
+    let sender = N2Sender::new(session, data, n2_config(receivers)).expect("config");
+    let (sr, rrs) = common::run_session(
+        WallClock::new(),
+        rt(),
+        &Obs::null(),
+        (sender, &mut sender_tp),
+        tps.iter_mut().enumerate().map(|(id, tp)| {
+            let m = N2Receiver::new(id as u32, session, 0.001, id as u64);
+            (m, tp as &mut dyn PollTransport)
+        }),
+    );
+    let rrs = rrs.into_iter().map(|r| r.expect("receiver failed"));
+    (sr.expect("sender failed"), rrs.collect())
 }
 
 #[test]

@@ -1,73 +1,21 @@
 //! The pm-mux determinism contract under `PM_SIMD=auto` dispatch.
 //!
-//! `tests/mux_sessions.rs` pins mux transcripts against the blocking
-//! drivers under whatever backend the ambient environment selects; this
-//! binary forces `PM_SIMD=auto` before the first kernel dispatch (env
-//! overrides are memoized process-wide, hence the dedicated test binary)
-//! and re-runs the 32-session byte-identity sweep, so the vectorized
-//! kernels are proven to leave every wire byte exactly where the scalar
-//! reference puts it — end to end through encode, NAK repair and decode.
+//! `tests/mux_sessions.rs` pins the 32-session farm's transcripts under
+//! whatever backend the ambient environment selects; this binary forces
+//! `PM_SIMD=auto` before the first kernel dispatch (env overrides are
+//! memoized process-wide, hence the dedicated test binary) and checks the
+//! same farm against the same digests, so the vectorized kernels are
+//! proven to leave every wire byte exactly where the scalar reference puts
+//! it — end to end through encode, NAK repair and decode.
 
-use std::time::Duration;
+mod common;
 
-use parity_multicast::mux::{Mux, MuxConfig, VirtualClock};
-use parity_multicast::net::{MemHub, Transcript, TranscriptTransport};
-use parity_multicast::protocol::runtime::{
-    drive_receiver, drive_sender, ReceiverReport, RuntimeConfig, SessionReport,
-};
-use parity_multicast::protocol::{CompletionPolicy, NpConfig, NpReceiver, NpSender};
+use common::pair_payload;
 use parity_multicast::rse::{CodeSpec, RseEncoder};
 use parity_multicast::simd::{kernels_for, Backend};
 
-fn np_cfg() -> NpConfig {
-    let mut c = NpConfig::small(CompletionPolicy::KnownReceivers(1));
-    c.k = 8;
-    c.h = 40;
-    c.payload_len = 128;
-    c.nak_slot = 0.001;
-    c
-}
-
-fn rt() -> RuntimeConfig {
-    RuntimeConfig {
-        packet_spacing: Duration::from_micros(50),
-        stall_timeout: Duration::from_secs(5),
-        complete_linger: Duration::from_millis(250),
-        ..RuntimeConfig::default()
-    }
-}
-
-fn pair_payload(i: u32) -> Vec<u8> {
-    (0..1800 + 111 * i as usize)
-        .map(|x| (x.wrapping_mul(2654435761) >> 11) as u8)
-        .collect()
-}
-
-fn run_pair_blocking(
-    i: u32,
-    data: &[u8],
-    rt: RuntimeConfig,
-) -> (Transcript, Transcript, SessionReport, ReceiverReport) {
-    let hub = MemHub::new();
-    let mut sender_tp = TranscriptTransport::new(hub.join());
-    let mut receiver_tp = TranscriptTransport::new(hub.join());
-    let sender_log = sender_tp.transcript();
-    let receiver_log = receiver_tp.transcript();
-    let mut sender = NpSender::new(i, data, np_cfg()).expect("valid config");
-    let handle = std::thread::spawn(move || {
-        drive_sender(&mut sender, &mut sender_tp, &rt).expect("blocking sender")
-    });
-    let mut receiver = NpReceiver::new(1000 + i, i, 0.001, i as u64);
-    let receiver_report =
-        drive_receiver(&mut receiver, &mut receiver_tp, &rt).expect("blocking receiver");
-    let sender_report = handle.join().expect("sender thread");
-    let sent = sender_log.lock().clone();
-    let received = receiver_log.lock().clone();
-    (sent, received, sender_report, receiver_report)
-}
-
 #[test]
-fn mux_transcripts_stay_byte_identical_under_auto_dispatch() {
+fn mux_transcripts_stay_pinned_under_auto_dispatch() {
     std::env::set_var(parity_multicast::simd::ENV_VAR, "auto");
     let backend = parity_multicast::simd::kernels().backend();
     assert_eq!(
@@ -95,47 +43,5 @@ fn mux_transcripts_stay_byte_identical_under_auto_dispatch() {
         "{backend} parities diverged from scalar"
     );
 
-    const PAIRS: u32 = 16; // 32 sessions
-
-    let mut mux = Mux::new(MuxConfig::default(), VirtualClock::new());
-    let mut logs = Vec::new();
-    for i in 0..PAIRS {
-        let hub = MemHub::new();
-        let data = pair_payload(i);
-        let sender_tp = TranscriptTransport::new(hub.join());
-        let receiver_tp = TranscriptTransport::new(hub.join());
-        logs.push((sender_tp.transcript(), receiver_tp.transcript()));
-        mux.add_sender(
-            NpSender::new(i, &data, np_cfg()).expect("valid config"),
-            sender_tp,
-            rt(),
-        );
-        mux.add_receiver(
-            NpReceiver::new(1000 + i, i, 0.001, i as u64),
-            receiver_tp,
-            rt(),
-        );
-    }
-    let outcomes = mux.run();
-    assert_eq!(outcomes.len(), 2 * PAIRS as usize);
-
-    for (i, (sender_log, receiver_log)) in logs.iter().enumerate() {
-        let (blk_sent, blk_received, _, blk_r) =
-            run_pair_blocking(i as u32, &pair_payload(i as u32), rt());
-        let mux_sent = sender_log.lock().clone();
-        let mux_received = receiver_log.lock().clone();
-        assert_eq!(
-            mux_sent, blk_sent,
-            "pair {i}: sender transcript diverged under {backend}"
-        );
-        assert_eq!(
-            mux_received, blk_received,
-            "pair {i}: receiver transcript diverged under {backend}"
-        );
-        assert_eq!(
-            blk_r.data,
-            pair_payload(i as u32),
-            "pair {i}: blocking receiver bytes"
-        );
-    }
+    common::assert_farm_is_pinned(&common::run_pinned_farm(), &backend.to_string());
 }

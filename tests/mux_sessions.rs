@@ -1,179 +1,47 @@
 //! Integration tests for `pm-mux`, the event-driven session multiplexer:
 //!
-//! 1. **Equivalence** — a 32-session mux run produces byte-identical wire
-//!    transcripts to 32 dedicated blocking-driver runs of the same
-//!    machines (the mux is the blocking runtime, re-scheduled).
+//! 1. **Determinism** — a 32-session mux run under the virtual clock is a
+//!    pure function of the session set: two runs produce byte-identical
+//!    wire transcripts, and both hash to the pinned digests.
 //! 2. **Scale** — a 256-session farm completes on one driver thread under
-//!    the in-memory transport, with reports identical to the blocking
-//!    drivers' (elapsed excluded: virtual vs wall time).
+//!    the in-memory transport, every receiver holding its payload.
 //! 3. **Isolation** — a Heavy-preset hostile session cannot delay a clean
 //!    neighbor by more than one timer tick.
 //! 4. **Chaos** — concurrent faulted sessions in one mux uphold the same
-//!    degradation trichotomy the blocking chaos grid pins.
+//!    degradation trichotomy the chaos grid pins.
 //! 5. **Postmortems** — with `flight_capacity` set, every degraded or
 //!    errored session yields exactly one schema-valid postmortem; clean
 //!    sessions yield none.
 //! 6. **Telemetry determinism** — two identical farm runs under the
 //!    virtual clock export byte-identical windowed gauges.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{np_cfg, payload, rt};
 use parity_multicast::mux::{Mux, MuxConfig, SessionOutcome, VirtualClock};
-use parity_multicast::net::{
-    ChaosPreset, FaultyTransport, MemHub, PollTransport, Transcript, TranscriptTransport,
-};
+use parity_multicast::net::{ChaosPreset, FaultyTransport, MemHub, PollTransport};
 use parity_multicast::obs::{Postmortem, WindowConfig, WindowTelemetry};
-use parity_multicast::par::{available_workers, Pool};
-use parity_multicast::protocol::runtime::{
-    drive_receiver, drive_sender, ReceiverReport, RuntimeConfig, SessionReport,
-};
-use parity_multicast::protocol::{
-    CompletionPolicy, NpConfig, NpReceiver, NpSender, ResiliencePolicy,
-};
-
-fn np_cfg() -> NpConfig {
-    let mut c = NpConfig::small(CompletionPolicy::KnownReceivers(1));
-    c.k = 8;
-    c.h = 40;
-    c.payload_len = 128;
-    c.nak_slot = 0.001;
-    c
-}
-
-fn rt() -> RuntimeConfig {
-    RuntimeConfig {
-        packet_spacing: Duration::from_micros(50),
-        stall_timeout: Duration::from_secs(5),
-        complete_linger: Duration::from_millis(250),
-        ..RuntimeConfig::default()
-    }
-}
-
-fn payload(n: usize) -> Vec<u8> {
-    (0..n)
-        .map(|i| (i.wrapping_mul(2654435761) >> 11) as u8)
-        .collect()
-}
-
-fn pair_payload(i: u32) -> Vec<u8> {
-    payload(1800 + 111 * i as usize)
-}
-
-/// One sender/receiver pair under the dedicated blocking drivers,
-/// transcribing both endpoints.
-fn run_pair_blocking(
-    i: u32,
-    data: &[u8],
-    rt: RuntimeConfig,
-) -> (Transcript, Transcript, SessionReport, ReceiverReport) {
-    let hub = MemHub::new();
-    let mut sender_tp = TranscriptTransport::new(hub.join());
-    let mut receiver_tp = TranscriptTransport::new(hub.join());
-    let sender_log = sender_tp.transcript();
-    let receiver_log = receiver_tp.transcript();
-    let mut sender = NpSender::new(i, data, np_cfg()).expect("valid config");
-    let handle = std::thread::spawn(move || {
-        drive_sender(&mut sender, &mut sender_tp, &rt).expect("blocking sender")
-    });
-    let mut receiver = NpReceiver::new(1000 + i, i, 0.001, i as u64);
-    let receiver_report =
-        drive_receiver(&mut receiver, &mut receiver_tp, &rt).expect("blocking receiver");
-    let sender_report = handle.join().expect("sender thread");
-    let sent = sender_log.lock().clone();
-    let received = receiver_log.lock().clone();
-    (sent, received, sender_report, receiver_report)
-}
-
-/// Reports must match the blocking drivers field-for-field, except
-/// `elapsed`, which is virtual time under the mux and wall time under the
-/// blocking drivers.
-fn assert_reports_match(
-    i: usize,
-    mux_s: &SessionReport,
-    mux_r: &ReceiverReport,
-    blk_s: &SessionReport,
-    blk_r: &ReceiverReport,
-) {
-    assert_eq!(mux_s.counters, blk_s.counters, "pair {i}: sender counters");
-    assert_eq!(mux_s.completed, blk_s.completed, "pair {i}: completed set");
-    assert_eq!(mux_s.evicted, blk_s.evicted, "pair {i}: evicted count");
-    assert_eq!(
-        mux_s.corrupt_dropped, blk_s.corrupt_dropped,
-        "pair {i}: sender corrupt_dropped"
-    );
-    assert_eq!(
-        mux_s.send_retries, blk_s.send_retries,
-        "pair {i}: sender send_retries"
-    );
-    assert_eq!(mux_r.data, blk_r.data, "pair {i}: received bytes");
-    assert_eq!(
-        mux_r.counters, blk_r.counters,
-        "pair {i}: receiver counters"
-    );
-    assert_eq!(
-        mux_r.corrupt_dropped, blk_r.corrupt_dropped,
-        "pair {i}: receiver corrupt_dropped"
-    );
-}
+use parity_multicast::protocol::runtime::RuntimeConfig;
+use parity_multicast::protocol::{CompletionPolicy, NpReceiver, NpSender, ResiliencePolicy};
 
 #[test]
-fn mux_transcripts_are_byte_identical_to_blocking_drivers() {
-    const PAIRS: u32 = 16; // 32 sessions
-
-    // One mux, one thread, one virtual clock — all 32 sessions at once.
-    let mut mux = Mux::new(MuxConfig::default(), VirtualClock::new());
-    let mut logs = Vec::new();
-    let mut tokens = Vec::new();
-    for i in 0..PAIRS {
-        let hub = MemHub::new();
-        let data = pair_payload(i);
-        let sender_tp = TranscriptTransport::new(hub.join());
-        let receiver_tp = TranscriptTransport::new(hub.join());
-        logs.push((sender_tp.transcript(), receiver_tp.transcript()));
-        let s_tok = mux.add_sender(
-            NpSender::new(i, &data, np_cfg()).expect("valid config"),
-            sender_tp,
-            rt(),
-        );
-        let r_tok = mux.add_receiver(
-            NpReceiver::new(1000 + i, i, 0.001, i as u64),
-            receiver_tp,
-            rt(),
-        );
-        tokens.push((s_tok, r_tok));
-    }
-    let outcomes = mux.run();
-    assert_eq!(outcomes.len(), 2 * PAIRS as usize);
-
-    // The same 32 machines under dedicated blocking drivers.
-    let pool = Pool::new(available_workers());
-    let blocking = pool.par_map(PAIRS as usize, |i| {
-        run_pair_blocking(i as u32, &pair_payload(i as u32), rt())
-    });
-
-    for (i, ((sender_log, receiver_log), (blk_sent, blk_received, blk_s, blk_r))) in
-        logs.iter().zip(&blocking).enumerate()
-    {
-        let mux_sent = sender_log.lock().clone();
-        let mux_received = receiver_log.lock().clone();
-        assert_eq!(mux_sent, *blk_sent, "pair {i}: sender transcript diverged");
+fn mux_transcripts_are_a_pinned_function_of_the_session_set() {
+    let first = common::run_pinned_farm();
+    let second = common::run_pinned_farm();
+    for (i, (a, b)) in first.iter().zip(&second).enumerate() {
         assert_eq!(
-            mux_received, *blk_received,
-            "pair {i}: receiver transcript diverged"
+            a.sent, b.sent,
+            "pair {i}: sender transcript not reproducible"
         );
-
-        let (s_tok, r_tok) = tokens[i];
-        let mux_s = outcomes
-            .iter()
-            .find_map(|(t, o)| (*t == s_tok).then(|| o.sender_report().expect("sender ok")))
-            .expect("sender outcome");
-        let mux_r = outcomes
-            .iter()
-            .find_map(|(t, o)| (*t == r_tok).then(|| o.receiver_report().expect("receiver ok")))
-            .expect("receiver outcome");
-        assert_reports_match(i, mux_s, mux_r, blk_s, blk_r);
+        assert_eq!(
+            a.received, b.received,
+            "pair {i}: receiver transcript not reproducible"
+        );
     }
+    common::assert_farm_is_pinned(&first, parity_multicast::simd::backend_name());
 }
 
 #[test]
@@ -415,8 +283,7 @@ fn mux_postmortems_fire_exactly_once_per_degraded_session() {
     for (tok, out) in &outcomes {
         match out {
             SessionOutcome::Sender(Ok(rep)) => {
-                // Degraded rides the report, exactly as the blocking
-                // drive_sender_flight attaches it; clean carries nothing.
+                // Degraded rides the report; clean carries nothing.
                 assert_eq!(
                     rep.postmortem.is_some(),
                     rep.is_degraded(),

@@ -1,13 +1,21 @@
 //! End-to-end protocol tests: NP and N2 over the in-memory multicast hub
 //! with receive-side fault injection — the full stack from application
 //! bytes through wire format, suppression, parity repair and reassembly.
+//! Sessions run on one mux under a virtual clock (deterministic, no
+//! threads); the tests about wall-clock behaviour use the blocking
+//! `drive_*` wrappers.
+
+mod common;
 
 use std::time::Duration;
 
-use parity_multicast::net::{FaultConfig, FaultyTransport, MemHub};
+use common::run_session;
+use parity_multicast::mux::{drive_receiver, drive_sender, VirtualClock};
+use parity_multicast::net::{FaultConfig, FaultyTransport, MemHub, PollTransport};
+use parity_multicast::obs::Obs;
 use parity_multicast::protocol::n2::{N2Receiver, N2Sender};
 use parity_multicast::protocol::runtime::{
-    drive_receiver, drive_sender, ReceiverReport, RuntimeConfig, SessionReport,
+    ReceiverMachine, ReceiverReport, RuntimeConfig, SenderMachine, SessionReport,
 };
 use parity_multicast::protocol::{CompletionPolicy, NpConfig, NpReceiver, NpSender, ProtocolError};
 
@@ -36,7 +44,38 @@ fn np_config(receivers: u32, k: usize, h: usize) -> NpConfig {
     c
 }
 
-/// Run one NP session: sender thread + `receivers` lossy receivers.
+/// Run one session: `sender` plus `receivers` receivers, each behind its
+/// own seeded `faults`, all on one virtual-clock mux.
+fn run<S, R>(
+    sender: S,
+    receiver: impl Fn(u32) -> R,
+    receivers: u32,
+    faults: FaultConfig,
+    seed: u64,
+) -> (SessionReport, Vec<ReceiverReport>)
+where
+    S: SenderMachine + 'static,
+    R: ReceiverMachine + 'static,
+{
+    let hub = MemHub::new();
+    let mut tps: Vec<_> = (0..receivers)
+        .map(|id| FaultyTransport::new(hub.join(), faults, seed + id as u64))
+        .collect();
+    let mut sender_tp = hub.join();
+    let (sr, rrs) = run_session(
+        VirtualClock::new(),
+        rt(),
+        &Obs::null(),
+        (sender, &mut sender_tp),
+        tps.iter_mut()
+            .enumerate()
+            .map(|(id, tp)| (receiver(id as u32), tp as &mut dyn PollTransport)),
+    );
+    let rrs = rrs.into_iter().map(|r| r.expect("receiver failed"));
+    (sr.expect("sender failed"), rrs.collect())
+}
+
+/// Run one NP session with `receivers` lossy receivers.
 fn run_np(
     data: &[u8],
     cfg: NpConfig,
@@ -44,27 +83,14 @@ fn run_np(
     drop: f64,
     seed: u64,
 ) -> (SessionReport, Vec<ReceiverReport>) {
-    let hub = MemHub::new();
     let session = 7000 + seed as u32;
-    let handles: Vec<_> = (0..receivers)
-        .map(|id| {
-            let ep = hub.join();
-            std::thread::spawn(move || {
-                let mut tp =
-                    FaultyTransport::new(ep, FaultConfig::drop_only(drop), seed + id as u64);
-                let mut m = NpReceiver::new(id, session, 0.001, seed + id as u64);
-                drive_receiver(&mut m, &mut tp, &rt()).expect("receiver failed")
-            })
-        })
-        .collect();
-    let mut sender_tp = hub.join();
-    let mut sender = NpSender::new(session, data, cfg).expect("sender config");
-    let sr = drive_sender(&mut sender, &mut sender_tp, &rt()).expect("sender failed");
-    let rrs = handles
-        .into_iter()
-        .map(|h| h.join().expect("receiver thread"))
-        .collect();
-    (sr, rrs)
+    run(
+        NpSender::new(session, data, cfg).expect("sender config"),
+        |id| NpReceiver::new(id, session, 0.001, seed + id as u64),
+        receivers,
+        FaultConfig::drop_only(drop),
+        seed,
+    )
 }
 
 /// Run one N2 session with the same topology.
@@ -75,27 +101,14 @@ fn run_n2(
     drop: f64,
     seed: u64,
 ) -> (SessionReport, Vec<ReceiverReport>) {
-    let hub = MemHub::new();
     let session = 8000 + seed as u32;
-    let handles: Vec<_> = (0..receivers)
-        .map(|id| {
-            let ep = hub.join();
-            std::thread::spawn(move || {
-                let mut tp =
-                    FaultyTransport::new(ep, FaultConfig::drop_only(drop), seed + id as u64);
-                let mut m = N2Receiver::new(id, session, 0.001, seed + id as u64);
-                drive_receiver(&mut m, &mut tp, &rt()).expect("receiver failed")
-            })
-        })
-        .collect();
-    let mut sender_tp = hub.join();
-    let mut sender = N2Sender::new(session, data, cfg).expect("sender config");
-    let sr = drive_sender(&mut sender, &mut sender_tp, &rt()).expect("sender failed");
-    let rrs = handles
-        .into_iter()
-        .map(|h| h.join().expect("receiver thread"))
-        .collect();
-    (sr, rrs)
+    run(
+        N2Sender::new(session, data, cfg).expect("sender config"),
+        |id| N2Receiver::new(id, session, 0.001, seed + id as u64),
+        receivers,
+        FaultConfig::drop_only(drop),
+        seed,
+    )
 }
 
 #[test]
@@ -217,15 +230,14 @@ fn quiescence_completion_without_done() {
     let hub = MemHub::new();
     let mut sender_tp = hub.join();
     let recv = {
-        let ep = hub.join();
+        let mut tp = hub.join();
         std::thread::spawn(move || {
-            let mut tp = FaultyTransport::new(ep, FaultConfig::none(), 1);
-            let mut m = NpReceiver::new(0, 7008, 0.001, 8);
-            drive_receiver(&mut m, &mut tp, &rt()).expect("receiver failed")
+            let m = NpReceiver::new(0, 7008, 0.001, 8);
+            drive_receiver(m, &mut tp, &rt(), &Obs::null()).expect("receiver failed")
         })
     };
-    let mut sender = NpSender::new(7008, &data, cfg).expect("config");
-    let sr = drive_sender(&mut sender, &mut sender_tp, &rt()).expect("sender");
+    let sender = NpSender::new(7008, &data, cfg).expect("config");
+    let sr = drive_sender(sender, &mut sender_tp, &rt(), &Obs::null()).expect("sender");
     let rr = recv.join().unwrap();
     assert_eq!(rr.data, data);
     assert!(
@@ -252,42 +264,35 @@ fn empty_transfer_completes() {
 #[test]
 fn duplicate_and_reordered_packets_tolerated() {
     let data = payload(30_000);
-    let hub = MemHub::new();
     let session = 7010;
-    let cfg = np_config(1, 10, 40);
-    let handle = {
-        let ep = hub.join();
-        std::thread::spawn(move || {
-            let faults = FaultConfig {
-                drop: 0.10,
-                duplicate: 0.10,
-                reorder: 0.10,
-                ..FaultConfig::none()
-            };
-            let mut tp = FaultyTransport::new(ep, faults, 11);
-            let mut m = NpReceiver::new(0, session, 0.001, 11);
-            drive_receiver(&mut m, &mut tp, &rt()).expect("receiver failed")
-        })
+    let faults = FaultConfig {
+        drop: 0.10,
+        duplicate: 0.10,
+        reorder: 0.10,
+        ..FaultConfig::none()
     };
-    let mut sender_tp = hub.join();
-    let mut sender = NpSender::new(session, &data, cfg).expect("config");
-    drive_sender(&mut sender, &mut sender_tp, &rt()).expect("sender");
-    let rr = handle.join().unwrap();
-    assert_eq!(rr.data, data);
+    let (_, rrs) = run(
+        NpSender::new(session, &data, np_config(1, 10, 40)).expect("config"),
+        |id| NpReceiver::new(id, session, 0.001, 11),
+        1,
+        faults,
+        11,
+    );
+    assert_eq!(rrs[0].data, data);
 }
 
 #[test]
 fn receiver_without_sender_stalls_cleanly() {
     let hub = MemHub::new();
     let mut tp = hub.join();
-    let mut m = NpReceiver::new(0, 1, 0.001, 1);
+    let m = NpReceiver::new(0, 1, 0.001, 1);
     let fast = RuntimeConfig {
         packet_spacing: Duration::from_micros(50),
         stall_timeout: Duration::from_millis(100),
         complete_linger: Duration::from_millis(50),
         ..RuntimeConfig::default()
     };
-    match drive_receiver(&mut m, &mut tp, &fast) {
+    match drive_receiver(m, &mut tp, &fast, &Obs::null()) {
         Err(ProtocolError::Stalled { .. }) => {}
         other => panic!("expected stall, got {other:?}"),
     }

@@ -4,16 +4,17 @@
 //! the transports' and machines' own counters), and decode-cache reuse
 //! under a repeating loss pattern.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
 use parity_multicast::loss::LossModel;
-use parity_multicast::net::{FaultConfig, FaultyTransport, MemHub};
+use parity_multicast::mux::VirtualClock;
+use parity_multicast::net::{FaultConfig, FaultyTransport, MemHub, PollTransport};
 use parity_multicast::obs::{Event, Obs, RingRecorder};
 use parity_multicast::protocol::harness::{run_simulation, HarnessConfig};
-use parity_multicast::protocol::runtime::{
-    drive_receiver_obs, drive_sender_obs, ReceiverReport, RuntimeConfig,
-};
+use parity_multicast::protocol::runtime::RuntimeConfig;
 use parity_multicast::protocol::{CompletionPolicy, NpConfig, NpReceiver, NpSender};
 
 fn payload(n: usize) -> Vec<u8> {
@@ -21,7 +22,7 @@ fn payload(n: usize) -> Vec<u8> {
 }
 
 #[test]
-fn threaded_session_trace_reconciles_with_counters() {
+fn session_trace_reconciles_with_counters() {
     const RECEIVERS: u32 = 3;
     let ring = Arc::new(RingRecorder::new(1 << 16));
     let obs = Obs::new(ring.clone());
@@ -41,33 +42,33 @@ fn threaded_session_trace_reconciles_with_counters() {
         ..RuntimeConfig::default()
     };
 
-    let handles: Vec<std::thread::JoinHandle<(ReceiverReport, u64)>> = (0..RECEIVERS)
+    let mut tps: Vec<_> = (0..RECEIVERS)
         .map(|id| {
-            let ep = hub.join();
-            let obs = obs.clone();
-            std::thread::spawn(move || {
-                let mut tp =
-                    FaultyTransport::new(ep, FaultConfig::drop_only(0.08), 0xD0 + id as u64)
-                        .with_obs(obs.clone());
-                let mut m = NpReceiver::new(id, session, 0.002, id as u64).with_obs(obs.clone());
-                let report = drive_receiver_obs(&mut m, &mut tp, &rt, &obs).expect("receive");
-                (report, tp.stats().dropped)
-            })
+            FaultyTransport::new(hub.join(), FaultConfig::drop_only(0.08), 0xD0 + id as u64)
+                .with_obs(obs.clone())
         })
         .collect();
-
     let mut sender_tp = hub.join().with_obs(obs.clone());
-    let mut sender = NpSender::new(session, &data, cfg)
+    let sender = NpSender::new(session, &data, cfg)
         .expect("config")
         .with_obs(obs.clone());
-    drive_sender_obs(&mut sender, &mut sender_tp, &rt, &obs).expect("send");
+    let (sent, reports) = common::run_session(
+        VirtualClock::new(),
+        rt,
+        &obs,
+        (sender, &mut sender_tp),
+        tps.iter_mut().enumerate().map(|(id, tp)| {
+            let m = NpReceiver::new(id as u32, session, 0.002, id as u64).with_obs(obs.clone());
+            (m, tp as &mut dyn PollTransport)
+        }),
+    );
+    sent.expect("send");
 
-    let mut injected_drops = 0u64;
+    let injected_drops: u64 = tps.iter().map(|tp| tp.stats().dropped).sum();
     let mut suppressed_counted = 0u64;
-    for h in handles {
-        let (report, dropped) = h.join().expect("receiver thread");
+    for report in reports {
+        let report = report.expect("receive");
         assert_eq!(report.data, data);
-        injected_drops += dropped;
         suppressed_counted += report.counters.feedback_suppressed;
     }
 

@@ -4,9 +4,11 @@
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::time::Duration;
 
+use parity_multicast::mux::{drive_receiver, drive_sender};
 use parity_multicast::net::udp::UdpHub;
 use parity_multicast::net::{FaultConfig, FaultyTransport};
-use parity_multicast::protocol::runtime::{drive_receiver, drive_sender, RuntimeConfig};
+use parity_multicast::obs::Obs;
+use parity_multicast::protocol::runtime::RuntimeConfig;
 use parity_multicast::protocol::{CompletionPolicy, NpConfig, NpReceiver, NpSender};
 
 fn try_hub(port: u16) -> Option<UdpHub> {
@@ -49,15 +51,15 @@ fn np_over_udp_with_loss() {
             std::thread::spawn(move || {
                 let mut tp =
                     FaultyTransport::new(ep, FaultConfig::drop_only(0.10), 0xFACE + id as u64);
-                let mut m = NpReceiver::new(id, session, 0.002, id as u64);
-                drive_receiver(&mut m, &mut tp, &rt()).expect("receiver failed")
+                let m = NpReceiver::new(id, session, 0.002, id as u64);
+                drive_receiver(m, &mut tp, &rt(), &Obs::null()).expect("receiver failed")
             })
         })
         .collect();
 
     let mut sender_tp = hub.endpoint().expect("endpoint");
-    let mut sender = NpSender::new(session, &data, cfg).expect("config");
-    let sr = drive_sender(&mut sender, &mut sender_tp, &rt()).expect("sender failed");
+    let sender = NpSender::new(session, &data, cfg).expect("config");
+    let sr = drive_sender(sender, &mut sender_tp, &rt(), &Obs::null()).expect("sender failed");
     for (id, h) in handles.into_iter().enumerate() {
         let rr = h.join().expect("receiver thread");
         assert_eq!(rr.data, data, "receiver {id}");
@@ -85,13 +87,13 @@ fn n2_over_udp_lossless() {
         let ep = hub.endpoint().expect("endpoint");
         std::thread::spawn(move || {
             let mut tp = FaultyTransport::new(ep, FaultConfig::none(), 5);
-            let mut m = N2Receiver::new(0, session, 0.001, 5);
-            drive_receiver(&mut m, &mut tp, &rt()).expect("receiver failed")
+            let m = N2Receiver::new(0, session, 0.001, 5);
+            drive_receiver(m, &mut tp, &rt(), &Obs::null()).expect("receiver failed")
         })
     };
     let mut sender_tp = hub.endpoint().expect("endpoint");
-    let mut sender = N2Sender::new(session, &data, cfg).expect("config");
-    drive_sender(&mut sender, &mut sender_tp, &rt()).expect("sender failed");
+    let sender = N2Sender::new(session, &data, cfg).expect("config");
+    drive_sender(sender, &mut sender_tp, &rt(), &Obs::null()).expect("sender failed");
     assert_eq!(handle.join().unwrap().data, data);
 }
 
@@ -111,8 +113,8 @@ fn two_sessions_share_one_group() {
         let ep = hub.endpoint().expect("endpoint");
         std::thread::spawn(move || {
             let mut tp = FaultyTransport::new(ep, FaultConfig::drop_only(0.05), seed);
-            let mut m = NpReceiver::new(seed as u32, session, 0.002, seed);
-            drive_receiver(&mut m, &mut tp, &rt()).expect("receiver failed")
+            let m = NpReceiver::new(seed as u32, session, 0.002, seed);
+            drive_receiver(m, &mut tp, &rt(), &Obs::null()).expect("receiver failed")
         })
     };
     let ra = mk_receiver(1, 100);
@@ -123,12 +125,12 @@ fn two_sessions_share_one_group() {
     let db = data_b.clone();
     let sb = std::thread::spawn(move || {
         let mut t = hub_b;
-        let mut s = NpSender::new(2, &db, cfg_b).expect("config");
-        drive_sender(&mut s, &mut t, &rt()).expect("sender b failed")
+        let s = NpSender::new(2, &db, cfg_b).expect("config");
+        drive_sender(s, &mut t, &rt(), &Obs::null()).expect("sender b failed")
     });
     let mut ta = hub.endpoint().expect("endpoint");
-    let mut sa = NpSender::new(1, &data_a, cfg).expect("config");
-    drive_sender(&mut sa, &mut ta, &rt()).expect("sender a failed");
+    let sa = NpSender::new(1, &data_a, cfg).expect("config");
+    drive_sender(sa, &mut ta, &rt(), &Obs::null()).expect("sender a failed");
     sb.join().unwrap();
 
     assert_eq!(ra.join().unwrap().data, data_a);
