@@ -209,6 +209,66 @@ fn bench_decode_repeat_pattern(c: &mut Criterion) {
     });
 }
 
+fn bench_codec_construct(c: &mut Criterion) {
+    // What every NP sender (encoder) and every NP receiver that sees a loss
+    // (decoder) pays once per geometry, at the e2e workloads' three
+    // geometries: k with the maximum parity count, n = 255.
+    let mut g = c.benchmark_group("codec_construct");
+    for &(k, h) in &[(7usize, 248usize), (20, 235), (100, 155)] {
+        let spec = CodeSpec::new(k, h).unwrap();
+        let id = format!("k{k}_h{h}");
+        g.bench_function(BenchmarkId::new("encoder", &id), |b| {
+            b.iter(|| RseEncoder::new(std::hint::black_box(spec)).unwrap());
+        });
+        g.bench_function(BenchmarkId::new("decoder", &id), |b| {
+            b.iter(|| RseDecoder::new(std::hint::black_box(spec)).unwrap());
+        });
+    }
+    g.finish();
+}
+
+fn bench_decode_cold_pattern(c: &mut Criterion) {
+    // A decode whose loss pattern the decoder has not seen: the solve for
+    // the decode rows plus the kernel pass. Every other decode bench here,
+    // and e2e-bench's `rse.decode_mib_s.k100l10`, replays ONE pattern, so
+    // after the first iteration they time cache hits — the kernel pass
+    // alone. This one cycles 64 patterns through the 16-entry LRU, so every
+    // iteration misses; it is the cost a receiver under independent loss
+    // pays per group (the `mem_codec_k100` geometry: k=100, l=10, P=1024).
+    let (k, h, lost) = (100usize, 155usize, 10usize);
+    let enc = RseEncoder::new(CodeSpec::new(k, h).unwrap()).unwrap();
+    let dec = RseDecoder::from_encoder(&enc);
+    let data = group_data(k);
+    let parities = enc.parities(lost, &data).unwrap();
+    let patterns: Vec<Vec<(usize, &[u8])>> = (0..64usize)
+        .map(|p| {
+            let gone = |i: &usize| (0..lost).any(|t| (p + 7 * t) % k == *i);
+            (0..k)
+                .filter(|i| !gone(i))
+                .map(|i| (i, data[i].as_slice()))
+                .chain(
+                    parities
+                        .iter()
+                        .enumerate()
+                        .map(|(j, p)| (k + j, p.as_slice())),
+                )
+                .collect()
+        })
+        .collect();
+    let mut next = 0usize;
+    let mut g = c.benchmark_group("decode_cold_pattern");
+    g.throughput(Throughput::Bytes((k * PACKET) as u64));
+    g.bench_function("k100_l10", |b| {
+        b.iter(|| {
+            next = (next + 1) % patterns.len();
+            dec.decode(std::hint::black_box(&patterns[next])).unwrap()
+        });
+    });
+    g.finish();
+    let stats = dec.cache_stats();
+    assert_eq!(stats.hits, 0, "every iteration must miss: {stats:?}");
+}
+
 fn bench_decode_fast_path(c: &mut Criterion) {
     // All data received: decoding must be near-free (systematic code).
     let enc = RseEncoder::new(CodeSpec::new(20, 10).unwrap()).unwrap();
@@ -262,6 +322,8 @@ criterion_group!(
     bench_single_parity,
     bench_decode,
     bench_decode_repeat_pattern,
+    bench_codec_construct,
+    bench_decode_cold_pattern,
     bench_decode_fast_path,
     bench_incremental_decode
 );

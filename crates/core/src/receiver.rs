@@ -301,18 +301,23 @@ impl NpReceiver {
                     };
                     let spec = *gd.spec();
                     let missing = gd.missing_data().len() as u64;
-                    let (packets, cache_delta) = {
-                        let decoder = self.decoder_for(spec)?;
-                        let before = decoder.cache_stats();
-                        let packets = gd.reconstruct(decoder)?;
-                        let after = decoder.cache_stats();
-                        (
-                            packets,
-                            CacheStats {
-                                hits: after.hits - before.hits,
-                                misses: after.misses - before.misses,
-                            },
-                        )
+                    // A group whose data all arrived needs no decoder: on a
+                    // lossless path none is ever built.
+                    let (packets, cache_delta) = match gd.data_if_complete() {
+                        Some(packets) => (packets, CacheStats::default()),
+                        None => {
+                            let decoder = self.decoder_for(spec)?;
+                            let before = decoder.cache_stats();
+                            let packets = gd.reconstruct(decoder)?;
+                            let after = decoder.cache_stats();
+                            (
+                                packets,
+                                CacheStats {
+                                    hits: after.hits - before.hits,
+                                    misses: after.misses - before.misses,
+                                },
+                            )
+                        }
                     };
                     for _ in 0..cache_delta.hits {
                         self.obs.emit(now, || Event::DecodeCacheHit {
@@ -548,6 +553,9 @@ mod tests {
         assert!(completed);
         assert!(rx.is_complete());
         assert_eq!(rx.take_data().unwrap(), data);
+        // Nothing was lost, so no decoder (and no generator) was ever built.
+        assert!(rx.decoders.is_empty());
+        assert_eq!(rx.decode_cache_stats(), CacheStats::default());
         assert_eq!(rx.counters().packets_decoded, 0, "systematic fast path");
     }
 

@@ -51,6 +51,22 @@ impl Matrix {
         m
     }
 
+    /// Matrix over row-major `data`, for builders whose entries are fallible
+    /// (they collect into a `Result<Vec<_>, _>` first).
+    ///
+    /// # Errors
+    /// [`GfError::DimensionMismatch`] unless `data` holds exactly
+    /// `rows * cols > 0` entries.
+    pub fn from_vec(rows: usize, cols: usize, data: Vec<Gf256>) -> Result<Self, GfError> {
+        if data.is_empty() || data.len() != rows * cols {
+            return Err(GfError::DimensionMismatch {
+                expected: rows * cols,
+                got: data.len(),
+            });
+        }
+        Ok(Matrix { rows, cols, data })
+    }
+
     /// Vandermonde matrix `V[r][c] = x_r ^ c` over the given evaluation
     /// points. Any `k` rows with distinct points are linearly independent,
     /// which is exactly the MDS property the erasure code needs.
@@ -257,6 +273,20 @@ mod tests {
         let inv = m.invert().unwrap();
         assert_eq!(m.mul(&inv).unwrap(), Matrix::identity(3));
         assert_eq!(inv.mul(&m).unwrap(), Matrix::identity(3));
+    }
+
+    #[test]
+    fn from_vec_is_row_major_and_checks_the_shape() {
+        let data: Vec<Gf256> = (1..=6).map(Gf256).collect();
+        let m = Matrix::from_vec(2, 3, data.clone()).unwrap();
+        assert_eq!(m, Matrix::from_fn(2, 3, |r, c| data[r * 3 + c]));
+        for (rows, cols) in [(3, 3), (0, 6), (6, 0)] {
+            assert!(matches!(
+                Matrix::from_vec(rows, cols, data.clone()),
+                Err(GfError::DimensionMismatch { .. })
+            ));
+        }
+        assert!(Matrix::from_vec(0, 0, Vec::new()).is_err());
     }
 
     #[test]

@@ -132,7 +132,15 @@ impl GroupDecoder {
         })
     }
 
-    /// Reconstruct the `k` data packets.
+    /// The `k` data packets, if every one of them arrived — no decoder
+    /// and no field arithmetic needed (the systematic fast path).
+    pub fn data_if_complete(&self) -> Option<Vec<Bytes>> {
+        self.slots.iter().take(self.spec.k()).cloned().collect()
+    }
+
+    /// Reconstruct the `k` data packets. Those that arrived come back as
+    /// the inserted [`Bytes`] (a reference-count bump, same storage); only
+    /// the missing ones are computed and allocated.
     ///
     /// # Errors
     /// [`RseError::NotEnoughShares`] if fewer than `k` packets have arrived.
@@ -143,17 +151,8 @@ impl GroupDecoder {
                 need: self.spec.k(),
             });
         }
-        if self.all_data_received() {
-            // Systematic fast path: no field arithmetic at all.
-            return self
-                .slots
-                .iter()
-                .take(self.spec.k())
-                .map(|s| {
-                    s.clone()
-                        .ok_or(RseError::Internal("all_data_received implies k data slots"))
-                })
-                .collect();
+        if let Some(data) = self.data_if_complete() {
+            return Ok(data);
         }
         let shares: Vec<(usize, &[u8])> = self
             .slots
@@ -161,11 +160,19 @@ impl GroupDecoder {
             .enumerate()
             .filter_map(|(i, s)| s.as_ref().map(|b| (i, b.as_ref())))
             .collect();
-        Ok(decoder
-            .decode(&shares)?
-            .into_iter()
-            .map(Bytes::from)
-            .collect())
+        // `decode_missing` returns the gaps in ascending index order.
+        let mut rebuilt = decoder.decode_missing(&shares)?.into_iter();
+        self.slots
+            .iter()
+            .take(self.spec.k())
+            .map(|slot| match slot {
+                Some(arrived) => Ok(arrived.clone()),
+                None => rebuilt
+                    .next()
+                    .map(|(_, payload)| Bytes::from(payload))
+                    .ok_or(RseError::Internal("one rebuilt packet per empty data slot")),
+            })
+            .collect()
     }
 }
 
@@ -227,6 +234,35 @@ mod tests {
         let out = g.insert(6, parities[1].clone()).unwrap();
         assert_eq!(out, InsertOutcome::Decodable);
         assert_eq!(g.reconstruct(&dec).unwrap(), data);
+    }
+
+    #[test]
+    fn reconstruct_shares_storage_with_arrived_packets() {
+        // Arrived packets come back as the inserted Bytes (same storage,
+        // no copy); only the two gaps are new allocations.
+        let (_, dec, data, parities) = setup(6, 3);
+        let mut g = GroupDecoder::new(*dec.spec());
+        for i in [0usize, 1, 3, 5] {
+            g.insert(i, data[i].clone()).unwrap();
+        }
+        assert_eq!(g.data_if_complete(), None);
+        g.insert(8, parities[2].clone()).unwrap();
+        g.insert(6, parities[0].clone()).unwrap();
+        let rec = g.reconstruct(&dec).unwrap();
+        assert_eq!(rec, data);
+        for (i, (got, sent)) in rec.iter().zip(&data).enumerate() {
+            let arrived = ![2, 4].contains(&i);
+            assert_eq!(got.as_ptr() == sent.as_ptr(), arrived, "packet {i}");
+        }
+        // Loss-free group: the decoder-less accessor is the whole answer.
+        let mut g = GroupDecoder::new(*dec.spec());
+        for (i, d) in data.iter().enumerate() {
+            g.insert(i, d.clone()).unwrap();
+        }
+        let all = g.data_if_complete().unwrap();
+        assert!(all.iter().zip(&data).all(|(a, b)| a.as_ptr() == b.as_ptr()));
+        assert_eq!(g.reconstruct(&dec).unwrap(), all);
+        assert_eq!(dec.cache_stats().hits + dec.cache_stats().misses, 1);
     }
 
     #[test]

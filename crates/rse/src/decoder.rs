@@ -1,114 +1,147 @@
 //! Erasure decoder: reconstruct a transmission group from any `k` packets.
 //!
-//! Decoding follows Rizzo's scheme: collect the generator rows of the `k`
-//! packets that survived, invert that `k x k` matrix, and multiply it with
-//! the received payloads. Because the code is systematic, received *data*
-//! packets are passed through untouched and only the rows of *missing* data
-//! packets are actually computed — so decode cost is proportional to the
-//! number of losses (`l`), matching Section 2.1 of the paper ("the decoding
-//! overhead is proportional to `l`").
+//! The code is systematic, so data packets that arrived pass through
+//! untouched and only the `l` missing ones are computed. With `M` the
+//! missing data indices, `S` those that arrived, `C` the `l` parities
+//! chosen to stand in and `P` the generator's parity block,
+//! `y_C = P[C,S] * d_S + P[C,M] * d_M`, hence
+//!
+//! ```text
+//! d_M = A^-1 * [ P[C,S] | I_l ] * [ d_S ; y_C ],   A = P[C,M]  (l x l)
+//! ```
+//!
+//! Only `A` is inverted. `D = A^-1 * [P[C,S] | I_l]` is exactly the rows of
+//! the full `k x k` selection inverse (Rizzo's scheme) that belong to the
+//! missing packets — the inverse is unique — and each missing packet is one
+//! batched multiply-accumulate pass over the `k` selected payloads. A decode
+//! costs `O(l^3 + l^2*k + l*k*P)`, not `O(k^3 + l*k*P)`: the paper's
+//! Section 2.1, "the decoding overhead is proportional to `l`".
 //!
 //! Loss patterns repeat: a receiver behind one lossy link tends to lose the
 //! same packet positions group after group (and the all-parity carousel
-//! case always selects the same rows). The decoder therefore memoises
-//! inverted matrices in a small LRU cache keyed by the *selection bitmask*
-//! (which block indices supplied the `k` equations); a repeat pattern skips
-//! the O(k^3) inversion entirely.
+//! case always selects the same rows). The decoder therefore memoises `D`
+//! in a small LRU cache keyed by the *selection bitmask* (which block
+//! indices supplied the `k` equations); a repeat pattern skips the solve.
 
 use pm_gf::{Gf256, Matrix};
 use pm_obs::{Counter, Histogram, SpanTimer};
-use pm_simd::Kernels;
+use pm_simd::{try_kernels, Kernels};
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::code::CodeSpec;
+use crate::code::{CodeSpec, MAX_BLOCK};
 use crate::encoder::RseEncoder;
 use crate::error::RseError;
+use crate::generator;
 
 /// Bitmask over the `n <= 255` block indices of the `k` selected shares —
 /// the loss-pattern cache key.
 type PatternKey = [u64; 4];
 
-/// Retained inverse matrices. Each entry is at most `k^2` bytes (≤ 64 KB at
-/// the GF(2^8) block limit); 16 entries cover far more distinct loss
-/// patterns than one receiver sees in practice.
+/// Retained decode rows. Each entry is `l * (k + l)` bytes (at most
+/// `2 * k^2`, 127 KB at the GF(2^8) block limit, for a parity-only decode);
+/// 16 entries cover far more distinct loss patterns than one receiver sees
+/// in practice.
 const INVERSE_CACHE_CAP: usize = 16;
+
+/// MRU-first LRU of `(selection bitmask, decode rows)`.
+#[derive(Debug, Default)]
+struct PatternCache(Mutex<Vec<(PatternKey, Arc<Matrix>)>>);
+
+impl Clone for PatternCache {
+    /// A list of its own over the same rows (immutable behind `Arc`).
+    fn clone(&self) -> Self {
+        PatternCache(Mutex::new(self.entries().clone()))
+    }
+}
+
+impl PatternCache {
+    /// A poisoned lock is taken over: every update is one `Vec` operation
+    /// on complete entries, so a panic cannot leave the list half-written.
+    fn entries(&self) -> MutexGuard<'_, Vec<(PatternKey, Arc<Matrix>)>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The rows memoised for `key`, which becomes the most recent entry.
+    fn get(&self, key: &PatternKey) -> Option<Arc<Matrix>> {
+        let mut entries = self.entries();
+        let pos = entries.iter().position(|(k2, _)| k2 == key)?;
+        let hit = entries.remove(pos);
+        let rows = Arc::clone(&hit.1);
+        entries.insert(0, hit);
+        Some(rows)
+    }
+
+    /// Memoise `rows` (unless a racing decoder did), evicting beyond the cap.
+    fn put(&self, key: PatternKey, rows: &Arc<Matrix>) {
+        let mut entries = self.entries();
+        if !entries.iter().any(|(k2, _)| *k2 == key) {
+            entries.insert(0, (key, Arc::clone(rows)));
+            entries.truncate(INVERSE_CACHE_CAP);
+        }
+    }
+}
 
 /// Point-in-time view of the inverse-cache effectiveness counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Decodes served by a memoised inverse.
+    /// Decodes served by memoised decode rows.
     pub hits: u64,
-    /// Decodes that had to invert a fresh matrix.
+    /// Decodes that had to solve a fresh loss pattern.
     pub misses: u64,
 }
 
-/// A reusable decoder for one [`CodeSpec`].
-#[derive(Debug)]
+/// A reusable decoder for one [`CodeSpec`]. It owns its copy of the
+/// generator's parity block — written down in closed form, so there is no
+/// shared generator cache to build one from (see [`RseEncoder`]).
+#[derive(Debug, Clone)]
 pub struct RseDecoder {
     spec: CodeSpec,
-    /// Backend-dispatched slice kernels, inherited from the encoder.
+    /// Backend-dispatched slice kernels.
     kernels: &'static Kernels,
     /// Parity rows of the systematic generator, `h x k` (dummy 1 x k if h=0).
     parity_rows: Matrix,
-    /// MRU-first LRU of `(selection bitmask, inverted matrix)`.
-    inverse_cache: Mutex<Vec<(PatternKey, Arc<Matrix>)>>,
+    /// Decode rows per loss pattern; a clone starts from a copy of the list.
+    inverse_cache: PatternCache,
     /// Lifetime cache-hit count, shared across clones.
     cache_hits: Counter,
-    /// Lifetime cache-miss (fresh inversion) count, shared across clones.
+    /// Lifetime cache-miss (fresh solve) count, shared across clones.
     cache_misses: Counter,
     /// Optional decode-latency histogram (nanoseconds per decode call).
     timer: Option<Histogram>,
 }
 
-impl Clone for RseDecoder {
-    fn clone(&self) -> Self {
-        // Share the cached inverses (they are immutable behind Arc).
-        let entries = self.inverse_cache.lock().expect("cache lock").clone();
-        RseDecoder {
-            spec: self.spec,
-            kernels: self.kernels,
-            parity_rows: self.parity_rows.clone(),
-            inverse_cache: Mutex::new(entries),
-            cache_hits: self.cache_hits.clone(),
-            cache_misses: self.cache_misses.clone(),
-            timer: self.timer.clone(),
-        }
-    }
-}
-
 impl RseDecoder {
-    /// Build a decoder for the given code (same generator as
-    /// [`RseEncoder::new`] for the spec).
+    /// Build a decoder for the given code (same generator and kernel
+    /// backend as [`RseEncoder::new`] for the spec).
+    ///
+    /// # Errors
+    /// As for [`RseEncoder::new`].
     pub fn new(spec: CodeSpec) -> Result<Self, RseError> {
-        let enc = RseEncoder::new(spec)?;
-        Ok(Self::from_encoder(&enc))
+        let parity_rows = generator::parity_rows(&spec)?;
+        Ok(Self::build(spec, try_kernels()?, parity_rows))
     }
 
-    /// Build a decoder sharing the encoder's generator (avoids recomputing
-    /// the systematisation).
+    /// Build a decoder on the encoder's kernels, copying its parity block.
     pub fn from_encoder(enc: &RseEncoder) -> Self {
-        let spec = *enc.spec();
-        let k = spec.k();
-        let rows = if spec.h() == 0 {
-            Matrix::zero(1, k)
-        } else {
-            Matrix::from_fn(spec.h(), k, |j, i| enc.parity_coeff(j, i))
-        };
+        Self::build(*enc.spec(), enc.kernels(), enc.parity_rows().clone())
+    }
+
+    fn build(spec: CodeSpec, kernels: &'static Kernels, parity_rows: Matrix) -> Self {
         RseDecoder {
             spec,
-            kernels: enc.kernels(),
-            parity_rows: rows,
-            inverse_cache: Mutex::new(Vec::new()),
+            kernels,
+            parity_rows,
+            inverse_cache: PatternCache::default(),
             cache_hits: Counter::new(),
             cache_misses: Counter::new(),
             timer: None,
         }
     }
 
-    /// Number of loss patterns whose inverse is currently memoised.
+    /// Number of loss patterns whose decode rows are currently memoised.
     pub fn cached_inverses(&self) -> usize {
-        self.inverse_cache.lock().expect("cache lock").len()
+        self.inverse_cache.entries().len()
     }
 
     /// Lifetime inverse-cache hit/miss counts (shared across clones; the
@@ -120,47 +153,49 @@ impl RseDecoder {
         }
     }
 
-    /// Record per-call decode latency (nanoseconds) into `hist`. Off by
-    /// default so the uninstrumented hot path pays nothing.
+    /// Record per-call reconstruction latency (nanoseconds) into `hist`. Off
+    /// by default so the uninstrumented hot path pays nothing.
     pub fn set_timer(&mut self, hist: Histogram) {
         self.timer = Some(hist);
     }
 
-    /// The inverse of the selection's generator-row matrix, from the LRU
-    /// cache when this loss pattern has been decoded before.
-    ///
-    /// `selected` must be canonical (sorted), so the same share *set* always
-    /// produces the same row order and the bitmask is a faithful key.
-    fn inverse_for(&self, selected: &[usize]) -> Result<Arc<Matrix>, RseError> {
+    /// The decode rows for one loss pattern, from the LRU cache when it has
+    /// been decoded before: `l x (k + l)`, one row per `missing` packet, one
+    /// column per data index (a missing packet's column is dead: no payload
+    /// meets it), then one per `chosen` parity share. Both lists must be
+    /// ascending, so that one share *set* has one key and one set of rows.
+    fn inverse_for<T>(
+        &self,
+        missing: &[usize],
+        chosen: &[(usize, T)],
+    ) -> Result<Arc<Matrix>, RseError> {
+        let k = self.spec.k();
+        let arrived = (0..k).filter(|i| missing.binary_search(i).is_err());
         let mut key: PatternKey = [0; 4];
-        for &i in selected {
-            key[i / 64] |= 1 << (i % 64);
-        }
-
-        if let Ok(mut cache) = self.inverse_cache.lock() {
-            if let Some(pos) = cache.iter().position(|(k2, _)| *k2 == key) {
-                let hit = cache.remove(pos);
-                let inv = Arc::clone(&hit.1);
-                cache.insert(0, hit);
-                self.cache_hits.inc();
-                return Ok(inv);
+        for i in arrived.chain(chosen.iter().map(|c| c.0)) {
+            if let Some(word) = key.get_mut(i / 64) {
+                *word |= 1 << (i % 64);
             }
+        }
+        if let Some(rows) = self.inverse_cache.get(&key) {
+            self.cache_hits.inc();
+            return Ok(rows);
         }
         self.cache_misses.inc();
 
-        // Invert outside the lock: O(k^3) work must not serialize decoders
-        // racing on different patterns.
-        let k = self.spec.k();
-        let rows: Vec<Vec<Gf256>> = selected.iter().map(|&i| self.generator_row(i)).collect();
-        let m = Matrix::from_fn(k, k, |r, c| rows[r][c]);
-        let inv = Arc::new(m.invert()?);
-        if let Ok(mut cache) = self.inverse_cache.lock() {
-            if !cache.iter().any(|(k2, _)| *k2 == key) {
-                cache.insert(0, (key, Arc::clone(&inv)));
-                cache.truncate(INVERSE_CACHE_CAP);
-            }
-        }
-        Ok(inv)
+        // Solve outside the lock: decoders racing on different patterns
+        // must not serialize. A = P[C,M]; rows = A^-1 * [P[C,:] | I_l].
+        let l = missing.len();
+        let p = |c: usize, i: usize| self.parity_rows[(chosen[c].0 - k, i)];
+        let a = Matrix::from_fn(l, l, |c, m| p(c, missing[m]));
+        let b = Matrix::from_fn(l, k + l, |c, j| match j.checked_sub(k) {
+            None => p(c, j),
+            Some(parity) if parity == c => Gf256::ONE,
+            Some(_) => Gf256::ZERO,
+        });
+        let rows = Arc::new(a.invert()?.mul(&b)?);
+        self.inverse_cache.put(key, &rows);
+        Ok(rows)
     }
 
     /// The code parameters this decoder was built for.
@@ -168,16 +203,96 @@ impl RseDecoder {
         &self.spec
     }
 
-    /// Generator row for FEC-block index `index` (`0 <= index < n`).
-    fn generator_row(&self, index: usize) -> Vec<Gf256> {
-        let k = self.spec.k();
-        if index < k {
-            let mut row = vec![Gf256::ZERO; k];
-            row[index] = Gf256::ONE;
-            row
-        } else {
-            self.parity_rows.row(index - k).to_vec()
+    /// Reconstruct and return only the data packets that were missing, as
+    /// `(data_index, payload)` pairs ascending by index — nothing that
+    /// arrived is copied.
+    ///
+    /// # Errors
+    /// As for [`RseDecoder::decode`].
+    pub fn decode_missing<P: AsRef<[u8]>>(
+        &self,
+        shares: &[(usize, P)],
+    ) -> Result<Vec<(usize, Vec<u8>)>, RseError> {
+        let _span = self.timer.as_ref().map(SpanTimer::start);
+        let (k, n) = (self.spec.k(), self.spec.n());
+        // Deduplicate into per-index slots, validating sizes.
+        let mut slots = [None::<&[u8]>; MAX_BLOCK];
+        let slots = slots
+            .get_mut(..n)
+            .ok_or(RseError::Internal("a CodeSpec has n <= MAX_BLOCK"))?;
+        let mut payload_len: Option<usize> = None;
+        let mut parities: Vec<(usize, &[u8])> = Vec::new();
+        for (index, payload) in shares.iter().map(|(i, p)| (*i, p.as_ref())) {
+            let slot = slots
+                .get_mut(index)
+                .ok_or(RseError::IndexOutOfRange { index, n })?;
+            match payload_len {
+                None => payload_len = Some(payload.len()),
+                Some(expected) if expected != payload.len() => {
+                    return Err(RseError::PacketSizeMismatch {
+                        expected,
+                        got: payload.len(),
+                    })
+                }
+                _ => {}
+            }
+            match *slot {
+                None => {
+                    *slot = Some(payload);
+                    if index >= k {
+                        parities.push((index, payload));
+                    }
+                }
+                Some(existing) if existing == payload => {} // exact duplicate
+                Some(_) => return Err(RseError::DuplicateShare { index }),
+            }
         }
+
+        let have = slots.iter().flatten().count();
+        if have < k {
+            return Err(RseError::NotEnoughShares { have, need: k });
+        }
+        let len = payload_len.unwrap_or(0);
+
+        let data_slots = slots.get(..k).unwrap_or(slots);
+        let missing: Vec<usize> = data_slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.is_none().then_some(i))
+            .collect();
+        let mut rebuilt = Vec::with_capacity(missing.len());
+        if missing.is_empty() {
+            return Ok(rebuilt);
+        }
+
+        // Selected shares: the data packets that arrived plus the first `l`
+        // parities supplied (`have >= k`: there are that many), sorted so
+        // that one share *set* always yields one selection and cache key.
+        parities.truncate(missing.len());
+        parities.sort_unstable_by_key(|&(index, _)| index);
+        let rows = self.inverse_for(&missing, &parities)?;
+
+        // d_i = sum_j rows[i][j] * y_j, each missing packet as one batched
+        // multi-source pass (up to four shares per read-modify-write of the
+        // output). One source buffer is reused across rows.
+        let selected = || {
+            let chosen = parities.iter().map(|&(_, payload)| Some(payload));
+            data_slots.iter().copied().chain(chosen)
+        };
+        let mut sources: Vec<(Gf256, &[u8])> = Vec::with_capacity(k);
+        for (r, &i) in missing.iter().enumerate() {
+            sources.clear();
+            sources.extend(
+                rows.row(r)
+                    .iter()
+                    .zip(selected())
+                    .filter_map(|(&c, payload)| Some((c, payload?))),
+            );
+            let mut out = vec![0u8; len];
+            self.kernels.mul_add_multi(&sources, &mut out);
+            rebuilt.push((i, out));
+        }
+        Ok(rebuilt)
     }
 
     /// Reconstruct all `k` data packets from `shares` — `(block_index,
@@ -191,123 +306,17 @@ impl RseDecoder {
     /// [`RseError::NotEnoughShares`] with fewer than `k` distinct shares,
     /// plus the usual validation errors.
     pub fn decode<P: AsRef<[u8]>>(&self, shares: &[(usize, P)]) -> Result<Vec<Vec<u8>>, RseError> {
-        let _span = self.timer.as_ref().map(SpanTimer::start);
         let k = self.spec.k();
-        let n = self.spec.n();
-
-        // Deduplicate into per-index slots, validating sizes.
-        let mut slots: Vec<Option<&[u8]>> = vec![None; n];
-        let mut payload_len: Option<usize> = None;
-        let mut parity_order: Vec<usize> = Vec::new();
-        for (index, payload) in shares {
-            let index = *index;
-            let payload = payload.as_ref();
-            if index >= n {
-                return Err(RseError::IndexOutOfRange { index, n });
+        let rebuilt = self.decode_missing(shares)?;
+        let arrived = shares.iter().filter(|(index, _)| *index < k);
+        let arrived = arrived.map(|(index, payload)| (*index, payload.as_ref().to_vec()));
+        let mut out = vec![Vec::new(); k];
+        for (index, payload) in arrived.chain(rebuilt) {
+            if let Some(slot) = out.get_mut(index) {
+                *slot = payload;
             }
-            match payload_len {
-                None => payload_len = Some(payload.len()),
-                Some(expected) if expected != payload.len() => {
-                    return Err(RseError::PacketSizeMismatch {
-                        expected,
-                        got: payload.len(),
-                    })
-                }
-                _ => {}
-            }
-            match slots[index] {
-                None => {
-                    slots[index] = Some(payload);
-                    if index >= k {
-                        parity_order.push(index);
-                    }
-                }
-                Some(existing) if existing == payload => {} // exact duplicate
-                Some(_) => return Err(RseError::DuplicateShare { index }),
-            }
-        }
-
-        let have = slots.iter().filter(|s| s.is_some()).count();
-        if have < k {
-            return Err(RseError::NotEnoughShares { have, need: k });
-        }
-        let len = payload_len.unwrap_or(0);
-
-        let missing: Vec<usize> = (0..k).filter(|&i| slots[i].is_none()).collect();
-        let mut out: Vec<Vec<u8>> = (0..k)
-            .map(|i| {
-                slots[i]
-                    .map(|p| p.to_vec())
-                    .unwrap_or_else(|| vec![0u8; len])
-            })
-            .collect();
-        if missing.is_empty() {
-            return Ok(out);
-        }
-
-        // Selected shares: the received data packets plus just enough
-        // parities to reach k. The chosen parities keep first-supplied
-        // priority but are sorted afterwards so that the same share *set*
-        // always yields the same canonical selection (and cache key).
-        let mut selected: Vec<usize> = (0..k).filter(|&i| slots[i].is_some()).collect();
-        let mut chosen: Vec<usize> = parity_order.iter().take(missing.len()).copied().collect();
-        chosen.sort_unstable();
-        selected.extend(chosen);
-        debug_assert_eq!(
-            selected.len(),
-            k,
-            "share accounting above guarantees k selections"
-        );
-
-        // Invert the k x k matrix of their generator rows (LRU-cached per
-        // loss pattern).
-        let inv = self.inverse_for(&selected)?;
-
-        // d_i = sum_j inv[i][j] * y_j, computed only for missing rows, each
-        // as one batched multi-source pass (up to four shares per read-
-        // modify-write of the output row). One source buffer is reused
-        // across rows so the loop itself never allocates.
-        let mut sources: Vec<(Gf256, &[u8])> = Vec::with_capacity(k);
-        for &i in &missing {
-            sources.clear();
-            sources.extend(
-                selected
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| !inv[(i, *j)].is_zero())
-                    .map(|(j, &share_idx)| {
-                        let payload = slots[share_idx].expect("selected shares are present");
-                        (inv[(i, j)], payload)
-                    }),
-            );
-            // `out[i]` is already zeroed.
-            self.kernels.mul_add_multi(&sources, &mut out[i]);
         }
         Ok(out)
-    }
-
-    /// Convenience: reconstruct and return only the packets that were
-    /// missing, as `(data_index, payload)` pairs.
-    ///
-    /// # Errors
-    /// As for [`RseDecoder::decode`].
-    pub fn decode_missing<P: AsRef<[u8]>>(
-        &self,
-        shares: &[(usize, P)],
-    ) -> Result<Vec<(usize, Vec<u8>)>, RseError> {
-        let k = self.spec.k();
-        let mut present = vec![false; k];
-        for (index, _) in shares {
-            if *index < k {
-                present[*index] = true;
-            }
-        }
-        let all = self.decode(shares)?;
-        Ok(all
-            .into_iter()
-            .enumerate()
-            .filter(|(i, _)| !present[*i])
-            .collect())
     }
 }
 

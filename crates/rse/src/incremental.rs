@@ -1,13 +1,13 @@
 //! Incremental (online) erasure decoding.
 //!
-//! The batch [`crate::RseDecoder`] inverts a `k x k` matrix once all `k`
-//! shares are present — an O(k^3 + l·k·P) burst of work at the worst
-//! moment (the instant the group completes, often right before the
-//! application wants the data). [`IncrementalDecoder`] instead performs
-//! Gauss–Jordan elimination *as shares arrive*: each
-//! [`IncrementalDecoder::add_share`] costs O(k^2 + k·P) and the final
-//! share finishes with only back-substitution left. Total work matches the
-//! batch decoder; its distribution follows the packet arrivals — the
+//! The batch [`crate::RseDecoder`] does all of its work once `k` shares are
+//! present — an O(l^3 + l^2·k + l·k·P) burst at the worst moment (the
+//! instant the group completes, often right before the application wants
+//! the data). [`IncrementalDecoder`] instead performs Gauss–Jordan
+//! elimination *as shares arrive*: each [`IncrementalDecoder::add_share`]
+//! costs O(k^2 + k·P) and the final share finishes with only
+//! back-substitution left. It does more arithmetic in total (it reduces
+//! every share, not just the `l` lost packets), but spread over arrivals — the
 //! online-decoding concern the paper raises in Section 5 ("even when
 //! receivers decode online").
 //!

@@ -52,6 +52,7 @@ pub mod code;
 pub mod decoder;
 pub mod encoder;
 pub mod error;
+mod generator;
 pub mod incremental;
 pub mod interleave;
 pub mod poly_codec;

@@ -1,13 +1,143 @@
 //! Property-based tests: the MDS guarantee under random loss patterns, and
 //! cross-checks between the matrix codec and the paper's Eq. (1) codec.
 
+use pm_gf::{Gf256, Matrix};
 use proptest::prelude::*;
 
 use crate::block::GroupDecoder;
 use crate::code::CodeSpec;
-use crate::decoder::RseDecoder;
+use crate::decoder::{CacheStats, RseDecoder};
 use crate::encoder::RseEncoder;
+use crate::error::RseError;
 use crate::poly_codec;
+
+/// The decoder this crate shipped before the reduced-system solve, kept as
+/// the oracle for [`RseDecoder`]: the generator comes from
+/// `Matrix::systematize`, every new loss pattern inverts the full `k x k`
+/// matrix of the selected shares' generator rows, and the accumulation is
+/// the scalar reference kernel. Validation order, share selection and the
+/// 16-entry pattern LRU (hence hit/miss accounting) are the old code's.
+struct FullInverseDecoder {
+    spec: CodeSpec,
+    generator: Matrix,
+    cache: Vec<(Vec<usize>, Matrix)>,
+    stats: CacheStats,
+}
+
+impl FullInverseDecoder {
+    fn new(spec: CodeSpec) -> Self {
+        let points: Vec<Gf256> = (0..spec.n()).map(Gf256::alpha_pow).collect();
+        FullInverseDecoder {
+            spec,
+            generator: Matrix::vandermonde(&points, spec.k())
+                .systematize()
+                .unwrap(),
+            cache: Vec::new(),
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn inverse_for(&mut self, selected: &[usize]) -> Result<Matrix, RseError> {
+        if let Some(pos) = self.cache.iter().position(|(key, _)| key == selected) {
+            let hit = self.cache.remove(pos);
+            self.cache.insert(0, hit.clone());
+            self.stats.hits += 1;
+            return Ok(hit.1);
+        }
+        self.stats.misses += 1;
+        let inv = self.generator.select_rows(selected).invert()?;
+        self.cache.insert(0, (selected.to_vec(), inv.clone()));
+        self.cache.truncate(16);
+        Ok(inv)
+    }
+
+    fn decode(&mut self, shares: &[(usize, &[u8])]) -> Result<Vec<Vec<u8>>, RseError> {
+        let (k, n) = (self.spec.k(), self.spec.n());
+        let mut slots: Vec<Option<&[u8]>> = vec![None; n];
+        let mut payload_len: Option<usize> = None;
+        let mut parity_order: Vec<usize> = Vec::new();
+        for &(index, payload) in shares {
+            if index >= n {
+                return Err(RseError::IndexOutOfRange { index, n });
+            }
+            match payload_len {
+                None => payload_len = Some(payload.len()),
+                Some(expected) if expected != payload.len() => {
+                    return Err(RseError::PacketSizeMismatch {
+                        expected,
+                        got: payload.len(),
+                    })
+                }
+                _ => {}
+            }
+            match slots[index] {
+                None => {
+                    slots[index] = Some(payload);
+                    if index >= k {
+                        parity_order.push(index);
+                    }
+                }
+                Some(existing) if existing == payload => {}
+                Some(_) => return Err(RseError::DuplicateShare { index }),
+            }
+        }
+        let have = slots.iter().flatten().count();
+        if have < k {
+            return Err(RseError::NotEnoughShares { have, need: k });
+        }
+        let len = payload_len.unwrap_or(0);
+        let missing: Vec<usize> = (0..k).filter(|&i| slots[i].is_none()).collect();
+        let mut out: Vec<Vec<u8>> = (0..k)
+            .map(|i| slots[i].map_or_else(|| vec![0u8; len], <[u8]>::to_vec))
+            .collect();
+        if missing.is_empty() {
+            return Ok(out);
+        }
+        let mut selected: Vec<usize> = (0..k).filter(|&i| slots[i].is_some()).collect();
+        let mut chosen: Vec<usize> = parity_order.iter().take(missing.len()).copied().collect();
+        chosen.sort_unstable();
+        selected.extend(chosen);
+        let inv = self.inverse_for(&selected)?;
+        for &i in &missing {
+            for (j, &share) in selected.iter().enumerate() {
+                let payload = slots[share].unwrap();
+                pm_gf::slice::reference::mul_add_slice(inv[(i, j)], payload, &mut out[i]);
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// Decode `shares` on both decoders; results (data or error variant) and
+/// lifetime hit/miss counts must agree, and `decode_missing` must return
+/// exactly the gaps of `decode`.
+fn assert_same_decode(
+    dec: &RseDecoder,
+    oracle: &mut FullInverseDecoder,
+    shares: &[(usize, &[u8])],
+) -> Result<(), TestCaseError> {
+    let k = dec.spec().k();
+    let want = oracle.decode(shares);
+    prop_assert_eq!(&dec.decode(shares), &want, "shares {:?}", shares);
+    prop_assert_eq!(dec.cache_stats(), oracle.stats);
+    let gaps = dec.decode_missing(shares);
+    match (want, gaps) {
+        (Ok(data), Ok(gaps)) => {
+            let absent = |i: &usize| !shares.iter().any(|(index, _)| index == i);
+            let want_gaps: Vec<(usize, Vec<u8>)> = (0..k)
+                .filter(absent)
+                .map(|i| (i, data[i].clone()))
+                .collect();
+            // The repeat of a pattern that needed a solve is a cache hit.
+            oracle.stats.hits += u64::from(!want_gaps.is_empty());
+            prop_assert_eq!(gaps, want_gaps);
+        }
+        (Err(want), Err(got)) => prop_assert_eq!(got, want),
+        (want, got) => prop_assert!(false, "decode {want:?} vs decode_missing {got:?}"),
+    }
+    prop_assert_eq!(dec.cache_stats(), oracle.stats);
+    Ok(())
+}
 
 /// Random (k, h) spec with modest sizes plus a random payload length.
 fn spec_strategy() -> impl Strategy<Value = (usize, usize, usize)> {
@@ -232,6 +362,107 @@ proptest! {
             for (i, d) in data.iter().enumerate() {
                 prop_assert_eq!(rec[i].as_ref(), &d[..]);
             }
+        }
+    }
+}
+
+/// `take` distinct block indices plus `dups` repeats of some of them, in a
+/// random order: loss set, parity choice and arrival order in one draw.
+fn share_indices(n: usize, take: usize, dups: usize, seed: u64) -> Vec<usize> {
+    let mut idx = choose(n, take, seed);
+    let repeats: Vec<usize> = choose(idx.len(), dups.min(idx.len()), seed ^ 0xD0B)
+        .into_iter()
+        .map(|p| idx[p])
+        .collect();
+    idx.extend(repeats);
+    choose(idx.len(), idx.len(), seed ^ 0x0DE2)
+        .into_iter()
+        .map(|p| idx[p])
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Differential: the reduced-system decoder returns what the full
+    /// `k x k`-inverse decoder returned — the same bytes, the same error
+    /// variant, the same hit/miss counts — over random geometry, loss set,
+    /// parity choice and order, duplicates, surplus and too few shares,
+    /// and the three malformed-share faults. Three rounds share one decoder
+    /// pair, so repeats and LRU movement are compared too.
+    #[test]
+    fn decode_matches_full_inverse_reference(
+        (k, h, len) in (1usize..24, 0usize..14, 0usize..48),
+        dups in 0usize..4,
+        fault in 0u8..8,
+        seed in any::<u64>(),
+    ) {
+        let spec = CodeSpec::new(k, h).unwrap();
+        let n = spec.n();
+        let enc = RseEncoder::new(spec).unwrap();
+        let dec = RseDecoder::new(spec).unwrap();
+        let mut oracle = FullInverseDecoder::new(spec);
+        let data = make_group(k, len, seed);
+        let parities = enc.encode_all(&data).unwrap();
+        let payload = |i: usize| if i < k { &data[i][..] } else { &parities[i - k][..] };
+        let too_long = vec![0u8; len + 1];
+        for round in 0..3u64 {
+            let r = (seed >> (16 * round)) as usize;
+            // One draw in four falls short of k shares; the rest carry
+            // between none and all of the surplus.
+            let take = if r.is_multiple_of(4) { (r / 4) % (n + 1) } else { k + (r / 4) % (h + 1) };
+            let idx = share_indices(n, take, dups, seed.wrapping_add(round));
+            let mut shares: Vec<(usize, &[u8])> = idx.iter().map(|&i| (i, payload(i))).collect();
+            let at = (r / 64) % (shares.len() + 1);
+            match (fault, idx.first()) {
+                (0, _) => shares.insert(at, (n + r % 3, payload(0))),
+                (1, _) => shares.insert(at, (r % n, &too_long[..])),
+                (2, Some(&i)) => shares.insert(at, (i, payload((i + 1) % n))),
+                _ => {}
+            }
+            assert_same_decode(&dec, &mut oracle, &shares)?;
+        }
+    }
+}
+
+/// The differential above, pinned on the loss counts at the ends of the
+/// range: `l = 1` for every (lost packet, parity) pair, `l = h`, and
+/// parity-only decoding (`l = k`), each in forward and reverse share order.
+#[test]
+fn decode_matches_full_inverse_on_edge_patterns() {
+    for (k, h) in [(1, 1), (1, 3), (3, 5), (4, 4), (7, 3), (12, 5)] {
+        let spec = CodeSpec::new(k, h).unwrap();
+        let enc = RseEncoder::new(spec).unwrap();
+        let dec = RseDecoder::new(spec).unwrap();
+        let mut oracle = FullInverseDecoder::new(spec);
+        let data = make_group(k, 24, (k * 31 + h) as u64);
+        let parities = enc.encode_all(&data).unwrap();
+        let payload = |i: usize| {
+            if i < k {
+                &data[i][..]
+            } else {
+                &parities[i - k][..]
+            }
+        };
+        let mut patterns: Vec<Vec<usize>> = Vec::new();
+        for lost in 0..k {
+            for parity in k..k + h {
+                patterns.push((0..k).filter(|&i| i != lost).chain([parity]).collect());
+            }
+        }
+        let l = h.min(k);
+        patterns.push((l..k).chain(k..k + l).collect()); // first l data lost
+        patterns.push((0..k - l).chain(k + h - l..k + h).collect()); // last l lost
+        if h >= k {
+            patterns.push((k..2 * k).collect()); // parity only
+            patterns.push((k + h - k..k + h).collect());
+        }
+        for pattern in patterns {
+            let mut shares: Vec<(usize, &[u8])> =
+                pattern.iter().map(|&i| (i, payload(i))).collect();
+            assert_same_decode(&dec, &mut oracle, &shares).unwrap();
+            shares.reverse();
+            assert_same_decode(&dec, &mut oracle, &shares).unwrap();
         }
     }
 }
