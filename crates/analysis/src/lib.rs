@@ -43,7 +43,6 @@
 pub mod coding;
 pub mod endhost;
 pub mod integrated;
-pub mod latency;
 pub mod layered;
 pub mod montecarlo;
 pub mod nofec;

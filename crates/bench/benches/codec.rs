@@ -284,36 +284,6 @@ fn bench_decode_fast_path(c: &mut Criterion) {
     });
 }
 
-fn bench_incremental_decode(c: &mut Criterion) {
-    use pm_rse::IncrementalDecoder;
-    // Same recovery task as `decode` k=20/lost=5, spread across arrivals.
-    let (k, lost) = (20usize, 5usize);
-    let enc = RseEncoder::new(CodeSpec::new(k, lost).unwrap()).unwrap();
-    let data = group_data(k);
-    let parities = enc.encode_all(&data).unwrap();
-    let order: Vec<(usize, &[u8])> = data
-        .iter()
-        .enumerate()
-        .skip(lost)
-        .map(|(i, d)| (i, d.as_slice()))
-        .chain(
-            parities
-                .iter()
-                .enumerate()
-                .map(|(j, p)| (k + j, p.as_slice())),
-        )
-        .collect();
-    c.bench_function("incremental_decode_k20_lost5", |b| {
-        b.iter(|| {
-            let mut dec = IncrementalDecoder::from_encoder(&enc);
-            for &(i, p) in &order {
-                dec.add_share(i, std::hint::black_box(p)).unwrap();
-            }
-            dec.finish().unwrap()
-        });
-    });
-}
-
 criterion_group!(
     benches,
     bench_encode,
@@ -324,7 +294,6 @@ criterion_group!(
     bench_decode_repeat_pattern,
     bench_codec_construct,
     bench_decode_cold_pattern,
-    bench_decode_fast_path,
-    bench_incremental_decode
+    bench_decode_fast_path
 );
 criterion_main!(benches);

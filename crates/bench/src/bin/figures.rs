@@ -34,7 +34,7 @@ fn parse_args() -> Args {
             "--quick" => args.quality = Quality::Quick,
             "--out" => args.out = Some(it.next().expect("--out takes a directory")),
             "--help" | "-h" => {
-                eprintln!("usage: figures [all|ext|fig1|...|fig18|extA|...|extE]... [--quick] [--out DIR]");
+                eprintln!("usage: figures [all|ext|fig1|...|fig18|extA|...|extD|extF]... [--quick] [--out DIR]");
                 std::process::exit(0);
             }
             other => args.targets.push(other.to_string()),

@@ -1,13 +1,12 @@
 //! Extension studies beyond the paper's figures — the ablations DESIGN.md
 //! commits to. Each is built like a paper figure (series over a swept
 //! parameter) and ships through the same `figures` binary under ids
-//! `extA`..`extE`.
+//! `extA`..`extD` and `extF`.
 
 use pm_analysis::endhost::{np_rates, NpOptions};
 use pm_analysis::{integrated, CostModel, Population};
 use pm_loss::{GilbertLoss, LossModel};
 use pm_net::suppression::NakSuppressor;
-use pm_rse::Interleaver;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -216,32 +215,6 @@ pub fn ext_slot_sweep(quality: Quality) -> Figure {
     }
 }
 
-/// extE — interleaver unit economics: worst-case packets lost per block
-/// for a burst of length L at several depths (the deterministic guarantee
-/// behind extB's stochastic measurement).
-pub fn ext_interleave_guarantee(_quality: Quality) -> Figure {
-    let block_len = 8usize;
-    let series = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&depth| {
-            let il = Interleaver::new(depth, block_len);
-            let pts = (1..=16usize)
-                .map(|burst| (burst as f64, il.max_block_damage(burst) as f64))
-                .collect();
-            Series::new(format!("depth {depth}"), pts)
-        })
-        .collect();
-    Figure {
-        id: "extE".into(),
-        title: "interleaving guarantee: worst-case per-block damage vs burst length".into(),
-        x_label: "burst length [packets]".into(),
-        y_label: "max packets lost in one block".into(),
-        log_x: false,
-        series,
-        notes: vec!["extension: ceil(L/depth) bound, exact by construction".into()],
-    }
-}
-
 /// extF — the real NP implementation at scale: achieved E\[M\] and NAKs
 /// reaching the sender per transmission group, from the deterministic
 /// protocol harness (`pm_core::harness`) driving actual `NpSender`/
@@ -320,7 +293,6 @@ pub fn extension_figures() -> Vec<(&'static str, crate::FigureFn)> {
         ("extB", ext_interleave),
         ("extC", ext_nak_aggregation),
         ("extD", ext_slot_sweep),
-        ("extE", ext_interleave_guarantee),
         ("extF", ext_protocol_scale),
     ]
 }
@@ -438,13 +410,5 @@ mod tests {
             delay.last_y().unwrap() > delay.points[0].1,
             "wider slots pay in latency"
         );
-    }
-
-    #[test]
-    fn guarantee_matches_interleaver() {
-        let fig = ext_interleave_guarantee(Quality::Quick);
-        let d4 = fig.series_named("depth 4").unwrap();
-        assert_eq!(d4.y_at(4.0), Some(1.0));
-        assert_eq!(d4.y_at(5.0), Some(2.0));
     }
 }

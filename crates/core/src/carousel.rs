@@ -21,7 +21,7 @@
 use bytes::Bytes;
 
 use pm_net::Message;
-use pm_rse::{CodeSpec, Interleaver, RseEncoder};
+use pm_rse::{CodeSpec, RseEncoder};
 
 use crate::costs::CostCounters;
 use crate::error::ProtocolError;
@@ -139,16 +139,15 @@ impl CarouselSender {
 
         // Interleave across groups: transmit position 0 of every group,
         // then position 1, ... — a loss burst of length L damages each
-        // block by at most ceil(L / groups) (see `pm_rse::Interleaver`).
+        // block by at most ceil(L / groups). A short last group drops out
+        // of the rotation once exhausted, so from then on the divisor is
+        // the number of groups still in play.
         let mut schedule = Vec::new();
-        if !per_group.is_empty() {
-            let max_len = per_group.iter().map(Vec::len).max().unwrap_or(0);
-            let _guarantee = Interleaver::new(per_group.len().max(1), max_len.max(1));
-            for pos in 0..max_len {
-                for (g, block) in per_group.iter().enumerate() {
-                    if let Some((idx, payload)) = block.get(pos) {
-                        schedule.push((g as u32, *idx, payload.clone()));
-                    }
+        let max_len = per_group.iter().map(Vec::len).max().unwrap_or(0);
+        for pos in 0..max_len {
+            for (g, block) in per_group.iter().enumerate() {
+                if let Some((idx, payload)) = block.get(pos) {
+                    schedule.push((g as u32, *idx, payload.clone()));
                 }
             }
         }
@@ -344,6 +343,42 @@ mod tests {
         assert_eq!(packets, (5 + 2) * 3);
         // Announces appear at the configured cadence.
         assert!(msgs.iter().any(|m| matches!(m, Message::Announce { .. })));
+
+        // The burst guarantee the schedule exists for: any window of L
+        // consecutive slots holds at most ceil(L / m) packets of one group,
+        // m being the groups still in rotation at the window's last slot —
+        // all 3 unless a short last group has run out. Three equal groups,
+        // then two full ones plus a ragged last group of 2 data packets.
+        for (bytes, lens) in [
+            (5 * 16 * 3, [7usize, 7, 7]),
+            (5 * 16 * 2 + 2 * 16, [7, 7, 4]),
+        ] {
+            let mut s =
+                CarouselSender::new(SESSION, &data(bytes), cfg(CarouselStop::Cycles(1))).unwrap();
+            let slots: Vec<(usize, usize)> = drain_cycle(&mut s)
+                .iter()
+                .filter_map(|m| match m {
+                    Message::Packet { group, index, .. } => {
+                        Some((*group as usize, *index as usize))
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(slots.len(), lens.iter().sum::<usize>());
+            for l in 1..=slots.len() {
+                for w in slots.windows(l) {
+                    let last_pos = w[l - 1].1;
+                    let in_rotation = lens.iter().filter(|&&len| len > last_pos).count();
+                    for g in 0..lens.len() {
+                        let hit = w.iter().filter(|s| s.0 == g).count();
+                        assert!(
+                            hit <= l.div_ceil(in_rotation),
+                            "lens {lens:?}: {l} slots ending at pos {last_pos} hold {hit} of group {g}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

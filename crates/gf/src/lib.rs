@@ -6,18 +6,17 @@
 //! Reliable Multicast Transmission* (Nonnenmacher, Biersack, Towsley). It
 //! provides:
 //!
-//! * [`GfField`] — a runtime-configurable field GF(2^m) for `2 <= m <= 16`,
-//!   built from exp/log tables over a primitive polynomial. The paper uses
-//!   `m = 8` ("for our purposes, m = 8 will be sufficiently large"), but the
-//!   generic field lets the codec support FEC blocks with `n > 255`.
-//! * [`Gf256`] — a zero-cost scalar wrapper specialised to GF(2^8) with
-//!   statically initialised tables, used on the hot encode/decode paths.
+//! * [`Gf256`] — a zero-cost scalar wrapper over GF(2^8) with statically
+//!   initialised exp/log tables. The paper's code is `m = 8` ("for our
+//!   purposes, m = 8 will be sufficiently large"), so FEC blocks have
+//!   `n <= 255`; this is the only field in the workspace.
 //! * [`mod@mul_table`] — the lazily-built, process-shared 64 KB full
 //!   multiplication table (Rizzo's `gf_mul_table`) whose rows back the bulk
 //!   kernels.
-//! * [`mod@slice`] — bulk operations (`dst ^= c * src`) over byte slices, the
-//!   inner loop of the McAuley/Rizzo-style packet coder, including the
-//!   batched [`slice::mul_add_multi`] multi-source kernel.
+//! * [`mod@slice`] — the portable row kernels (`dst ^= row[src]`) behind
+//!   `pm-simd`'s scalar backend, including the batched
+//!   [`slice::mul_add_multi_rows`] multi-source kernel, and the per-byte
+//!   [`slice::reference`] oracle every other kernel is tested against.
 //! * [`poly`] — polynomials over GF(2^8): Horner evaluation (the paper's
 //!   Eq. 1 encoder computes parities as `p_j = F(alpha^(j-1))`) and Lagrange
 //!   interpolation.
@@ -34,14 +33,14 @@
 //! assert_eq!((a * b) * a.checked_inv().unwrap(), b); // field inverse
 //! ```
 
-pub mod field;
+pub mod error;
 pub mod gf256;
 pub mod matrix;
 pub mod mul_table;
 pub mod poly;
 pub mod slice;
 
-pub use field::{GfError, GfField};
+pub use error::GfError;
 pub use gf256::Gf256;
 pub use matrix::Matrix;
 pub use mul_table::MulTable;

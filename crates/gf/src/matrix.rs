@@ -6,7 +6,7 @@
 //! reduces to inverting the `k x k` submatrix of `G` selected by the received
 //! row indices — Gauss–Jordan over GF(2^8), here.
 
-use crate::field::GfError;
+use crate::error::GfError;
 use crate::gf256::Gf256;
 
 /// A row-major dense matrix over GF(2^8).

@@ -3,19 +3,18 @@
 //! A packet-level RSE coder spends essentially all of its time computing
 //! `parity ^= coeff * data` over whole packets (Section 2.2 of the paper:
 //! one GF(2^8) operation per byte per matrix coefficient, so encode cost is
-//! proportional to `h * k * packet_len`). These routines index precomputed
-//! rows of the shared 64 KB multiplication table ([`crate::mul_table`]) —
-//! no per-call row construction — and take a plain `u64` XOR fast path when
-//! the coefficient is 1. [`mul_add_multi`] additionally batches several
-//! source packets per destination pass so each parity byte is loaded and
-//! stored once per group instead of once per coefficient.
+//! proportional to `h * k * packet_len`). These routines are the portable
+//! kernels behind `pm-simd`'s scalar backend: they take precomputed rows of
+//! the shared 64 KB multiplication table ([`crate::mul_table`]) — no
+//! per-call row construction. [`mul_add_multi_rows`] additionally batches
+//! several source packets per destination pass so each parity byte is
+//! loaded and stored once per group instead of once per coefficient.
+//! Coefficient-level dispatch (skip 0, XOR for 1) lives in
+//! `pm_simd::Kernels`, the one entry point production code uses.
 //!
-//! The seed's scalar kernels are preserved verbatim in [`reference`]; the
+//! The seed's scalar kernels are preserved verbatim in [`mod@reference`]; the
 //! differential proptests in this crate pin the table-driven kernels
 //! byte-for-byte against them.
-
-use crate::gf256::Gf256;
-use crate::mul_table::mul_row;
 
 /// `dst ^= src`, element-wise. Both slices must have equal length.
 ///
@@ -54,27 +53,11 @@ pub fn xor_slice(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-/// `dst ^= c * src` — multiply-accumulate with a scalar coefficient.
-///
-/// # Panics
-/// Panics if the lengths differ.
-pub fn mul_add_slice(c: Gf256, src: &[u8], dst: &mut [u8]) {
-    assert_eq!(dst.len(), src.len(), "mul_add_slice length mismatch");
-    if c.is_zero() {
-        return;
-    }
-    if c == Gf256::ONE {
-        xor_slice(dst, src);
-        return;
-    }
-    mul_add_row(mul_row(c), src, dst);
-}
-
 /// `dst ^= c * src` where `row` is `c`'s multiplication row
 /// (`row[x] == c * x`), e.g. a row cached from [`crate::mul_table`].
 ///
-/// This is the zero-setup variant used by callers that hold rows across
-/// many packets (the RSE encoder caches one row per matrix coefficient).
+/// Zero setup per call: callers hold rows across many packets (the RSE
+/// encoder caches one row per matrix coefficient).
 ///
 /// # Panics
 /// Panics if the lengths differ.
@@ -86,38 +69,17 @@ pub fn mul_add_row(row: &[u8; 256], src: &[u8], dst: &mut [u8]) {
     }
 }
 
-/// `dst ^= c1*src1 ^ c2*src2 ^ ...` — batched multiply-accumulate.
+/// `dst ^= c1*src1 ^ c2*src2 ^ ...` — batched multiply-accumulate. Each
+/// source comes with its coefficient's multiplication row
+/// (`row[x] == c * x`), e.g. rows cached per matrix coefficient by the RSE
+/// encoder.
 ///
-/// Applies up to the whole batch of `(coefficient, source)` pairs in groups
-/// of at most four per destination pass, so each destination byte is read
-/// and written once per group rather than once per source. This is the
-/// encoder's preferred kernel: computing parity `j` over `k` data packets
-/// issues `ceil(k/4)` passes instead of `k`.
-///
-/// Zero coefficients are skipped; unit coefficients still go through the
-/// table row (`row(1)` is the identity row), keeping the inner loop branch
-/// free.
-///
-/// # Panics
-/// Panics if any source length differs from `dst.len()`.
-pub fn mul_add_multi(sources: &[(Gf256, &[u8])], dst: &mut [u8]) {
-    for (_, src) in sources {
-        assert_eq!(dst.len(), src.len(), "mul_add_multi length mismatch");
-    }
-    let live: Vec<(&[u8; 256], &[u8])> = sources
-        .iter()
-        .filter(|(c, _)| !c.is_zero())
-        .map(|(c, src)| (mul_row(*c), *src))
-        .collect();
-    mul_add_multi_rows(&live, dst);
-}
-
-/// Row-based variant of [`mul_add_multi`]: each source comes with its
-/// coefficient's multiplication row (`row[x] == c * x`), e.g. rows cached
-/// per matrix coefficient by the RSE encoder.
-///
-/// An all-zero row (coefficient 0) is applied as-is — callers that want the
-/// skip should filter zero coefficients out, as [`mul_add_multi`] does.
+/// Sources are applied in groups of at most four per destination pass, so
+/// each destination byte is read and written once per group rather than
+/// once per source: computing parity `j` over `k` data packets issues
+/// `ceil(k/4)` passes instead of `k`. An all-zero row (coefficient 0) is
+/// applied as-is — callers that want the skip filter zero coefficients
+/// out, as `pm_simd::Kernels::mul_add_multi` does.
 ///
 /// # Panics
 /// Panics if any source length differs from `dst.len()`.
@@ -159,41 +121,6 @@ pub fn mul_add_multi_rows(sources: &[(&[u8; 256], &[u8])], dst: &mut [u8]) {
             }
             _ => unreachable!("chunks(4) yields 1..=4 items"),
         }
-    }
-}
-
-/// `dst = c * src` (overwrites `dst`).
-///
-/// # Panics
-/// Panics if the lengths differ.
-pub fn mul_slice(c: Gf256, src: &[u8], dst: &mut [u8]) {
-    assert_eq!(dst.len(), src.len(), "mul_slice length mismatch");
-    if c.is_zero() {
-        dst.fill(0);
-        return;
-    }
-    if c == Gf256::ONE {
-        dst.copy_from_slice(src);
-        return;
-    }
-    let row = mul_row(c);
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        *d = row[*s as usize];
-    }
-}
-
-/// Scale a slice in place: `data *= c`.
-pub fn scale_slice(c: Gf256, data: &mut [u8]) {
-    if c == Gf256::ONE {
-        return;
-    }
-    if c.is_zero() {
-        data.fill(0);
-        return;
-    }
-    let row = mul_row(c);
-    for d in data.iter_mut() {
-        *d = row[*d as usize];
     }
 }
 
@@ -270,6 +197,8 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gf256::Gf256;
+    use crate::mul_table::mul_row;
 
     #[test]
     fn xor_slice_matches_bytewise() {
@@ -287,110 +216,48 @@ mod tests {
     }
 
     #[test]
-    fn mul_add_matches_reference() {
+    fn mul_add_row_matches_reference() {
         let src: Vec<u8> = (0..300).map(|i| (i * 7 + 3) as u8).collect();
         for c in [0u8, 1, 2, 37, 255] {
             let mut dst: Vec<u8> = (0..300).map(|i| (i * 31) as u8).collect();
             let mut expect = dst.clone();
             reference::mul_add_slice(Gf256(c), &src, &mut expect);
-            mul_add_slice(Gf256(c), &src, &mut dst);
+            mul_add_row(mul_row(Gf256(c)), &src, &mut dst);
             assert_eq!(dst, expect, "c={c}");
         }
     }
 
     #[test]
-    fn mul_add_row_matches_mul_add_slice() {
-        let src: Vec<u8> = (0..97).map(|i| (i * 29 + 1) as u8).collect();
-        for c in [2u8, 9, 140, 255] {
-            let mut via_row: Vec<u8> = (0..97).map(|i| (i * 17) as u8).collect();
-            let mut via_slice = via_row.clone();
-            mul_add_row(crate::mul_table::mul_row(Gf256(c)), &src, &mut via_row);
-            mul_add_slice(Gf256(c), &src, &mut via_slice);
-            assert_eq!(via_row, via_slice, "c={c}");
-        }
-    }
-
-    #[test]
-    fn mul_add_multi_matches_sequential() {
+    fn mul_add_multi_rows_matches_sequential() {
         // Batch sizes exercising every chunk arm (1..=4) plus a second pass.
         for nsrc in 0..=6usize {
             let sources: Vec<Vec<u8>> = (0..nsrc)
                 .map(|j| (0..64).map(|i| (i * 7 + j * 41 + 3) as u8).collect())
                 .collect();
-            let coeffs: Vec<Gf256> = (0..nsrc).map(|j| Gf256((j * 61 + 2) as u8)).collect();
-            let pairs: Vec<(Gf256, &[u8])> = coeffs
+            let pairs: Vec<(&[u8; 256], &[u8])> = sources
                 .iter()
-                .zip(&sources)
-                .map(|(c, s)| (*c, s.as_slice()))
+                .enumerate()
+                .map(|(j, s)| (mul_row(Gf256((j * 61 + 2) as u8)), s.as_slice()))
                 .collect();
             let base: Vec<u8> = (0..64).map(|i| (i * 11) as u8).collect();
 
             let mut batched = base.clone();
-            mul_add_multi(&pairs, &mut batched);
+            mul_add_multi_rows(&pairs, &mut batched);
 
             let mut sequential = base.clone();
-            for (c, s) in &pairs {
-                mul_add_slice(*c, s, &mut sequential);
+            for (row, s) in &pairs {
+                mul_add_row(row, s, &mut sequential);
             }
             assert_eq!(batched, sequential, "nsrc={nsrc}");
         }
     }
 
     #[test]
-    fn mul_add_multi_skips_zero_coefficients() {
-        let s1 = [0xffu8; 16];
-        let s2: Vec<u8> = (0..16).map(|i| (i * 3 + 1) as u8).collect();
-        let base = [0xaau8; 16];
-        let mut batched = base;
-        mul_add_multi(&[(Gf256::ZERO, &s1[..]), (Gf256(7), &s2[..])], &mut batched);
-        let mut expect = base;
-        mul_add_slice(Gf256(7), &s2, &mut expect);
-        assert_eq!(batched, expect);
-    }
-
-    #[test]
-    fn mul_slice_then_xor_equals_mul_add() {
-        let src: Vec<u8> = (0..128).map(|i| (i * 5 + 1) as u8).collect();
-        let base: Vec<u8> = (0..128).map(|i| (i * 11 + 7) as u8).collect();
-        for c in [0u8, 1, 9, 200] {
-            let mut tmp = vec![0u8; 128];
-            mul_slice(Gf256(c), &src, &mut tmp);
-            let mut via_two_step = base.clone();
-            xor_slice(&mut via_two_step, &tmp);
-            let mut direct = base.clone();
-            mul_add_slice(Gf256(c), &src, &mut direct);
-            assert_eq!(via_two_step, direct, "c={c}");
-        }
-    }
-
-    #[test]
-    fn scale_by_inverse_roundtrips() {
-        let orig: Vec<u8> = (0..500).map(|i| (i * 3 + 17) as u8).collect();
-        for c in [1u8, 2, 77, 254] {
-            let mut data = orig.clone();
-            scale_slice(Gf256(c), &mut data);
-            scale_slice(Gf256(c).checked_inv().unwrap(), &mut data);
-            assert_eq!(data, orig, "c={c}");
-        }
-    }
-
-    #[test]
-    fn zero_coefficient_behaviour() {
-        let src = vec![0xffu8; 32];
-        let mut dst = vec![0xaau8; 32];
-        mul_add_slice(Gf256::ZERO, &src, &mut dst);
-        assert_eq!(dst, vec![0xaau8; 32], "mul_add by zero is a no-op");
-        mul_slice(Gf256::ZERO, &src, &mut dst);
-        assert_eq!(dst, vec![0u8; 32], "mul by zero clears");
-    }
-
-    #[test]
     fn empty_slices_are_no_ops() {
         let mut dst: Vec<u8> = vec![];
-        mul_add_slice(Gf256(7), &[], &mut dst);
-        mul_slice(Gf256(7), &[], &mut dst);
-        scale_slice(Gf256(7), &mut dst);
-        mul_add_multi(&[(Gf256(7), &[][..])], &mut dst);
+        xor_slice(&mut dst, &[]);
+        mul_add_row(mul_row(Gf256(7)), &[], &mut dst);
+        mul_add_multi_rows(&[(mul_row(Gf256(7)), &[][..])], &mut dst);
         assert!(dst.is_empty());
     }
 
@@ -398,13 +265,13 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
         let mut dst = vec![0u8; 4];
-        mul_add_slice(Gf256::ONE, &[1, 2, 3], &mut dst);
+        mul_add_row(mul_row(Gf256::ONE), &[1, 2, 3], &mut dst);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
-    fn mul_add_multi_mismatched_lengths_panic() {
+    fn mul_add_multi_rows_mismatched_lengths_panic() {
         let mut dst = vec![0u8; 4];
-        mul_add_multi(&[(Gf256::ONE, &[1, 2, 3][..])], &mut dst);
+        mul_add_multi_rows(&[(mul_row(Gf256::ONE), &[1, 2, 3][..])], &mut dst);
     }
 }

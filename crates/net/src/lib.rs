@@ -34,7 +34,6 @@ pub mod farm;
 pub mod fault;
 pub mod fec_layer;
 pub mod mem;
-pub mod pcap;
 pub mod poll;
 pub mod suppression;
 pub mod transcript;
@@ -47,7 +46,6 @@ pub use farm::{FarmEndpoint, FarmHub, FarmRole, FarmStats};
 pub use fault::{FaultConfig, FaultStats, FaultyTransport};
 pub use fec_layer::{FecLayerConfig, FecTransport};
 pub use mem::MemHub;
-pub use pcap::{PcapTransport, PcapWriter};
 pub use poll::{PollSet, PollTransport, Token};
 pub use suppression::NakSuppressor;
 pub use transcript::{Transcript, TranscriptTransport};

@@ -18,14 +18,12 @@
 //!   independently over every byte position (`m = 8` bit symbols), which is
 //!   Figure 2 of McAuley \[12\] and Section 2.2 of the paper.
 //!
-//! Two encoders are provided:
-//!
-//! * [`RseEncoder`]/[`RseDecoder`] — the production systematic
-//!   Vandermonde-matrix codec (Rizzo-style), used by the `pm-core` protocol.
-//! * [`poly_codec`] — the paper's literal Eq. (1) construction
-//!   (`p_j = F(alpha^(j-1))` with Lagrange-interpolation decoding), kept as
-//!   an executable specification and cross-checked against the matrix codec
-//!   in tests.
+//! There is one codec: [`RseEncoder`]/[`RseDecoder`], the systematic
+//! Vandermonde-matrix code (Rizzo-style) over GF(2^8), `n <= 255`, used by
+//! the `pm-core` protocol. The paper's literal Eq. (1) construction
+//! (`p_j = F(alpha^(j-1))`) lives on in `poly_codec.rs` as a test-only
+//! executable specification that the property tests cross-check this codec
+//! against.
 //!
 //! [`GroupDecoder`] is the receiver-side accumulator used by the protocol:
 //! it tracks which packets of a block have arrived and reconstructs the TG
@@ -53,19 +51,14 @@ pub mod decoder;
 pub mod encoder;
 pub mod error;
 mod generator;
-pub mod incremental;
-pub mod interleave;
-pub mod poly_codec;
-pub mod wide;
 
 pub use block::{GroupDecoder, InsertOutcome};
 pub use code::CodeSpec;
 pub use decoder::{CacheStats, RseDecoder};
 pub use encoder::RseEncoder;
 pub use error::RseError;
-pub use incremental::{AddOutcome, IncrementalDecoder};
-pub use interleave::Interleaver;
-pub use wide::{WideCodeSpec, WideCodec};
 
+#[cfg(test)]
+mod poly_codec;
 #[cfg(test)]
 mod proptests;

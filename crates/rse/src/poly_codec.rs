@@ -1,4 +1,4 @@
-//! The paper's Eq. (1) codec, kept as an executable specification.
+//! The paper's Eq. (1) codec, kept as a test-only executable specification.
 //!
 //! Section 2.1 defines the code directly: treat the `k` data symbols as
 //! coefficients of `F(X) = d_1 + d_2 X + … + d_k X^(k-1)` and compute parity
@@ -18,10 +18,12 @@
 //! returns [`RseError::Gf`]`(SingularMatrix)` on such patterns rather than
 //! ever producing wrong data; the property tests pin down both behaviours.
 //!
-//! Use [`crate::RseEncoder`]/[`crate::RseDecoder`] in protocols; this module
-//! is an executable specification of the paper's Section 2.1 math.
+//! Protocols use [`crate::RseEncoder`]/[`crate::RseDecoder`]; this module is
+//! compiled for tests only, as the oracle `proptests.rs` compares against.
 
-use pm_gf::{Gf256, Poly};
+#![cfg(test)]
+
+use pm_gf::Gf256;
 
 use crate::code::CodeSpec;
 use crate::error::RseError;
@@ -203,15 +205,10 @@ pub fn decode<P: AsRef<[u8]>>(
     Ok(out)
 }
 
-/// Recover the full polynomial for one byte column from `(x, y)` pairs —
-/// exposed for tests and teaching; production decoding uses [`decode`].
-pub fn interpolate_column(points: &[(Gf256, Gf256)]) -> Option<Poly> {
-    Poly::interpolate(points)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pm_gf::Poly;
 
     fn group(k: usize, len: usize) -> Vec<Vec<u8>> {
         (0..k)

@@ -269,30 +269,6 @@ proptest! {
         prop_assert_eq!(poly_codec::decode(&spec, &shares).unwrap(), data);
     }
 
-    /// The incremental decoder agrees with the batch decoder for every
-    /// loss pattern and share arrival order.
-    #[test]
-    fn incremental_matches_batch((k, h, len) in spec_strategy(), seed in any::<u64>()) {
-        let spec = CodeSpec::new(k, h).unwrap();
-        let enc = RseEncoder::new(spec).unwrap();
-        let dec = RseDecoder::from_encoder(&enc);
-        let data = make_group(k, len, seed);
-        let parities = enc.encode_all(&data).unwrap();
-        // Random arrival order over a random k-subset.
-        let order = choose(spec.n(), k, seed ^ 0xFEED);
-        let mut inc = crate::incremental::IncrementalDecoder::from_encoder(&enc);
-        for &i in &order {
-            let payload = if i < k { &data[i] } else { &parities[i - k] };
-            inc.add_share(i, payload).unwrap();
-        }
-        prop_assert!(inc.is_complete());
-        let shares: Vec<(usize, &[u8])> = order
-            .iter()
-            .map(|&i| (i, if i < k { data[i].as_slice() } else { parities[i - k].as_slice() }))
-            .collect();
-        prop_assert_eq!(inc.finish().unwrap(), dec.decode(&shares).unwrap());
-    }
-
     /// Differential: the cached-row batched encoder produces byte-identical
     /// parities to a scalar-reference accumulation over the same generator
     /// coefficients.

@@ -19,15 +19,14 @@
 //! `AVX2_KERNELS` vtable, and `kernels_for` refuses to hand that out unless
 //! `is_x86_feature_detected!("avx2")` holds. The kernels index raw pointers
 //! at 32-byte granularity; the `Kernels` methods assert the length
-//! preconditions (`src.len() == dst.len()`, and `2 * dst.len()` for the wide
-//! kernel) before the pointers are formed.
+//! preconditions (`src.len() == dst.len()`) before the pointers are formed.
 
 #[cfg(target_arch = "x86")]
 use core::arch::x86::*;
 #[cfg(target_arch = "x86_64")]
 use core::arch::x86_64::*;
 
-use crate::{CoeffTables, WideCoeff};
+use crate::CoeffTables;
 
 pub(crate) fn xor(dst: &mut [u8], src: &[u8]) {
     // SAFETY: only reachable via the AVX2 vtable, selected after runtime
@@ -53,11 +52,6 @@ pub(crate) fn scale(t: &CoeffTables, data: &mut [u8]) {
 pub(crate) fn mul_add_multi_rows(sources: &[(CoeffTables, &[u8])], dst: &mut [u8]) {
     // SAFETY: as above.
     unsafe { mul_add_multi_rows_avx2(sources, dst) }
-}
-
-pub(crate) fn wide_mul_add(t: &WideCoeff, src: &[u8], dst: &mut [u16]) {
-    // SAFETY: as above.
-    unsafe { wide_mul_add_avx2(t, src, dst) }
 }
 
 /// Broadcast a coefficient's 16-byte lo/hi nibble tables to both 128-bit
@@ -210,74 +204,5 @@ fn mul_add_multi_rows_avx2(sources: &[(CoeffTables, &[u8])], dst: &mut [u8]) {
             }
             *d = b;
         }
-    }
-}
-
-#[target_feature(enable = "avx2")]
-fn wide_mul_add_avx2(t: &WideCoeff, src: &[u8], dst: &mut [u16]) {
-    // 16 big-endian GF(2^16) symbols per 32-byte load. Even byte positions
-    // hold a value's high byte (nibbles n3n2), odd positions its low byte
-    // (n1n0); nibble table i maps n to c·(n << 4i), split into low/high
-    // result bytes. Per u16 lane, the even-position contribution sits in
-    // the lane's low byte and the odd-position one in its high byte, so one
-    // mask and one lane shift recombine them into a full result byte.
-    let symbols = dst.len();
-    let mut tl = [_mm256_setzero_si256(); 4];
-    let mut th = tl;
-    for i in 0..4 {
-        // SAFETY: each nibble table is 16 readable bytes.
-        unsafe {
-            tl[i] = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                t.nib_lo[i].as_ptr() as *const __m128i
-            ));
-            th[i] = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                t.nib_hi[i].as_ptr() as *const __m128i
-            ));
-        }
-    }
-    let mask = _mm256_set1_epi8(0x0f);
-    let byte_lo = _mm256_set1_epi16(0x00ff);
-    let mut s = 0;
-    while s + 16 <= symbols {
-        // SAFETY: the wrapper asserted src.len() == 2 * symbols, and
-        // s + 16 <= symbols bounds both the 32-byte source load and the
-        // 16-word destination access.
-        unsafe {
-            let v = _mm256_loadu_si256(src.as_ptr().add(2 * s) as *const __m256i);
-            let vl = _mm256_and_si256(v, mask);
-            let vh = _mm256_and_si256(_mm256_srli_epi64::<4>(v), mask);
-            // Low result byte of every product.
-            let even = _mm256_xor_si256(
-                _mm256_shuffle_epi8(tl[2], vl),
-                _mm256_shuffle_epi8(tl[3], vh),
-            );
-            let odd = _mm256_xor_si256(
-                _mm256_shuffle_epi8(tl[0], vl),
-                _mm256_shuffle_epi8(tl[1], vh),
-            );
-            let r_lo =
-                _mm256_xor_si256(_mm256_and_si256(even, byte_lo), _mm256_srli_epi16::<8>(odd));
-            // High result byte, same recombination against the hi tables.
-            let even_h = _mm256_xor_si256(
-                _mm256_shuffle_epi8(th[2], vl),
-                _mm256_shuffle_epi8(th[3], vh),
-            );
-            let odd_h = _mm256_xor_si256(
-                _mm256_shuffle_epi8(th[0], vl),
-                _mm256_shuffle_epi8(th[1], vh),
-            );
-            let r_hi = _mm256_xor_si256(
-                _mm256_and_si256(even_h, byte_lo),
-                _mm256_srli_epi16::<8>(odd_h),
-            );
-            let r = _mm256_or_si256(r_lo, _mm256_slli_epi16::<8>(r_hi));
-            let dp = dst.as_mut_ptr().add(s) as *mut __m256i;
-            let d = _mm256_loadu_si256(dp as *const __m256i);
-            _mm256_storeu_si256(dp, _mm256_xor_si256(d, r));
-        }
-        s += 16;
-    }
-    for (d, pair) in dst[s..].iter_mut().zip(src[2 * s..].chunks_exact(2)) {
-        *d ^= t.lo[pair[1] as usize] ^ t.hi[pair[0] as usize];
     }
 }

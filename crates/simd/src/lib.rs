@@ -1,4 +1,4 @@
-//! Runtime-dispatched SIMD kernels for the GF(2^8)/GF(2^16) codec hot loops.
+//! Runtime-dispatched SIMD kernels for the GF(2^8) codec hot loops.
 //!
 //! The paper's Section 5 throughput argument hinges on end-host coding rate:
 //! a packet-level RSE coder spends essentially all of its time in
@@ -36,7 +36,6 @@
 use std::fmt;
 use std::sync::OnceLock;
 
-use pm_gf::field::GfField;
 use pm_gf::gf256::Gf256;
 use pm_gf::mul_table::mul_row;
 
@@ -46,9 +45,6 @@ mod avx2;
 mod neon;
 mod scalar;
 mod tables;
-
-#[cfg(test)]
-mod proptests;
 
 /// Environment variable overriding backend selection: `scalar`, `avx2`,
 /// `neon`, or `auto` (the default when unset).
@@ -204,61 +200,10 @@ impl fmt::Debug for CoeffTables {
     }
 }
 
-/// Precomputed tables for one GF(2^16) coefficient (the wide codec's
-/// per-coefficient state): byte-split product tables for the scalar path
-/// (`lo[b] = c·b`, `hi[b] = c·(b<<8)`) plus four 16-entry nibble tables per
-/// result byte for the SIMD path (`nib_lo[i][n]` / `nib_hi[i][n]` are the
-/// low/high result bytes of `c·(n << 4i)`).
-///
-/// At 1.2 KB per coefficient this is meant to be cached by the caller —
-/// `pm-rse`'s wide codec keeps one per matrix coefficient, exactly as it
-/// did for its previous scalar-only tables.
-#[derive(Clone)]
-pub struct WideCoeff {
-    pub(crate) lo: [u16; 256],
-    pub(crate) hi: [u16; 256],
-    pub(crate) nib_lo: [[u8; 16]; 4],
-    pub(crate) nib_hi: [[u8; 16]; 4],
-}
-
-impl WideCoeff {
-    /// Build the tables for coefficient `c` in `field` (a width-16 field).
-    pub fn new(field: &GfField, c: u16) -> WideCoeff {
-        let mut lo = [0u16; 256];
-        let mut hi = [0u16; 256];
-        for (b, (l, h)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
-            *l = field.mul(c, b as u16);
-            *h = field.mul(c, (b as u16) << 8);
-        }
-        let mut nib_lo = [[0u8; 16]; 4];
-        let mut nib_hi = [[0u8; 16]; 4];
-        for i in 0..4 {
-            for n in 0..16 {
-                let p = field.mul(c, (n as u16) << (4 * i));
-                nib_lo[i][n] = (p & 0xff) as u8;
-                nib_hi[i][n] = (p >> 8) as u8;
-            }
-        }
-        WideCoeff {
-            lo,
-            hi,
-            nib_lo,
-            nib_hi,
-        }
-    }
-}
-
-impl fmt::Debug for WideCoeff {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WideCoeff").finish_non_exhaustive()
-    }
-}
-
 type XorFn = fn(&mut [u8], &[u8]);
 type MulFn = fn(&CoeffTables, &[u8], &mut [u8]);
 type ScaleFn = fn(&CoeffTables, &mut [u8]);
 type MultiRowsFn = fn(&[(CoeffTables, &[u8])], &mut [u8]);
-type WideFn = fn(&WideCoeff, &[u8], &mut [u16]);
 
 /// A backend's kernel vtable. Obtain one via [`kernels`] / [`try_kernels`]
 /// (dispatched) or [`kernels_for`] (explicit, for benches and differential
@@ -273,7 +218,6 @@ pub struct Kernels {
     mul: MulFn,
     scale: ScaleFn,
     multi_rows: MultiRowsFn,
-    wide: WideFn,
 }
 
 impl Kernels {
@@ -382,17 +326,6 @@ impl Kernels {
         }
         (self.multi_rows)(sources, dst);
     }
-
-    /// GF(2^16) multiply-accumulate: `dst[i] ^= c * sym_i`, where `sym_i`
-    /// is the big-endian 16-bit symbol at `src[2i..2i+2]` and `dst` holds
-    /// native-endian accumulator words.
-    ///
-    /// # Panics
-    /// Panics if `src.len() != 2 * dst.len()`.
-    pub fn wide_mul_add(&self, t: &WideCoeff, src: &[u8], dst: &mut [u16]) {
-        assert_eq!(src.len(), dst.len() * 2, "wide_mul_add length mismatch");
-        (self.wide)(t, src, dst);
-    }
 }
 
 impl fmt::Debug for Kernels {
@@ -410,7 +343,6 @@ static SCALAR_KERNELS: Kernels = Kernels {
     mul: scalar::mul,
     scale: scalar::scale,
     multi_rows: scalar::mul_add_multi_rows,
-    wide: scalar::wide_mul_add,
 };
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -421,7 +353,6 @@ static AVX2_KERNELS: Kernels = Kernels {
     mul: avx2::mul,
     scale: avx2::scale,
     multi_rows: avx2::mul_add_multi_rows,
-    wide: avx2::wide_mul_add,
 };
 
 #[cfg(target_arch = "aarch64")]
@@ -432,10 +363,6 @@ static NEON_KERNELS: Kernels = Kernels {
     mul: neon::mul,
     scale: neon::scale,
     multi_rows: neon::mul_add_multi_rows,
-    // The wide codec only builds per-coefficient tables for long packets,
-    // where the scalar byte-split walk is already table-bound; a NEON wide
-    // kernel has not been written, so the vtable falls back to scalar.
-    wide: scalar::wide_mul_add,
 };
 
 /// The kernel vtable for a specific backend, or `None` if the current host
@@ -571,3 +498,6 @@ mod tests {
         assert_eq!(format!("{t:?}"), "CoeffTables { c: Gf256(7) }");
     }
 }
+
+#[cfg(test)]
+mod proptests;

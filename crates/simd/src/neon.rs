@@ -4,8 +4,6 @@
 //! the nibble lookups (its index type is a full byte, so no broadcast step
 //! is needed — each 16-entry table loads straight into one register).
 //! Sub-16-byte tails fall back to the coefficient's 256-entry scalar row.
-//! The GF(2^16) wide kernel is not vectorized on this backend; the vtable
-//! routes it to `scalar::wide_mul_add`.
 //!
 //! # Safety
 //!

@@ -6,22 +6,16 @@
 
 use proptest::prelude::*;
 
-use pm_gf::field::GfField;
 use pm_gf::gf256::Gf256;
 use pm_gf::slice::reference;
 
-use crate::{kernels_for, Backend, CoeffTables, Kernels, WideCoeff};
+use crate::{kernels_for, Backend, CoeffTables, Kernels};
 
 fn backends() -> Vec<&'static Kernels> {
     [Backend::Scalar, Backend::Avx2, Backend::Neon]
         .into_iter()
         .filter_map(kernels_for)
         .collect()
-}
-
-fn wide_field() -> &'static GfField {
-    static FIELD: std::sync::OnceLock<GfField> = std::sync::OnceLock::new();
-    FIELD.get_or_init(|| GfField::new(16).expect("GF(2^16)"))
 }
 
 /// Deterministic pseudo-random bytes (xorshift) for buffer contents.
@@ -132,37 +126,6 @@ proptest! {
             prop_assert_eq!(&buf[off..], want.as_slice(), "mul_add_multi_rows on {}", name);
         }
     }
-
-    /// GF(2^16) wide kernel: every backend matches an independent
-    /// symbol-at-a-time `field.mul` loop over big-endian symbols, across
-    /// the 16-symbol vector boundary and on misaligned buffers.
-    #[test]
-    fn wide_mul_add_matches_field_mul(
-        c in any::<u16>(),
-        symbols in 0usize..200,
-        off in 0usize..33,
-        seed in any::<u64>(),
-    ) {
-        let field = wide_field();
-        let t = WideCoeff::new(field, c);
-        let src_buf = bytes_from_seed(off + 2 * symbols, seed);
-        let src = &src_buf[off..];
-        let dst0: Vec<u16> = bytes_from_seed(2 * symbols, seed ^ 0x9E37)
-            .chunks_exact(2)
-            .map(|p| u16::from_le_bytes([p[0], p[1]]))
-            .collect();
-
-        let mut want = dst0.clone();
-        for (d, pair) in want.iter_mut().zip(src.chunks_exact(2)) {
-            *d ^= field.mul(c, u16::from_be_bytes([pair[0], pair[1]]));
-        }
-
-        for k in backends() {
-            let mut dst = dst0.clone();
-            k.wide_mul_add(&t, src, &mut dst);
-            prop_assert_eq!(&dst, &want, "wide_mul_add on {}", k.backend().name());
-        }
-    }
 }
 
 /// Exhaustive over all 256 coefficients at a fixed awkward length (covers
@@ -192,11 +155,5 @@ fn length_mismatch_panics_on_every_backend() {
             k.mul_add_slice(Gf256(3), &[1, 2, 3], &mut dst);
         });
         assert!(r.is_err(), "mul_add length mismatch must panic on {name}");
-        let r = std::panic::catch_unwind(|| {
-            let mut dst = vec![0u16; 4];
-            let t = WideCoeff::new(wide_field(), 9);
-            k.wide_mul_add(&t, &[1, 2, 3], &mut dst);
-        });
-        assert!(r.is_err(), "wide length mismatch must panic on {name}");
     }
 }

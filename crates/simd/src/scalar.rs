@@ -5,7 +5,7 @@
 
 use pm_gf::slice;
 
-use crate::{CoeffTables, WideCoeff};
+use crate::CoeffTables;
 
 pub(crate) fn xor(dst: &mut [u8], src: &[u8]) {
     slice::xor_slice(dst, src);
@@ -32,14 +32,4 @@ pub(crate) fn scale(t: &CoeffTables, data: &mut [u8]) {
 pub(crate) fn mul_add_multi_rows(sources: &[(CoeffTables, &[u8])], dst: &mut [u8]) {
     let rows: Vec<(&[u8; 256], &[u8])> = sources.iter().map(|(t, src)| (t.row(), *src)).collect();
     slice::mul_add_multi_rows(&rows, dst);
-}
-
-/// GF(2^16) byte-split walk: each big-endian symbol resolves through the
-/// coefficient's two 256-entry product tables (`lo` indexed by the value's
-/// low byte, `hi` by its high byte; multiplication distributes over the
-/// XOR split because the field has characteristic 2).
-pub(crate) fn wide_mul_add(t: &WideCoeff, src: &[u8], dst: &mut [u16]) {
-    for (d, pair) in dst.iter_mut().zip(src.chunks_exact(2)) {
-        *d ^= t.lo[pair[1] as usize] ^ t.hi[pair[0] as usize];
-    }
 }
