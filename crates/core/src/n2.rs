@@ -81,6 +81,9 @@ impl N2Sender {
         s.counters.feedback_sent += 1;
         for g in 0..s.plan.groups {
             s.rounds.push(1);
+            if s.plan.reannounce_before(g) {
+                s.queue.push_back(s.plan.announce());
+            }
             let gk = s.plan.group_k(g) as u16;
             for (i, payload) in s.groups[g as usize].iter().enumerate() {
                 s.queue.push_back(Message::Packet {
@@ -403,14 +406,19 @@ impl N2Receiver {
             actions.push(ReceiverAction::GroupDecoded { group });
             if self.is_complete() && !self.complete_emitted {
                 self.complete_emitted = true;
-                self.counters.feedback_sent += 1;
-                actions.push(ReceiverAction::Send(Message::Done {
-                    session: self.session,
-                    receiver: self.id,
-                }));
+                self.push_done(actions);
                 actions.push(ReceiverAction::Complete);
             }
         }
+    }
+
+    /// Queue one `Done` for the transport (and count it as sent).
+    fn push_done(&mut self, actions: &mut Vec<ReceiverAction>) {
+        self.counters.feedback_sent += 1;
+        actions.push(ReceiverAction::Send(Message::Done {
+            session: self.session,
+            receiver: self.id,
+        }));
     }
 
     /// Feed one received message (same contract as
@@ -464,13 +472,8 @@ impl N2Receiver {
                 self.counters.feedback_received += 1;
                 self.max_group_seen = Some(self.max_group_seen.unwrap_or(0).max(*group));
                 self.quiet_announces = 0;
-                if self.complete_emitted {
-                    self.counters.feedback_sent += 1;
-                    actions.push(ReceiverAction::Send(Message::Done {
-                        session: self.session,
-                        receiver: self.id,
-                    }));
-                } else if !self.decoded.contains_key(group) {
+                // A poll solicits NAKs, never `Done` (see `NpReceiver`).
+                if !self.complete_emitted && !self.decoded.contains_key(group) {
                     // Schedule a NAK per missing packet with random jitter.
                     let known_k = self.group_k.get(group).copied();
                     let missing: Vec<u16> = match known_k {
@@ -511,15 +514,15 @@ impl N2Receiver {
                     Some(_) => {}
                     None => self.plan = Some(plan),
                 }
-                if self.is_complete() && !self.complete_emitted {
+                if self.complete_emitted {
+                    // A keep-alive announce after we finished: the sender
+                    // still waits on someone, possibly on our lost `Done`.
+                    self.push_done(&mut actions);
+                } else if self.is_complete() {
                     self.complete_emitted = true;
-                    self.counters.feedback_sent += 1;
-                    actions.push(ReceiverAction::Send(Message::Done {
-                        session: self.session,
-                        receiver: self.id,
-                    }));
+                    self.push_done(&mut actions);
                     actions.push(ReceiverAction::Complete);
-                } else if !self.complete_emitted {
+                } else {
                     // Recovery heartbeat: re-NAK everything still missing
                     // in case an entire retransmission round (and its
                     // poll) was lost. The pending map dedupes; the same
@@ -677,6 +680,56 @@ mod tests {
         assert!(complete);
         assert_eq!(rx.take_data().unwrap(), bytes);
         assert!(tx.is_finished());
+    }
+
+    #[test]
+    fn initial_schedule_repeats_the_announce_ahead_of_the_last_group() {
+        let mut s = N2Sender::new(SESSION, &data(100), config()).unwrap();
+        let msgs = drain(&mut s, 0.0);
+        // Groups of 3, 3, 1: announce, (3 + poll) x 2, announce, 1 + poll.
+        let announces: Vec<usize> = (0..msgs.len())
+            .filter(|&i| matches!(msgs[i], Message::Announce { .. }))
+            .collect();
+        assert_eq!(announces, vec![0, 9]);
+        assert!(matches!(msgs[10], Message::Packet { group: 2, .. }));
+    }
+
+    #[test]
+    fn completed_receiver_is_silent_on_polls_and_answers_keepalive_announces() {
+        let bytes = data(100);
+        let mut tx = N2Sender::new(SESSION, &bytes, config()).unwrap();
+        let mut rx = N2Receiver::new(5, SESSION, 0.001, 17);
+        let schedule = drain(&mut tx, 0.0);
+        let dones = schedule
+            .iter()
+            .flat_map(|m| rx.handle(m, 0.0).unwrap())
+            .filter(|a| matches!(a, ReceiverAction::Send(Message::Done { .. })))
+            .count();
+        assert!(rx.is_complete());
+        // The last group's own poll arrives after completion: no second Done.
+        assert_eq!(dones, 1);
+        for group in 0..5 {
+            for round in [1, 2, u16::MAX] {
+                let poll = Message::Poll {
+                    session: SESSION,
+                    group,
+                    sent: 3,
+                    round,
+                };
+                assert_eq!(rx.handle(&poll, 1.0).unwrap(), vec![]);
+            }
+        }
+        assert_eq!(rx.next_deadline(), None);
+        assert_eq!(rx.counters().feedback_sent, 1, "only the completion Done");
+        let announce = tx.plan().announce();
+        assert_eq!(
+            rx.handle(&announce, 5.0).unwrap(),
+            vec![ReceiverAction::Send(Message::Done {
+                session: SESSION,
+                receiver: 5
+            })]
+        );
+        assert_eq!(rx.counters().feedback_sent, 2);
     }
 
     #[test]

@@ -201,22 +201,27 @@ impl NpReceiver {
         Ok(&self.decoders[&key])
     }
 
+    /// Queue one `Done` for the transport (and count it as sent).
+    fn push_done(&mut self, actions: &mut Vec<ReceiverAction>, now: f64) {
+        self.counters.feedback_sent += 1;
+        self.obs.emit(now, || Event::DoneSent {
+            session: self.session,
+            receiver: self.id,
+        });
+        actions.push(ReceiverAction::Send(Message::Done {
+            session: self.session,
+            receiver: self.id,
+        }));
+    }
+
     fn completion_actions(&mut self, actions: &mut Vec<ReceiverAction>, now: f64) {
         if self.is_complete() && !self.complete_emitted {
             self.complete_emitted = true;
-            self.counters.feedback_sent += 1;
-            self.obs.emit(now, || Event::DoneSent {
-                session: self.session,
-                receiver: self.id,
-            });
+            self.push_done(actions, now);
             self.obs.emit(now, || Event::TransferComplete {
                 session: self.session,
                 groups: self.plan.map(|p| p.groups).unwrap_or(0),
             });
-            actions.push(ReceiverAction::Send(Message::Done {
-                session: self.session,
-                receiver: self.id,
-            }));
             actions.push(ReceiverAction::Complete);
         }
     }
@@ -357,18 +362,11 @@ impl NpReceiver {
                 self.max_group_seen = Some(self.max_group_seen.unwrap_or(0).max(*group));
                 self.quiet_announces = 0;
                 self.saw_poll = true;
-                if self.complete_emitted {
-                    // Our Done may have been lost; remind the sender.
-                    self.counters.feedback_sent += 1;
-                    self.obs.emit(now, || Event::DoneSent {
-                        session: self.session,
-                        receiver: self.id,
-                    });
-                    actions.push(ReceiverAction::Send(Message::Done {
-                        session: self.session,
-                        receiver: self.id,
-                    }));
-                } else {
+                // A poll solicits NAKs, never `Done`: once complete we have
+                // nothing to ask for. A lost `Done` is recovered by the
+                // sender's keep-alive announce (below), not by O(R) replies
+                // to every repair round.
+                if !self.complete_emitted {
                     let needed = match self.groups.get(group) {
                         Some(GroupState::Decoded) => 0,
                         Some(GroupState::Collecting(gd)) => gd.needed() as u16,
@@ -406,16 +404,9 @@ impl NpReceiver {
                 if was_complete {
                     // A keep-alive announce after we finished means the
                     // sender is still waiting on someone — possibly us,
-                    // if our Done was lost or corrupted. Remind it.
-                    self.counters.feedback_sent += 1;
-                    self.obs.emit(now, || Event::DoneSent {
-                        session: self.session,
-                        receiver: self.id,
-                    });
-                    actions.push(ReceiverAction::Send(Message::Done {
-                        session: self.session,
-                        receiver: self.id,
-                    }));
+                    // if our Done was lost or corrupted. Remind it. This
+                    // is the one `Done`-recovery path (DESIGN §12c).
+                    self.push_done(&mut actions, now);
                 }
                 // An announce while we are incomplete doubles as a
                 // recovery heartbeat: if a whole repair round (parities +
@@ -678,10 +669,10 @@ mod tests {
         assert_eq!(rx.counters().feedback_suppressed, 1);
     }
 
-    #[test]
-    fn done_resent_on_poll_after_completion() {
+    /// A receiver that took the whole transfer cleanly (one `Done` sent).
+    fn completed_receiver(id: u32, seed: u64) -> (SessionPlan, NpReceiver) {
         let (plan, _, groups, _) = setup(32, 2, 1);
-        let mut rx = NpReceiver::new(9, SESSION, 0.01, 6);
+        let mut rx = NpReceiver::new(id, SESSION, 0.01, seed);
         rx.handle(&plan.announce(), 0.0).unwrap();
         for (g, packets) in groups.iter().enumerate() {
             for (i, p) in packets.iter().enumerate() {
@@ -690,48 +681,51 @@ mod tests {
             }
         }
         assert!(rx.is_complete());
-        let actions = rx
-            .handle(
-                &Message::Poll {
+        assert_eq!(rx.counters().feedback_sent, 1, "the completion Done");
+        (plan, rx)
+    }
+
+    #[test]
+    fn completed_receiver_is_silent_on_polls() {
+        // A poll solicits NAKs; a complete receiver has none to give, and
+        // answering with `Done` would cost O(R) datagrams per repair round.
+        let (plan, mut rx) = completed_receiver(9, 6);
+        for group in 0..plan.groups + 2 {
+            for round in [1, 2, 9, u16::MAX] {
+                let poll = Message::Poll {
                     session: SESSION,
-                    group: 0,
+                    group,
                     sent: 2,
-                    round: 2,
-                },
-                1.0,
-            )
-            .unwrap();
+                    round,
+                };
+                assert_eq!(rx.handle(&poll, 1.0).unwrap(), vec![]);
+            }
+        }
+        assert_eq!(rx.next_deadline(), None, "and schedules no NAK either");
         assert_eq!(
-            actions,
-            vec![ReceiverAction::Send(Message::Done {
-                session: SESSION,
-                receiver: 9
-            })]
+            rx.counters().feedback_sent,
+            1,
+            "feedback_sent counts only what was handed to the transport"
         );
     }
 
     #[test]
-    fn done_resent_on_announce_after_completion() {
-        let (plan, _, groups, _) = setup(32, 2, 1);
-        let mut rx = NpReceiver::new(4, SESSION, 0.01, 13);
-        rx.handle(&plan.announce(), 0.0).unwrap();
-        for (g, packets) in groups.iter().enumerate() {
-            for (i, p) in packets.iter().enumerate() {
-                rx.handle(&packet(&plan, g as u32, i, p.clone()), 0.0)
-                    .unwrap();
-            }
-        }
-        assert!(rx.is_complete());
-        // A keep-alive announce after completion re-solicits our Done
-        // (the first one may have been lost or corrupted in flight).
-        let actions = rx.handle(&plan.announce(), 5.0).unwrap();
+    fn done_resent_once_per_keepalive_announce() {
+        // A keep-alive announce after completion re-solicits our Done (the
+        // first one may have been lost or corrupted in flight) — the only
+        // path that does.
+        let (plan, mut rx) = completed_receiver(4, 13);
+        let done = ReceiverAction::Send(Message::Done {
+            session: SESSION,
+            receiver: 4,
+        });
         assert_eq!(
-            actions,
-            vec![ReceiverAction::Send(Message::Done {
-                session: SESSION,
-                receiver: 4
-            })]
+            rx.handle(&plan.announce(), 5.0).unwrap(),
+            vec![done.clone()]
         );
+        assert_eq!(rx.counters().feedback_sent, 2);
+        assert_eq!(rx.handle(&plan.announce(), 5.05).unwrap(), vec![done]);
+        assert_eq!(rx.counters().feedback_sent, 3);
     }
 
     #[test]

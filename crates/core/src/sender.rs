@@ -208,6 +208,9 @@ impl NpSender {
 
     fn schedule_initial_group(&mut self, g: u32) -> Result<(), ProtocolError> {
         let (k, n) = self.geometry(g);
+        if self.plan.reannounce_before(g) {
+            self.queue.push_back(self.plan.announce());
+        }
         for (i, payload) in self.groups[g as usize].iter().enumerate() {
             self.queue.push_back(Message::Packet {
                 session: self.plan.session,
@@ -577,10 +580,15 @@ mod tests {
         let msgs = drain(&mut s, 0.0);
         // 100 bytes / 16 = 7 packets; k = 3 -> groups of 3, 3, 1.
         assert!(matches!(msgs[0], Message::Announce { .. }));
+        // The plan is repeated once, right ahead of the last group's data
+        // (after group 1's poll: 1 + (3 + 1) + (3 + 1) messages in).
+        assert_eq!(msgs[9], msgs[0]);
+        assert!(matches!(msgs[10], Message::Packet { group: 2, .. }));
         let mut polls = 0;
         let mut per_group_counts = std::collections::HashMap::new();
-        for m in &msgs[1..] {
+        for (at, m) in msgs.iter().enumerate().skip(1) {
             match m {
+                Message::Announce { .. } if at == 9 => {}
                 Message::Packet {
                     group, index, k, ..
                 } => {

@@ -133,6 +133,19 @@ impl SessionPlan {
         }
     }
 
+    /// True when the sender repeats its announce right ahead of group
+    /// `g`'s first data packet: once, before the last of several groups.
+    ///
+    /// The plan travels only in announces, and a receiver that lost the
+    /// first one decodes every group without knowing it is complete.
+    /// *Ahead of* the last group nobody can be complete yet, so the repeat
+    /// solicits no `Done` (after it, every finished receiver would send
+    /// one), and whoever missed the first learns the plan in time to
+    /// finish with the last packet instead of at the keep-alive.
+    pub fn reannounce_before(&self, g: u32) -> bool {
+        g > 0 && g + 1 == self.groups
+    }
+
     /// FEC block size of group `g` (`group_k + h`).
     pub fn group_n(&self, g: u32) -> usize {
         self.group_k(g) + self.h as usize

@@ -6,6 +6,13 @@
 //! not timers but checks made on every drive pass, so a session pinned in
 //! back-to-back transmits meets them as promptly as an idle one.
 //!
+//! A receiver is driven on *change*, not on arrival: its machine absorbs
+//! every datagram, but a drive pass follows only when that left something
+//! to send, a FIN to act on, or a NAK due before the Wake already armed
+//! (`SessionState::wake_at`). Everything else — most of what a receiver
+//! in a large group hears is other receivers' feedback — waits for that
+//! Wake, which is never further off than `RECEIVER_WAIT_CEIL`.
+//!
 //! The run loop is three strokes per turn: sweep the socket set
 //! ([`PollSet::poll_round`] — fairness-bounded, round-robin), fire due
 //! timers ([`TimerWheel::advance`] — deadline order, FIFO within a tick),
@@ -144,6 +151,11 @@ struct SessionState {
     gen_pace: u64,
     gen_wake: u64,
     gen_retry: u64,
+    /// Wheel tick of the live (current-generation) Wake entry. A receiver
+    /// that is not parked on a retry always has one, no later than
+    /// `RECEIVER_WAIT_CEIL` ahead — which is what lets `on_io` leave a
+    /// receiver alone when a datagram changed nothing about its schedule.
+    wake_at: u64,
     /// True while a sender sits in `WaitUntil` with a Wake armed — the
     /// only state where fresh feedback warrants an immediate re-drive.
     wait_armed: bool,
@@ -584,6 +596,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
             gen_pace: 0,
             gen_wake: 0,
             gen_retry: 0,
+            wake_at: 0,
             wait_armed: false,
             drives: 0,
             evicted_total: 0,
@@ -759,6 +772,8 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
     /// Absorb one datagram (or per-endpoint receive error) for a session.
     fn on_io(&mut self, token: Token, outcome: Result<Message, NetError>) {
         let now_abs = self.clock.now();
+        let wheel_now = self.wheel.now();
+        let tick = self.cfg.tick;
         let after = {
             let Some(sess) = self
                 .sessions
@@ -828,7 +843,23 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                                         sess.outbound.push_back(m);
                                     }
                                 }
-                                AfterIo::DriveReceiver
+                                // Drive on change, not on arrival: only
+                                // something to send, a FIN to act on, or a
+                                // NAK due before the live Wake needs a
+                                // pass now. Otherwise that Wake fires on
+                                // time and does every check a pass here
+                                // would have (linger and stall cannot
+                                // trip the moment a datagram arrived).
+                                let wake_moved_up = machine.next_deadline().is_some_and(|d| {
+                                    receiver_wake_tick(wheel_now, Some(d), now_rel, tick)
+                                        < sess.wake_at
+                                });
+                                if !sess.outbound.is_empty() || machine.fin_seen() || wake_moved_up
+                                {
+                                    AfterIo::DriveReceiver
+                                } else {
+                                    AfterIo::Nothing
+                                }
                             }
                         },
                     }
@@ -1072,11 +1103,8 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                 };
                 machine.next_deadline()
             };
-            let wait = match deadline {
-                Some(d) => clamp_wait(d - now_rel, tick, RECEIVER_WAIT_CEIL),
-                None => RECEIVER_WAIT_CEIL,
-            };
-            arm(wheel, sess, TimerKind::Wake, wait, tick);
+            let at = receiver_wake_tick(wheel.now(), deadline, now_rel, tick);
+            arm_at(wheel, sess, TimerKind::Wake, at);
             None
         };
         if let Some(o) = outcome {
@@ -1308,6 +1336,16 @@ fn ticks_for(tick: Duration, delay: Duration) -> u64 {
     u64::try_from(ticks).unwrap_or(u64::MAX)
 }
 
+/// The tick a receiver's Wake belongs at: its earliest NAK `deadline`
+/// (session-relative seconds), or the check cadence when it has none.
+fn receiver_wake_tick(wheel_now: u64, deadline: Option<f64>, now_rel: f64, tick: Duration) -> u64 {
+    let wait = match deadline {
+        Some(d) => clamp_wait(d - now_rel, tick, RECEIVER_WAIT_CEIL),
+        None => RECEIVER_WAIT_CEIL,
+    };
+    wheel_now.saturating_add(ticks_for(tick, wait))
+}
+
 /// Arm (or re-arm) `kind` for `sess` at `delay` from now. Bumping the
 /// generation first makes any previously armed entry of the same kind
 /// stale — cancellation without touching the wheel.
@@ -1323,6 +1361,9 @@ fn arm(
 }
 
 fn arm_at(wheel: &mut TimerWheel<TimerKey>, sess: &mut SessionState, kind: TimerKind, at: u64) {
+    if kind == TimerKind::Wake {
+        sess.wake_at = at;
+    }
     let generation = sess.generation_mut(kind);
     *generation += 1;
     let generation = *generation;
@@ -1963,5 +2004,242 @@ mod tests {
                 assert_eq!(rep.data, data2);
             }
         }
+    }
+
+    // ------------------------------------------------- drive on change
+
+    /// Drive passes a live session has consumed so far.
+    fn drives_of<T: PollTransport>(m: &Mux<T, VirtualClock>, token: Token) -> u64 {
+        live(m, token).drives
+    }
+
+    fn live<T: PollTransport>(m: &Mux<T, VirtualClock>, token: Token) -> &SessionState {
+        m.sessions[token.slot()].as_ref().expect("live session")
+    }
+
+    /// Round one of a two-group NP transfer, as the sender would emit it:
+    /// `A d d d d P(0) A d d d d P(1)`.
+    fn two_group_schedule(session: u32) -> Vec<Message> {
+        let mut cfg = np_config(1);
+        cfg.k = 4;
+        cfg.payload_len = 64;
+        let mut tx = NpSender::new(session, &payload(8 * 64), cfg).unwrap();
+        let mut out = Vec::new();
+        while let SenderStep::Transmit(m) = tx.next_step(0.0) {
+            out.push(m);
+        }
+        assert_eq!(out.len(), 12);
+        out
+    }
+
+    /// An NP receiver that has heard the announce, alone in its mux, one
+    /// turn in: the registration drive is behind it and its Wake sits a
+    /// full `RECEIVER_WAIT_CEIL` ahead.
+    fn settled_receiver(
+        session: u32,
+    ) -> (
+        Mux<pm_net::mem::MemEndpoint, VirtualClock>,
+        pm_net::mem::MemEndpoint,
+        Token,
+        Vec<Message>,
+    ) {
+        let hub = MemHub::new();
+        let mut feeder = hub.join();
+        let mut m = mux();
+        let tok = m.add_receiver(NpReceiver::new(1, session, 0.001, 3), hub.join(), rt());
+        let schedule = two_group_schedule(session);
+        feeder.send(&schedule[0]).unwrap();
+        m.turn_once();
+        assert_eq!(drives_of(&m, tok), 1, "the registration drive");
+        (m, feeder, tok, schedule)
+    }
+
+    #[test]
+    fn datagrams_that_change_nothing_cost_no_drive_and_no_wheel_entry() {
+        let session = 5;
+        let (mut m, mut feeder, tok, schedule) = settled_receiver(session);
+        // Group 0 and its poll: decoded, nothing to NAK, nothing to send.
+        for msg in &schedule[1..6] {
+            feeder.send(msg).unwrap();
+        }
+        m.turn_once();
+        let noise = [
+            Message::Done {
+                session,
+                receiver: 99,
+            },
+            Message::Nak {
+                session,
+                group: 0,
+                needed: 2,
+                round: 1,
+            },
+            schedule[2].clone(), // data of the decoded group
+            schedule[5].clone(), // its poll, again
+        ];
+        for _ in 0..3 {
+            for i in 0..30 {
+                feeder.send(&noise[i % noise.len()]).unwrap();
+            }
+            m.turn_once();
+        }
+        assert_eq!(drives_of(&m, tok), 1, "96 datagrams, none changed a thing");
+        assert!(m.wheel_depth() <= 2, "depth {}", m.wheel_depth());
+        assert_eq!(m.clock().now(), 0.0, "busy turns do not move the clock");
+    }
+
+    #[test]
+    fn each_schedule_change_still_drives_the_receiver_in_the_same_turn() {
+        let session = 6;
+
+        // Something to send: the last data packet completes the transfer
+        // and its `Done` leaves in the turn that delivered the packet.
+        let (mut m, mut feeder, tok, schedule) = settled_receiver(session);
+        for msg in &schedule[1..11] {
+            feeder.send(msg).unwrap();
+        }
+        m.turn_once();
+        assert_eq!(drives_of(&m, tok), 2);
+        let done = Message::Done {
+            session,
+            receiver: 1,
+        };
+        assert_eq!(feeder.poll_recv().unwrap(), Some(done));
+
+        // FIN: the session ends in the turn that delivered it.
+        feeder.send(&Message::Fin { session }).unwrap();
+        m.turn_once();
+        let outcomes = m.take_outcomes();
+        assert!(matches!(
+            outcomes.as_slice(),
+            [(t, SessionOutcome::Receiver(Ok(_)))] if *t == tok
+        ));
+
+        // A NAK due before the live Wake: 3 of 4 packets, then the poll —
+        // the deadline lands inside 4 slots (4 ms), the Wake sat at 20 ms.
+        let (mut m, mut feeder, tok, schedule) = settled_receiver(session);
+        let ceiling = live(&m, tok).wake_at;
+        for msg in schedule[1..4].iter().chain(&schedule[5..6]) {
+            feeder.send(msg).unwrap();
+        }
+        m.turn_once();
+        assert_eq!(drives_of(&m, tok), 2);
+        let armed = live(&m, tok).wake_at;
+        assert!(armed < ceiling, "Wake moved up: {armed} vs {ceiling}");
+        // ...and the NAK goes out in exactly that tick.
+        while feeder.poll_recv().unwrap().is_none() {
+            m.turn_once();
+        }
+        assert_eq!(m.wheel.now(), armed);
+
+        // A parked retry: the failed `Done` owns the session until the
+        // Retry timer lands it, and that turn drives the receiver on (the
+        // Wake a parked session lacks is armed again).
+        let mut tp = Flaky {
+            fail_sends: 1,
+            sends_seen: 1, // deliver from the start
+            incoming: two_group_schedule(session).into(),
+            delivered_at: Vec::new(),
+        };
+        let mut m: Mux<&mut Flaky, VirtualClock> =
+            Mux::new(MuxConfig::default(), VirtualClock::new());
+        let tok = m.add_receiver(NpReceiver::new(1, session, 0.001, 3), &mut tp, rt());
+        m.turn_once();
+        assert!(live(&m, tok).pending.is_some(), "Done parked");
+        let parked_drives = drives_of(&m, tok);
+        while live(&m, tok).pending.is_some() {
+            m.turn_once();
+        }
+        assert_eq!(drives_of(&m, tok), parked_drives + 1);
+        assert!(live(&m, tok).wake_at > m.wheel.now(), "Wake re-armed");
+        drop(m);
+        assert_eq!(tp.sends_seen, 3, "one failure, then the Done went out");
+    }
+
+    /// A receiver machine with one scripted NAK: any `Poll` schedules it
+    /// for `nak_at`, and `on_timer` sends it once that time has come.
+    struct OneNak {
+        nak_at: f64,
+        pending: bool,
+        counters: pm_core::CostCounters,
+    }
+
+    impl ReceiverMachine for OneNak {
+        fn handle(
+            &mut self,
+            msg: &Message,
+            _now: f64,
+        ) -> Result<Vec<ReceiverAction>, ProtocolError> {
+            self.pending |= matches!(msg, Message::Poll { .. });
+            Ok(Vec::new())
+        }
+        fn on_timer(&mut self, now: f64) -> Vec<ReceiverAction> {
+            if !self.pending || now < self.nak_at {
+                return Vec::new();
+            }
+            self.pending = false;
+            vec![ReceiverAction::Send(Message::Nak {
+                session: 1,
+                group: 0,
+                needed: 1,
+                round: 1,
+            })]
+        }
+        fn next_deadline(&self) -> Option<f64> {
+            self.pending.then_some(self.nak_at)
+        }
+        fn is_complete(&self) -> bool {
+            false
+        }
+        fn fin_seen(&self) -> bool {
+            false
+        }
+        fn take_data(&self) -> Result<Vec<u8>, ProtocolError> {
+            Ok(Vec::new())
+        }
+        fn counters(&self) -> &pm_core::CostCounters {
+            &self.counters
+        }
+    }
+
+    #[test]
+    fn a_nak_due_on_the_armed_tick_is_sent_in_that_tick_without_a_drive() {
+        let hub = MemHub::new();
+        let mut feeder = hub.join();
+        let mut m = mux();
+        let nak_at = RECEIVER_WAIT_CEIL.as_secs_f64();
+        let machine = OneNak {
+            nak_at,
+            pending: false,
+            counters: Default::default(),
+        };
+        let tok = m.add_receiver(machine, hub.join(), rt());
+        m.turn_once();
+        let armed = live(&m, tok).wake_at;
+        assert_eq!(
+            armed as f64 * m.tick_secs,
+            nak_at,
+            "Wake sits on the deadline"
+        );
+        feeder
+            .send(&Message::Poll {
+                session: 1,
+                group: 0,
+                sent: 4,
+                round: 1,
+            })
+            .unwrap();
+        m.turn_once();
+        assert_eq!(drives_of(&m, tok), 1, "not earlier than the Wake: no drive");
+        assert_eq!(live(&m, tok).wake_at, armed);
+        while feeder.poll_recv().unwrap().is_none() {
+            m.turn_once();
+        }
+        assert_eq!(
+            m.wheel.now(),
+            armed,
+            "sent by the Wake that was already armed"
+        );
+        assert_eq!(drives_of(&m, tok), 2);
     }
 }

@@ -124,7 +124,13 @@ impl NakSuppressor {
     }
 
     /// Earliest pending deadline, if any (for event-loop timeouts).
+    ///
+    /// The mux asks this after every datagram and most receivers have
+    /// nothing scheduled, so the empty case touches no bucket.
     pub fn next_deadline(&self) -> Option<f64> {
+        if self.pending.is_empty() {
+            return None;
+        }
         self.pending
             .values()
             .map(|p| p.deadline)
@@ -132,9 +138,13 @@ impl NakSuppressor {
     }
 
     /// Pop every NAK whose deadline has passed; each is returned once
-    /// (send it now). Deterministic order (by group id).
+    /// (send it now). Deterministic order (by group id). Allocates only
+    /// when something is due (`collect` of no matches is an empty `Vec`).
     pub fn take_due(&mut self, now: f64) -> Vec<DueNak> {
         self.last_seen = self.last_seen.max(now);
+        if self.pending.is_empty() {
+            return Vec::new();
+        }
         let mut due: Vec<DueNak> = self
             .pending
             .iter()

@@ -341,9 +341,14 @@ fn survivors_produce_transcripts_byte_identical_to_an_unloaded_run() {
         (outcomes, pairs)
     };
 
+    // `drive_budget` 8 -> 4 when the mux stopped driving a receiver after
+    // every datagram: the 24 sessions take about half the drive passes
+    // per turn they used to, so the old budget no longer saturates (a
+    // skipped drive is not counted; the unit is still passes per turn).
+    // 5 is the first value that sheds again; 4 and 5 shed the same 2 pairs.
     let overload = OverloadConfig {
         high_water: 0.6,
-        drive_budget: 8,
+        drive_budget: 4,
         sustain_turns: 4,
         max_shed_per_turn: 2,
         alpha: 0.5,
@@ -484,10 +489,13 @@ fn admission_is_refused_past_the_high_water_mark() {
 
 #[test]
 fn churn_soak_over_a_virtual_hour_stays_bounded_and_reconciles() {
+    // `drive_budget` 6 -> 4 for the same reason as in `survivors_...`:
+    // drive-on-change roughly halves the passes a burst generation takes
+    // per turn, and at 5 the bursts no longer shed.
     let overload = OverloadConfig {
         high_water: 0.7,
         max_sessions: 64,
-        drive_budget: 6,
+        drive_budget: 4,
         sustain_turns: 4,
         max_shed_per_turn: 2,
         alpha: 0.5,

@@ -14,18 +14,31 @@
 //!    sessions yield none.
 //! 6. **Telemetry determinism** — two identical farm runs under the
 //!    virtual clock export byte-identical windowed gauges.
+//! 7. **Feedback proportional to need** — a `Poll` solicits NAKs, never
+//!    `Done`: exactly one `Done` per receiver on a lossless wire, a lost
+//!    `Done` recovered by the keep-alive announce within one
+//!    `announce_interval`, and a counted feedback gate at the paper's
+//!    R = 64, k = 7, p = 0.01.
 
 mod common;
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{np_cfg, payload, rt};
+use common::{np_cfg, payload, rt, run_session};
 use parity_multicast::mux::{Mux, MuxConfig, SessionOutcome, VirtualClock};
-use parity_multicast::net::{ChaosPreset, FaultyTransport, MemHub, PollTransport};
-use parity_multicast::obs::{Postmortem, WindowConfig, WindowTelemetry};
-use parity_multicast::protocol::runtime::RuntimeConfig;
-use parity_multicast::protocol::{CompletionPolicy, NpReceiver, NpSender, ResiliencePolicy};
+use parity_multicast::net::{
+    ChaosPreset, FaultConfig, FaultyTransport, MemHub, Message, NetError, PollTransport,
+    Transcript, TranscriptTransport, Transport,
+};
+use parity_multicast::obs::{Obs, Postmortem, WindowConfig, WindowTelemetry};
+use parity_multicast::protocol::n2::{N2Receiver, N2Sender};
+use parity_multicast::protocol::runtime::{
+    ReceiverMachine, RuntimeConfig, SenderMachine, SessionReport,
+};
+use parity_multicast::protocol::{
+    CompletionPolicy, NpConfig, NpReceiver, NpSender, ResiliencePolicy,
+};
 
 #[test]
 fn mux_transcripts_are_a_pinned_function_of_the_session_set() {
@@ -357,4 +370,225 @@ fn windowed_telemetry_is_deterministic_across_runs() {
     let second = run();
     assert!(!first.is_empty(), "telemetry must export something");
     assert_eq!(first, second, "windowed gauges must be run-deterministic");
+}
+
+// ------------------------------------------- feedback proportional to need
+
+/// `(NAKs, Dones)` among the datagrams an endpoint received.
+fn feedback_in(log: &Transcript) -> (usize, usize) {
+    let (mut naks, mut dones) = (0, 0);
+    for raw in &log.received {
+        match Message::decode(raw.clone()).expect("own traffic decodes") {
+            Message::Nak { .. } | Message::NakPacket { .. } => naks += 1,
+            Message::Done { .. } => dones += 1,
+            _ => {}
+        }
+    }
+    (naks, dones)
+}
+
+/// One sender and `receivers` receivers on a fresh hub under the virtual
+/// clock. The sender's endpoint is `wrap(hub endpoint)` inside a
+/// transcript; receiver `i`'s is `rx_endpoint(hub endpoint, i)`. Returns
+/// the sender's report, its wire history, and asserts every receiver
+/// delivered `data`.
+fn run_fanout<S, R, W, E>(
+    sender: S,
+    receivers: Vec<R>,
+    data: &[u8],
+    wrap: impl FnOnce(parity_multicast::net::mem::MemEndpoint) -> W,
+    rx_endpoint: impl Fn(parity_multicast::net::mem::MemEndpoint, u64) -> E,
+) -> (SessionReport, Transcript)
+where
+    S: SenderMachine + 'static,
+    R: ReceiverMachine + 'static,
+    W: PollTransport,
+    E: PollTransport,
+{
+    let hub = MemHub::new();
+    let mut sender_tp = TranscriptTransport::new(wrap(hub.join()));
+    let log = sender_tp.transcript();
+    let mut endpoints: Vec<E> = (0..receivers.len() as u64)
+        .map(|i| rx_endpoint(hub.join(), i))
+        .collect();
+    let (sent, received) = run_session(
+        VirtualClock::new(),
+        rt(),
+        &Obs::null(),
+        (sender, &mut sender_tp as &mut dyn PollTransport),
+        receivers
+            .into_iter()
+            .zip(endpoints.iter_mut())
+            .map(|(machine, tp)| (machine, tp as &mut dyn PollTransport)),
+    );
+    for (i, rep) in received.iter().enumerate() {
+        let rep = rep.as_ref().unwrap_or_else(|e| panic!("receiver {i}: {e}"));
+        assert_eq!(rep.data, data, "receiver {i} bytes");
+    }
+    let history = log.lock().clone();
+    (sent.expect("sender completes"), history)
+}
+
+fn fanout_cfg(receivers: u32) -> NpConfig {
+    NpConfig {
+        completion: CompletionPolicy::KnownReceivers(receivers),
+        ..np_cfg()
+    }
+}
+
+#[test]
+fn lossless_sessions_put_exactly_one_done_per_receiver_on_the_wire() {
+    const R: u32 = 16;
+    let data = payload(3 * 8 * 128 + 500); // three full groups and a short one
+    let (np, np_log) = run_fanout(
+        NpSender::new(1, &data, fanout_cfg(R)).expect("valid config"),
+        (0..R)
+            .map(|i| NpReceiver::new(i, 1, 0.001, i as u64))
+            .collect(),
+        &data,
+        |ep| ep,
+        |ep, _| ep,
+    );
+    let (n2, n2_log) = run_fanout(
+        N2Sender::new(2, &data, fanout_cfg(R)).expect("valid config"),
+        (0..R)
+            .map(|i| N2Receiver::new(i, 2, 0.001, i as u64))
+            .collect(),
+        &data,
+        |ep| ep,
+        |ep, _| ep,
+    );
+    for (proto, report, log) in [("NP", &np, &np_log), ("N2", &n2, &n2_log)] {
+        // Every later poll (one per group) used to draw a fresh Done from
+        // every receiver already complete.
+        assert_eq!(feedback_in(log), (0, R as usize), "{proto}: (NAKs, Dones)");
+        assert_eq!(report.completed.len(), R as usize, "{proto}");
+        assert!(!report.is_degraded(), "{proto}");
+    }
+}
+
+/// Loses the first `Done` of every receiver, as a sender's downlink might.
+struct DropFirstDone<T> {
+    inner: T,
+    dropped: std::collections::BTreeSet<u32>,
+}
+
+impl<T> DropFirstDone<T> {
+    fn filter(
+        &mut self,
+        mut recv: impl FnMut(&mut T) -> Result<Option<Message>, NetError>,
+    ) -> Result<Option<Message>, NetError> {
+        loop {
+            match recv(&mut self.inner)? {
+                Some(Message::Done { receiver, .. }) if self.dropped.insert(receiver) => continue,
+                other => return Ok(other),
+            }
+        }
+    }
+}
+
+impl<T: Transport> Transport for DropFirstDone<T> {
+    fn send(&mut self, msg: &Message) -> Result<(), NetError> {
+        self.inner.send(msg)
+    }
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
+        self.filter(|t| t.recv_timeout(timeout))
+    }
+}
+
+impl<T: PollTransport> PollTransport for DropFirstDone<T> {
+    fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
+        self.filter(T::poll_recv)
+    }
+}
+
+#[test]
+fn a_lost_done_is_recovered_by_the_keepalive_announce_within_one_interval() {
+    const R: u32 = 16;
+    let data = payload(3 * 8 * 128); // three full groups
+    let lossy_downlink = |ep| DropFirstDone {
+        inner: ep,
+        dropped: Default::default(),
+    };
+    let (np, np_log) = run_fanout(
+        NpSender::new(1, &data, fanout_cfg(R)).expect("valid config"),
+        (0..R)
+            .map(|i| NpReceiver::new(i, 1, 0.001, i as u64))
+            .collect(),
+        &data,
+        lossy_downlink,
+        |ep, _| ep,
+    );
+    let (n2, n2_log) = run_fanout(
+        N2Sender::new(2, &data, fanout_cfg(R)).expect("valid config"),
+        (0..R)
+            .map(|i| N2Receiver::new(i, 2, 0.001, i as u64))
+            .collect(),
+        &data,
+        lossy_downlink,
+        |ep, _| ep,
+    );
+    let cfg = fanout_cfg(R);
+    let tick = MuxConfig::default().tick;
+    for (proto, report, log) in [("NP", &np, &np_log), ("N2", &n2, &n2_log)] {
+        assert_eq!(
+            report.completed.len(),
+            R as usize,
+            "{proto}: everyone counted"
+        );
+        assert!(!report.is_degraded(), "{proto}: nobody evicted");
+        // Only the second Done of each receiver got through the filter:
+        // one keep-alive volley, not one per poll.
+        assert_eq!(feedback_in(log), (0, R as usize), "{proto}: (NAKs, Dones)");
+        // The wire is lossless and paced one datagram per `packet_spacing`
+        // from t = 0, so every receiver completed when the last data
+        // packet went out.
+        let last_data = log
+            .sent
+            .iter()
+            .rposition(|raw| matches!(Message::decode(raw.clone()), Ok(Message::Packet { .. })))
+            .expect("data was sent");
+        let last_completion = rt().packet_spacing * last_data as u32;
+        let bound = last_completion + Duration::from_secs_f64(cfg.announce_interval) + tick;
+        assert!(
+            report.elapsed <= bound,
+            "{proto}: ended at {:?}, bound {bound:?}",
+            report.elapsed
+        );
+    }
+}
+
+#[test]
+fn receiver_feedback_at_the_papers_shape_is_a_pinned_count() {
+    // The paper's many-receiver case: NP, k = 7, R = 64, p = 0.01 on every
+    // receiver's downlink, 32 groups. Under the virtual clock the count is
+    // a constant of the code and the seeds — pinned exactly, so one extra
+    // feedback datagram per session is a test failure, not noise.
+    const R: u32 = 64;
+    const GROUPS: usize = 32;
+    let mut cfg = NpConfig::small(CompletionPolicy::KnownReceivers(R));
+    cfg.payload_len = 32;
+    let data = payload(GROUPS * cfg.k * cfg.payload_len);
+    let nak_slot = cfg.nak_slot;
+    let (report, log) = run_fanout(
+        NpSender::new(64, &data, cfg).expect("valid config"),
+        (0..R)
+            .map(|i| NpReceiver::new(i, 64, nak_slot, 0xF00D + i as u64))
+            .collect(),
+        &data,
+        |ep| ep,
+        |ep, i| FaultyTransport::new(ep, FaultConfig::drop_only(0.01), 0x5EED_0000 + i),
+    );
+    assert_eq!(report.completed.len(), R as usize);
+    assert!(!report.is_degraded());
+    let (naks, dones) = feedback_in(&log);
+    assert_eq!(
+        dones, R as usize,
+        "one Done per receiver, no reminder volley"
+    );
+    assert!(
+        naks + dones <= R as usize + 3 * GROUPS,
+        "feedback must stay proportional to need: {naks} NAKs + {dones} Dones"
+    );
+    assert_eq!((naks, dones), (32, 64), "pinned for these seeds");
 }
