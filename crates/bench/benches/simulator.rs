@@ -47,46 +47,5 @@ fn bench_environments(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_protocol_harness(c: &mut Criterion) {
-    // Full NP implementation (state machines, suppression, rounds) on the
-    // deterministic medium — the cost of one simulated session at scale.
-    use pm_core::harness::{run_simulation, HarnessConfig};
-    use pm_core::{CompletionPolicy, NpConfig, NpReceiver, NpSender};
-    use pm_loss::IndependentLoss;
-    let mut g = c.benchmark_group("protocol_harness");
-    g.sample_size(10);
-    for &r in &[32usize, 256] {
-        g.bench_with_input(BenchmarkId::from_parameter(r), &r, |b, &r| {
-            b.iter(|| {
-                let mut cfg = NpConfig::small(CompletionPolicy::KnownReceivers(r as u32));
-                cfg.k = 20;
-                cfg.h = 235;
-                cfg.payload_len = 8;
-                cfg.nak_slot = 0.002;
-                cfg.round_timeout = 0.05;
-                let data = vec![0xA5u8; 20 * 8 * 5];
-                let mut sender = NpSender::new(1, &data, cfg).unwrap();
-                let mut receivers: Vec<NpReceiver> = (0..r)
-                    .map(|i| NpReceiver::new(i as u32, 1, 0.002, i as u64))
-                    .collect();
-                let mut loss = IndependentLoss::new(r, 0.02, 42);
-                run_simulation(
-                    &mut sender,
-                    &mut receivers,
-                    &mut loss,
-                    &HarnessConfig::default(),
-                )
-                .unwrap()
-            });
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_schemes,
-    bench_environments,
-    bench_protocol_harness
-);
+criterion_group!(benches, bench_schemes, bench_environments);
 criterion_main!(benches);

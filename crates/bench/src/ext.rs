@@ -216,61 +216,57 @@ pub fn ext_slot_sweep(quality: Quality) -> Figure {
 }
 
 /// extF — the real NP implementation at scale: achieved E\[M\] and NAKs
-/// reaching the sender per transmission group, from the deterministic
-/// protocol harness (`pm_core::harness`) driving actual `NpSender`/
-/// `NpReceiver` machines over a simulated medium. The analytical bound
-/// rides along for comparison — the implementation should hug it.
+/// reaching the sender per transmission group, from actual `NpSender`/
+/// `NpReceiver` machines on one `pm_mux::Mux` over a virtual clock, each
+/// receiver behind a seeded `FaultyTransport::drop_only(p)`. The analytical
+/// bound rides along for comparison — the implementation should hug it.
 pub fn ext_protocol_scale(quality: Quality) -> Figure {
-    use pm_core::harness::{run_simulation, HarnessConfig};
-    use pm_core::{CompletionPolicy, NpConfig, NpReceiver, NpSender};
-    use pm_loss::IndependentLoss;
+    use pm_core::{CompletionPolicy, NpConfig, NpReceiver, NpSender, RuntimeConfig};
+    use pm_mux::{drive_session, Mux, MuxConfig, VirtualClock};
+    use pm_net::{
+        FaultConfig, FaultyTransport, MemHub, Message, PollTransport, TranscriptTransport,
+    };
 
-    let (k, p) = (20usize, 0.01);
-    let rs: Vec<usize> = match quality {
-        Quality::Quick => vec![4, 16, 64],
-        Quality::Full => vec![4, 16, 64, 256, 1024],
+    let (k, p, rt) = (20usize, 0.01, RuntimeConfig::default());
+    let (rs, groups): (&[usize], usize) = match quality {
+        Quality::Quick => (&[4, 16, 64], 6),
+        Quality::Full => (&[4, 16, 64, 256, 1024], 25),
     };
-    let groups = match quality {
-        Quality::Quick => 6,
-        Quality::Full => 25,
-    };
-    let mut em_pts = Vec::new();
-    let mut nak_pts = Vec::new();
-    let mut bound_pts = Vec::new();
-    for &r in &rs {
+    let (mut em_pts, mut nak_pts, mut bound_pts) = (Vec::new(), Vec::new(), Vec::new());
+    for &r in rs {
         let mut cfg = NpConfig::small(CompletionPolicy::KnownReceivers(r as u32));
         cfg.k = k;
         cfg.h = 255 - k;
         cfg.payload_len = 8;
         cfg.nak_slot = 0.002;
         cfg.round_timeout = 0.05;
-        let data: Vec<u8> = vec![0xA5; k * 8 * groups];
-        let mut sender = NpSender::new(0xF00D, &data, cfg).expect("config");
-        let mut receivers: Vec<NpReceiver> = (0..r)
-            .map(|i| NpReceiver::new(i as u32, 0xF00D, 0.002, 0xE0 + i as u64))
-            .collect();
-        let mut loss = IndependentLoss::new(r, p, 0xE0 ^ r as u64);
-        let report = run_simulation(
-            &mut sender,
-            &mut receivers,
-            &mut loss,
-            &HarnessConfig {
-                latency: 0.0005,
-                ..Default::default()
-            },
-        )
-        .expect("session completes");
-        em_pts.push((r as f64, report.transmissions_per_packet));
-        nak_pts.push((r as f64, report.naks_at_sender as f64 / groups as f64));
-        bound_pts.push((
-            r as f64,
-            integrated::lower_bound(k, 0, &Population::homogeneous(p, r as u64)),
-        ));
+        let sender = NpSender::new(0xF00D, &vec![0xA5; k * 8 * groups], cfg).expect("config");
+        let hub = MemHub::new();
+        let mut sender_tp = TranscriptTransport::new(hub.join());
+        let log = sender_tp.transcript();
+        let lossy =
+            |i: u64| FaultyTransport::new(hub.join(), FaultConfig::drop_only(p), 0xE0 ^ (i << 8));
+        let mut endpoints: Vec<_> = (0..r as u64).map(lossy).collect();
+        let receivers = endpoints.iter_mut().zip(0..).map(|(tp, i)| {
+            let machine = NpReceiver::new(i, 0xF00D, 0.002, 0xE0 + i as u64);
+            (machine, tp as &mut dyn PollTransport)
+        });
+        let mut mux = Mux::new(MuxConfig::default(), VirtualClock::new());
+        let (sent, received) = drive_session(&mut mux, rt, (sender, &mut sender_tp), receivers);
+        assert!(received.iter().all(|rep| rep.is_ok()), "a receiver failed");
+        let c = sent.expect("session completes").counters;
+        let is_nak = |m: &Message| matches!(m, Message::Nak { .. });
+        let naks = log.lock().received_messages().filter(is_nak).count();
+        let bound = integrated::lower_bound(k, 0, &Population::homogeneous(p, r as u64));
+        let em = c.packets_sent() as f64 / c.data_sent.max(1) as f64;
+        em_pts.push((r as f64, em));
+        nak_pts.push((r as f64, naks as f64 / groups as f64));
+        bound_pts.push((r as f64, bound));
     }
     Figure {
         id: "extF".into(),
         title: format!(
-            "real NP implementation at scale (harness, k = {k}, p = {p}, {groups} groups)"
+            "real NP implementation at scale (Mux on a virtual clock, k = {k}, p = {p}, {groups} groups)"
         ),
         x_label: "receivers R".into(),
         y_label: "E[M] / NAKs per group".into(),
@@ -280,9 +276,7 @@ pub fn ext_protocol_scale(quality: Quality) -> Figure {
             Series::new("Eq. (6) bound", bound_pts),
             Series::new("NAKs per group at sender", nak_pts),
         ],
-        notes: vec![
-            "extension: sans-io machines on a simulated medium; no threads involved".into(),
-        ],
+        notes: vec!["extension: sans-io machines on the one driver; no threads involved".into()],
     }
 }
 

@@ -11,12 +11,11 @@
 //! reconstructs the transfer and departs. Late joiners are first-class:
 //! every cycle is as good as the first.
 //!
-//! The sender is a [`crate::runtime::SenderMachine`], so the threaded
-//! runtime and the deterministic [`crate::harness`] both drive it; the
-//! ordinary [`crate::NpReceiver`] is the receiver (it never gets polled, so
-//! it never sends repair feedback — its only transmission is the final
-//! `Done`, which [`CarouselStop::AllDone`] uses for termination and
-//! [`CarouselStop::Cycles`] ignores entirely).
+//! The sender is a [`crate::runtime::SenderMachine`], so `pm-mux` drives it
+//! like any other; the ordinary [`crate::NpReceiver`] is the receiver (it
+//! never gets polled, so it never sends repair feedback — its only
+//! transmission is the final `Done`, which [`CarouselStop::AllDone`] uses
+//! for termination and [`CarouselStop::Cycles`] ignores entirely).
 
 use bytes::Bytes;
 
@@ -287,9 +286,7 @@ impl crate::runtime::SenderMachine for CarouselSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_simulation, HarnessConfig};
     use crate::receiver::NpReceiver;
-    use pm_loss::IndependentLoss;
 
     const SESSION: u32 = 0xCA80;
 
@@ -399,63 +396,6 @@ mod tests {
         assert!(fin);
         assert_eq!(s.cycles_done(), 2);
         assert!(matches!(s.next_step(0.0), SenderStep::Finished));
-    }
-
-    #[test]
-    fn feedback_free_delivery_under_loss() {
-        // 16 lossy receivers, zero repair feedback: the per-cycle parities
-        // plus extra cycles carry everyone home.
-        let r = 16usize;
-        let payload = data(5 * 16 * 4);
-        let mut sender =
-            CarouselSender::new(SESSION, &payload, cfg(CarouselStop::Cycles(4))).unwrap();
-        let mut receivers: Vec<NpReceiver> = (0..r)
-            .map(|i| NpReceiver::new(i as u32, SESSION, 0.002, i as u64))
-            .collect();
-        let mut loss = IndependentLoss::new(r, 0.1, 99);
-        let report = run_simulation(
-            &mut sender,
-            &mut receivers,
-            &mut loss,
-            &HarnessConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(
-            report.completed, r,
-            "all receivers decode from the carousel alone"
-        );
-        assert_eq!(report.naks_at_sender, 0, "no repair feedback whatsoever");
-        for (i, rx) in receivers.iter().enumerate() {
-            assert_eq!(rx.take_data().unwrap(), payload, "receiver {i}");
-        }
-    }
-
-    #[test]
-    fn all_done_stops_early() {
-        // With AllDone the carousel quits as soon as the population
-        // reports in — fewer cycles than the fixed-cycle worst case.
-        let r = 4usize;
-        let payload = data(5 * 16 * 2);
-        let mut scfg = cfg(CarouselStop::AllDone(r as u32));
-        scfg.h = 3;
-        let mut sender = CarouselSender::new(SESSION, &payload, scfg).unwrap();
-        let mut receivers: Vec<NpReceiver> = (0..r)
-            .map(|i| NpReceiver::new(i as u32, SESSION, 0.002, i as u64))
-            .collect();
-        let mut loss = IndependentLoss::new(r, 0.05, 7);
-        let report = run_simulation(
-            &mut sender,
-            &mut receivers,
-            &mut loss,
-            &HarnessConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(report.completed, r);
-        assert!(
-            sender.cycles_done() <= 2,
-            "should stop quickly: {}",
-            sender.cycles_done()
-        );
     }
 
     #[test]

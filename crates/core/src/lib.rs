@@ -21,7 +21,8 @@
 //! `(Message, now)` and emitting messages to send — deterministic to test,
 //! trivial to embed. [`runtime`] holds what a driver of those machines
 //! shares with them — the machine traits, timing/resilience configuration
-//! and session reports — and `pm-mux` is that driver, over any
+//! and session reports — and `pm-mux` is that driver, the only one (tests
+//! at R = 1000 included: a `Mux` on a virtual clock), over any
 //! [`pm_net::Transport`] (in-memory hub or real UDP multicast); [`costs`]
 //! counts every packet/NAK/encode/decode so end-host processing (Section
 //! 5's metric) can be attributed with a [`pm_analysis::CostModel`]-style
@@ -29,14 +30,14 @@
 //!
 //! Every layer optionally emits structured [`pm_obs`] events: construct the
 //! machines with `with_obs` and hand the same handle to the driver
-//! (`pm_mux::drive_sender`/`pm_mux::drive_receiver`, or `Mux::with_obs`)
+//! (`pm_mux::drive_sender`/`pm_mux::drive_receiver`, or `Mux::with_obs`
+//! ahead of `pm_mux::drive_session`)
 //! to get a full session trace (see `crates/obs`).
 
 pub mod carousel;
 pub mod config;
 pub mod costs;
 pub mod error;
-pub mod harness;
 pub mod n2;
 pub mod receiver;
 pub mod runtime;
@@ -47,7 +48,6 @@ pub use carousel::{CarouselConfig, CarouselSender, CarouselStop};
 pub use config::{CompletionPolicy, NpConfig};
 pub use costs::CostCounters;
 pub use error::ProtocolError;
-pub use harness::{run_simulation, HarnessConfig, SimulationReport};
 pub use receiver::{NpReceiver, ReceiverAction};
 pub use runtime::{ReceiverReport, ResilienceCore, ResiliencePolicy, RuntimeConfig};
 pub use sender::{NpSender, SenderStep};

@@ -143,24 +143,6 @@ pub mod reference {
         }
     }
 
-    /// Scalar `dst = c * src`.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn mul_slice(c: Gf256, src: &[u8], dst: &mut [u8]) {
-        assert_eq!(dst.len(), src.len(), "mul_slice length mismatch");
-        for (d, s) in dst.iter_mut().zip(src.iter()) {
-            *d = (c * Gf256(*s)).0;
-        }
-    }
-
-    /// Scalar in-place `data *= c`.
-    pub fn scale_slice(c: Gf256, data: &mut [u8]) {
-        for d in data.iter_mut() {
-            *d = (c * Gf256(*d)).0;
-        }
-    }
-
     /// Scalar batched multiply-accumulate (sequential applications).
     ///
     /// # Panics

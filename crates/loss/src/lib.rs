@@ -3,8 +3,8 @@
 //!
 //! The paper evaluates FEC/ARQ recovery under four loss environments
 //! (Sections 3 and 4); each has a model here, all behind the [`LossModel`]
-//! trait so the simulator and the protocol test harness can swap them
-//! freely:
+//! trait so the simulator can swap them freely (the live protocol's tests
+//! inject independent loss per receiver with `pm_net::FaultyTransport`):
 //!
 //! * [`IndependentLoss`] — spatially and temporally independent Bernoulli
 //!   loss with probability `p` at every receiver (Section 3).

@@ -1,21 +1,26 @@
-//! Blocking entry points: one session on the calling thread.
+//! Blocking entry points: sessions run to their end on the calling thread.
 //!
-//! Each is a one-session [`Mux`] over a [`WallClock`] — the same loop that
-//! runs a farm, so a session behaves the same alone as among thousands.
-//! The machine is consumed (its results come back in the report); the
-//! transport is borrowed, so `stats()` and transcripts stay readable.
-//! Callers that want a flight-recorder postmortem, metrics or a virtual
-//! clock build the `Mux` themselves ([`MuxConfig::flight_capacity`],
-//! [`Mux::bind_metrics`], [`crate::VirtualClock`]).
+//! [`drive_sender`] / [`drive_receiver`] are a one-session [`Mux`] over a
+//! [`WallClock`] — the same loop that runs a farm, so a session behaves
+//! the same alone as among thousands. [`drive_session`] runs a whole
+//! group — one sender and its receivers — on a mux the caller built, so
+//! the clock ([`crate::VirtualClock`] for a run that is a pure function of
+//! its seeds), the obs handle, a flight recorder
+//! ([`MuxConfig::flight_capacity`]) and metrics ([`Mux::bind_metrics`])
+//! are the caller's choice. Machines are consumed (their results come back
+//! in the reports); transports are borrowed, so `stats()` and transcripts
+//! stay readable.
+
+use std::collections::HashMap;
 
 use pm_core::error::ProtocolError;
 use pm_core::runtime::{
     ReceiverMachine, ReceiverReport, RuntimeConfig, SenderMachine, SessionReport,
 };
-use pm_net::PollTransport;
+use pm_net::{PollTransport, Token};
 use pm_obs::Obs;
 
-use crate::clock::WallClock;
+use crate::clock::{MuxClock, WallClock};
 use crate::mux::{Mux, MuxConfig, SessionOutcome};
 
 /// Drive a sender machine to completion, emitting runtime lifecycle events
@@ -75,8 +80,51 @@ where
     }
 }
 
+/// Run one sender and its receivers, each machine paired with the endpoint
+/// it runs on, on `mux` (empty on entry) until every session has ended.
+/// Returns the sender's verdict and the receivers', in the order given.
+///
+/// # Errors
+/// Per session, those of [`drive_sender`] / [`drive_receiver`]; a session
+/// the mux shed under an overload policy reports
+/// [`ProtocolError::Inconsistent`].
+pub fn drive_session<'a, C, S, R>(
+    mux: &mut Mux<&'a mut dyn PollTransport, C>,
+    rt: RuntimeConfig,
+    sender: (S, &'a mut dyn PollTransport),
+    receivers: impl IntoIterator<Item = (R, &'a mut dyn PollTransport)>,
+) -> (
+    Result<SessionReport, ProtocolError>,
+    Vec<Result<ReceiverReport, ProtocolError>>,
+)
+where
+    C: MuxClock,
+    S: SenderMachine + 'static,
+    R: ReceiverMachine + 'static,
+{
+    let s_tok = mux.add_sender(sender.0, sender.1, rt);
+    let r_toks: Vec<Token> = receivers
+        .into_iter()
+        .map(|(machine, tp)| mux.add_receiver(machine, tp, rt))
+        .collect();
+    let mut outcomes: HashMap<Token, SessionOutcome> = mux.run().into_iter().collect();
+    let sender = match outcomes.remove(&s_tok) {
+        Some(SessionOutcome::Sender(verdict)) => verdict,
+        _ => Err(no_outcome()),
+    };
+    let receivers = r_toks
+        .iter()
+        .map(|tok| match outcomes.remove(tok) {
+            Some(SessionOutcome::Receiver(verdict)) => verdict,
+            _ => Err(no_outcome()),
+        })
+        .collect();
+    (sender, receivers)
+}
+
 /// `run` returns one outcome per session added and only an overload policy
-/// sheds; neither wrapper configures one. Typed rather than a panic.
+/// sheds; `drive_sender` / `drive_receiver` configure none. Typed rather
+/// than a panic.
 fn no_outcome() -> ProtocolError {
     ProtocolError::Inconsistent("mux ended without this session's outcome".into())
 }

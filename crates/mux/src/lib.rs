@@ -17,7 +17,8 @@
 //! [`SessionReport`](pm_core::runtime::SessionReport) /
 //! [`ReceiverReport`](pm_core::runtime::ReceiverReport) a session ends
 //! with. [`drive_sender`] / [`drive_receiver`] run one session to its end
-//! on the calling thread.
+//! on the calling thread; [`drive_session`] runs a sender and all its
+//! receivers there, on a mux (and so a clock) of the caller's choosing.
 //!
 //! Time comes from a [`MuxClock`]: [`VirtualClock`] for deterministic
 //! tests (the clock jumps to the next timer deadline when the system is
@@ -40,7 +41,7 @@ pub mod overload;
 pub mod wheel;
 
 pub use clock::{MuxClock, VirtualClock, WallClock};
-pub use drive::{drive_receiver, drive_sender};
+pub use drive::{drive_receiver, drive_sender, drive_session};
 pub use mux::{Mux, MuxConfig, MuxMetrics, SessionOutcome, ShedReport};
 pub use overload::{AdmissionError, OverloadConfig, OverloadPolicy, OverloadSignal};
 pub use wheel::TimerWheel;

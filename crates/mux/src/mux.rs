@@ -1781,6 +1781,83 @@ mod tests {
         }
     }
 
+    /// A carousel of `data` to `r` NP receivers, each losing a datagram with
+    /// probability `p`, on one mux; every receiver must end with the bytes.
+    /// Returns the sender's report and the NAKs that reached its endpoint.
+    fn carousel_fanout(
+        cfg: pm_core::CarouselConfig,
+        data: &[u8],
+        r: u32,
+        p: f64,
+        seed: u64,
+    ) -> (SessionReport, usize) {
+        use pm_net::{FaultConfig, FaultyTransport, TranscriptTransport};
+        let session = 0xCA80;
+        let hub = MemHub::new();
+        let mut sender_tp = TranscriptTransport::new(hub.join());
+        let log = sender_tp.transcript();
+        let mut endpoints: Vec<_> = (0..r as u64)
+            .map(|i| FaultyTransport::new(hub.join(), FaultConfig::drop_only(p), seed + i))
+            .collect();
+        let sender = pm_core::CarouselSender::new(session, data, cfg).unwrap();
+        let (sent, received) = crate::drive_session(
+            &mut Mux::new(MuxConfig::default(), VirtualClock::new()),
+            rt(),
+            (sender, &mut sender_tp as &mut dyn PollTransport),
+            endpoints.iter_mut().zip(0..).map(|(tp, id)| {
+                let machine = NpReceiver::new(id, session, 0.002, id as u64);
+                (machine, tp as &mut dyn PollTransport)
+            }),
+        );
+        for (id, rep) in received.into_iter().enumerate() {
+            assert_eq!(rep.expect("receiver completes").data, data, "receiver {id}");
+        }
+        let naks = log
+            .lock()
+            .received_messages()
+            .filter(|m| matches!(m, Message::Nak { .. }))
+            .count();
+        (sent.expect("carousel completes"), naks)
+    }
+
+    #[test]
+    fn carousel_delivers_feedback_free_under_loss() {
+        // 16 lossy receivers, zero repair feedback: the per-cycle parities
+        // plus extra cycles carry everyone home.
+        use pm_core::{CarouselConfig, CarouselStop};
+        let cfg = CarouselConfig {
+            k: 5,
+            h: 2,
+            payload_len: 16,
+            stop: CarouselStop::Cycles(4),
+            announce_every: 10,
+        };
+        let (_, naks) = carousel_fanout(cfg, &payload(5 * 16 * 4), 16, 0.1, 99);
+        assert_eq!(naks, 0, "no repair feedback whatsoever");
+    }
+
+    #[test]
+    fn carousel_all_done_stops_early() {
+        // With AllDone the carousel quits as soon as the population
+        // reports in — fewer cycles than the fixed-cycle worst case.
+        use pm_core::{CarouselConfig, CarouselStop};
+        let cfg = CarouselConfig {
+            k: 5,
+            h: 3,
+            payload_len: 16,
+            stop: CarouselStop::AllDone(4),
+            announce_every: 10,
+        };
+        let total_packets = 5 * 2;
+        let (report, _) = carousel_fanout(cfg, &payload(16 * total_packets), 4, 0.05, 7);
+        assert_eq!(report.completed.len(), 4);
+        assert!(
+            report.counters.data_sent <= 2 * total_packets as u64,
+            "should stop within two cycles: {} data packets sent",
+            report.counters.data_sent
+        );
+    }
+
     /// A sender machine that plays a fixed script of steps and counts
     /// every message handed to it as feedback.
     struct Scripted {

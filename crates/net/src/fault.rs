@@ -236,32 +236,14 @@ impl<T: Transport> FaultyTransport<T> {
         };
         (len as u64, err)
     }
-}
 
-impl<T: Transport> Transport for FaultyTransport<T> {
-    fn send(&mut self, msg: &Message) -> Result<(), NetError> {
-        // Feedback crosses the same hostile network: the blackout window
-        // and send_drop swallow outbound datagrams silently (the network
-        // never reports a lost UDP datagram either).
-        if self.in_blackout() {
-            self.stats.blackout_send += 1;
-            self.obs.emit(self.clock.now(), || Event::NetBlackout {
-                kind: msg.obs_kind(),
-                tx: true,
-            });
-            return Ok(());
-        }
-        if self.rng.random::<f64>() < self.cfg.send_drop {
-            self.stats.send_dropped += 1;
-            self.obs.emit(self.clock.now(), || Event::NetDropped {
-                kind: msg.obs_kind(),
-            });
-            return Ok(());
-        }
-        self.inner.send(msg)
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
+    /// The receive-side fault pipeline. `pull` fetches the next datagram
+    /// from the inner endpoint — blocking up to a deadline, or polling —
+    /// and is all the two receive paths differ in.
+    fn recv_with(
+        &mut self,
+        mut pull: impl FnMut(&mut T) -> Result<Option<Message>, NetError>,
+    ) -> Result<Option<Message>, NetError> {
         if let Some(dup) = self.pending_dup.take() {
             self.stats.delivered += 1;
             return Ok(Some(dup));
@@ -272,15 +254,11 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             self.stats.delivered += 1;
             return Ok(Some(real));
         }
-        // pm-audit: allow(determinism-time): blocking-IO recv deadline on a real transport, wall-clock by design
-        let deadline = std::time::Instant::now() + timeout;
         loop {
-            // pm-audit: allow(determinism-time): blocking-IO recv deadline on a real transport, wall-clock by design
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            let msg = match self.inner.recv_timeout(remaining)? {
+            let msg = match pull(&mut self.inner)? {
                 Some(m) => m,
                 None => {
-                    // Timed out: flush a held (reordered) message if any
+                    // Nothing more: flush a held (reordered) message if any
                     // rather than losing it forever.
                     if let Some(h) = self.held.take() {
                         self.stats.delivered += 1;
@@ -360,11 +338,46 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     }
 }
 
-/// The default `recv_timeout(ZERO)` path runs the whole fault pipeline
-/// without parking (a zero deadline drains only ready datagrams and
-/// flushes any held/reordered message on exhaustion), so chaos decorators
-/// compose transparently under the multiplexer's poll loop.
-impl<T: Transport> crate::poll::PollTransport for FaultyTransport<T> {}
+impl<T: Transport> Transport for FaultyTransport<T> {
+    fn send(&mut self, msg: &Message) -> Result<(), NetError> {
+        // Feedback crosses the same hostile network: the blackout window
+        // and send_drop swallow outbound datagrams silently (the network
+        // never reports a lost UDP datagram either).
+        if self.in_blackout() {
+            self.stats.blackout_send += 1;
+            self.obs.emit(self.clock.now(), || Event::NetBlackout {
+                kind: msg.obs_kind(),
+                tx: true,
+            });
+            return Ok(());
+        }
+        if self.rng.random::<f64>() < self.cfg.send_drop {
+            self.stats.send_dropped += 1;
+            self.obs.emit(self.clock.now(), || Event::NetDropped {
+                kind: msg.obs_kind(),
+            });
+            return Ok(());
+        }
+        self.inner.send(msg)
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
+        // pm-audit: allow(determinism-time): blocking-IO recv deadline on a real transport, wall-clock by design
+        let deadline = std::time::Instant::now() + timeout;
+        self.recv_with(|inner| {
+            // pm-audit: allow(determinism-time): blocking-IO recv deadline on a real transport, wall-clock by design
+            inner.recv_timeout(deadline.saturating_duration_since(std::time::Instant::now()))
+        })
+    }
+}
+
+/// The same pipeline over the inner endpoint's own `poll_recv`: an empty
+/// poll reads no clock, so an idle chaos decorator costs a sweep nothing.
+impl<T: crate::poll::PollTransport> crate::poll::PollTransport for FaultyTransport<T> {
+    fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
+        self.recv_with(T::poll_recv)
+    }
+}
 
 #[cfg(test)]
 mod tests {

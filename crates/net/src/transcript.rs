@@ -37,6 +37,13 @@ impl Transcript {
     pub fn is_empty(&self) -> bool {
         self.sent.is_empty() && self.received.is_empty()
     }
+
+    /// The received datagrams, decoded — e.g. to count the NAKs that
+    /// reached a sender's endpoint.
+    pub fn received_messages(&self) -> impl Iterator<Item = Message> + '_ {
+        let decode = |raw: &Bytes| Message::decode(raw.clone()).ok();
+        self.received.iter().filter_map(decode)
+    }
 }
 
 /// Transport decorator recording a [`Transcript`] of all traffic.

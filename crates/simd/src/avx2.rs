@@ -39,16 +39,6 @@ pub(crate) fn mul_add(t: &CoeffTables, src: &[u8], dst: &mut [u8]) {
     unsafe { mul_add_avx2(t, src, dst) }
 }
 
-pub(crate) fn mul(t: &CoeffTables, src: &[u8], dst: &mut [u8]) {
-    // SAFETY: as above.
-    unsafe { mul_avx2(t, src, dst) }
-}
-
-pub(crate) fn scale(t: &CoeffTables, data: &mut [u8]) {
-    // SAFETY: as above.
-    unsafe { scale_avx2(t, data) }
-}
-
 pub(crate) fn mul_add_multi_rows(sources: &[(CoeffTables, &[u8])], dst: &mut [u8]) {
     // SAFETY: as above.
     unsafe { mul_add_multi_rows_avx2(sources, dst) }
@@ -122,50 +112,6 @@ fn mul_add_avx2(t: &CoeffTables, src: &[u8], dst: &mut [u8]) {
     let row = t.row();
     for (d, s) in dst[o..].iter_mut().zip(&src[o..]) {
         *d ^= row[*s as usize];
-    }
-}
-
-#[target_feature(enable = "avx2")]
-fn mul_avx2(t: &CoeffTables, src: &[u8], dst: &mut [u8]) {
-    let n = dst.len();
-    let (lo_t, hi_t) = broadcast_tables(t.nib());
-    let mut o = 0;
-    while o + 32 <= n {
-        // SAFETY: o + 32 <= n and the wrapper asserted src.len() == n.
-        unsafe {
-            let s = _mm256_loadu_si256(src.as_ptr().add(o) as *const __m256i);
-            _mm256_storeu_si256(
-                dst.as_mut_ptr().add(o) as *mut __m256i,
-                product32(lo_t, hi_t, s),
-            );
-        }
-        o += 32;
-    }
-    let row = t.row();
-    for (d, s) in dst[o..].iter_mut().zip(&src[o..]) {
-        *d = row[*s as usize];
-    }
-}
-
-#[target_feature(enable = "avx2")]
-fn scale_avx2(t: &CoeffTables, data: &mut [u8]) {
-    let n = data.len();
-    let (lo_t, hi_t) = broadcast_tables(t.nib());
-    let mut o = 0;
-    while o + 32 <= n {
-        // SAFETY: o + 32 <= n.
-        unsafe {
-            let d = _mm256_loadu_si256(data.as_ptr().add(o) as *const __m256i);
-            _mm256_storeu_si256(
-                data.as_mut_ptr().add(o) as *mut __m256i,
-                product32(lo_t, hi_t, d),
-            );
-        }
-        o += 32;
-    }
-    let row = t.row();
-    for d in data[o..].iter_mut() {
-        *d = row[*d as usize];
     }
 }
 

@@ -202,7 +202,6 @@ impl fmt::Debug for CoeffTables {
 
 type XorFn = fn(&mut [u8], &[u8]);
 type MulFn = fn(&CoeffTables, &[u8], &mut [u8]);
-type ScaleFn = fn(&CoeffTables, &mut [u8]);
 type MultiRowsFn = fn(&[(CoeffTables, &[u8])], &mut [u8]);
 
 /// A backend's kernel vtable. Obtain one via [`kernels`] / [`try_kernels`]
@@ -215,8 +214,6 @@ pub struct Kernels {
     backend: Backend,
     xor: XorFn,
     mul_add: MulFn,
-    mul: MulFn,
-    scale: ScaleFn,
     multi_rows: MultiRowsFn,
 }
 
@@ -224,15 +221,6 @@ impl Kernels {
     /// Which backend this vtable runs on.
     pub fn backend(&self) -> Backend {
         self.backend
-    }
-
-    /// `dst ^= src`, element-wise.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn xor_slice(&self, dst: &mut [u8], src: &[u8]) {
-        assert_eq!(dst.len(), src.len(), "xor_slice length mismatch");
-        (self.xor)(dst, src);
     }
 
     /// `dst ^= c * src` — multiply-accumulate with a scalar coefficient.
@@ -249,49 +237,6 @@ impl Kernels {
             return;
         }
         (self.mul_add)(&CoeffTables::new(c), src, dst);
-    }
-
-    /// `dst ^= c * src` with the coefficient's tables prebuilt — the
-    /// zero-setup variant for callers that cache [`CoeffTables`] across many
-    /// packets, mirroring `pm_gf::slice::mul_add_row`.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn mul_add_tables(&self, t: &CoeffTables, src: &[u8], dst: &mut [u8]) {
-        assert_eq!(dst.len(), src.len(), "mul_add_slice length mismatch");
-        if t.c.is_zero() {
-            return;
-        }
-        (self.mul_add)(t, src, dst);
-    }
-
-    /// `dst = c * src` (overwrites `dst`).
-    ///
-    /// # Panics
-    /// Panics if the lengths differ.
-    pub fn mul_slice(&self, c: Gf256, src: &[u8], dst: &mut [u8]) {
-        assert_eq!(dst.len(), src.len(), "mul_slice length mismatch");
-        if c.is_zero() {
-            dst.fill(0);
-            return;
-        }
-        if c == Gf256::ONE {
-            dst.copy_from_slice(src);
-            return;
-        }
-        (self.mul)(&CoeffTables::new(c), src, dst);
-    }
-
-    /// Scale a slice in place: `data *= c`.
-    pub fn scale_slice(&self, c: Gf256, data: &mut [u8]) {
-        if c == Gf256::ONE {
-            return;
-        }
-        if c.is_zero() {
-            data.fill(0);
-            return;
-        }
-        (self.scale)(&CoeffTables::new(c), data);
     }
 
     /// `dst ^= c1*src1 ^ c2*src2 ^ ...` — batched multiply-accumulate over
@@ -340,8 +285,6 @@ static SCALAR_KERNELS: Kernels = Kernels {
     backend: Backend::Scalar,
     xor: scalar::xor,
     mul_add: scalar::mul_add,
-    mul: scalar::mul,
-    scale: scalar::scale,
     multi_rows: scalar::mul_add_multi_rows,
 };
 
@@ -350,8 +293,6 @@ static AVX2_KERNELS: Kernels = Kernels {
     backend: Backend::Avx2,
     xor: avx2::xor,
     mul_add: avx2::mul_add,
-    mul: avx2::mul,
-    scale: avx2::scale,
     multi_rows: avx2::mul_add_multi_rows,
 };
 
@@ -360,8 +301,6 @@ static NEON_KERNELS: Kernels = Kernels {
     backend: Backend::Neon,
     xor: neon::xor,
     mul_add: neon::mul_add,
-    mul: neon::mul,
-    scale: neon::scale,
     multi_rows: neon::mul_add_multi_rows,
 };
 

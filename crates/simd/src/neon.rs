@@ -32,16 +32,6 @@ pub(crate) fn mul_add(t: &CoeffTables, src: &[u8], dst: &mut [u8]) {
     unsafe { mul_add_neon(t, src, dst) }
 }
 
-pub(crate) fn mul(t: &CoeffTables, src: &[u8], dst: &mut [u8]) {
-    // SAFETY: as above.
-    unsafe { mul_neon(t, src, dst) }
-}
-
-pub(crate) fn scale(t: &CoeffTables, data: &mut [u8]) {
-    // SAFETY: as above.
-    unsafe { scale_neon(t, data) }
-}
-
 pub(crate) fn mul_add_multi_rows(sources: &[(CoeffTables, &[u8])], dst: &mut [u8]) {
     // SAFETY: as above.
     unsafe { mul_add_multi_rows_neon(sources, dst) }
@@ -102,44 +92,6 @@ fn mul_add_neon(t: &CoeffTables, src: &[u8], dst: &mut [u8]) {
     let row = t.row();
     for (d, s) in dst[o..].iter_mut().zip(&src[o..]) {
         *d ^= row[*s as usize];
-    }
-}
-
-#[target_feature(enable = "neon")]
-fn mul_neon(t: &CoeffTables, src: &[u8], dst: &mut [u8]) {
-    let n = dst.len();
-    let (lo_t, hi_t) = load_tables(t.nib());
-    let mut o = 0;
-    while o + 16 <= n {
-        // SAFETY: o + 16 <= n and the wrapper asserted src.len() == n.
-        unsafe {
-            let s = vld1q_u8(src.as_ptr().add(o));
-            vst1q_u8(dst.as_mut_ptr().add(o), product16(lo_t, hi_t, s));
-        }
-        o += 16;
-    }
-    let row = t.row();
-    for (d, s) in dst[o..].iter_mut().zip(&src[o..]) {
-        *d = row[*s as usize];
-    }
-}
-
-#[target_feature(enable = "neon")]
-fn scale_neon(t: &CoeffTables, data: &mut [u8]) {
-    let n = data.len();
-    let (lo_t, hi_t) = load_tables(t.nib());
-    let mut o = 0;
-    while o + 16 <= n {
-        // SAFETY: o + 16 <= n.
-        unsafe {
-            let d = vld1q_u8(data.as_ptr().add(o));
-            vst1q_u8(data.as_mut_ptr().add(o), product16(lo_t, hi_t, d));
-        }
-        o += 16;
-    }
-    let row = t.row();
-    for d in data[o..].iter_mut() {
-        *d = row[*d as usize];
     }
 }
 

@@ -15,20 +15,6 @@ pub(crate) fn mul_add(t: &CoeffTables, src: &[u8], dst: &mut [u8]) {
     slice::mul_add_row(t.row(), src, dst);
 }
 
-pub(crate) fn mul(t: &CoeffTables, src: &[u8], dst: &mut [u8]) {
-    let row = t.row();
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        *d = row[*s as usize];
-    }
-}
-
-pub(crate) fn scale(t: &CoeffTables, data: &mut [u8]) {
-    let row = t.row();
-    for d in data.iter_mut() {
-        *d = row[*d as usize];
-    }
-}
-
 pub(crate) fn mul_add_multi_rows(sources: &[(CoeffTables, &[u8])], dst: &mut [u8]) {
     let rows: Vec<(&[u8; 256], &[u8])> = sources.iter().map(|(t, src)| (t.row(), *src)).collect();
     slice::mul_add_multi_rows(&rows, dst);

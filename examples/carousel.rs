@@ -7,8 +7,13 @@
 //! cargo run --release --example carousel -- --receivers 8 --drop 0.15 --cycles 4
 //! ```
 
-use parity_multicast::loss::IndependentLoss;
-use parity_multicast::protocol::harness::{run_simulation, HarnessConfig};
+use std::time::Duration;
+
+use parity_multicast::mux::{drive_session, Mux, MuxConfig, VirtualClock};
+use parity_multicast::net::{
+    FaultConfig, FaultyTransport, MemHub, Message, PollTransport, TranscriptTransport,
+};
+use parity_multicast::protocol::runtime::RuntimeConfig;
 use parity_multicast::protocol::{CarouselConfig, CarouselSender, CarouselStop, NpReceiver};
 
 struct Args {
@@ -68,42 +73,49 @@ fn main() {
         args.drop * 100.0
     );
 
-    let mut sender = CarouselSender::new(session, &data, cfg).expect("valid config");
-    let mut receivers: Vec<NpReceiver> = (0..args.receivers)
-        .map(|i| NpReceiver::new(i as u32, session, 0.002, i as u64))
+    // One mux on a virtual clock drives the sender and every receiver; a
+    // receiver's downlink drops each datagram with probability `--drop`.
+    let sender = CarouselSender::new(session, &data, cfg).expect("valid config");
+    let hub = MemHub::new();
+    let mut sender_tp = TranscriptTransport::new(hub.join());
+    let sender_log = sender_tp.transcript();
+    let mut endpoints: Vec<_> = (0..args.receivers as u64)
+        .map(|i| FaultyTransport::new(hub.join(), FaultConfig::drop_only(args.drop), 0xCA20 + i))
         .collect();
-    let mut loss = IndependentLoss::new(args.receivers, args.drop, 0xCA20);
-    let report = run_simulation(
-        &mut sender,
-        &mut receivers,
-        &mut loss,
-        &HarnessConfig {
-            delta: 0.001,
-            latency: 0.002,
-            lossy_control: false,
-            time_cap: 600.0,
-        },
-    )
-    .expect("carousel run");
+    let rt = RuntimeConfig {
+        packet_spacing: Duration::from_millis(1),
+        ..RuntimeConfig::default()
+    };
+    let (sent, received) = drive_session(
+        &mut Mux::new(MuxConfig::default(), VirtualClock::new()),
+        rt,
+        (sender, &mut sender_tp as &mut dyn PollTransport),
+        endpoints.iter_mut().zip(0..).map(|(tp, id)| {
+            let machine = NpReceiver::new(id, session, 0.002, id as u64);
+            (machine, tp as &mut dyn PollTransport)
+        }),
+    );
+    let report = sent.expect("carousel run");
 
-    let mut verified = 0;
-    for rx in &receivers {
-        if rx.is_complete() && rx.take_data().expect("complete") == data {
-            verified += 1;
-        }
-    }
+    // A receiver that ran out of cycles ends with a typed error, not data.
+    let completed = received.iter().filter(|r| r.is_ok()).count();
+    let verified = received
+        .iter()
+        .filter(|r| r.as_ref().is_ok_and(|rep| rep.data == data))
+        .count();
+    let naks = sender_log
+        .lock()
+        .received_messages()
+        .filter(|m| matches!(m, Message::Nak { .. }))
+        .count();
     println!(
-        "completed {}/{} receivers (verified {verified}); {} data + {} parity frames over {:.1}s virtual",
-        report.completed,
+        "completed {completed}/{} receivers (verified {verified}); {} data + {} parity frames over {:.1}s virtual",
         args.receivers,
-        report.sender.data_sent,
-        report.sender.repairs_sent,
-        report.elapsed,
+        report.counters.data_sent,
+        report.counters.repairs_sent,
+        report.elapsed.as_secs_f64(),
     );
-    println!(
-        "repair feedback received by the sender: {} NAKs (the whole point: zero)",
-        report.naks_at_sender
-    );
+    println!("repair feedback received by the sender: {naks} NAKs (the whole point: zero)");
     let per_cycle_cost = (20 + args.redundancy) as f64 / 20.0;
     println!(
         "wire cost: {:.2}x the data volume per cycle, {} cycles total = {:.2}x overall \
@@ -112,11 +124,12 @@ fn main() {
         args.cycles,
         per_cycle_cost * args.cycles as f64,
     );
-    assert_eq!(report.naks_at_sender, 0);
-    if report.completed < args.receivers {
+    assert_eq!(naks, 0);
+    assert_eq!(verified, completed, "a receiver completed with wrong bytes");
+    if completed < args.receivers {
         println!(
             "note: {} receivers did not finish within {} cycles — raise --cycles or --redundancy",
-            args.receivers - report.completed,
+            args.receivers - completed,
             args.cycles
         );
     }

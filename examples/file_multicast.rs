@@ -1,6 +1,6 @@
 //! Reliable file transfer over **real UDP multicast** with protocol NP.
 //!
-//! One process plays the sender and any number of receivers on the same
+//! One thread plays the sender and any number of receivers on the same
 //! multicast group (239.255.42.99:47999 by default), with optional
 //! receive-side fault injection so the parity-repair path actually runs.
 //! Falls back to the in-memory hub when the host has no multicast support.
@@ -27,18 +27,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parity_multicast::mux::{drive_receiver, Mux, MuxClock, MuxConfig, SessionOutcome, WallClock};
+use parity_multicast::mux::{drive_session, Mux, MuxClock, MuxConfig, SessionOutcome, WallClock};
 use parity_multicast::net::udp::UdpHub;
 use parity_multicast::net::{
-    ChaosPreset, FarmHub, FarmRole, FaultConfig, FaultStats, FaultyTransport, MemHub, PollTransport,
+    ChaosPreset, FarmHub, FarmRole, FaultConfig, FaultyTransport, MemHub, PollTransport,
 };
 use parity_multicast::obs::{
     render_prometheus, Counter, Event, ExportServer, JsonlRecorder, MetricsRegistry, Obs, Recorder,
     SnapshotFile, WindowConfig, WindowTelemetry,
 };
-use parity_multicast::protocol::runtime::{ReceiverReport, RuntimeConfig};
+use parity_multicast::protocol::runtime::RuntimeConfig;
 use parity_multicast::protocol::{
-    CompletionPolicy, NpConfig, NpReceiver, NpSender, ProtocolError, ResiliencePolicy,
+    CompletionPolicy, NpConfig, NpReceiver, NpSender, ResiliencePolicy,
 };
 
 struct Args {
@@ -430,7 +430,6 @@ fn main() {
         },
     };
 
-    // Receivers first (multicast has no replay for late joiners).
     let session = 0xF11E;
     // The chaos preset replaces the plain drop profile at every receiver.
     let fault = match args.chaos {
@@ -445,50 +444,42 @@ fn main() {
         loss: fault.drop,
         backend: pm_simd::backend_name(),
     });
-    type ReceiverOutcome = (Result<ReceiverReport, ProtocolError>, FaultStats);
-    let receiver_handles: Vec<std::thread::JoinHandle<ReceiverOutcome>> = (0..args.receivers)
+    let mut receiver_tps: Vec<_> = (0..args.receivers)
         .map(|id| {
-            let endpoint = net.endpoint(obs.clone());
-            let obs = obs.clone();
-            let decode_ns = decode_ns.clone();
-            std::thread::Builder::new()
-                .name(format!("receiver-{id}"))
-                .spawn(move || {
-                    let mut tp = FaultyTransport::new(endpoint, fault, 0xBEEF + id as u64)
-                        .with_obs(obs.clone());
-                    let mut machine =
-                        NpReceiver::new(id, session, 0.002, id as u64).with_obs(obs.clone());
-                    machine.set_decode_timer(decode_ns);
-                    // Under chaos a receiver failing is a reportable outcome,
-                    // not a crash.
-                    let outcome = drive_receiver(machine, &mut tp, &rt, &obs);
-                    (outcome, tp.stats())
-                })
-                .expect("spawn receiver")
+            FaultyTransport::new(net.endpoint(obs.clone()), fault, 0xBEEF + id as u64)
+                .with_obs(obs.clone())
         })
         .collect();
-
     let mut sender_tp = net.endpoint(obs.clone());
     let mut sender = NpSender::new(session, &data, cfg)
         .expect("valid sender config")
         .with_obs(obs.clone());
     sender.set_encode_timer(encode_ns);
-    // A one-session mux rather than `drive_sender`, for `bind_metrics`:
-    // it publishes `sender.state_bytes_per_receiver` when the session ends
-    // — the paper's scalability argument in one number (sender-side state
-    // per receiver stays flat as R grows).
+    // The sender and every receiver on one mux, on this thread. The mux is
+    // built here for `bind_metrics`: it publishes
+    // `sender.state_bytes_per_receiver` when the session ends — the paper's
+    // scalability argument in one number (sender-side state per receiver
+    // stays flat as R grows).
     let mut mux = Mux::new(MuxConfig::default(), WallClock::new()).with_obs(obs.clone());
     mux.bind_metrics(&registry);
-    mux.add_sender(sender, &mut sender_tp, rt);
-    let report = match mux.run().pop() {
-        Some((_, SessionOutcome::Sender(report))) => report.expect("send failed"),
-        other => panic!("the sender session ended as {other:?}"),
-    };
+    let (sent, received) = drive_session(
+        &mut mux,
+        rt,
+        (sender, &mut sender_tp as &mut dyn PollTransport),
+        receiver_tps.iter_mut().zip(0..).map(|(tp, id)| {
+            let mut machine = NpReceiver::new(id, session, 0.002, id as u64).with_obs(obs.clone());
+            machine.set_decode_timer(decode_ns.clone());
+            (machine, tp as &mut dyn PollTransport)
+        }),
+    );
+    let report = sent.expect("send failed");
 
     let mut ok = true;
     let mut merged = parity_multicast::protocol::CostCounters::default();
-    for (id, h) in receiver_handles.into_iter().enumerate() {
-        let (outcome, fs) = h.join().expect("receiver thread");
+    for (id, (outcome, tp)) in received.into_iter().zip(&receiver_tps).enumerate() {
+        // Under chaos a receiver failing is a reportable outcome, not a
+        // crash.
+        let fs = tp.stats();
         match outcome {
             Ok(r) => {
                 merged.merge(&r.counters);

@@ -1,7 +1,10 @@
 //! Fixtures shared by the integration-test binaries.
 //!
 //! * [`run_session`] — one sender and its receivers on a single mux, on
-//!   the calling thread, over whichever clock the test is about.
+//!   the calling thread, over whichever clock the test is about;
+//!   [`run_fanout`] — the same on a fresh hub under the virtual clock, with
+//!   the sender's wire history handed back ([`feedback_in`] counts the
+//!   NAKs and `Done`s that reached it).
 //! * The pinned 16-pair `VirtualClock` farm of `mux_sessions.rs` and
 //!   `mux_auto_dispatch.rs` (the latter forces `PM_SIMD=auto` first; env
 //!   overrides are memoized process-wide, hence two binaries, one
@@ -16,9 +19,10 @@
 
 use std::time::Duration;
 
-use parity_multicast::mux::{Mux, MuxClock, MuxConfig, SessionOutcome, VirtualClock};
+use parity_multicast::mux::{drive_session, Mux, MuxClock, MuxConfig, VirtualClock};
+use parity_multicast::net::mem::MemEndpoint;
 use parity_multicast::net::wire::{checksum_of, HEADER_LEN};
-use parity_multicast::net::{MemHub, PollTransport, Transcript, TranscriptTransport};
+use parity_multicast::net::{MemHub, Message, PollTransport, Transcript, TranscriptTransport};
 use parity_multicast::obs::Obs;
 use parity_multicast::protocol::runtime::{
     ReceiverMachine, ReceiverReport, RuntimeConfig, SenderMachine, SessionReport,
@@ -28,10 +32,11 @@ use parity_multicast::protocol::{CompletionPolicy, NpConfig, NpReceiver, NpSende
 /// A machine with the (borrowed) endpoint it runs on.
 pub type Endpoint<'a, M> = (M, &'a mut dyn PollTransport);
 
-/// Run one sender and its receivers on one mux over `clock` until every
-/// session has ended. Endpoints are borrowed, so `stats()` and transcripts
-/// stay readable afterwards. Returns the sender's verdict and the
-/// receivers', in the order given.
+/// Run one sender and its receivers on one fresh mux over `clock` until
+/// every session has ended: [`drive_session`] with the mux built here.
+/// Endpoints are borrowed, so `stats()` and transcripts stay readable
+/// afterwards. Returns the sender's verdict and the receivers', in the
+/// order given.
 pub fn run_session<'a, S, R>(
     clock: impl MuxClock,
     rt: RuntimeConfig,
@@ -47,28 +52,62 @@ where
     R: ReceiverMachine + 'static,
 {
     let mut mux = Mux::new(MuxConfig::default(), clock).with_obs(obs.clone());
-    let s_tok = mux.add_sender(sender.0, sender.1, rt);
-    let r_toks: Vec<_> = receivers
-        .into_iter()
-        .map(|(machine, tp)| mux.add_receiver(machine, tp, rt))
+    drive_session(&mut mux, rt, sender, receivers)
+}
+
+/// `(NAKs, Dones)` among the datagrams an endpoint received.
+pub fn feedback_in(log: &Transcript) -> (usize, usize) {
+    let (mut naks, mut dones) = (0, 0);
+    for msg in log.received_messages() {
+        match msg {
+            Message::Nak { .. } | Message::NakPacket { .. } => naks += 1,
+            Message::Done { .. } => dones += 1,
+            _ => {}
+        }
+    }
+    (naks, dones)
+}
+
+/// One sender and `receivers` receivers on a fresh hub under the virtual
+/// clock. The sender's endpoint is `wrap(hub endpoint)` inside a
+/// transcript; receiver `i`'s is `rx_endpoint(hub endpoint, i)`. Returns
+/// the sender's report, its wire history, and asserts every receiver
+/// delivered `data`.
+pub fn run_fanout<S, R, W, E>(
+    sender: S,
+    receivers: Vec<R>,
+    data: &[u8],
+    wrap: impl FnOnce(MemEndpoint) -> W,
+    rx_endpoint: impl Fn(MemEndpoint, u64) -> E,
+) -> (SessionReport, Transcript)
+where
+    S: SenderMachine + 'static,
+    R: ReceiverMachine + 'static,
+    W: PollTransport,
+    E: PollTransport,
+{
+    let hub = MemHub::new();
+    let mut sender_tp = TranscriptTransport::new(wrap(hub.join()));
+    let log = sender_tp.transcript();
+    let mut endpoints: Vec<E> = (0..receivers.len() as u64)
+        .map(|i| rx_endpoint(hub.join(), i))
         .collect();
-    let mut outcomes = mux.run();
-    let mut take = |tok| {
-        let at = outcomes.iter().position(|(t, _)| *t == tok);
-        outcomes.swap_remove(at.expect("one outcome per session")).1
-    };
-    let sender = match take(s_tok) {
-        SessionOutcome::Sender(verdict) => verdict,
-        other => panic!("sender slot ended as {other:?}"),
-    };
-    let receivers = r_toks
-        .into_iter()
-        .map(|tok| match take(tok) {
-            SessionOutcome::Receiver(verdict) => verdict,
-            other => panic!("receiver slot ended as {other:?}"),
-        })
-        .collect();
-    (sender, receivers)
+    let (sent, received) = run_session(
+        VirtualClock::new(),
+        rt(),
+        &Obs::null(),
+        (sender, &mut sender_tp as &mut dyn PollTransport),
+        receivers
+            .into_iter()
+            .zip(endpoints.iter_mut())
+            .map(|(machine, tp)| (machine, tp as &mut dyn PollTransport)),
+    );
+    for (i, rep) in received.iter().enumerate() {
+        let rep = rep.as_ref().unwrap_or_else(|e| panic!("receiver {i}: {e}"));
+        assert_eq!(rep.data, data, "receiver {i} bytes");
+    }
+    let history = log.lock().clone();
+    (sent.expect("sender completes"), history)
 }
 
 /// Pairs in the pinned farm (twice as many sessions).

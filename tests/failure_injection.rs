@@ -14,7 +14,6 @@ use parity_multicast::net::{
     FaultConfig, FaultStats, FaultyTransport, MemHub, Message, PollTransport, Transport,
 };
 use parity_multicast::obs::{validate_trace, JsonlRecorder, Obs};
-use parity_multicast::protocol::harness::{run_simulation, HarnessConfig};
 use parity_multicast::protocol::runtime::{ReceiverReport, RuntimeConfig, SessionReport};
 use parity_multicast::protocol::{CompletionPolicy, NpConfig, NpReceiver, NpSender, ProtocolError};
 
@@ -162,29 +161,19 @@ fn conflicting_announces_abort_cleanly() {
 #[test]
 fn extreme_loss_eventually_succeeds() {
     // 50% loss: brutal but recoverable given the full parity budget and
-    // announce-driven recovery. Uses the deterministic harness so the test
-    // is not timing-sensitive.
-    use parity_multicast::loss::IndependentLoss;
+    // announce-driven recovery. On the virtual clock, so the test is not
+    // timing-sensitive; `run_fanout` checks every receiver's bytes.
     let data = payload(8 * 256 * 3);
-    let mut sender = NpSender::new(0xE0, &data, config(4)).expect("config");
-    let mut receivers: Vec<NpReceiver> = (0..4)
-        .map(|i| NpReceiver::new(i, 0xE0, 0.001, i as u64))
-        .collect();
-    let mut loss = IndependentLoss::new(4, 0.5, 77);
-    let report = run_simulation(
-        &mut sender,
-        &mut receivers,
-        &mut loss,
-        &HarnessConfig {
-            time_cap: 1200.0,
-            ..Default::default()
-        },
-    )
-    .expect("session completes even at 50% loss");
-    assert_eq!(report.completed, 4);
-    for rx in &receivers {
-        assert_eq!(rx.take_data().unwrap(), data);
-    }
+    let (report, _) = common::run_fanout(
+        NpSender::new(0xE0, &data, config(4)).expect("config"),
+        (0..4)
+            .map(|i| NpReceiver::new(i, 0xE0, 0.001, i as u64))
+            .collect(),
+        &data,
+        |ep| ep,
+        |ep, i| FaultyTransport::new(ep, FaultConfig::drop_only(0.5), 77 + i),
+    );
+    assert_eq!(report.completed.len(), 4);
 }
 
 #[test]
@@ -203,29 +192,22 @@ fn oversized_payload_config_rejected() {
 #[test]
 fn max_geometry_session_works() {
     // k + h = 255 exactly, multi-group, odd tail.
-    use parity_multicast::loss::IndependentLoss;
     let mut c = NpConfig::small(CompletionPolicy::KnownReceivers(2));
     c.k = 200;
     c.h = 55;
     c.payload_len = 32;
     c.nak_slot = 0.001;
     let data = payload(200 * 32 + 777);
-    let mut sender = NpSender::new(0xED6E, &data, c).expect("config");
-    let mut receivers: Vec<NpReceiver> = (0..2)
-        .map(|i| NpReceiver::new(i, 0xED6E, 0.001, i as u64))
-        .collect();
-    let mut loss = IndependentLoss::new(2, 0.1, 5);
-    let report = run_simulation(
-        &mut sender,
-        &mut receivers,
-        &mut loss,
-        &HarnessConfig::default(),
-    )
-    .expect("completes");
-    assert_eq!(report.completed, 2);
-    for rx in &receivers {
-        assert_eq!(rx.take_data().unwrap(), data);
-    }
+    let (report, _) = common::run_fanout(
+        NpSender::new(0xED6E, &data, c).expect("config"),
+        (0..2)
+            .map(|i| NpReceiver::new(i, 0xED6E, 0.001, i as u64))
+            .collect(),
+        &data,
+        |ep| ep,
+        |ep, i| FaultyTransport::new(ep, FaultConfig::drop_only(0.1), 5 + i),
+    );
+    assert_eq!(report.completed.len(), 2);
 }
 
 #[test]

@@ -25,17 +25,14 @@ mod common;
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{np_cfg, payload, rt, run_session};
+use common::{feedback_in, np_cfg, payload, rt, run_fanout};
 use parity_multicast::mux::{Mux, MuxConfig, SessionOutcome, VirtualClock};
 use parity_multicast::net::{
-    ChaosPreset, FaultConfig, FaultyTransport, MemHub, Message, NetError, PollTransport,
-    Transcript, TranscriptTransport, Transport,
+    ChaosPreset, FaultConfig, FaultyTransport, MemHub, Message, NetError, PollTransport, Transport,
 };
-use parity_multicast::obs::{Obs, Postmortem, WindowConfig, WindowTelemetry};
+use parity_multicast::obs::{Postmortem, WindowConfig, WindowTelemetry};
 use parity_multicast::protocol::n2::{N2Receiver, N2Sender};
-use parity_multicast::protocol::runtime::{
-    ReceiverMachine, RuntimeConfig, SenderMachine, SessionReport,
-};
+use parity_multicast::protocol::runtime::RuntimeConfig;
 use parity_multicast::protocol::{
     CompletionPolicy, NpConfig, NpReceiver, NpSender, ResiliencePolicy,
 };
@@ -373,61 +370,6 @@ fn windowed_telemetry_is_deterministic_across_runs() {
 }
 
 // ------------------------------------------- feedback proportional to need
-
-/// `(NAKs, Dones)` among the datagrams an endpoint received.
-fn feedback_in(log: &Transcript) -> (usize, usize) {
-    let (mut naks, mut dones) = (0, 0);
-    for raw in &log.received {
-        match Message::decode(raw.clone()).expect("own traffic decodes") {
-            Message::Nak { .. } | Message::NakPacket { .. } => naks += 1,
-            Message::Done { .. } => dones += 1,
-            _ => {}
-        }
-    }
-    (naks, dones)
-}
-
-/// One sender and `receivers` receivers on a fresh hub under the virtual
-/// clock. The sender's endpoint is `wrap(hub endpoint)` inside a
-/// transcript; receiver `i`'s is `rx_endpoint(hub endpoint, i)`. Returns
-/// the sender's report, its wire history, and asserts every receiver
-/// delivered `data`.
-fn run_fanout<S, R, W, E>(
-    sender: S,
-    receivers: Vec<R>,
-    data: &[u8],
-    wrap: impl FnOnce(parity_multicast::net::mem::MemEndpoint) -> W,
-    rx_endpoint: impl Fn(parity_multicast::net::mem::MemEndpoint, u64) -> E,
-) -> (SessionReport, Transcript)
-where
-    S: SenderMachine + 'static,
-    R: ReceiverMachine + 'static,
-    W: PollTransport,
-    E: PollTransport,
-{
-    let hub = MemHub::new();
-    let mut sender_tp = TranscriptTransport::new(wrap(hub.join()));
-    let log = sender_tp.transcript();
-    let mut endpoints: Vec<E> = (0..receivers.len() as u64)
-        .map(|i| rx_endpoint(hub.join(), i))
-        .collect();
-    let (sent, received) = run_session(
-        VirtualClock::new(),
-        rt(),
-        &Obs::null(),
-        (sender, &mut sender_tp as &mut dyn PollTransport),
-        receivers
-            .into_iter()
-            .zip(endpoints.iter_mut())
-            .map(|(machine, tp)| (machine, tp as &mut dyn PollTransport)),
-    );
-    for (i, rep) in received.iter().enumerate() {
-        let rep = rep.as_ref().unwrap_or_else(|e| panic!("receiver {i}: {e}"));
-        assert_eq!(rep.data, data, "receiver {i} bytes");
-    }
-    let history = log.lock().clone();
-    (sent.expect("sender completes"), history)
-}
 
 fn fanout_cfg(receivers: u32) -> NpConfig {
     NpConfig {

@@ -1,5 +1,5 @@
-//! `obs-analyze` end-to-end: a deterministic 16-receiver NP session under
-//! the virtual-time harness produces a JSONL trace whose *measured* E\[M\]
+//! `obs-analyze` end-to-end: a deterministic 16-receiver NP session on a
+//! virtual-clock mux produces a JSONL trace whose *measured* E\[M\]
 //! (transmissions per distinct data packet) lands within 5% of the
 //! `pm-analysis` analytical prediction at the same `(k, h, R, p)` — the
 //! paper's Figure-4 claim recovered from a live trace rather than the
@@ -11,14 +11,16 @@
 //! any worker-count change in a parallel producer) yields byte-identical
 //! exported gauges.
 
+mod common;
+
 use std::sync::Arc;
 
 use parity_multicast::analysis::{integrated, Population};
-use parity_multicast::loss::IndependentLoss;
+use parity_multicast::mux::VirtualClock;
+use parity_multicast::net::{FaultConfig, FaultyTransport, MemHub, PollTransport};
 use parity_multicast::obs::{
     analyze_trace, Event, Obs, Recorder, RingRecorder, WindowConfig, WindowTelemetry,
 };
-use parity_multicast::protocol::harness::{run_simulation, HarnessConfig};
 use parity_multicast::protocol::{CompletionPolicy, NpConfig, NpReceiver, NpSender};
 
 const SESSION: u32 = 0xE16;
@@ -52,21 +54,31 @@ fn traced_session() -> Vec<(f64, Event)> {
     cfg.payload_len = PAYLOAD;
     cfg.nak_slot = 0.002;
 
-    let mut sender = NpSender::new(SESSION, &data, cfg)
+    let sender = NpSender::new(SESSION, &data, cfg)
         .expect("valid config")
         .with_obs(obs.clone());
-    let mut receivers: Vec<NpReceiver> = (0..RECEIVERS)
-        .map(|id| NpReceiver::new(id as u32, SESSION, 0.002, id as u64).with_obs(obs.clone()))
+    let hub = MemHub::new();
+    let mut sender_tp = hub.join();
+    let mut tps: Vec<_> = (0..RECEIVERS as u64)
+        .map(|id| FaultyTransport::new(hub.join(), FaultConfig::drop_only(LOSS_P), 0xA11CE + id))
         .collect();
-    let mut loss = IndependentLoss::new(RECEIVERS, LOSS_P, 0xA11CE);
-    let report = run_simulation(
-        &mut sender,
-        &mut receivers,
-        &mut loss,
-        &HarnessConfig::default(),
-    )
-    .expect("session completes");
-    assert_eq!(report.completed, RECEIVERS, "all receivers must finish");
+    let (sent, reports) = common::run_session(
+        VirtualClock::new(),
+        common::rt(),
+        // The mux's own lifecycle events are keyed by slot, which the
+        // analyzer would read as 17 more sessions; the machines' suffice.
+        &Obs::null(),
+        (sender, &mut sender_tp as &mut dyn PollTransport),
+        tps.iter_mut().zip(0..).map(|(tp, id)| {
+            let m = NpReceiver::new(id, SESSION, 0.002, id as u64).with_obs(obs.clone());
+            (m, tp as &mut dyn PollTransport)
+        }),
+    );
+    sent.expect("session completes");
+    assert!(
+        reports.iter().all(|r| r.is_ok()),
+        "all receivers must finish"
+    );
     assert_eq!(ring.evicted(), 0, "ring must hold the complete trace");
     ring.events()
 }

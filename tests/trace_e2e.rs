@@ -9,11 +9,11 @@ mod common;
 use std::sync::Arc;
 use std::time::Duration;
 
-use parity_multicast::loss::LossModel;
 use parity_multicast::mux::VirtualClock;
-use parity_multicast::net::{FaultConfig, FaultyTransport, MemHub, PollTransport};
+use parity_multicast::net::{
+    FaultConfig, FaultyTransport, MemHub, Message, NetError, PollTransport, Transport,
+};
 use parity_multicast::obs::{Event, Obs, RingRecorder};
-use parity_multicast::protocol::harness::{run_simulation, HarnessConfig};
 use parity_multicast::protocol::runtime::RuntimeConfig;
 use parity_multicast::protocol::{CompletionPolicy, NpConfig, NpReceiver, NpSender};
 
@@ -149,22 +149,40 @@ fn session_trace_reconciles_with_counters() {
     assert_eq!(count(&|e| matches!(e, Event::StallTimeout { .. })), 0);
 }
 
-/// Drops exactly the second data packet of every round-1 group: the first
-/// `groups * k` sampled transmissions are round-1 data (repairs only start
-/// after the round-trip), so `count % k == 1` hits data index 1 each group.
-struct SecondPacketOfEachGroup {
-    k: usize,
-    round1: usize,
-    count: usize,
+/// Loses data packet 1 of every group on the way in: NP sends each data
+/// packet once and repairs with parities, so every group reaches the
+/// decoder with the same one-erasure pattern.
+struct SecondPacketOfEachGroup<T> {
+    inner: T,
+    dropped: usize,
 }
 
-impl LossModel for SecondPacketOfEachGroup {
-    fn receivers(&self) -> usize {
-        1
+impl<T> SecondPacketOfEachGroup<T> {
+    fn filter(
+        &mut self,
+        mut recv: impl FnMut(&mut T) -> Result<Option<Message>, NetError>,
+    ) -> Result<Option<Message>, NetError> {
+        loop {
+            match recv(&mut self.inner)? {
+                Some(Message::Packet { index: 1, .. }) => self.dropped += 1,
+                other => return Ok(other),
+            }
+        }
     }
-    fn sample(&mut self, _time: f64, lost: &mut [bool]) {
-        lost[0] = self.count < self.round1 && self.count % self.k == 1;
-        self.count += 1;
+}
+
+impl<T: Transport> Transport for SecondPacketOfEachGroup<T> {
+    fn send(&mut self, msg: &Message) -> Result<(), NetError> {
+        self.inner.send(msg)
+    }
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
+        self.filter(|t| t.recv_timeout(timeout))
+    }
+}
+
+impl<T: PollTransport> PollTransport for SecondPacketOfEachGroup<T> {
+    fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
+        self.filter(T::poll_recv)
     }
 }
 
@@ -182,29 +200,28 @@ fn repeating_loss_pattern_hits_the_inverse_cache() {
     cfg.nak_slot = 0.001;
     let data = payload(GROUPS * K * 64); // exact multiple: every group same spec
 
-    let mut sender = NpSender::new(0xCAC, &data, cfg).expect("config");
-    let mut receivers = vec![NpReceiver::new(0, 0xCAC, 0.001, 9).with_obs(obs)];
-    let mut loss = SecondPacketOfEachGroup {
-        k: K,
-        round1: GROUPS * K,
-        count: 0,
+    let hub = MemHub::new();
+    let mut sender_tp = hub.join();
+    let mut receiver_tp = SecondPacketOfEachGroup {
+        inner: hub.join(),
+        dropped: 0,
     };
-    // Latency far above the round-1 transmission time, so repairs cannot
-    // interleave with (and shift the count of) first-round data.
-    let report = run_simulation(
-        &mut sender,
-        &mut receivers,
-        &mut loss,
-        &HarnessConfig {
-            delta: 0.001,
-            latency: 0.05,
-            lossy_control: false,
-            time_cap: 600.0,
-        },
-    )
-    .expect("session completes");
-    assert_eq!(report.completed, 1);
-    assert_eq!(receivers[0].take_data().unwrap(), data);
+    let (sent, mut reports) = common::run_session(
+        VirtualClock::new(),
+        common::rt(),
+        &Obs::null(),
+        (
+            NpSender::new(0xCAC, &data, cfg).expect("config"),
+            &mut sender_tp as &mut dyn PollTransport,
+        ),
+        [(
+            NpReceiver::new(0, 0xCAC, 0.001, 9).with_obs(obs),
+            &mut receiver_tp as &mut dyn PollTransport,
+        )],
+    );
+    sent.expect("session completes");
+    assert_eq!(reports.remove(0).expect("receive").data, data);
+    assert_eq!(receiver_tp.dropped, GROUPS);
 
     let events = ring.events();
     let hits = events
