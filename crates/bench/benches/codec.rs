@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use pm_rse::{CodeSpec, RseDecoder, RseEncoder};
+use pm_rse::{CodeSpec, GroupDecoder, RseDecoder, RseEncoder};
 
 const PACKET: usize = 1024;
 
@@ -269,6 +269,37 @@ fn bench_decode_cold_pattern(c: &mut Criterion) {
     assert_eq!(stats.hits, 0, "every iteration must miss: {stats:?}");
 }
 
+fn bench_group_accumulate(c: &mut Criterion) {
+    // What a receiver pays per loss-free transmission group around the
+    // payload itself: a `GroupDecoder` made, its k data packets inserted
+    // (reference-count bumps), the systematic fast path taken, everything
+    // dropped. NP runs h = 255 - k, so anything in there that is sized by
+    // the block rather than by what arrived shows at k = 7; no e2e replay
+    // row isolates it.
+    let mut g = c.benchmark_group("group_accumulate");
+    for &(k, h) in &[(7usize, 248usize), (100, 155)] {
+        let spec = CodeSpec::new(k, h).unwrap();
+        // The packets as the accumulator's own shared-storage type (which
+        // this crate does not otherwise name): one group's worth, taken back
+        // out of a first accumulator.
+        let mut first = GroupDecoder::new(spec);
+        for (i, packet) in group_data(k).into_iter().enumerate() {
+            first.insert(i, packet.into()).unwrap();
+        }
+        let data = first.data_if_complete().unwrap();
+        g.bench_function(format!("k{k}_n{}", k + h), |b| {
+            b.iter(|| {
+                let mut group = GroupDecoder::new(std::hint::black_box(spec));
+                for (i, packet) in data.iter().enumerate() {
+                    group.insert(i, packet.clone()).unwrap();
+                }
+                group.data_if_complete().unwrap()
+            });
+        });
+    }
+    g.finish();
+}
+
 fn bench_decode_fast_path(c: &mut Criterion) {
     // All data received: decoding must be near-free (systematic code).
     let enc = RseEncoder::new(CodeSpec::new(20, 10).unwrap()).unwrap();
@@ -294,6 +325,7 @@ criterion_group!(
     bench_decode_repeat_pattern,
     bench_codec_construct,
     bench_decode_cold_pattern,
+    bench_group_accumulate,
     bench_decode_fast_path
 );
 criterion_main!(benches);

@@ -13,7 +13,7 @@
 //! still missing — per-group feedback rather than per-packet, one of NP's
 //! two key reductions over N2.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use bytes::Bytes;
 
@@ -191,7 +191,7 @@ impl NpReceiver {
 
     fn decoder_for(&mut self, spec: CodeSpec) -> Result<&RseDecoder, ProtocolError> {
         let key = (spec.k() as u16, spec.n() as u16);
-        if let std::collections::btree_map::Entry::Vacant(e) = self.decoders.entry(key) {
+        if let Entry::Vacant(e) = self.decoders.entry(key) {
             let mut dec = RseDecoder::new(spec)?;
             if let Some(hist) = &self.decode_timer {
                 dec.set_timer(hist.clone());
@@ -269,14 +269,14 @@ impl NpReceiver {
                 self.quiet_announces = 0;
                 // First packet of a group defines its geometry; the
                 // CodeSpec constructor revalidates what the wire allowed.
-                if !self.groups.contains_key(group) {
-                    let state = match CodeSpec::new(*k as usize, (*n - *k) as usize) {
-                        Ok(spec) => GroupState::Collecting(GroupDecoder::new(spec)),
-                        Err(e) => return Err(e.into()),
-                    };
-                    self.groups.insert(*group, state);
-                }
-                let decodable = match self.groups.get_mut(group).expect("inserted above") {
+                let state = match self.groups.entry(*group) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => {
+                        let spec = CodeSpec::new(*k as usize, (*n - *k) as usize)?;
+                        e.insert(GroupState::Collecting(GroupDecoder::new(spec)))
+                    }
+                };
+                let decodable = match state {
                     GroupState::Decoded => {
                         self.counters.unneeded_receptions += 1;
                         false
@@ -300,12 +300,12 @@ impl NpReceiver {
                     }
                 };
                 if decodable {
-                    let gd = match self.groups.insert(*group, GroupState::Decoded) {
-                        Some(GroupState::Collecting(gd)) => gd,
-                        _ => unreachable!("checked Collecting above"),
+                    let GroupState::Collecting(gd) = std::mem::replace(state, GroupState::Decoded)
+                    else {
+                        unreachable!("checked Collecting above")
                     };
                     let spec = *gd.spec();
-                    let missing = gd.missing_data().len() as u64;
+                    let missing = (spec.k() - gd.data_received()) as u64;
                     // A group whose data all arrived needs no decoder: on a
                     // lossless path none is ever built.
                     let (packets, cache_delta) = match gd.data_if_complete() {

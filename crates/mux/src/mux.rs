@@ -786,9 +786,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                 return;
             };
             let now_rel = now_abs - sess.started;
-            // pm-audit: allow(hot-loop-alloc): obs handle clone is a refcount bump
-            let sess_obs = sess.obs.clone();
-            match sess.res.absorb_recv(outcome.map(Some), now_rel, &sess_obs) {
+            match sess.res.absorb_recv(outcome.map(Some), now_rel, &sess.obs) {
                 // Quarantine or fatal transport error: abort with the
                 // typed error and no session_end event.
                 Err(e) => AfterIo::Finish(match sess.engine {
@@ -924,8 +922,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
             }
             sess.drives += 1;
             *turn_drives += 1;
-            // pm-audit: allow(hot-loop-alloc): obs handle clone is a refcount bump
-            let obs = sess.obs.clone();
+            let obs = &sess.obs;
             loop {
                 let now_rel = now_abs - sess.started;
                 let Engine::Sender(machine) = &mut sess.engine else {
@@ -1007,7 +1004,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                                 break 'drive None;
                             }
                             Err(NetError::Io(_)) if sess.res.policy().send_retries > 0 => {
-                                let backoff = sess.res.retry_backoff(1, now_rel, &obs);
+                                let backoff = sess.res.retry_backoff(1, now_rel, obs);
                                 sess.pending = Some(PendingSend {
                                     msg,
                                     attempt: 1,
@@ -1167,9 +1164,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                 }
                 Err(NetError::Io(_)) if pending.attempt < sess.res.policy().send_retries => {
                     pending.attempt += 1;
-                    // pm-audit: allow(hot-loop-alloc): obs handle clone is a refcount bump
-                    let sess_obs = sess.obs.clone();
-                    let backoff = sess.res.retry_backoff(pending.attempt, now_rel, &sess_obs);
+                    let backoff = sess.res.retry_backoff(pending.attempt, now_rel, &sess.obs);
                     sess.pending = Some(pending);
                     arm(wheel, sess, TimerKind::Retry, backoff, tick);
                     AfterIo::Nothing
@@ -1407,8 +1402,7 @@ fn flush_outbound<T: PollTransport>(
             }
             Err(NetError::Io(_)) if sess.res.policy().send_retries > 0 => {
                 let now_rel = now_abs - sess.started;
-                let sess_obs = sess.obs.clone();
-                let backoff = sess.res.retry_backoff(1, now_rel, &sess_obs);
+                let backoff = sess.res.retry_backoff(1, now_rel, &sess.obs);
                 sess.pending = Some(PendingSend {
                     msg,
                     attempt: 1,
@@ -1425,7 +1419,7 @@ fn flush_outbound<T: PollTransport>(
 
 /// A receiver's end-of-drive checks: FIN, linger, stall.
 fn receiver_checks(sess: &mut SessionState, now_abs: f64) -> Option<SessionOutcome> {
-    let obs = sess.obs.clone();
+    let obs = &sess.obs;
     let now_rel = now_abs - sess.started;
     let corrupt_dropped = sess.res.corrupt_dropped();
     let Engine::Receiver(machine) = &sess.engine else {

@@ -1,30 +1,80 @@
 //! In-process multicast hub — the deterministic test substrate.
 //!
 //! A [`MemHub`] models one multicast group: every endpoint's `send` is
-//! fanned out to every *other* endpoint's queue (no self-delivery, like IP
-//! multicast with loopback disabled). Messages are serialized through the
-//! real wire codec so the full encode/decode path is exercised.
+//! heard by every *other* endpoint (no self-delivery, like IP multicast
+//! with loopback disabled). Messages are serialized through the real wire
+//! codec so the full encode/decode path is exercised, and every endpoint
+//! decodes and checksums every datagram itself.
+//!
+//! The group is one shared log, not a queue per endpoint: a `send` appends
+//! one entry whatever the population, each endpoint reads through its own
+//! cursor, and an entry goes once its last reader has passed it. A poll
+//! that finds nothing new is one atomic load — no lock, no queue.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use parking_lot::Mutex;
+use bytes::Bytes;
 use pm_obs::{Event, Obs, Stopwatch};
 
 use crate::transport::{NetError, Transport};
 use crate::wire::Message;
 
-/// Shared state: the outbound queues of every endpoint.
+/// One multicast datagram in the log.
+struct Entry {
+    from: usize,
+    raw: Bytes,
+    /// Joined endpoints other than `from` that have yet to read it.
+    readers_left: usize,
+}
+
+/// The group's log: `entries[i]` has sequence number `base + i`.
 #[derive(Default)]
-struct HubState {
-    sinks: Vec<(usize, Sender<bytes::Bytes>)>,
+struct Log {
+    entries: VecDeque<Entry>,
+    base: u64,
+    /// Endpoints currently joined.
+    members: usize,
+    /// Threads blocked in `recv_timeout`; a send notifies only if any.
+    parked: usize,
+}
+
+impl Log {
+    /// Drop the entries every reader is through with.
+    fn trim(&mut self) {
+        while self.entries.front().is_some_and(|e| e.readers_left == 0) {
+            self.entries.pop_front();
+            self.base += 1;
+        }
+    }
+}
+
+#[derive(Default)]
+struct Shared {
+    log: Mutex<Log>,
+    /// Sequence number the next entry will get (`base + entries.len()`):
+    /// bumped (`Release`) under the log lock after a push, loaded
+    /// (`Acquire`) lock-free by a poll to learn whether its cursor is at
+    /// the tail.
+    published: AtomicU64,
+    wake: Condvar,
+}
+
+impl Shared {
+    /// Nothing panics while holding the lock (no caller code runs under
+    /// it), so a poisoned log is still a consistent one.
+    fn lock(&self) -> MutexGuard<'_, Log> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// An in-process multicast group.
 #[derive(Clone, Default)]
 pub struct MemHub {
-    state: Arc<Mutex<HubState>>,
+    state: Arc<Shared>,
 }
 
 impl MemHub {
@@ -33,16 +83,18 @@ impl MemHub {
         Self::default()
     }
 
-    /// Join the group, returning a new endpoint.
+    /// Join the group, returning a new endpoint. It hears what is sent
+    /// from now on, nothing from before.
     pub fn join(&self) -> MemEndpoint {
-        static NEXT_ID: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let id = NEXT_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let (tx, rx) = unbounded();
-        self.state.lock().sinks.push((id, tx));
+        static NEXT_ID: AtomicUsize = AtomicUsize::new(0);
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+        let mut log = self.state.lock();
+        log.members += 1;
         MemEndpoint {
             id,
             hub: self.state.clone(),
-            rx,
+            cursor: self.state.published.load(Ordering::Relaxed),
+            left: RefCell::new(None),
             obs: Obs::null(),
             clock: Stopwatch::start(),
         }
@@ -50,15 +102,20 @@ impl MemHub {
 
     /// Number of endpoints currently joined.
     pub fn endpoints(&self) -> usize {
-        self.state.lock().sinks.len()
+        self.state.lock().members
     }
 }
 
 /// One endpoint of a [`MemHub`] group.
 pub struct MemEndpoint {
     id: usize,
-    hub: Arc<Mutex<HubState>>,
-    rx: Receiver<bytes::Bytes>,
+    hub: Arc<Shared>,
+    /// Sequence number of the next log entry to read. Own entries are not
+    /// waited for, so the log's `base` may have passed it.
+    cursor: u64,
+    /// Once left: the datagrams that were still unread at that moment.
+    /// They remain receivable; after them the endpoint is `Closed`.
+    left: RefCell<Option<VecDeque<Bytes>>>,
     obs: Obs,
     clock: Stopwatch,
 }
@@ -71,24 +128,70 @@ impl MemEndpoint {
         self
     }
 
-    /// Leave the group (subsequent sends by others skip this endpoint).
-    /// Dropping the endpoint leaves implicitly.
+    /// Leave the group (subsequent sends by others skip this endpoint),
+    /// giving up its share of every entry it has not read. Dropping the
+    /// endpoint leaves implicitly.
     pub fn leave(&self) {
-        self.hub.lock().sinks.retain(|(id, _)| *id != self.id);
+        let mut left = self.left.borrow_mut();
+        if left.is_some() {
+            return;
+        }
+        let mut log = self.hub.lock();
+        log.members -= 1;
+        let read = self.cursor.saturating_sub(log.base) as usize;
+        let mut backlog = VecDeque::new();
+        for entry in log.entries.range_mut(read..) {
+            if entry.from != self.id {
+                backlog.push_back(entry.raw.clone());
+                entry.readers_left -= 1;
+            }
+        }
+        log.trim();
+        *left = Some(backlog);
     }
 
-    /// Inject raw datagram bytes into every *other* endpoint's queue,
-    /// bypassing the encoder. A chaos/test hook: lets a saboteur place
-    /// corrupted or garbage bytes on the wire exactly as a damaged UDP
-    /// datagram would arrive.
-    pub fn send_raw(&self, raw: bytes::Bytes) {
-        let state = self.hub.lock();
-        for (id, sink) in &state.sinks {
-            if *id == self.id {
-                continue; // no self-delivery
+    /// Inject raw datagram bytes toward every *other* endpoint, bypassing
+    /// the encoder. A chaos/test hook: lets a saboteur place corrupted or
+    /// garbage bytes on the wire exactly as a damaged UDP datagram would
+    /// arrive.
+    pub fn send_raw(&self, raw: Bytes) {
+        let mut log = self.hub.lock();
+        // No self-delivery; with nobody else to hear it nothing is kept.
+        let readers_left = log.members - usize::from(self.left.borrow().is_none());
+        if readers_left > 0 {
+            log.entries.push_back(Entry {
+                from: self.id,
+                raw,
+                readers_left,
+            });
+            self.hub.published.fetch_add(1, Ordering::Release);
+            if log.parked > 0 {
+                self.hub.wake.notify_all();
             }
-            let _ = sink.send(raw.clone());
         }
+    }
+
+    /// The next unread datagram from another endpoint, without blocking.
+    fn next_raw(&mut self) -> Result<Option<Bytes>, NetError> {
+        if let Some(backlog) = self.left.get_mut() {
+            return backlog.pop_front().map(Some).ok_or(NetError::Closed);
+        }
+        if self.cursor == self.hub.published.load(Ordering::Acquire) {
+            return Ok(None);
+        }
+        let log = &mut *self.hub.lock();
+        self.cursor = self.cursor.max(log.base);
+        let mut found = None;
+        while let Some(entry) = log.entries.get_mut((self.cursor - log.base) as usize) {
+            self.cursor += 1;
+            if entry.from != self.id {
+                entry.readers_left -= 1;
+                found = Some(entry.raw.clone());
+                break;
+            }
+        }
+        log.trim();
+        Ok(found)
     }
 }
 
@@ -103,75 +206,63 @@ impl Transport for MemEndpoint {
         self.obs.emit(self.clock.now(), || Event::NetSent {
             kind: msg.obs_kind(),
         });
-        let encoded = msg.encode();
-        let state = self.hub.lock();
-        for (id, sink) in &state.sinks {
-            if *id == self.id {
-                continue; // no self-delivery
-            }
-            // A disconnected sink means that endpoint dropped; ignore.
-            let _ = sink.send(encoded.clone());
-        }
+        self.send_raw(msg.encode());
         Ok(())
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
+        use crate::poll::PollTransport;
         // pm-audit: allow(determinism-time): blocking-IO recv deadline on a real transport, wall-clock by design
         let deadline = std::time::Instant::now() + timeout;
         loop {
+            if let Some(msg) = self.poll_recv()? {
+                return Ok(Some(msg));
+            }
             // pm-audit: allow(determinism-time): blocking-IO recv deadline on a real transport, wall-clock by design
             let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            match self.rx.recv_timeout(remaining) {
-                Ok(raw) => match Message::decode(raw) {
-                    Ok(msg) => {
-                        self.obs.emit(self.clock.now(), || Event::NetRecv {
-                            kind: msg.obs_kind(),
-                        });
-                        return Ok(Some(msg));
-                    }
-                    // Damaged own-traffic surfaces (recoverable) so the
-                    // driver can count and drop it; foreign datagrams
-                    // (bad magic/short header) stay a silent skip.
-                    Err(e @ NetError::Corrupt(_)) => return Err(e),
-                    Err(_) => continue,
-                },
-                Err(RecvTimeoutError::Timeout) => return Ok(None),
-                Err(RecvTimeoutError::Disconnected) => return Err(NetError::Closed),
+            if remaining.is_zero() {
+                return Ok(None);
+            }
+            // Park until a send: `parked` is only touched under the lock,
+            // and the tail is rechecked under it, so no wakeup is missed.
+            let mut log = self.hub.lock();
+            if self.cursor == self.hub.published.load(Ordering::Relaxed) {
+                log.parked += 1;
+                let woken = self.hub.wake.wait_timeout(log, remaining);
+                woken.unwrap_or_else(PoisonError::into_inner).0.parked -= 1;
             }
         }
     }
 }
 
 impl crate::poll::PollTransport for MemEndpoint {
-    /// Native non-blocking drain: a pure `try_recv`, no wall-clock reads
-    /// at all — under the event-driven multiplexer's virtual clock the
-    /// in-memory substrate stays fully deterministic.
+    /// Native non-blocking drain: no wall-clock reads at all — under the
+    /// event-driven multiplexer's virtual clock the in-memory substrate
+    /// stays fully deterministic.
     fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
-        loop {
-            match self.rx.try_recv() {
-                Ok(raw) => match Message::decode(raw) {
-                    Ok(msg) => {
-                        self.obs.emit(self.clock.now(), || Event::NetRecv {
-                            kind: msg.obs_kind(),
-                        });
-                        return Ok(Some(msg));
-                    }
-                    // Same surface as `recv_timeout`: damaged own-traffic
-                    // is recoverable, foreign bytes a silent skip.
-                    Err(e @ NetError::Corrupt(_)) => return Err(e),
-                    Err(_) => continue,
-                },
-                Err(TryRecvError::Empty) => return Ok(None),
-                Err(TryRecvError::Disconnected) => return Err(NetError::Closed),
+        while let Some(raw) = self.next_raw()? {
+            match Message::decode(raw) {
+                Ok(msg) => {
+                    self.obs.emit(self.clock.now(), || Event::NetRecv {
+                        kind: msg.obs_kind(),
+                    });
+                    return Ok(Some(msg));
+                }
+                // Damaged own-traffic surfaces (recoverable) so the driver
+                // can count and drop it; foreign datagrams (bad magic/short
+                // header) stay a silent skip.
+                Err(e @ NetError::Corrupt(_)) => return Err(e),
+                Err(_) => {}
             }
         }
+        Ok(None)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use crate::poll::PollTransport;
 
     const TICK: Duration = Duration::from_millis(200);
 
@@ -285,5 +376,115 @@ mod tests {
             tx.send(&Message::Fin { session: s }).unwrap();
         }
         assert_eq!(handle.join().unwrap(), vec![0, 1, 2, 3, 4]);
+    }
+
+    fn fin(session: u32) -> Message {
+        Message::Fin { session }
+    }
+
+    /// Entries the hub is still holding for somebody.
+    fn retained(hub: &MemHub) -> usize {
+        hub.state.lock().entries.len()
+    }
+
+    fn drain(ep: &mut MemEndpoint) -> Vec<Message> {
+        std::iter::from_fn(|| ep.poll_recv().unwrap()).collect()
+    }
+
+    #[test]
+    fn late_joiner_hears_only_later_traffic() {
+        let hub = MemHub::new();
+        let mut a = hub.join();
+        let mut b = hub.join();
+        a.send(&fin(1)).unwrap();
+        let mut late = hub.join();
+        a.send(&fin(2)).unwrap();
+        assert_eq!(drain(&mut late), vec![fin(2)]);
+        assert_eq!(drain(&mut b), vec![fin(1), fin(2)]);
+        assert_eq!(retained(&hub), 0);
+    }
+
+    #[test]
+    fn interleaved_senders_keep_one_order_and_never_hear_themselves() {
+        let hub = MemHub::new();
+        let mut eps: Vec<MemEndpoint> = (0..3).map(|_| hub.join()).collect();
+        let mut heard = [vec![], vec![], vec![]];
+        for s in 0..30u32 {
+            eps[s as usize % 3].send(&fin(s)).unwrap();
+            // Readers at different depths of the same log.
+            let reader = (s as usize / 2) % 3;
+            heard[reader].extend(eps[reader].poll_recv().unwrap());
+        }
+        for (i, ep) in eps.iter_mut().enumerate() {
+            heard[i].extend(drain(ep));
+            let want: Vec<Message> = (0..30).filter(|s| *s as usize % 3 != i).map(fin).collect();
+            assert_eq!(heard[i], want, "endpoint {i}");
+        }
+        assert_eq!(retained(&hub), 0, "everything read, nothing kept");
+    }
+
+    #[test]
+    fn a_send_nobody_else_can_hear_is_not_retained() {
+        let hub = MemHub::new();
+        let mut alone = hub.join();
+        alone.send(&fin(1)).unwrap();
+        alone.send_raw(Bytes::from_static(b"noise"));
+        assert_eq!(retained(&hub), 0);
+        // ... and a later joiner does not find it either.
+        let mut b = hub.join();
+        assert_eq!(drain(&mut b), vec![]);
+        assert_eq!(drain(&mut alone), vec![]);
+    }
+
+    #[test]
+    fn a_leaver_releases_its_backlog_but_can_still_read_it() {
+        let hub = MemHub::new();
+        let mut a = hub.join();
+        let mut b = hub.join();
+        let mut c = hub.join();
+        for s in 0..4 {
+            a.send(&fin(s)).unwrap();
+        }
+        assert_eq!(b.poll_recv().unwrap(), Some(fin(0)));
+        assert_eq!(drain(&mut c).len(), 4);
+        assert_eq!(retained(&hub), 3, "b has three to go");
+        b.leave();
+        b.leave(); // idempotent
+        assert_eq!(hub.endpoints(), 2);
+        assert_eq!(retained(&hub), 0, "the log does not wait for a leaver");
+        a.send(&fin(9)).unwrap();
+        // What was unread at `leave` is still delivered, nothing newer is,
+        // and then the endpoint reports `Closed` on both receive paths.
+        assert_eq!(b.poll_recv().unwrap(), Some(fin(1)));
+        assert_eq!(b.recv_timeout(TICK).unwrap(), Some(fin(2)));
+        assert_eq!(b.poll_recv().unwrap(), Some(fin(3)));
+        assert!(matches!(b.poll_recv(), Err(NetError::Closed)));
+        assert!(matches!(b.recv_timeout(TICK), Err(NetError::Closed)));
+        // A leaver may still talk; it is no longer counted as a listener.
+        b.send(&fin(10)).unwrap();
+        assert_eq!(drain(&mut c), vec![fin(9), fin(10)]);
+        drop(b);
+        assert_eq!(hub.endpoints(), 2);
+        // Dropping with a backlog releases it the same way.
+        drop(a);
+        assert_eq!(retained(&hub), 0);
+    }
+
+    #[test]
+    fn a_parked_receiver_wakes_on_send() {
+        let hub = MemHub::new();
+        let mut tx = hub.join();
+        let mut rx = hub.join();
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(|| rx.recv_timeout(Duration::from_secs(60)));
+            // Send only once the receiver is inside the condvar wait.
+            while hub.state.lock().parked == 0 {
+                std::thread::yield_now();
+            }
+            tx.send(&fin(5)).unwrap();
+            assert_eq!(parked.join().unwrap().unwrap(), Some(fin(5)));
+        });
+        assert_eq!(hub.state.lock().parked, 0);
+        assert_eq!(retained(&hub), 0);
     }
 }

@@ -4,6 +4,11 @@
 //! keeps: which of the `n` block packets have arrived, how many more are
 //! needed (`l`, the number a NAK reports in protocol NP), and — once any `k`
 //! have been received — the reconstructed data packets.
+//!
+//! Its size and cost follow what arrived, not the block length: at most
+//! `k` arrivals are ever kept, sorted by block index. A receiver of
+//! protocol NP runs `h = 255 - k`, and a slot per block packet would cost
+//! more to initialise than a small group's payload does to receive.
 
 use bytes::Bytes;
 
@@ -31,8 +36,10 @@ pub enum InsertOutcome {
 #[derive(Debug, Clone)]
 pub struct GroupDecoder {
     spec: CodeSpec,
-    slots: Vec<Option<Bytes>>,
-    received: usize,
+    /// The packets kept (at most `k`), ascending by block index.
+    arrivals: Vec<(u8, Bytes)>,
+    /// How many of `arrivals` are data packets (index below `k`).
+    data_received: usize,
     /// Count of discarded packets that arrived after the group was complete.
     unneeded: u64,
 }
@@ -42,8 +49,8 @@ impl GroupDecoder {
     pub fn new(spec: CodeSpec) -> Self {
         GroupDecoder {
             spec,
-            slots: vec![None; spec.n()],
-            received: 0,
+            arrivals: Vec::with_capacity(spec.k()),
+            data_received: 0,
             unneeded: 0,
         }
     }
@@ -55,32 +62,39 @@ impl GroupDecoder {
 
     /// Number of distinct packets received so far.
     pub fn received(&self) -> usize {
-        self.received
+        self.arrivals.len()
+    }
+
+    /// Number of distinct *data* packets received so far.
+    pub fn data_received(&self) -> usize {
+        self.data_received
     }
 
     /// Number of *additional* packets needed to decode: `max(0, k - received)`.
     /// This is the `l` a protocol-NP receiver reports in `NAK(i, l)`.
     pub fn needed(&self) -> usize {
-        self.spec.k().saturating_sub(self.received)
+        self.spec.k().saturating_sub(self.received())
     }
 
     /// True once any `k` distinct packets of the block have been received.
     pub fn is_decodable(&self) -> bool {
-        self.received >= self.spec.k()
+        self.received() >= self.spec.k()
     }
 
     /// True if all `k` *data* packets arrived (no decoding work required).
     pub fn all_data_received(&self) -> bool {
-        self.slots.iter().take(self.spec.k()).all(Option::is_some)
+        self.data_received == self.spec.k()
     }
 
     /// Indices of data packets that have not arrived.
     pub fn missing_data(&self) -> Vec<usize> {
-        self.slots
+        let mut held = self
+            .arrivals
             .iter()
-            .take(self.spec.k())
-            .enumerate()
-            .filter_map(|(i, s)| s.is_none().then_some(i))
+            .map(|(i, _)| usize::from(*i))
+            .peekable();
+        (0..self.spec.k())
+            .filter(|i| held.next_if_eq(i).is_none())
             .collect()
     }
 
@@ -99,10 +113,11 @@ impl GroupDecoder {
     /// duplicate.
     pub fn insert(&mut self, index: usize, payload: Bytes) -> Result<InsertOutcome, RseError> {
         let n = self.spec.n();
-        if index >= n {
-            return Err(RseError::IndexOutOfRange { index, n });
-        }
-        if let Some(first) = self.slots.iter().flatten().next() {
+        let key = match u8::try_from(index) {
+            Ok(key) if index < n => key,
+            _ => return Err(RseError::IndexOutOfRange { index, n }),
+        };
+        if let Some((_, first)) = self.arrivals.first() {
             if first.len() != payload.len() {
                 return Err(RseError::PacketSizeMismatch {
                     expected: first.len(),
@@ -110,21 +125,25 @@ impl GroupDecoder {
                 });
             }
         }
-        match self.slots.get(index) {
-            Some(Some(existing)) if existing == &payload => return Ok(InsertOutcome::Duplicate),
-            Some(Some(_)) => return Err(RseError::DuplicateShare { index }),
-            Some(None) => {}
-            None => return Err(RseError::Internal("index < n implies a slot exists")),
+        // In-order arrival appends; anything else finds its sorted place,
+        // which is also where a packet with this index would already be.
+        let at = match self.arrivals.last() {
+            Some((last, _)) if *last >= key => self.arrivals.partition_point(|(i, _)| *i < key),
+            _ => self.arrivals.len(),
+        };
+        if let Some((_, held)) = self.arrivals.get(at).filter(|(i, _)| *i == key) {
+            return if *held == payload {
+                Ok(InsertOutcome::Duplicate)
+            } else {
+                Err(RseError::DuplicateShare { index })
+            };
         }
         if self.is_decodable() {
             self.unneeded += 1;
             return Ok(InsertOutcome::Unneeded);
         }
-        *self
-            .slots
-            .get_mut(index)
-            .ok_or(RseError::Internal("index < n implies a slot exists"))? = Some(payload);
-        self.received += 1;
+        self.arrivals.insert(at, (key, payload));
+        self.data_received += usize::from(index < self.spec.k());
         Ok(if self.is_decodable() {
             InsertOutcome::Decodable
         } else {
@@ -135,7 +154,9 @@ impl GroupDecoder {
     /// The `k` data packets, if every one of them arrived — no decoder
     /// and no field arithmetic needed (the systematic fast path).
     pub fn data_if_complete(&self) -> Option<Vec<Bytes>> {
-        self.slots.iter().take(self.spec.k()).cloned().collect()
+        // Storing stops at `k`, so `k` data arrivals are all there is.
+        self.all_data_received()
+            .then(|| self.arrivals.iter().map(|(_, p)| p.clone()).collect())
     }
 
     /// Reconstruct the `k` data packets. Those that arrived come back as
@@ -147,7 +168,7 @@ impl GroupDecoder {
     pub fn reconstruct(&self, decoder: &RseDecoder) -> Result<Vec<Bytes>, RseError> {
         if !self.is_decodable() {
             return Err(RseError::NotEnoughShares {
-                have: self.received,
+                have: self.received(),
                 need: self.spec.k(),
             });
         }
@@ -155,22 +176,23 @@ impl GroupDecoder {
             return Ok(data);
         }
         let shares: Vec<(usize, &[u8])> = self
-            .slots
+            .arrivals
             .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|b| (i, b.as_ref())))
+            .map(|(i, p)| (usize::from(*i), p.as_ref()))
             .collect();
-        // `decode_missing` returns the gaps in ascending index order.
+        // `decode_missing` returns the gaps in ascending index order, and
+        // the data arrivals lead `arrivals` in the same order.
         let mut rebuilt = decoder.decode_missing(&shares)?.into_iter();
-        self.slots
-            .iter()
-            .take(self.spec.k())
-            .map(|slot| match slot {
-                Some(arrived) => Ok(arrived.clone()),
+        let mut arrived = self.arrivals.iter().peekable();
+        (0..self.spec.k())
+            .map(|i| match arrived.next_if(|(j, _)| usize::from(*j) == i) {
+                Some((_, payload)) => Ok(payload.clone()),
                 None => rebuilt
                     .next()
                     .map(|(_, payload)| Bytes::from(payload))
-                    .ok_or(RseError::Internal("one rebuilt packet per empty data slot")),
+                    .ok_or(RseError::Internal(
+                        "one rebuilt packet per missing data index",
+                    )),
             })
             .collect()
     }

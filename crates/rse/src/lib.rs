@@ -26,8 +26,9 @@
 //! against.
 //!
 //! [`GroupDecoder`] is the receiver-side accumulator used by the protocol:
-//! it tracks which packets of a block have arrived and reconstructs the TG
-//! as soon as any `k` have been received.
+//! it keeps the (at most `k`) packets of a block that arrived — state and
+//! cost follow `k`, not the block length `n` — and reconstructs the TG as
+//! soon as any `k` have been received.
 //!
 //! ```
 //! use pm_rse::{CodeSpec, RseDecoder, RseEncoder};

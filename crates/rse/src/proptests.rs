@@ -4,7 +4,9 @@
 use pm_gf::{Gf256, Matrix};
 use proptest::prelude::*;
 
-use crate::block::GroupDecoder;
+use bytes::Bytes;
+
+use crate::block::{GroupDecoder, InsertOutcome};
 use crate::code::CodeSpec;
 use crate::decoder::{CacheStats, RseDecoder};
 use crate::encoder::RseEncoder;
@@ -439,6 +441,176 @@ fn decode_matches_full_inverse_on_edge_patterns() {
             assert_same_decode(&dec, &mut oracle, &shares).unwrap();
             shares.reverse();
             assert_same_decode(&dec, &mut oracle, &shares).unwrap();
+        }
+    }
+}
+
+/// The accumulator this crate shipped before [`GroupDecoder`] kept only
+/// what arrived: one `Option<Bytes>` slot per block packet, scanned for the
+/// size check, the data census and the share list. Kept as the oracle.
+struct DenseGroup {
+    spec: CodeSpec,
+    slots: Vec<Option<Bytes>>,
+    received: usize,
+    unneeded: u64,
+}
+
+impl DenseGroup {
+    fn new(spec: CodeSpec) -> Self {
+        DenseGroup {
+            spec,
+            slots: vec![None; spec.n()],
+            received: 0,
+            unneeded: 0,
+        }
+    }
+
+    fn missing_data(&self) -> Vec<usize> {
+        (0..self.spec.k())
+            .filter(|&i| self.slots[i].is_none())
+            .collect()
+    }
+
+    fn insert(&mut self, index: usize, payload: Bytes) -> Result<InsertOutcome, RseError> {
+        let (k, n) = (self.spec.k(), self.spec.n());
+        if index >= n {
+            return Err(RseError::IndexOutOfRange { index, n });
+        }
+        if let Some(first) = self.slots.iter().flatten().next() {
+            if first.len() != payload.len() {
+                return Err(RseError::PacketSizeMismatch {
+                    expected: first.len(),
+                    got: payload.len(),
+                });
+            }
+        }
+        match &self.slots[index] {
+            Some(existing) if existing == &payload => return Ok(InsertOutcome::Duplicate),
+            Some(_) => return Err(RseError::DuplicateShare { index }),
+            None => {}
+        }
+        if self.received >= k {
+            self.unneeded += 1;
+            return Ok(InsertOutcome::Unneeded);
+        }
+        self.slots[index] = Some(payload);
+        self.received += 1;
+        Ok(if self.received >= k {
+            InsertOutcome::Decodable
+        } else {
+            InsertOutcome::Stored
+        })
+    }
+
+    fn data_if_complete(&self) -> Option<Vec<Bytes>> {
+        self.slots.iter().take(self.spec.k()).cloned().collect()
+    }
+
+    fn reconstruct(&self, decoder: &RseDecoder) -> Result<Vec<Bytes>, RseError> {
+        if self.received < self.spec.k() {
+            return Err(RseError::NotEnoughShares {
+                have: self.received,
+                need: self.spec.k(),
+            });
+        }
+        if let Some(data) = self.data_if_complete() {
+            return Ok(data);
+        }
+        let shares: Vec<(usize, &[u8])> = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| s.as_ref().map(|b| (i, b.as_ref())))
+            .collect();
+        let mut rebuilt = decoder.decode_missing(&shares)?.into_iter();
+        Ok(self
+            .slots
+            .iter()
+            .take(self.spec.k())
+            .map(|slot| match slot {
+                Some(arrived) => arrived.clone(),
+                None => Bytes::from(rebuilt.next().unwrap().1),
+            })
+            .collect())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Differential: [`GroupDecoder`] answers every arrival script as the
+    /// dense accumulator did — the same outcome or error per insert, the
+    /// same census after it, the same reconstruction (bytes, decoder
+    /// hit/miss counts, and `as_ptr` sharing for what arrived) — over random
+    /// geometry up to `n = 255` and scripts that mix a shuffled block with
+    /// identical and conflicting duplicates, wrong sizes, out-of-range
+    /// indices and arrivals past `k`.
+    #[test]
+    fn group_decoder_matches_dense_reference(
+        (k, h, len) in (1usize..40, 0usize..24, 0usize..40),
+        max_parity in any::<bool>(),
+        steps in 0usize..80,
+        seed in any::<u64>(),
+    ) {
+        let spec = if max_parity {
+            CodeSpec::with_max_parity(k).unwrap()
+        } else {
+            CodeSpec::new(k, h).unwrap()
+        };
+        let n = spec.n();
+        let enc = RseEncoder::new(spec).unwrap();
+        // Parities beyond the first 24 are never drawn; skip encoding them.
+        let reach = n.min(k + 24);
+        let data = make_group(k, len, seed);
+        let block: Vec<Bytes> = (0..reach)
+            .map(|i| if i < k { data[i].clone() } else { enc.parity(i - k, &data).unwrap() })
+            .map(Bytes::from)
+            .collect();
+        let order = choose(reach, reach, seed ^ 0xA221);
+        let (dec_new, dec_old) = (RseDecoder::new(spec).unwrap(), RseDecoder::new(spec).unwrap());
+        let (mut new, mut old) = (GroupDecoder::new(spec), DenseGroup::new(spec));
+        let (mut s, mut forged) = (seed | 1, false);
+        for step in 0..steps {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let r = (s >> 33) as usize;
+            // Mostly the shuffled block in order (wrapping repeats it);
+            // `again` is an index that has probably been offered before.
+            let fresh = order[step % reach];
+            let again = order[(r / 8) % (step + 1).min(reach)];
+            let (index, payload) = match r % 8 {
+                0..=3 => (fresh, block[fresh].clone()),
+                4 => (again, block[again].clone()),
+                5 => (again, block[(again + 1) % reach].clone()),
+                6 => (fresh, Bytes::from(vec![0u8; len + 1 + (r / 8) % 3])),
+                _ => (n + (r / 8) % 300, block[fresh].clone()),
+            };
+            // A wrong payload for an index not yet held is simply stored:
+            // both sides then decode the same wrong block.
+            let honest = block.get(index) == Some(&payload);
+            let outcome = old.insert(index, payload.clone());
+            prop_assert_eq!(new.insert(index, payload), outcome);
+            forged |= !honest
+                && matches!(outcome, Ok(InsertOutcome::Stored | InsertOutcome::Decodable));
+            prop_assert_eq!(new.received(), old.received);
+            prop_assert_eq!(new.needed(), k.saturating_sub(old.received));
+            prop_assert_eq!(new.is_decodable(), old.received >= k);
+            prop_assert_eq!(new.missing_data(), old.missing_data());
+            prop_assert_eq!(new.data_received(), k - old.missing_data().len());
+            prop_assert_eq!(new.all_data_received(), old.missing_data().is_empty());
+            prop_assert_eq!(new.unneeded_receptions(), old.unneeded);
+            prop_assert_eq!(new.data_if_complete(), old.data_if_complete());
+        }
+        let (got, want) = (new.reconstruct(&dec_new), old.reconstruct(&dec_old));
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(dec_new.cache_stats(), dec_old.cache_stats());
+        if let (Ok(got), Ok(want)) = (got, want) {
+            prop_assert!(forged || got[..] == block[..k]);
+            for (g, w) in got.iter().zip(&want) {
+                // Arrived packets are the inserted storage on both sides;
+                // rebuilt ones are fresh allocations on both.
+                let arrived = old.slots.iter().flatten().any(|b| b.as_ptr() == g.as_ptr());
+                prop_assert_eq!(g.as_ptr() == w.as_ptr(), arrived);
+            }
         }
     }
 }
