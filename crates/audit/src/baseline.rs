@@ -1,17 +1,10 @@
 //! The ratchet baseline: committed per-rule, per-crate, per-item
 //! violation counts.
 //!
-//! `audit-baseline.json` maps rule name → crate name → item path → count
-//! (format v2). The gate fails when any tracked bucket *exceeds* its
-//! baseline entry (a missing entry means zero), and reports shrunken
-//! counts so a cleanup PR can tighten the file — the ratchet only ever
-//! moves down.
-//!
-//! v1 baselines (rule → crate → bare count) still parse: a bare count is
-//! read as a crate-wide allowance under the [`CRATE_WIDE`] pseudo-item
-//! `"*"`, compared against the crate's summed total. `--update-baseline`
-//! rewrites the file in v2, migrating every `"*"` bucket to per-item
-//! attribution in one step.
+//! `audit-baseline.json` maps rule name → crate name → item path →
+//! count. The gate fails when any tracked bucket *exceeds* its baseline
+//! entry (a missing entry means zero), and reports shrunken counts so a
+//! cleanup PR can tighten the file — the ratchet only ever moves down.
 //!
 //! The crate is zero-dependency, so the tiny JSON subset the baseline
 //! needs is parsed and printed by hand.
@@ -20,9 +13,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::rules::{Rule, Violation, UNSAFE_WAIVED_CRATES};
-
-/// Pseudo-item key denoting a v1 crate-wide allowance.
-pub const CRATE_WIDE: &str = "*";
 
 /// item path → violation count.
 pub type ItemCounts = BTreeMap<String, u64>;
@@ -45,11 +35,6 @@ pub fn tally(violations: &[Violation]) -> Counts {
     counts
 }
 
-/// Sum a crate's per-item counts.
-fn crate_total(items: &ItemCounts) -> u64 {
-    items.values().sum()
-}
-
 /// One (rule, crate, item) bucket whose current count differs from the
 /// baseline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,8 +43,7 @@ pub struct Delta {
     pub rule: String,
     /// Crate name.
     pub crate_name: String,
-    /// Item path, or [`CRATE_WIDE`] when compared against a v1 crate-wide
-    /// allowance.
+    /// Item path.
     pub item: String,
     /// Committed baseline count.
     pub baseline: u64,
@@ -71,10 +55,8 @@ pub struct Delta {
 /// `(regressions, improvements)`: regressions fail the gate, improvements
 /// are invitations to shrink the baseline.
 ///
-/// A crate entry holding a [`CRATE_WIDE`] allowance (v1 migration path)
-/// is compared on the summed total; otherwise every item in either map is
-/// compared individually, so a violation *moving* between items is
-/// visible even when the total is unchanged.
+/// Every item in either map is compared individually, so a violation
+/// *moving* between items is visible even when the total is unchanged.
 pub fn compare(current: &Counts, baseline: &Counts) -> (Vec<Delta>, Vec<Delta>) {
     let mut regressions = Vec::new();
     let mut improvements = Vec::new();
@@ -100,41 +82,28 @@ pub fn compare(current: &Counts, baseline: &Counts) -> (Vec<Delta>, Vec<Delta>) 
             .unwrap_or(&empty_crates)
             .get(crate_name)
             .unwrap_or(&empty_items);
-        let mut classify = |delta: Delta| {
-            if delta.current > delta.baseline {
-                regressions.push(delta);
-            } else if delta.current < delta.baseline {
-                improvements.push(delta);
-            }
-        };
-        if let Some(&allowance) = base.get(CRATE_WIDE) {
-            // v1 crate-wide allowance: compare summed totals.
-            classify(Delta {
-                rule: rule.clone(),
-                crate_name: crate_name.clone(),
-                item: CRATE_WIDE.to_string(),
-                baseline: allowance,
-                current: crate_total(cur),
-            });
-            continue;
-        }
         let mut items: Vec<&String> = cur.keys().chain(base.keys()).collect();
         items.sort();
         items.dedup();
         for item in items {
-            classify(Delta {
+            let delta = Delta {
                 rule: rule.clone(),
                 crate_name: crate_name.clone(),
                 item: item.clone(),
                 baseline: *base.get(item).unwrap_or(&0),
                 current: *cur.get(item).unwrap_or(&0),
-            });
+            };
+            if delta.current > delta.baseline {
+                regressions.push(delta);
+            } else if delta.current < delta.baseline {
+                improvements.push(delta);
+            }
         }
     }
     (regressions, improvements)
 }
 
-/// Render counts as deterministic, human-diffable JSON (format v2).
+/// Render counts as deterministic, human-diffable JSON.
 pub fn to_json(counts: &Counts) -> String {
     let mut s = String::from("{\n");
     let rules: Vec<_> = counts
@@ -163,7 +132,9 @@ pub fn to_json(counts: &Counts) -> String {
     s
 }
 
-fn json_string(s: &str) -> String {
+/// `s` as a JSON string literal — the one escaper of the crate (the
+/// baseline writer here, the `--json` report in `lib.rs`).
+pub(crate) fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -183,13 +154,12 @@ fn json_string(s: &str) -> String {
     out
 }
 
-/// Parse a baseline file, v1 or v2 (the two nest differently at the crate
-/// level: a v1 crate entry is a bare integer, read as a [`CRATE_WIDE`]
-/// allowance; a v2 entry is an object of item → count). Unknown rule
-/// names are rejected so a typo cannot silently allowlist anything, and a
-/// nonzero `unsafe-code` allowance is only accepted for crates in
-/// [`UNSAFE_WAIVED_CRATES`] — the unsafe boundary cannot be widened by
-/// editing the baseline alone.
+/// Parse a baseline file: rule → crate → item → count, nothing else (a
+/// bare count at crate level — the retired crate-wide format — is a
+/// positioned syntax error). Unknown rule names are rejected so a typo
+/// cannot silently allowlist anything, and a nonzero `unsafe-code`
+/// allowance is only accepted for crates in [`UNSAFE_WAIVED_CRATES`] —
+/// the unsafe boundary cannot be widened by editing the baseline alone.
 ///
 /// # Errors
 /// A human-readable description of the first syntax or schema problem.
@@ -208,23 +178,15 @@ pub fn parse(text: &str) -> Result<Counts, String> {
             let mut crates = BTreeMap::new();
             p.object(
                 |p, crate_name, crates: &mut BTreeMap<String, ItemCounts>| {
-                    p.skip_ws();
                     let mut items = ItemCounts::new();
-                    if p.bytes.get(p.pos) == Some(&b'{') {
-                        // v2: per-item counts.
-                        p.object(
-                            |p, item, items: &mut ItemCounts| {
-                                let n = p.integer()?;
-                                items.insert(item, n);
-                                Ok(())
-                            },
-                            &mut items,
-                        )?;
-                    } else {
-                        // v1: bare crate-wide count.
-                        let n = p.integer()?;
-                        items.insert(CRATE_WIDE.to_string(), n);
-                    }
+                    p.object(
+                        |p, item, items: &mut ItemCounts| {
+                            let n = p.integer()?;
+                            items.insert(item, n);
+                            Ok(())
+                        },
+                        &mut items,
+                    )?;
                     crates.insert(crate_name, items);
                     Ok(())
                 },
@@ -241,7 +203,7 @@ pub fn parse(text: &str) -> Result<Counts, String> {
     }
     if let Some(crates) = counts.get(Rule::UnsafeCode.name()) {
         for (crate_name, items) in crates {
-            let total = crate_total(items);
+            let total: u64 = items.values().sum();
             if total > 0 && !UNSAFE_WAIVED_CRATES.contains(&crate_name.as_str()) {
                 return Err(format!(
                     "baseline allows {total} unsafe-code violations in {crate_name}, but only \
@@ -409,24 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_baselines_parse_as_crate_wide() {
-        let v1 = r#"{"panic-surface": {"pm-gf": 84, "pm-rse": 85}}"#;
-        let parsed = parse(v1).unwrap();
-        assert_eq!(
-            parsed,
-            counts(&[
-                ("panic-surface", "pm-gf", CRATE_WIDE, 84),
-                ("panic-surface", "pm-rse", CRATE_WIDE, 85),
-            ])
-        );
-        // Mixed v1/v2 crates in one file parse too.
-        let mixed = r#"{"panic-surface": {"pm-gf": 84, "pm-rse": {"decoder::decode": 3}}}"#;
-        let parsed = parse(mixed).unwrap();
-        assert_eq!(parsed["panic-surface"]["pm-gf"][CRATE_WIDE], 84);
-        assert_eq!(parsed["panic-surface"]["pm-rse"]["decoder::decode"], 3);
-    }
-
-    #[test]
     fn empty_baseline_parses() {
         assert_eq!(parse("{}").unwrap(), Counts::new());
         assert_eq!(parse(" {\n} ").unwrap(), Counts::new());
@@ -434,26 +378,22 @@ mod tests {
 
     #[test]
     fn unknown_rule_rejected() {
-        let err = parse(r#"{"no-such-rule": {"pm-gf": 1}}"#).unwrap_err();
+        let err = parse(r#"{"no-such-rule": {"pm-gf": {"f": 1}}}"#).unwrap_err();
         assert!(err.contains("unknown rule"), "{err}");
     }
 
     #[test]
     fn unsafe_allowance_only_for_waived_crates() {
-        // The sanctioned boundary may carry a nonzero allowance, v1 or v2…
-        assert!(parse(r#"{"unsafe-code": {"pm-simd": 40}}"#).is_ok());
+        // The sanctioned boundary may carry a nonzero allowance…
         assert!(parse(r#"{"unsafe-code": {"pm-simd": {"avx2::xor": 2}}}"#).is_ok());
         // …a zero entry anywhere is harmless…
-        assert!(parse(r#"{"unsafe-code": {"pm-core": 0}}"#).is_ok());
-        // …but a nonzero allowance outside the waiver list is rejected in
-        // either format.
-        let err = parse(r#"{"unsafe-code": {"pm-core": 1}}"#).unwrap_err();
+        assert!(parse(r#"{"unsafe-code": {"pm-core": {"lib::f": 0}}}"#).is_ok());
+        // …but a nonzero allowance outside the waiver list is rejected.
+        let err = parse(r#"{"unsafe-code": {"pm-core": {"lib::f": 1}}}"#).unwrap_err();
         assert!(
             err.contains("pm-core") && err.contains("unsafe-code"),
             "{err}"
         );
-        let err = parse(r#"{"unsafe-code": {"pm-core": {"lib::f": 1}}}"#).unwrap_err();
-        assert!(err.contains("pm-core"), "{err}");
     }
 
     #[test]
@@ -467,6 +407,10 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?}");
         }
+        // The retired crate-wide format — a bare count where the item map
+        // belongs — is a syntax error at the count's position.
+        let err = parse(r#"{"panic-surface": {"pm-gf": 84}}"#).unwrap_err();
+        assert!(err.contains("expected '{' at byte 28"), "{err}");
     }
 
     #[test]
@@ -513,24 +457,6 @@ mod tests {
         assert_eq!(regressions[0].item, "field::mul");
         assert_eq!(improvements.len(), 1);
         assert_eq!(improvements[0].item, "field::div");
-    }
-
-    #[test]
-    fn crate_wide_allowance_compares_totals() {
-        let base = counts(&[("panic-surface", "pm-gf", CRATE_WIDE, 5)]);
-        // Five violations spread across items: within the allowance.
-        let cur = counts(&[
-            ("panic-surface", "pm-gf", "field::div", 3),
-            ("panic-surface", "pm-gf", "field::mul", 2),
-        ]);
-        let (regressions, improvements) = compare(&cur, &base);
-        assert!(regressions.is_empty() && improvements.is_empty());
-        // A sixth pushes the total over.
-        let over = counts(&[("panic-surface", "pm-gf", "field::div", 6)]);
-        let (regressions, _) = compare(&over, &base);
-        assert_eq!(regressions.len(), 1);
-        assert_eq!(regressions[0].item, CRATE_WIDE);
-        assert_eq!(regressions[0].current, 6);
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! | `lossy-cast` | no unguarded truncating `as` casts in pm-net/pm-gf/pm-rse wire and codec code |
 //! | `hot-loop-alloc` | no allocation-shaped calls within [`rules::HOT_LOOP_HOPS`] call-graph hops of [`rules::HOT_PATH_ENTRIES`] |
 //! | `waiver-hygiene` | pragmas carry reasons; `expires: PR<n>` bounds hard-fail once passed |
-//! | `event-vocabulary` | pm-obs `Event::name` and `EVENT_NAMES` (used by obs-check) cannot drift |
 //!
 //! Violations are attributed to their enclosing item by the structural
 //! parser ([`items`]) and counted per (rule, crate, item) against the
@@ -39,7 +38,7 @@ pub mod rules;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use baseline::{Counts, Delta};
+use baseline::{json_string, Counts, Delta};
 use rules::Violation;
 
 /// Everything one audit run produced.
@@ -120,9 +119,6 @@ pub fn audit_workspace(root: &Path) -> Result<AuditReport, String> {
             let analysis = rules::analyze_file(&crate_name, &rel, &text, pr_count);
             violations.extend(analysis.violations);
             hot_fns.extend(analysis.hot_fns);
-            if rel.ends_with("obs/src/event.rs") {
-                violations.extend(rules::check_event_vocabulary(&crate_name, &rel, &text));
-            }
         }
     }
     // Phase 2: rules needing the crate-wide call graph.
@@ -258,12 +254,12 @@ pub fn render_json(report: &AuditReport, outcome: &GateOutcome) -> String {
             s,
             "    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"crate\": {}, \"item\": {}, \
              \"message\": {}}}{comma}",
-            json_str(&v.file),
+            json_string(&v.file),
             v.line,
-            json_str(v.rule.name()),
-            json_str(&v.crate_name),
-            json_str(&v.item),
-            json_str(&v.message)
+            json_string(v.rule.name()),
+            json_string(&v.crate_name),
+            json_string(&v.item),
+            json_string(&v.message)
         );
     }
     s.push_str("  ],\n  \"counts\": ");
@@ -291,33 +287,15 @@ fn deltas_json(deltas: &[Delta]) -> String {
         .map(|d| {
             format!(
                 "{{\"rule\": {}, \"crate\": {}, \"item\": {}, \"baseline\": {}, \"current\": {}}}",
-                json_str(&d.rule),
-                json_str(&d.crate_name),
-                json_str(&d.item),
+                json_string(&d.rule),
+                json_string(&d.crate_name),
+                json_string(&d.item),
                 d.baseline,
                 d.current
             )
         })
         .collect();
     format!("[{}]", items.join(", "))
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn indent_tail(block: &str, pad: &str) -> String {

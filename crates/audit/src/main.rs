@@ -8,9 +8,8 @@
 //!
 //! `--update-baseline` rewrites the `--baseline` file from the current
 //! run's counts — the sanctioned way to shrink the ratchet after a
-//! cleanup, and the v1 → v2 (per-item) format migration in one step. CI
-//! never passes it; the gate then trivially passes against the fresh
-//! file, so the diff is reviewed like any other ratchet change.
+//! cleanup. CI never passes it; the gate then trivially passes against
+//! the fresh file, so the diff is reviewed like any other ratchet change.
 //!
 //! Exit codes: `0` gate passed, `1` a (rule, crate, item) count exceeds
 //! its baseline entry, `2` usage or I/O error.
@@ -81,7 +80,7 @@ fn run() -> Result<bool, String> {
         }
     }
     if opts.update_baseline {
-        // Rewrite in place (always v2), then gate against the fresh file
+        // Rewrite in place, then gate against the fresh file
         // below — reading it back keeps the parse path honest.
         if let Some(path) = &opts.baseline {
             let json = pm_audit::baseline::to_json(&report.counts);

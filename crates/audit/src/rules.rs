@@ -70,7 +70,6 @@ pub const ALL_RULES: &[Rule] = &[
     Rule::LossyCast,
     Rule::HotLoopAlloc,
     Rule::WaiverHygiene,
-    Rule::EventVocabulary,
 ];
 
 /// One audit rule.
@@ -119,11 +118,6 @@ pub enum Rule {
     /// name inside `allow(…)`, or an `expires: PR<n>` bound the workspace
     /// has already passed. Never suppressible; baseline stays zero.
     WaiverHygiene,
-    /// The pm-obs `Event::name` match and the `EVENT_NAMES` vocabulary
-    /// const must list the same number of events (obs-check validates
-    /// traces against `EVENT_NAMES`, so a drift would let unvalidated
-    /// event types through).
-    EventVocabulary,
 }
 
 impl Rule {
@@ -140,7 +134,6 @@ impl Rule {
             Rule::LossyCast => "lossy-cast",
             Rule::HotLoopAlloc => "hot-loop-alloc",
             Rule::WaiverHygiene => "waiver-hygiene",
-            Rule::EventVocabulary => "event-vocabulary",
         }
     }
 
@@ -1083,120 +1076,6 @@ fn skip_attributed_item<'a>(sig: &[Token<'a>], mut i: usize) -> usize {
     i
 }
 
-/// The event-vocabulary cross-check, run against `crates/obs/src/event.rs`.
-///
-/// Counts the string literals returned by the `Event::name` match arms and
-/// the string literals in the `EVENT_NAMES` const initializer; the two
-/// must agree (obs-check validates traces against `EVENT_NAMES`, so a
-/// missing entry would make a freshly added event fail validation — or,
-/// worse, an over-long list would accept a name no event produces).
-pub fn check_event_vocabulary(crate_name: &str, rel_path: &str, src: &str) -> Vec<Violation> {
-    let tokens = lex(src);
-    let sig: Vec<Token<'_>> = tokens
-        .iter()
-        .copied()
-        .filter(|t| t.is_significant() || t.kind == TokenKind::Str)
-        .collect();
-
-    let name_arms = count_name_match_arms(&sig);
-    let vocab = count_event_names_const(&sig);
-    let mut out = Vec::new();
-    let mut fail = |line: u32, message: String| {
-        out.push(Violation {
-            rule: Rule::EventVocabulary,
-            crate_name: crate_name.to_string(),
-            file: rel_path.to_string(),
-            line,
-            item: "EVENT_NAMES".to_string(),
-            message,
-        });
-    };
-    match (name_arms, vocab) {
-        (None, _) => fail(1, "Event::name match arms not found".into()),
-        (_, None) => fail(1, "EVENT_NAMES const not found".into()),
-        (Some((arms, line)), Some((names, _))) if arms != names => fail(
-            line,
-            format!(
-                "event vocabulary drift: Event::name has {arms} arms but EVENT_NAMES lists \
-                 {names} names"
-            ),
-        ),
-        _ => {}
-    }
-    out
-}
-
-/// Find `fn name` and count `=> "…"` arms inside its first match block.
-fn count_name_match_arms<'a>(sig: &[Token<'a>]) -> Option<(usize, u32)> {
-    let mut i = 0;
-    // Locate `fn name` followed (eventually) by `match`.
-    loop {
-        while i < sig.len()
-            && !(sig[i].text == "fn" && sig.get(i + 1).map(|t| t.text) == Some("name"))
-        {
-            i += 1;
-        }
-        if i >= sig.len() {
-            return None;
-        }
-        let fn_line = sig[i].line;
-        // Scan forward to the `match` keyword within this fn.
-        let mut j = i + 2;
-        while j < sig.len() && sig[j].text != "match" && sig[j].text != "fn" {
-            j += 1;
-        }
-        if j >= sig.len() || sig[j].text == "fn" {
-            i = j;
-            continue;
-        }
-        // Enter the match block and count `=> "…"` pairs at any depth.
-        let mut depth = 0usize;
-        let mut entered = false;
-        let mut arms = 0usize;
-        let mut k = j;
-        while k < sig.len() {
-            match (sig[k].kind, sig[k].text) {
-                (TokenKind::Punct, "{") => {
-                    depth += 1;
-                    entered = true;
-                }
-                (TokenKind::Punct, "}") => {
-                    depth = depth.saturating_sub(1);
-                    if entered && depth == 0 {
-                        break;
-                    }
-                }
-                (TokenKind::Str, _)
-                    if k >= 2 && sig[k - 1].text == ">" && sig[k - 2].text == "=" =>
-                {
-                    arms += 1;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        return Some((arms, fn_line));
-    }
-}
-
-/// Find `EVENT_NAMES` and count the string literals in its initializer
-/// (between the `=` and the terminating `;` — the type annotation
-/// `[&str; N]` holds a `;` of its own, so counting starts at the `=`).
-fn count_event_names_const<'a>(sig: &[Token<'a>]) -> Option<(usize, u32)> {
-    let i = sig.iter().position(|t| t.text == "EVENT_NAMES")?;
-    let line = sig[i].line;
-    let eq = i + sig[i..].iter().position(|t| t.text == "=")?;
-    let mut names = 0usize;
-    for t in &sig[eq..] {
-        match (t.kind, t.text) {
-            (TokenKind::Str, _) => names += 1,
-            (TokenKind::Punct, ";") => break,
-            _ => {}
-        }
-    }
-    Some((names, line))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1528,27 +1407,6 @@ mod tests {
         assert!(scan_file("pm-obs", "crates/obs/src/metrics.rs", src).is_empty());
         assert!(scan_file("pm-bench", "crates/bench/src/fig01.rs", src).is_empty());
         assert_eq!(scan_file("pm-net", "crates/net/src/udp.rs", src).len(), 1);
-    }
-
-    #[test]
-    fn event_vocabulary_detects_drift() {
-        let ok = r#"
-            pub const EVENT_NAMES: [&str; 2] = ["a", "b"];
-            impl Event {
-                pub fn name(&self) -> &'static str {
-                    match self {
-                        Event::A { .. } => "a",
-                        Event::B { .. } => "b",
-                    }
-                }
-            }
-        "#;
-        assert!(check_event_vocabulary("pm-obs", "e.rs", ok).is_empty());
-        let drifted = ok.replace(r#"["a", "b"]"#, r#"["a", "b", "c"]"#);
-        let vs = check_event_vocabulary("pm-obs", "e.rs", &drifted);
-        assert_eq!(rules_of(&vs), vec![Rule::EventVocabulary]);
-        let missing = "fn other() {}";
-        assert_eq!(check_event_vocabulary("pm-obs", "e.rs", missing).len(), 1);
     }
 
     #[test]

@@ -169,7 +169,7 @@ fn baseline_json_roundtrips_through_the_writer_and_parser() {
     assert_eq!(parsed, report.counts);
 }
 
-// --- negative self-tests for the v2 structural rules: each seeds one
+// --- negative self-tests for the structural rules: each seeds one
 // --- violation and proves the binary exits 1 naming the rule.
 
 #[test]
@@ -181,11 +181,11 @@ fn seeded_unsafe_contract_violation_fails_via_binary() {
         "pm-simd",
         "pub unsafe fn f(p: *const u8) -> u8 { unsafe { *p } }\n",
     );
-    // v1-format baseline generously allowing the raw unsafe-code count —
-    // exercising the compat parser — but not the missing contracts.
+    // A baseline generously allowing the raw unsafe-code count, but not
+    // the missing contracts.
     fs::write(
         ws.root.join("baseline.json"),
-        "{\"unsafe-code\": {\"pm-simd\": 99}}\n",
+        "{\"unsafe-code\": {\"pm-simd\": {\"f\": 99}}}\n",
     )
     .unwrap();
     let (code, out) = ws.run_binary("baseline.json", &[]);
@@ -236,28 +236,28 @@ fn seeded_hot_loop_alloc_violation_fails_via_binary() {
 }
 
 #[test]
-fn update_baseline_migrates_v1_and_round_trips() {
+fn update_baseline_tightens_and_round_trips() {
     let ws = ScratchWorkspace::new(
         "update",
         "pub fn f() -> std::time::Instant { std::time::Instant::now() }\n",
     );
-    // Start from a v1 crate-wide baseline that allows the violation.
+    // Start from a baseline looser than the code: a higher count for `f`
+    // and an allowance for an item that no longer exists.
     fs::write(
         ws.root.join("baseline.json"),
-        "{\"determinism-time\": {\"seeded\": 1}}\n",
+        "{\"determinism-time\": {\"seeded\": {\"f\": 3, \"gone\": 1}}}\n",
     )
     .unwrap();
     let (code, out) = ws.run_binary("baseline.json", &["--update-baseline"]);
     assert_eq!(code, Some(0), "{out}");
     let rewritten = fs::read_to_string(ws.root.join("baseline.json")).unwrap();
-    // The rewrite is in v2 per-item form: the count hangs off the fn name,
-    // not the crate-wide "*" bucket.
+    // The rewrite holds what the code measures today, per item.
     assert!(rewritten.contains("\"f\": 1"), "{rewritten}");
-    assert!(!rewritten.contains("\"*\""), "{rewritten}");
+    assert!(!rewritten.contains("gone"), "{rewritten}");
     let parsed = baseline::parse(&rewritten).unwrap();
     let report = audit_workspace(&ws.root).unwrap();
     assert_eq!(parsed, report.counts, "rewritten baseline round-trips");
-    // A plain re-run against the migrated file still gates green.
+    // A plain re-run against the rewritten file still gates green.
     let (code, out) = ws.run_binary("baseline.json", &[]);
     assert_eq!(code, Some(0), "{out}");
 }

@@ -10,8 +10,8 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use pm_obs::{
-    Event, FlightRecorder, JsonlRecorder, MetricsRegistry, Obs, Recorder, RingRecorder,
-    WindowConfig, WindowTelemetry,
+    Event, JsonlRecorder, MetricsRegistry, Obs, Recorder, RingRecorder, WindowConfig,
+    WindowTelemetry,
 };
 
 fn event(i: u16) -> Event {
@@ -80,17 +80,6 @@ fn bench_window_telemetry(c: &mut Criterion) {
     });
 }
 
-fn bench_flight_recorder(c: &mut Criterion) {
-    let obs = Obs::new(Arc::new(FlightRecorder::new(256)));
-    c.bench_function("flight_recorder_emit", |b| {
-        let mut i = 0u16;
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            obs.emit(std::hint::black_box(0.5), || event(i));
-        });
-    });
-}
-
 fn bench_window_snapshot(c: &mut Criterion) {
     let tel = WindowTelemetry::new(WindowConfig::default());
     let mut t = 0.0f64;
@@ -110,7 +99,6 @@ criterion_group!(
     bench_jsonl_recorder,
     bench_histogram,
     bench_window_telemetry,
-    bench_flight_recorder,
     bench_window_snapshot
 );
 criterion_main!(benches);

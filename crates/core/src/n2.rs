@@ -140,16 +140,6 @@ impl N2Sender {
         done + serviced
     }
 
-    /// [`Self::state_bytes`] normalised by the known receiver population
-    /// (falls back to the done population under quiescence completion).
-    pub fn state_bytes_per_receiver(&self) -> f64 {
-        let r = match self.cfg.completion {
-            CompletionPolicy::KnownReceivers(r) => r as usize,
-            CompletionPolicy::Quiescence(_) => self.done_receivers.len(),
-        };
-        self.state_bytes() as f64 / r.max(1) as f64
-    }
-
     /// Receivers still outstanding under
     /// [`CompletionPolicy::KnownReceivers`] (0 under quiescence).
     pub fn outstanding(&self) -> u32 {

@@ -167,11 +167,6 @@ impl NpReceiver {
         self.fin_seen
     }
 
-    /// Groups decoded so far.
-    pub fn groups_decoded(&self) -> usize {
-        self.decoded.len()
-    }
-
     /// Earliest NAK deadline, if any.
     pub fn next_deadline(&self) -> Option<f64> {
         self.suppressor.next_deadline()

@@ -33,8 +33,8 @@ use pm_core::runtime::{
 use pm_core::sender::SenderStep;
 use pm_net::{Message, NetError, PollSet, PollTransport, Token};
 use pm_obs::{
-    Counter, Event, FlightRecorder, Gauge, Histogram, MetricsRegistry, Obs, Outcome, Postmortem,
-    Recorder, Role, WindowTelemetry,
+    Counter, Event, Gauge, Histogram, MetricsRegistry, Obs, Outcome, Postmortem, Recorder,
+    RingRecorder, Role, WindowTelemetry,
 };
 
 use crate::clock::MuxClock;
@@ -58,11 +58,11 @@ pub struct MuxConfig {
     /// Datagrams drained per endpoint per sweep — the fairness bound: a
     /// flooding session yields the sweep after this many datagrams.
     pub poll_budget: usize,
-    /// When set, every session gets a [`FlightRecorder`] ring of this
-    /// capacity: its driver lifecycle and I/O events are retained, and a
-    /// session ending degraded or errored leaves a [`Postmortem`]
-    /// (attached to the degraded [`SessionReport`], collected via
-    /// [`Mux::take_postmortems`] otherwise).
+    /// When set, every session gets a flight-recorder [`RingRecorder`] of
+    /// this capacity (0 means 1): its driver lifecycle and I/O events are
+    /// retained, and a session ending degraded or errored leaves a
+    /// [`Postmortem`] (attached to the degraded [`SessionReport`],
+    /// collected via [`Mux::take_postmortems`] otherwise).
     pub flight_capacity: Option<usize>,
     /// When set, the mux runs under admission control and load shedding:
     /// per-turn budget accounting feeds an [`OverloadPolicy`], admission
@@ -167,7 +167,7 @@ struct SessionState {
     /// lifecycle/resilience event goes through here so the ring sees it.
     obs: Obs,
     /// Bounded event history for postmortems, when enabled.
-    flight: Option<Arc<FlightRecorder>>,
+    flight: Option<Arc<RingRecorder>>,
 }
 
 impl SessionState {
@@ -577,7 +577,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
         let now_abs = self.clock.now();
         let (obs, flight) = match self.cfg.flight_capacity {
             Some(cap) => {
-                let ring = Arc::new(FlightRecorder::new(cap));
+                let ring = Arc::new(RingRecorder::new(cap.max(1)));
                 (self.obs.tee(ring.clone()), Some(ring))
             }
             None => (self.obs.clone(), None),
@@ -1275,24 +1275,24 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
         let drives = sess.drives;
         let active = self.live as u32;
         if let Some(ring) = &sess.flight {
+            let freeze = |outcome: &str| {
+                Postmortem::from_ring(ring, role.as_str(), outcome, Some(slot as u32))
+            };
             match &mut outcome {
                 // Degraded-but-ok sender: the artifact travels on the
                 // report.
                 SessionOutcome::Sender(Ok(report)) if report.is_degraded() => {
-                    report.postmortem =
-                        Some(ring.postmortem(role.as_str(), "degraded", Some(slot as u32)));
+                    report.postmortem = Some(freeze("degraded"));
                 }
                 // Errored either side: no report to carry it — ledger it
                 // for `take_postmortems`.
                 SessionOutcome::Sender(Err(e)) | SessionOutcome::Receiver(Err(e)) => {
-                    let pm = ring.postmortem(role.as_str(), error_outcome(e), Some(slot as u32));
-                    self.postmortems.push((token, pm));
+                    self.postmortems.push((token, freeze(error_outcome(e))));
                 }
                 // Shed: the typed report is the carrier, like a degraded
                 // sender's — the caller gets the artifact with the verdict.
                 SessionOutcome::Shed(report) => {
-                    report.postmortem =
-                        Some(ring.postmortem(role.as_str(), "shed", Some(slot as u32)));
+                    report.postmortem = Some(freeze("shed"));
                 }
                 _ => {}
             }

@@ -5,11 +5,11 @@
 //!
 //! Thin CLI over [`pm_obs::validate_trace`]: the file must be non-empty,
 //! every line must parse as a JSON object with a finite non-negative
-//! numeric `"t"`, and every `"type"` must come from the pinned
-//! [`pm_obs::EVENT_NAMES`] vocabulary (the `event-vocabulary` rule of
-//! `pm-audit` keeps that list in lock-step with the `Event` enum). Prints
-//! a per-type event census on success; exits 1 with a line-numbered
-//! diagnostic on the first failure.
+//! numeric `"t"`, and every `"type"` must come from the
+//! [`pm_obs::EVENT_NAMES`] vocabulary (generated from the same table as
+//! the `Event` enum, so the two cannot disagree). Prints a per-type event
+//! census on success; exits 1 with a line-numbered diagnostic on the
+//! first failure.
 
 use std::process::ExitCode;
 

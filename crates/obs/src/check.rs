@@ -1,13 +1,17 @@
 //! Trace validation — the library behind the `obs-check` binary.
 //!
-//! [`validate_trace`] checks a JSONL trace line by line: every line must
-//! parse as a JSON object carrying a finite, non-negative numeric `"t"`
-//! and a `"type"` drawn from [`crate::event::EVENT_NAMES`]. Hostile input
-//! — malformed JSON, truncated final lines, unknown event names, empty
-//! files — produces a line-numbered [`TraceError`], never a panic.
+//! [`validate_event`] is the one per-line check: a JSON object carrying a
+//! finite, non-negative numeric `"t"` and a `"type"` drawn from
+//! [`crate::event::EVENT_NAMES`]. [`validate_trace`] applies it to every
+//! line of a JSONL trace and [`crate::Postmortem::validate`] to every
+//! element of a postmortem's `events` array. Hostile input — malformed
+//! JSON, truncated final lines, unknown event names, empty files —
+//! produces a line-numbered [`TraceError`], never a panic.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+use serde::Value;
 
 use crate::event::EVENT_NAMES;
 
@@ -28,20 +32,14 @@ pub enum TraceError {
         /// Parser diagnostic.
         detail: String,
     },
-    /// A line is valid JSON but lacks a required field or has the wrong
-    /// type for it.
+    /// A line is valid JSON but fails [`validate_event`]: a required field
+    /// is missing or has the wrong type, or `type` names an event outside
+    /// the vocabulary.
     BadField {
         /// 1-based line number.
         line: usize,
         /// What is wrong.
         detail: String,
-    },
-    /// The `type` field names an event outside the pinned vocabulary.
-    UnknownEvent {
-        /// 1-based line number.
-        line: usize,
-        /// The offending name.
-        name: String,
     },
 }
 
@@ -53,16 +51,35 @@ impl fmt::Display for TraceError {
                 write!(f, "line {line}: not valid JSON: {detail}")
             }
             TraceError::BadField { line, detail } => write!(f, "line {line}: {detail}"),
-            TraceError::UnknownEvent { line, name } => write!(
-                f,
-                "line {line}: unknown event type {name:?} (not in the {}-name vocabulary)",
-                EVENT_NAMES.len()
-            ),
         }
     }
 }
 
 impl std::error::Error for TraceError {}
+
+/// Validate one trace event — a parsed JSONL line, or one element of a
+/// postmortem's `events` array — and return its `type` name.
+///
+/// # Errors
+/// A description of the first thing wrong with it.
+pub fn validate_event(v: &Value) -> Result<&str, String> {
+    let t = v.get("t").ok_or("missing \"t\" field")?;
+    let t = t.as_f64().ok_or("\"t\" is not a number")?;
+    if !t.is_finite() || t < 0.0 {
+        return Err(format!("\"t\" = {t} is not a finite non-negative time"));
+    }
+    let ty = v
+        .get("type")
+        .and_then(Value::as_str)
+        .ok_or("missing string \"type\" field")?;
+    if !EVENT_NAMES.contains(&ty) {
+        return Err(format!(
+            "unknown event type {ty:?} (not in the {}-name vocabulary)",
+            EVENT_NAMES.len()
+        ));
+    }
+    Ok(ty)
+}
 
 /// Validate the text of a JSONL trace.
 ///
@@ -70,47 +87,22 @@ impl std::error::Error for TraceError {}
 /// The first [`TraceError`] encountered, with its line number.
 pub fn validate_trace(text: &str) -> Result<Census, TraceError> {
     let mut census: Census = BTreeMap::new();
-    let mut lines = 0usize;
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        lines += 1;
         let lineno = i + 1;
         let v = serde_json::from_str(line).map_err(|e| TraceError::BadJson {
             line: lineno,
             detail: format!("{e:?}"),
         })?;
-        let t = v.get("t").ok_or_else(|| TraceError::BadField {
+        let ty = validate_event(&v).map_err(|detail| TraceError::BadField {
             line: lineno,
-            detail: "missing \"t\" field".into(),
+            detail,
         })?;
-        let t = t.as_f64().ok_or_else(|| TraceError::BadField {
-            line: lineno,
-            detail: "\"t\" is not a number".into(),
-        })?;
-        if !t.is_finite() || t < 0.0 {
-            return Err(TraceError::BadField {
-                line: lineno,
-                detail: format!("\"t\" = {t} is not a finite non-negative time"),
-            });
-        }
-        let ty = v
-            .get("type")
-            .and_then(|ty| ty.as_str().map(str::to_string))
-            .ok_or_else(|| TraceError::BadField {
-                line: lineno,
-                detail: "missing string \"type\" field".into(),
-            })?;
-        if !EVENT_NAMES.contains(&ty.as_str()) {
-            return Err(TraceError::UnknownEvent {
-                line: lineno,
-                name: ty,
-            });
-        }
-        *census.entry(ty).or_insert(0) += 1;
+        *census.entry(ty.to_string()).or_insert(0) += 1;
     }
-    if lines == 0 {
+    if census.is_empty() {
         return Err(TraceError::Empty);
     }
     Ok(census)

@@ -99,17 +99,114 @@ impl MsgKind {
     }
 }
 
-/// One structured observability event.
-///
-/// Timestamps are *not* part of the event: the emitting site supplies the
-/// session-relative time `t` (seconds) to [`crate::Obs::emit`], and
-/// recorders pair the two. This keeps events constructible in sans-io code
-/// that has no clock of its own.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
+/// How one field type of the table renders as a JSON value.
+trait Field {
+    fn json(&self) -> Value;
+}
+
+macro_rules! field_as {
+    ($($ty:ty => |$v:ident| $json:expr),* $(,)?) => {$(
+        impl Field for $ty {
+            fn json(&self) -> Value {
+                let $v = self;
+                $json
+            }
+        }
+    )*};
+}
+
+field_as! {
+    u16 => |v| Value::Number(f64::from(*v)),
+    u32 => |v| Value::Number(f64::from(*v)),
+    u64 => |v| Value::Number(*v as f64),
+    f64 => |v| Value::Number(*v),
+    bool => |v| Value::Bool(*v),
+    String => |v| Value::String(v.clone()),
+    &'static str => |v| Value::String((*v).into()),
+    Role => |v| Value::String(v.as_str().into()),
+    Outcome => |v| Value::String(v.as_str().into()),
+    MsgKind => |v| Value::String(v.as_str().into()),
+}
+
+/// The one declaration of the vocabulary: each entry is
+/// `Variant = "wire_name" { field: Type, .. }`, and the [`Event`] enum,
+/// [`EVENT_NAMES`], [`Event::name`], [`Event::session`] and
+/// [`Event::to_json`] are all generated from it — a JSONL line is `t`,
+/// `type`, then the fields under their own names in declaration order,
+/// and an event belongs to a session exactly when it has a field named
+/// `session`. Adding an event is one entry in the table below.
+macro_rules! events {
+    // `@session` takes every field twice: the first copy is compared with
+    // the literal `session`, the second is the arm's own binding (an ident
+    // written in this definition could not name it — hygiene).
+    (@session) => { None };
+    (@session session $s:ident $($rest:ident)*) => { Some(*$s) };
+    (@session $other:ident $o:ident $($rest:ident)*) => { events!(@session $($rest)*) };
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident = $name:literal {
+            $($(#[$fmeta:meta])* $field:ident: $ty:ty),* $(,)?
+        }
+    ),* $(,)?) => {
+        /// One structured observability event.
+        ///
+        /// Timestamps are *not* part of the event: the emitting site supplies the
+        /// session-relative time `t` (seconds) to [`crate::Obs::emit`], and
+        /// recorders pair the two. This keeps events constructible in sans-io code
+        /// that has no clock of its own.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Event {
+            $($(#[$vmeta])* $variant { $($(#[$fmeta])* $field: $ty),* }),*
+        }
+
+        /// Every stable event type name, in `Event` declaration order — the
+        /// complete trace vocabulary. `obs-check` validates the `type` field
+        /// of every trace line against this list.
+        pub const EVENT_NAMES: [&str; [$($name),*].len()] = [$($name),*];
+
+        impl Event {
+            /// Stable snake_case type name (the `type` field of a JSONL line).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $name),*
+                }
+            }
+
+            /// The session this event belongs to, when it carries one. Wire-level
+            /// and codec events (`net_*`, `decode_cache_*`, resilience counters)
+            /// are unattributed and return `None` — windowed telemetry folds them
+            /// into the farm-wide aggregate only.
+            // Every generated arm binds all of its variant's fields and reads
+            // at most the one named `session`.
+            #[allow(unused_variables)]
+            pub fn session(&self) -> Option<u32> {
+                match self {
+                    $(Event::$variant { $($field),* } => events!(@session $($field $field)*)),*
+                }
+            }
+
+            /// Render as one JSON object with the timestamp `t` and the `type`
+            /// name first, then the variant's fields.
+            pub fn to_json(&self, t: f64) -> Value {
+                let mut m: Vec<(String, Value)> = vec![
+                    ("t".into(), Value::Number(t)),
+                    ("type".into(), Value::String(self.name().into())),
+                ];
+                match self {
+                    $(Event::$variant { $($field),* } => {
+                        $(m.push((stringify!($field).into(), $field.json()));)*
+                    })*
+                }
+                Value::Object(m)
+            }
+        }
+    };
+}
+
+events! {
     // ---- session lifecycle (pm-core machines + runtime) ----
     /// A protocol machine was constructed for a session.
-    SessionStart {
+    SessionStart = "session_start" {
         /// Sender or receiver side.
         role: Role,
         /// Session identifier.
@@ -120,33 +217,33 @@ pub enum Event {
         bytes: u64,
     },
     /// A driven session ended.
-    SessionEnd {
+    SessionEnd = "session_end" {
         /// Sender or receiver side.
         role: Role,
         /// How it ended.
         outcome: Outcome,
     },
     /// The runtime aborted for lack of progress.
-    StallTimeout {
+    StallTimeout = "stall_timeout" {
         /// Which driver stalled.
         role: Role,
         /// Seconds since the last progress event.
         waited_secs: f64,
     },
     /// A complete receiver stopped lingering for a lost FIN.
-    LingerExpired {
+    LingerExpired = "linger_expired" {
         /// Seconds the receiver lingered.
         waited_secs: f64,
     },
 
     // ---- sender side (pm-core) ----
     /// Announce multicast (initial or keep-alive).
-    AnnounceSent {
+    AnnounceSent = "announce_sent" {
         /// Session identifier.
         session: u32,
     },
     /// Data packet multicast.
-    DataSent {
+    DataSent = "data_sent" {
         /// Session identifier.
         session: u32,
         /// Transmission group.
@@ -155,7 +252,7 @@ pub enum Event {
         index: u16,
     },
     /// Parity (or fallback original retransmission) multicast as repair.
-    ParitySent {
+    ParitySent = "parity_sent" {
         /// Session identifier.
         session: u32,
         /// Transmission group.
@@ -164,7 +261,7 @@ pub enum Event {
         index: u16,
     },
     /// Poll multicast after a round.
-    PollSent {
+    PollSent = "poll_sent" {
         /// Session identifier.
         session: u32,
         /// Transmission group.
@@ -175,12 +272,12 @@ pub enum Event {
         round: u16,
     },
     /// FIN multicast; the session is closing.
-    FinSent {
+    FinSent = "fin_sent" {
         /// Session identifier.
         session: u32,
     },
     /// A NAK reached the sender.
-    NakRecv {
+    NakRecv = "nak_recv" {
         /// Session identifier.
         session: u32,
         /// Transmission group.
@@ -194,7 +291,7 @@ pub enum Event {
         stale: bool,
     },
     /// The sender queued one repair round for a group.
-    RepairRound {
+    RepairRound = "repair_round" {
         /// Session identifier.
         session: u32,
         /// Transmission group.
@@ -207,7 +304,7 @@ pub enum Event {
         originals: u16,
     },
     /// A receiver reported completion.
-    DoneRecv {
+    DoneRecv = "done_recv" {
         /// Session identifier.
         session: u32,
         /// Reporting receiver.
@@ -216,7 +313,7 @@ pub enum Event {
 
     // ---- receiver side (pm-core) ----
     /// Data packet received.
-    DataRecv {
+    DataRecv = "data_recv" {
         /// Session identifier.
         session: u32,
         /// Transmission group.
@@ -225,7 +322,7 @@ pub enum Event {
         index: u16,
     },
     /// Parity packet received.
-    ParityRecv {
+    ParityRecv = "parity_recv" {
         /// Session identifier.
         session: u32,
         /// Transmission group.
@@ -234,7 +331,7 @@ pub enum Event {
         index: u16,
     },
     /// Poll received.
-    PollRecv {
+    PollRecv = "poll_recv" {
         /// Session identifier.
         session: u32,
         /// Transmission group.
@@ -245,7 +342,7 @@ pub enum Event {
         round: u16,
     },
     /// A transmission group was fully decoded.
-    GroupDecoded {
+    GroupDecoded = "group_decoded" {
         /// Session identifier.
         session: u32,
         /// Transmission group.
@@ -255,21 +352,21 @@ pub enum Event {
         recovered: u64,
     },
     /// The decoder's inverse-matrix cache served a repeated loss pattern.
-    DecodeCacheHit {
+    DecodeCacheHit = "decode_cache_hit" {
         /// Group size of the code.
         k: u16,
         /// Block size of the code.
         n: u16,
     },
     /// A fresh loss pattern forced an O(k^3) matrix inversion.
-    DecodeCacheMiss {
+    DecodeCacheMiss = "decode_cache_miss" {
         /// Group size of the code.
         k: u16,
         /// Block size of the code.
         n: u16,
     },
     /// A NAK timer fired and the NAK was multicast.
-    NakSent {
+    NakSent = "nak_sent" {
         /// Session identifier.
         session: u32,
         /// Transmission group.
@@ -280,19 +377,19 @@ pub enum Event {
         round: u16,
     },
     /// This receiver reported completion.
-    DoneSent {
+    DoneSent = "done_sent" {
         /// Session identifier.
         session: u32,
         /// The reporting receiver.
         receiver: u32,
     },
     /// FIN received.
-    FinRecv {
+    FinRecv = "fin_recv" {
         /// Session identifier.
         session: u32,
     },
     /// Every group decoded; the transfer is whole.
-    TransferComplete {
+    TransferComplete = "transfer_complete" {
         /// Session identifier.
         session: u32,
         /// Groups decoded.
@@ -301,7 +398,7 @@ pub enum Event {
 
     // ---- NAK suppression (pm-net) ----
     /// A NAK was scheduled into its slot.
-    NakScheduled {
+    NakScheduled = "nak_scheduled" {
         /// Transmission group.
         group: u32,
         /// Packets still needed.
@@ -312,7 +409,7 @@ pub enum Event {
         deadline: f64,
     },
     /// An overheard NAK damped the scheduled one.
-    NakSuppressed {
+    NakSuppressed = "nak_suppressed" {
         /// Transmission group.
         group: u32,
         /// Packets this receiver still needed.
@@ -323,48 +420,48 @@ pub enum Event {
 
     // ---- transports (pm-net) ----
     /// A message left through a transport.
-    NetSent {
+    NetSent = "net_sent" {
         /// Message classification.
         kind: MsgKind,
     },
     /// A message was delivered by a transport.
-    NetRecv {
+    NetRecv = "net_recv" {
         /// Message classification.
         kind: MsgKind,
     },
     /// The fault injector dropped a message.
-    NetDropped {
+    NetDropped = "net_dropped" {
         /// Message classification.
         kind: MsgKind,
     },
     /// The fault injector duplicated a message.
-    NetDuplicated {
+    NetDuplicated = "net_duplicated" {
         /// Message classification.
         kind: MsgKind,
     },
     /// The fault injector held a message back (one-packet reorder).
-    NetReordered {
+    NetReordered = "net_reordered" {
         /// Message classification.
         kind: MsgKind,
     },
     /// The fault injector flipped bits inside a datagram's bytes.
-    NetCorrupted {
+    NetCorrupted = "net_corrupted" {
         /// Classification of the damaged message.
         kind: MsgKind,
     },
     /// The fault injector truncated a datagram.
-    NetTruncated {
+    NetTruncated = "net_truncated" {
         /// Classification of the truncated message.
         kind: MsgKind,
     },
     /// The fault injector delivered a garbage datagram ahead of real
     /// traffic.
-    NetGarbage {
+    NetGarbage = "net_garbage" {
         /// Length of the garbage datagram in bytes.
         bytes: u64,
     },
     /// A datagram fell inside a scheduled blackout/partition window.
-    NetBlackout {
+    NetBlackout = "net_blackout" {
         /// Message classification.
         kind: MsgKind,
         /// True when dropped on the send path, false on receive.
@@ -373,18 +470,18 @@ pub enum Event {
 
     // ---- resilience (pm-core runtime) ----
     /// The driver dropped a corrupt/undecodable datagram and kept going.
-    CorruptDropped {
+    CorruptDropped = "corrupt_dropped" {
         /// Running total of dropped datagrams for this driver.
         total: u64,
     },
     /// A control-plane send failed and was retried with backoff.
-    SendRetry {
+    SendRetry = "send_retry" {
         /// Retry attempt number (1-based).
         attempt: u32,
     },
     /// The sender gave up on silent receivers and completed for the
     /// responsive population.
-    ReceiverEvicted {
+    ReceiverEvicted = "receiver_evicted" {
         /// Receivers evicted as unresponsive.
         evicted: u32,
         /// Receivers that had reported completion.
@@ -393,7 +490,7 @@ pub enum Event {
 
     // ---- simulator (pm-sim) ----
     /// One scheme/environment simulation finished.
-    SimRun {
+    SimRun = "sim_run" {
         /// Scheme label (e.g. `integrated2(k=7)`).
         scheme: String,
         /// Receiver population.
@@ -411,7 +508,7 @@ pub enum Event {
     /// no-FEC) finished. Emitted by the parallel scheme runner at trial
     /// boundaries; `t` is the trial's *simulated* end time, not wall
     /// clock.
-    SimTrial {
+    SimTrial = "sim_trial" {
         /// Scheme label (e.g. `integrated2(k=7)`).
         scheme: String,
         /// Trial index within the run (also the RNG sub-seed index).
@@ -424,7 +521,7 @@ pub enum Event {
 
     // ---- session multiplexer (pm-mux) ----
     /// A session was added to an event-driven multiplexer.
-    MuxSessionAdded {
+    MuxSessionAdded = "mux_session_added" {
         /// Multiplexer session slot.
         session: u32,
         /// Sender or receiver side.
@@ -434,7 +531,7 @@ pub enum Event {
     },
     /// A multiplexed session finished (completed, degraded, or failed)
     /// and was removed from the driver.
-    MuxSessionEnded {
+    MuxSessionEnded = "mux_session_ended" {
         /// Multiplexer session slot.
         session: u32,
         /// Sender or receiver side.
@@ -447,7 +544,7 @@ pub enum Event {
     /// The multiplexer's admission control refused a new session: the
     /// rolling utilization estimate was above the high-water mark (or the
     /// hard session cap was reached). The session never ran.
-    MuxAdmissionRejected {
+    MuxAdmissionRejected = "mux_admission_rejected" {
         /// The session id that was refused.
         session: u32,
         /// The side that tried to join.
@@ -461,7 +558,7 @@ pub enum Event {
     /// The multiplexer's poll budget has been saturated for long enough
     /// that the overload policy considers the mux overloaded. Shedding
     /// may follow. Paired with `mux_overload_cleared`.
-    MuxOverload {
+    MuxOverload = "mux_overload" {
         /// Sessions live when the overload was declared.
         active: u32,
         /// Rolling utilization at declaration.
@@ -469,7 +566,7 @@ pub enum Event {
     },
     /// Utilization fell back below the high-water mark: the overload
     /// episode (begun by `mux_overload`) is over.
-    MuxOverloadCleared {
+    MuxOverloadCleared = "mux_overload_cleared" {
         /// Sessions live when the overload cleared.
         active: u32,
         /// Rolling utilization at clearance.
@@ -479,7 +576,7 @@ pub enum Event {
     /// removed mid-flight with a typed `Shed` outcome and a postmortem,
     /// by deterministic victim priority — not an error, the mux's
     /// graceful degradation under load.
-    MuxSessionShed {
+    MuxSessionShed = "mux_session_shed" {
         /// The shed session.
         session: u32,
         /// Sender or receiver side.
@@ -496,7 +593,7 @@ pub enum Event {
     /// A shared-socket farm demultiplexed a datagram to a session with no
     /// registered endpoint — a stranger, or a straggler of a finished or
     /// shed session — and dropped it after counting.
-    FarmUnknownDrop {
+    FarmUnknownDrop = "farm_unknown_drop" {
         /// The wire header's session claim (0 if the header was too
         /// damaged to carry one).
         session: u32,
@@ -508,7 +605,7 @@ pub enum Event {
     /// `obs-analyze --compare-analysis` reruns the `pm-analysis` engine at
     /// exactly these parameters to reconcile a measured trace against the
     /// paper's analytical curves.
-    SessionConfig {
+    SessionConfig = "session_config" {
         /// Session identifier.
         session: u32,
         /// Data packets per transmission group.
@@ -524,457 +621,6 @@ pub enum Event {
         /// trace's throughput numbers are attributable to a kernel.
         backend: &'static str,
     },
-    /// A windowed-telemetry sample for one session: the sliding-window
-    /// rates at `t` (see `pm_obs::window`). The live counterpart of the
-    /// paper's E\[M\]/cost figures.
-    WindowSample {
-        /// Session identifier.
-        session: u32,
-        /// Delivered data packets per second over the window.
-        goodput_pps: f64,
-        /// NAKs per second over the window.
-        nak_rate: f64,
-        /// Parity share of all transmissions over the window.
-        repair_ratio: f64,
-        /// Live E\[M\] estimate: transmissions per data packet.
-        live_em: f64,
-    },
-}
-
-/// Every stable event type name, in `Event` declaration order — the
-/// complete trace vocabulary.
-///
-/// `obs-check` validates the `type` field of every trace line against
-/// this list, and the `event-vocabulary` rule of `pm-audit` statically
-/// cross-checks its length against the [`Event::name`] match (so adding a
-/// variant without extending this list — which would make the new event
-/// fail trace validation — is caught at audit time, not in production).
-pub const EVENT_NAMES: [&str; 47] = [
-    "session_start",
-    "session_end",
-    "stall_timeout",
-    "linger_expired",
-    "announce_sent",
-    "data_sent",
-    "parity_sent",
-    "poll_sent",
-    "fin_sent",
-    "nak_recv",
-    "repair_round",
-    "done_recv",
-    "data_recv",
-    "parity_recv",
-    "poll_recv",
-    "group_decoded",
-    "decode_cache_hit",
-    "decode_cache_miss",
-    "nak_sent",
-    "done_sent",
-    "fin_recv",
-    "transfer_complete",
-    "nak_scheduled",
-    "nak_suppressed",
-    "net_sent",
-    "net_recv",
-    "net_dropped",
-    "net_duplicated",
-    "net_reordered",
-    "net_corrupted",
-    "net_truncated",
-    "net_garbage",
-    "net_blackout",
-    "corrupt_dropped",
-    "send_retry",
-    "receiver_evicted",
-    "sim_run",
-    "sim_trial",
-    "mux_session_added",
-    "mux_session_ended",
-    "mux_admission_rejected",
-    "mux_overload",
-    "mux_overload_cleared",
-    "mux_session_shed",
-    "farm_unknown_drop",
-    "session_config",
-    "window_sample",
-];
-
-impl Event {
-    /// Stable snake_case type name (the `type` field of a JSONL line).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Event::SessionStart { .. } => "session_start",
-            Event::SessionEnd { .. } => "session_end",
-            Event::StallTimeout { .. } => "stall_timeout",
-            Event::LingerExpired { .. } => "linger_expired",
-            Event::AnnounceSent { .. } => "announce_sent",
-            Event::DataSent { .. } => "data_sent",
-            Event::ParitySent { .. } => "parity_sent",
-            Event::PollSent { .. } => "poll_sent",
-            Event::FinSent { .. } => "fin_sent",
-            Event::NakRecv { .. } => "nak_recv",
-            Event::RepairRound { .. } => "repair_round",
-            Event::DoneRecv { .. } => "done_recv",
-            Event::DataRecv { .. } => "data_recv",
-            Event::ParityRecv { .. } => "parity_recv",
-            Event::PollRecv { .. } => "poll_recv",
-            Event::GroupDecoded { .. } => "group_decoded",
-            Event::DecodeCacheHit { .. } => "decode_cache_hit",
-            Event::DecodeCacheMiss { .. } => "decode_cache_miss",
-            Event::NakSent { .. } => "nak_sent",
-            Event::DoneSent { .. } => "done_sent",
-            Event::FinRecv { .. } => "fin_recv",
-            Event::TransferComplete { .. } => "transfer_complete",
-            Event::NakScheduled { .. } => "nak_scheduled",
-            Event::NakSuppressed { .. } => "nak_suppressed",
-            Event::NetSent { .. } => "net_sent",
-            Event::NetRecv { .. } => "net_recv",
-            Event::NetDropped { .. } => "net_dropped",
-            Event::NetDuplicated { .. } => "net_duplicated",
-            Event::NetReordered { .. } => "net_reordered",
-            Event::NetCorrupted { .. } => "net_corrupted",
-            Event::NetTruncated { .. } => "net_truncated",
-            Event::NetGarbage { .. } => "net_garbage",
-            Event::NetBlackout { .. } => "net_blackout",
-            Event::CorruptDropped { .. } => "corrupt_dropped",
-            Event::SendRetry { .. } => "send_retry",
-            Event::ReceiverEvicted { .. } => "receiver_evicted",
-            Event::SimRun { .. } => "sim_run",
-            Event::SimTrial { .. } => "sim_trial",
-            Event::MuxSessionAdded { .. } => "mux_session_added",
-            Event::MuxSessionEnded { .. } => "mux_session_ended",
-            Event::MuxAdmissionRejected { .. } => "mux_admission_rejected",
-            Event::MuxOverload { .. } => "mux_overload",
-            Event::MuxOverloadCleared { .. } => "mux_overload_cleared",
-            Event::MuxSessionShed { .. } => "mux_session_shed",
-            Event::FarmUnknownDrop { .. } => "farm_unknown_drop",
-            Event::SessionConfig { .. } => "session_config",
-            Event::WindowSample { .. } => "window_sample",
-        }
-    }
-
-    /// The session this event belongs to, when it carries one. Wire-level
-    /// and codec events (`net_*`, `decode_cache_*`, resilience counters)
-    /// are unattributed and return `None` — windowed telemetry folds them
-    /// into the farm-wide aggregate only.
-    pub fn session(&self) -> Option<u32> {
-        match self {
-            Event::SessionStart { session, .. }
-            | Event::AnnounceSent { session }
-            | Event::FinSent { session }
-            | Event::FinRecv { session }
-            | Event::DataSent { session, .. }
-            | Event::ParitySent { session, .. }
-            | Event::DataRecv { session, .. }
-            | Event::ParityRecv { session, .. }
-            | Event::PollSent { session, .. }
-            | Event::PollRecv { session, .. }
-            | Event::NakRecv { session, .. }
-            | Event::RepairRound { session, .. }
-            | Event::DoneRecv { session, .. }
-            | Event::DoneSent { session, .. }
-            | Event::GroupDecoded { session, .. }
-            | Event::NakSent { session, .. }
-            | Event::TransferComplete { session, .. }
-            | Event::MuxSessionAdded { session, .. }
-            | Event::MuxSessionEnded { session, .. }
-            | Event::MuxAdmissionRejected { session, .. }
-            | Event::MuxSessionShed { session, .. }
-            | Event::FarmUnknownDrop { session }
-            | Event::SessionConfig { session, .. }
-            | Event::WindowSample { session, .. } => Some(*session),
-            _ => None,
-        }
-    }
-
-    /// Render as one JSON object with the timestamp `t` and the `type`
-    /// name first, then the variant's fields.
-    pub fn to_json(&self, t: f64) -> Value {
-        let mut m: Vec<(String, Value)> = vec![
-            ("t".into(), Value::Number(t)),
-            ("type".into(), Value::String(self.name().into())),
-        ];
-        macro_rules! num {
-            ($k:expr, $v:expr) => {
-                m.push(($k.into(), Value::Number($v)))
-            };
-        }
-        match self {
-            Event::SessionStart {
-                role,
-                session,
-                groups,
-                bytes,
-            } => {
-                m.push(("role".into(), Value::String(role.as_str().into())));
-                num!("session", *session as f64);
-                num!("groups", *groups as f64);
-                num!("bytes", *bytes as f64);
-            }
-            Event::SessionEnd { role, outcome } => {
-                m.push(("role".into(), Value::String(role.as_str().into())));
-                m.push(("outcome".into(), Value::String(outcome.as_str().into())));
-            }
-            Event::StallTimeout { role, waited_secs } => {
-                m.push(("role".into(), Value::String(role.as_str().into())));
-                num!("waited_secs", *waited_secs);
-            }
-            Event::LingerExpired { waited_secs } => num!("waited_secs", *waited_secs),
-            Event::AnnounceSent { session }
-            | Event::FinSent { session }
-            | Event::FinRecv { session } => num!("session", *session as f64),
-            Event::DataSent {
-                session,
-                group,
-                index,
-            }
-            | Event::ParitySent {
-                session,
-                group,
-                index,
-            }
-            | Event::DataRecv {
-                session,
-                group,
-                index,
-            }
-            | Event::ParityRecv {
-                session,
-                group,
-                index,
-            } => {
-                num!("session", *session as f64);
-                num!("group", *group as f64);
-                num!("index", *index as f64);
-            }
-            Event::PollSent {
-                session,
-                group,
-                sent,
-                round,
-            }
-            | Event::PollRecv {
-                session,
-                group,
-                sent,
-                round,
-            } => {
-                num!("session", *session as f64);
-                num!("group", *group as f64);
-                num!("sent", *sent as f64);
-                num!("round", *round as f64);
-            }
-            Event::NakRecv {
-                session,
-                group,
-                needed,
-                round,
-                stale,
-            } => {
-                num!("session", *session as f64);
-                num!("group", *group as f64);
-                num!("needed", *needed as f64);
-                num!("round", *round as f64);
-                m.push(("stale".into(), Value::Bool(*stale)));
-            }
-            Event::RepairRound {
-                session,
-                group,
-                round,
-                parities,
-                originals,
-            } => {
-                num!("session", *session as f64);
-                num!("group", *group as f64);
-                num!("round", *round as f64);
-                num!("parities", *parities as f64);
-                num!("originals", *originals as f64);
-            }
-            Event::DoneRecv { session, receiver } | Event::DoneSent { session, receiver } => {
-                num!("session", *session as f64);
-                num!("receiver", *receiver as f64);
-            }
-            Event::GroupDecoded {
-                session,
-                group,
-                recovered,
-            } => {
-                num!("session", *session as f64);
-                num!("group", *group as f64);
-                num!("recovered", *recovered as f64);
-            }
-            Event::DecodeCacheHit { k, n } | Event::DecodeCacheMiss { k, n } => {
-                num!("k", *k as f64);
-                num!("n", *n as f64);
-            }
-            Event::NakSent {
-                session,
-                group,
-                needed,
-                round,
-            } => {
-                num!("session", *session as f64);
-                num!("group", *group as f64);
-                num!("needed", *needed as f64);
-                num!("round", *round as f64);
-            }
-            Event::TransferComplete { session, groups } => {
-                num!("session", *session as f64);
-                num!("groups", *groups as f64);
-            }
-            Event::NakScheduled {
-                group,
-                needed,
-                round,
-                deadline,
-            } => {
-                num!("group", *group as f64);
-                num!("needed", *needed as f64);
-                num!("round", *round as f64);
-                num!("deadline", *deadline);
-            }
-            Event::NakSuppressed {
-                group,
-                needed,
-                covered_by,
-            } => {
-                num!("group", *group as f64);
-                num!("needed", *needed as f64);
-                num!("covered_by", *covered_by as f64);
-            }
-            Event::NetSent { kind }
-            | Event::NetRecv { kind }
-            | Event::NetDropped { kind }
-            | Event::NetDuplicated { kind }
-            | Event::NetReordered { kind }
-            | Event::NetCorrupted { kind }
-            | Event::NetTruncated { kind } => {
-                m.push(("kind".into(), Value::String(kind.as_str().into())));
-            }
-            Event::NetGarbage { bytes } => num!("bytes", *bytes as f64),
-            Event::NetBlackout { kind, tx } => {
-                m.push(("kind".into(), Value::String(kind.as_str().into())));
-                m.push(("tx".into(), Value::Bool(*tx)));
-            }
-            Event::CorruptDropped { total } => num!("total", *total as f64),
-            Event::SendRetry { attempt } => num!("attempt", *attempt as f64),
-            Event::ReceiverEvicted { evicted, completed } => {
-                num!("evicted", *evicted as f64);
-                num!("completed", *completed as f64);
-            }
-            Event::SimRun {
-                scheme,
-                receivers,
-                trials,
-                mean_m,
-                ci95,
-                mean_rounds,
-            } => {
-                m.push(("scheme".into(), Value::String(scheme.clone())));
-                num!("receivers", *receivers as f64);
-                num!("trials", *trials as f64);
-                num!("mean_m", *mean_m);
-                num!("ci95", *ci95);
-                num!("mean_rounds", *mean_rounds);
-            }
-            Event::SimTrial {
-                scheme,
-                trial,
-                m: m_value,
-                rounds,
-            } => {
-                m.push(("scheme".into(), Value::String(scheme.clone())));
-                num!("trial", *trial as f64);
-                num!("m", *m_value);
-                num!("rounds", *rounds);
-            }
-            Event::MuxSessionAdded {
-                session,
-                role,
-                active,
-            } => {
-                num!("session", *session as f64);
-                m.push(("role".into(), Value::String(role.as_str().into())));
-                num!("active", *active as f64);
-            }
-            Event::MuxSessionEnded {
-                session,
-                role,
-                active,
-                drives,
-            } => {
-                num!("session", *session as f64);
-                m.push(("role".into(), Value::String(role.as_str().into())));
-                num!("active", *active as f64);
-                num!("drives", *drives as f64);
-            }
-            Event::MuxAdmissionRejected {
-                session,
-                role,
-                active,
-                utilization,
-            } => {
-                num!("session", *session as f64);
-                m.push(("role".into(), Value::String(role.as_str().into())));
-                num!("active", *active as f64);
-                num!("utilization", *utilization);
-            }
-            Event::MuxOverload {
-                active,
-                utilization,
-            }
-            | Event::MuxOverloadCleared {
-                active,
-                utilization,
-            } => {
-                num!("active", *active as f64);
-                num!("utilization", *utilization);
-            }
-            Event::MuxSessionShed {
-                session,
-                role,
-                active,
-                drives,
-                utilization,
-            } => {
-                num!("session", *session as f64);
-                m.push(("role".into(), Value::String(role.as_str().into())));
-                num!("active", *active as f64);
-                num!("drives", *drives as f64);
-                num!("utilization", *utilization);
-            }
-            Event::FarmUnknownDrop { session } => num!("session", *session as f64),
-            Event::SessionConfig {
-                session,
-                k,
-                h,
-                receivers,
-                loss,
-                backend,
-            } => {
-                num!("session", *session as f64);
-                num!("k", *k as f64);
-                num!("h", *h as f64);
-                num!("receivers", *receivers as f64);
-                num!("loss", *loss);
-                m.push(("backend".into(), Value::String((*backend).into())));
-            }
-            Event::WindowSample {
-                session,
-                goodput_pps,
-                nak_rate,
-                repair_ratio,
-                live_em,
-            } => {
-                num!("session", *session as f64);
-                num!("goodput_pps", *goodput_pps);
-                num!("nak_rate", *nak_rate);
-                num!("repair_ratio", *repair_ratio);
-                num!("live_em", *live_em);
-            }
-        }
-        Value::Object(m)
-    }
 }
 
 #[cfg(test)]
@@ -1183,13 +829,6 @@ mod tests {
                 loss: 0.05,
                 backend: "scalar",
             },
-            Event::WindowSample {
-                session: 1,
-                goodput_pps: 120.0,
-                nak_rate: 3.5,
-                repair_ratio: 0.12,
-                live_em: 1.09,
-            },
         ];
         let mut names = std::collections::HashSet::new();
         for ev in &samples {
@@ -1199,18 +838,9 @@ mod tests {
             assert_eq!(back["type"].as_str(), Some(ev.name()));
             assert_eq!(back["t"].as_f64(), Some(0.5));
         }
-        assert_eq!(names.len(), 47, "vocabulary size pinned");
-        // EVENT_NAMES is the trace-validation vocabulary: it must list
-        // exactly the names the variants produce.
-        assert_eq!(EVENT_NAMES.len(), names.len());
-        for name in EVENT_NAMES {
-            assert!(names.contains(name), "EVENT_NAMES lists unknown {name}");
-        }
-        for name in &names {
-            assert!(
-                EVENT_NAMES.contains(name),
-                "{name} missing from EVENT_NAMES"
-            );
-        }
+        assert_eq!(names.len(), 46, "vocabulary size pinned");
+        // The names and EVENT_NAMES come from the same table entries, so the
+        // list cannot disagree with the variants; only its size is pinned.
+        assert_eq!(EVENT_NAMES.len(), 46);
     }
 }

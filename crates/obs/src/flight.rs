@@ -1,98 +1,26 @@
 //! Session flight recorder: bounded event history + typed postmortems.
 //!
-//! A [`FlightRecorder`] is a [`crate::Recorder`] holding the last
-//! `capacity` events of a session in a ring — memory is bounded no matter
-//! how hostile the session (pinned by `bounded_under_event_storm`). When
-//! the session ends degraded, quarantined, or errored, the driver calls
-//! [`FlightRecorder::postmortem`] to freeze the ring into a [`Postmortem`]
-//! — a self-contained, schema-tagged artifact that travels on
-//! `SessionReport` and renders to a single JSON object
-//! (`pm.postmortem.v1`) for offline triage.
+//! The flight recorder is a per-session [`RingRecorder`]: the last
+//! `capacity` events of the session, memory bounded no matter how hostile
+//! the session (pinned by `bounded_under_event_storm`). When the session
+//! ends degraded, quarantined, or errored, the driver calls
+//! [`Postmortem::from_ring`] to freeze the ring into a [`Postmortem`] — a
+//! self-contained, schema-tagged artifact that travels on `SessionReport`
+//! and renders to a single JSON object (`pm.postmortem.v1`) for offline
+//! triage.
 //!
-//! Tee it next to the session's normal recorder with [`crate::Obs::tee`]
-//! so the machines' own emissions land in the ring without any extra
-//! plumbing at the call sites.
-
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+//! Tee the ring next to the session's normal recorder with
+//! [`crate::Obs::tee`] so the machines' own emissions land in it without
+//! any extra plumbing at the call sites.
 
 use serde::Value;
 
+use crate::check::validate_event;
 use crate::event::Event;
-use crate::window::WindowSnapshot;
+use crate::recorder::RingRecorder;
 
 /// Schema tag stamped into every rendered postmortem.
 pub const POSTMORTEM_SCHEMA: &str = "pm.postmortem.v1";
-
-/// Bounded ring of the most recent `(t, event)` pairs for one session.
-pub struct FlightRecorder {
-    capacity: usize,
-    inner: Mutex<VecDeque<(f64, Event)>>,
-    evicted: AtomicU64,
-}
-
-impl FlightRecorder {
-    /// A recorder keeping at most `capacity` events (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        FlightRecorder {
-            capacity,
-            inner: Mutex::new(VecDeque::with_capacity(capacity)),
-            evicted: AtomicU64::new(0),
-        }
-    }
-
-    /// Events currently held.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("flight ring poisoned").len()
-    }
-
-    /// True when no events have been recorded (or all were evicted).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Events evicted from the ring since construction.
-    pub fn evicted(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
-    }
-
-    /// Maximum events the ring holds.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Freeze the ring into a [`Postmortem`].
-    ///
-    /// `session` overrides the attribution; when `None` the id is derived
-    /// from the first recorded event that carries one (mux slots pass
-    /// their token explicitly, blocking drivers let the trace speak).
-    pub fn postmortem(&self, role: &str, outcome: &str, session: Option<u32>) -> Postmortem {
-        let ring = self.inner.lock().expect("flight ring poisoned");
-        let events: Vec<(f64, Event)> = ring.iter().cloned().collect();
-        let session = session.or_else(|| events.iter().find_map(|(_, e)| e.session()));
-        Postmortem {
-            session,
-            role: role.to_string(),
-            outcome: outcome.to_string(),
-            evicted_events: self.evicted(),
-            events,
-            window: None,
-        }
-    }
-}
-
-impl crate::Recorder for FlightRecorder {
-    fn record(&self, t: f64, event: &Event) {
-        let mut ring = self.inner.lock().expect("flight ring poisoned");
-        if ring.len() == self.capacity {
-            ring.pop_front();
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.push_back((t, event.clone()));
-    }
-}
 
 /// A frozen flight-recorder dump for one degraded/errored session.
 ///
@@ -111,15 +39,23 @@ pub struct Postmortem {
     pub evicted_events: u64,
     /// The retained tail of the event stream, oldest first.
     pub events: Vec<(f64, Event)>,
-    /// Final windowed-telemetry snapshot, when the driver kept windows.
-    pub window: Option<WindowSnapshot>,
 }
 
 impl Postmortem {
-    /// Attach a final window snapshot (builder style).
-    pub fn with_window(mut self, window: WindowSnapshot) -> Self {
-        self.window = Some(window);
-        self
+    /// Freeze a session's ring into a postmortem.
+    ///
+    /// `session` overrides the attribution; when `None` the id is derived
+    /// from the first retained event that carries one (mux slots pass
+    /// their token explicitly, other drivers let the trace speak).
+    pub fn from_ring(ring: &RingRecorder, role: &str, outcome: &str, session: Option<u32>) -> Self {
+        let events = ring.events();
+        Postmortem {
+            session: session.or_else(|| events.iter().find_map(|(_, e)| e.session())),
+            role: role.to_string(),
+            outcome: outcome.to_string(),
+            evicted_events: ring.evicted(),
+            events,
+        }
     }
 
     /// Render the full artifact as one JSON object.
@@ -140,20 +76,6 @@ impl Postmortem {
             "events".into(),
             Value::Array(self.events.iter().map(|(t, e)| e.to_json(*t)).collect()),
         ));
-        if let Some(w) = &self.window {
-            m.push((
-                "window".into(),
-                Value::Object(vec![
-                    ("t".into(), Value::Number(w.t)),
-                    ("goodput_pps".into(), Value::Number(w.goodput_pps)),
-                    ("nak_rate".into(), Value::Number(w.nak_rate)),
-                    ("repair_ratio".into(), Value::Number(w.repair_ratio)),
-                    ("live_em".into(), Value::Number(w.live_em)),
-                    ("corrupt_rate".into(), Value::Number(w.corrupt_rate)),
-                    ("evicted".into(), Value::Number(w.evicted as f64)),
-                ]),
-            ));
-        }
         Value::Object(m)
     }
 
@@ -164,7 +86,7 @@ impl Postmortem {
 
     /// Validate a rendered postmortem against the `pm.postmortem.v1`
     /// schema: required keys, right types, every event a valid trace
-    /// object with `t` and a known `type`.
+    /// line by [`validate_event`].
     pub fn validate(value: &Value) -> Result<(), String> {
         let obj = match value {
             Value::Object(m) => m,
@@ -191,22 +113,7 @@ impl Postmortem {
             _ => return Err("missing events array".into()),
         };
         for (i, ev) in events.iter().enumerate() {
-            let em = match ev {
-                Value::Object(m) => m,
-                _ => return Err(format!("event {i} is not an object")),
-            };
-            let field = |key: &str| em.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-            match field("t") {
-                Some(Value::Number(_)) => {}
-                _ => return Err(format!("event {i} missing numeric t")),
-            }
-            match field("type") {
-                Some(Value::String(name)) if crate::EVENT_NAMES.contains(&name.as_str()) => {}
-                Some(Value::String(name)) => {
-                    return Err(format!("event {i} has unknown type {name:?}"))
-                }
-                _ => return Err(format!("event {i} missing type")),
-            }
+            validate_event(ev).map_err(|e| format!("event {i}: {e}"))?;
         }
         Ok(())
     }
@@ -227,13 +134,13 @@ mod tests {
 
     #[test]
     fn ring_keeps_only_the_tail() {
-        let fr = FlightRecorder::new(4);
+        let fr = RingRecorder::new(4);
         for i in 0..10u16 {
             fr.record(i as f64, &data_sent(1, i));
         }
         assert_eq!(fr.len(), 4);
         assert_eq!(fr.evicted(), 6);
-        let pm = fr.postmortem("sender", "degraded", None);
+        let pm = Postmortem::from_ring(&fr, "sender", "degraded", None);
         assert_eq!(pm.events.len(), 4);
         assert_eq!(pm.events[0].1, data_sent(1, 6));
         assert_eq!(pm.events[3].1, data_sent(1, 9));
@@ -243,41 +150,54 @@ mod tests {
     fn bounded_under_event_storm() {
         // A hostile session emitting 10^5 events must not grow the ring
         // past its capacity.
-        let fr = FlightRecorder::new(256);
+        let fr = RingRecorder::new(256);
         for i in 0..100_000u32 {
             fr.record(i as f64 * 1e-4, &data_sent(7, (i % 1000) as u16));
         }
         assert_eq!(fr.len(), 256);
         assert_eq!(fr.evicted(), 100_000 - 256);
-        let pm = fr.postmortem("receiver", "stalled", None);
+        let pm = Postmortem::from_ring(&fr, "receiver", "stalled", None);
         assert_eq!(pm.events.len(), 256);
         assert_eq!(pm.evicted_events, 100_000 - 256);
     }
 
     #[test]
     fn postmortem_derives_session_from_events() {
-        let fr = FlightRecorder::new(8);
+        let fr = RingRecorder::new(8);
         fr.record(0.0, &Event::CorruptDropped { total: 1 }); // unattributed
         fr.record(0.1, &data_sent(42, 0));
-        let pm = fr.postmortem("sender", "degraded", None);
+        let pm = Postmortem::from_ring(&fr, "sender", "degraded", None);
         assert_eq!(pm.session, Some(42));
         // Explicit override wins.
-        let pm2 = fr.postmortem("sender", "degraded", Some(7));
+        let pm2 = Postmortem::from_ring(&fr, "sender", "degraded", Some(7));
         assert_eq!(pm2.session, Some(7));
     }
 
     #[test]
     fn rendered_postmortem_validates() {
-        let fr = FlightRecorder::new(8);
+        let fr = RingRecorder::new(8);
         for i in 0..12u16 {
             fr.record(i as f64 * 0.5, &data_sent(3, i));
         }
-        let pm = fr
-            .postmortem("sender", "degraded", None)
-            .with_window(crate::WindowSet::new(Default::default()).snapshot(6.0));
-        let line = pm.to_string_json();
+        let line = Postmortem::from_ring(&fr, "sender", "degraded", None).to_string_json();
         let back = serde_json::from_str(&line).unwrap();
         Postmortem::validate(&back).unwrap();
+    }
+
+    #[test]
+    fn validate_holds_events_to_the_trace_line_check() {
+        // One line validator: what `validate_trace` rejects in a trace, a
+        // postmortem's `events` array may not carry either.
+        let fr = RingRecorder::new(4);
+        fr.record(0.5, &data_sent(3, 0));
+        let line = Postmortem::from_ring(&fr, "sender", "degraded", None).to_string_json();
+        assert!(line.contains("\"t\":0.5"), "{line}");
+        let negative = serde_json::from_str(&line.replace("\"t\":0.5", "\"t\":-1.0")).unwrap();
+        let err = Postmortem::validate(&negative).unwrap_err();
+        assert!(
+            err.contains("event 0") && err.contains("non-negative"),
+            "{err}"
+        );
     }
 
     #[test]

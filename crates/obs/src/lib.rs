@@ -7,20 +7,23 @@
 //! - **Events** ([`event`]): the [`Event`] enum names everything the
 //!   protocol, transports, codec, and simulator can report — session
 //!   lifecycle, per-round NAK/repair traffic, suppression decisions,
-//!   network faults, decode-cache behaviour. [`Event::to_json`] renders a
-//!   flat `{"t": .., "type": .., ..}` object for JSONL traces.
+//!   network faults, decode-cache behaviour. The vocabulary is declared
+//!   once, as a table; the enum, [`EVENT_NAMES`], the wire names, session
+//!   attribution and [`Event::to_json`] (a flat `{"t": .., "type": .., ..}`
+//!   object for JSONL traces) are generated from it.
 //! - **Recorders** ([`recorder`]): the [`Recorder`] trait with three
 //!   implementations — [`NullRecorder`] (the default; [`Obs::emit`] is a
 //!   single branch and never constructs the event), [`JsonlRecorder`]
 //!   (one JSON object per line to any writer), and [`RingRecorder`]
-//!   (bounded in-memory buffer for tests). Instrumented types hold an
+//!   (bounded in-memory buffer: tests, and each session's flight
+//!   recorder — see [`flight`]). Instrumented types hold an
 //!   [`Obs`] handle, defaulting to [`Obs::null`]. Parallel producers
 //!   stage events in a thread-local [`EventBuffer`] and flush whole
 //!   trials at a time, so multi-threaded traces never interleave
 //!   mid-trial.
 //! - **Metrics** ([`metrics`]): atomic [`Counter`]s and [`Gauge`]s, a
 //!   fixed-bucket log2 [`Histogram`] with p50/p90/p99/max, RAII
-//!   [`SpanTimer`]s, and a [`MetricsRegistry`] with text/JSON snapshots.
+//!   [`SpanTimer`]s, and a [`MetricsRegistry`] with a text snapshot.
 //! - **Stats** ([`stats`]): the Welford [`RunningStat`] shared with
 //!   `pm-sim`, with `NaN`-honest variance and a [`RunningStat::ci95`]
 //!   confidence-interval helper.
@@ -49,15 +52,15 @@ pub mod stats;
 pub mod window;
 
 pub use analyze::{analyze_trace, Incident, SessionAnalysis, SessionConfigInfo, TraceAnalysis};
-pub use check::{validate_trace, Census, TraceError};
+pub use check::{validate_event, validate_trace, Census, TraceError};
 pub use event::{Event, MsgKind, Outcome, Role, EVENT_NAMES};
 pub use export::{prometheus_name, render_prometheus, ExportServer, SnapshotFile};
-pub use flight::{FlightRecorder, Postmortem, POSTMORTEM_SCHEMA};
+pub use flight::{Postmortem, POSTMORTEM_SCHEMA};
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Metric, MetricsRegistry, SpanTimer,
 };
 pub use recorder::{
-    EventBuffer, JsonlRecorder, NullRecorder, Obs, Recorder, RingRecorder, Stopwatch, TeeRecorder,
+    EventBuffer, JsonlRecorder, NullRecorder, Obs, Recorder, RingRecorder, Stopwatch,
 };
 pub use stats::RunningStat;
 pub use window::{WindowConfig, WindowSet, WindowSnapshot, WindowTelemetry, WindowedCounter};

@@ -1,6 +1,6 @@
 //! Lock-cheap metrics: atomic counters and gauges, a fixed-bucket log2
 //! histogram with quantile estimates, RAII span timers, and a
-//! [`MetricsRegistry`] that renders text and JSON snapshots.
+//! [`MetricsRegistry`] that renders a text snapshot.
 //!
 //! All handles are `Arc`-backed clones of shared state, so the same
 //! counter can live in a registry *and* inside a codec without
@@ -9,8 +9,6 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-use serde_json::Value;
 
 /// Monotonically increasing `u64` counter. Clones share the same cell.
 #[derive(Debug, Clone, Default)]
@@ -260,7 +258,7 @@ pub enum Metric {
 }
 
 /// Named collection of metrics with get-or-create registration and
-/// text/JSON snapshot rendering. Registration order is preserved.
+/// a text snapshot. Registration order is preserved.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     entries: Mutex<Vec<(String, Metric)>>,
@@ -345,32 +343,6 @@ impl MetricsRegistry {
             }
         }
         out
-    }
-
-    /// JSON snapshot: `{name: value}` for counters/gauges, `{name:
-    /// {count, mean, p50, p90, p99, max}}` for histograms.
-    pub fn snapshot_json(&self) -> Value {
-        let entries = self.entries.lock().expect("registry poisoned");
-        let mut fields = Vec::with_capacity(entries.len());
-        for (name, metric) in entries.iter() {
-            let v = match metric {
-                Metric::Counter(c) => Value::Number(c.get() as f64),
-                Metric::Gauge(g) => Value::Number(g.get() as f64),
-                Metric::Histogram(h) => {
-                    let s = h.snapshot();
-                    Value::Object(vec![
-                        ("count".to_string(), Value::Number(s.count as f64)),
-                        ("mean".to_string(), Value::Number(s.mean())),
-                        ("p50".to_string(), Value::Number(s.quantile(0.50) as f64)),
-                        ("p90".to_string(), Value::Number(s.quantile(0.90) as f64)),
-                        ("p99".to_string(), Value::Number(s.quantile(0.99) as f64)),
-                        ("max".to_string(), Value::Number(s.max as f64)),
-                    ])
-                }
-            };
-            fields.push((name.clone(), v));
-        }
-        Value::Object(fields)
     }
 }
 
@@ -469,7 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_renders_text_and_json() {
+    fn registry_renders_text() {
         let reg = MetricsRegistry::new();
         reg.counter("np.data_sent").add(12);
         reg.gauge("hub.members").set(3);
@@ -478,12 +450,6 @@ mod tests {
         assert!(text.contains("np.data_sent 12"));
         assert!(text.contains("hub.members 3"));
         assert!(text.contains("decode_ns count=1"));
-
-        let json = reg.snapshot_json();
-        assert_eq!(json["np.data_sent"], 12.0);
-        assert_eq!(json["hub.members"], 3.0);
-        assert_eq!(json["decode_ns"]["count"], 1.0);
-        assert_eq!(json["decode_ns"]["max"], 900.0);
     }
 
     #[test]

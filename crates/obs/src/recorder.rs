@@ -100,17 +100,11 @@ impl Obs {
     }
 }
 
-/// Fan-out recorder: every event goes to both sinks, `a` first.
-pub struct TeeRecorder {
+/// Fan-out recorder behind [`Obs::tee`]: every event goes to both sinks,
+/// `a` first.
+struct TeeRecorder {
     a: Arc<dyn Recorder>,
     b: Arc<dyn Recorder>,
-}
-
-impl TeeRecorder {
-    /// Tee `a` (recorded first) with `b`.
-    pub fn new(a: Arc<dyn Recorder>, b: Arc<dyn Recorder>) -> Self {
-        TeeRecorder { a, b }
-    }
 }
 
 impl Recorder for TeeRecorder {
@@ -246,7 +240,8 @@ impl<W: Write + Send> Recorder for JsonlRecorder<W> {
     }
 }
 
-/// A bounded in-memory recorder for tests: keeps the most recent
+/// A bounded in-memory recorder — a test's trace, or a session's flight
+/// ring (see [`crate::Postmortem::from_ring`]): keeps the most recent
 /// `capacity` events (older ones are counted, then discarded).
 pub struct RingRecorder {
     capacity: usize,
