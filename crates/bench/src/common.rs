@@ -184,11 +184,12 @@ pub fn receiver_grid(quality: Quality) -> Vec<u64> {
     out
 }
 
-/// Power-of-two receiver grid for tree simulations (`R = 2^d`).
+/// Power-of-two receiver grid for tree simulations (`R = 2^d`), to the
+/// paper's `2^17` at full quality.
 pub fn pow2_grid(quality: Quality) -> Vec<u64> {
     let max_d = match quality {
         Quality::Quick => 6,
-        Quality::Full => 14,
+        Quality::Full => 17,
     };
     (0..=max_d).map(|d| 1u64 << d).collect()
 }
@@ -258,6 +259,7 @@ mod tests {
         assert_eq!(receiver_grid(Quality::Quick).first(), Some(&1));
         assert_eq!(*receiver_grid(Quality::Full).last().unwrap(), 1_000_000);
         assert_eq!(*pow2_grid(Quality::Quick).last().unwrap(), 64);
+        assert_eq!(*pow2_grid(Quality::Full).last().unwrap(), 1 << 17);
         assert!(sim_trials(Quality::Full) > sim_trials(Quality::Quick));
     }
 }

@@ -60,11 +60,12 @@ pub fn ext_interleave(quality: Quality) -> Figure {
         let mut model = GilbertLoss::new(1, p, b, delta, 0xE1 + depth as u64);
         let spacing = delta * depth as f64;
         let mut fails = 0u64;
+        let mut lost = Vec::new();
         for t in 0..trials {
             let t0 = t as f64 * (k + h + 4) as f64 * spacing;
             let mut received = 0;
             for slot in 0..(k + h) {
-                if !model.sample_one(t0 + slot as f64 * spacing, 0) {
+                if !model.sample_one(t0 + slot as f64 * spacing, 0, &mut lost) {
                     received += 1;
                 }
             }

@@ -1,17 +1,22 @@
 //! Spatially and temporally independent loss (the Section 3 baseline).
 
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::model::LossModel;
+use crate::skip::GeoSkip;
 
 /// Every receiver loses each packet independently with probability `p`;
 /// packets are independent of each other ("independent loss" in the paper:
 /// only the receivers lose packets, interior tree nodes do not).
+///
+/// Sampled by geometric skipping over the receiver indices: one RNG draw
+/// per *loss*, and no per-receiver state, so the cost of a transmission is
+/// `O(p * R)` at any population size.
 #[derive(Debug, Clone)]
 pub struct IndependentLoss {
-    receivers: usize,
-    p: f64,
+    receivers: u32,
+    skip: GeoSkip,
     rng: ChaCha8Rng,
 }
 
@@ -19,33 +24,32 @@ impl IndependentLoss {
     /// Create the model for `receivers` receivers with loss probability `p`.
     ///
     /// # Panics
-    /// Panics unless `0 <= p <= 1` and `receivers > 0`.
+    /// Panics unless `0 <= p <= 1` and `0 < receivers <= u32::MAX`.
     pub fn new(receivers: usize, p: f64, seed: u64) -> Self {
         assert!(receivers > 0, "need at least one receiver");
         assert!((0.0..=1.0).contains(&p), "p must be a probability, got {p}");
         IndependentLoss {
-            receivers,
-            p,
+            receivers: u32::try_from(receivers).expect("receiver indices are u32"),
+            skip: GeoSkip::new(p),
             rng: ChaCha8Rng::seed_from_u64(seed),
         }
     }
 
     /// The configured loss probability.
     pub fn p(&self) -> f64 {
-        self.p
+        self.skip.p()
     }
 }
 
 impl LossModel for IndependentLoss {
     fn receivers(&self) -> usize {
-        self.receivers
+        self.receivers as usize
     }
 
-    fn sample(&mut self, _time: f64, lost: &mut [bool]) {
-        assert_eq!(lost.len(), self.receivers, "loss buffer size mismatch");
-        for l in lost.iter_mut() {
-            *l = self.rng.random::<f64>() < self.p;
-        }
+    fn sample_lost(&mut self, _time: f64, out: &mut Vec<u32>) {
+        out.clear();
+        self.skip
+            .for_each_hit(&mut self.rng, 0, self.receivers, |r| out.push(r));
     }
 }
 

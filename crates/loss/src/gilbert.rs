@@ -44,7 +44,7 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::model::LossModel;
+use crate::model::{lost_indices, LossModel};
 
 /// Two-state Markov burst-loss model (one independent chain per receiver).
 #[derive(Debug, Clone)]
@@ -144,16 +144,10 @@ impl GilbertLoss {
             self.pi1 * (1.0 - decay)
         }
     }
-}
 
-impl LossModel for GilbertLoss {
-    fn receivers(&self) -> usize {
-        self.state.len()
-    }
-
-    fn sample(&mut self, time: f64, lost: &mut [bool]) {
-        assert_eq!(lost.len(), self.state.len(), "loss buffer size mismatch");
-        #[allow(clippy::needless_range_loop)] // r indexes three parallel arrays
+    /// Advance every chain to `time`; `self.state` is then the pattern of
+    /// a packet sent at `time`.
+    fn advance(&mut self, time: f64) {
         for r in 0..self.state.len() {
             // Clamp tiny negative dt from floating-point scheduling noise;
             // genuinely going backwards in time is a caller bug.
@@ -167,8 +161,24 @@ impl LossModel for GilbertLoss {
             let p1 = self.p_loss_after(self.state[r], dt);
             self.state[r] = self.rng.random::<f64>() < p1;
             self.last[r] = time;
-            lost[r] = self.state[r];
         }
+    }
+}
+
+impl LossModel for GilbertLoss {
+    fn receivers(&self) -> usize {
+        self.state.len()
+    }
+
+    fn sample_lost(&mut self, time: f64, out: &mut Vec<u32>) {
+        self.advance(time);
+        lost_indices(&self.state, out);
+    }
+
+    fn sample(&mut self, time: f64, lost: &mut [bool]) {
+        assert_eq!(lost.len(), self.state.len(), "loss buffer size mismatch");
+        self.advance(time);
+        lost.copy_from_slice(&self.state);
     }
 }
 

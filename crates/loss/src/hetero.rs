@@ -1,14 +1,20 @@
 //! Heterogeneous receiver populations (Section 3.3).
 
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::model::LossModel;
+use crate::skip::GeoSkip;
 
 /// Arbitrary per-receiver loss probabilities, independent in space and time.
+///
+/// Stored as runs of consecutive receivers with equal `p`; each run
+/// is sampled by its own geometric skip stream, so a population of a few
+/// classes costs `O(losses)` per transmission and `O(classes)` memory.
 #[derive(Debug, Clone)]
 pub struct PerReceiverLoss {
-    ps: Vec<f64>,
+    /// `(end, skip)`: the run covers receivers `previous end .. end`.
+    runs: Vec<(u32, GeoSkip)>,
     rng: ChaCha8Rng,
 }
 
@@ -18,34 +24,53 @@ impl PerReceiverLoss {
     /// # Panics
     /// Panics if `ps` is empty or contains a non-probability.
     pub fn new(ps: Vec<f64>, seed: u64) -> Self {
-        assert!(!ps.is_empty(), "need at least one receiver");
-        for (r, &p) in ps.iter().enumerate() {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "receiver {r}: p={p} is not a probability"
-            );
-        }
+        Self::from_runs(
+            ps.chunk_by(|a, b| a == b).map(|run| (run.len(), run[0])),
+            seed,
+        )
+    }
+
+    /// `(count, p)` per run of consecutive receivers; empty runs are dropped.
+    fn from_runs(runs: impl IntoIterator<Item = (usize, f64)>, seed: u64) -> Self {
+        let mut end = 0usize;
+        let runs: Vec<(u32, GeoSkip)> = runs
+            .into_iter()
+            .filter(|&(count, _)| count > 0)
+            .map(|(count, p)| {
+                assert!(
+                    (0.0..=1.0).contains(&p),
+                    "receiver {end}: p={p} is not a probability"
+                );
+                end += count;
+                let end = u32::try_from(end).expect("receiver indices are u32");
+                (end, GeoSkip::new(p))
+            })
+            .collect();
+        assert!(!runs.is_empty(), "need at least one receiver");
         PerReceiverLoss {
-            ps,
+            runs,
             rng: ChaCha8Rng::seed_from_u64(seed),
         }
     }
 
     /// The loss probability of receiver `r`.
     pub fn p_of(&self, r: usize) -> f64 {
-        self.ps[r]
+        let run = self.runs.partition_point(|&(end, _)| end as usize <= r);
+        self.runs[run].1.p()
     }
 }
 
 impl LossModel for PerReceiverLoss {
     fn receivers(&self) -> usize {
-        self.ps.len()
+        self.runs.last().map_or(0, |&(end, _)| end as usize)
     }
 
-    fn sample(&mut self, _time: f64, lost: &mut [bool]) {
-        assert_eq!(lost.len(), self.ps.len(), "loss buffer size mismatch");
-        for (l, &p) in lost.iter_mut().zip(&self.ps) {
-            *l = self.rng.random::<f64>() < p;
+    fn sample_lost(&mut self, _time: f64, out: &mut Vec<u32>) {
+        out.clear();
+        let mut lo = 0;
+        for &(end, skip) in &self.runs {
+            skip.for_each_hit(&mut self.rng, lo, end, |r| out.push(r));
+            lo = end;
         }
     }
 }
@@ -72,11 +97,17 @@ impl TwoClassLoss {
     pub fn new(receivers: usize, alpha: f64, p_low: f64, p_high: f64, seed: u64) -> Self {
         assert!(receivers > 0, "need at least one receiver");
         assert!((0.0..=1.0).contains(&alpha), "alpha must be a probability");
+        // Checked here, not left to `from_runs`: that drops an empty class
+        // before it looks at its `p`.
+        for (name, p) in [("p_low", p_low), ("p_high", p_high)] {
+            assert!((0.0..=1.0).contains(&p), "{name}={p} is not a probability");
+        }
         let high_count = (alpha * receivers as f64).round() as usize;
-        let mut ps = vec![p_high; high_count];
-        ps.extend(std::iter::repeat_n(p_low, receivers - high_count));
         TwoClassLoss {
-            inner: PerReceiverLoss::new(ps, seed),
+            inner: PerReceiverLoss::from_runs(
+                [(high_count, p_high), (receivers - high_count, p_low)],
+                seed,
+            ),
             high_count,
         }
     }
@@ -92,8 +123,8 @@ impl LossModel for TwoClassLoss {
         self.inner.receivers()
     }
 
-    fn sample(&mut self, time: f64, lost: &mut [bool]) {
-        self.inner.sample(time, lost)
+    fn sample_lost(&mut self, time: f64, out: &mut Vec<u32>) {
+        self.inner.sample_lost(time, out)
     }
 }
 
@@ -161,5 +192,11 @@ mod tests {
     #[should_panic(expected = "not a probability")]
     fn bad_probability_panics() {
         let _ = PerReceiverLoss::new(vec![0.5, -0.1], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "p_high=5 is not a probability")]
+    fn bad_probability_of_an_empty_class_panics() {
+        let _ = TwoClassLoss::new(10, 0.0, 0.1, 5.0, 0);
     }
 }

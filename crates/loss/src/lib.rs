@@ -22,13 +22,37 @@
 //! [`stats::BurstStats`] collects the consecutive-loss run-length histogram
 //! of Fig. 14.
 //!
+//! # One transmission, two views
+//!
+//! A model draws the fate of one multicast packet *jointly* for all `R`
+//! receivers, and hands it out as [`LossModel::sample_lost`] — the
+//! ascending indices of the receivers that lost it — or, expanded from
+//! that, as the dense [`LossModel::sample`] `&mut [bool]`. The sparse list
+//! is the primary view: at the paper's `p = 0.01` it is a hundredth the
+//! size of the population, and the three memoryless environments produce
+//! it without visiting the receivers that got the packet, by geometric
+//! skipping (the distance to the next loss is `floor(ln U / ln(1-p))`,
+//! `U` uniform on `(0, 1]`): [`IndependentLoss`] over the receiver
+//! indices, [`PerReceiverLoss`] / [`TwoClassLoss`] with one skip stream
+//! per run of equal `p`, [`TreeLoss::full_binary`] over the node ids, each
+//! dropped node contributing its contiguous range of leaves. A simulation
+//! that consumes only the list (`pm-sim` does) then costs `O(losses)` per
+//! packet at any `R`. [`GilbertLoss`] and [`TreeBurstLoss`] step one chain
+//! per receiver (node) and remain `O(R)`; a sparse burst model — keep the
+//! set of chains in the loss state, skip geometrically over the good ones
+//! — is open work. The trait doc says why the list is ascending.
+//!
 //! All models are driven by a seedable ChaCha RNG so every experiment is
-//! reproducible from its seed; each receiver gets an independent stream.
+//! reproducible from its seed, through either view: the dense pattern is
+//! defined as the expansion of the sparse one, so a model has one stream.
 //!
 //! ```
 //! use pm_loss::{IndependentLoss, LossModel};
 //! let mut model = IndependentLoss::new(8, 0.25, 42);
-//! let pattern = model.sample_vec(0.0); // one multicast transmission
+//! let mut lost = Vec::new();
+//! model.sample_lost(0.0, &mut lost); // one multicast transmission
+//! assert!(lost.windows(2).all(|w| w[0] < w[1]) && lost.iter().all(|&r| r < 8));
+//! let pattern = model.sample_vec(0.04); // the next one, densely
 //! assert_eq!(pattern.len(), 8);
 //! ```
 
@@ -36,6 +60,7 @@ pub mod bernoulli;
 pub mod gilbert;
 pub mod hetero;
 pub mod model;
+mod skip;
 pub mod stats;
 pub mod tree;
 pub mod tree_burst;

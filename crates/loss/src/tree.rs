@@ -15,14 +15,20 @@
 //! (A root-to-leaf path crosses `d + 1` potentially-dropping nodes: the
 //! source's link plus one per tree level.)
 //!
-//! [`TreeLoss`] supports arbitrary trees with per-node probabilities; the
-//! sampler walks the tree once per packet and prunes subtrees below a drop,
-//! so shared losses cost less RNG work, not more.
+//! [`TreeLoss`] supports arbitrary trees with per-node probabilities: for a
+//! tree from [`TreeBuilder`] the sampler walks the nodes once per packet and
+//! prunes subtrees below a drop, so shared losses cost less RNG work, not
+//! more. The FBT never materialises its `2^(d+1) - 1` nodes: they all share
+//! one `p_node` and, in heap order, node `i` covers a contiguous range of
+//! leaves, so a packet is sampled by geometric skipping over the node ids
+//! and the union of the dropped nodes' leaf ranges — `O(drops)`, not
+//! `O(R)`, to build and to sample.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::model::LossModel;
+use crate::skip::GeoSkip;
 
 /// One node of the distribution tree.
 #[derive(Debug, Clone)]
@@ -34,14 +40,30 @@ struct Node {
     receiver: Option<usize>,
 }
 
-/// Loss model over an explicit multicast tree.
+#[derive(Debug, Clone)]
+enum Topology {
+    /// Full binary tree of height `d` in heap order (root 0, children of
+    /// `i` at `2i+1`, `2i+2`, receiver `r` at node `2^d - 1 + r`), every
+    /// node dropping with the same probability.
+    FullBinary {
+        d: u32,
+        skip: GeoSkip,
+        /// Scratch: leaf ranges `(first, end)` under this packet's drops.
+        cut: Vec<(u32, u32)>,
+    },
+    Explicit {
+        nodes: Vec<Node>,
+        /// Scratch stack for the per-packet walk.
+        stack: Vec<(usize, bool)>,
+    },
+}
+
+/// Loss model over a multicast tree.
 #[derive(Debug, Clone)]
 pub struct TreeLoss {
-    nodes: Vec<Node>,
+    topology: Topology,
     receivers: usize,
     rng: ChaCha8Rng,
-    /// Scratch stack for the per-packet walk (avoids per-call allocation).
-    stack: Vec<(usize, bool)>,
 }
 
 /// Builder for arbitrary tree topologies.
@@ -111,11 +133,14 @@ impl TreeBuilder {
     pub fn build(self, seed: u64) -> TreeLoss {
         let receivers = self.nodes.iter().filter(|n| n.receiver.is_some()).count();
         assert!(receivers > 0, "tree has no receivers");
+        assert!(u32::try_from(receivers).is_ok(), "receiver indices are u32");
         TreeLoss {
-            nodes: self.nodes,
+            topology: Topology::Explicit {
+                nodes: self.nodes,
+                stack: Vec::new(),
+            },
             receivers,
             rng: ChaCha8Rng::seed_from_u64(seed),
-            stack: Vec::new(),
         }
     }
 }
@@ -135,45 +160,57 @@ impl TreeLoss {
         assert!((0.0..=1.0).contains(&p), "p must be a probability");
         assert!(d <= 26, "FBT height {d} too large");
         let p_node = 1.0 - (1.0 - p).powf(1.0 / (d as f64 + 1.0));
-        let mut b = TreeBuilder::new(p_node);
-        // Breadth-first construction; leaves at depth d become receivers.
-        let mut level = vec![0usize];
-        for _ in 0..d {
-            let mut next = Vec::with_capacity(level.len() * 2);
-            for &n in &level {
-                next.push(b.add_node(n, p_node));
-                next.push(b.add_node(n, p_node));
-            }
-            level = next;
+        TreeLoss {
+            topology: Topology::FullBinary {
+                d,
+                skip: GeoSkip::new(p_node),
+                cut: Vec::new(),
+            },
+            receivers: 1 << d,
+            rng: ChaCha8Rng::seed_from_u64(seed),
         }
-        for &leaf in &level {
-            b.mark_receiver(leaf);
-        }
-        b.build(seed)
     }
 
     /// Per-node loss probability of node `id`.
+    ///
+    /// # Panics
+    /// Panics if the tree has no node `id`.
     pub fn node_p(&self, id: usize) -> f64 {
-        self.nodes[id].p
+        match &self.topology {
+            Topology::FullBinary { skip, .. } => {
+                assert!(id < self.node_count(), "node {id} does not exist");
+                skip.p()
+            }
+            Topology::Explicit { nodes, .. } => nodes[id].p,
+        }
     }
 
     /// Total number of tree nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        match &self.topology {
+            Topology::FullBinary { d, .. } => (2 << d) - 1,
+            Topology::Explicit { nodes, .. } => nodes.len(),
+        }
     }
 
     /// End-to-end loss probability of receiver 0 assuming a path of
     /// independent per-node drops (diagnostic; exact for symmetric trees).
     pub fn path_loss_probability(&self) -> f64 {
+        let nodes = match &self.topology {
+            Topology::FullBinary { d, skip, .. } => {
+                return 1.0 - (1.0 - skip.p()).powi(*d as i32 + 1);
+            }
+            Topology::Explicit { nodes, .. } => nodes,
+        };
         // Walk from root to the first receiver greedily.
         let mut surv = 1.0;
         let mut id = 0usize;
         loop {
-            surv *= 1.0 - self.nodes[id].p;
-            if self.nodes[id].receiver.is_some() {
+            surv *= 1.0 - nodes[id].p;
+            if nodes[id].receiver.is_some() {
                 break;
             }
-            match self.nodes[id].children.first() {
+            match nodes[id].children.first() {
                 Some(&c) => id = c,
                 None => break,
             }
@@ -187,20 +224,46 @@ impl LossModel for TreeLoss {
         self.receivers
     }
 
-    fn sample(&mut self, _time: f64, lost: &mut [bool]) {
-        assert_eq!(lost.len(), self.receivers, "loss buffer size mismatch");
-        // Depth-first walk; once an ancestor drops, everything below is
-        // lost without further sampling (that's the sharing).
-        self.stack.clear();
-        self.stack.push((0, false));
-        while let Some((id, ancestor_dropped)) = self.stack.pop() {
-            let node = &self.nodes[id];
-            let dropped = ancestor_dropped || (node.p > 0.0 && self.rng.random::<f64>() < node.p);
-            if let Some(r) = node.receiver {
-                lost[r] = dropped;
+    fn sample_lost(&mut self, _time: f64, out: &mut Vec<u32>) {
+        out.clear();
+        match &mut self.topology {
+            Topology::FullBinary { d, skip, cut } => {
+                // Every node drops independently, so there is nothing to
+                // prune: draw the dropped nodes, then take the union of the
+                // leaf ranges beneath them. Node `id` is the `first`-th of
+                // level `level` and covers `2^(d - level)` leaves.
+                let d = *d;
+                cut.clear();
+                skip.for_each_hit(&mut self.rng, 0, (2 << d) - 1, |id| {
+                    let level = (id + 1).ilog2();
+                    let first = id + 1 - (1 << level);
+                    let span = d - level;
+                    cut.push((first << span, (first + 1) << span));
+                });
+                // Ranges nest or are disjoint; in start order the union is
+                // whatever each adds beyond the furthest end so far.
+                cut.sort_unstable();
+                let mut end = 0;
+                for &(first, range_end) in cut.iter() {
+                    out.extend(first.max(end)..range_end);
+                    end = end.max(range_end);
+                }
             }
-            for &c in &node.children {
-                self.stack.push((c, dropped));
+            Topology::Explicit { nodes, stack } => {
+                // Depth-first walk; once an ancestor drops, everything
+                // below is lost without further sampling (the sharing).
+                stack.clear();
+                stack.push((0, false));
+                while let Some((id, ancestor_dropped)) = stack.pop() {
+                    let node = &nodes[id];
+                    let dropped =
+                        ancestor_dropped || (node.p > 0.0 && self.rng.random::<f64>() < node.p);
+                    if let (true, Some(r)) = (dropped, node.receiver) {
+                        out.push(r as u32);
+                    }
+                    stack.extend(node.children.iter().map(|&c| (c, dropped)));
+                }
+                out.sort_unstable(); // walk order is not receiver order
             }
         }
     }

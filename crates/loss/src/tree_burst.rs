@@ -13,7 +13,7 @@
 //! Extension beyond the paper, built from its two ingredients.
 
 use crate::gilbert::GilbertLoss;
-use crate::model::LossModel;
+use crate::model::{lost_indices, LossModel};
 
 /// Full binary tree of height `d` whose every node hosts an independent
 /// Gilbert chain; a packet reaches a receiver iff no node on its path is
@@ -72,8 +72,7 @@ impl LossModel for TreeBurstLoss {
         self.receivers
     }
 
-    fn sample(&mut self, time: f64, lost: &mut [bool]) {
-        assert_eq!(lost.len(), self.receivers, "loss buffer size mismatch");
+    fn sample_lost(&mut self, time: f64, out: &mut Vec<u32>) {
         // Advance every node chain to `time`.
         self.chains.sample(time, &mut self.node_lost);
         // Propagate: node i is "cut" if it or any ancestor is lost. The
@@ -85,7 +84,7 @@ impl LossModel for TreeBurstLoss {
         }
         // Leaves occupy the last 2^d slots.
         let first_leaf = self.node_count - self.receivers;
-        lost.copy_from_slice(&self.node_lost[first_leaf..]);
+        lost_indices(&self.node_lost[first_leaf..], out);
     }
 }
 

@@ -25,6 +25,16 @@
 //! runs under each [`runner::LossEnv`]: independent, shared-tree (FBT) and
 //! Markov burst loss. All simulations are deterministic given the seed.
 //!
+//! The trial loops read a transmission only as
+//! [`pm_loss::LossModel::sample_lost`] — the receivers that lost it — and
+//! keep only state a loss touches, so a trial costs `O(R)` once — the
+//! integrated and layered loops allocate and zero one counter per receiver
+//! — plus `O(losses)` per packet, not `transmissions × R`: under the
+//! memoryless environments the paper's `R = 2^17` (and `10^6`) are
+//! ordinary inputs. Each loop has a dense twin,
+//! one pass over all receivers per packet, kept under `#[cfg(test)]` as the
+//! oracle it must equal exactly.
+//!
 //! The [`runner`] entry points seed each trial independently via
 //! `pm_par::mix_seed(seed, trial_index)`, which makes trials order-free:
 //! [`runner::run_env_par`] fans them across a [`pm_par::Pool`] and returns

@@ -201,13 +201,13 @@ impl LossModel for EnvModel {
         }
     }
 
-    fn sample(&mut self, time: f64, lost: &mut [bool]) {
+    fn sample_lost(&mut self, time: f64, out: &mut Vec<u32>) {
         match self {
-            EnvModel::Independent(m) => m.sample(time, lost),
-            EnvModel::Tree(m) => m.sample(time, lost),
-            EnvModel::Gilbert(m) => m.sample(time, lost),
-            EnvModel::TwoClass(m) => m.sample(time, lost),
-            EnvModel::TreeBurst(m) => m.sample(time, lost),
+            EnvModel::Independent(m) => m.sample_lost(time, out),
+            EnvModel::Tree(m) => m.sample_lost(time, out),
+            EnvModel::Gilbert(m) => m.sample_lost(time, out),
+            EnvModel::TwoClass(m) => m.sample_lost(time, out),
+            EnvModel::TreeBurst(m) => m.sample_lost(time, out),
         }
     }
 }
@@ -383,6 +383,103 @@ pub fn run_env_par_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// [`run_trial`] on the dense `#[cfg(test)]` oracle loops.
+    fn run_trial_dense<M: LossModel>(
+        cfg: &SimConfig,
+        scheme: Scheme,
+        model: &mut M,
+        now: &mut f64,
+    ) -> TrialOut {
+        match scheme {
+            Scheme::NoFec => scheme::nofec_trial_dense(cfg, model, now),
+            Scheme::Layered { k, h } => scheme::layered_trial_dense(cfg, k, h, model, now),
+            Scheme::Integrated1 { k } => scheme::integrated_1_trial_dense(cfg, k, model, now),
+            Scheme::Integrated2 { k } => scheme::integrated_2_trial_dense(cfg, k, model, now),
+        }
+    }
+
+    #[test]
+    fn sparse_trial_loops_equal_their_dense_oracles() {
+        // Twin models on one seed give the oracle (through `sample`) and
+        // the sparse loop (through `sample_lost`) the same loss patterns,
+        // so every output must agree exactly — and so must the clock, or a
+        // time-correlated model would have diverged. Loss rates are high
+        // enough that most trials run several rounds.
+        let cfg = SimConfig::paper_timing(1);
+        let envs = [
+            LossEnv::Independent { p: 0.2 },
+            LossEnv::FullBinaryTree { p: 0.2 },
+            LossEnv::Burst {
+                p: 0.15,
+                mean_burst: 2.5,
+            },
+            LossEnv::TwoClass {
+                alpha: 0.3,
+                p_low: 0.02,
+                p_high: 0.4,
+            },
+            LossEnv::TreeBurst {
+                p: 0.15,
+                mean_burst: 2.0,
+            },
+        ];
+        let mut multi_round = 0usize;
+        for k in [1usize, 3, 7, 20] {
+            let schemes = [
+                Scheme::NoFec,
+                Scheme::Layered {
+                    k,
+                    h: k.div_ceil(4),
+                },
+                Scheme::Integrated1 { k },
+                Scheme::Integrated2 { k },
+            ];
+            for (scheme, env) in schemes
+                .iter()
+                .flat_map(|s| envs.iter().map(move |e| (*s, *e)))
+            {
+                for r in [1usize, 5, 64, 300] {
+                    let tree = matches!(
+                        env,
+                        LossEnv::FullBinaryTree { .. } | LossEnv::TreeBurst { .. }
+                    );
+                    // The tree environments need R = 2^d: 1, 4, 64, 256.
+                    let r = if tree { 1 << r.ilog2() } else { r };
+                    for seed in 0..200u64 {
+                        let seed = mix_seed(seed, (k * 1000 + r) as u64);
+                        let mut sparse_model = EnvModel::build(env, r, cfg.delta, seed);
+                        let mut dense_model = EnvModel::build(env, r, cfg.delta, seed);
+                        let (mut now_sparse, mut now_dense) = (0.0, 0.0);
+                        let sparse = run_trial(&cfg, scheme, &mut sparse_model, &mut now_sparse);
+                        let dense = run_trial_dense(&cfg, scheme, &mut dense_model, &mut now_dense);
+                        assert_eq!(sparse, dense, "{scheme:?} {env:?} R={r} seed={seed}");
+                        assert_eq!(now_sparse, now_dense, "{scheme:?} {env:?} R={r}");
+                        multi_round += usize::from(dense.rounds > 1.0);
+                    }
+                }
+            }
+        }
+        assert!(
+            multi_round > 20_000,
+            "only {multi_round} multi-round trials"
+        );
+    }
+
+    #[test]
+    fn env_model_draws_the_bare_models_stream() {
+        // `EnvModel` adds nothing between a trial loop and the model's own
+        // sampler: same seed, same loss lists as the bare model.
+        let mut wrapped = EnvModel::build(LossEnv::Independent { p: 0.05 }, 4096, 0.04, 77);
+        let mut bare = IndependentLoss::new(4096, 0.05, 77);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for i in 0..50 {
+            wrapped.sample_lost(i as f64, &mut a);
+            bare.sample_lost(i as f64, &mut b);
+            assert!(!a.is_empty());
+            assert_eq!(a, b);
+        }
+    }
 
     #[test]
     fn labels() {

@@ -9,6 +9,81 @@ use crate::metrics::TrialOut;
 /// transmissions (would indicate a pathological loss model, e.g. p ~ 1).
 const MAX_TX_PER_GROUP: u64 = 1_000_000;
 
+/// One transmission group as its losses see it. A receiver that lost `m`
+/// of the `tx` packets sent while it was still incomplete holds
+/// `min(k, tx - m)` of them, so a receiver's progress is one counter that
+/// only a loss touches, and what the sender asks of the group — how many
+/// packets the worst receiver still needs, how many receivers are done —
+/// follows from the counters' histogram without a pass over the receivers.
+struct Group {
+    k: u64,
+    /// Packets multicast so far.
+    tx: u64,
+    /// `missed[rc]`: packets `rc` lost before it held `k`.
+    missed: Vec<u32>,
+    /// `with_missed[m]`: receivers whose `missed` is `m`. Counters only
+    /// grow, so the last bucket is the running maximum.
+    with_missed: Vec<u32>,
+    /// Receivers holding `k` packets.
+    complete: u64,
+    /// Receptions by receivers that were already complete.
+    unneeded: u64,
+}
+
+impl Group {
+    fn new(k: usize, receivers: usize) -> Self {
+        Group {
+            k: k as u64,
+            tx: 0,
+            missed: vec![0; receivers],
+            with_missed: vec![receivers as u32],
+            complete: 0,
+            unneeded: 0,
+        }
+    }
+
+    /// Packets the worst receiver still needs: `k - (tx - max missed)`.
+    fn need(&self) -> u64 {
+        self.k + (self.with_missed.len() as u64 - 1) - self.tx
+    }
+
+    /// Account one multicast packet that the receivers in `lost` missed.
+    ///
+    /// # Panics
+    /// Panics past the transmission cap (loss model stuck at 100% loss).
+    fn packet(&mut self, lost: &[u32]) {
+        self.tx += 1;
+        assert!(
+            self.tx <= MAX_TX_PER_GROUP,
+            "loss model never delivers packets"
+        );
+        let mut lost_by_complete = 0;
+        for &rc in lost {
+            let m = self.missed[rc as usize] as usize;
+            // Complete before this packet iff (tx - 1) - m >= k.
+            if m as u64 + self.k < self.tx {
+                lost_by_complete += 1;
+                continue;
+            }
+            self.missed[rc as usize] += 1;
+            self.with_missed[m] -= 1;
+            if self.with_missed.len() == m + 1 {
+                self.with_missed.push(0);
+            }
+            self.with_missed[m + 1] += 1;
+        }
+        // Completed receivers still on the group hear repair parities they
+        // cannot use.
+        self.unneeded += self.complete - lost_by_complete;
+        // Whoever has now missed exactly tx - k holds exactly k: this
+        // packet completed them, and their counters are final.
+        if self.tx >= self.k {
+            let done = self.with_missed.get((self.tx - self.k) as usize);
+            self.complete += u64::from(done.copied().unwrap_or(0));
+        }
+    }
+}
+
 /// One integrated-FEC-1 trial: parities stream back-to-back behind the
 /// data at rate `1/delta`; a receiver departs the group the moment it
 /// holds `k` packets and the sender stops once everyone has. No feedback
@@ -19,6 +94,71 @@ const MAX_TX_PER_GROUP: u64 = 1_000_000;
 /// Panics if the trial exceeds the internal transmission cap (loss model
 /// stuck at 100% loss).
 pub(crate) fn integrated_1_trial<M: LossModel>(
+    cfg: &SimConfig,
+    k: usize,
+    model: &mut M,
+    now: &mut f64,
+) -> TrialOut {
+    let mut group = Group::new(k, model.receivers());
+    let mut lost = Vec::new();
+    while group.need() > 0 {
+        model.sample_lost(*now, &mut lost);
+        *now += cfg.delta;
+        group.packet(&lost);
+    }
+    TrialOut {
+        m_values: vec![group.tx as f64 / k as f64],
+        rounds: 1.0,
+        // Departed receivers no longer listen — by construction integrated
+        // FEC 1 has zero unnecessary receptions (Section 2.1 bullet 3).
+        unneeded: None,
+    }
+}
+
+/// One integrated-FEC-2 trial (protocol NP's schedule): round 1 multicasts
+/// the `k` data packets; after a feedback gap of `T` the sender multicasts
+/// exactly as many parities as the worst receiver still needs; repeat —
+/// which spreads a group's parities over time (implicit interleaving).
+/// `rounds` is the paper's appendix `E[T]`.
+///
+/// # Panics
+/// As for [`integrated_1_trial`].
+pub(crate) fn integrated_2_trial<M: LossModel>(
+    cfg: &SimConfig,
+    k: usize,
+    model: &mut M,
+    now: &mut f64,
+) -> TrialOut {
+    let r = model.receivers();
+    let mut group = Group::new(k, r);
+    let mut lost = Vec::new();
+    let mut rounds = 0u64;
+    loop {
+        // `k` before anything was sent (the data), the worst receiver's
+        // deficit afterwards (parities).
+        let burst = group.need();
+        if burst == 0 {
+            break;
+        }
+        rounds += 1;
+        for _ in 0..burst {
+            model.sample_lost(*now, &mut lost);
+            *now += cfg.delta;
+            group.packet(&lost);
+        }
+        *now += cfg.feedback_delay;
+    }
+    TrialOut {
+        m_values: vec![group.tx as f64 / k as f64],
+        rounds: rounds as f64,
+        unneeded: Some(group.unneeded as f64 / r as f64),
+    }
+}
+
+#[cfg(test)]
+/// Dense oracle of [`integrated_1_trial`]: one pass over all `R` receivers
+/// per packet.
+pub(crate) fn integrated_1_trial_dense<M: LossModel>(
     cfg: &SimConfig,
     k: usize,
     model: &mut M,
@@ -53,15 +193,9 @@ pub(crate) fn integrated_1_trial<M: LossModel>(
     }
 }
 
-/// One integrated-FEC-2 trial (protocol NP's schedule): round 1 multicasts
-/// the `k` data packets; after a feedback gap of `T` the sender multicasts
-/// exactly as many parities as the worst receiver still needs; repeat —
-/// which spreads a group's parities over time (implicit interleaving).
-/// `rounds` is the paper's appendix `E[T]`.
-///
-/// # Panics
-/// As for [`integrated_1_trial`].
-pub(crate) fn integrated_2_trial<M: LossModel>(
+#[cfg(test)]
+/// Dense oracle of [`integrated_2_trial`].
+pub(crate) fn integrated_2_trial_dense<M: LossModel>(
     cfg: &SimConfig,
     k: usize,
     model: &mut M,

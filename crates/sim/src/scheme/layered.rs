@@ -10,13 +10,102 @@
 
 use pm_loss::LossModel;
 
+use super::retain_lost;
 use crate::config::SimConfig;
 use crate::metrics::TrialOut;
 
 /// One layered-FEC trial: one transmission group of `k` data packets
 /// (tracked jointly so burst loss correlates them exactly as on the
 /// wire), driven to completion. Contributes `k` per-slot `E[M]` samples.
+///
+/// A receiver misses data slot `s` of a block iff it lost packet `s` *and*
+/// more than `h` packets of the block, so both the sets still missing each
+/// slot and the waste (receptions of a slot by receivers that already hold
+/// it) are read off the block's `n` loss lists; the one `R`-sized array,
+/// the per-receiver loss count of the block, is touched at the losses only.
 pub(crate) fn layered_trial<M: LossModel>(
+    cfg: &SimConfig,
+    k: usize,
+    h: usize,
+    model: &mut M,
+    now: &mut f64,
+) -> TrialOut {
+    let n = k + h;
+    let r = model.receivers();
+    // pending[slot] = receivers still missing the data packet in `slot`,
+    // ascending; before the first block that is everyone, which is never
+    // written down. Parity slots need no tracking: they are regenerated
+    // for whatever group they ride in.
+    let mut pending: Vec<Vec<u32>> = vec![Vec::new(); k];
+    // Per-slot count of rounds the slot participated in.
+    let mut slot_rounds = vec![0u64; k];
+    let mut group_rounds = 0u64;
+    let mut unneeded = 0u64;
+    // The block's loss lists back to back; slot s is block[ends[s-1]..ends[s]].
+    let mut lost = Vec::new();
+    let mut block: Vec<u32> = Vec::new();
+    let mut ends = Vec::with_capacity(n);
+    let mut lost_in_block = vec![0u32; r];
+    while group_rounds == 0 || pending.iter().any(|p| !p.is_empty()) {
+        group_rounds += 1;
+        // One block: n packets at delta spacing.
+        block.clear();
+        ends.clear();
+        for _ in 0..n {
+            model.sample_lost(*now, &mut lost);
+            for &rc in &lost {
+                lost_in_block[rc as usize] += 1;
+            }
+            block.extend_from_slice(&lost);
+            ends.push(block.len());
+            *now += cfg.delta;
+        }
+        let mut start = 0;
+        for (slot, pend) in pending.iter_mut().enumerate() {
+            let lost_slot = &block[start..ends[slot]];
+            start = ends[slot];
+            // Below k receptions the block does not decode.
+            let undecoded = |rc: u32| lost_in_block[rc as usize] as usize > h;
+            if group_rounds == 1 {
+                slot_rounds[slot] += 1;
+                pend.extend(lost_slot.iter().copied().filter(|&rc| undecoded(rc)));
+                continue;
+            }
+            // Every receiver not pending on this slot already holds it —
+            // all of them if the slot is complete and merely rides along —
+            // and receiving it again is waste.
+            let held = r - pend.len();
+            slot_rounds[slot] += u64::from(!pend.is_empty());
+            let mut lost_by_pending = 0;
+            retain_lost(pend, lost_slot, |rc| {
+                lost_by_pending += 1;
+                undecoded(rc)
+            });
+            unneeded += (held - (lost_slot.len() - lost_by_pending)) as u64;
+        }
+        for &rc in &block {
+            lost_in_block[rc as usize] = 0;
+        }
+        *now += cfg.feedback_delay; // gap to the next block is delta + T
+    }
+    TrialOut {
+        // Each round the packet rides in costs n/k transmissions in
+        // the per-packet accounting (Eq. (3)'s n/k factor).
+        m_values: slot_rounds
+            .iter()
+            .map(|&sr| sr as f64 * n as f64 / k as f64)
+            .collect(),
+        rounds: group_rounds as f64,
+        unneeded: Some(unneeded as f64 / r as f64),
+    }
+}
+
+#[cfg(test)]
+/// Dense oracle of [`layered_trial`]: every receiver's reception of every
+/// packet of every block, tabulated. The body is the loop this crate ran
+/// before the sparse view, kept unedited so "equal to the oracle" means
+/// "equal to what the figures were produced with".
+pub(crate) fn layered_trial_dense<M: LossModel>(
     cfg: &SimConfig,
     k: usize,
     h: usize,

@@ -2,6 +2,7 @@
 
 use pm_loss::LossModel;
 
+use super::retain_lost;
 use crate::config::SimConfig;
 use crate::metrics::TrialOut;
 
@@ -9,7 +10,44 @@ use crate::metrics::TrialOut;
 /// `delta + T` per the paper's timing diagram — until all receivers have
 /// it. `now` is advanced past the packet so a time-correlated model sees
 /// the real schedule; the trailing gap to the next packet is `delta`.
+///
+/// The state is the set still missing the packet, which after the first
+/// transmission is exactly the receivers that lost it and only shrinks:
+/// nothing of size `R` is ever touched.
 pub(crate) fn nofec_trial<M: LossModel>(cfg: &SimConfig, model: &mut M, now: &mut f64) -> TrialOut {
+    let r = model.receivers() as u64;
+    let mut lost = Vec::new();
+    let mut pending = Vec::new();
+    model.sample_lost(*now, &mut pending);
+    let mut tx = 1u64;
+    let mut unneeded = 0u64;
+    while !pending.is_empty() {
+        *now += cfg.delta + cfg.feedback_delay; // NAK turnaround
+        tx += 1;
+        model.sample_lost(*now, &mut lost);
+        let had = r - pending.len() as u64;
+        retain_lost(&mut pending, &lost, |_| true);
+        // A multicast retransmission reaching a receiver that already had
+        // the packet is pure waste: everyone who had it, less those of
+        // them who lost this copy (the losers that were not pending).
+        unneeded += had - (lost.len() - pending.len()) as u64;
+    }
+    *now += cfg.delta; // next packet follows at line rate
+    TrialOut {
+        m_values: vec![tx as f64],
+        rounds: tx as f64,
+        unneeded: Some(unneeded as f64 / r as f64),
+    }
+}
+
+#[cfg(test)]
+/// The dense oracle the sparse loop is checked against: the same scheme,
+/// one pass over all `R` receivers per transmission.
+pub(crate) fn nofec_trial_dense<M: LossModel>(
+    cfg: &SimConfig,
+    model: &mut M,
+    now: &mut f64,
+) -> TrialOut {
     let r = model.receivers();
     let mut lost = vec![false; r];
     let mut has = vec![false; r];
@@ -22,8 +60,6 @@ pub(crate) fn nofec_trial<M: LossModel>(cfg: &SimConfig, model: &mut M, now: &mu
         for rc in 0..r {
             if !lost[rc] {
                 if has[rc] {
-                    // A multicast retransmission reaching a receiver
-                    // that already had the packet: pure waste.
                     unneeded += 1;
                 } else {
                     has[rc] = true;
@@ -32,9 +68,9 @@ pub(crate) fn nofec_trial<M: LossModel>(cfg: &SimConfig, model: &mut M, now: &mu
             }
         }
         *now += if remaining == 0 {
-            cfg.delta // next packet follows at line rate
+            cfg.delta
         } else {
-            cfg.delta + cfg.feedback_delay // NAK turnaround
+            cfg.delta + cfg.feedback_delay
         };
     }
     TrialOut {

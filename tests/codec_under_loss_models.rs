@@ -28,8 +28,9 @@ fn transmit_block<M: LossModel>(
     let spec = dec.spec();
     let mut gd = GroupDecoder::new(*spec);
     let mut received = 0usize;
+    let mut scratch = Vec::new();
     for (slot, payload) in data.iter().chain(parities.iter()).enumerate() {
-        let lost = model.sample_one(t0 + slot as f64 * delta, 0);
+        let lost = model.sample_one(t0 + slot as f64 * delta, 0, &mut scratch);
         if !lost && !gd.is_decodable() {
             gd.insert(slot, payload.clone().into())
                 .expect("valid insert");
