@@ -451,6 +451,6 @@ mod tests {
             }
         }
         assert!(complete, "late joiner must catch up from later cycles");
-        assert_eq!(rx.take_data().unwrap(), payload);
+        assert_eq!(rx.payload().unwrap(), payload);
     }
 }

@@ -39,6 +39,7 @@ pub mod config;
 pub mod costs;
 pub mod error;
 pub mod n2;
+pub mod payload;
 pub mod receiver;
 pub mod runtime;
 pub mod sender;
@@ -48,6 +49,7 @@ pub use carousel::{CarouselConfig, CarouselSender, CarouselStop};
 pub use config::{CompletionPolicy, NpConfig};
 pub use costs::CostCounters;
 pub use error::ProtocolError;
+pub use payload::Payload;
 pub use receiver::{NpReceiver, ReceiverAction};
 pub use runtime::{ReceiverReport, ResilienceCore, ResiliencePolicy, RuntimeConfig};
 pub use sender::{NpSender, SenderStep};

@@ -28,6 +28,7 @@ use pm_net::Message;
 use crate::config::{CompletionPolicy, NpConfig};
 use crate::costs::CostCounters;
 use crate::error::ProtocolError;
+use crate::payload::Payload;
 use crate::receiver::ReceiverAction;
 use crate::sender::SenderStep;
 use crate::session::SessionPlan;
@@ -368,16 +369,15 @@ impl N2Receiver {
             .min_by(|a, b| a.total_cmp(b))
     }
 
-    /// Reassemble the transfer once complete.
+    /// The transfer once complete, as the received packets (shared, not copied).
     ///
     /// # Errors
     /// [`ProtocolError::Inconsistent`] before completion.
-    pub fn take_data(&self) -> Result<Vec<u8>, ProtocolError> {
-        let plan = self
-            .plan
-            .as_ref()
-            .ok_or_else(|| ProtocolError::Inconsistent("no session plan yet".into()))?;
-        plan.reassemble(&self.decoded)
+    pub fn payload(&self) -> Result<Payload, ProtocolError> {
+        match &self.plan {
+            Some(plan) => plan.reassemble(&self.decoded),
+            None => Err(ProtocolError::Inconsistent("no session plan yet".into())),
+        }
     }
 
     fn check_group_complete(&mut self, group: u32, actions: &mut Vec<ReceiverAction>) {
@@ -668,7 +668,7 @@ mod tests {
             now += 0.01;
         }
         assert!(complete);
-        assert_eq!(rx.take_data().unwrap(), bytes);
+        assert_eq!(rx.payload().unwrap(), bytes);
         assert!(tx.is_finished());
     }
 
@@ -818,7 +818,7 @@ mod tests {
             }
         }
         assert!(complete);
-        assert_eq!(rx.take_data().unwrap(), bytes);
+        assert_eq!(rx.payload().unwrap(), bytes);
     }
 
     /// Determinism contract: the full N2 message transcript (sender and
@@ -873,7 +873,7 @@ mod tests {
             now += 0.01;
         }
         assert!(tx.is_finished(), "exchange must converge");
-        assert_eq!(rx.take_data().unwrap(), bytes);
+        assert_eq!(rx.payload().unwrap(), bytes);
         transcript
     }
 

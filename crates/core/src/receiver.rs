@@ -24,6 +24,7 @@ use pm_rse::{CacheStats, CodeSpec, GroupDecoder, InsertOutcome, RseDecoder};
 
 use crate::costs::CostCounters;
 use crate::error::ProtocolError;
+use crate::payload::Payload;
 use crate::session::SessionPlan;
 
 /// What the caller must do after feeding the receiver an event.
@@ -36,7 +37,7 @@ pub enum ReceiverAction {
         /// The decoded transmission group.
         group: u32,
     },
-    /// Every group of the session is decoded; [`NpReceiver::take_data`]
+    /// Every group of the session is decoded; [`NpReceiver::payload`]
     /// yields the byte stream. Emitted exactly once.
     Complete,
 }
@@ -172,16 +173,15 @@ impl NpReceiver {
         self.suppressor.next_deadline()
     }
 
-    /// Reassemble and return the transfer once complete.
+    /// The transfer once complete, as the decoded packets (shared, not copied).
     ///
     /// # Errors
     /// [`ProtocolError::Inconsistent`] if called before completion.
-    pub fn take_data(&self) -> Result<Vec<u8>, ProtocolError> {
-        let plan = self
-            .plan
-            .as_ref()
-            .ok_or_else(|| ProtocolError::Inconsistent("no session plan yet".into()))?;
-        plan.reassemble(&self.decoded)
+    pub fn payload(&self) -> Result<Payload, ProtocolError> {
+        match &self.plan {
+            Some(plan) => plan.reassemble(&self.decoded),
+            None => Err(ProtocolError::Inconsistent("no session plan yet".into())),
+        }
     }
 
     fn decoder_for(&mut self, spec: CodeSpec) -> Result<&RseDecoder, ProtocolError> {
@@ -525,6 +525,7 @@ mod tests {
         let (plan, data, groups, _) = setup(100, 3, 2);
         let mut rx = NpReceiver::new(1, SESSION, 0.01, 1);
         rx.handle(&plan.announce(), 0.0).unwrap();
+        assert!(matches!(rx.payload(), Err(ProtocolError::Inconsistent(_))));
         let mut completed = false;
         for (g, packets) in groups.iter().enumerate() {
             for (i, p) in packets.iter().enumerate() {
@@ -538,7 +539,7 @@ mod tests {
         }
         assert!(completed);
         assert!(rx.is_complete());
-        assert_eq!(rx.take_data().unwrap(), data);
+        assert_eq!(rx.payload().unwrap(), data);
         // Nothing was lost, so no decoder (and no generator) was ever built.
         assert!(rx.decoders.is_empty());
         assert_eq!(rx.decode_cache_stats(), CacheStats::default());
@@ -562,7 +563,7 @@ mod tests {
             .iter()
             .any(|a| matches!(a, ReceiverAction::GroupDecoded { group: 0 })));
         assert!(rx.is_complete());
-        assert_eq!(rx.take_data().unwrap(), data);
+        assert_eq!(rx.payload().unwrap(), data);
         assert_eq!(rx.counters().packets_decoded, 1);
     }
 
@@ -773,7 +774,7 @@ mod tests {
         assert!(actions
             .iter()
             .any(|a| matches!(a, ReceiverAction::Complete)));
-        assert_eq!(rx.take_data().unwrap(), Vec::<u8>::new());
+        assert_eq!(rx.payload().unwrap(), Vec::<u8>::new());
     }
 
     #[test]

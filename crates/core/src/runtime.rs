@@ -15,6 +15,7 @@ use pm_obs::{Event, Obs};
 use crate::costs::CostCounters;
 use crate::error::ProtocolError;
 use crate::n2::{N2Receiver, N2Sender};
+use crate::payload::Payload;
 use crate::receiver::{NpReceiver, ReceiverAction};
 use crate::sender::{NpSender, SenderStep};
 pub use crate::session::SessionReport;
@@ -269,10 +270,16 @@ pub trait ReceiverMachine: Send {
     fn is_complete(&self) -> bool;
     /// Sender closed the session.
     fn fin_seen(&self) -> bool;
-    /// The reassembled transfer.
+    /// The transfer, as the packets that carried it — not a copy of them.
     ///
     /// # Errors
     /// If called before completion.
+    fn payload(&self) -> Result<Payload, ProtocolError> {
+        self.take_data().map(Payload::from)
+    }
+    /// [`Self::payload`] copied out, failing as it does. Nothing in `crates/`
+    /// calls it: required only until the frozen `e2e-bench` wrapper forwards
+    /// `payload` instead (ROADMAP item 1 (h)).
     fn take_data(&self) -> Result<Vec<u8>, ProtocolError>;
     /// Work counters.
     fn counters(&self) -> &CostCounters;
@@ -355,7 +362,10 @@ impl ReceiverMachine for NpReceiver {
         NpReceiver::fin_seen(self)
     }
     fn take_data(&self) -> Result<Vec<u8>, ProtocolError> {
-        NpReceiver::take_data(self)
+        self.payload().map(|p| p.to_vec())
+    }
+    fn payload(&self) -> Result<Payload, ProtocolError> {
+        NpReceiver::payload(self)
     }
     fn counters(&self) -> &CostCounters {
         NpReceiver::counters(self)
@@ -379,7 +389,10 @@ impl ReceiverMachine for N2Receiver {
         N2Receiver::fin_seen(self)
     }
     fn take_data(&self) -> Result<Vec<u8>, ProtocolError> {
-        N2Receiver::take_data(self)
+        self.payload().map(|p| p.to_vec())
+    }
+    fn payload(&self) -> Result<Payload, ProtocolError> {
+        N2Receiver::payload(self)
     }
     fn counters(&self) -> &CostCounters {
         N2Receiver::counters(self)
@@ -389,8 +402,8 @@ impl ReceiverMachine for N2Receiver {
 /// Result of a completed receiver run.
 #[derive(Debug, Clone)]
 pub struct ReceiverReport {
-    /// The received byte stream.
-    pub data: Vec<u8>,
+    /// The received byte stream, as the packets that carried it.
+    pub data: Payload,
     /// Work counters at session end.
     pub counters: CostCounters,
     /// Wall-clock duration until completion.

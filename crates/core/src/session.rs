@@ -11,6 +11,7 @@ use pm_net::Message;
 
 use crate::costs::CostCounters;
 use crate::error::ProtocolError;
+use crate::payload::Payload;
 
 /// Typed outcome of a sender session: who finished, who was given up on,
 /// and how much network hostility the driver absorbed along the way.
@@ -209,7 +210,7 @@ impl SessionPlan {
         })
     }
 
-    /// Split `data` into per-group padded packets.
+    /// Split `data` into per-group packets: windows of one zero-padded copy.
     ///
     /// # Panics
     /// Panics if `data.len() != total_bytes` (caller constructed the plan
@@ -221,31 +222,24 @@ impl SessionPlan {
             "plan/data length mismatch"
         );
         let plen = self.payload_len as usize;
-        let mut out = Vec::with_capacity(self.groups as usize);
-        let mut off = 0usize;
-        for g in 0..self.groups {
-            let gk = self.group_k(g);
-            let mut packets = Vec::with_capacity(gk);
-            for _ in 0..gk {
-                let end = (off + plen).min(data.len());
-                let mut payload = Vec::with_capacity(plen);
-                payload.extend_from_slice(&data[off..end]);
-                payload.resize(plen, 0);
-                packets.push(Bytes::from(payload));
-                off = end;
-            }
-            out.push(packets);
-        }
-        out
+        let padded = self.total_packets() as usize * plen;
+        let mut buf = Vec::with_capacity(padded);
+        buf.extend_from_slice(data);
+        buf.resize(padded, 0);
+        let buf = Bytes::from(buf);
+        let mut packets = (0..padded).step_by(plen).map(|at| buf.slice(at..at + plen));
+        let groups = (0..self.groups).map(|g| packets.by_ref().take(self.group_k(g)).collect());
+        groups.collect()
     }
 
-    /// Reassemble the byte stream from decoded groups (keys `0..groups`).
+    /// The transfer as the packets of its decoded groups (keys `0..groups`),
+    /// cut to `total_bytes`; the [`Payload`] shares their storage.
     ///
     /// # Errors
     /// [`ProtocolError::Inconsistent`] if groups are missing or have the
     /// wrong shape.
-    pub fn reassemble(&self, groups: &BTreeMap<u32, Vec<Bytes>>) -> Result<Vec<u8>, ProtocolError> {
-        let mut out = Vec::with_capacity(self.total_bytes as usize);
+    pub fn reassemble(&self, groups: &BTreeMap<u32, Vec<Bytes>>) -> Result<Payload, ProtocolError> {
+        let plen = self.payload_len as usize;
         for g in 0..self.groups {
             let packets = groups.get(&g).ok_or_else(|| {
                 ProtocolError::Inconsistent(format!("group {g} missing at reassembly"))
@@ -257,19 +251,16 @@ impl SessionPlan {
                     self.group_k(g)
                 )));
             }
-            for p in packets {
-                if p.len() != self.payload_len as usize {
-                    return Err(ProtocolError::Inconsistent(format!(
-                        "group {g} packet size {} != {}",
-                        p.len(),
-                        self.payload_len
-                    )));
-                }
-                out.extend_from_slice(p);
+            if let Some(p) = packets.iter().find(|p| p.len() != plen) {
+                return Err(ProtocolError::Inconsistent(format!(
+                    "group {g} packet size {} != {plen}",
+                    p.len()
+                )));
             }
         }
-        out.truncate(self.total_bytes as usize);
-        Ok(out)
+        let mut packets = Vec::with_capacity(self.total_packets() as usize);
+        packets.extend(groups.range(..self.groups).flat_map(|(_, g)| g).cloned());
+        Ok(Payload::new(packets, self.total_bytes as usize))
     }
 }
 
@@ -312,19 +303,30 @@ mod tests {
         assert_eq!(p.reassemble(&BTreeMap::new()).unwrap(), Vec::<u8>::new());
     }
 
+    fn decoded(split: Vec<Vec<Bytes>>) -> BTreeMap<u32, Vec<Bytes>> {
+        (0..).zip(split).collect()
+    }
+
+    /// Lengths around every cut: 0, 1, P - 1, P, P + 1, k * P, k * P + 1
+    /// (a last group of one packet) and longer ragged ones.
     #[test]
     fn split_reassemble_roundtrip() {
-        for len in [1usize, 15, 16, 17, 100, 1000, 7 * 16] {
+        for len in [0usize, 1, 15, 16, 17, 100, 7 * 16, 7 * 16 + 1, 999, 1000] {
             let p = SessionPlan::new(9, len as u64, 7, 3, 16).unwrap();
-            let bytes = data(len);
+            // No zero byte in the data: padding that leaked would show.
+            let bytes: Vec<u8> = (0..len).map(|i| 1 + (i % 255) as u8).collect();
             let split = p.split(&bytes);
             assert_eq!(split.len(), p.groups as usize);
-            let map: BTreeMap<u32, Vec<Bytes>> = split
-                .into_iter()
-                .enumerate()
-                .map(|(i, g)| (i as u32, g))
-                .collect();
-            assert_eq!(p.reassemble(&map).unwrap(), bytes, "len={len}");
+            let got = p.reassemble(&decoded(split)).unwrap();
+            assert_eq!(got.len(), len, "len={len}");
+            assert_eq!(got.is_empty(), len == 0);
+            assert_eq!(got, bytes, "len={len}");
+            assert_eq!(got.to_vec(), bytes, "len={len}");
+            // One chunk per packet, all whole but the last, none empty.
+            let sizes: Vec<usize> = got.chunks().iter().map(|c| c.len()).collect();
+            let mut want = vec![16; len / 16];
+            want.extend((len % 16 > 0).then_some(len % 16));
+            assert_eq!(sizes, want, "len={len}");
         }
     }
 
@@ -357,15 +359,13 @@ mod tests {
     #[test]
     fn reassemble_detects_missing_and_malformed() {
         let p = SessionPlan::new(1, 64, 2, 1, 16).unwrap();
-        let split = p.split(&data(64));
-        let mut map: BTreeMap<u32, Vec<Bytes>> = split
-            .into_iter()
-            .enumerate()
-            .map(|(i, g)| (i as u32, g))
-            .collect();
+        let mut map = decoded(p.split(&data(64)));
         let mut missing = map.clone();
         missing.remove(&1);
         assert!(p.reassemble(&missing).is_err());
+        let mut wrong_size = map.clone();
+        wrong_size.get_mut(&1).unwrap()[0] = Bytes::from_static(&[0; 15]);
+        assert!(p.reassemble(&wrong_size).is_err());
         map.get_mut(&0).unwrap().pop();
         assert!(p.reassemble(&map).is_err());
     }

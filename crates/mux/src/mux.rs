@@ -1477,7 +1477,7 @@ fn finish_receiver(
     corrupt_dropped: u64,
 ) -> Result<ReceiverReport, ProtocolError> {
     Ok(ReceiverReport {
-        data: machine.take_data()?,
+        data: machine.payload()?,
         counters: *machine.counters(),
         elapsed: elapsed_of(now_rel),
         corrupt_dropped,
@@ -1492,6 +1492,7 @@ mod tests {
     use pm_core::n2::{N2Receiver, N2Sender};
     use pm_core::receiver::NpReceiver;
     use pm_core::sender::NpSender;
+    use pm_core::Payload;
     use pm_net::{MemHub, Transport};
     use pm_obs::{MetricsRegistry, RingRecorder};
     use std::sync::Arc;
@@ -2266,7 +2267,10 @@ mod tests {
             false
         }
         fn take_data(&self) -> Result<Vec<u8>, ProtocolError> {
-            Ok(Vec::new())
+            self.payload().map(|p| p.to_vec())
+        }
+        fn payload(&self) -> Result<Payload, ProtocolError> {
+            Ok(Payload::new(Vec::new(), 0))
         }
         fn counters(&self) -> &pm_core::CostCounters {
             &self.counters

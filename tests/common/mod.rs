@@ -227,7 +227,11 @@ pub fn run_pinned_farm() -> Vec<PairRun> {
             PairRun {
                 sent,
                 received,
-                data: outcome.receiver_report().expect("receiver ok").data.clone(),
+                data: outcome
+                    .receiver_report()
+                    .expect("receiver ok")
+                    .data
+                    .to_vec(),
             }
         })
         .collect()

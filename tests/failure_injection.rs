@@ -126,7 +126,7 @@ fn spoofed_done_messages_cannot_fake_completion_everywhere() {
         .unwrap();
     }
     assert!(!rx.is_complete());
-    assert!(rx.take_data().is_err());
+    assert!(matches!(rx.payload(), Err(ProtocolError::Inconsistent(_))));
 }
 
 #[test]

@@ -194,7 +194,7 @@ proptest! {
             }
         }
         prop_assert!(complete, "exchange did not converge (len={data_len})");
-        prop_assert_eq!(rx.take_data().unwrap(), data);
+        prop_assert_eq!(rx.payload().unwrap(), data);
     }
 
     /// The same property for the N2 baseline.
@@ -241,6 +241,6 @@ proptest! {
             }
         }
         prop_assert!(complete, "N2 exchange did not converge (len={data_len})");
-        prop_assert_eq!(rx.take_data().unwrap(), data);
+        prop_assert_eq!(rx.payload().unwrap(), data);
     }
 }

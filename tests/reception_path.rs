@@ -3,14 +3,30 @@
 //! against a map of what it was given, and `MemHub` (one shared log, a
 //! cursor per endpoint) against a queue per endpoint — which is what a
 //! multicast group *means*, whatever the hub does to deliver it cheaply.
+//! Then the ownership of a delivered byte, by address: a report's chunks
+//! *are* the datagrams that arrived, the sender's packets are one buffer,
+//! and `Payload` against a `Vec<u8>`.
 
-use std::collections::{BTreeMap, VecDeque};
+mod common;
+
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::time::Duration;
 
 use bytes::Bytes;
-use parity_multicast::net::{MemHub, Message, NetError, PollTransport, Transport};
+use parity_multicast::mux::VirtualClock;
+use parity_multicast::net::{
+    FaultConfig, FaultyTransport, MemHub, Message, NetError, PollTransport, Transport,
+};
+use parity_multicast::obs::Obs;
+use parity_multicast::protocol::n2::{N2Receiver, N2Sender};
+use parity_multicast::protocol::runtime::{ReceiverMachine, ReceiverReport, SenderMachine};
+use parity_multicast::protocol::{
+    CompletionPolicy, NpConfig, NpReceiver, NpSender, Payload, SessionPlan,
+};
 use parity_multicast::rse::{
     CodeSpec, GroupDecoder, InsertOutcome, RseDecoder, RseEncoder, RseError,
 };
+use proptest::prelude::*;
 
 /// Seeded draws (`xorshift64*`), so a failure names its seed.
 struct Draw(u64);
@@ -248,6 +264,200 @@ fn mem_hub_is_a_queue_per_endpoint_across_seeds() {
                 false,
                 &format!("seed {seed} endpoint {i} after its last"),
             );
+        }
+    }
+}
+
+/// A receiver's endpoint that keeps (alive, so no address is ever reused)
+/// the payload of every packet it hands to its machine.
+struct Noting<T> {
+    inner: T,
+    delivered: Vec<Bytes>,
+}
+
+impl<T> Noting<T> {
+    fn note(
+        &mut self,
+        got: Result<Option<Message>, NetError>,
+    ) -> Result<Option<Message>, NetError> {
+        if let Ok(Some(Message::Packet { payload, .. })) = &got {
+            self.delivered.push(payload.clone());
+        }
+        got
+    }
+}
+
+impl<T: PollTransport> Transport for Noting<T> {
+    fn send(&mut self, msg: &Message) -> Result<(), NetError> {
+        self.inner.send(msg)
+    }
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
+        let got = self.inner.recv_timeout(timeout);
+        self.note(got)
+    }
+}
+
+impl<T: PollTransport> PollTransport for Noting<T> {
+    fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
+        let got = self.inner.poll_recv();
+        self.note(got)
+    }
+}
+
+const PACKET: usize = 128;
+
+fn fanout_cfg() -> NpConfig {
+    let mut cfg = common::np_cfg();
+    cfg.completion = CompletionPolicy::KnownReceivers(4);
+    cfg.payload_len = PACKET;
+    cfg
+}
+
+/// One sender and four receivers on a `MemHub`, each receiver dropping
+/// with probability `drop`: every receiver's report, with the addresses
+/// of the packet payloads that reached its machine.
+fn fanout_of_4<S, R>(
+    sender: S,
+    receiver: impl Fn(u32) -> R,
+    drop: f64,
+) -> Vec<(ReceiverReport, BTreeSet<usize>)>
+where
+    S: SenderMachine + 'static,
+    R: ReceiverMachine + 'static,
+{
+    let hub = MemHub::new();
+    let mut sender_tp = hub.join();
+    let mut tps: Vec<_> = (0..4)
+        .map(|id| Noting {
+            inner: FaultyTransport::new(hub.join(), FaultConfig::drop_only(drop), 77 + id),
+            delivered: Vec::new(),
+        })
+        .collect();
+    let (sent, reports) = common::run_session(
+        VirtualClock::new(),
+        common::rt(),
+        &Obs::null(),
+        (sender, &mut sender_tp as &mut dyn PollTransport),
+        tps.iter_mut()
+            .enumerate()
+            .map(|(id, tp)| (receiver(id as u32), tp as &mut dyn PollTransport)),
+    );
+    sent.expect("sender completes");
+    let reports = reports.into_iter().map(|r| r.expect("receiver completes"));
+    reports
+        .zip(&tps)
+        .map(|(rep, tp)| {
+            let at = tp.delivered.iter().map(|p| p.as_ptr() as usize).collect();
+            (rep, at)
+        })
+        .collect()
+}
+
+/// Loss-free, every chunk of every report is the datagram the hub
+/// delivered — one buffer per packet for all four receivers — and not the
+/// sender's: its packets lie `PACKET` apart in one allocation, which two
+/// live datagrams (each `PACKET` plus a header long) cannot.
+fn assert_reports_share_the_datagrams(runs: &[(ReceiverReport, BTreeSet<usize>)], data: &[u8]) {
+    let (first, _) = &runs[0];
+    assert_eq!(first.data.chunks().len(), data.len().div_ceil(PACKET));
+    for (rep, delivered) in runs {
+        assert_eq!(rep.data, data);
+        assert_eq!(rep.counters.packets_decoded, 0, "loss-free");
+        for (mine, theirs) in rep.data.chunks().iter().zip(first.data.chunks()) {
+            assert_eq!(mine.as_ptr(), theirs.as_ptr(), "one buffer per packet");
+            assert!(delivered.contains(&(mine.as_ptr() as usize)));
+        }
+        for pair in rep.data.chunks().windows(2) {
+            assert_ne!(
+                pair[0].as_ptr() as usize + PACKET,
+                pair[1].as_ptr() as usize
+            );
+        }
+    }
+}
+
+#[test]
+fn loss_free_reports_share_one_datagram_per_packet() {
+    let data = common::payload(5 * 8 * PACKET + 300);
+    let np = fanout_of_4(
+        NpSender::new(5, &data, fanout_cfg()).unwrap(),
+        |id| NpReceiver::new(id, 5, 0.001, id as u64),
+        0.0,
+    );
+    assert_reports_share_the_datagrams(&np, &data);
+    let n2 = fanout_of_4(
+        N2Sender::new(6, &data, fanout_cfg()).unwrap(),
+        |id| N2Receiver::new(id, 6, 0.001, id as u64),
+        0.0,
+    );
+    assert_reports_share_the_datagrams(&n2, &data);
+}
+
+#[test]
+fn under_loss_only_reconstructed_packets_own_their_storage() {
+    let data = common::payload(40 * 8 * PACKET + 17);
+    let runs = fanout_of_4(
+        NpSender::new(7, &data, fanout_cfg()).unwrap(),
+        |id| NpReceiver::new(id, 7, 0.001, id as u64),
+        0.1,
+    );
+    let mut decoded = 0;
+    for (rep, delivered) in &runs {
+        assert_eq!(rep.data, data);
+        let chunks = rep.data.chunks().iter();
+        let private = chunks.filter(|c| !delivered.contains(&(c.as_ptr() as usize)));
+        assert_eq!(private.count() as u64, rep.counters.packets_decoded);
+        decoded += rep.counters.packets_decoded;
+    }
+    assert!(
+        decoded > 0,
+        "p = 0.1 over 321 packets x 4 lost no data packet"
+    );
+}
+
+#[test]
+fn split_is_consecutive_windows_of_one_zero_padded_buffer() {
+    let plan = SessionPlan::new(1, 7 * 16 + 5, 3, 2, 16).unwrap();
+    let split = plan.split(&common::payload(7 * 16 + 5));
+    assert_eq!(split.iter().map(Vec::len).collect::<Vec<_>>(), [3, 3, 2]);
+    let packets: Vec<&Bytes> = split.iter().flatten().collect();
+    for pair in packets.windows(2) {
+        assert_eq!(pair[0].as_ptr() as usize + 16, pair[1].as_ptr() as usize);
+    }
+    assert_eq!(packets[7][5..], [0; 11]);
+}
+
+proptest! {
+    /// `Payload` is the first `cut` bytes of its packets, however they are
+    /// chunked (empty packets included) and wherever the cut falls.
+    #[test]
+    fn payload_is_the_bytes_of_its_packets(
+        packets in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 0..12),
+        cut in 0usize..500,
+        flip in any::<usize>(),
+    ) {
+        let all = packets.concat();
+        let cut = cut % (all.len() + 3);
+        let model = all[..cut.min(all.len())].to_vec();
+        let payload = Payload::new(packets.into_iter().map(Bytes::from).collect(), cut);
+        prop_assert_eq!(payload.len(), model.len());
+        prop_assert_eq!(payload.is_empty(), model.is_empty());
+        prop_assert!(payload.chunks().iter().all(|c| !c.is_empty()));
+        let laid_out: Vec<u8> = payload.chunks().iter().flat_map(|c| c.to_vec()).collect();
+        prop_assert_eq!(laid_out, model.clone());
+        prop_assert_eq!(payload.to_vec(), model.clone());
+        let borrowed: &[u8] = &model;
+        prop_assert!(payload == model && payload == model[..] && payload == borrowed);
+        prop_assert!(payload.clone() == model);
+
+        let mut longer = model.clone();
+        longer.push(0);
+        prop_assert!(payload != longer && payload != longer[..]);
+        if !model.is_empty() {
+            prop_assert!(payload != model[1..] && payload != model[..model.len() - 1]);
+            let mut flipped = model.clone();
+            flipped[flip % model.len()] ^= 1 << (flip % 8);
+            prop_assert!(payload != flipped && payload != flipped[..]);
         }
     }
 }
