@@ -9,9 +9,10 @@
 //! * [`transport`] — the [`Transport`] trait: multicast send +
 //!   timeout-bounded receive.
 //! * [`mem`] — an in-process multicast hub: one shared log that every
-//!   endpoint reads through its own cursor, so a send costs one entry
-//!   whatever the population and an empty poll one atomic load; the
-//!   workhorse of protocol tests (faults are [`fault`]'s, per endpoint).
+//!   endpoint reads through its own cursor, so a send costs one entry and
+//!   one decode whatever the population and an empty poll one atomic
+//!   load; the workhorse of protocol tests (faults are [`fault`]'s, per
+//!   endpoint).
 //! * [`udp`] — real UDP multicast (`239.0.0.0/8`) via std sockets: one
 //!   socket joins the group and an in-process hub fans packets out to any
 //!   number of endpoints (std cannot set `SO_REUSEPORT`, so multiple OS

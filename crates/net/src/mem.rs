@@ -3,8 +3,10 @@
 //! A [`MemHub`] models one multicast group: every endpoint's `send` is
 //! heard by every *other* endpoint (no self-delivery, like IP multicast
 //! with loopback disabled). Messages are serialized through the real wire
-//! codec so the full encode/decode path is exercised, and every endpoint
-//! decodes and checksums every datagram itself.
+//! codec so the full encode/decode path is exercised. A datagram is
+//! checksummed and parsed once, at send: all its readers would hold the
+//! same immutable bytes, so their verdicts could not differ. Damage that
+//! differs per receiver is [`crate::fault`]'s, injected above the hub.
 //!
 //! The group is one shared log, not a queue per endpoint: a `send` appends
 //! one entry whatever the population, each endpoint reads through its own
@@ -23,12 +25,26 @@ use pm_obs::{Event, Obs, Stopwatch};
 use crate::transport::{NetError, Transport};
 use crate::wire::Message;
 
-/// One multicast datagram in the log.
+/// One multicast datagram in the log, decoded: the message, or the text
+/// of the recoverable [`NetError::Corrupt`] every reader gets instead.
 struct Entry {
     from: usize,
-    raw: Bytes,
+    msg: Result<Message, String>,
     /// Joined endpoints other than `from` that have yet to read it.
     readers_left: usize,
+}
+
+impl Entry {
+    /// One reader's share: a clone (for a `Packet`, one reference count),
+    /// except that the last reader takes the message itself.
+    fn read(&mut self) -> Result<Message, String> {
+        self.readers_left -= 1;
+        if self.readers_left == 0 {
+            std::mem::replace(&mut self.msg, Err(String::new()))
+        } else {
+            self.msg.clone()
+        }
+    }
 }
 
 /// The group's log: `entries[i]` has sequence number `base + i`.
@@ -104,6 +120,11 @@ impl MemHub {
     pub fn endpoints(&self) -> usize {
         self.state.lock().members
     }
+
+    /// Datagrams the group still holds for an endpoint yet to read them.
+    pub fn retained(&self) -> usize {
+        self.state.lock().entries.len()
+    }
 }
 
 /// One endpoint of a [`MemHub`] group.
@@ -113,9 +134,10 @@ pub struct MemEndpoint {
     /// Sequence number of the next log entry to read. Own entries are not
     /// waited for, so the log's `base` may have passed it.
     cursor: u64,
-    /// Once left: the datagrams that were still unread at that moment.
-    /// They remain receivable; after them the endpoint is `Closed`.
-    left: RefCell<Option<VecDeque<Bytes>>>,
+    /// Once left: the datagrams that were still unread at that moment,
+    /// decoded as in the log. They remain receivable; after them the
+    /// endpoint is `Closed`.
+    left: RefCell<Option<VecDeque<Result<Message, String>>>>,
     obs: Obs,
     clock: Stopwatch,
 }
@@ -142,8 +164,7 @@ impl MemEndpoint {
         let mut backlog = VecDeque::new();
         for entry in log.entries.range_mut(read..) {
             if entry.from != self.id {
-                backlog.push_back(entry.raw.clone());
-                entry.readers_left -= 1;
+                backlog.push_back(entry.read());
             }
         }
         log.trim();
@@ -155,13 +176,21 @@ impl MemEndpoint {
     /// garbage bytes on the wire exactly as a damaged UDP datagram would
     /// arrive.
     pub fn send_raw(&self, raw: Bytes) {
+        let msg = match Message::decode(raw) {
+            Ok(msg) => Ok(msg),
+            // Damaged own traffic surfaces (recoverable) at every reader so
+            // its driver can count and drop it; a foreign datagram (bad
+            // magic, short header) every reader would skip is not kept.
+            Err(NetError::Corrupt(text)) => Err(text),
+            Err(_) => return,
+        };
         let mut log = self.hub.lock();
         // No self-delivery; with nobody else to hear it nothing is kept.
         let readers_left = log.members - usize::from(self.left.borrow().is_none());
         if readers_left > 0 {
             log.entries.push_back(Entry {
                 from: self.id,
-                raw,
+                msg,
                 readers_left,
             });
             self.hub.published.fetch_add(1, Ordering::Release);
@@ -172,7 +201,7 @@ impl MemEndpoint {
     }
 
     /// The next unread datagram from another endpoint, without blocking.
-    fn next_raw(&mut self) -> Result<Option<Bytes>, NetError> {
+    fn next_msg(&mut self) -> Result<Option<Result<Message, String>>, NetError> {
         if let Some(backlog) = self.left.get_mut() {
             return backlog.pop_front().map(Some).ok_or(NetError::Closed);
         }
@@ -185,8 +214,7 @@ impl MemEndpoint {
         while let Some(entry) = log.entries.get_mut((self.cursor - log.base) as usize) {
             self.cursor += 1;
             if entry.from != self.id {
-                entry.readers_left -= 1;
-                found = Some(entry.raw.clone());
+                found = Some(entry.read());
                 break;
             }
         }
@@ -240,22 +268,14 @@ impl crate::poll::PollTransport for MemEndpoint {
     /// event-driven multiplexer's virtual clock the in-memory substrate
     /// stays fully deterministic.
     fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
-        while let Some(raw) = self.next_raw()? {
-            match Message::decode(raw) {
-                Ok(msg) => {
-                    self.obs.emit(self.clock.now(), || Event::NetRecv {
-                        kind: msg.obs_kind(),
-                    });
-                    return Ok(Some(msg));
-                }
-                // Damaged own-traffic surfaces (recoverable) so the driver
-                // can count and drop it; foreign datagrams (bad magic/short
-                // header) stay a silent skip.
-                Err(e @ NetError::Corrupt(_)) => return Err(e),
-                Err(_) => {}
-            }
-        }
-        Ok(None)
+        let Some(msg) = self.next_msg()? else {
+            return Ok(None);
+        };
+        let msg = msg.map_err(NetError::Corrupt)?;
+        self.obs.emit(self.clock.now(), || Event::NetRecv {
+            kind: msg.obs_kind(),
+        });
+        Ok(Some(msg))
     }
 }
 
@@ -338,24 +358,34 @@ mod tests {
     fn corrupt_datagram_surfaces_foreign_skipped() {
         let hub = MemHub::new();
         let a = hub.join();
-        let mut b = hub.join();
-        // Foreign garbage (wrong magic): silently skipped.
+        let mut readers: Vec<MemEndpoint> = (0..3).map(|_| hub.join()).collect();
+        // Foreign garbage (wrong magic): silently skipped, never kept.
         a.send_raw(bytes::Bytes::from_static(b"\x00\x00not ours at all"));
-        assert_eq!(b.recv_timeout(Duration::from_millis(10)).unwrap(), None);
-        // Our traffic, damaged in flight: surfaces as recoverable Corrupt.
+        assert_eq!(hub.retained(), 0);
+        for b in &mut readers {
+            assert_eq!(b.recv_timeout(Duration::from_millis(10)).unwrap(), None);
+        }
+        // Our traffic, damaged in flight: surfaces as recoverable Corrupt,
+        // once at every reader.
         let mut raw = Message::Fin { session: 3 }.encode().to_vec();
         raw[10] ^= 0x40;
         a.send_raw(bytes::Bytes::from(raw));
-        match b.recv_timeout(TICK) {
-            Err(e) => assert!(e.is_recoverable(), "expected recoverable, got {e}"),
-            other => panic!("expected Corrupt error, got {other:?}"),
+        for b in &mut readers {
+            match b.recv_timeout(TICK) {
+                Err(e @ NetError::Corrupt(_)) => assert!(e.is_recoverable()),
+                other => panic!("expected Corrupt error, got {other:?}"),
+            }
+            assert_eq!(b.poll_recv().unwrap(), None, "surfaces once");
         }
-        // The endpoint keeps working afterwards.
+        // Every endpoint keeps working afterwards.
         a.send_raw(Message::Fin { session: 4 }.encode());
-        assert_eq!(
-            b.recv_timeout(TICK).unwrap(),
-            Some(Message::Fin { session: 4 })
-        );
+        for b in &mut readers {
+            assert_eq!(
+                b.recv_timeout(TICK).unwrap(),
+                Some(Message::Fin { session: 4 })
+            );
+        }
+        assert_eq!(hub.retained(), 0);
     }
 
     #[test]
@@ -382,11 +412,6 @@ mod tests {
         Message::Fin { session }
     }
 
-    /// Entries the hub is still holding for somebody.
-    fn retained(hub: &MemHub) -> usize {
-        hub.state.lock().entries.len()
-    }
-
     fn drain(ep: &mut MemEndpoint) -> Vec<Message> {
         std::iter::from_fn(|| ep.poll_recv().unwrap()).collect()
     }
@@ -401,7 +426,7 @@ mod tests {
         a.send(&fin(2)).unwrap();
         assert_eq!(drain(&mut late), vec![fin(2)]);
         assert_eq!(drain(&mut b), vec![fin(1), fin(2)]);
-        assert_eq!(retained(&hub), 0);
+        assert_eq!(hub.retained(), 0);
     }
 
     #[test]
@@ -420,7 +445,7 @@ mod tests {
             let want: Vec<Message> = (0..30).filter(|s| *s as usize % 3 != i).map(fin).collect();
             assert_eq!(heard[i], want, "endpoint {i}");
         }
-        assert_eq!(retained(&hub), 0, "everything read, nothing kept");
+        assert_eq!(hub.retained(), 0, "everything read, nothing kept");
     }
 
     #[test]
@@ -429,7 +454,7 @@ mod tests {
         let mut alone = hub.join();
         alone.send(&fin(1)).unwrap();
         alone.send_raw(Bytes::from_static(b"noise"));
-        assert_eq!(retained(&hub), 0);
+        assert_eq!(hub.retained(), 0);
         // ... and a later joiner does not find it either.
         let mut b = hub.join();
         assert_eq!(drain(&mut b), vec![]);
@@ -447,11 +472,11 @@ mod tests {
         }
         assert_eq!(b.poll_recv().unwrap(), Some(fin(0)));
         assert_eq!(drain(&mut c).len(), 4);
-        assert_eq!(retained(&hub), 3, "b has three to go");
+        assert_eq!(hub.retained(), 3, "b has three to go");
         b.leave();
         b.leave(); // idempotent
         assert_eq!(hub.endpoints(), 2);
-        assert_eq!(retained(&hub), 0, "the log does not wait for a leaver");
+        assert_eq!(hub.retained(), 0, "the log does not wait for a leaver");
         a.send(&fin(9)).unwrap();
         // What was unread at `leave` is still delivered, nothing newer is,
         // and then the endpoint reports `Closed` on both receive paths.
@@ -467,7 +492,7 @@ mod tests {
         assert_eq!(hub.endpoints(), 2);
         // Dropping with a backlog releases it the same way.
         drop(a);
-        assert_eq!(retained(&hub), 0);
+        assert_eq!(hub.retained(), 0);
     }
 
     #[test]
@@ -485,6 +510,70 @@ mod tests {
             assert_eq!(parked.join().unwrap().unwrap(), Some(fin(5)));
         });
         assert_eq!(hub.state.lock().parked, 0);
-        assert_eq!(retained(&hub), 0);
+        assert_eq!(hub.retained(), 0);
+    }
+
+    fn packet(group: u32) -> Message {
+        Message::Packet {
+            session: 1,
+            group,
+            index: 0,
+            k: 7,
+            n: 255,
+            payload: Bytes::from(vec![group as u8; 64]),
+        }
+    }
+
+    /// Where a delivered packet's payload lives.
+    fn payload_at(msg: &Message) -> *const u8 {
+        match msg {
+            Message::Packet { payload, .. } => payload.as_ptr(),
+            other => panic!("expected a packet, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn one_decode_serves_every_reader() {
+        let hub = MemHub::new();
+        let tx = hub.join();
+        let mut readers: Vec<MemEndpoint> = (0..8).map(|_| hub.join()).collect();
+        let raw = packet(3).encode();
+        tx.send_raw(raw.clone());
+        let at = raw.as_ptr().wrapping_add(crate::wire::HEADER_LEN + 14);
+        for rx in &mut readers {
+            let got = rx.poll_recv().unwrap().expect("a packet");
+            assert_eq!(got, packet(3));
+            assert_eq!(payload_at(&got), at, "a window of the sent datagram");
+        }
+        assert_eq!(hub.retained(), 0);
+    }
+
+    #[test]
+    fn the_last_reader_takes_the_entry() {
+        let hub = MemHub::new();
+        let tx = hub.join();
+        let mut rx: Vec<MemEndpoint> = (0..4).map(|_| hub.join()).collect();
+        let raws = [packet(0).encode(), packet(1).encode()];
+        for raw in &raws {
+            tx.send_raw(raw.clone());
+        }
+        let at = |g: usize| raws[g].as_ptr().wrapping_add(crate::wire::HEADER_LEN + 14);
+        for ep in &mut rx[..2] {
+            for g in 0..2 {
+                assert_eq!(payload_at(&ep.poll_recv().unwrap().unwrap()), at(g));
+            }
+        }
+        // Halfway: two readers through, one leaves, one still to read.
+        rx[2].leave();
+        assert_eq!(hub.retained(), 2);
+        for g in 0..2 {
+            assert_eq!(payload_at(&rx[3].poll_recv().unwrap().unwrap()), at(g));
+            assert_eq!(hub.retained(), 1 - g, "the last read ends entry {g}");
+        }
+        for g in 0..2 {
+            let got = rx[2].poll_recv().unwrap().expect("the backlog");
+            assert_eq!((payload_at(&got), got), (at(g), packet(g as u32)));
+        }
+        assert!(matches!(rx[2].poll_recv(), Err(NetError::Closed)));
     }
 }

@@ -2,7 +2,8 @@
 //! sweep: `GroupDecoder` (what a receiver keeps per transmission group)
 //! against a map of what it was given, and `MemHub` (one shared log, a
 //! cursor per endpoint) against a queue per endpoint — which is what a
-//! multicast group *means*, whatever the hub does to deliver it cheaply.
+//! multicast group *means*, whatever the hub does to deliver it cheaply
+//! (one shared log, each datagram decoded once for all its readers).
 //! Then the ownership of a delivered byte, by address: a report's chunks
 //! *are* the datagrams that arrived, the sender's packets are one buffer,
 //! and `Payload` against a `Vec<u8>`.
@@ -14,6 +15,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use parity_multicast::mux::VirtualClock;
+use parity_multicast::net::wire::HEADER_LEN;
 use parity_multicast::net::{
     FaultConfig, FaultyTransport, MemHub, Message, NetError, PollTransport, Transport,
 };
@@ -168,13 +170,21 @@ fn group_decoder_follows_what_arrived_across_seeds() {
     }
 }
 
+/// A datagram a member is owed: the message it decodes to and, for a
+/// `Packet`, the datagram its payload must be a window of. `None` is
+/// damaged own-traffic, which must surface as a recoverable error.
+type Owed = Option<(Message, Option<Bytes>)>;
+
 /// One endpoint and the queue a per-endpoint-channel hub would hold for it.
 struct Member {
     ep: parity_multicast::net::mem::MemEndpoint,
-    /// `Ok` datagrams decode to that message; `Err(())` ones are damaged
-    /// own-traffic and must surface as a recoverable error.
-    queue: VecDeque<Result<Message, ()>>,
+    queue: VecDeque<Owed>,
     left: bool,
+}
+
+/// Where a sealed packet's payload sits in its datagram.
+fn payload_in(raw: &Bytes) -> usize {
+    raw.as_ptr() as usize + HEADER_LEN + 14
 }
 
 fn check_poll(m: &mut Member, blocking: bool, ctx: &str) {
@@ -186,12 +196,43 @@ fn check_poll(m: &mut Member, blocking: bool, ctx: &str) {
         m.ep.poll_recv()
     };
     match (m.queue.pop_front(), got) {
-        (Some(Ok(want)), Ok(Some(got))) => assert_eq!(got, want, "{ctx}"),
-        (Some(Err(())), Err(e)) => assert!(e.is_recoverable(), "{ctx}: {e}"),
+        (Some(Some((want, raw))), Ok(Some(got))) => {
+            if let (Some(raw), Message::Packet { payload, .. }) = (raw, &got) {
+                let at = payload.as_ptr() as usize;
+                assert_eq!(at, payload_in(&raw), "{ctx}: a window of the sent datagram");
+            }
+            assert_eq!(got, want, "{ctx}");
+        }
+        (Some(None), Err(e @ NetError::Corrupt(_))) => assert!(e.is_recoverable(), "{ctx}"),
         (None, Ok(None)) => assert!(!m.left, "{ctx}: a leaver's empty backlog is Closed"),
         (None, Err(NetError::Closed)) => assert!(m.left, "{ctx}: Closed while joined"),
         (want, got) => panic!("{ctx}: model {want:?}, hub {got:?}"),
     }
+}
+
+/// A sealed `Packet` of seeded header and payload (1–48 bytes).
+fn seeded_packet(draw: &mut Draw, session: u32) -> Message {
+    let n = 1 + draw.below(255) as u16;
+    let len = 1 + draw.below(48);
+    Message::Packet {
+        session,
+        group: draw.below(1 << 20) as u32,
+        index: draw.below(n as usize) as u16,
+        k: 1 + draw.below(n as usize) as u16,
+        n,
+        payload: (0..len)
+            .map(|_| draw.below(256) as u8)
+            .collect::<Vec<u8>>()
+            .into(),
+    }
+}
+
+/// `raw` with one seeded bit flipped past the magic: our traffic, damaged.
+fn flip_one_bit(draw: &mut Draw, raw: &Bytes) -> Bytes {
+    let mut raw = raw.to_vec();
+    let at = 2 + draw.below(raw.len() - 2);
+    raw[at] ^= 1 << draw.below(8);
+    raw.into()
 }
 
 #[test]
@@ -216,27 +257,33 @@ fn mem_hub_is_a_queue_per_endpoint_across_seeds() {
                 }
                 (2, _) => drop(members.swap_remove(pick)),
                 (3..=10, _) => {
-                    // Damaged own-traffic, foreign bytes, or a real send.
-                    let msg = Message::Fin {
-                        session: next_session,
-                    };
+                    // Damaged own-traffic, foreign bytes, or a real send:
+                    // a sealed packet, or a `Fin` through `send`.
+                    let msg = seeded_packet(&mut draw, next_session);
+                    let raw = msg.encode();
                     next_session += 1;
-                    let heard = match draw.below(8) {
+                    let sender = &mut members[pick].ep;
+                    let heard: Option<Owed> = match draw.below(8) {
                         0 => {
-                            let mut raw = msg.encode().to_vec();
-                            raw[10] ^= 0x40;
-                            members[pick].ep.send_raw(raw.into());
-                            Some(Err(()))
+                            sender.send_raw(flip_one_bit(&mut draw, &raw));
+                            Some(None)
                         }
                         1 => {
-                            members[pick]
-                                .ep
-                                .send_raw(Bytes::from_static(b"\0\0not ours"));
+                            let before = hub.retained();
+                            sender.send_raw(Bytes::from_static(b"\0\0not ours"));
+                            assert_eq!(hub.retained(), before, "{ctx}: foreign bytes kept");
                             None
                         }
+                        2 => {
+                            let fin = Message::Fin {
+                                session: next_session,
+                            };
+                            sender.send(&fin).unwrap();
+                            Some(Some((fin, None)))
+                        }
                         _ => {
-                            members[pick].ep.send(&msg).unwrap();
-                            Some(Ok(msg))
+                            sender.send_raw(raw.clone());
+                            Some(Some((msg, Some(raw))))
                         }
                     };
                     for (i, m) in members.iter_mut().enumerate() {
@@ -264,6 +311,33 @@ fn mem_hub_is_a_queue_per_endpoint_across_seeds() {
                 false,
                 &format!("seed {seed} endpoint {i} after its last"),
             );
+        }
+        assert_eq!(hub.retained(), 0, "seed {seed}: everything read");
+
+        // One datagram, R readers: a foreign one is never kept, a damaged
+        // one surfaces exactly once at each, a sealed one is one buffer.
+        for r in [1, 4, 64] {
+            let ctx = format!("seed {seed} R = {r}");
+            let hub = MemHub::new();
+            let tx = hub.join();
+            let mut rx: Vec<_> = (0..r).map(|_| hub.join()).collect();
+            tx.send_raw(Bytes::from_static(b"\0\0not ours"));
+            assert_eq!(hub.retained(), 0, "{ctx}");
+            let msg = seeded_packet(&mut draw, 0);
+            let raw = msg.encode();
+            tx.send_raw(flip_one_bit(&mut draw, &raw));
+            tx.send_raw(raw.clone());
+            for ep in &mut rx {
+                assert!(matches!(ep.poll_recv(), Err(NetError::Corrupt(_))), "{ctx}");
+                let got = ep.poll_recv().unwrap().expect("the sealed packet");
+                let Message::Packet { payload, .. } = &got else {
+                    panic!("{ctx}: {got:?}");
+                };
+                assert_eq!(payload.as_ptr() as usize, payload_in(&raw), "{ctx}");
+                assert_eq!(got, msg, "{ctx}");
+                assert_eq!(ep.poll_recv().unwrap(), None, "{ctx}: once each");
+            }
+            assert_eq!(hub.retained(), 0, "{ctx}");
         }
     }
 }
