@@ -62,6 +62,10 @@ fn emit(fig: &Figure, out: &Option<String>) {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "reports each figure's wall-clock build time"
+)]
 fn main() {
     let args = parse_args();
     let mut registry = all_figures();

@@ -1,4 +1,8 @@
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "measured codec rates are wall-clock by definition"
+)]
 //! Figure-regeneration harness.
 //!
 //! One module per measured figure of the paper; each builds a [`Figure`]

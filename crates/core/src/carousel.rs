@@ -191,6 +191,10 @@ impl CarouselSender {
     }
 
     /// Next action (same contract as [`crate::NpSender::next_step`]).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "cursor wraps to 0 at schedule.len(), never empty here"
+    )]
     pub fn next_step(&mut self, _now: f64) -> SenderStep {
         if self.fin_sent {
             return SenderStep::Finished;

@@ -1,4 +1,13 @@
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 //! **Protocol NP** — reliable multicast with integrated FEC (hybrid ARQ),
 //! the system contribution of *Parity-Based Loss Recovery for Reliable
 //! Multicast Transmission* (Nonnenmacher, Biersack, Towsley, SIGCOMM '97)

@@ -59,6 +59,10 @@ impl N2Sender {
     ///
     /// # Errors
     /// Configuration/geometry errors.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "g < plan.groups, and groups has one entry per group"
+    )]
     pub fn new(session: u32, data: &[u8], cfg: NpConfig) -> Result<Self, ProtocolError> {
         cfg.validate()?;
         // N2 blocks carry no parities: n == k on the wire.
@@ -229,6 +233,10 @@ impl N2Sender {
     ///
     /// # Errors
     /// None in practice (kept fallible for driver symmetry with NP).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a NAK's group and index are checked against the plan first"
+    )]
     pub fn handle(&mut self, msg: &Message, now: f64) -> Result<(), ProtocolError> {
         if msg.session() != self.plan.session {
             return Ok(());
@@ -824,7 +832,7 @@ mod tests {
     /// Determinism contract: the full N2 message transcript (sender and
     /// receiver sides, including the order retransmissions are serviced
     /// in) must be a pure function of the seed. This is the regression
-    /// test for the `determinism-hash-iter` hazard pm-audit flags —
+    /// test for the hazard clippy's `disallowed_types` bans in pm-core —
     /// `pending`/`serviced` lived in `HashMap`s whose iteration order
     /// varies with per-process hasher state.
     fn lossy_transcript(seed: u64) -> Vec<Message> {

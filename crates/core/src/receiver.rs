@@ -184,6 +184,10 @@ impl NpReceiver {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the key is inserted just above when absent"
+    )]
     fn decoder_for(&mut self, spec: CodeSpec) -> Result<&RseDecoder, ProtocolError> {
         let key = (spec.k() as u16, spec.n() as u16);
         if let Entry::Vacant(e) = self.decoders.entry(key) {
@@ -226,6 +230,10 @@ impl NpReceiver {
     /// # Errors
     /// [`ProtocolError`] on geometry conflicts (a corrupted or hostile
     /// stream); the session should be abandoned.
+    #[expect(
+        clippy::unreachable,
+        reason = "a group turns decodable only while Collecting"
+    )]
     pub fn handle(
         &mut self,
         msg: &Message,

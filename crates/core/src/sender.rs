@@ -86,6 +86,10 @@ impl NpSender {
     ///
     /// # Errors
     /// Configuration/geometry errors.
+    #[expect(
+        clippy::expect_used,
+        reason = "every group's encoder is pushed just above"
+    )]
     pub fn new(session: u32, data: &[u8], cfg: NpConfig) -> Result<Self, ProtocolError> {
         cfg.validate()?;
         let plan = SessionPlan::new(session, data.len() as u64, cfg.k, cfg.h, cfg.payload_len)?;
@@ -183,6 +187,10 @@ impl NpSender {
         (gk, gk + self.plan.h)
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "new() validated every group's spec and built its encoder"
+    )]
     fn encoder_for(&self, g: u32) -> &RseEncoder {
         let spec = CodeSpec::new(self.plan.group_k(g), self.cfg.h).expect("validated at build");
         &self
@@ -196,6 +204,10 @@ impl NpSender {
     /// Proactive parity count for the group about to be scheduled: the
     /// configured static `a`, or — under adaptive parity — the rounded-up
     /// mean of the most recent observed round-1 demands.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "0 < g < plan.groups, the length of round1_demand"
+    )]
     fn proactive_count(&self, g: u32) -> usize {
         if !self.cfg.adaptive_parity || g == 0 {
             return self.cfg.proactive_parity.min(self.cfg.h);
@@ -206,6 +218,10 @@ impl NpSender {
         mean.min(self.cfg.h).min(self.plan.group_k(g))
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "g < plan.groups, and groups has one entry per group"
+    )]
     fn schedule_initial_group(&mut self, g: u32) -> Result<(), ProtocolError> {
         let (k, n) = self.geometry(g);
         if self.plan.reannounce_before(g) {
@@ -239,6 +255,10 @@ impl NpSender {
 
     /// Produce `count` parity packets for group `g`, falling back to
     /// original-data retransmission once the budget is exhausted.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "g < plan.groups indexes the per-group vectors; j < h and i < k index the group"
+    )]
     fn produce_parities(&mut self, g: u32, count: usize) -> Result<Vec<Message>, ProtocolError> {
         let (k, n) = self.geometry(g);
         let mut out = Vec::with_capacity(count);
@@ -351,6 +371,10 @@ impl NpSender {
 
     /// Decide the next action. Call again after performing it (and pace
     /// packet transmissions at the application's send rate).
+    #[expect(
+        clippy::expect_used,
+        reason = "new() validated what schedule_initial_group checks"
+    )]
     pub fn next_step(&mut self, now: f64) -> SenderStep {
         if self.fin_sent {
             return SenderStep::Finished;
@@ -443,6 +467,10 @@ impl NpSender {
     ///
     /// # Errors
     /// Coding failures while producing repair parities.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a NAK's group is checked against plan.groups first"
+    )]
     pub fn handle(&mut self, msg: &Message, now: f64) -> Result<(), ProtocolError> {
         if msg.session() != self.plan.session {
             return Ok(());
@@ -575,7 +603,7 @@ mod tests {
         assert_eq!(msgs[9], msgs[0]);
         assert!(matches!(msgs[10], Message::Packet { group: 2, .. }));
         let mut polls = 0;
-        let mut per_group_counts = std::collections::HashMap::new();
+        let mut per_group_counts = std::collections::BTreeMap::new();
         for (at, m) in msgs.iter().enumerate().skip(1) {
             match m {
                 Message::Announce { .. } if at == 9 => {}

@@ -25,13 +25,18 @@ struct Tables {
     inv: [u8; 256],
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    reason = "the loop bounds keep every index below its table's length, and i < 255 fits u8"
+)]
 fn tables() -> &'static Tables {
     static TABLES: OnceLock<Tables> = OnceLock::new();
     TABLES.get_or_init(|| {
         let mut exp = [0u8; 510];
         let mut log = [0u8; 256];
         let mut x: u32 = 1;
-        #[allow(clippy::needless_range_loop)] // i feeds both exp[i] and log[]
+        #[expect(clippy::needless_range_loop, reason = "i feeds both exp[i] and log[]")]
         for i in 0..255 {
             exp[i] = (x & 0xff) as u8;
             log[x as usize] = (i & 0xff) as u8;
@@ -60,6 +65,10 @@ fn tables() -> &'static Tables {
 #[repr(transparent)]
 pub struct Gf256(pub u8);
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a u8 indexes the 256-entry log and inv tables; exp is indexed mod 255"
+)]
 impl Gf256 {
     /// Additive identity.
     pub const ZERO: Gf256 = Gf256(0);
@@ -142,8 +151,10 @@ impl From<Gf256> for u8 {
     }
 }
 
-// GF(2^8) has characteristic 2: +, - and XOR are the same operation.
-#[allow(clippy::suspicious_arithmetic_impl, clippy::suspicious_op_assign_impl)]
+#[expect(
+    clippy::suspicious_arithmetic_impl,
+    reason = "addition in GF(2^8) is XOR"
+)]
 impl Add for Gf256 {
     type Output = Gf256;
     #[inline]
@@ -152,8 +163,10 @@ impl Add for Gf256 {
     }
 }
 
-// GF(2^8) has characteristic 2: +, - and XOR are the same operation.
-#[allow(clippy::suspicious_arithmetic_impl, clippy::suspicious_op_assign_impl)]
+#[expect(
+    clippy::suspicious_op_assign_impl,
+    reason = "addition in GF(2^8) is XOR"
+)]
 impl AddAssign for Gf256 {
     #[inline]
     fn add_assign(&mut self, rhs: Gf256) {
@@ -161,8 +174,10 @@ impl AddAssign for Gf256 {
     }
 }
 
-// GF(2^8) has characteristic 2: +, - and XOR are the same operation.
-#[allow(clippy::suspicious_arithmetic_impl, clippy::suspicious_op_assign_impl)]
+#[expect(
+    clippy::suspicious_arithmetic_impl,
+    reason = "subtraction in GF(2^8) is XOR"
+)]
 impl Sub for Gf256 {
     type Output = Gf256;
     #[inline]
@@ -172,8 +187,10 @@ impl Sub for Gf256 {
     }
 }
 
-// GF(2^8) has characteristic 2: +, - and XOR are the same operation.
-#[allow(clippy::suspicious_arithmetic_impl, clippy::suspicious_op_assign_impl)]
+#[expect(
+    clippy::suspicious_op_assign_impl,
+    reason = "subtraction in GF(2^8) is XOR"
+)]
 impl SubAssign for Gf256 {
     #[inline]
     fn sub_assign(&mut self, rhs: Gf256) {
@@ -184,6 +201,10 @@ impl SubAssign for Gf256 {
 impl Mul for Gf256 {
     type Output = Gf256;
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a u8 indexes log, and a sum of two logs (at most 508) indexes the 510-entry exp"
+    )]
     fn mul(self, rhs: Gf256) -> Gf256 {
         if self.0 == 0 || rhs.0 == 0 {
             return Gf256::ZERO;
@@ -206,6 +227,10 @@ impl Div for Gf256 {
     /// Panics if `rhs` is zero; use [`Gf256::checked_div`] for fallible
     /// division.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic, like integer division; checked_div is the fallible form"
+    )]
     fn div(self, rhs: Gf256) -> Gf256 {
         self.checked_div(rhs).expect("division by zero in GF(256)")
     }
@@ -216,6 +241,10 @@ impl Div for Gf256 {
 /// This is the per-multiplier lookup row used by the bulk slice operations;
 /// generating it costs 256 table multiplications and is amortised over an
 /// entire packet (typically >= 1 KB).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "x < 256 indexes row and log, and lc + log[x] <= 508 indexes the 510-entry exp"
+)]
 pub fn fill_mul_row(c: Gf256, row: &mut [u8; 256]) {
     if c.0 == 0 {
         row.fill(0);
@@ -224,7 +253,10 @@ pub fn fill_mul_row(c: Gf256, row: &mut [u8; 256]) {
     let t = tables();
     let lc = t.log[c.0 as usize] as usize;
     row[0] = 0;
-    #[allow(clippy::needless_range_loop)] // x is both index and field element
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "x is both index and field element"
+    )]
     for x in 1..256usize {
         row[x] = t.exp[lc + t.log[x] as usize];
     }

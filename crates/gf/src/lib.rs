@@ -1,4 +1,15 @@
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// Test fixtures build bytes from loop counters; library casts must not truncate.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 //! Galois-field arithmetic for Reed–Solomon erasure coding.
 //!
 //! This crate is the arithmetic substrate for the packet-level FEC codec used

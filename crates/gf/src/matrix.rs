@@ -70,6 +70,7 @@ impl Matrix {
     /// Vandermonde matrix `V[r][c] = x_r ^ c` over the given evaluation
     /// points. Any `k` rows with distinct points are linearly independent,
     /// which is exactly the MDS property the erasure code needs.
+    #[expect(clippy::indexing_slicing, reason = "from_fn passes r < points.len()")]
     pub fn vandermonde(points: &[Gf256], cols: usize) -> Self {
         Matrix::from_fn(points.len(), cols, |r, c| points[r].pow(c as u64))
     }
@@ -85,10 +86,18 @@ impl Matrix {
     }
 
     /// Borrow row `r` as a slice.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "r < rows is the caller's contract, as in a slice"
+    )]
     pub fn row(&self, r: usize) -> &[Gf256] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "r < rows is the caller's contract, as in a slice"
+    )]
     fn row_mut(&mut self, r: usize) -> &mut [Gf256] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
@@ -159,6 +168,10 @@ impl Matrix {
     /// # Errors
     /// [`GfError::SingularMatrix`] if not invertible,
     /// [`GfError::DimensionMismatch`] if not square.
+    #[expect(
+        clippy::expect_used,
+        reason = "the pivot search returns only non-zero pivots"
+    )]
     pub fn invert(&self) -> Result<Matrix, GfError> {
         if self.rows != self.cols {
             return Err(GfError::DimensionMismatch {
@@ -200,6 +213,10 @@ impl Matrix {
     }
 
     /// Swap two rows in place.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "lo < hi < rows is the caller's contract, so both rows lie inside data"
+    )]
     pub fn swap_rows(&mut self, r1: usize, r2: usize) {
         if r1 == r2 {
             return;
@@ -233,6 +250,10 @@ impl Matrix {
     }
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the (row, col) index panics out of range, as a slice index does"
+)]
 impl std::ops::Index<(usize, usize)> for Matrix {
     type Output = Gf256;
     #[inline]
@@ -242,6 +263,10 @@ impl std::ops::Index<(usize, usize)> for Matrix {
     }
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the (row, col) index panics out of range, as a slice index does"
+)]
 impl std::ops::IndexMut<(usize, usize)> for Matrix {
     #[inline]
     fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut Gf256 {

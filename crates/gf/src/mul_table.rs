@@ -27,6 +27,12 @@ pub struct MulTable {
 
 impl MulTable {
     /// Build the table (65536 field multiplications via exp/log rows).
+    #[expect(
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        reason = "a 256-row boxed slice converts to [_; 256], and c < 256 indexes it and fits u8"
+    )]
     fn build() -> MulTable {
         // Build on the heap: a 64 KB by-value array would transit the stack.
         let mut rows: Box<[[u8; 256]; 256]> = vec![[0u8; 256]; 256]
@@ -47,6 +53,7 @@ impl MulTable {
 
     /// The multiplication row for coefficient `c`: `row[x] == c * x`.
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "a u8 indexes the 256 rows")]
     pub fn row(&self, c: Gf256) -> &[u8; 256] {
         &self.rows[c.0 as usize]
     }

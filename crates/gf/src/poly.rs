@@ -70,6 +70,10 @@ impl Poly {
     }
 
     /// Product of two polynomials (schoolbook; sizes here are tiny).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i + j <= out.len() - 1 by construction"
+    )]
     pub fn mul(&self, other: &Poly) -> Poly {
         if self.coeffs.is_empty() || other.coeffs.is_empty() {
             return Poly::zero();

@@ -21,6 +21,11 @@
 /// # Panics
 /// Panics if the lengths differ (caller bug: packets in one FEC block must
 /// have equal size).
+#[expect(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    reason = "o + 8 <= chunks * 8 <= len after the length assert, and 8 bytes convert to [u8; 8]"
+)]
 pub fn xor_slice(dst: &mut [u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "xor_slice length mismatch");
     // Wide XOR on 8-byte chunks; the 1..=7-byte remainder goes through one
@@ -62,6 +67,7 @@ pub fn xor_slice(dst: &mut [u8], src: &[u8]) {
 /// # Panics
 /// Panics if the lengths differ.
 #[inline]
+#[expect(clippy::indexing_slicing, reason = "a u8 indexes the 256-entry row")]
 pub fn mul_add_row(row: &[u8; 256], src: &[u8], dst: &mut [u8]) {
     assert_eq!(dst.len(), src.len(), "mul_add_row length mismatch");
     for (d, s) in dst.iter_mut().zip(src.iter()) {
@@ -83,6 +89,11 @@ pub fn mul_add_row(row: &[u8; 256], src: &[u8], dst: &mut [u8]) {
 ///
 /// # Panics
 /// Panics if any source length differs from `dst.len()`.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    reason = "a u8 indexes a 256-entry row, and chunks(4) yields 1..=4 sources"
+)]
 pub fn mul_add_multi_rows(sources: &[(&[u8; 256], &[u8])], dst: &mut [u8]) {
     for (_, src) in sources {
         assert_eq!(dst.len(), src.len(), "mul_add_multi length mismatch");
@@ -159,6 +170,7 @@ pub mod reference {
     ///
     /// # Panics
     /// Panics if the lengths differ.
+    #[expect(clippy::indexing_slicing, reason = "a u8 indexes the 256-entry row")]
     pub fn mul_add_slice_uncached(c: Gf256, src: &[u8], dst: &mut [u8]) {
         assert_eq!(dst.len(), src.len(), "mul_add_slice length mismatch");
         if c.is_zero() {

@@ -155,12 +155,18 @@ mod tests {
                 }
             }
         }
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "r is also the receiver id in the message"
+        )]
         for r in 0..20 {
             let rate = per_recv[r] as f64 / n as f64;
             assert!((rate - 0.5).abs() < 0.04, "high receiver {r}: {rate}");
         }
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "r is also the receiver id in the message"
+        )]
         for r in 20..40 {
             let rate = per_recv[r] as f64 / n as f64;
             assert!((rate - 0.05).abs() < 0.02, "low receiver {r}: {rate}");

@@ -95,6 +95,10 @@ impl MuxClock for WallClock {
         self.epoch.now()
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a wall-clock mux naps until its next timer while its real sockets fill"
+    )]
     fn advance_to(&mut self, deadline: f64) {
         let nap = clamp_wait(
             deadline - self.now(),

@@ -1,4 +1,8 @@
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "drive_session's outcome map is read by key, never iterated"
+)]
 //! # pm-mux — event-driven session multiplexer
 //!
 //! Runs N concurrent sender/receiver protocol machines on **one thread**

@@ -196,9 +196,6 @@ impl SessionState {
 }
 
 /// How a multiplexed session ended.
-// One outcome per session lifetime; the postmortem-carrying report is
-// big, but this is never a hot-path value worth the Box indirection.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum SessionOutcome {
     /// A sender session's result.
@@ -327,7 +324,10 @@ impl MuxMetrics {
 }
 
 /// What to do after the session-local part of an I/O event is absorbed.
-#[allow(clippy::large_enum_variant)] // carries a SessionOutcome, see above
+#[expect(
+    clippy::large_enum_variant,
+    reason = "Finish carries a session's outcome once per lifetime, never hot enough to box"
+)]
 enum AfterIo {
     Nothing,
     Finish(SessionOutcome),
@@ -1031,7 +1031,6 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                             break 'drive Some(SessionOutcome::Sender(Err(
                                 ProtocolError::Stalled {
                                     waited_secs: idle,
-                                    // pm-audit: allow(hot-loop-alloc): terminal error path, not per-packet
                                     last_progress: sess.last_event.clone(),
                                 },
                             )));

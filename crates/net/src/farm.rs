@@ -379,14 +379,16 @@ impl Transport for FarmEndpoint {
         }
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a blocking recv deadline: polls the farm's UDP socket every 200 us of wall time"
+    )]
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
-        // pm-audit: allow(determinism-time): blocking recv deadline on a real transport, wall-clock by design
         let deadline = std::time::Instant::now() + timeout;
         loop {
             match self.poll(true)? {
                 Some(msg) => return Ok(Some(msg)),
                 None => {
-                    // pm-audit: allow(determinism-time): blocking recv deadline on a real transport, wall-clock by design
                     if std::time::Instant::now() >= deadline {
                         return Ok(None);
                     }
@@ -416,8 +418,11 @@ mod tests {
     }
 
     /// Poll `ep` (expecting nothing for it) until `pred` holds or ~2s.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "polls the farm's loopback UDP socket"
+    )]
     fn drain_until(ep: &mut FarmEndpoint, mut pred: impl FnMut() -> bool) -> bool {
-        // pm-audit: allow(determinism-time): test polls a real socket
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         while !pred() {
             assert_eq!(ep.poll_recv().expect("poll ok"), None);
@@ -487,13 +492,16 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "polls the farm's loopback UDP socket"
+    )]
     fn corrupt_datagrams_route_to_their_claimed_session() {
         let hub = hub();
         let mut r1 = hub.endpoint(1, FarmRole::Receiver).unwrap();
         let mut raw = Message::Fin { session: 1 }.encode().to_vec();
         raw[5] ^= 0xFF; // damage the stored checksum; session claim stays 1
         hub.inject_raw(&raw).unwrap();
-        // pm-audit: allow(determinism-time): test polls a real socket
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         loop {
             match r1.poll_recv() {

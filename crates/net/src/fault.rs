@@ -200,6 +200,10 @@ impl<T: Transport> FaultyTransport<T> {
     /// bit-flipped UDP datagram would produce. Damage confined to one
     /// byte is *guaranteed* caught by the wire checksum, so this never
     /// mis-parses.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a remainder mod raw.len() fits usize, and one mod 255, plus 1, fits u8"
+    )]
     fn corruption_error(&mut self, msg: &Message) -> NetError {
         let mut raw = msg.encode().to_vec();
         let pos = (self.rng.random::<u64>() % raw.len() as u64) as usize;
@@ -214,6 +218,10 @@ impl<T: Transport> FaultyTransport<T> {
     }
 
     /// Re-encode `msg`, cut it short, and decode the stump.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a remainder mod raw.len() fits usize"
+    )]
     fn truncation_error(&mut self, msg: &Message) -> NetError {
         let raw = msg.encode();
         let cut = (self.rng.random::<u64>() % raw.len() as u64) as usize;
@@ -361,11 +369,13 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         self.inner.send(msg)
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a blocking recv deadline on the wrapped transport, wall-clock by design"
+    )]
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
-        // pm-audit: allow(determinism-time): blocking-IO recv deadline on a real transport, wall-clock by design
         let deadline = std::time::Instant::now() + timeout;
         self.recv_with(|inner| {
-            // pm-audit: allow(determinism-time): blocking-IO recv deadline on a real transport, wall-clock by design
             inner.recv_timeout(deadline.saturating_duration_since(std::time::Instant::now()))
         })
     }
@@ -610,6 +620,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the blackout window is timed by the MemHub endpoint's wall-clock Stopwatch"
+    )]
     fn blackout_window_expires() {
         let hub = MemHub::new();
         let mut tx = hub.join();

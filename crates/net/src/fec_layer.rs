@@ -162,6 +162,10 @@ impl<T: Transport> FecTransport<T> {
         Ok(())
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "CodeSpec validates k + h <= u16::MAX, so i < k and k + j < n fit u16"
+    )]
     fn emit_block(&mut self) -> Result<(), NetError> {
         let k = self.cfg.k;
         while self.pending.len() < k {
@@ -185,14 +189,12 @@ impl<T: Transport> FecTransport<T> {
         self.pending_since = None;
         let block = self.next_block;
         self.next_block = self.next_block.wrapping_add(1);
-        // pm-audit: allow(lossy-cast): CodeSpec validates k + h <= u16::MAX
         let (k16, n16) = (k as u16, (k + self.cfg.h) as u16);
         for (i, payload) in padded.iter().enumerate() {
             self.stats.data_frames_sent += 1;
             self.inner.send(&Message::FecFrame {
                 session: self.cfg.sender_tag,
                 block,
-                // pm-audit: allow(lossy-cast): i < k which fits u16
                 index: i as u16,
                 k: k16,
                 n: n16,
@@ -208,7 +210,6 @@ impl<T: Transport> FecTransport<T> {
             self.inner.send(&Message::FecFrame {
                 session: self.cfg.sender_tag,
                 block,
-                // pm-audit: allow(lossy-cast): k + j < n which fits u16
                 index: (k + j) as u16,
                 k: k16,
                 n: n16,
@@ -301,11 +302,14 @@ impl<T: Transport> FecTransport<T> {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the repair timer runs in wall-clock time over the wrapped real transport"
+)]
 impl<T: Transport> Transport for FecTransport<T> {
     fn send(&mut self, msg: &Message) -> Result<(), NetError> {
         self.pending.push(msg.encode());
         if self.pending_since.is_none() {
-            // pm-audit: allow(determinism-time): repair-timer deadline over a real transport, wall-clock by design
             self.pending_since = Some(Instant::now());
         }
         if self.pending.len() >= self.cfg.k {
@@ -315,7 +319,6 @@ impl<T: Transport> Transport for FecTransport<T> {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
-        // pm-audit: allow(determinism-time): repair-timer deadline over a real transport, wall-clock by design
         let deadline = Instant::now() + timeout;
         loop {
             if let Some(ready) = self.deliver_queue.pop_front() {
@@ -328,7 +331,6 @@ impl<T: Transport> Transport for FecTransport<T> {
                 }
             }
             let budget = deadline
-                // pm-audit: allow(determinism-time): repair-timer deadline over a real transport, wall-clock by design
                 .saturating_duration_since(Instant::now())
                 .min(self.cfg.max_delay);
             match self.inner.recv_timeout(budget)? {
@@ -345,7 +347,6 @@ impl<T: Transport> Transport for FecTransport<T> {
                 }
                 Some(other) => return Ok(Some(other)), // un-layered traffic passes through
                 None => {
-                    // pm-audit: allow(determinism-time): repair-timer deadline over a real transport, wall-clock by design
                     if Instant::now() >= deadline {
                         return Ok(None);
                     }
@@ -462,6 +463,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the age flush reads the sending FecTransport's wall-clock pending_since"
+    )]
     fn partial_block_flushes_by_age() {
         let hub = MemHub::new();
         let mut tx = FecTransport::new(hub.join(), cfg(5, 1, 21)).unwrap();

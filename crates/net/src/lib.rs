@@ -1,4 +1,10 @@
 #![forbid(unsafe_code)]
+// Test fixtures build bytes from loop counters; library casts must not truncate.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+#![expect(
+    clippy::disallowed_types,
+    reason = "keyed lookups only; NakSuppressor's one iteration takes a min or sorts by group"
+)]
 //! Network substrate for the NP reliable-multicast protocol.
 //!
 //! This crate supplies everything `pm-core` needs to run over a real or

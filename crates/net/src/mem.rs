@@ -153,6 +153,10 @@ impl MemEndpoint {
     /// Leave the group (subsequent sends by others skip this endpoint),
     /// giving up its share of every entry it has not read. Dropping the
     /// endpoint leaves implicitly.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "cursor - base <= the log's length"
+    )]
     pub fn leave(&self) {
         let mut left = self.left.borrow_mut();
         if left.is_some() {
@@ -201,6 +205,10 @@ impl MemEndpoint {
     }
 
     /// The next unread datagram from another endpoint, without blocking.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "cursor - base <= the log's length"
+    )]
     fn next_msg(&mut self) -> Result<Option<Result<Message, String>>, NetError> {
         if let Some(backlog) = self.left.get_mut() {
             return backlog.pop_front().map(Some).ok_or(NetError::Closed);
@@ -238,15 +246,17 @@ impl Transport for MemEndpoint {
         Ok(())
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a blocking recv deadline: the endpoint parks on the hub's condvar in wall time"
+    )]
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
         use crate::poll::PollTransport;
-        // pm-audit: allow(determinism-time): blocking-IO recv deadline on a real transport, wall-clock by design
         let deadline = std::time::Instant::now() + timeout;
         loop {
             if let Some(msg) = self.poll_recv()? {
                 return Ok(Some(msg));
             }
-            // pm-audit: allow(determinism-time): blocking-IO recv deadline on a real transport, wall-clock by design
             let remaining = deadline.saturating_duration_since(std::time::Instant::now());
             if remaining.is_zero() {
                 return Ok(None);

@@ -157,11 +157,13 @@ impl Transport for UdpEndpoint {
         Ok(())
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a blocking recv deadline on the multicast socket's reader channel"
+    )]
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
-        // pm-audit: allow(determinism-time): blocking-IO recv deadline on a real transport, wall-clock by design
         let deadline = std::time::Instant::now() + timeout;
         loop {
-            // pm-audit: allow(determinism-time): blocking-IO recv deadline on a real transport, wall-clock by design
             let remaining = deadline.saturating_duration_since(std::time::Instant::now());
             match self.rx.recv_timeout(remaining) {
                 Ok(raw) => match Message::decode(raw) {

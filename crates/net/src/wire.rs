@@ -99,6 +99,10 @@ fn absorb_stripes<'a>(lanes: &mut [u32; 4], mut data: &'a [u8]) -> &'a [u8] {
 /// XXH32 (seed 0) of `head ‖ body`. No stripe may straddle the two:
 /// `head` is whole stripes unless `body` is empty ([`checksum_of`] passes
 /// a patched copy of the first stripe and the rest of the datagram).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "XXH32 folds the length in mod 2^32"
+)]
 fn xxh32(head: &[u8], body: &[u8]) -> u32 {
     debug_assert!(body.is_empty() || head.len() & 15 == 0);
     let len = head.len() + body.len();
@@ -325,6 +329,10 @@ impl Message {
 
     /// Encode into `out`, replacing its contents. The exact length is
     /// reserved up front, so a reused buffer never reallocates mid-encode.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a payload is bounded far below 4 GiB by the datagram size"
+    )]
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         fn put<const N: usize>(out: &mut Vec<u8>, be: [u8; N]) {
             out.extend_from_slice(&be);
@@ -356,7 +364,6 @@ impl Message {
                 put(out, index.to_be_bytes());
                 put(out, k.to_be_bytes());
                 put(out, n.to_be_bytes());
-                // pm-audit: allow(lossy-cast): payload bounded far below 4 GiB
                 put(out, (payload.len() as u32).to_be_bytes());
                 out.extend_from_slice(payload);
             }

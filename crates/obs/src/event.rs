@@ -176,9 +176,10 @@ macro_rules! events {
             /// and codec events (`net_*`, `decode_cache_*`, resilience counters)
             /// are unattributed and return `None` — windowed telemetry folds them
             /// into the farm-wide aggregate only.
-            // Every generated arm binds all of its variant's fields and reads
-            // at most the one named `session`.
-            #[allow(unused_variables)]
+            #[expect(
+                unused_variables,
+                reason = "every arm binds all of its variant's fields and reads at most `session`"
+            )]
             pub fn session(&self) -> Option<u32> {
                 match self {
                     $(Event::$variant { $($field),* } => events!(@session $($field $field)*)),*
@@ -830,7 +831,7 @@ mod tests {
                 backend: "scalar",
             },
         ];
-        let mut names = std::collections::HashSet::new();
+        let mut names = std::collections::BTreeSet::new();
         for ev in &samples {
             assert!(names.insert(ev.name()), "duplicate name {}", ev.name());
             let line = serde_json::to_string(&ev.to_json(0.5)).unwrap();

@@ -11,8 +11,8 @@
 //! nobody can curl.
 //!
 //! The renderer and snapshot writer take time only from their callers
-//! (session clock), never a wall clock — pm-audit's determinism rules
-//! apply to this file like any other.
+//! (session clock), never a wall clock: clippy's `disallowed_methods`
+//! (clippy.toml) applies to this file like any other.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -231,6 +231,10 @@ pub struct SpanTimer<'a> {
 
 impl<'a> SpanTimer<'a> {
     /// Start timing into `hist`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a span timer measures wall time by definition"
+    )]
     pub fn start(hist: &'a Histogram) -> Self {
         SpanTimer {
             hist,

@@ -310,6 +310,10 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Start counting now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the stopwatch is the wall-clock source for transports without a session clock"
+    )]
     pub fn start() -> Self {
         Stopwatch {
             epoch: Instant::now(),

@@ -43,7 +43,7 @@ pub fn mix_seed(seed: u64, index: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn matches_reference_vectors() {
@@ -74,13 +74,13 @@ mod tests {
         // The regression the old `seed ^ (d << 32)` mixer had: identical
         // low 32 bits for every index. Every pair of the first 256 derived
         // seeds must differ in their low word.
-        let lows: HashSet<u32> = (0..256).map(|i| mix_seed(42, i) as u32).collect();
+        let lows: BTreeSet<u32> = (0..256).map(|i| mix_seed(42, i) as u32).collect();
         assert_eq!(lows.len(), 256, "low 32 bits must not collide");
     }
 
     #[test]
     fn no_collisions_in_a_large_window() {
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for i in 0..10_000u64 {
             assert!(seen.insert(mix_seed(7, i)), "collision at index {i}");
         }

@@ -164,6 +164,10 @@ impl RseDecoder {
     /// column per data index (a missing packet's column is dead: no payload
     /// meets it), then one per `chosen` parity share. Both lists must be
     /// ascending, so that one share *set* has one key and one set of rows.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "from_fn passes c < l = chosen.len() and m < l = missing.len()"
+    )]
     fn inverse_for<T>(
         &self,
         missing: &[usize],

@@ -122,6 +122,10 @@ impl RseEncoder {
         self.parity_rows[(j, i)]
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "data.len() == k >= 1 was checked just above"
+    )]
     fn check_data<P: AsRef<[u8]>>(&self, data: &[P]) -> Result<usize, RseError> {
         if data.len() != self.spec.k() {
             return Err(RseError::WrongDataCount {

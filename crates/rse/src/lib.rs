@@ -1,4 +1,15 @@
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::indexing_slicing,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// Test fixtures build bytes from loop counters; library casts must not truncate.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 //! Reed–Solomon erasure (RSE) coding over packets.
 //!
 //! This crate implements the packet-level erasure codec of Section 2 of

@@ -144,7 +144,10 @@ pub fn decode<P: AsRef<[u8]>>(
                 .unwrap_or_else(|| vec![0u8; len])
         })
         .collect();
-    #[allow(clippy::needless_range_loop)] // s indexes every share column in lockstep
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "s indexes every share column in lockstep"
+    )]
     for s in 0..len {
         // Subtract the known coefficients' contribution from each parity
         // evaluation, then interpolate the residual polynomial whose

@@ -337,7 +337,10 @@ pub fn run_env_par(
 ///
 /// # Panics
 /// Same conditions as [`run_env`].
-#[allow(clippy::too_many_arguments)] // the traced superset of run_env_par's signature
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the traced superset of run_env_par's signature"
+)]
 pub fn run_env_par_traced(
     cfg: &SimConfig,
     scheme: Scheme,

@@ -135,7 +135,10 @@ pub(crate) fn layered_trial_dense<M: LossModel>(
         // received[rc][slot] for slots 0..n.
         let mut receive_counts = vec![0usize; r];
         let mut got: Vec<Vec<bool>> = vec![vec![false; n]; r];
-        #[allow(clippy::needless_range_loop)] // slot is also the semantic block index
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "slot is also the semantic block index"
+        )]
         for slot in 0..n {
             model.sample(*now, &mut lost);
             for rc in 0..r {
@@ -159,7 +162,10 @@ pub(crate) fn layered_trial_dense<M: LossModel>(
             // Receivers NOT pending on this slot that still received it
             // were already served earlier: unnecessary reception.
             if group_rounds > 1 {
-                // pm-audit: allow(determinism-hash-iter): membership probe only, never iterated
+                #[expect(
+                    clippy::disallowed_types,
+                    reason = "a membership probe, never iterated"
+                )]
                 let pend_set: std::collections::HashSet<usize> = pend.iter().copied().collect();
                 unneeded += got
                     .iter()

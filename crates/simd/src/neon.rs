@@ -13,10 +13,10 @@
 //! granularity; the `Kernels` methods assert the length preconditions
 //! before the pointers are formed.
 
-// Depending on the toolchain vintage, NEON arithmetic intrinsics are either
-// plain `unsafe fn`s or safe-in-target_feature-context; keep the blanket
-// blocks and tolerate the lint where they turn out unnecessary.
-#![allow(unused_unsafe)]
+#![allow(
+    unused_unsafe,
+    reason = "NEON intrinsics are safe under target_feature on newer toolchains only"
+)]
 
 use core::arch::aarch64::*;
 

@@ -351,6 +351,10 @@ fn main() {
                 while !stop.load(Ordering::Relaxed) {
                     let body = render_prometheus(&reg, &tel.export_gauges());
                     snap.tick(now, &body).expect("snapshot write");
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "the snapshot file is rewritten every 250 ms of wall time"
+                    )]
                     std::thread::sleep(Duration::from_millis(250));
                     now += 0.25;
                 }
@@ -567,6 +571,10 @@ fn finish_export(
     if let Some(server) = exporter {
         if hold > 0.0 {
             println!("holding exporter open for {hold:.1}s");
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "holds the exporter's TCP listener open for scrapers"
+            )]
             std::thread::sleep(Duration::from_secs_f64(hold));
         }
         drop(server); // Drop stops the listener thread.

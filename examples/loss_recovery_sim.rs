@@ -126,6 +126,10 @@ fn main() {
         if pool.workers() == 1 { "" } else { "s" }
     );
     for (name, env) in envs {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reports the sweep's wall-clock time"
+        )]
         let sweep_start = Instant::now();
         println!("\n=== {name}, p = {p}, k = {k}, {trials} trials");
         print!("{:>8}", "R");

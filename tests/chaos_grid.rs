@@ -140,6 +140,10 @@ fn payload(n: usize) -> Vec<u8> {
 fn chaos_grid_upholds_the_degradation_trichotomy() {
     let data = payload(6000);
     for scenario in scenario_grid(0xC4A05) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "bounds the wall time of a WallClock mux over a faulty MemHub"
+        )]
         let started = Instant::now();
         let hub = MemHub::new();
         let session = 0xC4A0;

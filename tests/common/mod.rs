@@ -14,8 +14,7 @@
 //!   where the mux was also checked byte-for-byte against dedicated
 //!   blocking drivers.
 
-// Each test binary uses its own subset.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each test binary uses its own subset")]
 
 use std::time::Duration;
 

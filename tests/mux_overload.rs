@@ -127,6 +127,10 @@ fn farm_of_512_sessions_completes_over_one_udp_socket() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "polls the farm's loopback UDP socket"
+)]
 fn late_farm_datagrams_for_ended_sessions_are_counted_not_resurrected() {
     let hub = FarmHub::loopback().expect("loopback farm socket");
     let mut mux: Mux<FarmEndpoint, WallClock> = Mux::new(MuxConfig::default(), WallClock::new());
@@ -158,7 +162,6 @@ fn late_farm_datagrams_for_ended_sessions_are_counted_not_resurrected() {
     let before = hub.stats().unknown_session;
     hub.inject_raw(&Message::Fin { session: 3 }.encode())
         .expect("inject stale datagram");
-    // pm-audit: allow(determinism-time): test polls a real socket
     let deadline = std::time::Instant::now() + Duration::from_secs(2);
     while hub.stats().unknown_session == before {
         assert_eq!(pump.poll_recv().expect("pump poll"), None);
@@ -180,7 +183,6 @@ fn late_farm_datagrams_for_ended_sessions_are_counted_not_resurrected() {
 /// Run `pairs` clean MemHub pairs under `overload`, tracing and metering,
 /// and return (outcomes, shed signature, trace text, metrics registry,
 /// shed ledger count).
-#[allow(clippy::type_complexity)]
 fn shed_run(
     pairs: u32,
     overload: OverloadConfig,

@@ -76,7 +76,7 @@ fn session_trace_reconciles_with_counters() {
     let events = ring.events();
 
     // Causality: every data/parity reception was transmitted first.
-    let mut sent: std::collections::HashSet<(u32, u32, u16, bool)> = Default::default();
+    let mut sent: std::collections::BTreeSet<(u32, u32, u16, bool)> = Default::default();
     for (_, ev) in &events {
         match *ev {
             Event::DataSent {
