@@ -91,6 +91,10 @@ impl Default for WallClock {
 }
 
 impl MuxClock for WallClock {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a wall-clock mux's time is the stopwatch's"
+    )]
     fn now(&self) -> f64 {
         self.epoch.now()
     }

@@ -195,7 +195,7 @@ impl FarmCore {
     fn count_unknown(&mut self, session: u32) {
         self.stats.unknown_session += 1;
         self.obs
-            .emit(self.clock.now(), || Event::FarmUnknownDrop { session });
+            .emit(&self.clock, || Event::FarmUnknownDrop { session });
     }
 }
 

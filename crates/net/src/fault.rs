@@ -185,6 +185,10 @@ impl<T: Transport> FaultyTransport<T> {
 
     /// Whether the session clock currently sits inside the blackout
     /// window.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a scheduled blackout is a wall-clock window; read only when one is configured"
+    )]
     fn in_blackout(&self) -> bool {
         match self.cfg.blackout {
             Some((start, end)) => {
@@ -277,7 +281,7 @@ impl<T: Transport> FaultyTransport<T> {
             };
             if self.in_blackout() {
                 self.stats.blackout_recv += 1;
-                self.obs.emit(self.clock.now(), || Event::NetBlackout {
+                self.obs.emit(&self.clock, || Event::NetBlackout {
                     kind: msg.obs_kind(),
                     tx: false,
                 });
@@ -285,14 +289,14 @@ impl<T: Transport> FaultyTransport<T> {
             }
             if self.rng.random::<f64>() < self.cfg.corrupt {
                 self.stats.corrupted += 1;
-                self.obs.emit(self.clock.now(), || Event::NetCorrupted {
+                self.obs.emit(&self.clock, || Event::NetCorrupted {
                     kind: msg.obs_kind(),
                 });
                 return Err(self.corruption_error(&msg));
             }
             if self.rng.random::<f64>() < self.cfg.truncate {
                 self.stats.truncated += 1;
-                self.obs.emit(self.clock.now(), || Event::NetTruncated {
+                self.obs.emit(&self.clock, || Event::NetTruncated {
                     kind: msg.obs_kind(),
                 });
                 return Err(self.truncation_error(&msg));
@@ -300,21 +304,20 @@ impl<T: Transport> FaultyTransport<T> {
             if self.rng.random::<f64>() < self.cfg.garbage {
                 self.stats.garbage_injected += 1;
                 let (bytes, err) = self.garbage_error();
-                self.obs
-                    .emit(self.clock.now(), || Event::NetGarbage { bytes });
+                self.obs.emit(&self.clock, || Event::NetGarbage { bytes });
                 self.stash = Some(msg);
                 return Err(err);
             }
             if self.rng.random::<f64>() < self.cfg.drop {
                 self.stats.dropped += 1;
-                self.obs.emit(self.clock.now(), || Event::NetDropped {
+                self.obs.emit(&self.clock, || Event::NetDropped {
                     kind: msg.obs_kind(),
                 });
                 continue;
             }
             if self.rng.random::<f64>() < self.cfg.reorder && self.held.is_none() {
                 self.stats.reordered += 1;
-                self.obs.emit(self.clock.now(), || Event::NetReordered {
+                self.obs.emit(&self.clock, || Event::NetReordered {
                     kind: msg.obs_kind(),
                 });
                 self.held = Some(msg);
@@ -322,7 +325,7 @@ impl<T: Transport> FaultyTransport<T> {
             }
             if self.rng.random::<f64>() < self.cfg.duplicate {
                 self.stats.duplicated += 1;
-                self.obs.emit(self.clock.now(), || Event::NetDuplicated {
+                self.obs.emit(&self.clock, || Event::NetDuplicated {
                     kind: msg.obs_kind(),
                 });
                 self.pending_dup = Some(msg.clone());
@@ -353,7 +356,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         // never reports a lost UDP datagram either).
         if self.in_blackout() {
             self.stats.blackout_send += 1;
-            self.obs.emit(self.clock.now(), || Event::NetBlackout {
+            self.obs.emit(&self.clock, || Event::NetBlackout {
                 kind: msg.obs_kind(),
                 tx: true,
             });
@@ -361,7 +364,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         }
         if self.rng.random::<f64>() < self.cfg.send_drop {
             self.stats.send_dropped += 1;
-            self.obs.emit(self.clock.now(), || Event::NetDropped {
+            self.obs.emit(&self.clock, || Event::NetDropped {
                 kind: msg.obs_kind(),
             });
             return Ok(());

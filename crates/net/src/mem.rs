@@ -143,8 +143,10 @@ pub struct MemEndpoint {
 }
 
 impl MemEndpoint {
-    /// Emit `net_sent`/`net_recv` events (timestamped from endpoint
-    /// creation) to `obs`.
+    /// Emit `net_sent`/`net_recv` events to `obs`, stamped with the
+    /// seconds since endpoint creation. The clock is read only for an
+    /// enabled `obs`, so a disabled one adds no clock read to a send or
+    /// receive.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
@@ -239,7 +241,7 @@ impl Drop for MemEndpoint {
 
 impl Transport for MemEndpoint {
     fn send(&mut self, msg: &Message) -> Result<(), NetError> {
-        self.obs.emit(self.clock.now(), || Event::NetSent {
+        self.obs.emit(&self.clock, || Event::NetSent {
             kind: msg.obs_kind(),
         });
         self.send_raw(msg.encode());
@@ -274,15 +276,15 @@ impl Transport for MemEndpoint {
 }
 
 impl crate::poll::PollTransport for MemEndpoint {
-    /// Native non-blocking drain: no wall-clock reads at all — under the
-    /// event-driven multiplexer's virtual clock the in-memory substrate
-    /// stays fully deterministic.
+    /// Native non-blocking drain. Without an enabled `obs` it reads no
+    /// wall clock at all, so under the event-driven multiplexer's virtual
+    /// clock the in-memory substrate stays fully deterministic.
     fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
         let Some(msg) = self.next_msg()? else {
             return Ok(None);
         };
         let msg = msg.map_err(NetError::Corrupt)?;
-        self.obs.emit(self.clock.now(), || Event::NetRecv {
+        self.obs.emit(&self.clock, || Event::NetRecv {
             kind: msg.obs_kind(),
         });
         Ok(Some(msg))

@@ -139,8 +139,10 @@ pub struct UdpEndpoint {
 }
 
 impl UdpEndpoint {
-    /// Emit `net_sent`/`net_recv` events (timestamped from endpoint
-    /// creation) to `obs`.
+    /// Emit `net_sent`/`net_recv` events to `obs`, stamped with the
+    /// seconds since endpoint creation. The clock is read only for an
+    /// enabled `obs`, so a disabled one adds no clock read to a send or
+    /// receive.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
@@ -149,7 +151,7 @@ impl UdpEndpoint {
 
 impl Transport for UdpEndpoint {
     fn send(&mut self, msg: &Message) -> Result<(), NetError> {
-        self.obs.emit(self.clock.now(), || Event::NetSent {
+        self.obs.emit(&self.clock, || Event::NetSent {
             kind: msg.obs_kind(),
         });
         let encoded = msg.encode();
@@ -168,7 +170,7 @@ impl Transport for UdpEndpoint {
             match self.rx.recv_timeout(remaining) {
                 Ok(raw) => match Message::decode(raw) {
                     Ok(msg) => {
-                        self.obs.emit(self.clock.now(), || Event::NetRecv {
+                        self.obs.emit(&self.clock, || Event::NetRecv {
                             kind: msg.obs_kind(),
                         });
                         return Ok(Some(msg));

@@ -60,7 +60,7 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, Metric, MetricsRegistry, SpanTimer,
 };
 pub use recorder::{
-    EventBuffer, JsonlRecorder, NullRecorder, Obs, Recorder, RingRecorder, Stopwatch,
+    EventBuffer, JsonlRecorder, NullRecorder, Obs, Recorder, RingRecorder, Stamp, Stopwatch,
 };
 pub use stats::RunningStat;
 pub use window::{WindowConfig, WindowSet, WindowSnapshot, WindowTelemetry, WindowedCounter};

@@ -244,6 +244,10 @@ impl<'a> SpanTimer<'a> {
 }
 
 impl Drop for SpanTimer<'_> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a span timer measures wall time by definition"
+    )]
     fn drop(&mut self) {
         let ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         self.hist.record(ns);

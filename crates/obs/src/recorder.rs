@@ -4,8 +4,9 @@
 //! [`Obs::emit`] with a *closure* that builds the event. When the handle
 //! wraps the [`NullRecorder`], `emit` is a single predictable branch on a
 //! cached bool — the closure never runs, the event is never constructed,
-//! and no virtual dispatch happens (verified at ≤ a few ns/event by the
-//! `obs` bench in `pm-bench`).
+//! the [`Stamp`] is never read (no clock, for a `&Stopwatch`), and no
+//! virtual dispatch happens (verified at ≤ a few ns/event by the `obs`
+//! bench in `pm-bench`).
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -73,12 +74,13 @@ impl Obs {
         self.enabled
     }
 
-    /// Emit an event at time `t`. The closure runs only when a real
-    /// recorder is attached — the null path is one branch.
+    /// Emit an event at time `t`. The stamp is read and the closure runs
+    /// only when a real recorder is attached — the null path is one
+    /// branch, and a `&Stopwatch` stamp reads no clock on it.
     #[inline]
-    pub fn emit(&self, t: f64, make: impl FnOnce() -> Event) {
+    pub fn emit(&self, t: impl Stamp, make: impl FnOnce() -> Event) {
         if self.enabled {
-            self.rec.record(t, &make());
+            self.rec.record(t.seconds(), &make());
         }
     }
 
@@ -300,9 +302,36 @@ impl Recorder for RingRecorder {
     }
 }
 
+/// An event's time as [`Obs::emit`] takes it: read only when the event is
+/// recorded. A sans-io machine passes the `f64` seconds it was handed; a
+/// transport passes its `&Stopwatch`, so a disabled handle reads no clock.
+pub trait Stamp {
+    /// The time in seconds.
+    fn seconds(self) -> f64;
+}
+
+impl Stamp for f64 {
+    #[inline]
+    fn seconds(self) -> f64 {
+        self
+    }
+}
+
+impl Stamp for &Stopwatch {
+    #[inline]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one lazy read: emit calls this only for an enabled recorder"
+    )]
+    fn seconds(self) -> f64 {
+        self.now()
+    }
+}
+
 /// Wall-clock epoch translating `Instant`s into the `f64` seconds the
 /// event vocabulary uses. Transports that have no caller-supplied clock
-/// stamp events with a `Stopwatch` started at construction.
+/// stamp events with a `Stopwatch` started at construction, passed to
+/// [`Obs::emit`] by reference (see [`Stamp`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     epoch: Instant,
@@ -320,7 +349,13 @@ impl Stopwatch {
         }
     }
 
-    /// Seconds since the epoch.
+    /// Seconds since the epoch (a `clock_gettime`). To stamp an event,
+    /// pass `&stopwatch` to [`Obs::emit`] instead: this eager read is a
+    /// disallowed method outside the wall-clock owners.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the stopwatch is the wall-clock source for transports without a session clock"
+    )]
     pub fn now(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64()
     }
@@ -435,10 +470,50 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test reads the stopwatch it checks"
+    )]
     fn stopwatch_is_monotone() {
         let sw = Stopwatch::start();
         let a = sw.now();
         let b = sw.now();
         assert!(b >= a && a >= 0.0);
+    }
+
+    /// A stamp that counts how often it is read.
+    struct Counting<'a>(&'a std::cell::Cell<u32>);
+
+    impl Stamp for Counting<'_> {
+        fn seconds(self) -> f64 {
+            self.0.set(self.0.get() + 1);
+            0.25
+        }
+    }
+
+    #[test]
+    fn disabled_obs_never_reads_the_stamp() {
+        let reads = std::cell::Cell::new(0);
+        let obs = Obs::null();
+        for i in 0..3 {
+            obs.emit(Counting(&reads), || ev(i));
+        }
+        obs.emit(&Stopwatch::start(), || ev(3));
+        assert_eq!(reads.get(), 0, "a disabled handle reads no clock");
+    }
+
+    #[test]
+    fn enabled_obs_reads_the_stamp_once_per_emit() {
+        let reads = std::cell::Cell::new(0);
+        let ring = Arc::new(RingRecorder::new(8));
+        let obs = Obs::new(ring.clone());
+        for i in 0..3 {
+            obs.emit(Counting(&reads), || ev(i));
+        }
+        assert_eq!(reads.get(), 3);
+        obs.emit(&Stopwatch::start(), || ev(3));
+        let events = ring.events();
+        assert!(events[..3].iter().all(|(t, _)| *t == 0.25));
+        assert!(events[3].0 >= 0.0, "a stopwatch stamp is its elapsed time");
     }
 }

@@ -22,6 +22,13 @@
 //! case always selects the same rows). The decoder therefore memoises `D`
 //! in a small LRU cache keyed by the *selection bitmask* (which block
 //! indices supplied the `k` equations); a repeat pattern skips the solve.
+//!
+//! `P` itself is never written down whole. A receiver uses the rows of the
+//! few parities that stood in for its losses — one or two of `h = 248` at
+//! `k = 7` — so the decoder keeps only the `k` Lagrange weights of the
+//! closed form (`generator.rs`) and derives a parity's row, in `O(k)`, the
+//! first time a loss pattern chooses it. Rows derived once are kept: the
+//! list is bounded by the parities that arrived.
 
 use pm_gf::{Gf256, Matrix};
 use pm_obs::{Counter, Histogram, SpanTimer};
@@ -32,7 +39,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use crate::code::{CodeSpec, MAX_BLOCK};
 use crate::encoder::RseEncoder;
 use crate::error::RseError;
-use crate::generator;
+use crate::generator::Lagrange;
 
 /// Bitmask over the `n <= 255` block indices of the `k` selected shares —
 /// the loss-pattern cache key.
@@ -44,41 +51,71 @@ type PatternKey = [u64; 4];
 /// in practice.
 const INVERSE_CACHE_CAP: usize = 16;
 
-/// MRU-first LRU of `(selection bitmask, decode rows)`.
-#[derive(Debug, Default)]
-struct PatternCache(Mutex<Vec<(PatternKey, Arc<Matrix>)>>);
-
-impl Clone for PatternCache {
-    /// A list of its own over the same rows (immutable behind `Arc`).
-    fn clone(&self) -> Self {
-        PatternCache(Mutex::new(self.entries().clone()))
-    }
+/// What a decoder has worked out so far.
+#[derive(Debug, Default, Clone)]
+struct Memo {
+    /// MRU-first LRU of `(selection bitmask, decode rows)`; a clone shares
+    /// the rows (immutable behind `Arc`).
+    patterns: Vec<(PatternKey, Arc<Matrix>)>,
+    /// Block indices of the generator parity rows derived so far, in the
+    /// order they were first chosen.
+    derived: Vec<usize>,
+    /// Their coefficients, `k` per row: `derived[i]`'s row starts at `i * k`.
+    coeffs: Vec<Gf256>,
 }
 
-impl PatternCache {
-    /// A poisoned lock is taken over: every update is one `Vec` operation
-    /// on complete entries, so a panic cannot leave the list half-written.
-    fn entries(&self) -> MutexGuard<'_, Vec<(PatternKey, Arc<Matrix>)>> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
+impl Memo {
     /// The rows memoised for `key`, which becomes the most recent entry.
-    fn get(&self, key: &PatternKey) -> Option<Arc<Matrix>> {
-        let mut entries = self.entries();
-        let pos = entries.iter().position(|(k2, _)| k2 == key)?;
-        let hit = entries.remove(pos);
+    fn get(&mut self, key: &PatternKey) -> Option<Arc<Matrix>> {
+        let pos = self.patterns.iter().position(|(k2, _)| k2 == key)?;
+        let hit = self.patterns.remove(pos);
         let rows = Arc::clone(&hit.1);
-        entries.insert(0, hit);
+        self.patterns.insert(0, hit);
         Some(rows)
     }
 
     /// Memoise `rows` (unless a racing decoder did), evicting beyond the cap.
-    fn put(&self, key: PatternKey, rows: &Arc<Matrix>) {
-        let mut entries = self.entries();
-        if !entries.iter().any(|(k2, _)| *k2 == key) {
-            entries.insert(0, (key, Arc::clone(rows)));
-            entries.truncate(INVERSE_CACHE_CAP);
+    fn put(&mut self, key: PatternKey, rows: &Arc<Matrix>) {
+        if !self.patterns.iter().any(|(k2, _)| *k2 == key) {
+            self.patterns.insert(0, (key, Arc::clone(rows)));
+            self.patterns.truncate(INVERSE_CACHE_CAP);
         }
+    }
+
+    /// Where parity row `r`'s coefficients start in `coeffs`, deriving the
+    /// row the first time it is asked for.
+    fn row_at(&mut self, r: usize, lagrange: &Lagrange) -> Result<usize, RseError> {
+        if let Some(i) = self.derived.iter().position(|&d| d == r) {
+            return Ok(i * lagrange.k());
+        }
+        let start = self.coeffs.len();
+        if let Err(e) = lagrange.row_into(r, &mut self.coeffs) {
+            self.coeffs.truncate(start);
+            return Err(e);
+        }
+        self.derived.push(r);
+        Ok(start)
+    }
+}
+
+/// A decoder's [`Memo`], behind one lock: decodes run through `&self`, from
+/// any thread.
+#[derive(Debug, Default)]
+struct SharedMemo(Mutex<Memo>);
+
+impl Clone for SharedMemo {
+    /// A memo of its own, starting from a copy.
+    fn clone(&self) -> Self {
+        SharedMemo(Mutex::new(self.lock().clone()))
+    }
+}
+
+impl SharedMemo {
+    /// A poisoned lock is taken over: every update leaves complete entries
+    /// (a failed derivation truncates what it appended), so a panic cannot
+    /// leave the memo half-written.
+    fn lock(&self) -> MutexGuard<'_, Memo> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -91,18 +128,24 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-/// A reusable decoder for one [`CodeSpec`]. It owns its copy of the
-/// generator's parity block — written down in closed form, so there is no
-/// shared generator cache to build one from (see [`RseEncoder`]).
+/// A reusable decoder for one [`CodeSpec`].
+///
+/// There is no shared generator cache, and, unlike an [`RseEncoder`], a
+/// decoder does not build the generator's `h x k` parity block either. A
+/// session has one encoder, which uses every row, but R receivers, each of
+/// which uses the few rows its losses chose. Construction computes the `k`
+/// Lagrange weights (`O(k^2)`), and each parity row is derived in `O(k)` the
+/// first time a loss pattern needs it, then kept.
 #[derive(Debug, Clone)]
 pub struct RseDecoder {
     spec: CodeSpec,
     /// Backend-dispatched slice kernels.
     kernels: &'static Kernels,
-    /// Parity rows of the systematic generator, `h x k` (dummy 1 x k if h=0).
-    parity_rows: Matrix,
-    /// Decode rows per loss pattern; a clone starts from a copy of the list.
-    inverse_cache: PatternCache,
+    /// The closed form's per-code weights, from which parity rows derive.
+    lagrange: Lagrange,
+    /// Decode rows per loss pattern and the parity rows derived so far; a
+    /// clone starts from a copy.
+    memo: SharedMemo,
     /// Lifetime cache-hit count, shared across clones.
     cache_hits: Counter,
     /// Lifetime cache-miss (fresh solve) count, shared across clones.
@@ -118,21 +161,21 @@ impl RseDecoder {
     /// # Errors
     /// As for [`RseEncoder::new`].
     pub fn new(spec: CodeSpec) -> Result<Self, RseError> {
-        let parity_rows = generator::parity_rows(&spec)?;
-        Ok(Self::build(spec, try_kernels()?, parity_rows))
+        let lagrange = Lagrange::new(spec.k())?;
+        Ok(Self::build(spec, try_kernels()?, lagrange))
     }
 
-    /// Build a decoder on the encoder's kernels, copying its parity block.
+    /// Build a decoder on the encoder's kernels and Lagrange weights.
     pub fn from_encoder(enc: &RseEncoder) -> Self {
-        Self::build(*enc.spec(), enc.kernels(), enc.parity_rows().clone())
+        Self::build(*enc.spec(), enc.kernels(), enc.lagrange().clone())
     }
 
-    fn build(spec: CodeSpec, kernels: &'static Kernels, parity_rows: Matrix) -> Self {
+    fn build(spec: CodeSpec, kernels: &'static Kernels, lagrange: Lagrange) -> Self {
         RseDecoder {
             spec,
             kernels,
-            parity_rows,
-            inverse_cache: PatternCache::default(),
+            lagrange,
+            memo: SharedMemo::default(),
             cache_hits: Counter::new(),
             cache_misses: Counter::new(),
             timer: None,
@@ -141,7 +184,23 @@ impl RseDecoder {
 
     /// Number of loss patterns whose decode rows are currently memoised.
     pub fn cached_inverses(&self) -> usize {
-        self.inverse_cache.entries().len()
+        self.memo.lock().patterns.len()
+    }
+
+    /// Block indices of the parity rows derived so far, ascending.
+    #[cfg(test)]
+    fn derived_rows(&self) -> Vec<usize> {
+        let mut derived = self.memo.lock().derived.clone();
+        derived.sort_unstable();
+        derived
+    }
+
+    /// Generator row `r` (`k <= r < n`) as the decoder derives it.
+    #[cfg(test)]
+    pub(crate) fn parity_row(&self, r: usize) -> Result<Vec<Gf256>, RseError> {
+        let mut memo = self.memo.lock();
+        let at = memo.row_at(r, &self.lagrange)?;
+        Ok(memo.coeffs[at..at + self.spec.k()].to_vec())
     }
 
     /// Lifetime inverse-cache hit/miss counts (shared across clones; the
@@ -166,7 +225,8 @@ impl RseDecoder {
     /// ascending, so that one share *set* has one key and one set of rows.
     #[expect(
         clippy::indexing_slicing,
-        reason = "from_fn passes c < l = chosen.len() and m < l = missing.len()"
+        reason = "from_fn passes c < l = chosen.len() = at.len() and m < l = missing.len(); \
+                  at[c] + i, i < k, is within the row row_at placed at at[c]"
     )]
     fn inverse_for<T>(
         &self,
@@ -181,24 +241,31 @@ impl RseDecoder {
                 *word |= 1 << (i % 64);
             }
         }
-        if let Some(rows) = self.inverse_cache.get(&key) {
+        let mut memo = self.memo.lock();
+        if let Some(rows) = memo.get(&key) {
             self.cache_hits.inc();
             return Ok(rows);
         }
         self.cache_misses.inc();
 
-        // Solve outside the lock: decoders racing on different patterns
-        // must not serialize. A = P[C,M]; rows = A^-1 * [P[C,:] | I_l].
+        // A = P[C,M]; rows = A^-1 * [P[C,:] | I_l], over the chosen rows.
         let l = missing.len();
-        let p = |c: usize, i: usize| self.parity_rows[(chosen[c].0 - k, i)];
+        let at = chosen
+            .iter()
+            .map(|c| memo.row_at(c.0, &self.lagrange))
+            .collect::<Result<Vec<_>, _>>()?;
+        let p = |c: usize, i: usize| memo.coeffs[at[c] + i];
         let a = Matrix::from_fn(l, l, |c, m| p(c, missing[m]));
         let b = Matrix::from_fn(l, k + l, |c, j| match j.checked_sub(k) {
             None => p(c, j),
             Some(parity) if parity == c => Gf256::ONE,
             Some(_) => Gf256::ZERO,
         });
+        // Solve outside the lock: decoders racing on different patterns
+        // must not serialize.
+        drop(memo);
         let rows = Arc::new(a.invert()?.mul(&b)?);
-        self.inverse_cache.put(key, &rows);
+        self.memo.lock().put(key, &rows);
         Ok(rows)
     }
 
@@ -575,6 +642,32 @@ mod tests {
         // Hit/miss counters are one shared cell across clones.
         assert_eq!(dec.cache_stats(), CacheStats { hits: 1, misses: 1 });
         assert_eq!(cloned.cache_stats(), dec.cache_stats());
+    }
+
+    #[test]
+    fn a_decoder_holds_only_the_chosen_parity_rows() {
+        let (_, dec, data, parities) = codec(7, 248);
+        assert!(dec.derived_rows().is_empty(), "construction derives no row");
+        let shares = |lost: [usize; 2], offered: [usize; 3]| -> Vec<(usize, &[u8])> {
+            let arrived = (0..7).filter(|i| !lost.contains(i));
+            let arrived = arrived.map(|i| (i, &data[i][..]));
+            arrived
+                .chain(offered.map(|j| (7 + j, &parities[j][..])))
+                .collect()
+        };
+        // Two losses: the first two parities supplied (block indices 27
+        // and 16) stand in; the third offered one is never looked at.
+        assert_eq!(dec.decode(&shares([1, 4], [20, 9, 30])).unwrap(), data);
+        assert_eq!(dec.derived_rows(), [16, 27]);
+        assert_eq!(dec.decode(&shares([1, 4], [9, 20, 30])).unwrap(), data);
+        assert_eq!(
+            dec.derived_rows(),
+            [16, 27],
+            "a repeat pattern derives nothing"
+        );
+        assert_eq!(dec.decode(&shares([0, 6], [30, 20, 9])).unwrap(), data);
+        assert_eq!(dec.derived_rows(), [16, 27, 37], "row 27 is reused");
+        assert_eq!(dec.cache_stats(), CacheStats { hits: 1, misses: 2 });
     }
 
     #[test]

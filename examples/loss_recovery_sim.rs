@@ -140,6 +140,11 @@ fn main() {
         for &r in &populations {
             print!("{r:>8}");
             for (i, &s) in schemes.iter().enumerate() {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "stamps the run's trace events with the sweep's wall-clock time"
+                )]
+                let now = clock.now();
                 let res = run_env_par_traced(
                     &cfg,
                     s,
@@ -148,17 +153,19 @@ fn main() {
                     0xC0FFEE ^ (i as u64) << 8,
                     &pool,
                     &obs,
-                    clock.now(),
+                    now,
                 );
                 runs.inc();
                 print!("{:>16.3} ±{:.3}", res.mean_transmissions, res.ci95);
             }
             println!();
         }
-        println!(
-            "  sweep wall-clock: {:.2}s",
-            sweep_start.elapsed().as_secs_f64()
-        );
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reports the sweep's wall-clock time"
+        )]
+        let wall = sweep_start.elapsed();
+        println!("  sweep wall-clock: {:.2}s", wall.as_secs_f64());
         if matches!(env, LossEnv::Independent { .. }) {
             println!("  analytical checks at R = 4096:");
             let pop = Population::homogeneous(p, 4096);

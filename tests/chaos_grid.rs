@@ -223,6 +223,10 @@ fn chaos_grid_upholds_the_degradation_trichotomy() {
             );
         }
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "bounds the wall time of a WallClock mux over a faulty MemHub"
+        )]
         let elapsed = started.elapsed();
         assert!(
             elapsed < Duration::from_secs(30),
