@@ -24,6 +24,7 @@ use pm_rse::{CodeSpec, RseEncoder};
 
 use crate::costs::CostCounters;
 use crate::error::ProtocolError;
+use crate::runtime::SenderMachine;
 use crate::sender::SenderStep;
 use crate::session::SessionPlan;
 
@@ -168,19 +169,9 @@ impl CarouselSender {
         &self.plan
     }
 
-    /// Work counters.
-    pub fn counters(&self) -> &CostCounters {
-        &self.counters
-    }
-
     /// Full cycles completed so far.
     pub fn cycles_done(&self) -> u32 {
         self.cycles_done
-    }
-
-    /// True once FIN went out.
-    pub fn is_finished(&self) -> bool {
-        self.fin_sent
     }
 
     fn stop_reached(&self) -> bool {
@@ -189,13 +180,14 @@ impl CarouselSender {
             CarouselStop::AllDone(r) => self.done_receivers.len() as u32 >= r,
         }
     }
+}
 
-    /// Next action (same contract as [`crate::NpSender::next_step`]).
+impl SenderMachine for CarouselSender {
     #[expect(
         clippy::indexing_slicing,
         reason = "cursor wraps to 0 at schedule.len(), never empty here"
     )]
-    pub fn next_step(&mut self, _now: f64) -> SenderStep {
+    fn next_step(&mut self, _now: f64) -> SenderStep {
         if self.fin_sent {
             return SenderStep::Finished;
         }
@@ -240,7 +232,7 @@ impl CarouselSender {
     ///
     /// # Errors
     /// None; fallible for driver symmetry.
-    pub fn handle(&mut self, msg: &Message, _now: f64) -> Result<(), ProtocolError> {
+    fn handle(&mut self, msg: &Message, _now: f64) -> Result<(), ProtocolError> {
         if msg.session() != self.plan.session {
             return Ok(());
         }
@@ -250,20 +242,12 @@ impl CarouselSender {
         }
         Ok(())
     }
-}
 
-impl crate::runtime::SenderMachine for CarouselSender {
-    fn next_step(&mut self, now: f64) -> SenderStep {
-        CarouselSender::next_step(self, now)
-    }
-    fn handle(&mut self, msg: &Message, now: f64) -> Result<(), ProtocolError> {
-        CarouselSender::handle(self, msg, now)
-    }
     fn is_finished(&self) -> bool {
-        CarouselSender::is_finished(self)
+        self.fin_sent
     }
     fn counters(&self) -> &CostCounters {
-        CarouselSender::counters(self)
+        &self.counters
     }
     fn done_count(&self) -> usize {
         self.done_receivers.len()
@@ -279,7 +263,7 @@ impl crate::runtime::SenderMachine for CarouselSender {
         }
     }
     fn evict_outstanding(&mut self) -> u32 {
-        let evicted = crate::runtime::SenderMachine::outstanding(self);
+        let evicted = self.outstanding();
         if evicted > 0 {
             self.cfg.stop = CarouselStop::AllDone(self.done_receivers.len() as u32);
         }
@@ -291,6 +275,7 @@ impl crate::runtime::SenderMachine for CarouselSender {
 mod tests {
     use super::*;
     use crate::receiver::NpReceiver;
+    use crate::runtime::ReceiverMachine;
 
     const SESSION: u32 = 0xCA80;
 

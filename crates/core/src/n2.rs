@@ -30,6 +30,7 @@ use crate::costs::CostCounters;
 use crate::error::ProtocolError;
 use crate::payload::Payload;
 use crate::receiver::ReceiverAction;
+use crate::runtime::{ReceiverMachine, SenderMachine};
 use crate::sender::SenderStep;
 use crate::session::SessionPlan;
 
@@ -115,73 +116,16 @@ impl N2Sender {
         &self.plan
     }
 
-    /// Processing counters.
-    pub fn counters(&self) -> &CostCounters {
-        &self.counters
-    }
-
-    /// Receivers that reported completion.
-    pub fn done_count(&self) -> usize {
-        self.done_receivers.len()
-    }
-
-    /// Identities of the receivers that reported completion, ascending.
-    pub fn done_ids(&self) -> Vec<u32> {
-        self.done_receivers.iter().copied().collect()
-    }
-
-    /// Receiver/feedback-dependent sender state in bytes: the done set
-    /// plus the per-packet NAK-servicing sets that per-packet ARQ forces
-    /// the sender to keep (the contrast with
-    /// [`crate::NpSender::state_bytes`], where no such per-packet
-    /// bookkeeping exists).
-    pub fn state_bytes(&self) -> usize {
-        let done = self.done_receivers.len() * std::mem::size_of::<u32>();
-        let serviced: usize = self
-            .serviced
-            .values()
-            .map(|set| std::mem::size_of::<u32>() + set.len() * std::mem::size_of::<u16>())
-            .sum();
-        done + serviced
-    }
-
-    /// Receivers still outstanding under
-    /// [`CompletionPolicy::KnownReceivers`] (0 under quiescence).
-    pub fn outstanding(&self) -> u32 {
-        match self.cfg.completion {
-            CompletionPolicy::KnownReceivers(r) => {
-                r.saturating_sub(self.done_receivers.len() as u32)
-            }
-            CompletionPolicy::Quiescence(_) => 0,
-        }
-    }
-
-    /// Give up on receivers that never reported `Done`: lower the
-    /// known-receivers completion target to the responsive population and
-    /// return how many were evicted.
-    pub fn evict_outstanding(&mut self) -> u32 {
-        let evicted = self.outstanding();
-        if evicted > 0 {
-            self.cfg.completion =
-                CompletionPolicy::KnownReceivers(self.done_receivers.len() as u32);
-        }
-        evicted
-    }
-
-    /// True once FIN has been handed to the transport.
-    pub fn is_finished(&self) -> bool {
-        self.fin_sent
-    }
-
     fn completion_reached(&self, now: f64) -> bool {
         match self.cfg.completion {
             CompletionPolicy::KnownReceivers(r) => self.done_receivers.len() as u32 >= r,
             CompletionPolicy::Quiescence(q) => now - self.last_demand >= q,
         }
     }
+}
 
-    /// Next action (same contract as [`crate::NpSender::next_step`]).
-    pub fn next_step(&mut self, now: f64) -> SenderStep {
+impl SenderMachine for N2Sender {
+    fn next_step(&mut self, now: f64) -> SenderStep {
         if self.fin_sent {
             return SenderStep::Finished;
         }
@@ -237,7 +181,7 @@ impl N2Sender {
         clippy::indexing_slicing,
         reason = "a NAK's group and index are checked against the plan first"
     )]
-    pub fn handle(&mut self, msg: &Message, now: f64) -> Result<(), ProtocolError> {
+    fn handle(&mut self, msg: &Message, now: f64) -> Result<(), ProtocolError> {
         if msg.session() != self.plan.session {
             return Ok(());
         }
@@ -289,6 +233,60 @@ impl N2Sender {
             _ => {}
         }
         Ok(())
+    }
+
+    fn counters(&self) -> &CostCounters {
+        &self.counters
+    }
+
+    fn done_count(&self) -> usize {
+        self.done_receivers.len()
+    }
+
+    fn done_ids(&self) -> Vec<u32> {
+        self.done_receivers.iter().copied().collect()
+    }
+
+    /// Receiver/feedback-dependent sender state in bytes: the done set
+    /// plus the per-packet NAK-servicing sets that per-packet ARQ forces
+    /// the sender to keep (the contrast with
+    /// [`crate::NpSender::state_bytes`], where no such per-packet
+    /// bookkeeping exists).
+    fn state_bytes(&self) -> usize {
+        let done = self.done_receivers.len() * std::mem::size_of::<u32>();
+        let serviced: usize = self
+            .serviced
+            .values()
+            .map(|set| std::mem::size_of::<u32>() + set.len() * std::mem::size_of::<u16>())
+            .sum();
+        done + serviced
+    }
+
+    /// Receivers still outstanding under
+    /// [`CompletionPolicy::KnownReceivers`] (0 under quiescence).
+    fn outstanding(&self) -> u32 {
+        match self.cfg.completion {
+            CompletionPolicy::KnownReceivers(r) => {
+                r.saturating_sub(self.done_receivers.len() as u32)
+            }
+            CompletionPolicy::Quiescence(_) => 0,
+        }
+    }
+
+    /// Give up on receivers that never reported `Done`: lower the
+    /// known-receivers completion target to the responsive population and
+    /// return how many were evicted.
+    fn evict_outstanding(&mut self) -> u32 {
+        let evicted = self.outstanding();
+        if evicted > 0 {
+            self.cfg.completion =
+                CompletionPolicy::KnownReceivers(self.done_receivers.len() as u32);
+        }
+        evicted
+    }
+
+    fn is_finished(&self) -> bool {
+        self.fin_sent
     }
 }
 
@@ -351,43 +349,6 @@ impl N2Receiver {
         self.id
     }
 
-    /// Processing counters.
-    pub fn counters(&self) -> &CostCounters {
-        &self.counters
-    }
-
-    /// True once every group is complete (requires a plan).
-    pub fn is_complete(&self) -> bool {
-        match &self.plan {
-            Some(p) => self.decoded.len() as u64 == p.groups as u64,
-            None => false,
-        }
-    }
-
-    /// True if the sender has closed the session.
-    pub fn fin_seen(&self) -> bool {
-        self.fin_seen
-    }
-
-    /// Earliest NAK deadline.
-    pub fn next_deadline(&self) -> Option<f64> {
-        self.pending
-            .values()
-            .map(|p| p.deadline)
-            .min_by(|a, b| a.total_cmp(b))
-    }
-
-    /// The transfer once complete, as the received packets (shared, not copied).
-    ///
-    /// # Errors
-    /// [`ProtocolError::Inconsistent`] before completion.
-    pub fn payload(&self) -> Result<Payload, ProtocolError> {
-        match &self.plan {
-            Some(plan) => plan.reassemble(&self.decoded),
-            None => Err(ProtocolError::Inconsistent("no session plan yet".into())),
-        }
-    }
-
     fn check_group_complete(&mut self, group: u32, actions: &mut Vec<ReceiverAction>) {
         let Some(&gk) = self.group_k.get(&group) else {
             return;
@@ -418,17 +379,10 @@ impl N2Receiver {
             receiver: self.id,
         }));
     }
+}
 
-    /// Feed one received message (same contract as
-    /// [`crate::NpReceiver::handle`]).
-    ///
-    /// # Errors
-    /// Geometry conflicts.
-    pub fn handle(
-        &mut self,
-        msg: &Message,
-        now: f64,
-    ) -> Result<Vec<ReceiverAction>, ProtocolError> {
+impl ReceiverMachine for N2Receiver {
+    fn handle(&mut self, msg: &Message, now: f64) -> Result<Vec<ReceiverAction>, ProtocolError> {
         if msg.session() != self.session {
             return Ok(Vec::new());
         }
@@ -559,7 +513,7 @@ impl N2Receiver {
     }
 
     /// Fire due NAK timers.
-    pub fn on_timer(&mut self, now: f64) -> Vec<ReceiverAction> {
+    fn on_timer(&mut self, now: f64) -> Vec<ReceiverAction> {
         let mut due: Vec<(u32, u16)> = self
             .pending
             .iter()
@@ -579,6 +533,44 @@ impl N2Receiver {
             }));
         }
         actions
+    }
+
+    fn counters(&self) -> &CostCounters {
+        &self.counters
+    }
+
+    /// True once every group is complete (requires a plan).
+    fn is_complete(&self) -> bool {
+        match &self.plan {
+            Some(p) => self.decoded.len() as u64 == p.groups as u64,
+            None => false,
+        }
+    }
+
+    fn fin_seen(&self) -> bool {
+        self.fin_seen
+    }
+
+    fn next_deadline(&self) -> Option<f64> {
+        self.pending
+            .values()
+            .map(|p| p.deadline)
+            .min_by(|a, b| a.total_cmp(b))
+    }
+
+    /// The transfer once complete, as the received packets (shared, not copied).
+    ///
+    /// # Errors
+    /// [`ProtocolError::Inconsistent`] before completion.
+    fn payload(&self) -> Result<Payload, ProtocolError> {
+        match &self.plan {
+            Some(plan) => plan.reassemble(&self.decoded),
+            None => Err(ProtocolError::Inconsistent("no session plan yet".into())),
+        }
+    }
+
+    fn take_data(&self) -> Result<Vec<u8>, ProtocolError> {
+        self.payload().map(|p| p.to_vec())
     }
 }
 

@@ -25,6 +25,7 @@ use pm_rse::{CacheStats, CodeSpec, GroupDecoder, InsertOutcome, RseDecoder};
 use crate::costs::CostCounters;
 use crate::error::ProtocolError;
 use crate::payload::Payload;
+use crate::runtime::ReceiverMachine;
 use crate::session::SessionPlan;
 
 /// What the caller must do after feeding the receiver an event.
@@ -150,40 +151,6 @@ impl NpReceiver {
         self.plan.as_ref()
     }
 
-    /// Processing counters so far.
-    pub fn counters(&self) -> &CostCounters {
-        &self.counters
-    }
-
-    /// True once every group is decoded (requires a plan).
-    pub fn is_complete(&self) -> bool {
-        match &self.plan {
-            Some(p) => self.decoded.len() as u64 == p.groups as u64,
-            None => false,
-        }
-    }
-
-    /// True if the sender has closed the session.
-    pub fn fin_seen(&self) -> bool {
-        self.fin_seen
-    }
-
-    /// Earliest NAK deadline, if any.
-    pub fn next_deadline(&self) -> Option<f64> {
-        self.suppressor.next_deadline()
-    }
-
-    /// The transfer once complete, as the decoded packets (shared, not copied).
-    ///
-    /// # Errors
-    /// [`ProtocolError::Inconsistent`] if called before completion.
-    pub fn payload(&self) -> Result<Payload, ProtocolError> {
-        match &self.plan {
-            Some(plan) => plan.reassemble(&self.decoded),
-            None => Err(ProtocolError::Inconsistent("no session plan yet".into())),
-        }
-    }
-
     #[expect(
         clippy::indexing_slicing,
         reason = "the key is inserted just above when absent"
@@ -224,7 +191,9 @@ impl NpReceiver {
             actions.push(ReceiverAction::Complete);
         }
     }
+}
 
+impl ReceiverMachine for NpReceiver {
     /// Feed one received message.
     ///
     /// # Errors
@@ -234,11 +203,7 @@ impl NpReceiver {
         clippy::unreachable,
         reason = "a group turns decodable only while Collecting"
     )]
-    pub fn handle(
-        &mut self,
-        msg: &Message,
-        now: f64,
-    ) -> Result<Vec<ReceiverAction>, ProtocolError> {
+    fn handle(&mut self, msg: &Message, now: f64) -> Result<Vec<ReceiverAction>, ProtocolError> {
         if msg.session() != self.session {
             return Ok(Vec::new());
         }
@@ -464,7 +429,7 @@ impl NpReceiver {
     }
 
     /// Fire due NAK timers.
-    pub fn on_timer(&mut self, now: f64) -> Vec<ReceiverAction> {
+    fn on_timer(&mut self, now: f64) -> Vec<ReceiverAction> {
         let mut actions = Vec::new();
         for due in self.suppressor.take_due(now) {
             self.counters.feedback_sent += 1;
@@ -483,6 +448,41 @@ impl NpReceiver {
             }));
         }
         actions
+    }
+
+    fn counters(&self) -> &CostCounters {
+        &self.counters
+    }
+
+    /// True once every group is decoded (requires a plan).
+    fn is_complete(&self) -> bool {
+        match &self.plan {
+            Some(p) => self.decoded.len() as u64 == p.groups as u64,
+            None => false,
+        }
+    }
+
+    fn fin_seen(&self) -> bool {
+        self.fin_seen
+    }
+
+    fn next_deadline(&self) -> Option<f64> {
+        self.suppressor.next_deadline()
+    }
+
+    /// The transfer once complete, as the decoded packets (shared, not copied).
+    ///
+    /// # Errors
+    /// [`ProtocolError::Inconsistent`] if called before completion.
+    fn payload(&self) -> Result<Payload, ProtocolError> {
+        match &self.plan {
+            Some(plan) => plan.reassemble(&self.decoded),
+            None => Err(ProtocolError::Inconsistent("no session plan yet".into())),
+        }
+    }
+
+    fn take_data(&self) -> Result<Vec<u8>, ProtocolError> {
+        self.payload().map(|p| p.to_vec())
     }
 }
 

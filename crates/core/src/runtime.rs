@@ -2,6 +2,12 @@
 //! timing and resilience configuration, the clock-agnostic resilience
 //! accounting, the NP/N2 machine traits and the session reports.
 //!
+//! Each machine implements its trait in its own module: [`SenderMachine`]
+//! beside `NpSender` (`sender.rs`), `N2Sender` (`n2.rs`) and
+//! `CarouselSender` (`carousel.rs`), [`ReceiverMachine`] beside
+//! `NpReceiver` (`receiver.rs`) and `N2Receiver` (`n2.rs`). Their driver
+//! methods are those impls, so a caller names the trait to call them.
+//!
 //! Nothing here reads a clock or touches a socket. The loop that does —
 //! pacing, retry backoff, stall/linger/eviction deadlines — is `pm-mux`
 //! (`pm_mux::Mux`; `pm_mux::drive_sender` / `pm_mux::drive_receiver` run
@@ -14,10 +20,9 @@ use pm_obs::{Event, Obs};
 
 use crate::costs::CostCounters;
 use crate::error::ProtocolError;
-use crate::n2::{N2Receiver, N2Sender};
 use crate::payload::Payload;
-use crate::receiver::{NpReceiver, ReceiverAction};
-use crate::sender::{NpSender, SenderStep};
+use crate::receiver::ReceiverAction;
+use crate::sender::SenderStep;
 pub use crate::session::SessionReport;
 
 /// Timing knobs of a driven session.
@@ -283,120 +288,6 @@ pub trait ReceiverMachine: Send {
     fn take_data(&self) -> Result<Vec<u8>, ProtocolError>;
     /// Work counters.
     fn counters(&self) -> &CostCounters;
-}
-
-impl SenderMachine for NpSender {
-    fn next_step(&mut self, now: f64) -> SenderStep {
-        NpSender::next_step(self, now)
-    }
-    fn handle(&mut self, msg: &Message, now: f64) -> Result<(), ProtocolError> {
-        NpSender::handle(self, msg, now)
-    }
-    fn is_finished(&self) -> bool {
-        NpSender::is_finished(self)
-    }
-    fn counters(&self) -> &CostCounters {
-        NpSender::counters(self)
-    }
-    fn done_count(&self) -> usize {
-        NpSender::done_count(self)
-    }
-    fn done_ids(&self) -> Vec<u32> {
-        NpSender::done_ids(self)
-    }
-    fn outstanding(&self) -> u32 {
-        NpSender::outstanding(self)
-    }
-    fn evict_outstanding(&mut self) -> u32 {
-        NpSender::evict_outstanding(self)
-    }
-    fn state_bytes(&self) -> usize {
-        NpSender::state_bytes(self)
-    }
-}
-
-impl SenderMachine for N2Sender {
-    fn next_step(&mut self, now: f64) -> SenderStep {
-        N2Sender::next_step(self, now)
-    }
-    fn handle(&mut self, msg: &Message, now: f64) -> Result<(), ProtocolError> {
-        N2Sender::handle(self, msg, now)
-    }
-    fn is_finished(&self) -> bool {
-        N2Sender::is_finished(self)
-    }
-    fn counters(&self) -> &CostCounters {
-        N2Sender::counters(self)
-    }
-    fn done_count(&self) -> usize {
-        N2Sender::done_count(self)
-    }
-    fn done_ids(&self) -> Vec<u32> {
-        N2Sender::done_ids(self)
-    }
-    fn outstanding(&self) -> u32 {
-        N2Sender::outstanding(self)
-    }
-    fn evict_outstanding(&mut self) -> u32 {
-        N2Sender::evict_outstanding(self)
-    }
-    fn state_bytes(&self) -> usize {
-        N2Sender::state_bytes(self)
-    }
-}
-
-impl ReceiverMachine for NpReceiver {
-    fn handle(&mut self, msg: &Message, now: f64) -> Result<Vec<ReceiverAction>, ProtocolError> {
-        NpReceiver::handle(self, msg, now)
-    }
-    fn on_timer(&mut self, now: f64) -> Vec<ReceiverAction> {
-        NpReceiver::on_timer(self, now)
-    }
-    fn next_deadline(&self) -> Option<f64> {
-        NpReceiver::next_deadline(self)
-    }
-    fn is_complete(&self) -> bool {
-        NpReceiver::is_complete(self)
-    }
-    fn fin_seen(&self) -> bool {
-        NpReceiver::fin_seen(self)
-    }
-    fn take_data(&self) -> Result<Vec<u8>, ProtocolError> {
-        self.payload().map(|p| p.to_vec())
-    }
-    fn payload(&self) -> Result<Payload, ProtocolError> {
-        NpReceiver::payload(self)
-    }
-    fn counters(&self) -> &CostCounters {
-        NpReceiver::counters(self)
-    }
-}
-
-impl ReceiverMachine for N2Receiver {
-    fn handle(&mut self, msg: &Message, now: f64) -> Result<Vec<ReceiverAction>, ProtocolError> {
-        N2Receiver::handle(self, msg, now)
-    }
-    fn on_timer(&mut self, now: f64) -> Vec<ReceiverAction> {
-        N2Receiver::on_timer(self, now)
-    }
-    fn next_deadline(&self) -> Option<f64> {
-        N2Receiver::next_deadline(self)
-    }
-    fn is_complete(&self) -> bool {
-        N2Receiver::is_complete(self)
-    }
-    fn fin_seen(&self) -> bool {
-        N2Receiver::fin_seen(self)
-    }
-    fn take_data(&self) -> Result<Vec<u8>, ProtocolError> {
-        self.payload().map(|p| p.to_vec())
-    }
-    fn payload(&self) -> Result<Payload, ProtocolError> {
-        N2Receiver::payload(self)
-    }
-    fn counters(&self) -> &CostCounters {
-        N2Receiver::counters(self)
-    }
 }
 
 /// Result of a completed receiver run.

@@ -29,6 +29,7 @@ use pm_rse::{CodeSpec, RseEncoder};
 use crate::config::{CompletionPolicy, NpConfig};
 use crate::costs::CostCounters;
 use crate::error::ProtocolError;
+use crate::runtime::SenderMachine;
 use crate::session::SessionPlan;
 
 /// What the runtime should do next.
@@ -306,76 +307,22 @@ impl NpSender {
         &self.plan
     }
 
-    /// Processing counters so far.
-    pub fn counters(&self) -> &CostCounters {
-        &self.counters
-    }
-
-    /// Receivers that reported completion.
-    pub fn done_count(&self) -> usize {
-        self.done_receivers.len()
-    }
-
-    /// Identities of the receivers that reported completion, ascending.
-    pub fn done_ids(&self) -> Vec<u32> {
-        self.done_receivers.iter().copied().collect()
-    }
-
-    /// Receiver-dependent sender state in bytes.
-    ///
-    /// The paper's scalability argument: an NP sender tracks only *who*
-    /// reported `Done` — one id per receiver, no per-packet per-receiver
-    /// bookkeeping — so this stays at ~4 bytes per receiver no matter how
-    /// large the transfer (ROADMAP item 2's acceptance metric, exported
-    /// as the `sender.state_bytes_per_receiver` gauge).
-    pub fn state_bytes(&self) -> usize {
-        self.done_receivers.len() * std::mem::size_of::<u32>()
-    }
-
-    /// Receivers still outstanding under
-    /// [`CompletionPolicy::KnownReceivers`] (0 under quiescence, which has
-    /// no roll to call).
-    pub fn outstanding(&self) -> u32 {
-        match self.cfg.completion {
-            CompletionPolicy::KnownReceivers(r) => {
-                r.saturating_sub(self.done_receivers.len() as u32)
-            }
-            CompletionPolicy::Quiescence(_) => 0,
-        }
-    }
-
-    /// Give up on receivers that never reported `Done`: lower the
-    /// known-receivers completion target to the responsive population and
-    /// return how many were evicted. A no-op (returning 0) under
-    /// quiescence completion or when everyone already answered.
-    pub fn evict_outstanding(&mut self) -> u32 {
-        let evicted = self.outstanding();
-        if evicted > 0 {
-            self.cfg.completion =
-                CompletionPolicy::KnownReceivers(self.done_receivers.len() as u32);
-        }
-        evicted
-    }
-
-    /// True once FIN has been handed to the transport.
-    pub fn is_finished(&self) -> bool {
-        self.fin_sent
-    }
-
     fn completion_reached(&self, now: f64) -> bool {
         match self.cfg.completion {
             CompletionPolicy::KnownReceivers(r) => self.done_receivers.len() as u32 >= r,
             CompletionPolicy::Quiescence(q) => now - self.last_demand >= q,
         }
     }
+}
 
+impl SenderMachine for NpSender {
     /// Decide the next action. Call again after performing it (and pace
     /// packet transmissions at the application's send rate).
     #[expect(
         clippy::expect_used,
         reason = "new() validated what schedule_initial_group checks"
     )]
-    pub fn next_step(&mut self, now: f64) -> SenderStep {
+    fn next_step(&mut self, now: f64) -> SenderStep {
         if self.fin_sent {
             return SenderStep::Finished;
         }
@@ -471,7 +418,7 @@ impl NpSender {
         clippy::indexing_slicing,
         reason = "a NAK's group is checked against plan.groups first"
     )]
-    pub fn handle(&mut self, msg: &Message, now: f64) -> Result<(), ProtocolError> {
+    fn handle(&mut self, msg: &Message, now: f64) -> Result<(), ProtocolError> {
         if msg.session() != self.plan.session {
             return Ok(());
         }
@@ -560,6 +507,58 @@ impl NpSender {
             | Message::FecFrame { .. } => {}
         }
         Ok(())
+    }
+
+    fn counters(&self) -> &CostCounters {
+        &self.counters
+    }
+
+    fn done_count(&self) -> usize {
+        self.done_receivers.len()
+    }
+
+    fn done_ids(&self) -> Vec<u32> {
+        self.done_receivers.iter().copied().collect()
+    }
+
+    /// Receiver-dependent sender state in bytes.
+    ///
+    /// The paper's scalability argument: an NP sender tracks only *who*
+    /// reported `Done` — one id per receiver, no per-packet per-receiver
+    /// bookkeeping — so this stays at ~4 bytes per receiver no matter how
+    /// large the transfer (ROADMAP item 2's acceptance metric, exported
+    /// as the `sender.state_bytes_per_receiver` gauge).
+    fn state_bytes(&self) -> usize {
+        self.done_receivers.len() * std::mem::size_of::<u32>()
+    }
+
+    /// Receivers still outstanding under
+    /// [`CompletionPolicy::KnownReceivers`] (0 under quiescence, which has
+    /// no roll to call).
+    fn outstanding(&self) -> u32 {
+        match self.cfg.completion {
+            CompletionPolicy::KnownReceivers(r) => {
+                r.saturating_sub(self.done_receivers.len() as u32)
+            }
+            CompletionPolicy::Quiescence(_) => 0,
+        }
+    }
+
+    /// Give up on receivers that never reported `Done`: lower the
+    /// known-receivers completion target to the responsive population and
+    /// return how many were evicted. A no-op (returning 0) under
+    /// quiescence completion or when everyone already answered.
+    fn evict_outstanding(&mut self) -> u32 {
+        let evicted = self.outstanding();
+        if evicted > 0 {
+            self.cfg.completion =
+                CompletionPolicy::KnownReceivers(self.done_receivers.len() as u32);
+        }
+        evicted
+    }
+
+    fn is_finished(&self) -> bool {
+        self.fin_sent
     }
 }
 

@@ -8,9 +8,11 @@
 //! Runs N concurrent sender/receiver protocol machines on **one thread**
 //! over a shared non-blocking socket set, with every wait — packet
 //! pacing, retry backoff, machine wakeups, receiver poll cadence, stall
-//! and eviction deadlines — expressed as a [`wheel::TimerWheel`] entry
-//! instead of a blocking call. The driver never parks on one session's
-//! behalf, so a hostile or dead session cannot stall its neighbors.
+//! and eviction deadlines — expressed as an entry in one timer queue
+//! ([`wheel::TimerWheel`], a binary heap whose top is the exact next
+//! deadline) instead of a blocking call. The driver never parks on one
+//! session's behalf, so a hostile or dead session cannot stall its
+//! neighbors.
 //!
 //! This is the only loop in the workspace that drives the protocol
 //! machines over a transport. The clock-free parts of its policy live
@@ -34,7 +36,7 @@
 //! refuses admission past a high-water mark (typed
 //! [`overload::AdmissionError`]) and, under sustained saturation, sheds
 //! victims deterministically with typed
-//! [`SessionOutcome::Shed`](mux::SessionOutcome::Shed) reports — graceful
+//! [`SessionOutcome::Shed`] reports — graceful
 //! degradation at the driver layer, mirroring what parity recovery does
 //! at the protocol layer.
 

@@ -13,10 +13,15 @@
 //! in a large group hears is other receivers' feedback — waits for that
 //! Wake, which is never further off than `RECEIVER_WAIT_CEIL`.
 //!
+//! Every datagram a session sends — a sender's `Transmit`, a receiver's
+//! queued feedback, a parked retry — goes through one function,
+//! `transmit`, which alone decides what counts as progress and when a
+//! failure parks the message on a `Retry` timer.
+//!
 //! The run loop is three strokes per turn: sweep the socket set
 //! ([`PollSet::poll_round`] — fairness-bounded, round-robin), fire due
 //! timers ([`TimerWheel::advance`] — deadline order, FIFO within a tick),
-//! and only when *both* came up empty, advance the clock toward the next
+//! and only when *both* came up empty, advance the clock to the next
 //! deadline. A hostile session can therefore cost its neighbors at most
 //! its own bounded slice of each sweep — never a blocking wait.
 
@@ -87,7 +92,7 @@ impl Default for MuxConfig {
 ///
 /// Stall, linger and eviction are *not* timer kinds — they are deadline
 /// checks made on every drive pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum TimerKind {
     /// Inter-packet pacing gap after a successful transmit (sender).
     Pace,
@@ -101,7 +106,7 @@ enum TimerKind {
 /// Wheel key: token + kind + arming generation. Cancellation is lazy — a
 /// fired entry whose generation no longer matches the session's current
 /// one for that kind is simply stale and ignored.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct TimerKey {
     token: Token,
     kind: TimerKind,
@@ -114,12 +119,14 @@ enum Engine {
     Receiver(Box<dyn ReceiverMachine>),
 }
 
-/// A transmission that hit a transient I/O failure and is waiting out its
-/// retry backoff. While parked, the session transmits nothing else, so its
+/// A message for [`transmit`], and — parked in `SessionState::pending` —
+/// one that hit a transient I/O failure and is waiting out its retry
+/// backoff. While parked, the session transmits nothing else, so its
 /// datagrams keep their order; it keeps *receiving* (`on_io` runs
 /// regardless), so a flaky uplink cannot starve the feedback path.
 struct PendingSend {
     msg: Message,
+    /// Retries already spent on this message.
     attempt: u32,
     /// Keep-alive re-announces are not progress: if they were, a sender
     /// with zero receivers would re-announce forever instead of stalling.
@@ -175,6 +182,14 @@ impl SessionState {
         match self.engine {
             Engine::Sender(_) => Role::Sender,
             Engine::Receiver(_) => Role::Receiver,
+        }
+    }
+
+    /// This session's outcome when it ends on `e`.
+    fn failed(&self, e: ProtocolError) -> SessionOutcome {
+        match self.engine {
+            Engine::Sender(_) => SessionOutcome::Sender(Err(e)),
+            Engine::Receiver(_) => SessionOutcome::Receiver(Err(e)),
         }
     }
 
@@ -335,9 +350,9 @@ enum AfterIo {
     DriveReceiver,
 }
 
-/// Result of flushing a receiver's outbound queue.
+/// What became of a [`transmit`].
 enum Flush {
-    /// Everything went out.
+    /// It went out.
     Clear,
     /// A transient failure parked a message; a Retry timer is armed.
     Parked,
@@ -728,10 +743,10 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
         // 3. Quiescent: advance time toward the next deadline. This is
         // the only place the mux waits, and it waits for the *earliest*
         // deadline across every session — never for one session's sake.
-        // `next_deadline` is exact even for entries parked on the
-        // overflow list beyond the wheel horizon, and the advance goes
-        // *to* the deadline, not a tick past it: under a `WallClock`
-        // that difference is a real oversleep on every idle nap.
+        // `next_deadline` is exact, so the turn after the jump fires that
+        // entry, and the advance goes *to* the deadline, not a tick past
+        // it: under a `WallClock` that difference is a real oversleep on
+        // every idle nap.
         if got == 0 && n_fired == 0 && self.live > 0 {
             let now = self.clock.now();
             let target = match self.wheel.next_deadline() {
@@ -789,10 +804,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
             match sess.res.absorb_recv(outcome.map(Some), now_rel, &sess.obs) {
                 // Quarantine or fatal transport error: abort with the
                 // typed error and no session_end event.
-                Err(e) => AfterIo::Finish(match sess.engine {
-                    Engine::Sender(_) => SessionOutcome::Sender(Err(e)),
-                    Engine::Receiver(_) => SessionOutcome::Receiver(Err(e)),
-                }),
+                Err(e) => AfterIo::Finish(sess.failed(e)),
                 // Recoverable damage absorbed: counted, not progress.
                 Ok(None) => AfterIo::Nothing,
                 Ok(Some(msg)) => {
@@ -977,45 +989,21 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                     }
                     SenderStep::Transmit(msg) => {
                         let keepalive = matches!(msg, Message::Announce { .. });
-                        let Some(transport) = sockets.get_mut(token) else {
-                            break 'drive Some(SessionOutcome::Sender(
-                                Err(NetError::Closed.into()),
-                            ));
+                        let send = PendingSend {
+                            msg,
+                            attempt: 0,
+                            keepalive,
                         };
-                        match transport.send(&msg) {
-                            Ok(()) => {
-                                if !keepalive {
-                                    sess.last_progress = now_abs;
-                                    sess.last_event = Some(Event::NetSent {
-                                        kind: msg.obs_kind(),
-                                    });
-                                    if let Some(ring) = &sess.flight {
-                                        ring.record(
-                                            now_rel,
-                                            &Event::NetSent {
-                                                kind: msg.obs_kind(),
-                                            },
-                                        );
-                                    }
-                                }
-                                sess.wait_armed = false;
+                        sess.wait_armed = false;
+                        break 'drive match transmit(sess, sockets, wheel, tick, now_abs, send) {
+                            Flush::Clear => {
                                 let spacing = sess.rt.packet_spacing;
                                 arm(wheel, sess, TimerKind::Pace, spacing, tick);
-                                break 'drive None;
+                                None
                             }
-                            Err(NetError::Io(_)) if sess.res.policy().send_retries > 0 => {
-                                let backoff = sess.res.retry_backoff(1, now_rel, obs);
-                                sess.pending = Some(PendingSend {
-                                    msg,
-                                    attempt: 1,
-                                    keepalive,
-                                });
-                                sess.wait_armed = false;
-                                arm(wheel, sess, TimerKind::Retry, backoff, tick);
-                                break 'drive None;
-                            }
-                            Err(e) => break 'drive Some(SessionOutcome::Sender(Err(e.into()))),
-                        }
+                            Flush::Parked => None,
+                            Flush::Fatal(e) => Some(SessionOutcome::Sender(Err(e))),
+                        };
                     }
                     SenderStep::WaitUntil(t) => {
                         let idle = now_abs - sess.last_progress;
@@ -1085,10 +1073,18 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                     sess.outbound.push_back(m);
                 }
             }
-            match flush_outbound(sess, sockets, wheel, tick, now_abs) {
-                Flush::Parked => break 'drive None,
-                Flush::Fatal(e) => break 'drive Some(SessionOutcome::Receiver(Err(e))),
-                Flush::Clear => {}
+            // Flush in order, parking on the first transient failure.
+            while let Some(msg) = sess.outbound.pop_front() {
+                let send = PendingSend {
+                    msg,
+                    attempt: 0,
+                    keepalive: false,
+                };
+                match transmit(sess, sockets, wheel, tick, now_abs, send) {
+                    Flush::Clear => {}
+                    Flush::Parked => break 'drive None,
+                    Flush::Fatal(e) => break 'drive Some(SessionOutcome::Receiver(Err(e))),
+                }
             }
             if let Some(done) = receiver_checks(sess, now_abs) {
                 break 'drive Some(done);
@@ -1126,52 +1122,22 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
             else {
                 return;
             };
-            let Some(mut pending) = sess.pending.take() else {
+            let Some(pending) = sess.pending.take() else {
                 return;
             };
-            let now_rel = now_abs - sess.started;
-            let sent = match sockets.get_mut(token) {
-                Some(transport) => transport.send(&pending.msg),
-                None => Err(NetError::Closed),
-            };
-            match sent {
-                Ok(()) => {
-                    if !pending.keepalive {
-                        sess.last_progress = now_abs;
-                        sess.last_event = Some(Event::NetSent {
-                            kind: pending.msg.obs_kind(),
-                        });
-                        if let Some(ring) = &sess.flight {
-                            ring.record(
-                                now_rel,
-                                &Event::NetSent {
-                                    kind: pending.msg.obs_kind(),
-                                },
-                            );
-                        }
+            match transmit(sess, sockets, wheel, tick, now_abs, pending) {
+                Flush::Clear => match sess.engine {
+                    Engine::Sender(_) => {
+                        // The send finally landed: resume pacing from
+                        // here.
+                        let spacing = sess.rt.packet_spacing;
+                        arm(wheel, sess, TimerKind::Pace, spacing, tick);
+                        AfterIo::Nothing
                     }
-                    match sess.engine {
-                        Engine::Sender(_) => {
-                            // The send finally landed: resume pacing from
-                            // here.
-                            let spacing = sess.rt.packet_spacing;
-                            arm(wheel, sess, TimerKind::Pace, spacing, tick);
-                            AfterIo::Nothing
-                        }
-                        Engine::Receiver(_) => AfterIo::DriveReceiver,
-                    }
-                }
-                Err(NetError::Io(_)) if pending.attempt < sess.res.policy().send_retries => {
-                    pending.attempt += 1;
-                    let backoff = sess.res.retry_backoff(pending.attempt, now_rel, &sess.obs);
-                    sess.pending = Some(pending);
-                    arm(wheel, sess, TimerKind::Retry, backoff, tick);
-                    AfterIo::Nothing
-                }
-                Err(e) => AfterIo::Finish(match sess.role() {
-                    Role::Sender => SessionOutcome::Sender(Err(e.into())),
-                    Role::Receiver => SessionOutcome::Receiver(Err(e.into())),
-                }),
+                    Engine::Receiver(_) => AfterIo::DriveReceiver,
+                },
+                Flush::Parked => AfterIo::Nothing,
+                Flush::Fatal(e) => AfterIo::Finish(sess.failed(e)),
             }
         };
         match after {
@@ -1371,49 +1337,48 @@ fn arm_at(wheel: &mut TimerWheel<TimerKey>, sess: &mut SessionState, kind: Timer
     );
 }
 
-/// Send everything in a receiver's outbound queue, one message at a
-/// time, parking on the first transient failure.
-fn flush_outbound<T: PollTransport>(
+/// Hand one message to the session's transport: the mux's only send.
+///
+/// A landed send is progress (the stall clock, the `Stalled` context and
+/// the flight ring) unless it is a keep-alive. A transient I/O failure
+/// with retries left parks the message and arms `Retry`; any other
+/// failure is fatal.
+fn transmit<T: PollTransport>(
     sess: &mut SessionState,
     sockets: &mut PollSet<T>,
     wheel: &mut TimerWheel<TimerKey>,
     tick: Duration,
     now_abs: f64,
+    send: PendingSend,
 ) -> Flush {
-    while let Some(msg) = sess.outbound.pop_front() {
-        let Some(transport) = sockets.get_mut(sess.token) else {
-            return Flush::Fatal(NetError::Closed.into());
-        };
-        match transport.send(&msg) {
-            Ok(()) => {
-                sess.last_progress = now_abs;
-                sess.last_event = Some(Event::NetSent {
-                    kind: msg.obs_kind(),
-                });
+    let sent = match sockets.get_mut(sess.token) {
+        Some(transport) => transport.send(&send.msg),
+        None => Err(NetError::Closed),
+    };
+    let now_rel = now_abs - sess.started;
+    match sent {
+        Ok(()) => {
+            if !send.keepalive {
+                let event = Event::NetSent {
+                    kind: send.msg.obs_kind(),
+                };
                 if let Some(ring) = &sess.flight {
-                    ring.record(
-                        now_abs - sess.started,
-                        &Event::NetSent {
-                            kind: msg.obs_kind(),
-                        },
-                    );
+                    ring.record(now_rel, &event);
                 }
+                sess.last_progress = now_abs;
+                sess.last_event = Some(event);
             }
-            Err(NetError::Io(_)) if sess.res.policy().send_retries > 0 => {
-                let now_rel = now_abs - sess.started;
-                let backoff = sess.res.retry_backoff(1, now_rel, &sess.obs);
-                sess.pending = Some(PendingSend {
-                    msg,
-                    attempt: 1,
-                    keepalive: false,
-                });
-                arm(wheel, sess, TimerKind::Retry, backoff, tick);
-                return Flush::Parked;
-            }
-            Err(e) => return Flush::Fatal(e.into()),
+            Flush::Clear
         }
+        Err(NetError::Io(_)) if send.attempt < sess.res.policy().send_retries => {
+            let attempt = send.attempt + 1;
+            let backoff = sess.res.retry_backoff(attempt, now_rel, &sess.obs);
+            sess.pending = Some(PendingSend { attempt, ..send });
+            arm(wheel, sess, TimerKind::Retry, backoff, tick);
+            Flush::Parked
+        }
+        Err(e) => Flush::Fatal(e.into()),
     }
-    Flush::Clear
 }
 
 /// A receiver's end-of-drive checks: FIN, linger, stall.
@@ -1928,10 +1893,26 @@ mod tests {
         incoming: VecDeque<Message>,
         /// `sends_seen` at each delivery.
         delivered_at: Vec<u32>,
+        /// The sends that landed, in order.
+        sent: Vec<Message>,
+    }
+
+    impl Flaky {
+        /// Failing the first `fail_sends` sends; `incoming` is delivered
+        /// from the start.
+        fn delivering(fail_sends: u32, incoming: Vec<Message>) -> Self {
+            Flaky {
+                fail_sends,
+                sends_seen: 1,
+                incoming: incoming.into(),
+                delivered_at: Vec::new(),
+                sent: Vec::new(),
+            }
+        }
     }
 
     impl Transport for Flaky {
-        fn send(&mut self, _msg: &Message) -> Result<(), NetError> {
+        fn send(&mut self, msg: &Message) -> Result<(), NetError> {
             self.sends_seen += 1;
             if self.fail_sends > 0 {
                 self.fail_sends -= 1;
@@ -1940,6 +1921,7 @@ mod tests {
                     "flaky uplink",
                 )));
             }
+            self.sent.push(msg.clone());
             Ok(())
         }
         fn recv_timeout(&mut self, _timeout: Duration) -> Result<Option<Message>, NetError> {
@@ -1955,6 +1937,10 @@ mod tests {
     }
 
     impl PollTransport for Flaky {}
+
+    fn flaky_mux<'a>() -> Mux<&'a mut Flaky, VirtualClock> {
+        Mux::new(MuxConfig::default(), VirtualClock::new())
+    }
 
     #[test]
     fn send_backoff_keeps_receiving() {
@@ -1978,11 +1964,11 @@ mod tests {
                 },
             ]),
             delivered_at: Vec::new(),
+            sent: Vec::new(),
         };
         let mut cfg = rt();
         cfg.resilience.retry_backoff_cap = Duration::from_millis(4);
-        let mut m: Mux<&mut Flaky, VirtualClock> =
-            Mux::new(MuxConfig::default(), VirtualClock::new());
+        let mut m = flaky_mux();
         let machine = Scripted::new(vec![SenderStep::Transmit(Message::Fin { session })]);
         m.add_sender(machine, &mut tp, cfg);
         let report = match m.run().pop() {
@@ -2206,14 +2192,8 @@ mod tests {
         // A parked retry: the failed `Done` owns the session until the
         // Retry timer lands it, and that turn drives the receiver on (the
         // Wake a parked session lacks is armed again).
-        let mut tp = Flaky {
-            fail_sends: 1,
-            sends_seen: 1, // deliver from the start
-            incoming: two_group_schedule(session).into(),
-            delivered_at: Vec::new(),
-        };
-        let mut m: Mux<&mut Flaky, VirtualClock> =
-            Mux::new(MuxConfig::default(), VirtualClock::new());
+        let mut tp = Flaky::delivering(1, two_group_schedule(session));
+        let mut m = flaky_mux();
         let tok = m.add_receiver(NpReceiver::new(1, session, 0.001, 3), &mut tp, rt());
         m.turn_once();
         assert!(live(&m, tok).pending.is_some(), "Done parked");
@@ -2228,12 +2208,39 @@ mod tests {
     }
 
     /// A receiver machine with one scripted NAK: any `Poll` schedules it
-    /// for `nak_at`, and `on_timer` sends it once that time has come.
+    /// for `nak_at`, and `on_timer` sends it, then `after`, once that time
+    /// has come.
     struct OneNak {
         nak_at: f64,
         pending: bool,
+        after: Vec<Message>,
         counters: pm_core::CostCounters,
     }
+
+    impl OneNak {
+        fn new(nak_at: f64, after: Vec<Message>) -> Self {
+            OneNak {
+                nak_at,
+                pending: false,
+                after,
+                counters: Default::default(),
+            }
+        }
+    }
+
+    const ONE_NAK: Message = Message::Nak {
+        session: 1,
+        group: 0,
+        needed: 1,
+        round: 1,
+    };
+
+    const ONE_POLL: Message = Message::Poll {
+        session: 1,
+        group: 0,
+        sent: 4,
+        round: 1,
+    };
 
     impl ReceiverMachine for OneNak {
         fn handle(
@@ -2249,12 +2256,10 @@ mod tests {
                 return Vec::new();
             }
             self.pending = false;
-            vec![ReceiverAction::Send(Message::Nak {
-                session: 1,
-                group: 0,
-                needed: 1,
-                round: 1,
-            })]
+            std::iter::once(ONE_NAK)
+                .chain(self.after.drain(..))
+                .map(ReceiverAction::Send)
+                .collect()
         }
         fn next_deadline(&self) -> Option<f64> {
             self.pending.then_some(self.nak_at)
@@ -2282,12 +2287,7 @@ mod tests {
         let mut feeder = hub.join();
         let mut m = mux();
         let nak_at = RECEIVER_WAIT_CEIL.as_secs_f64();
-        let machine = OneNak {
-            nak_at,
-            pending: false,
-            counters: Default::default(),
-        };
-        let tok = m.add_receiver(machine, hub.join(), rt());
+        let tok = m.add_receiver(OneNak::new(nak_at, Vec::new()), hub.join(), rt());
         m.turn_once();
         let armed = live(&m, tok).wake_at;
         assert_eq!(
@@ -2295,14 +2295,7 @@ mod tests {
             nak_at,
             "Wake sits on the deadline"
         );
-        feeder
-            .send(&Message::Poll {
-                session: 1,
-                group: 0,
-                sent: 4,
-                round: 1,
-            })
-            .unwrap();
+        feeder.send(&ONE_POLL).unwrap();
         m.turn_once();
         assert_eq!(drives_of(&m, tok), 1, "not earlier than the Wake: no drive");
         assert_eq!(live(&m, tok).wake_at, armed);
@@ -2315,5 +2308,102 @@ mod tests {
             "sent by the Wake that was already armed"
         );
         assert_eq!(drives_of(&m, tok), 2);
+    }
+
+    // ------------------------------------------------- transient send failures
+
+    #[test]
+    fn a_parked_nak_goes_out_before_the_done_queued_behind_it() {
+        let done = Message::Done {
+            session: 1,
+            receiver: 1,
+        };
+        let mut tp = Flaky::delivering(1, vec![ONE_POLL]);
+        let mut m = flaky_mux();
+        let tok = m.add_receiver(OneNak::new(0.002, vec![done.clone()]), &mut tp, rt());
+        while live(&m, tok).pending.is_none() {
+            m.turn_once();
+        }
+        assert_eq!(live(&m, tok).outbound.front(), Some(&done), "queued behind");
+        while live(&m, tok).pending.is_some() {
+            m.turn_once();
+        }
+        assert!(
+            live(&m, tok).outbound.is_empty(),
+            "flushed in the same turn"
+        );
+        assert_eq!(live(&m, tok).res.send_retries(), 1);
+        drop(m);
+        assert_eq!(tp.sent, [ONE_NAK, done]);
+        assert_eq!(tp.sends_seen, 1 + 3, "one failure, then both landed");
+    }
+
+    #[test]
+    fn exhausted_retries_end_either_side_with_the_io_error() {
+        let attempts = 1 + rt().resilience.send_retries;
+        let mut tp = Flaky::delivering(u32::MAX, Vec::new());
+        let mut m = flaky_mux();
+        let fin = SenderStep::Transmit(Message::Fin { session: 1 });
+        m.add_sender(Scripted::new(vec![fin]), &mut tp, rt());
+        let outcome = m.run().pop();
+        assert!(
+            matches!(
+                outcome,
+                Some((
+                    _,
+                    SessionOutcome::Sender(Err(ProtocolError::Net(NetError::Io(_))))
+                ))
+            ),
+            "{outcome:?}"
+        );
+        drop(m);
+        assert_eq!(tp.sends_seen, 1 + attempts);
+
+        let mut tp = Flaky::delivering(u32::MAX, vec![ONE_POLL]);
+        let mut m = flaky_mux();
+        m.add_receiver(OneNak::new(0.002, Vec::new()), &mut tp, rt());
+        let outcome = m.run().pop();
+        assert!(
+            matches!(
+                outcome,
+                Some((
+                    _,
+                    SessionOutcome::Receiver(Err(ProtocolError::Net(NetError::Io(_))))
+                ))
+            ),
+            "{outcome:?}"
+        );
+        drop(m);
+        assert_eq!(tp.sends_seen, 1 + attempts);
+        assert!(tp.sent.is_empty());
+    }
+
+    #[test]
+    fn a_keepalive_that_lands_on_a_retry_is_still_not_progress() {
+        // An orphan sender whose only transmission is an announce: the
+        // first attempt fails, the retry lands, and the session must still
+        // stall with nothing counted as progress.
+        let announce = pm_core::SessionPlan::new(1, 0, 1, 0, 16)
+            .unwrap()
+            .announce();
+        let mut steps = vec![SenderStep::Transmit(announce)];
+        steps.extend((0..8).map(|_| SenderStep::WaitUntil(f64::INFINITY)));
+        let cfg = RuntimeConfig {
+            stall_timeout: Duration::from_millis(150),
+            ..RuntimeConfig::default()
+        };
+        let mut tp = Flaky::delivering(1, Vec::new());
+        let mut m = flaky_mux();
+        m.add_sender(Scripted::new(steps), &mut tp, cfg);
+        match m.run().pop() {
+            Some((
+                _,
+                SessionOutcome::Sender(Err(ProtocolError::Stalled { last_progress, .. })),
+            )) => assert!(last_progress.is_none(), "{last_progress:?}"),
+            other => panic!("expected Stalled, got {other:?}"),
+        }
+        drop(m);
+        assert_eq!(tp.sends_seen, 1 + 2, "one failure, then the retry landed");
+        assert_eq!(tp.sent.len(), 1);
     }
 }

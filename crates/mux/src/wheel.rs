@@ -1,70 +1,49 @@
-//! Hierarchical timer wheel over `u64` ticks.
+//! The multiplexer's timer queue: a binary min-heap over `u64` ticks.
 //!
 //! The multiplexer replaces every blocking wait — pacing, retry backoff,
 //! machine wakeups, receiver poll cadence — with an entry here, so the
-//! driver thread never parks on one session's behalf. The wheel is the
-//! classic hashed hierarchy (64 slots × 4 levels; level `l` spans deltas
-//! in `[64^l, 64^(l+1))` ticks), giving O(1) insertion and
-//! O(expired + cascades) advancement regardless of how many timers are
-//! pending.
+//! driver thread never parks on one session's behalf. A mux holds at most
+//! three live entries per session (Pace, Wake, Retry) plus stale ones
+//! waiting to be dropped, so a heap is all the structure it needs:
+//! O(log n) per insert and per expiration, and its top is the exact next
+//! deadline. The type is still called `TimerWheel`, the name of the
+//! hierarchical wheel it replaced, because the benchmark binds that name.
 //!
 //! Determinism contract: for a fixed sequence of `insert`/`advance` calls
 //! the set *and order* of expirations is a pure function of that sequence.
-//! Expirations come out in deadline order; entries sharing a deadline come
-//! out in insertion order. Nothing in this module reads a clock — ticks
-//! are whatever the caller says they are, which is what lets the same
-//! wheel serve a virtual clock in tests and a wall clock in production.
+//! An entry is due at its deadline, or at the tick it was inserted if that
+//! deadline had already passed. Expirations come out in due order, and
+//! entries due on the same tick come out in insertion order. Nothing in
+//! this module reads a clock — ticks are whatever the caller says they
+//! are, which is what lets the same queue serve a virtual clock in tests
+//! and a wall clock in production.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-/// Slots per level (the classic 64-way fanout: slot index is 6 bits).
-const SLOTS: usize = 64;
-/// Hierarchy depth. Four levels cover deltas up to `64^4 ≈ 16.7M` ticks;
-/// anything farther parks in the overflow list and re-enters the
-/// hierarchy as time approaches.
-const LEVELS: usize = 4;
-const SLOT_BITS: u32 = 6;
-
-#[derive(Debug, Clone, Copy)]
-struct Entry<K> {
-    deadline: u64,
-    key: K,
-}
-
-/// Hierarchical timer wheel: `insert` keys at absolute tick deadlines,
-/// `advance` the current tick, and collect expirations in deadline order.
+/// Timer queue: `insert` keys at absolute tick deadlines, `advance` the
+/// current tick, and collect expirations in deadline order.
 ///
 /// Keys are opaque `Copy` handles; cancellation is the caller's problem
 /// (the multiplexer uses per-key generation counters and simply ignores
-/// stale expirations — lazy cancellation keeps the wheel allocation-free
-/// on the cancel path).
+/// stale expirations — lazy cancellation keeps the cancel path free).
 #[derive(Debug)]
-pub struct TimerWheel<K: Copy> {
+pub struct TimerWheel<K> {
     now: u64,
-    /// `levels[l][s]` holds entries whose deadline maps to slot `s` of
-    /// level `l`; FIFO order within a slot is insertion order.
-    levels: Vec<Vec<VecDeque<Entry<K>>>>,
-    /// Bitmask of non-empty slots per level.
-    occupancy: [u64; LEVELS],
-    /// Entries too far out for the hierarchy.
-    overflow: Vec<Entry<K>>,
-    /// Entries inserted with `deadline <= now`: due immediately.
-    due: VecDeque<Entry<K>>,
-    len: usize,
+    /// Min-heap of `(due, seq, deadline, key)`, where `due` is
+    /// `max(deadline, now at insert)`. `seq` counts insertions, so no two
+    /// entries tie and keys are never compared.
+    heap: BinaryHeap<Reverse<(u64, u64, u64, K)>>,
+    seq: u64,
 }
 
-impl<K: Copy> TimerWheel<K> {
-    /// An empty wheel positioned at tick 0.
+impl<K: Copy + Ord> TimerWheel<K> {
+    /// An empty queue positioned at tick 0.
     pub fn new() -> Self {
         TimerWheel {
             now: 0,
-            levels: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| VecDeque::new()).collect())
-                .collect(),
-            occupancy: [0; LEVELS],
-            overflow: Vec::new(),
-            due: VecDeque::new(),
-            len: 0,
+            heap: BinaryHeap::new(),
+            seq: 0,
         }
     }
 
@@ -73,187 +52,48 @@ impl<K: Copy> TimerWheel<K> {
         self.now
     }
 
-    /// Pending entries (hierarchy + overflow + immediately-due).
+    /// Pending entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// True when no timers are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Schedule `key` to expire at absolute tick `deadline`. Deadlines at
     /// or before the current tick expire on the next `advance` call, in
     /// insertion order.
     pub fn insert(&mut self, deadline: u64, key: K) {
-        self.len += 1;
-        let entry = Entry { deadline, key };
-        if deadline <= self.now {
-            self.due.push_back(entry);
-            return;
-        }
-        let delta = deadline - self.now;
-        let level = (63 - delta.leading_zeros()) as usize / SLOT_BITS as usize;
-        if level >= LEVELS {
-            self.overflow.push(entry);
-            return;
-        }
-        let slot = ((deadline >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.levels[level][slot].push_back(entry);
-        self.occupancy[level] |= 1u64 << slot;
+        self.seq += 1;
+        let due = deadline.max(self.now);
+        self.heap.push(Reverse((due, self.seq, deadline, key)));
     }
 
-    /// Earliest tick at which something may expire, or `None` when empty.
-    ///
-    /// For entries above level 0 this is a *lower bound* (the start of
-    /// their slot's granule): `advance`-ing to it cascades them toward
-    /// level 0 and a subsequent call tightens the bound; it never
-    /// overshoots a real deadline. That is exactly what both clock
-    /// drivers need — a tick it is safe to jump (virtual) or sleep (wall)
-    /// until.
+    /// The tick the earliest pending entry is due at, or `None` when
+    /// empty: exactly the tick `advance` must reach to fire it, which is
+    /// what a virtual clock jumps to and a wall clock sleeps until.
     pub fn next_deadline(&self) -> Option<u64> {
-        if !self.due.is_empty() {
-            return Some(self.now);
-        }
-        let mut best: Option<u64> = None;
-        for level in 0..LEVELS {
-            if let Some(c) = self.level_candidate(level) {
-                best = Some(best.map_or(c, |b| b.min(c)));
-            }
-        }
-        for e in &self.overflow {
-            best = Some(best.map_or(e.deadline, |b| b.min(e.deadline)));
-        }
-        best
+        self.heap.peek().map(|Reverse((due, ..))| *due)
     }
 
-    /// Earliest candidate tick for `level`, from its occupancy mask.
-    fn level_candidate(&self, level: usize) -> Option<u64> {
-        let occ = self.occupancy[level];
-        if occ == 0 {
-            return None;
-        }
-        let shift = SLOT_BITS * level as u32;
-        let granule = self.now >> shift;
-        let cur_slot = (granule & (SLOTS as u64 - 1)) as usize;
-        let base = granule & !(SLOTS as u64 - 1);
-        let mut best = u64::MAX;
-        let mut bits = occ;
-        while bits != 0 {
-            let slot = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let cand = if level > 0 && slot == cur_slot {
-                // The current granule is partially elapsed; entries here
-                // may be due as soon as the next tick. Cascading at
-                // `now + 1` re-sorts them into lower levels.
-                self.now + 1
-            } else {
-                let mut g = base + slot as u64;
-                if g <= granule {
-                    g += SLOTS as u64;
-                }
-                g << shift
-            };
-            best = best.min(cand);
-        }
-        Some(best)
-    }
-
-    /// Move the clock to `to`, appending every expiration with
-    /// `deadline <= to` onto `expired` as `(deadline, key)` pairs, in
-    /// deadline order (ties in insertion order within a slot).
+    /// Move the clock to `to` (never backwards), appending every entry due
+    /// by then onto `expired` as `(deadline, key)` pairs, in due order.
     pub fn advance(&mut self, to: u64, expired: &mut Vec<(u64, K)>) {
-        loop {
-            while let Some(e) = self.due.pop_front() {
-                self.len -= 1;
-                expired.push((e.deadline, e.key));
-            }
-            let Some(cand) = self.next_candidate_before(to) else {
-                break;
-            };
-            self.now = self.now.max(cand);
-            self.collect_at(expired);
-        }
         self.now = self.now.max(to);
-    }
-
-    /// Smallest candidate tick `<= to`, if any.
-    fn next_candidate_before(&self, to: u64) -> Option<u64> {
-        let mut best: Option<u64> = None;
-        for level in 0..LEVELS {
-            if let Some(c) = self.level_candidate(level) {
-                if c <= to {
-                    best = Some(best.map_or(c, |b| b.min(c)));
-                }
+        while let Some(top) = self.heap.peek_mut() {
+            let Reverse((due, _, deadline, key)) = *top;
+            if due > self.now {
+                break;
             }
-        }
-        for e in &self.overflow {
-            if e.deadline <= to {
-                best = Some(best.map_or(e.deadline, |b| b.min(e.deadline)));
-            }
-        }
-        best
-    }
-
-    /// Fire or cascade everything ripe now (`self.now` has already been
-    /// moved to the minimal candidate tick).
-    ///
-    /// Because `advance` walks candidates in ascending order, the only
-    /// slot that can be ripe at each step is the one the cursor sits in:
-    /// any other occupied slot's candidate is strictly in the future. At
-    /// level 0 the cursor slot's entries with `deadline == now` fire; at
-    /// higher levels its entries cascade toward level 0 (re-inserted
-    /// relative to the new `now`, they land at a strictly lower level or
-    /// a later slot, so the advance loop always makes progress).
-    fn collect_at(&mut self, expired: &mut Vec<(u64, K)>) {
-        for level in 0..LEVELS {
-            if self.occupancy[level] == 0 {
-                continue;
-            }
-            let shift = SLOT_BITS * level as u32;
-            let cur_slot = ((self.now >> shift) & (SLOTS as u64 - 1)) as usize;
-            if self.occupancy[level] & (1u64 << cur_slot) == 0 {
-                continue;
-            }
-            let drained: VecDeque<Entry<K>> = std::mem::take(&mut self.levels[level][cur_slot]);
-            self.occupancy[level] &= !(1u64 << cur_slot);
-            for e in drained {
-                self.len -= 1;
-                if e.deadline <= self.now {
-                    expired.push((e.deadline, e.key));
-                } else {
-                    self.insert(e.deadline, e.key);
-                }
-            }
-        }
-        // Pull overflow entries back into the hierarchy once they are in
-        // range (or due).
-        if !self.overflow.is_empty() {
-            let near: Vec<Entry<K>> = {
-                let now = self.now;
-                let (near, far): (Vec<_>, Vec<_>) = self
-                    .overflow
-                    .drain(..)
-                    .partition(|e| e.deadline <= now || in_hierarchy_range(now, e.deadline));
-                self.overflow = far;
-                near
-            };
-            for e in near {
-                self.len -= 1;
-                self.insert(e.deadline, e.key);
-            }
+            PeekMut::pop(top);
+            expired.push((deadline, key));
         }
     }
 }
 
-/// True when `deadline` is close enough to `now` for the 4-level
-/// hierarchy.
-fn in_hierarchy_range(now: u64, deadline: u64) -> bool {
-    deadline > now && (deadline - now) < (1u64 << (SLOT_BITS * LEVELS as u32))
-}
-
-impl<K: Copy> Default for TimerWheel<K> {
+impl<K: Copy + Ord> Default for TimerWheel<K> {
     fn default() -> Self {
         TimerWheel::new()
     }
@@ -270,9 +110,9 @@ mod tests {
     }
 
     #[test]
-    fn fires_in_deadline_order_across_levels() {
+    fn fires_in_deadline_order_near_and_far() {
         let mut w = TimerWheel::new();
-        // Deadlines spanning all four levels plus overflow.
+        // Deadlines from the next tick to far past 2^24 ticks.
         let deadlines = [
             1u64, 63, 64, 100, 4095, 4096, 262143, 262144, 16_777_215, 16_777_216, 20_000_000,
         ];
@@ -303,6 +143,12 @@ mod tests {
             fired.iter().map(|&(_, k)| k).collect::<Vec<_>>(),
             (0..10).collect::<Vec<_>>()
         );
+        // Inserted at different ticks, due on the same one: still in
+        // insertion order.
+        w.insert(600 + 200, 0);
+        drain(&mut w, 600 + 150);
+        w.insert(600 + 200, 1);
+        assert_eq!(drain(&mut w, 600 + 200), [(800, 0), (800, 1)]);
     }
 
     #[test]
@@ -330,29 +176,24 @@ mod tests {
     }
 
     #[test]
-    fn next_deadline_is_a_safe_lower_bound() {
+    fn next_deadline_is_exact() {
+        // One jump to the reported tick fires the entry: an idle mux spends
+        // no turn that only moves entries around.
         let mut w = TimerWheel::new();
         w.insert(7777, 1);
-        let mut jumps = 0;
-        while let Some(t) = w.next_deadline() {
-            assert!(t <= 7777, "bound never overshoots the real deadline");
-            let mut fired = Vec::new();
-            w.advance(t, &mut fired);
-            jumps += 1;
-            assert!(jumps < 16, "bound must tighten, not loop");
-            if !fired.is_empty() {
-                assert_eq!(fired, vec![(7777, 1)]);
-                break;
-            }
-        }
+        assert_eq!(w.next_deadline(), Some(7777));
+        assert_eq!(drain(&mut w, 7776), []);
+        assert_eq!(w.next_deadline(), Some(7777));
+        assert_eq!(drain(&mut w, 7777), [(7777, 1)]);
+        assert_eq!(w.next_deadline(), None);
         assert!(w.is_empty());
     }
 
     #[test]
-    fn cascades_preserve_exact_deadlines() {
+    fn strided_advances_preserve_exact_deadlines() {
         let mut w = TimerWheel::new();
-        // Insert far-future entries, advance close, then past them: the
-        // cascade through levels must not distort any deadline.
+        // Insert far-future entries, advance close, then past them: no
+        // deadline may be distorted on the way.
         for k in 0..50u32 {
             w.insert(100_000 + k as u64 * 37, k);
         }
@@ -392,29 +233,27 @@ mod tests {
     }
 
     #[test]
-    fn next_deadline_is_exact_for_overflow_entries() {
-        // The idle nap of a wall-clocked mux is capped at next_deadline:
-        // when the earliest pending entry lives on the overflow list
-        // (beyond the 2^24-tick hierarchy horizon), the bound must be
-        // that entry's exact deadline, not a horizon-sized guess.
+    fn next_deadline_is_the_earliest_entry_at_any_distance() {
+        // The idle nap of a wall-clocked mux is capped at next_deadline,
+        // so the bound must be the earliest entry's exact deadline however
+        // far out it lies, not a horizon-sized guess.
         let mut w = TimerWheel::new();
         let far = (1u64 << 24) + 12_345;
         w.insert(far, 0);
         assert_eq!(w.next_deadline(), Some(far));
         let farther = (1u64 << 30) + 7;
         w.insert(farther, 1);
-        assert_eq!(w.next_deadline(), Some(far), "earliest overflow entry wins");
-        w.insert(50, 2); // level 0: the bound is exact there too
-        assert_eq!(w.next_deadline(), Some(50), "in-hierarchy entry wins");
+        assert_eq!(w.next_deadline(), Some(far), "earliest far entry wins");
+        w.insert(50, 2);
+        assert_eq!(w.next_deadline(), Some(50), "a near entry wins");
     }
 
     #[test]
-    fn far_deadline_cascades_preserve_fire_times() {
-        // Property-style sweep: seeded pseudo-random deadlines spanning
-        // every level AND the overflow list, advanced in pseudo-random
-        // strides. Every entry must fire exactly at its own tick, in
-        // deadline order, regardless of how the cascade path (including
-        // overflow migration back into the hierarchy) chops the journey.
+    fn random_deadlines_fire_on_time_under_random_strides() {
+        // Property-style sweep: seeded pseudo-random deadlines out to 2^25
+        // ticks, advanced in pseudo-random strides. Every entry must fire
+        // exactly at its own tick, in deadline order, however the strides
+        // chop the journey.
         let mut rng: u64 = 0x9E37_79B9;
         let mut next = move || {
             rng ^= rng << 13;
@@ -425,9 +264,7 @@ mod tests {
         let mut w = TimerWheel::new();
         let mut expected: Vec<(u64, u32)> = (0..96u32)
             .map(|k| {
-                // Bias toward the far end: half the entries beyond the
-                // 2^24 horizon (the overflow list), the rest spread
-                // across the four hierarchy levels.
+                // Half the entries beyond 2^24 ticks, half within it.
                 let d = if k % 2 == 0 {
                     (1u64 << 24) + next() % (1u64 << 24)
                 } else {
@@ -443,33 +280,27 @@ mod tests {
         let mut t = 0u64;
         while t < horizon {
             t += 1 + next() % ((1u64 << 23) + 1);
-            // The advance target must respect the lower bound contract:
-            // next_deadline never overshoots the true earliest entry.
             if let Some(bound) = w.next_deadline() {
-                assert!(
-                    bound <= expected[fired.len()].0,
-                    "bound {bound} past true earliest {}",
-                    expected[fired.len()].0
-                );
+                assert_eq!(bound, expected[fired.len()].0, "next_deadline is exact");
             }
             w.advance(t.min(horizon), &mut fired);
         }
         assert!(w.is_empty());
         assert_eq!(fired.len(), expected.len());
         for (&(got_d, got_k), &(want_d, _)) in fired.iter().zip(&expected) {
-            assert_eq!(got_d, want_d, "cascade distorted a deadline");
+            assert_eq!(got_d, want_d, "a deadline was distorted");
             let original = expected.iter().find(|&&(_, k)| k == got_k).unwrap().0;
             assert_eq!(got_d, original, "entry {got_k} fired off its deadline");
         }
     }
 
     #[test]
-    fn len_tracks_hierarchy_overflow_and_due() {
+    fn len_counts_due_near_and_far_entries() {
         let mut w = TimerWheel::new();
         w.insert(0, 0); // due
-        w.insert(10, 1); // level 0
-        w.insert(1_000_000, 2); // level 3
-        w.insert(1u64 << 40, 3); // overflow
+        w.insert(10, 1);
+        w.insert(1_000_000, 2);
+        w.insert(1u64 << 40, 3);
         assert_eq!(w.len(), 4);
         drain(&mut w, 10);
         assert_eq!(w.len(), 2);

@@ -14,7 +14,9 @@ use parity_multicast::net::{
     FaultConfig, FaultStats, FaultyTransport, MemHub, Message, PollTransport, Transport,
 };
 use parity_multicast::obs::{validate_trace, JsonlRecorder, Obs};
-use parity_multicast::protocol::runtime::{ReceiverReport, RuntimeConfig, SessionReport};
+use parity_multicast::protocol::runtime::{
+    ReceiverMachine, ReceiverReport, RuntimeConfig, SenderMachine, SessionReport,
+};
 use parity_multicast::protocol::{CompletionPolicy, NpConfig, NpReceiver, NpSender, ProtocolError};
 
 fn rt() -> RuntimeConfig {

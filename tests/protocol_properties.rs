@@ -7,6 +7,7 @@ use proptest::prelude::*;
 
 use parity_multicast::net::Message;
 use parity_multicast::protocol::receiver::ReceiverAction;
+use parity_multicast::protocol::runtime::{ReceiverMachine, SenderMachine};
 use parity_multicast::protocol::sender::SenderStep;
 use parity_multicast::protocol::{CompletionPolicy, NpConfig, NpReceiver, NpSender};
 
