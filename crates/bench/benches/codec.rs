@@ -92,10 +92,11 @@ fn bench_backend_curves(c: &mut Criterion) {
     // across small/default/jumbo packets.
     use pm_simd::{kernels_for, Backend};
 
-    let backends: Vec<&'static pm_simd::Kernels> = [Backend::Scalar, Backend::Avx2, Backend::Neon]
-        .into_iter()
-        .filter_map(kernels_for)
-        .collect();
+    let backends: Vec<&'static pm_simd::Kernels> =
+        [Backend::Scalar, Backend::Avx2, Backend::Gfni, Backend::Neon]
+            .into_iter()
+            .filter_map(kernels_for)
+            .collect();
     for &(k, h) in &[(20usize, 10usize), (7, 1)] {
         for &packet in &[256usize, 1024, 8192] {
             let data = group_data_sized(k, packet);

@@ -8,6 +8,7 @@
 
 use crate::error::GfError;
 use crate::gf256::Gf256;
+use crate::mul_table::mul_row;
 
 /// A row-major dense matrix over GF(2^8).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,10 +103,12 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self * rhs`.
+    /// Matrix product `self * rhs` — the scalar oracle of this crate's
+    /// tests. Codec products run on `pm-simd`'s matrix kernel instead.
     ///
     /// # Errors
     /// [`GfError::DimensionMismatch`] if inner dimensions disagree.
+    #[cfg(test)]
     pub fn mul(&self, rhs: &Matrix) -> Result<Matrix, GfError> {
         if self.cols != rhs.rows {
             return Err(GfError::DimensionMismatch {
@@ -163,7 +166,8 @@ impl Matrix {
         m
     }
 
-    /// Gauss–Jordan inverse.
+    /// Gauss–Jordan inverse. Each row operation multiplies through one row
+    /// of the shared multiplication table, so an element costs one lookup.
     ///
     /// # Errors
     /// [`GfError::SingularMatrix`] if not invertible,
@@ -191,21 +195,21 @@ impl Matrix {
                 a.swap_rows(pivot, col);
                 inv.swap_rows(pivot, col);
             }
-            let p_inv = a[(col, col)].checked_inv().expect("pivot is non-zero");
+            let p_inv = mul_row(a[(col, col)].checked_inv().expect("pivot is non-zero"));
             for c in 0..n {
-                a[(col, c)] *= p_inv;
-                inv[(col, c)] *= p_inv;
+                a[(col, c)] = times(p_inv, a[(col, c)]);
+                inv[(col, c)] = times(p_inv, inv[(col, c)]);
             }
             for r in 0..n {
                 if r == col || a[(r, col)].is_zero() {
                     continue;
                 }
-                let factor = a[(r, col)];
+                let factor = mul_row(a[(r, col)]);
                 for c in 0..n {
                     let av = a[(col, c)];
                     let iv = inv[(col, c)];
-                    a[(r, c)] += factor * av;
-                    inv[(r, c)] += factor * iv;
+                    a[(r, c)] += times(factor, av);
+                    inv[(r, c)] += times(factor, iv);
                 }
             }
         }
@@ -230,7 +234,9 @@ impl Matrix {
     /// multiply by the inverse of its top `k x k` block so the top becomes
     /// the identity. This is how Rizzo's `fec.c` builds its generator: the
     /// result still has the property that any `k` rows are invertible, but
-    /// data symbols now pass through the code unchanged.
+    /// data symbols now pass through the code unchanged. The RSE codec
+    /// writes its generator down in closed form; this is the oracle its
+    /// tests hold that form to.
     ///
     /// # Errors
     /// [`GfError::DimensionMismatch`] if `rows < cols`;
@@ -246,8 +252,17 @@ impl Matrix {
         let k = self.cols;
         let top = self.select_rows(&(0..k).collect::<Vec<_>>());
         let top_inv = top.invert()?;
-        self.mul(&top_inv)
+        Ok(Matrix::from_fn(self.rows, k, |r, c| {
+            (0..k).fold(Gf256::ZERO, |acc, i| acc + self[(r, i)] * top_inv[(i, c)])
+        }))
     }
+}
+
+/// `c * x`, where `row` is `c`'s multiplication row.
+#[inline]
+#[expect(clippy::indexing_slicing, reason = "a u8 indexes the 256-entry row")]
+fn times(row: &[u8; 256], x: Gf256) -> Gf256 {
+    Gf256(row[x.0 as usize])
 }
 
 #[expect(

@@ -84,8 +84,8 @@ pub fn mul_add_row(row: &[u8; 256], src: &[u8], dst: &mut [u8]) {
 /// each destination byte is read and written once per group rather than
 /// once per source: computing parity `j` over `k` data packets issues
 /// `ceil(k/4)` passes instead of `k`. An all-zero row (coefficient 0) is
-/// applied as-is — callers that want the skip filter zero coefficients
-/// out, as `pm_simd::Kernels::mul_add_multi` does.
+/// applied as-is, as `pm_simd::Kernels::mul_add_multi_rows` applies every
+/// coefficient of its matrix.
 ///
 /// # Panics
 /// Panics if any source length differs from `dst.len()`.

@@ -27,7 +27,7 @@ pub struct SessionConfigInfo {
     /// Configured packet-loss probability.
     pub loss: f64,
     /// Codec kernel backend the producer reported ("scalar", "avx2",
-    /// "neon"), absent in traces predating the field.
+    /// "gfni", "neon"), absent in traces predating the field.
     pub backend: Option<String>,
 }
 

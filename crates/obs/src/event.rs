@@ -618,7 +618,7 @@ events! {
         /// Per-packet loss probability `p` of the environment.
         loss: f64,
         /// Codec kernel backend the producer dispatched to
-        /// (`pm_simd::backend_name()`: "scalar", "avx2", "neon"), so a
+        /// (`pm_simd::backend_name()`: "scalar", "avx2", "gfni", "neon"), so a
         /// trace's throughput numbers are attributable to a kernel.
         backend: &'static str,
     },

@@ -10,18 +10,26 @@
 //! d_M = A^-1 * [ P[C,S] | I_l ] * [ d_S ; y_C ],   A = P[C,M]  (l x l)
 //! ```
 //!
-//! Only `A` is inverted. `D = A^-1 * [P[C,S] | I_l]` is exactly the rows of
-//! the full `k x k` selection inverse (Rizzo's scheme) that belong to the
-//! missing packets — the inverse is unique — and each missing packet is one
-//! batched multiply-accumulate pass over the `k` selected payloads. A decode
-//! costs `O(l^3 + l^2*k + l*k*P)`, not `O(k^3 + l*k*P)`: the paper's
-//! Section 2.1, "the decoding overhead is proportional to `l`".
+//! Only `A` is inverted, by scalar Gauss–Jordan in `O(l^3)`. `D = A^-1 *
+//! [P[C,S] | I_l]` is exactly the rows of the full `k x k` selection
+//! inverse (Rizzo's scheme) that belong to the missing packets — the
+//! inverse is unique. The product itself runs on the slice kernels: the `l`
+//! rows of `[P[C,S] | I_l]` are `k`-byte "packets" and `A^-1` the
+//! coefficient matrix, one call of the backend's matrix kernel. All `l`
+//! missing packets are then one more matrix-kernel call over the `k`
+//! selected payloads. A decode costs `O(l^3 + l*k*P/W)` for a kernel that
+//! does `W` bytes per step (the `l^2*k` product is the same kernel at
+//! `P = l`), not `O(k^3 + l*k*P)`: the paper's Section 2.1, "the decoding
+//! overhead is proportional to `l`" — a lost packet costs `k`
+//! multiply-accumulates over the packet.
 //!
 //! Loss patterns repeat: a receiver behind one lossy link tends to lose the
 //! same packet positions group after group (and the all-parity carousel
 //! case always selects the same rows). The decoder therefore memoises `D`
 //! in a small LRU cache keyed by the *selection bitmask* (which block
 //! indices supplied the `k` equations); a repeat pattern skips the solve.
+//! `D` is kept as plain coefficients: the kernels look each one's tables
+//! up in pm-simd's process-wide caches, so no decode builds any.
 //!
 //! `P` itself is never written down whole. A receiver uses the rows of the
 //! few parities that stood in for its losses — one or two of `h = 248` at
@@ -45,10 +53,14 @@ use crate::generator::Lagrange;
 /// the loss-pattern cache key.
 type PatternKey = [u64; 4];
 
-/// Retained decode rows. Each entry is `l * (k + l)` bytes (at most
-/// `2 * k^2`, 127 KB at the GF(2^8) block limit, for a parity-only decode);
-/// 16 entries cover far more distinct loss patterns than one receiver sees
-/// in practice.
+/// One loss pattern's decode rows, `l x k` row-major: one row per missing
+/// packet, one column per selected share (the data packets that arrived,
+/// ascending, then the chosen parities, ascending).
+type DecodeRows = Arc<Vec<Gf256>>;
+
+/// Retained decode rows. Each entry is `l * k` bytes (at most 64 KB, for a
+/// parity-only decode at the GF(2^8) block limit); 16 entries cover far
+/// more distinct loss patterns than one receiver sees in practice.
 const INVERSE_CACHE_CAP: usize = 16;
 
 /// What a decoder has worked out so far.
@@ -56,7 +68,7 @@ const INVERSE_CACHE_CAP: usize = 16;
 struct Memo {
     /// MRU-first LRU of `(selection bitmask, decode rows)`; a clone shares
     /// the rows (immutable behind `Arc`).
-    patterns: Vec<(PatternKey, Arc<Matrix>)>,
+    patterns: Vec<(PatternKey, DecodeRows)>,
     /// Block indices of the generator parity rows derived so far, in the
     /// order they were first chosen.
     derived: Vec<usize>,
@@ -66,7 +78,7 @@ struct Memo {
 
 impl Memo {
     /// The rows memoised for `key`, which becomes the most recent entry.
-    fn get(&mut self, key: &PatternKey) -> Option<Arc<Matrix>> {
+    fn get(&mut self, key: &PatternKey) -> Option<DecodeRows> {
         let pos = self.patterns.iter().position(|(k2, _)| k2 == key)?;
         let hit = self.patterns.remove(pos);
         let rows = Arc::clone(&hit.1);
@@ -75,7 +87,7 @@ impl Memo {
     }
 
     /// Memoise `rows` (unless a racing decoder did), evicting beyond the cap.
-    fn put(&mut self, key: PatternKey, rows: &Arc<Matrix>) {
+    fn put(&mut self, key: PatternKey, rows: &DecodeRows) {
         if !self.patterns.iter().any(|(k2, _)| *k2 == key) {
             self.patterns.insert(0, (key, Arc::clone(rows)));
             self.patterns.truncate(INVERSE_CACHE_CAP);
@@ -219,26 +231,28 @@ impl RseDecoder {
     }
 
     /// The decode rows for one loss pattern, from the LRU cache when it has
-    /// been decoded before: `l x (k + l)`, one row per `missing` packet, one
-    /// column per data index (a missing packet's column is dead: no payload
-    /// meets it), then one per `chosen` parity share. Both lists must be
-    /// ascending, so that one share *set* has one key and one set of rows.
+    /// been decoded before: `l x k`, one row per `missing` packet, one
+    /// column per selected share — the data packets that arrived, then the
+    /// `chosen` parities. Both lists must be ascending, so that one share
+    /// *set* has one key and one set of rows.
     #[expect(
         clippy::indexing_slicing,
-        reason = "from_fn passes c < l = chosen.len() = at.len() and m < l = missing.len(); \
-                  at[c] + i, i < k, is within the row row_at placed at at[c]"
+        reason = "row_at placed k coefficients at each at[c]; c < l = p.len(), and \
+                  missing holds ascending data indices < k"
     )]
     fn inverse_for<T>(
         &self,
         missing: &[usize],
         chosen: &[(usize, T)],
-    ) -> Result<Arc<Matrix>, RseError> {
+    ) -> Result<DecodeRows, RseError> {
         let k = self.spec.k();
-        let arrived = (0..k).filter(|i| missing.binary_search(i).is_err());
+        // Every data index, toggled off again for each missing one, and the
+        // chosen parities: the selected share set (each index is distinct).
         let mut key: PatternKey = [0; 4];
-        for i in arrived.chain(chosen.iter().map(|c| c.0)) {
+        let toggled = missing.iter().copied().chain(chosen.iter().map(|c| c.0));
+        for i in (0..k).chain(toggled) {
             if let Some(word) = key.get_mut(i / 64) {
-                *word |= 1 << (i % 64);
+                *word ^= 1 << (i % 64);
             }
         }
         let mut memo = self.memo.lock();
@@ -248,23 +262,38 @@ impl RseDecoder {
         }
         self.cache_misses.inc();
 
-        // A = P[C,M]; rows = A^-1 * [P[C,:] | I_l], over the chosen rows.
+        // A = P[C,M], and B = [P[C,S] | I_l] as l rows of k bytes.
         let l = missing.len();
         let at = chosen
             .iter()
             .map(|c| memo.row_at(c.0, &self.lagrange))
             .collect::<Result<Vec<_>, _>>()?;
-        let p = |c: usize, i: usize| memo.coeffs[at[c] + i];
-        let a = Matrix::from_fn(l, l, |c, m| p(c, missing[m]));
-        let b = Matrix::from_fn(l, k + l, |c, j| match j.checked_sub(k) {
-            None => p(c, j),
-            Some(parity) if parity == c => Gf256::ONE,
-            Some(_) => Gf256::ZERO,
-        });
+        let p: Vec<&[Gf256]> = at
+            .iter()
+            .map(|&start| &memo.coeffs[start..start + k])
+            .collect();
+        let a = Matrix::from_fn(l, l, |c, m| p[c][missing[m]]);
+        let mut b = Vec::with_capacity(l * k);
+        for (c, p_c) in p.iter().enumerate() {
+            // The arrived columns are the runs between missing indices.
+            let mut from = 0;
+            for &m in missing.iter().chain([&k]) {
+                b.extend(p_c[from..m].iter().map(|v| v.0));
+                from = m + 1;
+            }
+            b.extend((0..l).map(|j| u8::from(j == c)));
+        }
         // Solve outside the lock: decoders racing on different patterns
-        // must not serialize.
+        // must not serialize. D = A^-1 * B is a matrix-kernel call with B's
+        // rows as the packets.
         drop(memo);
-        let rows = Arc::new(a.invert()?.mul(&b)?);
+        let a_inv = a.invert()?;
+        let a_inv: Vec<Gf256> = (0..l).flat_map(|r| a_inv.row(r)).copied().collect();
+        let mut d = vec![0u8; l * k];
+        let sources: Vec<&[u8]> = b.chunks_exact(k).collect();
+        let mut outs: Vec<&mut [u8]> = d.chunks_exact_mut(k).collect();
+        self.kernels.mul_add_multi_rows(&a_inv, &sources, &mut outs);
+        let rows = Arc::new(d.into_iter().map(Gf256).collect());
         self.memo.lock().put(key, &rows);
         Ok(rows)
     }
@@ -331,9 +360,8 @@ impl RseDecoder {
             .enumerate()
             .filter_map(|(i, s)| s.is_none().then_some(i))
             .collect();
-        let mut rebuilt = Vec::with_capacity(missing.len());
         if missing.is_empty() {
-            return Ok(rebuilt);
+            return Ok(Vec::new());
         }
 
         // Selected shares: the data packets that arrived plus the first `l`
@@ -343,26 +371,14 @@ impl RseDecoder {
         parities.sort_unstable_by_key(|&(index, _)| index);
         let rows = self.inverse_for(&missing, &parities)?;
 
-        // d_i = sum_j rows[i][j] * y_j, each missing packet as one batched
-        // multi-source pass (up to four shares per read-modify-write of the
-        // output). One source buffer is reused across rows.
-        let selected = || {
-            let chosen = parities.iter().map(|&(_, payload)| Some(payload));
-            data_slots.iter().copied().chain(chosen)
-        };
-        let mut sources: Vec<(Gf256, &[u8])> = Vec::with_capacity(k);
-        for (r, &i) in missing.iter().enumerate() {
-            sources.clear();
-            sources.extend(
-                rows.row(r)
-                    .iter()
-                    .zip(selected())
-                    .filter_map(|(&c, payload)| Some((c, payload?))),
-            );
-            let mut out = vec![0u8; len];
-            self.kernels.mul_add_multi(&sources, &mut out);
-            rebuilt.push((i, out));
-        }
+        // d_M = D * y over the selected shares, all l missing packets in one
+        // matrix-kernel call.
+        let chosen = parities.iter().map(|&(_, payload)| payload);
+        let sources: Vec<&[u8]> = data_slots.iter().flatten().copied().chain(chosen).collect();
+        let mut rebuilt: Vec<(usize, Vec<u8>)> =
+            missing.iter().map(|&i| (i, vec![0u8; len])).collect();
+        let mut outs: Vec<&mut [u8]> = rebuilt.iter_mut().map(|(_, out)| &mut out[..]).collect();
+        self.kernels.mul_add_multi_rows(&rows, &sources, &mut outs);
         Ok(rebuilt)
     }
 

@@ -12,6 +12,7 @@ use crate::decoder::{CacheStats, RseDecoder};
 use crate::encoder::RseEncoder;
 use crate::error::RseError;
 use crate::poly_codec;
+use pm_simd::{kernels_for, Backend, Kernels};
 
 /// The decoder this crate shipped before the reduced-system solve, kept as
 /// the oracle for [`RseDecoder`]: the generator comes from
@@ -611,6 +612,111 @@ proptest! {
                 let arrived = old.slots.iter().flatten().any(|b| b.as_ptr() == g.as_ptr());
                 prop_assert_eq!(g.as_ptr() == w.as_ptr(), arrived);
             }
+        }
+    }
+}
+
+/// Every kernel backend this host can run.
+fn backends() -> Vec<&'static Kernels> {
+    [Backend::Scalar, Backend::Avx2, Backend::Gfni]
+        .into_iter()
+        .filter_map(kernels_for)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Encoders and decoders built on different kernel backends produce the
+    /// same parities and reconstruct the same bytes, for random loss
+    /// patterns: `l` up to 39 outputs (several groups of four), payloads
+    /// from empty to a few vector steps with every tail length.
+    #[test]
+    fn decode_missing_is_backend_independent(
+        (k, h, len) in (1usize..40, 1usize..40, 0usize..300),
+        seed in any::<u64>(),
+    ) {
+        let spec = CodeSpec::new(k, h).unwrap();
+        let data = make_group(k, len, seed);
+        let survivors = choose(spec.n(), k, seed ^ 0x7777);
+        let mut want = None;
+        for kern in backends() {
+            let enc = RseEncoder::with_kernels(spec, kern).unwrap();
+            let dec = RseDecoder::from_encoder(&enc);
+            let parities = enc.encode_all(&data).unwrap();
+            let shares: Vec<(usize, &[u8])> = survivors
+                .iter()
+                .map(|&i| if i < k { (i, &data[i][..]) } else { (i, &parities[i - k][..]) })
+                .collect();
+            let got = (dec.decode_missing(&shares).unwrap(), parities.clone());
+            match &want {
+                None => want = Some(got),
+                Some(w) => prop_assert_eq!(&got, w, "backend {}", kern.backend().name()),
+            }
+        }
+    }
+}
+
+/// The decoder's rows, read back through `decode_missing`: when share `s`
+/// of the selection (arrived data ascending, then the chosen parities
+/// ascending) carries the unit vector `e_s` as a `k`-byte payload, missing
+/// packet `r` decodes to row `r` of `D`. Each must equal the scalar
+/// `A^-1 * [P[C,S] | I_l]` at the ends of the range: `l = 1`, parity-only
+/// (`l = k`), `k = 1`, and `h = 255 - k`.
+#[test]
+fn decode_rows_equal_the_scalar_solve() {
+    let cases = [
+        (1, 1, 1),
+        (1, 254, 1),
+        (2, 253, 2),
+        (7, 3, 1),
+        (7, 248, 1),
+        (7, 248, 3),
+        (7, 7, 7),
+        (20, 235, 5),
+        (20, 20, 20),
+        (100, 155, 1),
+        (100, 155, 10),
+        (100, 155, 100),
+        (127, 128, 127),
+        (254, 1, 1),
+    ];
+    for (case, (k, h, l)) in cases.into_iter().enumerate() {
+        let spec = CodeSpec::new(k, h).unwrap();
+        let enc = RseEncoder::new(spec).unwrap();
+        let dec = RseDecoder::new(spec).unwrap();
+        let seed = case as u64 * 0x9e37 + 1;
+        let mut missing = choose(k, l, seed);
+        missing.sort_unstable();
+        let mut chosen: Vec<usize> = choose(h, l, !seed).iter().map(|j| k + j).collect();
+        chosen.sort_unstable();
+        let arrived: Vec<usize> = (0..k).filter(|i| !missing.contains(i)).collect();
+        let units: Vec<Vec<u8>> = (0..k)
+            .map(|s| (0..k).map(|b| u8::from(b == s)).collect())
+            .collect();
+        let shares: Vec<(usize, &[u8])> = arrived
+            .iter()
+            .chain(&chosen)
+            .zip(&units)
+            .map(|(&i, e)| (i, &e[..]))
+            .collect();
+        let got = dec.decode_missing(&shares).unwrap();
+
+        let p = |c: usize, i: usize| enc.parity_coeff(chosen[c] - k, i);
+        let a_inv = Matrix::from_fn(l, l, |c, m| p(c, missing[m]))
+            .invert()
+            .unwrap();
+        assert_eq!(got.len(), l);
+        for (r, (index, row)) in got.iter().enumerate() {
+            let solved = arrived
+                .iter()
+                .map(|&i| (0..l).fold(Gf256::ZERO, |acc, c| acc + a_inv[(r, c)] * p(c, i)));
+            let want: Vec<u8> = solved
+                .chain((0..l).map(|c| a_inv[(r, c)]))
+                .map(|c| c.0)
+                .collect();
+            assert_eq!(*index, missing[r]);
+            assert_eq!(row, &want, "(k, h, l) = ({k}, {h}, {l}), row {r}");
         }
     }
 }

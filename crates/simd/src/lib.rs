@@ -4,29 +4,50 @@
 //! a packet-level RSE coder spends essentially all of its time in
 //! `parity ^= coeff * data` over whole packets. The table-driven scalar
 //! kernels in `pm-gf` resolve one byte per step through a 256-entry row;
-//! the SIMD backends here resolve 32 (AVX2) or 16 (NEON) bytes per step
-//! with the classic nibble-split trick: each coefficient `c` expands to two
-//! 16-entry tables — `lo[x] = c·x` and `hi[x] = c·(x<<4)` — and a full
-//! product is `lo[s & 0xf] ^ hi[s >> 4]`, computed lane-parallel with
-//! `_mm256_shuffle_epi8` / `vqtbl1q_u8`.
+//! the SIMD backends here resolve 64 (GFNI), 32 (AVX2) or 16 (NEON) bytes
+//! per step.
+//!
+//! AVX2 and NEON use the classic nibble-split trick: each coefficient `c`
+//! expands to two 16-entry tables — `lo[x] = c·x` and `hi[x] = c·(x<<4)` —
+//! and a full product is `lo[s & 0xf] ^ hi[s >> 4]`, computed lane-parallel
+//! with `_mm256_shuffle_epi8` / `vqtbl1q_u8`.
+//!
+//! GFNI uses the affine trick: `x ↦ c·x` is linear over GF(2), so it is an
+//! 8×8 bit matrix, and `gf2p8affineqb` applies one such matrix to all 64
+//! bytes of a vector in one instruction. Column `j` of `c`'s matrix is the
+//! byte `c·2^j`, so the matrix comes from the field's own multiplication
+//! (polynomial 0x11d here, though the trick holds for any); the 256
+//! matrices are one 2 KB table, and a product needs no shuffle.
+//!
+//! The multi-source kernel is one matrix form for every caller:
+//! `rows × sources` coefficients, `sources` inputs, `rows` outputs. Per
+//! vector chunk a source is loaded once for several outputs: GFNI holds up
+//! to eight accumulating outputs in registers, AVX2 a tile of two outputs
+//! by two sources with their tables. An encoder's parity is the one-row
+//! case; a decoder reconstructs all `l` missing packets in one call. The
+//! kernels take plain coefficients and index the process-wide tables
+//! themselves, so a caller keeps no per-coefficient state.
 //!
 //! ## Dispatch
 //!
 //! Backend selection happens **once per process**: [`try_kernels`] consults
-//! the `PM_SIMD` environment variable (`scalar`, `avx2`, `neon`, or `auto`;
-//! unset means `auto`), performs runtime CPU-feature detection
-//! (`is_x86_feature_detected!("avx2")`; NEON is baseline on aarch64), and
-//! memoizes a `&'static` [`Kernels`] vtable. Every backend computes
-//! byte-identical results — GF arithmetic is exact — so the choice affects
-//! throughput only, never transcripts; the differential proptests in this
-//! crate pin each backend against the scalar reference across arbitrary
-//! lengths, unaligned offsets, and sub-vector tails.
+//! the `PM_SIMD` environment variable (`scalar`, `avx2`, `gfni`, `neon`, or
+//! `auto`; unset means `auto`), performs runtime CPU-feature detection
+//! (`gfni`, `avx512f` and `avx512bw` for GFNI, `avx2` for AVX2; NEON is
+//! baseline on aarch64), and memoizes a `&'static` [`Kernels`] vtable.
+//! `auto` prefers GFNI, then AVX2, then NEON, then scalar. Every backend
+//! computes byte-identical results — GF arithmetic is exact — so the choice
+//! affects throughput only, never transcripts; the differential proptests
+//! in this crate pin each backend against the scalar reference across
+//! arbitrary lengths, unaligned offsets, and sub-vector tails.
 //!
 //! ## The unsafe boundary
 //!
 //! This crate is the one sanctioned home for `unsafe` in the workspace
-//! (`#![forbid(unsafe_code)]` everywhere else): raw SIMD loads/stores and
-//! cross-feature calls into `#[target_feature]` functions. Clippy's
+//! (`#![forbid(unsafe_code)]` everywhere else): raw SIMD loads/stores
+//! (byte-masked ones for GFNI's tails) and cross-feature calls into
+//! `#[target_feature]` functions, which are sound because a backend's
+//! vtable is handed out only after its features were detected. Clippy's
 //! `undocumented_unsafe_blocks` and `missing_safety_doc` hold every block
 //! here to a `// SAFETY:` comment and every `unsafe fn` to a `# Safety`
 //! section, and CI prints this crate's `unsafe` count as a ratchet.
@@ -41,13 +62,15 @@ use pm_gf::mul_table::mul_row;
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod avx2;
+#[cfg(target_arch = "x86_64")]
+mod gfni;
 #[cfg(target_arch = "aarch64")]
 mod neon;
 mod scalar;
 mod tables;
 
 /// Environment variable overriding backend selection: `scalar`, `avx2`,
-/// `neon`, or `auto` (the default when unset).
+/// `gfni`, `neon`, or `auto` (the default when unset).
 pub const ENV_VAR: &str = "PM_SIMD";
 
 /// A codec kernel backend.
@@ -59,6 +82,9 @@ pub enum Backend {
     /// AVX2 nibble-split kernels, 32 bytes per step (x86/x86_64 with runtime
     /// `avx2` detection).
     Avx2,
+    /// GFNI affine kernels, 64 bytes per step (x86_64 with runtime `gfni`,
+    /// `avx512f` and `avx512bw` detection).
+    Gfni,
     /// NEON nibble-split kernels, 16 bytes per step (aarch64, where NEON is
     /// part of the baseline ISA).
     Neon,
@@ -71,6 +97,7 @@ impl Backend {
         match self {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
+            Backend::Gfni => "gfni",
             Backend::Neon => "neon",
         }
     }
@@ -89,13 +116,27 @@ impl Backend {
                     false
                 }
             }
+            Backend::Gfni => {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    std::arch::is_x86_feature_detected!("gfni")
+                        && std::arch::is_x86_feature_detected!("avx512f")
+                        && std::arch::is_x86_feature_detected!("avx512bw")
+                }
+                #[cfg(not(target_arch = "x86_64"))]
+                {
+                    false
+                }
+            }
             Backend::Neon => cfg!(target_arch = "aarch64"),
         }
     }
 
     /// The fastest backend the current host supports (`auto` resolution).
     pub fn detect() -> Backend {
-        if Backend::Avx2.is_available() {
+        if Backend::Gfni.is_available() {
+            Backend::Gfni
+        } else if Backend::Avx2.is_available() {
             Backend::Avx2
         } else if Backend::Neon.is_available() {
             Backend::Neon
@@ -111,6 +152,7 @@ impl Backend {
             "auto" => Ok(None),
             "scalar" => Ok(Some(Backend::Scalar)),
             "avx2" => Ok(Some(Backend::Avx2)),
+            "gfni" => Ok(Some(Backend::Gfni)),
             "neon" => Ok(Some(Backend::Neon)),
             other => Err(DispatchError::UnknownBackend {
                 value: other.to_string(),
@@ -128,7 +170,7 @@ impl fmt::Display for Backend {
 /// Why `PM_SIMD`-driven dispatch failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DispatchError {
-    /// `PM_SIMD` was set to something other than `scalar|avx2|neon|auto`.
+    /// `PM_SIMD` was set to something other than `scalar|avx2|gfni|neon|auto`.
     UnknownBackend {
         /// The offending value.
         value: String,
@@ -145,7 +187,7 @@ impl fmt::Display for DispatchError {
         match self {
             DispatchError::UnknownBackend { value } => write!(
                 f,
-                "unknown {ENV_VAR} value {value:?} (expected scalar, avx2, neon, or auto)"
+                "unknown {ENV_VAR} value {value:?} (expected scalar, avx2, gfni, neon, or auto)"
             ),
             DispatchError::Unavailable { backend } => write!(
                 f,
@@ -157,32 +199,25 @@ impl fmt::Display for DispatchError {
 
 impl std::error::Error for DispatchError {}
 
-/// Precomputed lookup tables for one GF(2^8) coefficient, shared by every
-/// backend: the 256-entry multiplication row (scalar path and vector tails)
-/// plus the 32-byte nibble-split pair (SIMD path; `lo` table at bytes 0..16,
-/// `hi` at 16..32). Both live in process-wide caches, so the handle is a
-/// couple of `&'static` references — cheap to build per call and cheaper to
-/// cache per matrix coefficient, as the RSE encoder does.
+/// The nibble-split kernels' tables for one GF(2^8) coefficient: the
+/// 256-entry multiplication row (vector tails) and the 32-byte nibble-split
+/// pair (`lo` table at bytes 0..16, `hi` at 16..32). Both live in
+/// process-wide caches indexed by the coefficient, so callers of
+/// [`Kernels`] pass plain coefficients and a kernel looks up the tables it
+/// uses; the GFNI backend's bit matrices sit beside them in `tables`.
 #[derive(Clone, Copy)]
-pub struct CoeffTables {
-    c: Gf256,
+pub(crate) struct CoeffTables {
     row: &'static [u8; 256],
     nib: &'static [u8; 32],
 }
 
 impl CoeffTables {
-    /// Resolve (or lazily build) the tables for coefficient `c`.
-    pub fn new(c: Gf256) -> CoeffTables {
+    /// The tables for coefficient `c`.
+    pub(crate) fn new(c: Gf256) -> CoeffTables {
         CoeffTables {
-            c,
             row: mul_row(c),
             nib: tables::nib_tables(c),
         }
-    }
-
-    /// The coefficient these tables multiply by.
-    pub fn coeff(&self) -> Gf256 {
-        self.c
     }
 
     pub(crate) fn row(&self) -> &'static [u8; 256] {
@@ -194,15 +229,9 @@ impl CoeffTables {
     }
 }
 
-impl fmt::Debug for CoeffTables {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CoeffTables").field("c", &self.c).finish()
-    }
-}
-
 type XorFn = fn(&mut [u8], &[u8]);
-type MulFn = fn(&CoeffTables, &[u8], &mut [u8]);
-type MultiRowsFn = fn(&[(CoeffTables, &[u8])], &mut [u8]);
+type MulFn = fn(Gf256, &[u8], &mut [u8]);
+type MatrixFn = fn(&[Gf256], &[&[u8]], &mut [&mut [u8]]);
 
 /// A backend's kernel vtable. Obtain one via [`kernels`] / [`try_kernels`]
 /// (dispatched) or [`kernels_for`] (explicit, for benches and differential
@@ -214,7 +243,7 @@ pub struct Kernels {
     backend: Backend,
     xor: XorFn,
     mul_add: MulFn,
-    multi_rows: MultiRowsFn,
+    matrix: MatrixFn,
 }
 
 impl Kernels {
@@ -236,40 +265,40 @@ impl Kernels {
             (self.xor)(dst, src);
             return;
         }
-        (self.mul_add)(&CoeffTables::new(c), src, dst);
+        (self.mul_add)(c, src, dst);
     }
 
-    /// `dst ^= c1*src1 ^ c2*src2 ^ ...` — batched multiply-accumulate over
-    /// up to four sources per destination pass. Zero coefficients are
-    /// skipped.
+    /// `outs[r] ^= Σ_s coeffs[r * sources.len() + s] * sources[s]` — the
+    /// matrix multiply-accumulate: `coeffs` is `outs.len() × sources.len()`,
+    /// row-major. One output is the one-row case (an encoder's parity); a
+    /// decoder passes all its missing packets at once, so each source is
+    /// read once per several outputs rather than once per output. The
+    /// backend looks each coefficient's tables up in its process-wide
+    /// cache, so a caller builds nothing per call. A zero coefficient
+    /// contributes nothing but is not skipped.
     ///
     /// # Panics
-    /// Panics if any source length differs from `dst.len()`.
-    pub fn mul_add_multi(&self, sources: &[(Gf256, &[u8])], dst: &mut [u8]) {
-        for (_, src) in sources {
-            assert_eq!(dst.len(), src.len(), "mul_add_multi length mismatch");
-        }
-        let live: Vec<(CoeffTables, &[u8])> = sources
+    /// Panics if `coeffs.len() != outs.len() * sources.len()`, or if the
+    /// sources and outputs are not all one length.
+    pub fn mul_add_multi_rows(&self, coeffs: &[Gf256], sources: &[&[u8]], outs: &mut [&mut [u8]]) {
+        assert_eq!(
+            coeffs.len(),
+            outs.len() * sources.len(),
+            "mul_add_multi_rows wants rows x sources coefficients"
+        );
+        let Some(len) = outs.first().map(|o| o.len()) else {
+            return;
+        };
+        for len_i in outs
             .iter()
-            .filter(|(c, _)| !c.is_zero())
-            .map(|(c, src)| (CoeffTables::new(*c), *src))
-            .collect();
-        (self.multi_rows)(&live, dst);
-    }
-
-    /// Prebuilt-tables variant of [`Kernels::mul_add_multi`], for callers
-    /// that hold [`CoeffTables`] per matrix coefficient. A zero coefficient
-    /// contributes nothing (its tables are all-zero) but still costs a pass
-    /// — callers that want the skip should filter first, as
-    /// [`Kernels::mul_add_multi`] does.
-    ///
-    /// # Panics
-    /// Panics if any source length differs from `dst.len()`.
-    pub fn mul_add_multi_rows(&self, sources: &[(CoeffTables, &[u8])], dst: &mut [u8]) {
-        for (_, src) in sources {
-            assert_eq!(dst.len(), src.len(), "mul_add_multi length mismatch");
+            .map(|o| o.len())
+            .chain(sources.iter().map(|s| s.len()))
+        {
+            assert_eq!(len_i, len, "mul_add_multi_rows length mismatch");
         }
-        (self.multi_rows)(sources, dst);
+        if !sources.is_empty() {
+            (self.matrix)(coeffs, sources, outs);
+        }
     }
 }
 
@@ -285,7 +314,7 @@ static SCALAR_KERNELS: Kernels = Kernels {
     backend: Backend::Scalar,
     xor: scalar::xor,
     mul_add: scalar::mul_add,
-    multi_rows: scalar::mul_add_multi_rows,
+    matrix: scalar::mul_add_multi_rows,
 };
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -293,7 +322,15 @@ static AVX2_KERNELS: Kernels = Kernels {
     backend: Backend::Avx2,
     xor: avx2::xor,
     mul_add: avx2::mul_add,
-    multi_rows: avx2::mul_add_multi_rows,
+    matrix: avx2::mul_add_multi_rows,
+};
+
+#[cfg(target_arch = "x86_64")]
+static GFNI_KERNELS: Kernels = Kernels {
+    backend: Backend::Gfni,
+    xor: gfni::xor,
+    mul_add: gfni::mul_add,
+    matrix: gfni::mul_add_multi_rows,
 };
 
 #[cfg(target_arch = "aarch64")]
@@ -301,7 +338,7 @@ static NEON_KERNELS: Kernels = Kernels {
     backend: Backend::Neon,
     xor: neon::xor,
     mul_add: neon::mul_add,
-    multi_rows: neon::mul_add_multi_rows,
+    matrix: neon::mul_add_multi_rows,
 };
 
 /// The kernel vtable for a specific backend, or `None` if the current host
@@ -315,6 +352,8 @@ pub fn kernels_for(backend: Backend) -> Option<&'static Kernels> {
         Backend::Scalar => Some(&SCALAR_KERNELS),
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         Backend::Avx2 => Some(&AVX2_KERNELS),
+        #[cfg(target_arch = "x86_64")]
+        Backend::Gfni => Some(&GFNI_KERNELS),
         #[cfg(target_arch = "aarch64")]
         Backend::Neon => Some(&NEON_KERNELS),
         _ => None,
@@ -380,6 +419,7 @@ mod tests {
         assert_eq!(Backend::parse("auto").unwrap(), None);
         assert_eq!(Backend::parse("scalar").unwrap(), Some(Backend::Scalar));
         assert_eq!(Backend::parse("avx2").unwrap(), Some(Backend::Avx2));
+        assert_eq!(Backend::parse("gfni").unwrap(), Some(Backend::Gfni));
         assert_eq!(Backend::parse("neon").unwrap(), Some(Backend::Neon));
     }
 
@@ -411,7 +451,7 @@ mod tests {
 
     #[test]
     fn unavailable_backends_have_no_kernels() {
-        for b in [Backend::Scalar, Backend::Avx2, Backend::Neon] {
+        for b in [Backend::Scalar, Backend::Avx2, Backend::Gfni, Backend::Neon] {
             assert_eq!(kernels_for(b).is_some(), b.is_available(), "{b:?}");
         }
     }
@@ -427,13 +467,6 @@ mod tests {
             backend: Backend::Neon,
         };
         assert!(e.to_string().contains("Neon"));
-    }
-
-    #[test]
-    fn coeff_tables_expose_coefficient() {
-        let t = CoeffTables::new(Gf256(7));
-        assert_eq!(t.coeff(), Gf256(7));
-        assert_eq!(format!("{t:?}"), "CoeffTables { c: Gf256(7) }");
     }
 }
 

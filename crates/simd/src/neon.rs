@@ -11,7 +11,8 @@
 //! available on this architecture and the `#[target_feature]` calls in the
 //! wrappers are sound. The kernels index raw pointers at 16-byte
 //! granularity; the `Kernels` methods assert the length preconditions
-//! before the pointers are formed.
+//! before the pointers are formed. The matrix entry runs the four-source
+//! kernel once per output row (there is no multi-output NEON kernel).
 
 #![allow(
     unused_unsafe,
@@ -20,6 +21,8 @@
 
 use core::arch::aarch64::*;
 
+use pm_gf::gf256::Gf256;
+
 use crate::CoeffTables;
 
 pub(crate) fn xor(dst: &mut [u8], src: &[u8]) {
@@ -27,14 +30,24 @@ pub(crate) fn xor(dst: &mut [u8], src: &[u8]) {
     unsafe { xor_neon(dst, src) }
 }
 
-pub(crate) fn mul_add(t: &CoeffTables, src: &[u8], dst: &mut [u8]) {
+pub(crate) fn mul_add(c: Gf256, src: &[u8], dst: &mut [u8]) {
     // SAFETY: as above.
-    unsafe { mul_add_neon(t, src, dst) }
+    unsafe { mul_add_neon(&CoeffTables::new(c), src, dst) }
 }
 
-pub(crate) fn mul_add_multi_rows(sources: &[(CoeffTables, &[u8])], dst: &mut [u8]) {
-    // SAFETY: as above.
-    unsafe { mul_add_multi_rows_neon(sources, dst) }
+/// The matrix form, one output row at a time through the four-source
+/// kernel below.
+pub(crate) fn mul_add_multi_rows(coeffs: &[Gf256], sources: &[&[u8]], outs: &mut [&mut [u8]]) {
+    for (row, out) in coeffs.chunks(sources.len()).zip(outs.iter_mut()) {
+        for (cs, srcs) in row.chunks(4).zip(sources.chunks(4)) {
+            let group: [(CoeffTables, &[u8]); 4] = std::array::from_fn(|i| {
+                let i = i.min(cs.len() - 1);
+                (CoeffTables::new(cs[i]), srcs[i])
+            });
+            // SAFETY: as above.
+            unsafe { mul_add_multi_rows_neon(&group[..cs.len()], out) }
+        }
+    }
 }
 
 #[inline]

@@ -9,10 +9,10 @@ use proptest::prelude::*;
 use pm_gf::gf256::Gf256;
 use pm_gf::slice::reference;
 
-use crate::{kernels_for, Backend, CoeffTables, Kernels};
+use crate::{kernels_for, Backend, Kernels};
 
 fn backends() -> Vec<&'static Kernels> {
-    [Backend::Scalar, Backend::Avx2, Backend::Neon]
+    [Backend::Scalar, Backend::Avx2, Backend::Gfni, Backend::Neon]
         .into_iter()
         .filter_map(kernels_for)
         .collect()
@@ -60,62 +60,73 @@ proptest! {
         }
     }
 
-    /// The batched multi-source kernel equals sequential scalar-reference
-    /// accumulation for any batch size — covering the 1..=4 group arms,
-    /// multi-group batches, and zero coefficients in the mix.
+    /// The matrix kernel equals per-coefficient scalar-reference
+    /// accumulation on every backend: 1–8 output rows (every GFNI pass
+    /// width, AVX2's row pairs and odd last row), 0–20 sources (AVX2's
+    /// full and narrower tiles), lengths 0–300 (pure tails, one GFNI step
+    /// and a few AVX2 ones with every tail length), misaligned buffers, and
+    /// coefficient draws heavy in zeros and ones.
     #[test]
-    fn mul_add_multi_matches_reference(
-        coeffs in proptest::collection::vec(any::<u8>(), 0..10),
-        len in 0usize..200,
-        off in 0usize..33,
+    fn matrix_kernel_matches_reference(
+        rows in 1usize..9,
+        raw in proptest::collection::vec(any::<u8>(), 160),
+        nsrc in 0usize..21,
+        len in 0usize..300,
+        off in 0usize..65,
         seed in any::<u64>(),
     ) {
-        let sources: Vec<Vec<u8>> = (0..coeffs.len())
-            .map(|i| bytes_from_seed(off + len, seed ^ (i as u64 + 1)))
-            .collect();
-        let pairs: Vec<(Gf256, &[u8])> = coeffs
+        // A quarter of the draws are 0 and another quarter 1.
+        let coeffs: Vec<Gf256> = raw[..rows * nsrc]
             .iter()
-            .zip(&sources)
-            .map(|(&c, s)| (Gf256(c), &s[off..]))
+            .map(|&b| Gf256(match b { 0..=63 => 0, 64..=127 => 1, _ => b }))
             .collect();
+        let src_bufs: Vec<Vec<u8>> = (0..nsrc)
+            .map(|s| bytes_from_seed(off + len, seed ^ (s as u64 + 1)))
+            .collect();
+        let sources: Vec<&[u8]> = src_bufs.iter().map(|b| &b[off..]).collect();
+        let out_seed = |r: usize| seed ^ 0xD57 ^ ((r as u64) << 40);
 
-        let mut want = bytes_from_seed(off + len, seed ^ 0xD57)[off..].to_vec();
-        reference::mul_add_multi(&pairs, &mut want);
+        let want: Vec<Vec<u8>> = (0..rows)
+            .map(|r| {
+                let mut out = bytes_from_seed(off + len, out_seed(r))[off..].to_vec();
+                for (c, src) in coeffs[r * nsrc..(r + 1) * nsrc].iter().zip(&sources) {
+                    reference::mul_add_slice(*c, src, &mut out);
+                }
+                out
+            })
+            .collect();
 
         for k in backends() {
-            let name = k.backend().name();
-
-            let mut buf = bytes_from_seed(off + len, seed ^ 0xD57);
-            k.mul_add_multi(&pairs, &mut buf[off..]);
-            prop_assert_eq!(&buf[off..], want.as_slice(), "mul_add_multi on {}", name);
-
-            // Tables variant: zero coefficients stay in the batch (their
-            // tables are all-zero) and must contribute nothing.
-            let with_tables: Vec<(CoeffTables, &[u8])> = pairs
-                .iter()
-                .map(|(c, s)| (CoeffTables::new(*c), *s))
-                .collect();
-            let mut buf = bytes_from_seed(off + len, seed ^ 0xD57);
-            k.mul_add_multi_rows(&with_tables, &mut buf[off..]);
-            prop_assert_eq!(&buf[off..], want.as_slice(), "mul_add_multi_rows on {}", name);
+            let mut bufs: Vec<Vec<u8>> = (0..rows).map(|r| bytes_from_seed(off + len, out_seed(r))).collect();
+            let mut outs: Vec<&mut [u8]> = bufs.iter_mut().map(|b| &mut b[off..]).collect();
+            k.mul_add_multi_rows(&coeffs, &sources, &mut outs);
+            for (r, (got, want)) in bufs.iter().zip(&want).enumerate() {
+                prop_assert_eq!(&got[off..], want.as_slice(), "row {} on {}", r, k.backend().name());
+            }
         }
     }
 }
 
-/// Exhaustive over all 256 coefficients at a fixed awkward length (covers
-/// both the vector body and the tail in one buffer) — cheap insurance the
+/// Exhaustive over all 256 coefficients — so over all 256 GFNI affine
+/// matrices and nibble-table pairs — at a fixed awkward length (covers
+/// both the vector body and the tail in one buffer), through the single
+/// kernel and the matrix kernel's one-row case: cheap insurance the
 /// proptest sampling can't skip a coefficient.
 #[test]
 fn all_coefficients_match_reference() {
-    let src = bytes_from_seed(77, 0x1234_5678);
+    let src = bytes_from_seed(141, 0x1234_5678);
     for c in 0..=255u8 {
         let c = Gf256(c);
-        let mut want = bytes_from_seed(77, 0xABCD);
+        let mut want = bytes_from_seed(141, 0xABCD);
         reference::mul_add_slice(c, &src, &mut want);
         for k in backends() {
-            let mut dst = bytes_from_seed(77, 0xABCD);
+            let mut dst = bytes_from_seed(141, 0xABCD);
             k.mul_add_slice(c, &src, &mut dst);
             assert_eq!(dst, want, "c={:?} backend={}", c, k.backend().name());
+
+            let mut dst = bytes_from_seed(141, 0xABCD);
+            k.mul_add_multi_rows(&[c], &[&src], &mut [&mut dst]);
+            assert_eq!(dst, want, "matrix c={:?} backend={}", c, k.backend().name());
         }
     }
 }
@@ -129,5 +140,19 @@ fn length_mismatch_panics_on_every_backend() {
             k.mul_add_slice(Gf256(3), &[1, 2, 3], &mut dst);
         });
         assert!(r.is_err(), "mul_add length mismatch must panic on {name}");
+        let r = std::panic::catch_unwind(|| {
+            let (a, b) = (vec![0u8; 4], vec![0u8; 3]);
+            let mut dst = vec![0u8; 4];
+            k.mul_add_multi_rows(&[Gf256(3); 2], &[&a, &b], &mut [&mut dst]);
+        });
+        assert!(r.is_err(), "matrix length mismatch must panic on {name}");
+        let r = std::panic::catch_unwind(|| {
+            let mut dst = vec![0u8; 4];
+            k.mul_add_multi_rows(&[Gf256(3)], &[&[0u8; 4], &[0u8; 4]], &mut [&mut dst]);
+        });
+        assert!(
+            r.is_err(),
+            "a short coefficient matrix must panic on {name}"
+        );
     }
 }

@@ -1,4 +1,5 @@
-//! Process-wide nibble-split table cache.
+//! Process-wide per-coefficient table caches: the nibble-split pairs of the
+//! AVX2/NEON kernels and the bit matrices of the GFNI kernels.
 //!
 //! Each GF(2^8) coefficient `c` expands to two 16-entry lookup tables laid
 //! out back to back in one 32-byte row: bytes 0..16 hold `c·x` for the low
@@ -15,7 +16,12 @@ use pm_gf::gf256::Gf256;
 static NIB_TABLES: OnceLock<Box<[[u8; 32]; 256]>> = OnceLock::new();
 
 pub(crate) fn nib_tables(c: Gf256) -> &'static [u8; 32] {
-    let all = NIB_TABLES.get_or_init(|| {
+    &nib_table()[c.0 as usize]
+}
+
+/// All 256 nibble-table pairs, indexed by coefficient.
+pub(crate) fn nib_table() -> &'static [[u8; 32]; 256] {
+    NIB_TABLES.get_or_init(|| {
         let mut t = Box::new([[0u8; 32]; 256]);
         for (coeff, row) in t.iter_mut().enumerate() {
             let c = Gf256(coeff as u8);
@@ -25,8 +31,35 @@ pub(crate) fn nib_tables(c: Gf256) -> &'static [u8; 32] {
             }
         }
         t
-    });
-    &all[c.0 as usize]
+    })
+}
+
+#[cfg(target_arch = "x86_64")]
+static AFFINE: OnceLock<Box<[u64; 256]>> = OnceLock::new();
+
+/// The 8×8 GF(2) bit matrix of `x ↦ c·x`, in `gf2p8affineqb`'s layout: byte
+/// `7 - i` of the qword is row `i`, whose bit `j` is bit `i` of `c·2^j`, so
+/// output bit `i` is the parity of `row_i & x`. The 256 qwords (2 KB) are
+/// built once on first use, beside the nibble tables.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn affine_matrix(c: Gf256) -> u64 {
+    affine_table()[c.0 as usize]
+}
+
+/// All 256 bit matrices, indexed by coefficient.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn affine_table() -> &'static [u64; 256] {
+    AFFINE.get_or_init(|| {
+        let mut t = Box::new([0u64; 256]);
+        for (coeff, q) in t.iter_mut().enumerate() {
+            let columns: [u8; 8] = std::array::from_fn(|j| (Gf256(coeff as u8) * Gf256(1 << j)).0);
+            for i in 0..8 {
+                let row = (0..8).fold(0u8, |r, j| r | ((columns[j] >> i) & 1) << j);
+                *q |= u64::from(row) << (8 * (7 - i));
+            }
+        }
+        t
+    })
 }
 
 #[cfg(test)]
@@ -44,6 +77,21 @@ mod tests {
                     (Gf256(c) * Gf256(x)).0,
                     "c={c} x={x}: lo/hi split disagrees with field product"
                 );
+            }
+        }
+    }
+
+    /// The bit matrix, applied the way `gf2p8affineqb` applies it, is the
+    /// field product for every coefficient and every byte.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn affine_matrices_reproduce_full_products() {
+        for c in 0..=255u8 {
+            let q = affine_matrix(Gf256(c));
+            for x in 0..=255u8 {
+                let bit = |i: usize| (((q >> (8 * (7 - i))) as u8 & x).count_ones() as u8 & 1) << i;
+                let product = (0..8).fold(0u8, |p, i| p | bit(i));
+                assert_eq!(product, (Gf256(c) * Gf256(x)).0, "c={c} x={x}");
             }
         }
     }

@@ -14,7 +14,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`gf`] | `pm-gf` | GF(2^8) arithmetic, matrices, polynomials |
-//! | [`simd`] | `pm-simd` | runtime-dispatched AVX2/NEON GF(2^8) slice kernels (the one sanctioned `unsafe` boundary) |
+//! | [`simd`] | `pm-simd` | runtime-dispatched GFNI/AVX2/NEON GF(2^8) slice kernels (the one sanctioned `unsafe` boundary) |
 //! | [`rse`] | `pm-rse` | systematic Reed–Solomon erasure codec over packets |
 //! | [`loss`] | `pm-loss` | Bernoulli / heterogeneous / Markov-burst / shared-tree loss models |
 //! | [`analysis`] | `pm-analysis` | Eqs. (2)–(17): E\[M\], rounds, end-host rates |
