@@ -13,16 +13,28 @@
 //!   [`PINNED`] holds one digest per pair, captured at the last commit
 //!   where the mux was also checked byte-for-byte against dedicated
 //!   blocking drivers.
+//! * Two lossy farms, one per protocol ([`run_lossy_farm`]): NP at
+//!   `k = 8`, `h = 40` with proactive and adaptive parity on some pairs,
+//!   and N2, where one receiver loses a whole repair round
+//!   ([`LoseOneRound`]). Every receiver endpoint drops 5% of what reaches
+//!   it, seeded per endpoint, so the NAK, repair and heartbeat paths run;
+//!   [`LOSSY_NP`] and [`LOSSY_N2`] pin every endpoint's transcript.
 
 #![allow(dead_code, reason = "each test binary uses its own subset")]
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use parity_multicast::mux::{drive_session, Mux, MuxClock, MuxConfig, VirtualClock};
 use parity_multicast::net::mem::MemEndpoint;
 use parity_multicast::net::wire::{checksum_of, HEADER_LEN};
-use parity_multicast::net::{MemHub, Message, PollTransport, Transcript, TranscriptTransport};
+use parity_multicast::net::{
+    FaultConfig, FaultyTransport, MemHub, Message, NetError, PollTransport, Transcript,
+    TranscriptTransport, Transport,
+};
 use parity_multicast::obs::Obs;
+use parity_multicast::protocol::n2::{N2Receiver, N2Sender};
 use parity_multicast::protocol::runtime::{
     ReceiverMachine, ReceiverReport, RuntimeConfig, SenderMachine, SessionReport,
 };
@@ -252,6 +264,228 @@ pub fn assert_farm_is_pinned(farm: &[PairRun], label: &str) {
             run.data,
             pair_payload(i as u32),
             "pair {i}: received bytes under {label}"
+        );
+    }
+}
+
+/// Pairs and receivers per pair in each lossy farm.
+pub const LOSSY_PAIRS: u32 = 4;
+pub const LOSSY_RECEIVERS: u32 = 4;
+
+/// NP lossy farm: per pair, the sender's transcript digest, then each
+/// receiver's. Same values under `PM_SIMD=scalar`, `avx2` and `gfni`.
+pub const LOSSY_NP: [[u32; 1 + LOSSY_RECEIVERS as usize]; LOSSY_PAIRS as usize] = [
+    [0x7029e01f, 0x919fb1c3, 0x9506cb20, 0x349a53f1, 0xf8633936],
+    [0x63b275f7, 0xc4f13d6c, 0xe6d7dfa2, 0xdcbef61a, 0x8daaaecb],
+    [0xaf22e72b, 0xabc01b70, 0xd315fa5c, 0xd0429de3, 0x6ddcd046],
+    [0x6a95c387, 0xfdd4ecaf, 0x43af7754, 0x3fb503da, 0x0b601b44],
+];
+
+/// N2 lossy farm, laid out as [`LOSSY_NP`].
+pub const LOSSY_N2: [[u32; 1 + LOSSY_RECEIVERS as usize]; LOSSY_PAIRS as usize] = [
+    [0x1d571647, 0x5b6bd71c, 0xe69b4f17, 0x3f05b74a, 0x3e7b66ce],
+    [0xaccbca4f, 0x691218c8, 0x0585c220, 0xdc1f5171, 0xa40d66f6],
+    [0xea3c5e3b, 0xdfe0cfee, 0xca0a25c3, 0x58d1aa9f, 0xd14557ec],
+    [0xde7941dd, 0x18c83dc4, 0x3c81ade7, 0x8c73c336, 0x1e6a3ffe],
+];
+
+/// The NP lossy farm's sender for pair `i`: proactive parity on pairs 1
+/// and 3, adaptive parity on pair 2.
+pub fn lossy_np_cfg(i: u32) -> NpConfig {
+    let mut c = np_cfg();
+    c.completion = CompletionPolicy::KnownReceivers(LOSSY_RECEIVERS);
+    c.proactive_parity = [0, 2, 0, 1][i as usize];
+    c.adaptive_parity = i == 2;
+    c
+}
+
+pub fn lossy_payload(i: u32) -> Vec<u8> {
+    payload(6 * 8 * 128 + 97 * i as usize)
+}
+
+/// Loses one whole N2 repair round at a receiver: once the receiver NAKs
+/// a packet, every later copy of that packet and every poll of its group
+/// is dropped until one such poll has been, so only the announce
+/// heartbeat can get the packet asked for again. `lost` turns true once
+/// the round is gone.
+pub struct LoseOneRound<T> {
+    inner: T,
+    armed: bool,
+    losing: Option<(u32, u16)>,
+    lost: Arc<AtomicBool>,
+}
+
+impl<T> LoseOneRound<T> {
+    pub fn new(inner: T, lost: Arc<AtomicBool>) -> Self {
+        LoseOneRound {
+            inner,
+            armed: true,
+            losing: None,
+            lost,
+        }
+    }
+
+    fn filter(
+        &mut self,
+        mut next: impl FnMut(&mut T) -> Result<Option<Message>, NetError>,
+    ) -> Result<Option<Message>, NetError> {
+        loop {
+            let msg = next(&mut self.inner)?;
+            let Some((g, i)) = self.losing else {
+                return Ok(msg);
+            };
+            match &msg {
+                Some(Message::Packet { group, index, .. }) if (*group, *index) == (g, i) => {}
+                Some(Message::Poll { group, .. }) if *group == g => {
+                    self.losing = None;
+                    self.lost.store(true, Ordering::Relaxed);
+                }
+                _ => return Ok(msg),
+            }
+        }
+    }
+}
+
+impl<T: Transport> Transport for LoseOneRound<T> {
+    fn send(&mut self, msg: &Message) -> Result<(), NetError> {
+        if let (true, Message::NakPacket { group, index, .. }) = (self.armed, msg) {
+            self.armed = false;
+            self.losing = Some((*group, *index));
+        }
+        self.inner.send(msg)
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
+        self.filter(|t| t.recv_timeout(timeout))
+    }
+}
+
+impl<T: PollTransport> PollTransport for LoseOneRound<T> {
+    fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
+        self.filter(T::poll_recv)
+    }
+}
+
+/// One lossy pair's result: every endpoint's wire history (sender first)
+/// and what each receiver delivered.
+pub struct LossyPair {
+    pub transcripts: Vec<Transcript>,
+    pub delivered: Vec<Vec<u8>>,
+}
+
+impl LossyPair {
+    pub fn digests(&self) -> Vec<u32> {
+        self.transcripts.iter().map(transcript_digest).collect()
+    }
+}
+
+/// Run a lossy farm — [`LOSSY_PAIRS`] sessions of [`LOSSY_RECEIVERS`]
+/// receivers each, all on one mux under the virtual clock. Each receiver
+/// endpoint drops 5% of its datagrams (seeded per endpoint, recorded after
+/// the loss); with `lose_round`, pair 0's first receiver also loses one
+/// whole repair round. Returns the pairs in index order and whether that
+/// round was lost.
+pub fn run_lossy_farm<S, R>(
+    sender: impl Fn(u32, &[u8]) -> S,
+    receiver: impl Fn(u32, u32) -> R,
+    lose_round: bool,
+) -> (Vec<LossyPair>, bool)
+where
+    S: SenderMachine + 'static,
+    R: ReceiverMachine + 'static,
+{
+    let lost = Arc::new(AtomicBool::new(false));
+    let mut mux: Mux<Box<dyn PollTransport>, _> =
+        Mux::new(MuxConfig::default(), VirtualClock::new());
+    let mut pairs = Vec::new();
+    for i in 0..LOSSY_PAIRS {
+        let hub = MemHub::new();
+        let sender_tp = TranscriptTransport::new(hub.join());
+        let mut logs = vec![sender_tp.transcript()];
+        mux.add_sender(sender(i, &lossy_payload(i)), Box::new(sender_tp), rt());
+        let mut tokens = Vec::new();
+        for r in 0..LOSSY_RECEIVERS {
+            let seed = 0x10_55E5 ^ (u64::from(i) << 8) ^ u64::from(r);
+            let faulty = FaultyTransport::new(hub.join(), FaultConfig::drop_only(0.05), seed);
+            let tp: Box<dyn PollTransport> = if lose_round && (i, r) == (0, 0) {
+                let tp = TranscriptTransport::new(LoseOneRound::new(faulty, lost.clone()));
+                logs.push(tp.transcript());
+                Box::new(tp)
+            } else {
+                let tp = TranscriptTransport::new(faulty);
+                logs.push(tp.transcript());
+                Box::new(tp)
+            };
+            tokens.push(mux.add_receiver(receiver(i, r), tp, rt()));
+        }
+        pairs.push((logs, tokens));
+    }
+    let outcomes = mux.run();
+    assert_eq!(
+        outcomes.len(),
+        (LOSSY_PAIRS * (1 + LOSSY_RECEIVERS)) as usize
+    );
+    let pairs = pairs
+        .into_iter()
+        .map(|(logs, tokens)| LossyPair {
+            transcripts: logs.iter().map(|log| log.lock().clone()).collect(),
+            delivered: tokens
+                .iter()
+                .map(|tok| {
+                    let (_, outcome) = outcomes
+                        .iter()
+                        .find(|(t, _)| t == tok)
+                        .expect("receiver outcome");
+                    outcome
+                        .receiver_report()
+                        .expect("receiver ok")
+                        .data
+                        .to_vec()
+                })
+                .collect(),
+        })
+        .collect();
+    (pairs, lost.load(Ordering::Relaxed))
+}
+
+/// The NP lossy farm.
+pub fn run_lossy_np_farm() -> Vec<LossyPair> {
+    run_lossy_farm(
+        |i, data| NpSender::new(i, data, lossy_np_cfg(i)).expect("valid config"),
+        |i, r| NpReceiver::new(100 * i + r, i, 0.001, u64::from(16 * i + r)),
+        false,
+    )
+    .0
+}
+
+/// The N2 lossy farm, and whether its whole-round loss happened.
+pub fn run_lossy_n2_farm() -> (Vec<LossyPair>, bool) {
+    run_lossy_farm(
+        |i, data| N2Sender::new(i, data, lossy_np_cfg(0)).expect("valid config"),
+        |i, r| N2Receiver::new(100 * i + r, i, 0.001, u64::from(16 * i + r)),
+        true,
+    )
+}
+
+/// Every endpoint of a lossy farm hashes to `pinned` and every receiver
+/// delivered its pair's payload.
+pub fn assert_lossy_farm_is_pinned(
+    farm: &[LossyPair],
+    pinned: &[[u32; 1 + LOSSY_RECEIVERS as usize]],
+    label: &str,
+) {
+    for (i, (pair, want)) in farm.iter().zip(pinned).enumerate() {
+        for (r, data) in pair.delivered.iter().enumerate() {
+            assert_eq!(
+                *data,
+                lossy_payload(i as u32),
+                "{label} pair {i} receiver {r} bytes"
+            );
+        }
+        assert_eq!(
+            pair.digests(),
+            want.to_vec(),
+            "{label} pair {i}: (sender, receivers..) transcript digests moved"
         );
     }
 }

@@ -6,7 +6,8 @@
 //! memoized process-wide, hence the dedicated test binary) and checks the
 //! same farm against the same digests, so the vectorized kernels are
 //! proven to leave every wire byte exactly where the scalar reference puts
-//! it — end to end through encode, NAK repair and decode.
+//! it — end to end through encode, NAK repair and decode, on the lossless
+//! farm and on the lossy NP farm.
 
 mod common;
 
@@ -44,4 +45,11 @@ fn mux_transcripts_stay_pinned_under_auto_dispatch() {
     );
 
     common::assert_farm_is_pinned(&common::run_pinned_farm(), &backend.to_string());
+    // The lossy NP farm reconstructs lost packets from parities, so its
+    // digests also pin the decode kernels.
+    common::assert_lossy_farm_is_pinned(
+        &common::run_lossy_np_farm(),
+        &common::LOSSY_NP,
+        &format!("NP under {backend}"),
+    );
 }
