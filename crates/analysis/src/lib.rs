@@ -49,7 +49,6 @@ pub mod nofec;
 pub mod numerics;
 pub mod population;
 pub mod rounds;
-pub mod tuning;
 
 pub use endhost::CostModel;
 pub use population::Population;

@@ -25,10 +25,14 @@
 //! repairs *different* losses at different receivers, which is where the
 //! bandwidth savings of Figs. 5–8 come from.
 //!
-//! The crate is structured sans-io: [`NpSender`]/[`NpReceiver`] (and
-//! [`n2::N2Sender`]/[`n2::N2Receiver`]) are pure state machines consuming
-//! `(Message, now)` and emitting messages to send — deterministic to test,
-//! trivial to embed. [`runtime`] holds what a driver of those machines
+//! The crate is structured sans-io: one [`Sender`] and one [`Receiver`]
+//! are pure state machines consuming `(Message, now)` and emitting messages
+//! to send — deterministic to test, trivial to embed. NP
+//! ([`NpSender`]/[`NpReceiver`]) and N2 ([`n2::N2Sender`]/[`n2::N2Receiver`])
+//! are the same two machines under two policy pairs,
+//! [`sender::Repair`] (fresh parities, or the named originals) and
+//! [`receiver::Feedback`] (one NAK per group, or one per packet) — the only
+//! structural differences the paper's Section 5 draws between them. [`runtime`] holds what a driver of those machines
 //! shares with them — the machine traits, timing/resilience configuration
 //! and session reports — and `pm-mux` is that driver, the only one (tests
 //! at R = 1000 included: a `Mux` on a virtual clock), over any
@@ -59,7 +63,7 @@ pub use config::{CompletionPolicy, NpConfig};
 pub use costs::CostCounters;
 pub use error::ProtocolError;
 pub use payload::Payload;
-pub use receiver::{NpReceiver, ReceiverAction};
+pub use receiver::{NpReceiver, Receiver, ReceiverAction};
 pub use runtime::{ReceiverReport, ResilienceCore, ResiliencePolicy, RuntimeConfig};
-pub use sender::{NpSender, SenderStep};
+pub use sender::{NpSender, Sender, SenderStep};
 pub use session::{SessionPlan, SessionReport};

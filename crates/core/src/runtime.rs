@@ -2,11 +2,12 @@
 //! timing and resilience configuration, the clock-agnostic resilience
 //! accounting, the NP/N2 machine traits and the session reports.
 //!
-//! Each machine implements its trait in its own module: [`SenderMachine`]
-//! beside `NpSender` (`sender.rs`), `N2Sender` (`n2.rs`) and
-//! `CarouselSender` (`carousel.rs`), [`ReceiverMachine`] beside
-//! `NpReceiver` (`receiver.rs`) and `N2Receiver` (`n2.rs`). Their driver
-//! methods are those impls, so a caller names the trait to call them.
+//! Each machine implements its trait once, in its own module:
+//! [`SenderMachine`] beside `Sender<R>` (`sender.rs`, NP and N2 by repair
+//! policy) and `CarouselSender` (`carousel.rs`), [`ReceiverMachine`] beside
+//! `Receiver<F>` (`receiver.rs`, NP and N2 by feedback policy). Their
+//! driver methods are those impls, so a caller names the trait to call
+//! them.
 //!
 //! Nothing here reads a clock or touches a socket. The loop that does —
 //! pacing, retry backoff, stall/linger/eviction deadlines — is `pm-mux`
@@ -112,7 +113,7 @@ fn splitmix64(mut z: u64) -> u64 {
 ///
 /// The core never sleeps and never reads a clock — it *classifies*
 /// outcomes and *computes* backoff durations; the runtime owns all waiting
-/// (the multiplexer schedules a timer-wheel entry), which is what keeps
+/// (the multiplexer schedules an entry on its timer queue), which is what keeps
 /// the policy testable under a virtual clock.
 #[derive(Debug, Clone)]
 pub struct ResilienceCore {

@@ -174,6 +174,30 @@ impl SessionPlan {
         }
     }
 
+    /// Block packet `index` of group `group`, carrying `payload`.
+    pub fn packet(&self, group: u32, index: u16, payload: Bytes) -> Message {
+        let k = self.group_k(group) as u16;
+        Message::Packet {
+            session: self.session,
+            group,
+            index,
+            k,
+            n: k + self.h,
+            payload,
+        }
+    }
+
+    /// The poll closing round `round` of group `group`, `sent` packets
+    /// long.
+    pub fn poll(&self, group: u32, sent: u16, round: u16) -> Message {
+        Message::Poll {
+            session: self.session,
+            group,
+            sent,
+            round,
+        }
+    }
+
     /// Reconstruct a plan from an announce message.
     ///
     /// # Errors

@@ -116,7 +116,7 @@ fn parse_args() -> Args {
 /// Farm mode (`--sessions N`): N independent sender/receiver sessions,
 /// every one driven by a single event-driven multiplexer (`pm-mux`) on the
 /// calling thread — no per-session threads, all waiting pooled in one
-/// timer wheel. Each session gets its own in-memory group; the drop/chaos
+/// timer queue (a binary heap). Each session gets its own in-memory group; the drop/chaos
 /// profile wraps each receiver's endpoint so the repair path runs.
 fn run_farm(
     args: &Args,

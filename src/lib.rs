@@ -23,7 +23,7 @@
 //! | [`protocol`] | `pm-core` | protocol NP, baseline N2 and the carousel: sans-io machines, plus the traits/config/reports their driver shares with them |
 //! | [`obs`] | `pm-obs` | structured trace events, counters/histograms, JSONL recorders |
 //! | [`par`] | `pm-par` | scoped thread pool: deterministic `par_map` / `par_map_reduce` |
-//! | [`mux`] | `pm-mux` | event-driven session multiplexer — the one loop that drives the machines: N sessions, one thread, a timer wheel, wall or virtual clock |
+//! | [`mux`] | `pm-mux` | event-driven session multiplexer — the one loop that drives the machines: N sessions, one thread, a binary-heap timer queue, wall or virtual clock |
 //!
 //! ## Quickstart
 //!
