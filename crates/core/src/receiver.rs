@@ -25,7 +25,7 @@ use bytes::Bytes;
 use pm_net::suppression::NakSuppressor;
 use pm_net::Message;
 use pm_obs::{Event, Histogram, Obs, Role};
-use pm_rse::{CacheStats, CodeSpec, GroupDecoder, InsertOutcome, RseDecoder};
+use pm_rse::{CodeSpec, GroupDecoder, InsertOutcome, RseDecoder};
 
 use crate::costs::CostCounters;
 use crate::error::ProtocolError;
@@ -46,6 +46,15 @@ pub enum ReceiverAction {
     /// Every group of the session is decoded; `payload` yields the byte
     /// stream. Emitted exactly once.
     Complete,
+}
+
+/// What [`Receiver::decode_cache_stats`] reports: two zeros.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DecodeCacheStats {
+    /// Always 0.
+    pub hits: u64,
+    /// Always 0.
+    pub misses: u64,
 }
 
 /// Per-group reception state.
@@ -158,16 +167,11 @@ impl<F: Feedback> Receiver<F> {
         self.decode_timer = Some(hist);
     }
 
-    /// Aggregated inverse-cache hit/miss counts across this receiver's
-    /// decoders.
-    pub fn decode_cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for dec in self.decoders.values() {
-            let s = dec.cache_stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-        }
-        total
+    /// Always zero: decoders keep no cache. Kept only because the frozen
+    /// e2e-bench reads `.hits`/`.misses`; ROADMAP item 1 (k) deletes it with
+    /// that reader.
+    pub fn decode_cache_stats(&self) -> DecodeCacheStats {
+        DecodeCacheStats::default()
     }
 
     /// The receiver's identity.
@@ -252,8 +256,8 @@ impl<F: Feedback> Receiver<F> {
         let missing = (spec.k() - gd.data_received()) as u64;
         // A group whose data all arrived needs no decoder: on a lossless
         // path none is ever built.
-        let (packets, cache_delta) = match gd.data_if_complete() {
-            Some(packets) => (packets, CacheStats::default()),
+        let packets = match gd.data_if_complete() {
+            Some(packets) => packets,
             None => {
                 let decoder = match self.decoders.entry((k, n)) {
                     Entry::Occupied(e) => e.into_mut(),
@@ -265,22 +269,9 @@ impl<F: Feedback> Receiver<F> {
                         e.insert(dec)
                     }
                 };
-                let before = decoder.cache_stats();
-                let packets = gd.reconstruct(decoder)?;
-                let after = decoder.cache_stats();
-                let delta = CacheStats {
-                    hits: after.hits - before.hits,
-                    misses: after.misses - before.misses,
-                };
-                (packets, delta)
+                gd.reconstruct(decoder)?
             }
         };
-        for _ in 0..cache_delta.hits {
-            self.obs.emit(now, || Event::DecodeCacheHit { k, n });
-        }
-        for _ in 0..cache_delta.misses {
-            self.obs.emit(now, || Event::DecodeCacheMiss { k, n });
-        }
         self.counters.packets_decoded += missing;
         self.counters.unneeded_receptions += gd.unneeded_receptions();
         self.decoded.insert(group, packets);
@@ -639,7 +630,6 @@ mod tests {
         assert_eq!(rx.payload().unwrap(), data);
         // Nothing was lost, so no decoder (and no generator) was ever built.
         assert!(rx.decoders.is_empty());
-        assert_eq!(rx.decode_cache_stats(), CacheStats::default());
         assert_eq!(rx.counters().packets_decoded, 0, "systematic fast path");
     }
 

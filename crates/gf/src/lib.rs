@@ -28,12 +28,11 @@
 //!   `pm-simd`'s scalar backend, including the batched
 //!   [`slice::mul_add_multi_rows`] multi-source kernel, and the per-byte
 //!   [`slice::reference`] oracle every other kernel is tested against.
-//! * [`poly`] — polynomials over GF(2^8): Horner evaluation (the paper's
-//!   Eq. 1 encoder computes parities as `p_j = F(alpha^(j-1))`) and Lagrange
-//!   interpolation.
-//! * [`matrix`] — dense matrices over GF(2^8): Vandermonde construction,
-//!   systematisation and Gauss–Jordan inversion for the erasure decoder.
 //!
+//! There are no polynomials or matrices here: `pm-rse` writes the code's
+//! encode and decode rows down in closed form, in the log domain on the
+//! tables [`gf256::log_exp`] hands out, and keeps the Gauss–Jordan and
+//! polynomial oracles it is tested against in its own test-only modules.
 //! All arithmetic is table-driven and allocation-free on the hot path.
 //!
 //! ```
@@ -44,18 +43,12 @@
 //! assert_eq!((a * b) * a.checked_inv().unwrap(), b); // field inverse
 //! ```
 
-pub mod error;
 pub mod gf256;
-pub mod matrix;
 pub mod mul_table;
-pub mod poly;
 pub mod slice;
 
-pub use error::GfError;
 pub use gf256::Gf256;
-pub use matrix::Matrix;
 pub use mul_table::MulTable;
-pub use poly::Poly;
 
 #[cfg(test)]
 mod proptests;

@@ -1,11 +1,9 @@
-//! Property-based tests for the field axioms and matrix identities.
+//! Property-based tests for the field axioms and the slice kernels.
 
 use proptest::prelude::*;
 
 use crate::gf256::Gf256;
-use crate::matrix::Matrix;
 use crate::mul_table::mul_row;
-use crate::poly::Poly;
 use crate::slice;
 
 fn gf() -> impl Strategy<Value = Gf256> {
@@ -73,57 +71,6 @@ proptest! {
         slice::mul_add_row(mul_row(c1), &src, &mut rhs);
         slice::mul_add_row(mul_row(c2), &src, &mut rhs);
         prop_assert_eq!(lhs, rhs);
-    }
-
-    #[test]
-    fn poly_eval_additive(d1 in proptest::collection::vec(any::<u8>(), 0..32),
-                          d2 in proptest::collection::vec(any::<u8>(), 0..32),
-                          x in gf()) {
-        let p1 = Poly::from_bytes(&d1);
-        let p2 = Poly::from_bytes(&d2);
-        prop_assert_eq!(p1.add(&p2).eval(x), p1.eval(x) + p2.eval(x));
-    }
-
-    #[test]
-    fn poly_interpolation_roundtrip(coeffs in proptest::collection::vec(any::<u8>(), 1..12)) {
-        let p = Poly::from_bytes(&coeffs);
-        let pts: Vec<_> = (0..coeffs.len())
-            .map(|i| (Gf256::alpha_pow(i), p.eval(Gf256::alpha_pow(i))))
-            .collect();
-        let q = Poly::interpolate(&pts).unwrap();
-        for i in 0..coeffs.len() {
-            prop_assert_eq!(q.coeff(i), p.coeff(i));
-        }
-    }
-
-    #[test]
-    fn random_vandermonde_subsets_invert(
-        k in 2usize..8,
-        extra in 1usize..8,
-        seed in any::<u64>(),
-    ) {
-        // Any k rows of an n x k Vandermonde over distinct points invert.
-        let n = k + extra;
-        let points: Vec<Gf256> = (0..n).map(Gf256::alpha_pow).collect();
-        let v = Matrix::vandermonde(&points, k);
-        // Pick k distinct rows pseudo-randomly from the seed.
-        let mut rows: Vec<usize> = (0..n).collect();
-        let mut s = seed.wrapping_add(1);
-        for i in (1..rows.len()).rev() {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let j = (s >> 33) as usize % (i + 1);
-            rows.swap(i, j);
-        }
-        rows.truncate(k);
-        prop_assert!(v.select_rows(&rows).invert().is_ok());
-    }
-
-    #[test]
-    fn matrix_inverse_involution(vals in proptest::collection::vec(any::<u8>(), 9..=9)) {
-        let m = Matrix::from_fn(3, 3, |r, c| Gf256(vals[r * 3 + c]));
-        if let Ok(inv) = m.invert() {
-            prop_assert_eq!(inv.invert().unwrap(), m);
-        }
     }
 
     /// Differential: the shared-table row kernel is byte-identical to the

@@ -173,9 +173,9 @@ macro_rules! events {
             }
 
             /// The session this event belongs to, when it carries one. Wire-level
-            /// and codec events (`net_*`, `decode_cache_*`, resilience counters)
-            /// are unattributed and return `None` — windowed telemetry folds them
-            /// into the farm-wide aggregate only.
+            /// events (`net_*`) and resilience counters are unattributed and
+            /// return `None` — windowed telemetry folds them into the farm-wide
+            /// aggregate only.
             #[expect(
                 unused_variables,
                 reason = "every arm binds all of its variant's fields and reads at most `session`"
@@ -351,20 +351,6 @@ events! {
         /// Data packets reconstructed by the codec (0 on the systematic
         /// fast path).
         recovered: u64,
-    },
-    /// The decoder's inverse-matrix cache served a repeated loss pattern.
-    DecodeCacheHit = "decode_cache_hit" {
-        /// Group size of the code.
-        k: u16,
-        /// Block size of the code.
-        n: u16,
-    },
-    /// A fresh loss pattern forced an O(k^3) matrix inversion.
-    DecodeCacheMiss = "decode_cache_miss" {
-        /// Group size of the code.
-        k: u16,
-        /// Block size of the code.
-        n: u16,
     },
     /// A NAK timer fired and the NAK was multicast.
     NakSent = "nak_sent" {
@@ -717,8 +703,6 @@ mod tests {
                 group: 0,
                 recovered: 2,
             },
-            Event::DecodeCacheHit { k: 8, n: 48 },
-            Event::DecodeCacheMiss { k: 8, n: 48 },
             Event::NakSent {
                 session: 1,
                 group: 0,
@@ -839,9 +823,9 @@ mod tests {
             assert_eq!(back["type"].as_str(), Some(ev.name()));
             assert_eq!(back["t"].as_f64(), Some(0.5));
         }
-        assert_eq!(names.len(), 46, "vocabulary size pinned");
+        assert_eq!(names.len(), 44, "vocabulary size pinned");
         // The names and EVENT_NAMES come from the same table entries, so the
         // list cannot disagree with the variants; only its size is pinned.
-        assert_eq!(EVENT_NAMES.len(), 46);
+        assert_eq!(EVENT_NAMES.len(), 44);
     }
 }

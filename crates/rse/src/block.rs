@@ -284,7 +284,6 @@ mod tests {
         let all = g.data_if_complete().unwrap();
         assert!(all.iter().zip(&data).all(|(a, b)| a.as_ptr() == b.as_ptr()));
         assert_eq!(g.reconstruct(&dec).unwrap(), all);
-        assert_eq!(dec.cache_stats().hits + dec.cache_stats().misses, 1);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use pm_gf::GfError;
 use pm_simd::DispatchError;
 
 /// Errors raised by encoding, decoding and block accumulation.
@@ -26,9 +25,6 @@ pub enum RseError {
     DuplicateShare { index: usize },
     /// Wrong number of data packets passed to the encoder.
     WrongDataCount { expected: usize, got: usize },
-    /// Underlying field/matrix failure (not reachable with validated specs;
-    /// surfaced rather than panicking).
-    Gf(GfError),
     /// `PM_SIMD`-driven kernel dispatch failed (unknown value, or a forced
     /// backend this host cannot run). Surfaces at codec construction, so a
     /// misconfigured environment fails loudly before any data moves.
@@ -66,7 +62,6 @@ impl fmt::Display for RseError {
             RseError::WrongDataCount { expected, got } => {
                 write!(f, "encoder expects {expected} data packets, got {got}")
             }
-            RseError::Gf(e) => write!(f, "field arithmetic error: {e}"),
             RseError::Dispatch(e) => write!(f, "codec kernel dispatch failed: {e}"),
             RseError::Internal(what) => {
                 write!(f, "internal invariant violated (bug in pm-rse): {what}")
@@ -78,16 +73,9 @@ impl fmt::Display for RseError {
 impl std::error::Error for RseError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            RseError::Gf(e) => Some(e),
             RseError::Dispatch(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<GfError> for RseError {
-    fn from(e: GfError) -> Self {
-        RseError::Gf(e)
     }
 }
 

@@ -1,81 +1,153 @@
-//! The systematic generator's parity rows, in closed form.
+//! The code's rows in closed form: encoding and decoding are one
+//! interpolation.
 //!
-//! Over the points `x_r = alpha^r`, row `r` of the systematised `n x k`
-//! Vandermonde (Rizzo's `fec.c`: right-multiply by the inverse of the top
-//! `k x k` block) is the Lagrange basis over the `k` data points evaluated
-//! at `x_r`. For parity `j` that is
-//! `G[k+j][i] = N_j / ((x_{k+j} - x_i) * w_i)`, where
-//! `w_i = prod_{m<k, m!=i} (x_i - x_m)` and `N_j = prod_{m<k} (x_{k+j} - x_m)`.
-//! The `k` weights `1 / w_i` cost `O(k^2)` field operations once per code;
-//! each row is then `O(k)`, so the encoder's `h` rows cost `O(k^2 + h*k)`
-//! instead of `O(k^3 + n*k^2)` for the same matrix, and a decoder derives
-//! only the rows a loss pattern chose — the tests hold both equal to
-//! `Matrix::systematize`, entry by entry.
+//! The paper's Section 2.1 and Eq. 1 define the code as one polynomial `f`
+//! of degree below `k` evaluated at distinct points `x_r = alpha^r`: data
+//! packet `i` is `f(x_i)` and parity `r` (block index `k <= r < n`) is
+//! `f(x_r)`. Any `k` values determine `f`, so from the values at a
+//! selection `R` of `k` block indices the value at any other point `a` is
+//!
+//! ```text
+//! f(x_a) = sum_{r in R} f(x_r) * Q(a) / ((x_a - x_r) * Q(r)),
+//! Q(b)   = prod_{s in R, s != b} (x_b - x_s)
+//! ```
+//!
+//! (Lagrange). The encoder's parity rows are that with `R` the data points
+//! and `a = k..n` — the systematised `n x k` Vandermonde of Rizzo's
+//! `fec.c`, written down directly. A decoder's rows are that with `R` the
+//! data that arrived plus the `l` parities chosen to stand in, and `a` the
+//! missing data points: the rows of the selection's inverse that belong to
+//! the missing packets, with no system to solve and no singular case,
+//! because the points are distinct.
+//!
+//! The only per-code state is the `k` data weights
+//! `w_i = prod_{m<k, m!=i} (x_i - x_m)`, in `O(k^2)`. Every `Q(b)` is a
+//! weight — or, for a parity point, `prod_{i<k} (x_b - x_i)` in `O(k)` —
+//! corrected by the `O(l)` factors of the `l` data points the selection
+//! lacks and the `l` parities it adds. So the `l x k` decode rows cost
+//! `O(k*l)` and the encoder's `h x k` block `O(h*k)`. All of it runs in the
+//! log domain on pm-gf's tables, read once per call: an entry is one xor,
+//! one log lookup, two adds (one conditionally reduced) and one exp
+//! lookup. The tests hold both row sets equal, entry by entry, to the
+//! Gauss–Jordan oracle.
 
-use pm_gf::{Gf256, Matrix};
+use pm_gf::gf256::log_exp;
+use pm_gf::Gf256;
 
-use crate::code::CodeSpec;
-use crate::error::RseError;
-
-/// Only differences of distinct points are inverted: a zero is a bug.
-fn inv(v: Gf256) -> Result<Gf256, RseError> {
-    v.checked_inv().ok_or(RseError::Internal("distinct points"))
+/// pm-gf's log and exp tables, read once per call.
+#[derive(Clone, Copy)]
+struct Tables {
+    log: &'static [u8; 256],
+    exp: &'static [u8; 510],
 }
 
-/// The per-code half of the closed form: the `k` inverse weights `1 / w_i`.
+impl Tables {
+    fn get() -> Self {
+        let (log, exp) = log_exp();
+        Tables { log, exp }
+    }
+
+    /// `alpha^i` for `i < 510`: a block index's point, or a sum of logs.
+    fn exp(self, i: usize) -> u8 {
+        self.exp.get(i).copied().unwrap_or(0)
+    }
+
+    /// `log_alpha v` for `v != 0`.
+    fn log(self, v: u8) -> usize {
+        self.log.get(usize::from(v)).map_or(0, |&l| usize::from(l))
+    }
+
+    /// The points `x_i` of the first `k <= 255` block indices.
+    fn first(self, k: usize) -> &'static [u8] {
+        self.exp.get(..k).unwrap_or_default()
+    }
+
+    /// The points of the block indices `points`.
+    fn points(self, points: &[usize]) -> Vec<u8> {
+        points.iter().map(|&p| self.exp(p)).collect()
+    }
+
+    /// `log prod_{x in xs, x != x_b} (x_b - x)`, unreduced.
+    fn log_prod(self, x_b: u8, xs: &[u8]) -> usize {
+        xs.iter()
+            .filter(|&&x| x != x_b)
+            .map(|&x| self.log(x_b ^ x))
+            .sum()
+    }
+}
+
+/// The closed form's per-code state: `log w_i` for the `k` data points.
 #[derive(Debug, Clone)]
 pub(crate) struct Lagrange {
-    w_inv: Vec<Gf256>,
+    log_w: Vec<usize>,
 }
 
 impl Lagrange {
-    /// The weights for `k` data points, in `O(k^2)`.
-    pub(crate) fn new(k: usize) -> Result<Self, RseError> {
-        let x = Gf256::alpha_pow;
-        let w_inv = (0..k)
-            .map(|i| {
-                let (x_i, others) = (x(i), (0..k).filter(|&m| m != i));
-                inv(others.fold(Gf256::ONE, |p, m| p * (x_i - x(m))))
+    /// The weights for `k <= 255` data points, in `O(k^2)`.
+    pub(crate) fn new(k: usize) -> Self {
+        let t = Tables::get();
+        let data = t.first(k);
+        let log_w = data
+            .iter()
+            .map(|&x_i| t.log_prod(x_i, data) % 255)
+            .collect();
+        Lagrange { log_w }
+    }
+
+    /// The rows that carry the values at `R = ([0, k) \ missing) ∪ chosen`
+    /// to the points `at`: `at.len() x k`, row-major, one column per point
+    /// of `R` — the data points outside `missing` ascending, then `chosen`.
+    /// `missing` holds ascending data indices and `chosen` as many parity
+    /// indices; no point of `at` lies in `R`.
+    pub(crate) fn rows(&self, missing: &[usize], chosen: &[usize], at: &[usize]) -> Vec<Gf256> {
+        let t = Tables::get();
+        let k = self.log_w.len();
+        let data = t.first(k);
+        let (x_missing, x_chosen) = (t.points(missing), t.points(chosen));
+        // Block index b as (x_b, log Q(b)): the product over all data points
+        // (a stored weight, or O(k) for a parity), with the chosen parities'
+        // factors added and the missing points' taken out, reduced below 255.
+        let point = |b: usize| {
+            let x_b = t.exp(b);
+            let all_data = match self.log_w.get(b) {
+                Some(&log_w) => log_w,
+                None => t.log_prod(x_b, data),
+            };
+            let added = t.log_prod(x_b, &x_chosen);
+            let lacked = t.log_prod(x_b, &x_missing);
+            (
+                x_b,
+                (all_data + added + 255 * x_missing.len() - lacked) % 255,
+            )
+        };
+        let mut gaps = missing.iter().peekable();
+        let arrived = (0..k).filter(|&i| gaps.next_if_eq(&&i).is_none());
+        // Each point of R as (x_r, -log Q(r)).
+        let cols: Vec<(u8, usize)> = arrived
+            .chain(chosen.iter().copied())
+            .map(|r| {
+                let (x_r, log_q_r) = point(r);
+                (x_r, (255 - log_q_r) % 255)
             })
-            .collect::<Result<_, _>>()?;
-        Ok(Lagrange { w_inv })
-    }
-
-    /// The number of data points.
-    pub(crate) fn k(&self) -> usize {
-        self.w_inv.len()
-    }
-
-    /// Append row `r` of the generator (`k <= r < n`, a parity's block
-    /// index) to `out`: its `k` coefficients, one per data index, in `O(k)`.
-    pub(crate) fn row_into(&self, r: usize, out: &mut Vec<Gf256>) -> Result<(), RseError> {
-        let (x, x_r) = (Gf256::alpha_pow, Gf256::alpha_pow(r));
-        let n_r = (0..self.k()).fold(Gf256::ONE, |p, m| p * (x_r - x(m)));
-        for (i, &w) in self.w_inv.iter().enumerate() {
-            out.push(n_r * inv(x_r - x(i))? * w);
+            .collect();
+        let mut out = Vec::with_capacity(at.len() * cols.len());
+        for &a in at {
+            let (x_a, log_q_a) = point(a);
+            out.extend(cols.iter().map(|&(x_r, neg_log_q_r)| {
+                let sum = log_q_a + neg_log_q_r;
+                let sum = if sum >= 255 { sum - 255 } else { sum };
+                Gf256(t.exp(sum + 255 - t.log(x_a ^ x_r)))
+            }));
         }
-        Ok(())
+        out
     }
-}
-
-/// Parity rows `k..n` of the systematic generator for `spec`, `h x k`.
-/// With `h = 0` there are none; the result is a `1 x k` zero dummy that is
-/// never read (`Matrix` forbids zero dimensions).
-pub(crate) fn parity_rows(spec: &CodeSpec, lagrange: &Lagrange) -> Result<Matrix, RseError> {
-    let (k, n) = (spec.k(), spec.n());
-    if spec.h() == 0 {
-        return Ok(Matrix::zero(1, k));
-    }
-    let mut coeffs = Vec::with_capacity(spec.h() * k);
-    for r in k..n {
-        lagrange.row_into(r, &mut coeffs)?;
-    }
-    Ok(Matrix::from_vec(spec.h(), k, coeffs)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::code::CodeSpec;
+    use crate::matrix::Matrix;
 
     /// The oracle: systematise the Vandermonde, keep rows `k..n`.
     fn systematised(k: usize, n: usize) -> Matrix {
@@ -90,14 +162,17 @@ mod tests {
         let large = [(7, 255), (20, 255), (100, 255), (254, 255), (1, 255)];
         for (k, n) in small.chain(large) {
             let spec = CodeSpec::new(k, n - k).unwrap();
-            let lagrange = Lagrange::new(k).unwrap();
+            let lagrange = Lagrange::new(k);
             let oracle = systematised(k, n);
-            assert_eq!(parity_rows(&spec, &lagrange).unwrap(), oracle, "({k},{n})");
-            // Every row a decoder derives on its own, in any order.
-            let dec = crate::RseDecoder::new(spec).unwrap();
+            let rows = lagrange.rows(&[], &[], &(k..n).collect::<Vec<_>>());
+            assert_eq!(rows.len(), spec.h() * k);
+            for (j, row) in rows.chunks_exact(k).enumerate() {
+                assert_eq!(row, oracle.row(j), "({k},{n}) row {}", k + j);
+            }
+            // Every row on its own, in any order.
             for r in (k..n).rev() {
                 assert_eq!(
-                    dec.parity_row(r).unwrap(),
+                    lagrange.rows(&[], &[], &[r]),
                     oracle.row(r - k),
                     "({k},{n}) row {r}"
                 );
@@ -106,11 +181,9 @@ mod tests {
     }
 
     #[test]
-    fn no_parities_gives_the_zero_dummy() {
+    fn no_points_give_no_rows() {
         for k in (1..=40).chain([255]) {
-            let spec = CodeSpec::new(k, 0).unwrap();
-            let lagrange = Lagrange::new(k).unwrap();
-            assert_eq!(parity_rows(&spec, &lagrange).unwrap(), Matrix::zero(1, k));
+            assert!(Lagrange::new(k).rows(&[], &[], &[]).is_empty());
         }
     }
 }

@@ -30,11 +30,15 @@
 //!   Figure 2 of McAuley \[12\] and Section 2.2 of the paper.
 //!
 //! There is one codec: [`RseEncoder`]/[`RseDecoder`], the systematic
-//! Vandermonde-matrix code (Rizzo-style) over GF(2^8), `n <= 255`, used by
-//! the `pm-core` protocol. The paper's literal Eq. (1) construction
-//! (`p_j = F(alpha^(j-1))`) lives on in `poly_codec.rs` as a test-only
-//! executable specification that the property tests cross-check this codec
-//! against.
+//! Vandermonde code (Rizzo-style) over GF(2^8), `n <= 255`, used by the
+//! `pm-core` protocol. Its encode and decode rows come from one closed-form
+//! interpolation through the points `alpha^r` (`generator.rs`): nothing is
+//! solved, so a decoder holds no state that decodes change — no cache, no
+//! lock — and is `Send + Sync`. The Gauss–Jordan matrices and the
+//! polynomials that the rows are tested against are test-only modules
+//! (`matrix.rs`, `poly.rs`), and so is the paper's literal Eq. (1)
+//! construction (`p_j = F(alpha^(j-1))`, `poly_codec.rs`), an executable
+//! specification that the property tests cross-check this codec against.
 //!
 //! [`GroupDecoder`] is the receiver-side accumulator used by the protocol:
 //! it keeps the (at most `k`) packets of a block that arrived — state and
@@ -66,10 +70,14 @@ mod generator;
 
 pub use block::{GroupDecoder, InsertOutcome};
 pub use code::CodeSpec;
-pub use decoder::{CacheStats, RseDecoder};
+pub use decoder::RseDecoder;
 pub use encoder::RseEncoder;
 pub use error::RseError;
 
+#[cfg(test)]
+mod matrix;
+#[cfg(test)]
+mod poly;
 #[cfg(test)]
 mod poly_codec;
 #[cfg(test)]

@@ -15,8 +15,8 @@
 //! packets survive. This is precisely why Rizzo's `fec.c` (and
 //! our [`crate::RseEncoder`]) instead *systematize an `n x k` Vandermonde
 //! generator*, which restores the any-`k`-of-`n` guarantee. [`decode`]
-//! returns [`RseError::Gf`]`(SingularMatrix)` on such patterns rather than
-//! ever producing wrong data; the property tests pin down both behaviours.
+//! returns `Ok(None)` on such patterns rather than ever producing wrong
+//! data; the property tests pin down both behaviours.
 //!
 //! Protocols use [`crate::RseEncoder`]/[`crate::RseDecoder`]; this module is
 //! compiled for tests only, as the oracle `proptests.rs` compares against.
@@ -84,7 +84,8 @@ pub fn encode_all<P: AsRef<[u8]>>(spec: &CodeSpec, data: &[P]) -> Result<Vec<Vec
         .collect()
 }
 
-/// Decode the `k` data packets from any `k` shares `(block_index, payload)`.
+/// Decode the `k` data packets from any `k` shares `(block_index, payload)`,
+/// or `None` when those shares leave the Eq. (1) system singular.
 ///
 /// For each byte position, build the unique polynomial of degree `< k`
 /// consistent with the received coefficients and evaluations, then read the
@@ -95,7 +96,7 @@ pub fn encode_all<P: AsRef<[u8]>>(spec: &CodeSpec, data: &[P]) -> Result<Vec<Vec
 pub fn decode<P: AsRef<[u8]>>(
     spec: &CodeSpec,
     shares: &[(usize, P)],
-) -> Result<Vec<Vec<u8>>, RseError> {
+) -> Result<Option<Vec<Vec<u8>>>, RseError> {
     let k = spec.k();
     let n = spec.n();
     let mut slots: Vec<Option<&[u8]>> = vec![None; n];
@@ -129,7 +130,7 @@ pub fn decode<P: AsRef<[u8]>>(
 
     let known_coeffs: Vec<usize> = (0..k).filter(|&i| slots[i].is_some()).collect();
     if known_coeffs.len() == k {
-        return Ok((0..k).map(|i| slots[i].unwrap().to_vec()).collect());
+        return Ok(Some((0..k).map(|i| slots[i].unwrap().to_vec()).collect()));
     }
     // Parity evaluations to use, in index order, just enough to reach k.
     let evals: Vec<usize> = (k..n)
@@ -178,9 +179,9 @@ pub fn decode<P: AsRef<[u8]>>(
         }
         // Gaussian elimination on the tiny system.
         for col in 0..m {
-            let piv = (col..m)
-                .find(|&r| !a[r][col].is_zero())
-                .ok_or(pm_gf::GfError::SingularMatrix)?;
+            let Some(piv) = (col..m).find(|&r| !a[r][col].is_zero()) else {
+                return Ok(None);
+            };
             a.swap(col, piv);
             rhs.swap(col, piv);
             let inv = a[col][col].checked_inv().expect("pivot non-zero");
@@ -205,13 +206,13 @@ pub fn decode<P: AsRef<[u8]>>(
             out[mi][s] = rhs[t].0;
         }
     }
-    Ok(out)
+    Ok(Some(out))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pm_gf::Poly;
+    use crate::poly::Poly;
 
     fn group(k: usize, len: usize) -> Vec<Vec<u8>> {
         (0..k)
@@ -238,7 +239,7 @@ mod tests {
         for (j, p) in parities.iter().enumerate() {
             shares.push((7 + j, &p[..]));
         }
-        assert_eq!(decode(&spec, &shares).unwrap(), data);
+        assert_eq!(decode(&spec, &shares).unwrap(), Some(data));
     }
 
     #[test]
@@ -247,7 +248,7 @@ mod tests {
         let data = group(4, 10);
         let shares: Vec<(usize, &[u8])> =
             data.iter().enumerate().map(|(i, d)| (i, &d[..])).collect();
-        assert_eq!(decode(&spec, &shares).unwrap(), data);
+        assert_eq!(decode(&spec, &shares).unwrap(), Some(data));
     }
 
     #[test]
@@ -285,7 +286,7 @@ mod tests {
             .enumerate()
             .map(|(j, p)| (3 + j, &p[..]))
             .collect();
-        assert_eq!(decode(&spec, &shares).unwrap(), data);
+        assert_eq!(decode(&spec, &shares).unwrap(), Some(data));
     }
 
     #[test]

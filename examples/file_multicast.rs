@@ -33,8 +33,8 @@ use parity_multicast::net::{
     ChaosPreset, FarmHub, FarmRole, FaultConfig, FaultyTransport, MemHub, PollTransport,
 };
 use parity_multicast::obs::{
-    render_prometheus, Counter, Event, ExportServer, JsonlRecorder, MetricsRegistry, Obs, Recorder,
-    SnapshotFile, WindowConfig, WindowTelemetry,
+    render_prometheus, Event, ExportServer, JsonlRecorder, MetricsRegistry, Obs, SnapshotFile,
+    WindowConfig, WindowTelemetry,
 };
 use parity_multicast::protocol::runtime::RuntimeConfig;
 use parity_multicast::protocol::{
@@ -280,23 +280,6 @@ impl Net {
     }
 }
 
-/// Decode-cache totals counted off the event stream: a driver consumes its
-/// receiver machine, so `decode_cache_stats()` is out of reach afterwards.
-struct CacheCensus {
-    hits: Counter,
-    misses: Counter,
-}
-
-impl Recorder for CacheCensus {
-    fn record(&self, _t: f64, event: &Event) {
-        match event {
-            Event::DecodeCacheHit { .. } => self.hits.inc(),
-            Event::DecodeCacheMiss { .. } => self.misses.inc(),
-            _ => {}
-        }
-    }
-}
-
 fn main() {
     let args = parse_args();
     let trace_rec = args
@@ -319,15 +302,6 @@ fn main() {
     let obs = match &telemetry {
         Some(tel) => obs.tee(tel.clone()),
         None => obs,
-    };
-    // Only for `--metrics`: a live recorder makes every emit build its event.
-    let obs = if args.metrics {
-        obs.tee(Arc::new(CacheCensus {
-            hits: registry.counter("rse.decode_cache_hits"),
-            misses: registry.counter("rse.decode_cache_misses"),
-        }))
-    } else {
-        obs
     };
     let exporter = args.export.as_deref().map(|addr| {
         let reg = registry.clone();

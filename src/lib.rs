@@ -13,9 +13,9 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`gf`] | `pm-gf` | GF(2^8) arithmetic, matrices, polynomials |
+//! | [`gf`] | `pm-gf` | GF(2^8) arithmetic: tables and slice kernels |
 //! | [`simd`] | `pm-simd` | runtime-dispatched GFNI/AVX2/NEON GF(2^8) slice kernels (the one sanctioned `unsafe` boundary) |
-//! | [`rse`] | `pm-rse` | systematic Reed–Solomon erasure codec over packets |
+//! | [`rse`] | `pm-rse` | systematic Reed–Solomon erasure codec over packets: encode and decode rows from one closed-form interpolation |
 //! | [`loss`] | `pm-loss` | Bernoulli / heterogeneous / Markov-burst / shared-tree loss models |
 //! | [`analysis`] | `pm-analysis` | Eqs. (2)–(17): E\[M\], rounds, end-host rates |
 //! | [`sim`] | `pm-sim` | scheme simulations (no-FEC, layered, integrated 1/2) |

@@ -125,8 +125,6 @@ fn samples() -> Vec<(Event, Option<u32>)> {
             },
             Some(13),
         ),
-        (Event::DecodeCacheHit { k: 8, n: 48 }, None),
-        (Event::DecodeCacheMiss { k: 100, n: 255 }, None),
         (
             Event::NakSent {
                 session: 14,
@@ -324,36 +322,34 @@ const GOLDEN: &str = r#"{"t":0.0,"type":"session_start","role":"sender","session
 {"t":1.625,"type":"parity_recv","session":11.0,"group":0.0,"index":254.0}
 {"t":1.75,"type":"poll_recv","session":12.0,"group":0.0,"sent":8.0,"round":1.0}
 {"t":1.875,"type":"group_decoded","session":13.0,"group":0.0,"recovered":2.0}
-{"t":2.0,"type":"decode_cache_hit","k":8.0,"n":48.0}
-{"t":2.125,"type":"decode_cache_miss","k":100.0,"n":255.0}
-{"t":2.25,"type":"nak_sent","session":14.0,"group":0.0,"needed":2.0,"round":1.0}
-{"t":2.375,"type":"done_sent","session":15.0,"receiver":4.0}
-{"t":2.5,"type":"fin_recv","session":16.0}
-{"t":2.625,"type":"transfer_complete","session":17.0,"groups":3.0}
-{"t":2.75,"type":"nak_scheduled","group":0.0,"needed":2.0,"round":1.0,"deadline":0.015}
-{"t":2.875,"type":"nak_suppressed","group":0.0,"needed":2.0,"covered_by":3.0}
-{"t":3.0,"type":"net_sent","kind":"data"}
-{"t":3.125,"type":"net_recv","kind":"poll"}
-{"t":3.25,"type":"net_dropped","kind":"parity"}
-{"t":3.375,"type":"net_duplicated","kind":"nak"}
-{"t":3.5,"type":"net_reordered","kind":"announce"}
-{"t":3.625,"type":"net_corrupted","kind":"nak_packet"}
-{"t":3.75,"type":"net_truncated","kind":"done"}
-{"t":3.875,"type":"net_garbage","bytes":48.0}
-{"t":4.0,"type":"net_blackout","kind":"fin","tx":false}
-{"t":4.125,"type":"corrupt_dropped","total":3.0}
-{"t":4.25,"type":"send_retry","attempt":2.0}
-{"t":4.375,"type":"receiver_evicted","evicted":1.0,"completed":2.0}
-{"t":4.5,"type":"sim_run","scheme":"integrated2(k=7)","receivers":1000000.0,"trials":100.0,"mean_m":1.25,"ci95":0.01,"mean_rounds":2.0}
-{"t":4.625,"type":"sim_trial","scheme":"no-\"FEC\"","trial":3.0,"m":1.5,"rounds":2.0}
-{"t":4.75,"type":"mux_session_added","session":18.0,"role":"sender","active":12.0}
-{"t":4.875,"type":"mux_session_ended","session":19.0,"role":"receiver","active":11.0,"drives":4096.0}
-{"t":5.0,"type":"mux_admission_rejected","session":20.0,"role":"sender","active":12.0,"utilization":0.97}
-{"t":5.125,"type":"mux_overload","active":12.0,"utilization":0.99}
-{"t":5.25,"type":"mux_overload_cleared","active":10.0,"utilization":0.4}
-{"t":5.375,"type":"mux_session_shed","session":21.0,"role":"receiver","active":11.0,"drives":512.0,"utilization":0.99}
-{"t":5.5,"type":"farm_unknown_drop","session":22.0}
-{"t":5.625,"type":"session_config","session":23.0,"k":8.0,"h":40.0,"receivers":16.0,"loss":0.05,"backend":"scalar"}
+{"t":2.0,"type":"nak_sent","session":14.0,"group":0.0,"needed":2.0,"round":1.0}
+{"t":2.125,"type":"done_sent","session":15.0,"receiver":4.0}
+{"t":2.25,"type":"fin_recv","session":16.0}
+{"t":2.375,"type":"transfer_complete","session":17.0,"groups":3.0}
+{"t":2.5,"type":"nak_scheduled","group":0.0,"needed":2.0,"round":1.0,"deadline":0.015}
+{"t":2.625,"type":"nak_suppressed","group":0.0,"needed":2.0,"covered_by":3.0}
+{"t":2.75,"type":"net_sent","kind":"data"}
+{"t":2.875,"type":"net_recv","kind":"poll"}
+{"t":3.0,"type":"net_dropped","kind":"parity"}
+{"t":3.125,"type":"net_duplicated","kind":"nak"}
+{"t":3.25,"type":"net_reordered","kind":"announce"}
+{"t":3.375,"type":"net_corrupted","kind":"nak_packet"}
+{"t":3.5,"type":"net_truncated","kind":"done"}
+{"t":3.625,"type":"net_garbage","bytes":48.0}
+{"t":3.75,"type":"net_blackout","kind":"fin","tx":false}
+{"t":3.875,"type":"corrupt_dropped","total":3.0}
+{"t":4.0,"type":"send_retry","attempt":2.0}
+{"t":4.125,"type":"receiver_evicted","evicted":1.0,"completed":2.0}
+{"t":4.25,"type":"sim_run","scheme":"integrated2(k=7)","receivers":1000000.0,"trials":100.0,"mean_m":1.25,"ci95":0.01,"mean_rounds":2.0}
+{"t":4.375,"type":"sim_trial","scheme":"no-\"FEC\"","trial":3.0,"m":1.5,"rounds":2.0}
+{"t":4.5,"type":"mux_session_added","session":18.0,"role":"sender","active":12.0}
+{"t":4.625,"type":"mux_session_ended","session":19.0,"role":"receiver","active":11.0,"drives":4096.0}
+{"t":4.75,"type":"mux_admission_rejected","session":20.0,"role":"sender","active":12.0,"utilization":0.97}
+{"t":4.875,"type":"mux_overload","active":12.0,"utilization":0.99}
+{"t":5.0,"type":"mux_overload_cleared","active":10.0,"utilization":0.4}
+{"t":5.125,"type":"mux_session_shed","session":21.0,"role":"receiver","active":11.0,"drives":512.0,"utilization":0.99}
+{"t":5.25,"type":"farm_unknown_drop","session":22.0}
+{"t":5.375,"type":"session_config","session":23.0,"k":8.0,"h":40.0,"receivers":16.0,"loss":0.05,"backend":"scalar"}
 "#;
 
 #[test]
@@ -365,7 +361,7 @@ fn jsonl_vocabulary_is_byte_identical_to_the_golden() {
         .map(|(i, (ev, _))| serde_json::to_string(&ev.to_json(i as f64 / 8.0)).unwrap())
         .collect();
     let golden: Vec<&str> = GOLDEN.lines().collect();
-    assert_eq!(golden.len(), 46);
+    assert_eq!(golden.len(), 44);
     for (i, (got, want)) in rendered.iter().zip(&golden).enumerate() {
         assert_eq!(got, want, "line {} differs", i + 1);
     }
@@ -375,7 +371,7 @@ fn jsonl_vocabulary_is_byte_identical_to_the_golden() {
 #[test]
 fn golden_validates_with_one_line_per_event_type() {
     let census = validate_trace(GOLDEN).unwrap();
-    assert_eq!(census.len(), 46, "every variant appears once");
+    assert_eq!(census.len(), 44, "every variant appears once");
     assert!(census.values().all(|&n| n == 1));
     // The golden is in declaration order, so it spells EVENT_NAMES out.
     for (i, (line, (ev, session))) in GOLDEN.lines().zip(samples()).enumerate() {

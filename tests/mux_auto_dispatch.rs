@@ -33,8 +33,7 @@ fn mux_transcripts_stay_pinned_under_auto_dispatch() {
     let scalar_enc = RseEncoder::with_kernels(
         spec,
         kernels_for(Backend::Scalar).expect("scalar always available"),
-    )
-    .expect("scalar encoder");
+    );
     let group: Vec<Vec<u8>> = (0..8)
         .map(|i| pair_payload(i as u32)[..128].to_vec())
         .collect();
