@@ -9,10 +9,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use pm_obs::{
-    Event, JsonlRecorder, MetricsRegistry, Obs, Recorder, RingRecorder, WindowConfig,
-    WindowTelemetry,
-};
+use pm_obs::{Event, JsonlRecorder, MetricsRegistry, Obs, RingRecorder};
 
 fn event(i: u16) -> Event {
     Event::DataSent {
@@ -67,38 +64,11 @@ fn bench_histogram(c: &mut Criterion) {
     });
 }
 
-fn bench_window_telemetry(c: &mut Criterion) {
-    let obs = Obs::new(Arc::new(WindowTelemetry::new(WindowConfig::default())));
-    c.bench_function("window_telemetry_emit", |b| {
-        let mut i = 0u16;
-        let mut t = 0.0f64;
-        b.iter(|| {
-            i = i.wrapping_add(1);
-            t += 1e-4; // walk the session clock so buckets actually roll
-            obs.emit(std::hint::black_box(t), || event(i));
-        });
-    });
-}
-
-fn bench_window_snapshot(c: &mut Criterion) {
-    let tel = WindowTelemetry::new(WindowConfig::default());
-    let mut t = 0.0f64;
-    for i in 0..4096u16 {
-        t += 1e-4;
-        tel.record(t, &event(i));
-    }
-    c.bench_function("window_farm_snapshot", |b| {
-        b.iter(|| std::hint::black_box(tel.farm_snapshot()));
-    });
-}
-
 criterion_group!(
     benches,
     bench_null_recorder,
     bench_ring_recorder,
     bench_jsonl_recorder,
-    bench_histogram,
-    bench_window_telemetry,
-    bench_window_snapshot
+    bench_histogram
 );
 criterion_main!(benches);

@@ -47,7 +47,6 @@
 //! ahead of `pm_mux::drive_session`)
 //! to get a full session trace (see `crates/obs`).
 
-pub mod carousel;
 pub mod config;
 pub mod costs;
 pub mod error;
@@ -58,7 +57,6 @@ pub mod runtime;
 pub mod sender;
 pub mod session;
 
-pub use carousel::{CarouselConfig, CarouselSender, CarouselStop};
 pub use config::{CompletionPolicy, NpConfig};
 pub use costs::CostCounters;
 pub use error::ProtocolError;

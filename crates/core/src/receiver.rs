@@ -470,8 +470,8 @@ pub struct NpFeedback {
     /// Last poll round seen per group (recovery NAKs echo it).
     poll_rounds: BTreeMap<u32, u16>,
     /// A poll has been seen: the sender runs a feedback protocol (NP).
-    /// Feedback-free senders (the carousel) never poll, and receivers must
-    /// then stay silent rather than NAK into the void.
+    /// Before the first poll a receiver stays silent rather than NAK into
+    /// the void, unless the sender has gone idle-announcing (`heartbeat`).
     saw_poll: bool,
 }
 

@@ -4,10 +4,9 @@
 //!
 //! Each machine implements its trait once, in its own module:
 //! [`SenderMachine`] beside `Sender<R>` (`sender.rs`, NP and N2 by repair
-//! policy) and `CarouselSender` (`carousel.rs`), [`ReceiverMachine`] beside
-//! `Receiver<F>` (`receiver.rs`, NP and N2 by feedback policy). Their
-//! driver methods are those impls, so a caller names the trait to call
-//! them.
+//! policy), [`ReceiverMachine`] beside `Receiver<F>` (`receiver.rs`, NP and
+//! N2 by feedback policy). Their driver methods are those impls, so a
+//! caller names the trait to call them.
 //!
 //! Nothing here reads a clock or touches a socket. The loop that does —
 //! pacing, retry backoff, stall/linger/eviction deadlines — is `pm-mux`
@@ -16,7 +15,7 @@
 
 use std::time::Duration;
 
-use pm_net::{Message, NetError};
+use pm_net::{splitmix64, Message, NetError};
 use pm_obs::{Event, Obs};
 
 use crate::costs::CostCounters;
@@ -98,14 +97,6 @@ impl Default for ResiliencePolicy {
             retry_seed: 0x9E37_79B9_7F4A_7C15,
         }
     }
-}
-
-/// splitmix64: the standard 64-bit seed mixer (drives retry jitter).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Clock-agnostic resilience accounting: damage counters plus the
@@ -254,11 +245,8 @@ pub trait SenderMachine: Send {
     /// the responsive population); returns how many were evicted.
     fn evict_outstanding(&mut self) -> u32;
     /// Receiver/feedback-dependent sender state in bytes (the
-    /// `sender.state_bytes_per_receiver` gauge's numerator). Machines
-    /// without such bookkeeping report 0.
-    fn state_bytes(&self) -> usize {
-        0
-    }
+    /// `sender.state_bytes_per_receiver` gauge's numerator).
+    fn state_bytes(&self) -> usize;
 }
 
 /// Receiver-side protocol machine, abstracted over NP/N2.
@@ -320,8 +308,8 @@ pub fn error_outcome(err: &ProtocolError) -> &'static str {
 /// the eviction clock resets on.
 ///
 /// The classification is machine-informed, not wire-informed: a NAK counts
-/// only if the machine actually absorbed it as feedback (the carousel
-/// ignores NAKs by design, so a NAK storm must not keep its dead receivers
+/// only if the machine actually absorbed it as feedback (a NAK for another
+/// session, or one the machine ignores, must not keep a dead receiver
 /// unevictable), and a Done counts only if it grew the done population
 /// (duplicate Dones and announce/data echoes from self-delivered multicast
 /// must not postpone eviction of a receiver that actually died).

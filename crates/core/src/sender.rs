@@ -53,13 +53,13 @@ pub enum SenderStep {
 /// The receivers that reported `Done`, and how many must before the
 /// sender may finish (`None`: no roll is called). Every sender keeps one.
 #[derive(Debug, Clone)]
-pub(crate) struct Roll {
+struct Roll {
     done_receivers: BTreeSet<u32>,
     target: Option<u32>,
 }
 
 impl Roll {
-    pub(crate) fn new(target: Option<u32>) -> Self {
+    fn new(target: Option<u32>) -> Self {
         Roll {
             done_receivers: BTreeSet::new(),
             target,
@@ -67,33 +67,33 @@ impl Roll {
     }
 
     /// Count a `Done` from `receiver` as feedback and enter it.
-    pub(crate) fn on_done(&mut self, receiver: u32, counters: &mut CostCounters) {
+    fn on_done(&mut self, receiver: u32, counters: &mut CostCounters) {
         counters.feedback_received += 1;
         self.done_receivers.insert(receiver);
     }
 
     /// True once the target is met (never without one).
-    pub(crate) fn reached(&self) -> bool {
+    fn reached(&self) -> bool {
         self.target.is_some() && self.outstanding() == 0
     }
 
-    pub(crate) fn count(&self) -> usize {
+    fn count(&self) -> usize {
         self.done_receivers.len()
     }
 
-    pub(crate) fn ids(&self) -> Vec<u32> {
+    fn ids(&self) -> Vec<u32> {
         self.done_receivers.iter().copied().collect()
     }
 
     /// Receivers still owed a `Done` (0 without a target).
-    pub(crate) fn outstanding(&self) -> u32 {
+    fn outstanding(&self) -> u32 {
         let done = self.done_receivers.len() as u32;
         self.target.map_or(0, |t| t.saturating_sub(done))
     }
 
     /// Lower the target to the receivers that answered; returns how many
     /// were given up on.
-    pub(crate) fn evict(&mut self) -> u32 {
+    fn evict(&mut self) -> u32 {
         let evicted = self.outstanding();
         if evicted > 0 {
             self.target = Some(self.done_receivers.len() as u32);
@@ -105,7 +105,7 @@ impl Roll {
     /// reported `Done` — one id per receiver, no per-packet per-receiver
     /// bookkeeping — so this stays at ~4 bytes per receiver no matter how
     /// large the transfer.
-    pub(crate) fn state_bytes(&self) -> usize {
+    fn state_bytes(&self) -> usize {
         self.done_receivers.len() * std::mem::size_of::<u32>()
     }
 }
@@ -484,7 +484,7 @@ pub struct NpRepair {
 
 /// One encoder per distinct group size in `groups` (full groups and
 /// possibly a short final group), each with parity budget `h`.
-pub(crate) fn encoders(groups: &[Vec<Bytes>], h: usize) -> Result<Vec<RseEncoder>, ProtocolError> {
+fn encoders(groups: &[Vec<Bytes>], h: usize) -> Result<Vec<RseEncoder>, ProtocolError> {
     let mut encoders: Vec<RseEncoder> = Vec::new();
     for data in groups {
         if !encoders.iter().any(|e| e.spec().k() == data.len()) {
@@ -503,7 +503,7 @@ fn encoder(encoders: &[RseEncoder], k: usize) -> Result<&RseEncoder, ProtocolErr
 }
 
 /// Every group's whole parity budget, encoded up front (and counted).
-pub(crate) fn preencode(
+fn preencode(
     encoders: &[RseEncoder],
     groups: &[Vec<Bytes>],
     counters: &mut CostCounters,

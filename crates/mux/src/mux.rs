@@ -39,7 +39,7 @@ use pm_core::sender::SenderStep;
 use pm_net::{Message, NetError, PollSet, PollTransport, Token};
 use pm_obs::{
     Counter, Event, Gauge, Histogram, MetricsRegistry, Obs, Outcome, Postmortem, Recorder,
-    RingRecorder, Role, WindowTelemetry,
+    RingRecorder, Role,
 };
 
 use crate::clock::MuxClock;
@@ -148,7 +148,7 @@ struct SessionState {
     /// Eviction clock (absolute mux time). Stricter than the stall
     /// clock: it resets only on receiver liveness (see
     /// [`absorb_feedback`]), never on our own transmissions — or a sender
-    /// that transmits continuously (the carousel) could never evict.
+    /// that transmits continuously could never evict.
     last_liveness: f64,
     /// Last event that counted as progress (`Stalled` context).
     last_event: Option<Event>,
@@ -381,7 +381,6 @@ pub struct Mux<T: PollTransport, C: MuxClock> {
     live: usize,
     obs: Obs,
     metrics: Option<MuxMetrics>,
-    telemetry: Option<Arc<WindowTelemetry>>,
     outcomes: Vec<(Token, SessionOutcome)>,
     postmortems: Vec<(Token, Postmortem)>,
     io_sink: Vec<(Token, Result<Message, NetError>)>,
@@ -411,7 +410,6 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
             live: 0,
             obs: Obs::null(),
             metrics: None,
-            telemetry: None,
             outcomes: Vec::new(),
             postmortems: Vec::new(),
             io_sink: Vec::new(),
@@ -433,14 +431,6 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
         let m = MuxMetrics::register(reg);
         m.active_sessions.set(self.live as i64);
         self.metrics = Some(m);
-    }
-
-    /// Feed farm-level samples (currently the timer-wheel depth, after
-    /// every turn) into a windowed-telemetry instance. Tee the same
-    /// instance into the machines' and transports' obs handles to get
-    /// their event streams windowed too.
-    pub fn bind_telemetry(&mut self, telemetry: Arc<WindowTelemetry>) {
-        self.telemetry = Some(telemetry);
     }
 
     /// Postmortems of sessions that ended with an error since the last
@@ -766,9 +756,6 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
         if let Some(m) = &self.metrics {
             m.wheel_depth.set(self.wheel.len() as i64);
         }
-        if let Some(tel) = &self.telemetry {
-            tel.set_wheel_depth(self.clock.now(), self.wheel.len() as u64);
-        }
     }
 
     /// Seconds-to-tick, rounded to nearest: round-tripping a tick through
@@ -941,9 +928,9 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                     break 'drive None;
                 };
                 // Graceful degradation, checked on every drive — not only
-                // when the machine goes idle: a carousel pinned in
+                // when the machine goes idle: a sender pinned in
                 // back-to-back transmits evicts exactly as promptly as an
-                // idle sender.
+                // idle one.
                 if let Some(deadline) = sess.rt.resilience.eviction_timeout {
                     let quiet = now_abs - sess.last_liveness;
                     if quiet > deadline.as_secs_f64()
@@ -1271,9 +1258,6 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
         if let Some(m) = &self.metrics {
             m.active_sessions.set(self.live as i64);
             m.session_drives.record(drives);
-        }
-        if let Some(tel) = &self.telemetry {
-            tel.retire_session(slot as u32);
         }
         self.outcomes.push((token, outcome));
     }
@@ -1682,20 +1666,78 @@ mod tests {
         }
     }
 
+    /// A sender machine that transmits a poll on every drive (it never
+    /// yields `WaitUntil`), ignores NAKs, and finishes once `target`
+    /// distinct receivers reported `Done` — or once eviction lowered the
+    /// target to the ones that did.
+    struct Spinner {
+        session: u32,
+        target: u32,
+        done: std::collections::BTreeSet<u32>,
+        fin_sent: bool,
+        counters: pm_core::CostCounters,
+    }
+
+    impl SenderMachine for Spinner {
+        fn next_step(&mut self, _now: f64) -> SenderStep {
+            if self.fin_sent {
+                return SenderStep::Finished;
+            }
+            let session = self.session;
+            if self.outstanding() == 0 {
+                self.fin_sent = true;
+                return SenderStep::Transmit(Message::Fin { session });
+            }
+            SenderStep::Transmit(Message::Poll {
+                session,
+                group: 0,
+                sent: 1,
+                round: 1,
+            })
+        }
+        fn handle(&mut self, msg: &Message, _now: f64) -> Result<(), ProtocolError> {
+            if let Message::Done { session, receiver } = *msg {
+                if session == self.session {
+                    self.counters.feedback_received += 1;
+                    self.done.insert(receiver);
+                }
+            }
+            Ok(())
+        }
+        fn is_finished(&self) -> bool {
+            self.fin_sent
+        }
+        fn counters(&self) -> &pm_core::CostCounters {
+            &self.counters
+        }
+        fn done_count(&self) -> usize {
+            self.done.len()
+        }
+        fn done_ids(&self) -> Vec<u32> {
+            self.done.iter().copied().collect()
+        }
+        fn outstanding(&self) -> u32 {
+            self.target.saturating_sub(self.done.len() as u32)
+        }
+        fn evict_outstanding(&mut self) -> u32 {
+            let evicted = self.outstanding();
+            self.target -= evicted;
+            evicted
+        }
+        fn state_bytes(&self) -> usize {
+            0
+        }
+    }
+
     #[test]
-    fn carousel_evicts_dead_receiver_under_nak_storm() {
-        use pm_core::carousel::{CarouselConfig, CarouselSender, CarouselStop};
-        // A carousel never yields `WaitUntil`, so the eviction check must
-        // run on every drive pass; and it ignores NAKs, so a NAK storm must
-        // not count as liveness. One receiver reports Done, the other
+    fn continuous_sender_evicts_dead_receiver_under_nak_storm() {
+        // A sender that never yields `WaitUntil` needs the eviction check
+        // on every drive pass; and one that ignores NAKs must not count a
+        // NAK storm as liveness. One receiver reports Done, the other
         // never does: the session must end degraded, not spin forever.
         let hub = MemHub::new();
         let mut feeder = hub.join();
         let session = 77;
-        let mut cfg = CarouselConfig::default_with(CarouselStop::AllDone(2));
-        cfg.k = 4;
-        cfg.h = 2;
-        cfg.payload_len = 32;
         let rt = RuntimeConfig {
             packet_spacing: Duration::from_micros(20),
             stall_timeout: Duration::from_secs(20),
@@ -1706,13 +1748,20 @@ mod tests {
             },
         };
         let mut m = mux();
-        let sender = CarouselSender::new(session, &payload(256), cfg).unwrap();
-        m.add_sender(sender, hub.join(), rt);
-        let done = Message::Done {
+        let sender = Spinner {
             session,
-            receiver: 1,
+            target: 2,
+            done: Default::default(),
+            fin_sent: false,
+            counters: Default::default(),
         };
-        feeder.send(&done).unwrap();
+        m.add_sender(sender, hub.join(), rt);
+        feeder
+            .send(&Message::Done {
+                session,
+                receiver: 1,
+            })
+            .unwrap();
         let nak = Message::Nak {
             session,
             group: 0,
@@ -1738,83 +1787,6 @@ mod tests {
             }
             other => panic!("expected degraded completion, got {other:?}"),
         }
-    }
-
-    /// A carousel of `data` to `r` NP receivers, each losing a datagram with
-    /// probability `p`, on one mux; every receiver must end with the bytes.
-    /// Returns the sender's report and the NAKs that reached its endpoint.
-    fn carousel_fanout(
-        cfg: pm_core::CarouselConfig,
-        data: &[u8],
-        r: u32,
-        p: f64,
-        seed: u64,
-    ) -> (SessionReport, usize) {
-        use pm_net::{FaultConfig, FaultyTransport, TranscriptTransport};
-        let session = 0xCA80;
-        let hub = MemHub::new();
-        let mut sender_tp = TranscriptTransport::new(hub.join());
-        let log = sender_tp.transcript();
-        let mut endpoints: Vec<_> = (0..r as u64)
-            .map(|i| FaultyTransport::new(hub.join(), FaultConfig::drop_only(p), seed + i))
-            .collect();
-        let sender = pm_core::CarouselSender::new(session, data, cfg).unwrap();
-        let (sent, received) = crate::drive_session(
-            &mut Mux::new(MuxConfig::default(), VirtualClock::new()),
-            rt(),
-            (sender, &mut sender_tp as &mut dyn PollTransport),
-            endpoints.iter_mut().zip(0..).map(|(tp, id)| {
-                let machine = NpReceiver::new(id, session, 0.002, id as u64);
-                (machine, tp as &mut dyn PollTransport)
-            }),
-        );
-        for (id, rep) in received.into_iter().enumerate() {
-            assert_eq!(rep.expect("receiver completes").data, data, "receiver {id}");
-        }
-        let naks = log
-            .lock()
-            .received_messages()
-            .filter(|m| matches!(m, Message::Nak { .. }))
-            .count();
-        (sent.expect("carousel completes"), naks)
-    }
-
-    #[test]
-    fn carousel_delivers_feedback_free_under_loss() {
-        // 16 lossy receivers, zero repair feedback: the per-cycle parities
-        // plus extra cycles carry everyone home.
-        use pm_core::{CarouselConfig, CarouselStop};
-        let cfg = CarouselConfig {
-            k: 5,
-            h: 2,
-            payload_len: 16,
-            stop: CarouselStop::Cycles(4),
-            announce_every: 10,
-        };
-        let (_, naks) = carousel_fanout(cfg, &payload(5 * 16 * 4), 16, 0.1, 99);
-        assert_eq!(naks, 0, "no repair feedback whatsoever");
-    }
-
-    #[test]
-    fn carousel_all_done_stops_early() {
-        // With AllDone the carousel quits as soon as the population
-        // reports in — fewer cycles than the fixed-cycle worst case.
-        use pm_core::{CarouselConfig, CarouselStop};
-        let cfg = CarouselConfig {
-            k: 5,
-            h: 3,
-            payload_len: 16,
-            stop: CarouselStop::AllDone(4),
-            announce_every: 10,
-        };
-        let total_packets = 5 * 2;
-        let (report, _) = carousel_fanout(cfg, &payload(16 * total_packets), 4, 0.05, 7);
-        assert_eq!(report.completed.len(), 4);
-        assert!(
-            report.counters.data_sent <= 2 * total_packets as u64,
-            "should stop within two cycles: {} data packets sent",
-            report.counters.data_sent
-        );
     }
 
     /// A sender machine that plays a fixed script of steps and counts
@@ -1861,6 +1833,9 @@ mod tests {
             0
         }
         fn evict_outstanding(&mut self) -> u32 {
+            0
+        }
+        fn state_bytes(&self) -> usize {
             0
         }
     }

@@ -21,6 +21,8 @@
 
 use std::fmt;
 
+use pm_net::splitmix64;
+
 /// Tuning knobs of the mux's overload policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverloadConfig {
@@ -208,14 +210,6 @@ impl OverloadPolicy {
         let tiebreak = splitmix64(self.cfg.seed ^ slot as u64);
         (recency, behind, tiebreak)
     }
-}
-
-/// SplitMix64 — the same tiny seeded mixer the resilience backoff uses.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -97,8 +97,9 @@ pub struct ChaosScenario {
     pub seed: u64,
 }
 
-/// splitmix64: the standard 64-bit seed mixer.
-fn splitmix64(mut z: u64) -> u64 {
+/// splitmix64: the standard 64-bit seed mixer — chaos-grid seeds here,
+/// retry jitter in `pm-core` and the shedding tiebreak in `pm-mux`.
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -157,6 +158,13 @@ pub fn scenario_grid(base_seed: u64) -> Vec<ChaosScenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix64_known_answers() {
+        // Outputs of the canonical splitmix64 `next()` from states 0 and 1.
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64(1), 0x910A_2DEC_8902_5CC1);
+    }
 
     #[test]
     fn presets_parse_and_validate() {

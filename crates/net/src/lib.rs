@@ -49,7 +49,7 @@ pub mod transport;
 pub mod udp;
 pub mod wire;
 
-pub use chaos::{scenario_grid, ChaosPreset, ChaosScenario};
+pub use chaos::{scenario_grid, splitmix64, ChaosPreset, ChaosScenario};
 pub use farm::{FarmEndpoint, FarmHub, FarmRole, FarmStats};
 pub use fault::{FaultConfig, FaultStats, FaultyTransport};
 pub use fec_layer::{FecLayerConfig, FecTransport};

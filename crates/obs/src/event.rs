@@ -174,8 +174,7 @@ macro_rules! events {
 
             /// The session this event belongs to, when it carries one. Wire-level
             /// events (`net_*`) and resilience counters are unattributed and
-            /// return `None` — windowed telemetry folds them into the farm-wide
-            /// aggregate only.
+            /// return `None`.
             #[expect(
                 unused_variables,
                 reason = "every arm binds all of its variant's fields and reads at most `session`"

@@ -44,23 +44,17 @@
 pub mod analyze;
 pub mod check;
 pub mod event;
-pub mod export;
 pub mod flight;
 pub mod metrics;
 pub mod recorder;
 pub mod stats;
-pub mod window;
 
 pub use analyze::{analyze_trace, Incident, SessionAnalysis, SessionConfigInfo, TraceAnalysis};
 pub use check::{validate_event, validate_trace, Census, TraceError};
 pub use event::{Event, MsgKind, Outcome, Role, EVENT_NAMES};
-pub use export::{prometheus_name, render_prometheus, ExportServer, SnapshotFile};
 pub use flight::{Postmortem, POSTMORTEM_SCHEMA};
-pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, Metric, MetricsRegistry, SpanTimer,
-};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, SpanTimer};
 pub use recorder::{
     EventBuffer, JsonlRecorder, NullRecorder, Obs, Recorder, RingRecorder, Stamp, Stopwatch,
 };
 pub use stats::RunningStat;
-pub use window::{WindowConfig, WindowSet, WindowSnapshot, WindowTelemetry, WindowedCounter};

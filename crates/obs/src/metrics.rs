@@ -256,7 +256,7 @@ impl Drop for SpanTimer<'_> {
 
 /// One registered metric.
 #[derive(Debug, Clone)]
-pub enum Metric {
+enum Metric {
     /// See [`Counter`].
     Counter(Counter),
     /// See [`Gauge`].
@@ -319,13 +319,6 @@ impl MetricsRegistry {
             Metric::Histogram(h) => h,
             other => panic!("metric {name:?} already registered as {other:?}"),
         }
-    }
-
-    /// Point-in-time copy of every registered `(name, metric)` pair, in
-    /// registration order. Handles are `Arc`-backed clones, so reading
-    /// them reflects live values — the exporter renders from this.
-    pub fn entries(&self) -> Vec<(String, Metric)> {
-        self.entries.lock().expect("registry poisoned").clone()
     }
 
     /// Human-readable dump, one metric per line, in registration order.

@@ -87,9 +87,9 @@ impl Obs {
     /// A handle that records to both this handle's sink and `extra`.
     ///
     /// Composition point for the telemetry layer: wrap a session's trace
-    /// recorder with a flight recorder or windowed-telemetry sink without
-    /// the instrumented code knowing. When this handle is the null one,
-    /// the result records to `extra` alone (no dead tee branch).
+    /// recorder with a flight recorder without the instrumented code
+    /// knowing. When this handle is the null one, the result records to
+    /// `extra` alone (no dead tee branch).
     pub fn tee(&self, extra: Arc<dyn Recorder>) -> Obs {
         if self.enabled {
             Obs::new(Arc::new(TeeRecorder {

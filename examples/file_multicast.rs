@@ -18,12 +18,9 @@
 //! cargo run --example file_multicast -- --sessions 32 --size 65536
 //! # real-UDP farm: every session shares ONE socket, demuxed by session id
 //! cargo run --example file_multicast -- --sessions 256 --udp-farm --size 8192
-//! # watch it live: Prometheus-text metrics on http://127.0.0.1:9898/metrics
-//! cargo run --example file_multicast -- --sessions 16 --export 127.0.0.1:9898
 //! ```
 
 use std::net::{Ipv4Addr, SocketAddrV4};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -32,10 +29,7 @@ use parity_multicast::net::udp::UdpHub;
 use parity_multicast::net::{
     ChaosPreset, FarmHub, FarmRole, FaultConfig, FaultyTransport, MemHub, PollTransport,
 };
-use parity_multicast::obs::{
-    render_prometheus, Event, ExportServer, JsonlRecorder, MetricsRegistry, Obs, SnapshotFile,
-    WindowConfig, WindowTelemetry,
-};
+use parity_multicast::obs::{Event, JsonlRecorder, MetricsRegistry, Obs};
 use parity_multicast::protocol::runtime::RuntimeConfig;
 use parity_multicast::protocol::{
     CompletionPolicy, NpConfig, NpReceiver, NpSender, ResiliencePolicy,
@@ -54,9 +48,6 @@ struct Args {
     chaos: Option<ChaosPreset>,
     sessions: u32,
     udp_farm: bool,
-    export: Option<String>,
-    export_file: Option<String>,
-    export_hold: f64,
 }
 
 fn parse_args() -> Args {
@@ -73,9 +64,6 @@ fn parse_args() -> Args {
         chaos: None,
         sessions: 1,
         udp_farm: false,
-        export: None,
-        export_file: None,
-        export_hold: 0.0,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -102,11 +90,6 @@ fn parse_args() -> Args {
             }
             "--sessions" => args.sessions = val().parse().expect("--sessions takes a count"),
             "--udp-farm" => args.udp_farm = true,
-            "--export" => args.export = Some(val()),
-            "--export-file" => args.export_file = Some(val()),
-            "--export-hold" => {
-                args.export_hold = val().parse().expect("--export-hold takes seconds");
-            }
             other => panic!("unknown flag {other}"),
         }
     }
@@ -118,13 +101,7 @@ fn parse_args() -> Args {
 /// calling thread — no per-session threads, all waiting pooled in one
 /// timer queue (a binary heap). Each session gets its own in-memory group; the drop/chaos
 /// profile wraps each receiver's endpoint so the repair path runs.
-fn run_farm(
-    args: &Args,
-    data: &[u8],
-    obs: &Obs,
-    registry: &MetricsRegistry,
-    telemetry: Option<&Arc<WindowTelemetry>>,
-) {
+fn run_farm(args: &Args, data: &[u8], obs: &Obs, registry: &MetricsRegistry) {
     println!(
         "farm mode: {} sessions ({} endpoints) on one driver thread",
         args.sessions,
@@ -168,9 +145,6 @@ fn run_farm(
     let mut mux: Mux<Box<dyn PollTransport>, WallClock> =
         Mux::new(MuxConfig::default(), WallClock::new()).with_obs(obs.clone());
     mux.bind_metrics(registry);
-    if let Some(tel) = telemetry {
-        mux.bind_telemetry(tel.clone());
-    }
     let loss = fault.map_or(0.0, |f| f.drop);
     for i in 0..args.sessions {
         let session = 0xF000 + i;
@@ -290,54 +264,9 @@ fn main() {
         Some(rec) => Obs::new(rec.clone()),
         None => Obs::null(),
     };
-    let registry = Arc::new(MetricsRegistry::new());
+    let registry = MetricsRegistry::new();
     let encode_ns = registry.histogram("rse.encode_ns");
     let decode_ns = registry.histogram("rse.decode_ns");
-
-    // Live telemetry (`--export` / `--export-file`): a windowed-rate
-    // aggregator teed into the event stream before any machine is built,
-    // so every session's events flow through it from the first packet.
-    let telemetry = (args.export.is_some() || args.export_file.is_some())
-        .then(|| Arc::new(WindowTelemetry::new(WindowConfig::default())));
-    let obs = match &telemetry {
-        Some(tel) => obs.tee(tel.clone()),
-        None => obs,
-    };
-    let exporter = args.export.as_deref().map(|addr| {
-        let reg = registry.clone();
-        let tel = telemetry.clone().expect("--export implies telemetry");
-        let server =
-            ExportServer::serve(addr, move || render_prometheus(&reg, &tel.export_gauges()))
-                .expect("cannot bind --export address");
-        println!("exporter: http://{}/metrics", server.local_addr());
-        server
-    });
-    let snap_stop = Arc::new(AtomicBool::new(false));
-    let snap_thread = args.export_file.clone().map(|path| {
-        let stop = snap_stop.clone();
-        let reg = registry.clone();
-        let tel = telemetry.clone().expect("--export-file implies telemetry");
-        std::thread::Builder::new()
-            .name("snapshot-writer".into())
-            .spawn(move || {
-                let mut snap = SnapshotFile::new(path, 1.0);
-                let mut now = 0.0f64;
-                while !stop.load(Ordering::Relaxed) {
-                    let body = render_prometheus(&reg, &tel.export_gauges());
-                    snap.tick(now, &body).expect("snapshot write");
-                    #[expect(
-                        clippy::disallowed_methods,
-                        reason = "the snapshot file is rewritten every 250 ms of wall time"
-                    )]
-                    std::thread::sleep(Duration::from_millis(250));
-                    now += 0.25;
-                }
-                // Final snapshot so the file reflects transfer completion.
-                let body = render_prometheus(&reg, &tel.export_gauges());
-                snap.write(&body).expect("snapshot write");
-            })
-            .expect("spawn snapshot writer")
-    });
     let data = match &args.file {
         Some(path) => std::fs::read(path).expect("readable input file"),
         None => {
@@ -348,8 +277,7 @@ fn main() {
         }
     };
     if args.sessions > 1 {
-        run_farm(&args, &data, &obs, &registry, telemetry.as_ref());
-        finish_export(args.export_hold, exporter, &snap_stop, snap_thread);
+        run_farm(&args, &data, &obs, &registry);
         if let Some(rec) = &trace_rec {
             rec.flush();
             eprintln!("trace written to {}", args.trace.as_deref().unwrap());
@@ -526,35 +454,8 @@ fn main() {
         merged.register_into(&registry, "receiver");
         eprintln!("\n{}", registry.render_text());
     }
-    finish_export(args.export_hold, exporter, &snap_stop, snap_thread);
     if let Some(rec) = &trace_rec {
         rec.flush();
         eprintln!("trace written to {}", args.trace.as_deref().unwrap());
-    }
-}
-
-/// Tear down the live-telemetry side cars: optionally hold the HTTP
-/// exporter open (`--export-hold`) so a scraper can observe the final
-/// gauges, then stop the listener and the snapshot writer.
-fn finish_export(
-    hold: f64,
-    exporter: Option<ExportServer>,
-    snap_stop: &AtomicBool,
-    snap_thread: Option<std::thread::JoinHandle<()>>,
-) {
-    if let Some(server) = exporter {
-        if hold > 0.0 {
-            println!("holding exporter open for {hold:.1}s");
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "holds the exporter's TCP listener open for scrapers"
-            )]
-            std::thread::sleep(Duration::from_secs_f64(hold));
-        }
-        drop(server); // Drop stops the listener thread.
-    }
-    snap_stop.store(true, Ordering::Relaxed);
-    if let Some(handle) = snap_thread {
-        handle.join().expect("snapshot writer");
     }
 }

@@ -20,7 +20,7 @@
 //! | [`analysis`] | `pm-analysis` | Eqs. (2)–(17): E\[M\], rounds, end-host rates |
 //! | [`sim`] | `pm-sim` | scheme simulations (no-FEC, layered, integrated 1/2) |
 //! | [`net`] | `pm-net` | wire format, UDP multicast + in-memory transports, NAK suppression |
-//! | [`protocol`] | `pm-core` | protocol NP, baseline N2 and the carousel: sans-io machines, plus the traits/config/reports their driver shares with them |
+//! | [`protocol`] | `pm-core` | protocol NP and baseline N2: one sans-io sender and one receiver, plus the traits/config/reports their driver shares with them |
 //! | [`obs`] | `pm-obs` | structured trace events, counters/histograms, JSONL recorders |
 //! | [`par`] | `pm-par` | scoped thread pool: deterministic `par_map` / `par_map_reduce` |
 //! | [`mux`] | `pm-mux` | event-driven session multiplexer — the one loop that drives the machines: N sessions, one thread, a binary-heap timer queue, wall or virtual clock |

@@ -14,8 +14,9 @@
 //! 5. **Postmortems** — with `flight_capacity` set, every degraded or
 //!    errored session yields exactly one schema-valid postmortem; clean
 //!    sessions yield none.
-//! 6. **Telemetry determinism** — two identical farm runs under the
-//!    virtual clock export byte-identical windowed gauges.
+//! 6. **Run determinism** — two identical chaos-farm runs under the
+//!    virtual clock record the same full event trace, every f64 bit for
+//!    bit, and end every session with the same outcome.
 //! 7. **Feedback proportional to need** — a `Poll` solicits NAKs, never
 //!    `Done`: exactly one `Done` per receiver on a lossless wire, a lost
 //!    `Done` recovered by the keep-alive announce within one
@@ -32,7 +33,7 @@ use parity_multicast::mux::{Mux, MuxConfig, SessionOutcome, VirtualClock};
 use parity_multicast::net::{
     ChaosPreset, FaultConfig, FaultyTransport, MemHub, Message, NetError, PollTransport, Transport,
 };
-use parity_multicast::obs::{Postmortem, WindowConfig, WindowTelemetry};
+use parity_multicast::obs::{Obs, Postmortem, RingRecorder};
 use parity_multicast::protocol::n2::{N2Receiver, N2Sender};
 use parity_multicast::protocol::runtime::RuntimeConfig;
 use parity_multicast::protocol::{
@@ -257,8 +258,9 @@ fn concurrent_chaos_sessions_uphold_the_degradation_trichotomy() {
     }
 }
 
-/// Build the chaos farm of `concurrent_chaos_sessions...` on `mux`.
-fn add_chaos_farm(mux: &mut Mux<Box<dyn PollTransport>, VirtualClock>) -> usize {
+/// Build the chaos farm of `concurrent_chaos_sessions...` on `mux`, its
+/// machines tracing to `obs`.
+fn add_chaos_farm(mux: &mut Mux<Box<dyn PollTransport>, VirtualClock>, obs: &Obs) -> usize {
     let rt = RuntimeConfig {
         resilience: ResiliencePolicy {
             eviction_timeout: Some(Duration::from_millis(500)),
@@ -279,12 +281,14 @@ fn add_chaos_farm(mux: &mut Mux<Box<dyn PollTransport>, VirtualClock>) -> usize 
         let seed = 0xC4A0_6000 + i as u64;
         let data = payload(1500 + 200 * i as usize);
         mux.add_sender(
-            NpSender::new(i, &data, np_cfg()).expect("valid config"),
+            NpSender::new(i, &data, np_cfg())
+                .expect("valid config")
+                .with_obs(obs.clone()),
             Box::new(FaultyTransport::new(hub.join(), cfg, seed)),
             rt,
         );
         mux.add_receiver(
-            NpReceiver::new(100 + i, i, 0.001, seed ^ 1),
+            NpReceiver::new(100 + i, i, 0.001, seed ^ 1).with_obs(obs.clone()),
             Box::new(FaultyTransport::new(hub.join(), cfg, seed ^ 2)),
             rt,
         );
@@ -296,12 +300,14 @@ fn add_chaos_farm(mux: &mut Mux<Box<dyn PollTransport>, VirtualClock>) -> usize 
     let mut cfg = np_cfg();
     cfg.completion = CompletionPolicy::KnownReceivers(2);
     mux.add_sender(
-        NpSender::new(50, &payload(2000), cfg).expect("valid config"),
+        NpSender::new(50, &payload(2000), cfg)
+            .expect("valid config")
+            .with_obs(obs.clone()),
         Box::new(hub.join()),
         rt,
     );
     mux.add_receiver(
-        NpReceiver::new(150, 50, 0.001, 77),
+        NpReceiver::new(150, 50, 0.001, 77).with_obs(obs.clone()),
         Box::new(hub.join()),
         rt,
     );
@@ -310,7 +316,9 @@ fn add_chaos_farm(mux: &mut Mux<Box<dyn PollTransport>, VirtualClock>) -> usize 
     // (nobody ever joins, so it cannot even degrade).
     let hub = MemHub::new();
     mux.add_sender(
-        NpSender::new(51, &payload(1000), np_cfg()).expect("valid config"),
+        NpSender::new(51, &payload(1000), np_cfg())
+            .expect("valid config")
+            .with_obs(obs.clone()),
         Box::new(hub.join()),
         rt,
     );
@@ -325,7 +333,7 @@ fn mux_postmortems_fire_exactly_once_per_degraded_session() {
         ..MuxConfig::default()
     };
     let mut mux: Mux<Box<dyn PollTransport>, VirtualClock> = Mux::new(cfg, VirtualClock::new());
-    let sessions = add_chaos_farm(&mut mux);
+    let sessions = add_chaos_farm(&mut mux, &Obs::null());
     let outcomes = mux.run();
     assert_eq!(outcomes.len(), sessions);
     let ledger = mux.take_postmortems();
@@ -386,29 +394,54 @@ fn mux_postmortems_fire_exactly_once_per_degraded_session() {
 }
 
 #[test]
-fn windowed_telemetry_is_deterministic_across_runs() {
+fn chaos_farm_trace_and_outcomes_are_deterministic_across_runs() {
     let run = || {
         let cfg = MuxConfig {
             flight_capacity: Some(128),
             ..MuxConfig::default()
         };
-        let tel = Arc::new(WindowTelemetry::new(WindowConfig::default()));
-        let mut mux: Mux<Box<dyn PollTransport>, VirtualClock> = Mux::new(cfg, VirtualClock::new())
-            .with_obs(parity_multicast::obs::Obs::new(tel.clone()));
-        mux.bind_telemetry(tel.clone());
-        add_chaos_farm(&mut mux);
-        mux.run();
-        // Render to text so the comparison is byte-for-byte, bit-patterns
-        // of every f64 included.
-        tel.export_gauges()
-            .into_iter()
-            .map(|(name, v)| format!("{name} {v:?} {:016x}\n", v.to_bits()))
-            .collect::<String>()
+        let ring = Arc::new(RingRecorder::new(1 << 20));
+        let obs = Obs::new(ring.clone());
+        let mut mux: Mux<Box<dyn PollTransport>, VirtualClock> =
+            Mux::new(cfg, VirtualClock::new()).with_obs(obs.clone());
+        let sessions = add_chaos_farm(&mut mux, &obs);
+        let outcomes = mux.run();
+        assert_eq!(outcomes.len(), sessions);
+        let events = ring.events();
+        assert_eq!(ring.evicted(), 0, "the ring must hold the whole trace");
+        for name in ["data_sent", "nak_sent", "mux_session_added"] {
+            assert!(
+                events.iter().any(|(_, e)| e.name() == name),
+                "the trace must cover machines and driver: no {name}"
+            );
+        }
+        // One line per event: its JSON, then the bits of every number in
+        // it, since the JSON text writes a non-finite f64 as `null`.
+        let mut trace = String::new();
+        for (t, event) in events {
+            let json = event.to_json(t);
+            trace.push_str(&serde_json::to_string(&json).expect("render event"));
+            if let serde_json::Value::Object(fields) = &json {
+                for (_, value) in fields {
+                    if let serde_json::Value::Number(n) = value {
+                        trace.push_str(&format!(" {:016x}", n.to_bits()));
+                    }
+                }
+            }
+            trace.push('\n');
+        }
+        (trace, format!("{outcomes:#?}"))
     };
-    let first = run();
-    let second = run();
-    assert!(!first.is_empty(), "telemetry must export something");
-    assert_eq!(first, second, "windowed gauges must be run-deterministic");
+    let (first_trace, first_outcomes) = run();
+    let (second_trace, second_outcomes) = run();
+    assert_eq!(
+        first_trace, second_trace,
+        "event trace must be run-deterministic"
+    );
+    assert_eq!(
+        first_outcomes, second_outcomes,
+        "session outcomes must be run-deterministic"
+    );
 }
 
 // ------------------------------------------- feedback proportional to need

@@ -5,11 +5,6 @@
 //! paper's Figure-4 claim recovered from a live trace rather than the
 //! simulator. The trace is also written to `target/obs_smoke.jsonl` so CI
 //! can re-run the comparison through the `obs-analyze` binary itself.
-//!
-//! A second test pins windowed telemetry as a *pure function of the event
-//! set*: replaying the same trace in a different order (the worst case of
-//! any worker-count change in a parallel producer) yields byte-identical
-//! exported gauges.
 
 mod common;
 
@@ -18,9 +13,7 @@ use std::sync::Arc;
 use parity_multicast::analysis::{integrated, Population};
 use parity_multicast::mux::VirtualClock;
 use parity_multicast::net::{FaultConfig, FaultyTransport, MemHub, PollTransport};
-use parity_multicast::obs::{
-    analyze_trace, Event, Obs, Recorder, RingRecorder, WindowConfig, WindowTelemetry,
-};
+use parity_multicast::obs::{analyze_trace, Event, Obs, RingRecorder};
 use parity_multicast::protocol::{CompletionPolicy, NpConfig, NpReceiver, NpSender};
 
 const SESSION: u32 = 0xE16;
@@ -124,38 +117,4 @@ fn measured_em_matches_analysis_within_5_percent() {
     // Everyone finished under homogeneous loss: fairness near 1.
     let fairness = sess.fairness().expect("fairness defined");
     assert!(fairness > 0.9, "Jain index {fairness:.3} unexpectedly low");
-}
-
-#[test]
-fn windowed_gauges_are_order_independent() {
-    let events = traced_session();
-
-    let forward = Arc::new(WindowTelemetry::new(WindowConfig::default()));
-    for (t, e) in &events {
-        forward.record(*t, e);
-    }
-
-    // Interleave from both ends — a deliberately hostile reordering far
-    // worse than any real worker-count change can produce.
-    let shuffled = Arc::new(WindowTelemetry::new(WindowConfig::default()));
-    let mut lo = 0usize;
-    let mut hi = events.len();
-    let mut from_front = false;
-    while lo < hi {
-        let (t, e) = if from_front {
-            lo += 1;
-            &events[lo - 1]
-        } else {
-            hi -= 1;
-            &events[hi]
-        };
-        shuffled.record(*t, e);
-        from_front = !from_front;
-    }
-
-    assert_eq!(
-        forward.export_gauges(),
-        shuffled.export_gauges(),
-        "windowed gauges must be a pure function of the event set"
-    );
 }
