@@ -140,11 +140,15 @@ pub fn layered_mean_m(
 ) -> McEstimate {
     let n = k + h;
     estimate(trials, seed, pool, |rng| {
-        let mut pending: Vec<usize> = (0..r).collect();
+        // Receivers are exchangeable, so the ones still missing the packet
+        // are a count, not a list.
+        let mut pending = r;
         let mut rounds_needed = 0u64;
-        while !pending.is_empty() {
+        while pending > 0 {
             rounds_needed += 1;
-            pending.retain(|_| block_unrecovered(rng, n, h, p));
+            pending = (0..pending)
+                .filter(|_| block_unrecovered(rng, n, h, p))
+                .count();
         }
         rounds_needed as f64 * n as f64 / k as f64
     })

@@ -1,8 +1,8 @@
 //! Serial vs parallel Monte Carlo sweeps: the pm-par speedup benchmark.
 //!
-//! One data point is the ISSUE's reference workload — an R = 4096
-//! integrated-FEC-2 run under independent loss — executed serially and on
-//! pools of 2 and 4 workers. The parallel runs return bit-identical
+//! One data point is the reference workload — an R = 4096
+//! integrated-FEC-2 run under independent loss — executed on
+//! `Pool::serial()` and on pools of 2 and 4 workers. The parallel runs return bit-identical
 //! statistics (asserted here, not just in the test suite), so the only
 //! thing this benchmark measures is wall-clock. `BENCH_sim.json` at the
 //! repo root records the reference numbers together with the host core
@@ -12,7 +12,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use pm_par::Pool;
-use pm_sim::runner::{run_env, run_env_par, LossEnv, Scheme};
+use pm_sim::runner::{run_env_par, LossEnv, Scheme};
 use pm_sim::SimConfig;
 
 const SCHEME: Scheme = Scheme::Integrated2 { k: 7 };
@@ -23,11 +23,12 @@ const SEED: u64 = 42;
 
 fn bench_sim_parallel(c: &mut Criterion) {
     let cfg = SimConfig::paper_timing(TRIALS);
-    let reference = run_env(&cfg, SCHEME, ENV, RECEIVERS, SEED);
+    let serial = Pool::serial();
+    let reference = run_env_par(&cfg, SCHEME, ENV, RECEIVERS, SEED, &serial);
     let mut g = c.benchmark_group("sim_parallel_integrated2_r4096");
     g.sample_size(10);
     g.bench_function(BenchmarkId::from_parameter("serial"), |b| {
-        b.iter(|| run_env(&cfg, SCHEME, ENV, RECEIVERS, SEED));
+        b.iter(|| run_env_par(&cfg, SCHEME, ENV, RECEIVERS, SEED, &serial));
     });
     for workers in [2usize, 4] {
         let pool = Pool::new(workers);

@@ -14,16 +14,20 @@
 //!   without changing a single sampled bit.
 //! - [`Pool`]: a scoped, chunked thread pool with [`Pool::par_map`] and
 //!   [`Pool::par_map_reduce`] over index ranges. Work is split into
-//!   *fixed-size chunks claimed dynamically* by workers; per-chunk
-//!   accumulators are merged **in chunk order** on the calling thread.
+//!   *fixed-size chunks claimed dynamically* by workers — the calling
+//!   thread is one of them — and per-chunk accumulators are merged **in
+//!   chunk order** on the calling thread.
+//!   [`Pool::par_map_reduce_with`] also gives each worker one state of its
+//!   own (reusable buffers) for all the items it runs.
 //!   Because the chunk layout and merge order depend only on `(n, chunk)`
 //!   — never on the worker count or on which thread ran which chunk — a
 //!   reduction over floating-point accumulators returns bit-identical
 //!   results for 1, 2, or 64 workers.
 //!
-//! The pool is deliberately minimal: threads live for one call (scoped),
-//! there is no work stealing beyond the shared chunk counter, and the only
-//! synchronization is one `AtomicUsize` fetch-add per chunk. For the
+//! The pool is deliberately minimal: threads live for one call (scoped;
+//! `n` workers start `n − 1` of them), there is no work stealing beyond
+//! the shared chunk counter, and the only synchronization is one
+//! `AtomicUsize` fetch-add per chunk. For the
 //! coarse-grained trials this workspace runs (microseconds to milliseconds
 //! each) that overhead is noise.
 //!

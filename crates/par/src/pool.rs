@@ -1,38 +1,49 @@
 //! The scoped, chunked thread pool.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Environment variable overriding the auto-detected worker count (useful
-/// for CI determinism checks and for benchmarking at fixed widths).
+/// for CI determinism checks and for benchmarking at fixed widths). Read
+/// once, at the first [`available_workers`] call of the process.
 pub const WORKERS_ENV: &str = "PM_PAR_WORKERS";
 
 /// Worker count to use when the caller does not pin one: the value of the
 /// `PM_PAR_WORKERS` environment variable when set to a positive integer,
 /// otherwise [`std::thread::available_parallelism`] (falling back to 1 if
 /// even that is unavailable).
+///
+/// Computed at the first call and cached for the life of the process, so
+/// a [`Pool::auto`] per simulation run re-reads neither the variable nor
+/// the cgroup files; setting `PM_PAR_WORKERS` after that first use has no
+/// effect.
 #[must_use]
 pub fn available_workers() -> usize {
-    if let Ok(v) = std::env::var(WORKERS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::env::var(WORKERS_ENV)
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(std::num::NonZeroUsize::get)
+                    .unwrap_or(1)
+            })
+    })
 }
 
 /// A fixed-width pool of scoped workers over which index ranges are
 /// fanned out in chunks.
 ///
 /// The pool holds no threads between calls: each [`Pool::par_map`] /
-/// [`Pool::par_map_reduce`] spawns its workers inside a
-/// [`std::thread::scope`], so borrowed data (configs, models, recorders)
-/// can be captured by the work closures without `'static` bounds, and a
-/// worker panic propagates to the caller instead of poisoning shared
-/// state.
+/// [`Pool::par_map_reduce`] spawns `workers − 1` threads inside a
+/// [`std::thread::scope`] and the calling thread works the same chunk
+/// queue as the last worker, so a two-worker call starts one thread.
+/// Borrowed data (configs, models, recorders) can be captured by the work
+/// closures without `'static` bounds, and a panic in any chunk — whether
+/// the caller or a spawned worker ran it — re-raises in the caller
+/// instead of poisoning shared state.
 ///
 /// **Determinism contract.** Work on `0..n` is split into fixed chunks
 /// `[0, c), [c, 2c), …` of the caller-chosen size `c`; workers claim
@@ -47,7 +58,8 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// A pool of exactly `workers` threads.
+    /// A pool of exactly `workers` workers: the calling thread and
+    /// `workers − 1` spawned ones.
     ///
     /// # Panics
     /// Panics if `workers == 0`.
@@ -58,7 +70,7 @@ impl Pool {
     }
 
     /// A pool sized by [`available_workers`] (env override, else core
-    /// count).
+    /// count, both read once per process).
     #[must_use]
     pub fn auto() -> Self {
         Pool::new(available_workers())
@@ -72,7 +84,7 @@ impl Pool {
         Pool::new(1)
     }
 
-    /// Worker threads this pool fans work across.
+    /// Workers this pool fans work across, the calling thread included.
     #[must_use]
     pub fn workers(&self) -> usize {
         self.workers
@@ -114,7 +126,7 @@ impl Pool {
     /// tens of microseconds or more is effectively free.
     ///
     /// # Panics
-    /// Panics if `chunk == 0`, and re-raises panics from worker closures.
+    /// Panics if `chunk == 0`, and re-raises panics from the closures.
     pub fn par_map_reduce<A, I, F, M>(
         &self,
         n: usize,
@@ -129,58 +141,91 @@ impl Pool {
         F: Fn(&mut A, usize) + Sync,
         M: Fn(&mut A, A),
     {
+        self.par_map_reduce_with(n, chunk, || (), init, |(), acc, i| fold(acc, i), merge)
+    }
+
+    /// [`Pool::par_map_reduce`] with a per-worker state: each worker
+    /// builds one `W` with `state` before its first chunk and hands it,
+    /// mutably, to `fold` for every index it runs — reusable buffers, so
+    /// that an item allocates nothing once its worker has run one.
+    ///
+    /// The state is private to a worker but which indices share one is up
+    /// to the schedule, so the determinism contract holds only if `fold`'s
+    /// effect on the accumulator does not depend on what the state holds
+    /// on entry (every item leaves it as it found it, or overwrites what
+    /// it reads).
+    ///
+    /// # Panics
+    /// As for [`Pool::par_map_reduce`].
+    pub fn par_map_reduce_with<W, A, S, I, F, M>(
+        &self,
+        n: usize,
+        chunk: usize,
+        state: S,
+        init: I,
+        fold: F,
+        merge: M,
+    ) -> A
+    where
+        A: Send,
+        S: Fn() -> W + Sync,
+        I: Fn() -> A + Sync,
+        F: Fn(&mut W, &mut A, usize) + Sync,
+        M: Fn(&mut A, A),
+    {
         assert!(chunk > 0, "chunk size must be positive");
         let mut out = init();
         if n == 0 {
             return out;
         }
         let chunks = n.div_ceil(chunk);
-        let run_chunk = |c: usize| {
+        let run_chunk = |w: &mut W, c: usize| {
             let mut acc = init();
             for i in c * chunk..(((c + 1) * chunk).min(n)) {
-                fold(&mut acc, i);
+                fold(w, &mut acc, i);
             }
             acc
         };
-        if self.workers == 1 || chunks == 1 {
+        let workers = self.workers.min(chunks);
+        if workers == 1 {
             // Inline path — same chunk layout and merge order as the
             // parallel path, so the reduction is bit-identical.
+            let mut w = state();
             for c in 0..chunks {
-                let acc = run_chunk(c);
+                let acc = run_chunk(&mut w, c);
                 merge(&mut out, acc);
             }
             return out;
         }
         let next = AtomicUsize::new(0);
-        let spawn = self.workers.min(chunks);
+        let work = || {
+            let mut w = state();
+            let mut local: Vec<(usize, A)> = Vec::new();
+            loop {
+                let c = next.fetch_add(1, Ordering::Relaxed);
+                if c >= chunks {
+                    return local;
+                }
+                local.push((c, run_chunk(&mut w, c)));
+            }
+        };
         let mut parts: Vec<Option<A>> = Vec::with_capacity(chunks);
         parts.resize_with(chunks, || None);
-        let finished = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..spawn)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, A)> = Vec::new();
-                        loop {
-                            let c = next.fetch_add(1, Ordering::Relaxed);
-                            if c >= chunks {
-                                break;
-                            }
-                            local.push((c, run_chunk(c)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
+        std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            // The caller is the last worker. Should one of its chunks
+            // panic, the scope still joins the spawned workers before the
+            // panic leaves it.
+            let mine = work();
+            let theirs = spawned
                 .into_iter()
-                .flat_map(|h| h.join().expect("pm-par worker panicked"))
-                .collect::<Vec<_>>()
+                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+            for (c, acc) in mine.into_iter().chain(theirs) {
+                debug_assert!(parts[c].is_none(), "chunk {c} claimed twice");
+                parts[c] = Some(acc);
+            }
         });
-        for (c, acc) in finished {
-            debug_assert!(parts[c].is_none(), "chunk {c} claimed twice");
-            parts[c] = Some(acc);
-        }
-        for part in parts.into_iter() {
+        for part in parts {
             merge(&mut out, part.expect("every chunk must be processed"));
         }
         out
@@ -196,7 +241,9 @@ impl Default for Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicBool, AtomicU64};
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
 
     #[test]
     fn par_map_preserves_index_order() {
@@ -310,5 +357,110 @@ mod tests {
     #[test]
     fn available_workers_is_positive() {
         assert!(available_workers() >= 1);
+    }
+
+    /// Called from the items of a two-worker run: each side marks that it
+    /// ran an item and waits until the other side has run one too, so the
+    /// caller and the spawned thread are both certain to run a chunk.
+    fn both_sides_run(caller: ThreadId, other_ran: &AtomicBool, caller_ran: &AtomicBool) {
+        if std::thread::current().id() == caller {
+            caller_ran.store(true, Ordering::SeqCst);
+            while !other_ran.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        } else {
+            other_ran.store(true, Ordering::SeqCst);
+            while !caller_ran.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    #[test]
+    fn the_callers_thread_runs_chunks() {
+        let caller = std::thread::current().id();
+        let (other_ran, caller_ran) = (AtomicBool::new(false), AtomicBool::new(false));
+        let ids = Pool::new(2).par_map(8, |_| {
+            both_sides_run(caller, &other_ran, &caller_ran);
+            std::thread::current().id()
+        });
+        assert!(ids.contains(&caller), "the caller ran no chunk");
+        assert!(ids.iter().any(|&id| id != caller), "no spawned worker ran");
+    }
+
+    #[test]
+    fn a_pool_of_n_uses_at_most_n_threads() {
+        let caller = std::thread::current().id();
+        for workers in [1, 2, 3, 5] {
+            let ids = Mutex::new(Vec::<ThreadId>::new());
+            Pool::new(workers).par_map_reduce(
+                400,
+                1,
+                || (),
+                |(), _| {
+                    let id = std::thread::current().id();
+                    let mut ids = ids.lock().unwrap();
+                    if !ids.contains(&id) {
+                        ids.push(id);
+                    }
+                },
+                |(), ()| {},
+            );
+            let ids = ids.into_inner().unwrap();
+            assert!(ids.len() <= workers, "{} threads for {workers}", ids.len());
+            if workers == 1 {
+                assert_eq!(ids, [caller], "a serial pool runs inline");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk on the caller")]
+    fn a_panic_in_the_callers_chunk_re_raises() {
+        let caller = std::thread::current().id();
+        let (other_ran, caller_ran) = (AtomicBool::new(false), AtomicBool::new(false));
+        Pool::new(2).par_map(8, |_| {
+            if std::thread::current().id() == caller {
+                caller_ran.store(true, Ordering::SeqCst);
+                panic!("chunk on the caller");
+            }
+            both_sides_run(caller, &other_ran, &caller_ran);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk on a spawned worker")]
+    fn a_panic_in_a_spawned_workers_chunk_re_raises() {
+        let caller = std::thread::current().id();
+        let (other_ran, caller_ran) = (AtomicBool::new(false), AtomicBool::new(false));
+        Pool::new(2).par_map(8, |_| {
+            if std::thread::current().id() != caller {
+                other_ran.store(true, Ordering::SeqCst);
+                panic!("chunk on a spawned worker");
+            }
+            both_sides_run(caller, &other_ran, &caller_ran);
+        });
+    }
+
+    #[test]
+    fn per_worker_state_is_built_once_per_worker() {
+        let built = AtomicUsize::new(0);
+        let sum = Pool::new(3).par_map_reduce_with(
+            1000,
+            7,
+            || {
+                built.fetch_add(1, Ordering::Relaxed);
+                Vec::<u64>::new()
+            },
+            || 0u64,
+            |scratch, acc, i| {
+                scratch.clear();
+                scratch.push(i as u64);
+                *acc += scratch[0];
+            },
+            |acc, part| *acc += part,
+        );
+        assert_eq!(sum, (0..1000u64).sum());
+        assert!((1..=3).contains(&built.load(Ordering::Relaxed)));
     }
 }

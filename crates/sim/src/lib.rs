@@ -27,9 +27,10 @@
 //!
 //! The trial loops read a transmission only as
 //! [`pm_loss::LossModel::sample_lost`] — the receivers that lost it — and
-//! keep only state a loss touches, so a trial costs `O(R)` once — the
-//! integrated and layered loops allocate and zero one counter per receiver
-//! — plus `O(losses)` per packet, not `transmissions × R`: under the
+//! keep only state a loss touches, on buffers their worker reuses from
+//! trial to trial and that each trial resets at the entries its losses
+//! touched: a trial costs `O(losses)`, not `transmissions × R`, and
+//! allocates nothing once its worker has run one like it. Under the
 //! memoryless environments the paper's `R = 2^17` (and `10^6`) are
 //! ordinary inputs. Each loop has a dense twin,
 //! one pass over all receivers per packet, kept under `#[cfg(test)]` as the
@@ -37,9 +38,11 @@
 //!
 //! The [`runner`] entry points seed each trial independently via
 //! `pm_par::mix_seed(seed, trial_index)`, which makes trials order-free:
-//! [`runner::run_env_par`] fans them across a [`pm_par::Pool`] and returns
-//! results **bit-identical** to the serial [`runner::run_env`] at any
-//! worker count; [`runner::run_env_par_traced`] adds per-trial events.
+//! [`runner::run_env`] fans them across [`pm_par::Pool::auto`] (every
+//! core, or `PM_PAR_WORKERS`), [`runner::run_env_par`] across the pool it
+//! is given, and both return results **bit-identical** to
+//! `run_env_par(…, &Pool::serial())` at any worker count;
+//! [`runner::run_env_par_traced`] adds per-trial events.
 //!
 //! The headline metric matches the paper: **E\[M\]**, the expected number of
 //! packet transmissions per data packet delivered reliably to every

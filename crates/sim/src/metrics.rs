@@ -47,13 +47,14 @@ impl SimResult {
 /// for no-FEC), produced by the per-trial scheme functions and folded into
 /// [`SchemeStats`] by the runner. Keeping the trial→accumulator step
 /// explicit is what lets serial and parallel drivers share one
-/// numerically identical aggregation path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrialOut {
+/// numerically identical aggregation path. The samples are borrowed from
+/// the worker's trial buffers, so producing one allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TrialOut<'a> {
     /// Per-packet `E[M]` samples this trial contributes, in slot order —
     /// `k` values for layered FEC (one per data slot), a single value for
     /// the other schemes.
-    pub m_values: Vec<f64>,
+    pub m_values: &'a [f64],
     /// Rounds the trial took (1 for schemes without round structure).
     pub rounds: f64,
     /// Unnecessary receptions per receiver, `None` for schemes that by
@@ -62,7 +63,7 @@ pub struct TrialOut {
     pub unneeded: Option<f64>,
 }
 
-impl TrialOut {
+impl TrialOut<'_> {
     /// Mean of this trial's `m_values` — the per-trial `M` sample reported
     /// in `sim_trial` trace events.
     pub fn mean_m(&self) -> f64 {
@@ -93,8 +94,8 @@ impl SchemeStats {
 
     /// Fold one trial's outputs in, in the same push order the legacy
     /// single-stream runners used.
-    pub fn push_trial(&mut self, out: &TrialOut) {
-        for &m in &out.m_values {
+    pub fn push_trial(&mut self, out: &TrialOut<'_>) {
+        for &m in out.m_values {
             self.m.push(m);
         }
         self.rounds.push(out.rounds);

@@ -1,17 +1,20 @@
-//! Scheme dispatch and deterministic per-trial seeding — serial and
-//! parallel.
+//! Scheme dispatch and deterministic per-trial seeding.
 //!
 //! # Execution model
 //!
-//! [`run_env`] gives every trial its **own** loss model, seeded with
+//! Every trial gets its **own** loss model, seeded with
 //! [`pm_par::mix_seed`]`(seed, trial_index)`. Trials are therefore
 //! mutually independent and order-free: trial 517 samples the same random
-//! bits whether it runs first, last, or on another thread. [`run_env_par`]
-//! exploits exactly that — it fans trial chunks across a [`Pool`] and
-//! merges per-chunk [`SchemeStats`] in fixed chunk order (Chan et al.
-//! parallel variance combine), so its [`SimResult`] is **bit-identical**
-//! to the serial one for every scheme × environment pair; the
-//! `parallel_equivalence` integration test pins this.
+//! bits whether it runs first, last, or on another thread. The drivers
+//! exploit exactly that — they fan trial chunks across a [`Pool`]
+//! ([`run_env`] on [`Pool::auto`], [`run_env_par`] on the caller's) and
+//! merge per-chunk [`SchemeStats`] in fixed chunk order (Chan et al.
+//! parallel variance combine), so the [`SimResult`] is **bit-identical**
+//! at every worker count, [`Pool::serial`] included, for every scheme ×
+//! environment pair; the `parallel_equivalence` integration test pins
+//! this. Each worker runs its trials on one reusable `Scratch` of trial
+//! buffers, which every trial hands back at rest, so which worker ran a
+//! trial changes none of its bits either.
 
 use pm_loss::{GilbertLoss, IndependentLoss, LossModel, TreeBurstLoss, TreeLoss, TwoClassLoss};
 use pm_obs::{Event, EventBuffer, Obs};
@@ -19,7 +22,7 @@ use pm_par::{mix_seed, Pool};
 
 use crate::config::SimConfig;
 use crate::metrics::{SchemeStats, SimResult, TrialOut};
-use crate::scheme;
+use crate::scheme::{self, Scratch};
 
 /// Trials per work chunk in the parallel drivers. Fixed (never derived
 /// from the worker count) so the chunk layout — and with it the merge
@@ -76,18 +79,20 @@ impl Scheme {
     }
 }
 
-/// Simulate exactly one trial of `scheme` on `model`, advancing `now`.
-fn run_trial<M: LossModel>(
+/// Simulate exactly one trial of `scheme` on `model`, advancing `now`,
+/// on the buffers in `scratch`.
+fn run_trial<'s, M: LossModel>(
     cfg: &SimConfig,
     scheme: Scheme,
     model: &mut M,
     now: &mut f64,
-) -> TrialOut {
+    scratch: &'s mut Scratch,
+) -> TrialOut<'s> {
     match scheme {
-        Scheme::NoFec => scheme::nofec_trial(cfg, model, now),
-        Scheme::Layered { k, h } => scheme::layered_trial(cfg, k, h, model, now),
-        Scheme::Integrated1 { k } => scheme::integrated_1_trial(cfg, k, model, now),
-        Scheme::Integrated2 { k } => scheme::integrated_2_trial(cfg, k, model, now),
+        Scheme::NoFec => scheme::nofec_trial(cfg, model, now, scratch),
+        Scheme::Layered { k, h } => scheme::layered_trial(cfg, k, h, model, now, scratch),
+        Scheme::Integrated1 { k } => scheme::integrated_1_trial(cfg, k, model, now, scratch),
+        Scheme::Integrated2 { k } => scheme::integrated_2_trial(cfg, k, model, now, scratch),
     }
 }
 
@@ -226,7 +231,7 @@ struct TrialCtx<'a> {
 }
 
 impl TrialCtx<'_> {
-    fn run_into(&self, acc: &mut TracedAccum, trial: usize) {
+    fn run_into(&self, scratch: &mut Scratch, acc: &mut TracedAccum, trial: usize) {
         let mut model = EnvModel::build(
             self.env,
             self.receivers,
@@ -234,7 +239,7 @@ impl TrialCtx<'_> {
             mix_seed(self.seed, trial as u64),
         );
         let mut now = 0.0f64;
-        let out = run_trial(self.cfg, self.scheme, &mut model, &mut now);
+        let out = run_trial(self.cfg, self.scheme, &mut model, &mut now, scratch);
         if let Some((obs, label)) = self.trace {
             acc.buf.emit(now, || Event::SimTrial {
                 scheme: label.to_string(),
@@ -259,14 +264,15 @@ impl TrialCtx<'_> {
         }
     }
 
-    /// Fan this context's trials across `pool` and reduce
-    /// deterministically.
+    /// Fan this context's trials across `pool`, one [`Scratch`] per
+    /// worker, and reduce deterministically.
     fn run_all(&self, pool: &Pool) -> SimResult {
-        pool.par_map_reduce(
+        pool.par_map_reduce_with(
             self.cfg.trials,
             TRIAL_CHUNK,
+            Scratch::default,
             || self.accum(),
-            |acc, trial| self.run_into(acc, trial),
+            |scratch, acc, trial| self.run_into(scratch, acc, trial),
             |acc, part| acc.stats.merge(&part.stats),
         )
         .stats
@@ -282,9 +288,10 @@ struct TracedAccum {
 }
 
 /// Run `scheme` in `env` with `receivers` receivers (must be a power of
-/// two for the tree environments), serially, with one independently
-/// seeded loss model per trial. Bit-identical to [`run_env_par`] at any
-/// worker count.
+/// two for the tree environments), with one independently seeded loss
+/// model per trial, fanned across [`Pool::auto`] — every core, or
+/// `PM_PAR_WORKERS` of them. Bit-identical to [`run_env_par`] at any
+/// worker count, `Pool::serial()` included.
 ///
 /// # Panics
 /// Panics if `receivers == 0`, or is not a power of two for the FBT /
@@ -296,10 +303,11 @@ pub fn run_env(
     receivers: usize,
     seed: u64,
 ) -> SimResult {
-    run_env_par(cfg, scheme, env, receivers, seed, &Pool::serial())
+    run_env_par(cfg, scheme, env, receivers, seed, &Pool::auto())
 }
 
-/// [`run_env`] with trials fanned across `pool`.
+/// [`run_env`] with trials fanned across `pool`; on [`Pool::serial`] it
+/// is the single-threaded reference every other width must equal.
 ///
 /// Determinism: trial `i` always draws from `mix_seed(seed, i)`, chunks
 /// are fixed at [`TRIAL_CHUNK`] trials, and chunk statistics merge in
@@ -333,7 +341,7 @@ pub fn run_env_par(
 /// (timestamped with the trial's *simulated* end time), batched in a
 /// thread-local [`EventBuffer`] and flushed to `obs` at the trial
 /// boundary; a `sim_run` summary follows at wall-clock timestamp `now`.
-/// The returned statistics stay bit-identical to [`run_env`].
+/// The returned statistics stay bit-identical to [`run_env_par`].
 ///
 /// # Panics
 /// Same conditions as [`run_env`].
@@ -388,17 +396,22 @@ mod tests {
     use super::*;
 
     /// [`run_trial`] on the dense `#[cfg(test)]` oracle loops.
-    fn run_trial_dense<M: LossModel>(
+    fn run_trial_dense<'s, M: LossModel>(
         cfg: &SimConfig,
         scheme: Scheme,
         model: &mut M,
         now: &mut f64,
-    ) -> TrialOut {
+        scratch: &'s mut Scratch,
+    ) -> TrialOut<'s> {
         match scheme {
-            Scheme::NoFec => scheme::nofec_trial_dense(cfg, model, now),
-            Scheme::Layered { k, h } => scheme::layered_trial_dense(cfg, k, h, model, now),
-            Scheme::Integrated1 { k } => scheme::integrated_1_trial_dense(cfg, k, model, now),
-            Scheme::Integrated2 { k } => scheme::integrated_2_trial_dense(cfg, k, model, now),
+            Scheme::NoFec => scheme::nofec_trial_dense(cfg, model, now, scratch),
+            Scheme::Layered { k, h } => scheme::layered_trial_dense(cfg, k, h, model, now, scratch),
+            Scheme::Integrated1 { k } => {
+                scheme::integrated_1_trial_dense(cfg, k, model, now, scratch)
+            }
+            Scheme::Integrated2 { k } => {
+                scheme::integrated_2_trial_dense(cfg, k, model, now, scratch)
+            }
         }
     }
 
@@ -409,7 +422,16 @@ mod tests {
         // so every output must agree exactly — and so must the clock, or a
         // time-correlated model would have diverged. Loss rates are high
         // enough that most trials run several rounds.
+        //
+        // Every sparse trial runs on one shared scratch, as a worker's
+        // trials do, and the population shrinks from the outer loop's
+        // first pass to its last: a trial that left an entry of its
+        // scratch off its rest state — a counter above zero, a pending
+        // receiver — feeds it into a later trial of another scheme, `k`
+        // or `R`, whose output then differs from its oracle's.
         let cfg = SimConfig::paper_timing(1);
+        let mut scratch = Scratch::default();
+        let mut oracle_scratch = Scratch::default();
         let envs = [
             LossEnv::Independent { p: 0.2 },
             LossEnv::FullBinaryTree { p: 0.2 },
@@ -428,34 +450,46 @@ mod tests {
             },
         ];
         let mut multi_round = 0usize;
-        for k in [1usize, 3, 7, 20] {
-            let schemes = [
-                Scheme::NoFec,
-                Scheme::Layered {
-                    k,
-                    h: k.div_ceil(4),
-                },
-                Scheme::Integrated1 { k },
-                Scheme::Integrated2 { k },
-            ];
-            for (scheme, env) in schemes
-                .iter()
-                .flat_map(|s| envs.iter().map(move |e| (*s, *e)))
-            {
-                for r in [1usize, 5, 64, 300] {
+        for r in [300usize, 64, 5, 1] {
+            for k in [1usize, 3, 7, 20] {
+                let schemes = [
+                    Scheme::NoFec,
+                    Scheme::Layered {
+                        k,
+                        h: k.div_ceil(4),
+                    },
+                    Scheme::Integrated1 { k },
+                    Scheme::Integrated2 { k },
+                ];
+                for (scheme, env) in schemes
+                    .iter()
+                    .flat_map(|s| envs.iter().map(move |e| (*s, *e)))
+                {
                     let tree = matches!(
                         env,
                         LossEnv::FullBinaryTree { .. } | LossEnv::TreeBurst { .. }
                     );
-                    // The tree environments need R = 2^d: 1, 4, 64, 256.
+                    // The tree environments need R = 2^d: 256, 64, 4, 1.
                     let r = if tree { 1 << r.ilog2() } else { r };
                     for seed in 0..200u64 {
                         let seed = mix_seed(seed, (k * 1000 + r) as u64);
                         let mut sparse_model = EnvModel::build(env, r, cfg.delta, seed);
                         let mut dense_model = EnvModel::build(env, r, cfg.delta, seed);
                         let (mut now_sparse, mut now_dense) = (0.0, 0.0);
-                        let sparse = run_trial(&cfg, scheme, &mut sparse_model, &mut now_sparse);
-                        let dense = run_trial_dense(&cfg, scheme, &mut dense_model, &mut now_dense);
+                        let sparse = run_trial(
+                            &cfg,
+                            scheme,
+                            &mut sparse_model,
+                            &mut now_sparse,
+                            &mut scratch,
+                        );
+                        let dense = run_trial_dense(
+                            &cfg,
+                            scheme,
+                            &mut dense_model,
+                            &mut now_dense,
+                            &mut oracle_scratch,
+                        );
                         assert_eq!(sparse, dense, "{scheme:?} {env:?} R={r} seed={seed}");
                         assert_eq!(now_sparse, now_dense, "{scheme:?} {env:?} R={r}");
                         multi_round += usize::from(dense.rounds > 1.0);
@@ -575,6 +609,7 @@ mod tests {
         let direct = run_env(&cfg_small, Scheme::Integrated2 { k: 7 }, env, 8, 11);
         let cfg_one = SimConfig::paper_timing(1);
         let mut stats = SchemeStats::new();
+        let mut scratch = Scratch::default();
         for t in 0..50usize {
             // One-trial runs at shifted base seeds reproduce each trial:
             // run_env(seed) trial 0 uses mix_seed(seed, 0), so walk the
@@ -586,6 +621,7 @@ mod tests {
                 Scheme::Integrated2 { k: 7 },
                 &mut model,
                 &mut now,
+                &mut scratch,
             ));
         }
         // Same trials, but accumulated without the chunked merge — means

@@ -2,6 +2,7 @@
 
 use pm_loss::LossModel;
 
+use super::Scratch;
 use crate::config::SimConfig;
 use crate::metrics::TrialOut;
 
@@ -9,34 +10,49 @@ use crate::metrics::TrialOut;
 /// transmissions (would indicate a pathological loss model, e.g. p ~ 1).
 const MAX_TX_PER_GROUP: u64 = 1_000_000;
 
+/// A [`Group`]'s buffers, kept by a worker between trials. At rest
+/// `missed` is all zero (however long it has grown) and `touched` empty.
+#[derive(Debug, Default)]
+pub(crate) struct GroupBufs {
+    /// `missed[rc]`: packets `rc` lost before it held `k`.
+    missed: Vec<u32>,
+    /// The receivers whose `missed` this trial raised from zero — all the
+    /// entries the trial has to reset.
+    touched: Vec<u32>,
+    /// `with_missed[m]`: receivers whose `missed` is `m`. Counters only
+    /// grow, so the last bucket is the running maximum.
+    with_missed: Vec<u32>,
+}
+
 /// One transmission group as its losses see it. A receiver that lost `m`
 /// of the `tx` packets sent while it was still incomplete holds
 /// `min(k, tx - m)` of them, so a receiver's progress is one counter that
 /// only a loss touches, and what the sender asks of the group — how many
 /// packets the worst receiver still needs, how many receivers are done —
 /// follows from the counters' histogram without a pass over the receivers.
-struct Group {
+struct Group<'s> {
     k: u64,
     /// Packets multicast so far.
     tx: u64,
-    /// `missed[rc]`: packets `rc` lost before it held `k`.
-    missed: Vec<u32>,
-    /// `with_missed[m]`: receivers whose `missed` is `m`. Counters only
-    /// grow, so the last bucket is the running maximum.
-    with_missed: Vec<u32>,
+    bufs: &'s mut GroupBufs,
     /// Receivers holding `k` packets.
     complete: u64,
     /// Receptions by receivers that were already complete.
     unneeded: u64,
 }
 
-impl Group {
-    fn new(k: usize, receivers: usize) -> Self {
+impl<'s> Group<'s> {
+    /// A group nobody has lost anything of yet, on `bufs` at rest.
+    fn new(k: usize, receivers: usize, bufs: &'s mut GroupBufs) -> Self {
+        if bufs.missed.len() < receivers {
+            bufs.missed.resize(receivers, 0);
+        }
+        bufs.with_missed.clear();
+        bufs.with_missed.push(receivers as u32);
         Group {
             k: k as u64,
             tx: 0,
-            missed: vec![0; receivers],
-            with_missed: vec![receivers as u32],
+            bufs,
             complete: 0,
             unneeded: 0,
         }
@@ -44,7 +60,7 @@ impl Group {
 
     /// Packets the worst receiver still needs: `k - (tx - max missed)`.
     fn need(&self) -> u64 {
-        self.k + (self.with_missed.len() as u64 - 1) - self.tx
+        self.k + (self.bufs.with_missed.len() as u64 - 1) - self.tx
     }
 
     /// Account one multicast packet that the receivers in `lost` missed.
@@ -57,20 +73,28 @@ impl Group {
             self.tx <= MAX_TX_PER_GROUP,
             "loss model never delivers packets"
         );
+        let GroupBufs {
+            missed,
+            touched,
+            with_missed,
+        } = &mut *self.bufs;
         let mut lost_by_complete = 0;
         for &rc in lost {
-            let m = self.missed[rc as usize] as usize;
+            let m = missed[rc as usize] as usize;
             // Complete before this packet iff (tx - 1) - m >= k.
             if m as u64 + self.k < self.tx {
                 lost_by_complete += 1;
                 continue;
             }
-            self.missed[rc as usize] += 1;
-            self.with_missed[m] -= 1;
-            if self.with_missed.len() == m + 1 {
-                self.with_missed.push(0);
+            if m == 0 {
+                touched.push(rc);
             }
-            self.with_missed[m + 1] += 1;
+            missed[rc as usize] += 1;
+            with_missed[m] -= 1;
+            if with_missed.len() == m + 1 {
+                with_missed.push(0);
+            }
+            with_missed[m + 1] += 1;
         }
         // Completed receivers still on the group hear repair parities they
         // cannot use.
@@ -78,9 +102,23 @@ impl Group {
         // Whoever has now missed exactly tx - k holds exactly k: this
         // packet completed them, and their counters are final.
         if self.tx >= self.k {
-            let done = self.with_missed.get((self.tx - self.k) as usize);
+            let done = with_missed.get((self.tx - self.k) as usize);
             self.complete += u64::from(done.copied().unwrap_or(0));
         }
+    }
+
+    /// End the trial: hand the buffers back at rest — zeroing the
+    /// counters this trial raised, and only those — and return the
+    /// packets sent and the unneeded receptions.
+    fn finish(self) -> (u64, u64) {
+        let GroupBufs {
+            missed, touched, ..
+        } = self.bufs;
+        for &rc in touched.iter() {
+            missed[rc as usize] = 0;
+        }
+        touched.clear();
+        (self.tx, self.unneeded)
     }
 }
 
@@ -93,21 +131,22 @@ impl Group {
 /// # Panics
 /// Panics if the trial exceeds the internal transmission cap (loss model
 /// stuck at 100% loss).
-pub(crate) fn integrated_1_trial<M: LossModel>(
+pub(crate) fn integrated_1_trial<'s, M: LossModel>(
     cfg: &SimConfig,
     k: usize,
     model: &mut M,
     now: &mut f64,
-) -> TrialOut {
-    let mut group = Group::new(k, model.receivers());
-    let mut lost = Vec::new();
+    scratch: &'s mut Scratch,
+) -> TrialOut<'s> {
+    let mut group = Group::new(k, model.receivers(), &mut scratch.group);
     while group.need() > 0 {
-        model.sample_lost(*now, &mut lost);
+        model.sample_lost(*now, &mut scratch.lost);
         *now += cfg.delta;
-        group.packet(&lost);
+        group.packet(&scratch.lost);
     }
+    let (tx, _) = group.finish();
     TrialOut {
-        m_values: vec![group.tx as f64 / k as f64],
+        m_values: scratch.one_m_value(tx as f64 / k as f64),
         rounds: 1.0,
         // Departed receivers no longer listen — by construction integrated
         // FEC 1 has zero unnecessary receptions (Section 2.1 bullet 3).
@@ -123,15 +162,15 @@ pub(crate) fn integrated_1_trial<M: LossModel>(
 ///
 /// # Panics
 /// As for [`integrated_1_trial`].
-pub(crate) fn integrated_2_trial<M: LossModel>(
+pub(crate) fn integrated_2_trial<'s, M: LossModel>(
     cfg: &SimConfig,
     k: usize,
     model: &mut M,
     now: &mut f64,
-) -> TrialOut {
+    scratch: &'s mut Scratch,
+) -> TrialOut<'s> {
     let r = model.receivers();
-    let mut group = Group::new(k, r);
-    let mut lost = Vec::new();
+    let mut group = Group::new(k, r, &mut scratch.group);
     let mut rounds = 0u64;
     loop {
         // `k` before anything was sent (the data), the worst receiver's
@@ -142,28 +181,31 @@ pub(crate) fn integrated_2_trial<M: LossModel>(
         }
         rounds += 1;
         for _ in 0..burst {
-            model.sample_lost(*now, &mut lost);
+            model.sample_lost(*now, &mut scratch.lost);
             *now += cfg.delta;
-            group.packet(&lost);
+            group.packet(&scratch.lost);
         }
         *now += cfg.feedback_delay;
     }
+    let (tx, unneeded) = group.finish();
     TrialOut {
-        m_values: vec![group.tx as f64 / k as f64],
+        m_values: scratch.one_m_value(tx as f64 / k as f64),
         rounds: rounds as f64,
-        unneeded: Some(group.unneeded as f64 / r as f64),
+        unneeded: Some(unneeded as f64 / r as f64),
     }
 }
 
 #[cfg(test)]
 /// Dense oracle of [`integrated_1_trial`]: one pass over all `R` receivers
-/// per packet.
-pub(crate) fn integrated_1_trial_dense<M: LossModel>(
+/// per packet, on buffers of its own (it takes from `scratch` only the
+/// `m_values` it lends out).
+pub(crate) fn integrated_1_trial_dense<'s, M: LossModel>(
     cfg: &SimConfig,
     k: usize,
     model: &mut M,
     now: &mut f64,
-) -> TrialOut {
+    scratch: &'s mut Scratch,
+) -> TrialOut<'s> {
     let r = model.receivers();
     let mut lost = vec![false; r];
     let mut have = vec![0usize; r];
@@ -187,7 +229,7 @@ pub(crate) fn integrated_1_trial_dense<M: LossModel>(
         }
     }
     TrialOut {
-        m_values: vec![tx as f64 / k as f64],
+        m_values: scratch.one_m_value(tx as f64 / k as f64),
         rounds: 1.0,
         unneeded: None, // departed receivers hear nothing
     }
@@ -195,12 +237,13 @@ pub(crate) fn integrated_1_trial_dense<M: LossModel>(
 
 #[cfg(test)]
 /// Dense oracle of [`integrated_2_trial`].
-pub(crate) fn integrated_2_trial_dense<M: LossModel>(
+pub(crate) fn integrated_2_trial_dense<'s, M: LossModel>(
     cfg: &SimConfig,
     k: usize,
     model: &mut M,
     now: &mut f64,
-) -> TrialOut {
+    scratch: &'s mut Scratch,
+) -> TrialOut<'s> {
     let r = model.receivers();
     let mut lost = vec![false; r];
     let mut have = vec![0usize; r];
@@ -236,7 +279,7 @@ pub(crate) fn integrated_2_trial_dense<M: LossModel>(
         *now += cfg.feedback_delay;
     }
     TrialOut {
-        m_values: vec![tx as f64 / k as f64],
+        m_values: scratch.one_m_value(tx as f64 / k as f64),
         rounds: rounds as f64,
         unneeded: Some(unneeded as f64 / r as f64),
     }
@@ -346,8 +389,15 @@ mod tests {
     fn int1_trial_reports_no_unneeded() {
         let mut m = IndependentLoss::new(4, 0.0, 1);
         let mut now = 0.0;
-        let out = integrated_1_trial(&SimConfig::paper_timing(1), 7, &mut m, &mut now);
-        assert_eq!(out.m_values, vec![1.0]);
+        let mut scratch = Scratch::default();
+        let out = integrated_1_trial(
+            &SimConfig::paper_timing(1),
+            7,
+            &mut m,
+            &mut now,
+            &mut scratch,
+        );
+        assert_eq!(out.m_values, [1.0]);
         assert_eq!(out.unneeded, None, "int1 cannot waste receptions");
     }
 }

@@ -10,9 +10,27 @@
 
 use pm_loss::LossModel;
 
-use super::retain_lost;
+use super::{retain_lost, Scratch};
 use crate::config::SimConfig;
 use crate::metrics::TrialOut;
+
+/// Layered FEC's buffers, kept by a worker between trials. At rest
+/// `lost_in_block` is all zero and every `pending` list empty.
+#[derive(Debug, Default)]
+pub(crate) struct LayeredBufs {
+    /// The block's loss lists back to back; slot s is
+    /// `block[ends[s-1]..ends[s]]`.
+    block: Vec<u32>,
+    ends: Vec<usize>,
+    /// Per-receiver losses in the current block; zeroed at the block's
+    /// losses when the block is done.
+    lost_in_block: Vec<u32>,
+    /// `pending[slot]`: receivers still missing the data packet in
+    /// `slot`, ascending; at least `k` lists.
+    pending: Vec<Vec<u32>>,
+    /// Per-slot count of rounds the slot participated in.
+    slot_rounds: Vec<u64>,
+}
 
 /// One layered-FEC trial: one transmission group of `k` data packets
 /// (tracked jointly so burst loss correlates them exactly as on the
@@ -23,40 +41,54 @@ use crate::metrics::TrialOut;
 /// slot and the waste (receptions of a slot by receivers that already hold
 /// it) are read off the block's `n` loss lists; the one `R`-sized array,
 /// the per-receiver loss count of the block, is touched at the losses only.
-pub(crate) fn layered_trial<M: LossModel>(
+pub(crate) fn layered_trial<'s, M: LossModel>(
     cfg: &SimConfig,
     k: usize,
     h: usize,
     model: &mut M,
     now: &mut f64,
-) -> TrialOut {
+    scratch: &'s mut Scratch,
+) -> TrialOut<'s> {
     let n = k + h;
     let r = model.receivers();
-    // pending[slot] = receivers still missing the data packet in `slot`,
-    // ascending; before the first block that is everyone, which is never
-    // written down. Parity slots need no tracking: they are regenerated
-    // for whatever group they ride in.
-    let mut pending: Vec<Vec<u32>> = vec![Vec::new(); k];
-    // Per-slot count of rounds the slot participated in.
-    let mut slot_rounds = vec![0u64; k];
+    let Scratch {
+        lost,
+        m_values,
+        layered:
+            LayeredBufs {
+                block,
+                ends,
+                lost_in_block,
+                pending,
+                slot_rounds,
+            },
+        ..
+    } = &mut *scratch;
+    if lost_in_block.len() < r {
+        lost_in_block.resize(r, 0);
+    }
+    if pending.len() < k {
+        pending.resize_with(k, Vec::new);
+    }
+    // Before the first block every receiver is pending on every slot,
+    // which is never written down. Parity slots need no tracking: they are
+    // regenerated for whatever group they ride in.
+    let pending = &mut pending[..k];
+    slot_rounds.clear();
+    slot_rounds.resize(k, 0);
     let mut group_rounds = 0u64;
     let mut unneeded = 0u64;
-    // The block's loss lists back to back; slot s is block[ends[s-1]..ends[s]].
-    let mut lost = Vec::new();
-    let mut block: Vec<u32> = Vec::new();
-    let mut ends = Vec::with_capacity(n);
-    let mut lost_in_block = vec![0u32; r];
     while group_rounds == 0 || pending.iter().any(|p| !p.is_empty()) {
         group_rounds += 1;
         // One block: n packets at delta spacing.
         block.clear();
         ends.clear();
         for _ in 0..n {
-            model.sample_lost(*now, &mut lost);
-            for &rc in &lost {
+            model.sample_lost(*now, lost);
+            for &rc in lost.iter() {
                 lost_in_block[rc as usize] += 1;
             }
-            block.extend_from_slice(&lost);
+            block.extend_from_slice(lost);
             ends.push(block.len());
             *now += cfg.delta;
         }
@@ -83,18 +115,21 @@ pub(crate) fn layered_trial<M: LossModel>(
             });
             unneeded += (held - (lost_slot.len() - lost_by_pending)) as u64;
         }
-        for &rc in &block {
+        for &rc in block.iter() {
             lost_in_block[rc as usize] = 0;
         }
         *now += cfg.feedback_delay; // gap to the next block is delta + T
     }
-    TrialOut {
-        // Each round the packet rides in costs n/k transmissions in
-        // the per-packet accounting (Eq. (3)'s n/k factor).
-        m_values: slot_rounds
+    // Each round the packet rides in costs n/k transmissions in the
+    // per-packet accounting (Eq. (3)'s n/k factor).
+    m_values.clear();
+    m_values.extend(
+        slot_rounds
             .iter()
-            .map(|&sr| sr as f64 * n as f64 / k as f64)
-            .collect(),
+            .map(|&sr| sr as f64 * n as f64 / k as f64),
+    );
+    TrialOut {
+        m_values,
         rounds: group_rounds as f64,
         unneeded: Some(unneeded as f64 / r as f64),
     }
@@ -103,15 +138,17 @@ pub(crate) fn layered_trial<M: LossModel>(
 #[cfg(test)]
 /// Dense oracle of [`layered_trial`]: every receiver's reception of every
 /// packet of every block, tabulated. The body is the loop this crate ran
-/// before the sparse view, kept unedited so "equal to the oracle" means
-/// "equal to what the figures were produced with".
-pub(crate) fn layered_trial_dense<M: LossModel>(
+/// before the sparse view, kept unedited but for where its samples go, so
+/// "equal to the oracle" means "equal to what the figures were produced
+/// with".
+pub(crate) fn layered_trial_dense<'s, M: LossModel>(
     cfg: &SimConfig,
     k: usize,
     h: usize,
     model: &mut M,
     now: &mut f64,
-) -> TrialOut {
+    scratch: &'s mut Scratch,
+) -> TrialOut<'s> {
     let n = k + h;
     let r = model.receivers();
     let mut lost = vec![false; r];
@@ -177,13 +214,16 @@ pub(crate) fn layered_trial_dense<M: LossModel>(
         }
         *now += cfg.feedback_delay; // gap to the next block is delta + T
     }
-    TrialOut {
-        // Each round the packet rides in costs n/k transmissions in
-        // the per-packet accounting (Eq. (3)'s n/k factor).
-        m_values: slot_rounds
+    // Each round the packet rides in costs n/k transmissions in the
+    // per-packet accounting (Eq. (3)'s n/k factor).
+    scratch.m_values.clear();
+    scratch.m_values.extend(
+        slot_rounds
             .iter()
-            .map(|&sr| sr as f64 * n as f64 / k as f64)
-            .collect(),
+            .map(|&sr| sr as f64 * n as f64 / k as f64),
+    );
+    TrialOut {
+        m_values: &scratch.m_values,
         rounds: group_rounds as f64,
         unneeded: Some(unneeded as f64 / r as f64),
     }
@@ -265,7 +305,15 @@ mod tests {
     fn trial_contributes_k_samples() {
         let mut model = IndependentLoss::new(8, 0.0, 1);
         let mut now = 0.0;
-        let out = layered_trial(&SimConfig::paper_timing(1), 7, 2, &mut model, &mut now);
+        let mut scratch = Scratch::default();
+        let out = layered_trial(
+            &SimConfig::paper_timing(1),
+            7,
+            2,
+            &mut model,
+            &mut now,
+            &mut scratch,
+        );
         assert_eq!(out.m_values.len(), 7, "one E[M] sample per data slot");
         assert!(out.m_values.iter().all(|&m| (m - 9.0 / 7.0).abs() < 1e-12));
         assert_eq!(out.rounds, 1.0);

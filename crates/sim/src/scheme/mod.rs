@@ -8,6 +8,11 @@
 //! only state that a loss touches; its `*_trial_dense` twin (`#[cfg(test)]`)
 //! walks every receiver on every packet and must produce the same
 //! `TrialOut` and the same clock from the same seed.
+//!
+//! A trial's buffers live in a [`Scratch`] that the runner keeps per
+//! worker, so a trial allocates nothing once its worker has run one of the
+//! same shape (scheme, `k`, `R`); each trial hands the scratch back clean,
+//! resetting only the entries its losses touched.
 
 mod integrated;
 mod layered;
@@ -16,6 +21,34 @@ mod nofec;
 pub(crate) use integrated::{integrated_1_trial, integrated_2_trial};
 pub(crate) use layered::layered_trial;
 pub(crate) use nofec::nofec_trial;
+
+/// One worker's reusable trial buffers. Between trials every buffer is in
+/// its rest state — the per-receiver counters all zero, the pending sets
+/// empty — whatever trial ran last, so which trials share a scratch
+/// changes no output.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// The current transmission's loss list.
+    lost: Vec<u32>,
+    /// The trial's per-packet `E[M]` samples, lent out as
+    /// `TrialOut::m_values`.
+    m_values: Vec<f64>,
+    /// The integrated schemes' group state.
+    group: integrated::GroupBufs,
+    /// Layered FEC's block and per-slot state.
+    layered: layered::LayeredBufs,
+    /// No-FEC's set still missing the packet; empty at rest.
+    pending: Vec<u32>,
+}
+
+impl Scratch {
+    /// Lend out a one-sample `m_values`.
+    fn one_m_value(&mut self, m: f64) -> &[f64] {
+        self.m_values.clear();
+        self.m_values.push(m);
+        &self.m_values
+    }
+}
 
 /// Keep the members of the ascending set `pending` that are also in the
 /// ascending loss list `lost` and pass `keep` — one merge pass, in place.

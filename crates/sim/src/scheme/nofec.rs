@@ -2,7 +2,7 @@
 
 use pm_loss::LossModel;
 
-use super::retain_lost;
+use super::{retain_lost, Scratch};
 use crate::config::SimConfig;
 use crate::metrics::TrialOut;
 
@@ -12,21 +12,26 @@ use crate::metrics::TrialOut;
 /// the real schedule; the trailing gap to the next packet is `delta`.
 ///
 /// The state is the set still missing the packet, which after the first
-/// transmission is exactly the receivers that lost it and only shrinks:
-/// nothing of size `R` is ever touched.
-pub(crate) fn nofec_trial<M: LossModel>(cfg: &SimConfig, model: &mut M, now: &mut f64) -> TrialOut {
+/// transmission is exactly the receivers that lost it and only shrinks —
+/// to empty, its rest state in `scratch`: nothing of size `R` is ever
+/// touched.
+pub(crate) fn nofec_trial<'s, M: LossModel>(
+    cfg: &SimConfig,
+    model: &mut M,
+    now: &mut f64,
+    scratch: &'s mut Scratch,
+) -> TrialOut<'s> {
     let r = model.receivers() as u64;
-    let mut lost = Vec::new();
-    let mut pending = Vec::new();
-    model.sample_lost(*now, &mut pending);
+    let Scratch { lost, pending, .. } = &mut *scratch;
+    model.sample_lost(*now, pending);
     let mut tx = 1u64;
     let mut unneeded = 0u64;
     while !pending.is_empty() {
         *now += cfg.delta + cfg.feedback_delay; // NAK turnaround
         tx += 1;
-        model.sample_lost(*now, &mut lost);
+        model.sample_lost(*now, lost);
         let had = r - pending.len() as u64;
-        retain_lost(&mut pending, &lost, |_| true);
+        retain_lost(pending, lost, |_| true);
         // A multicast retransmission reaching a receiver that already had
         // the packet is pure waste: everyone who had it, less those of
         // them who lost this copy (the losers that were not pending).
@@ -34,7 +39,7 @@ pub(crate) fn nofec_trial<M: LossModel>(cfg: &SimConfig, model: &mut M, now: &mu
     }
     *now += cfg.delta; // next packet follows at line rate
     TrialOut {
-        m_values: vec![tx as f64],
+        m_values: scratch.one_m_value(tx as f64),
         rounds: tx as f64,
         unneeded: Some(unneeded as f64 / r as f64),
     }
@@ -43,11 +48,12 @@ pub(crate) fn nofec_trial<M: LossModel>(cfg: &SimConfig, model: &mut M, now: &mu
 #[cfg(test)]
 /// The dense oracle the sparse loop is checked against: the same scheme,
 /// one pass over all `R` receivers per transmission.
-pub(crate) fn nofec_trial_dense<M: LossModel>(
+pub(crate) fn nofec_trial_dense<'s, M: LossModel>(
     cfg: &SimConfig,
     model: &mut M,
     now: &mut f64,
-) -> TrialOut {
+    scratch: &'s mut Scratch,
+) -> TrialOut<'s> {
     let r = model.receivers();
     let mut lost = vec![false; r];
     let mut has = vec![false; r];
@@ -74,7 +80,7 @@ pub(crate) fn nofec_trial_dense<M: LossModel>(
         };
     }
     TrialOut {
-        m_values: vec![tx as f64],
+        m_values: scratch.one_m_value(tx as f64),
         rounds: tx as f64,
         unneeded: Some(unneeded as f64 / r as f64),
     }
@@ -124,8 +130,14 @@ mod tests {
     fn trial_reports_raw_outputs() {
         let mut model = IndependentLoss::new(4, 0.0, 1);
         let mut now = 0.0;
-        let out = nofec_trial(&SimConfig::paper_timing(1), &mut model, &mut now);
-        assert_eq!(out.m_values, vec![1.0]);
+        let mut scratch = Scratch::default();
+        let out = nofec_trial(
+            &SimConfig::paper_timing(1),
+            &mut model,
+            &mut now,
+            &mut scratch,
+        );
+        assert_eq!(out.m_values, [1.0]);
         assert_eq!(out.rounds, 1.0);
         assert_eq!(out.unneeded, Some(0.0));
         assert!(now > 0.0, "trial must advance simulated time");

@@ -1,12 +1,14 @@
 //! Serial ↔ parallel bit-equivalence: the determinism contract of the
 //! parallel Monte Carlo engine.
 //!
-//! `run_env_par` (and its traced variant) must return results
-//! **bit-identical** — not merely statistically close — to a serial
-//! run, for every scheme × loss-environment pair and any worker
-//! count. The contract rests on per-trial seeding (`mix_seed(seed, i)`)
-//! plus a fixed chunk layout merged in chunk order; this suite is the
-//! tripwire for anything that reintroduces schedule dependence.
+//! `run_env` (on `Pool::auto()`), `run_env_par` and its traced variant
+//! must return results **bit-identical** — not merely statistically
+//! close — to a serial run, `run_env_par(…, &Pool::serial())`, for every
+//! scheme × loss-environment pair and any worker count. The contract
+//! rests on per-trial seeding (`mix_seed(seed, i)`) plus a fixed chunk
+//! layout merged in chunk order, and on per-worker trial buffers that
+//! every trial leaves as it found them; this suite is the tripwire for
+//! anything that reintroduces schedule dependence.
 
 use pm_obs::{Obs, RingRecorder};
 use pm_par::Pool;
@@ -71,6 +73,27 @@ fn assert_bit_identical(a: &SimResult, b: &SimResult, what: &str) {
     assert_eq!(a.trials, b.trials, "{what}: trials");
 }
 
+/// The single-threaded reference every other width must equal.
+fn serial(cfg: &SimConfig, scheme: Scheme, env: LossEnv, receivers: usize, seed: u64) -> SimResult {
+    run_env_par(cfg, scheme, env, receivers, seed, &Pool::serial())
+}
+
+#[test]
+fn run_env_matches_serial_all_schemes_all_envs() {
+    // `run_env` fans its trials over `Pool::auto()`: whatever width that
+    // is where the test runs (or under PM_PAR_WORKERS), it is the serial result.
+    let cfg = SimConfig::paper_timing(37);
+    for scheme in schemes() {
+        for env in environments() {
+            assert_bit_identical(
+                &serial(&cfg, scheme, env, 8, 0xC0FFEE),
+                &run_env(&cfg, scheme, env, 8, 0xC0FFEE),
+                &format!("run_env {scheme:?} / {env:?}"),
+            );
+        }
+    }
+}
+
 #[test]
 fn parallel_matches_serial_all_schemes_all_envs() {
     // 37 trials: not a multiple of the internal chunk size, so the final
@@ -79,7 +102,7 @@ fn parallel_matches_serial_all_schemes_all_envs() {
     let pools = [Pool::new(2), Pool::new(3)];
     for scheme in schemes() {
         for env in environments() {
-            let serial = run_env(&cfg, scheme, env, 8, 0xFEED_F00D);
+            let serial = serial(&cfg, scheme, env, 8, 0xFEED_F00D);
             for pool in &pools {
                 let par = run_env_par(&cfg, scheme, env, 8, 0xFEED_F00D, pool);
                 assert_bit_identical(
@@ -102,7 +125,7 @@ fn parallel_matches_serial_many_worker_counts() {
         mean_burst: 2.0,
     };
     let scheme = Scheme::Integrated2 { k: 7 };
-    let serial = run_env(&cfg, scheme, env, 16, 42);
+    let serial = serial(&cfg, scheme, env, 16, 42);
     for workers in [1, 2, 3, 4, 7, 16] {
         let par = run_env_par(&cfg, scheme, env, 16, 42, &Pool::new(workers));
         assert_bit_identical(&serial, &par, &format!("{workers} workers"));
@@ -159,7 +182,7 @@ fn auto_pool_matches_serial() {
         p_low: 0.01,
         p_high: 0.25,
     };
-    let serial = run_env(&cfg, Scheme::Layered { k: 7, h: 1 }, env, 8, 123);
+    let serial = serial(&cfg, Scheme::Layered { k: 7, h: 1 }, env, 8, 123);
     let par = run_env_par(
         &cfg,
         Scheme::Layered { k: 7, h: 1 },
