@@ -431,8 +431,8 @@ impl<R: Repair> SenderMachine for Sender<R> {
     }
 
     /// Receiver-dependent sender state in bytes: the roll, plus whatever
-    /// per-packet bookkeeping the repair policy keeps (ROADMAP item 2's
-    /// acceptance metric, exported as the
+    /// per-packet bookkeeping the repair policy keeps (ROADMAP item
+    /// 13 (b)'s acceptance metric, exported as the
     /// `sender.state_bytes_per_receiver` gauge).
     fn state_bytes(&self) -> usize {
         self.roll.state_bytes() + self.repair.state_bytes()

@@ -39,6 +39,12 @@ impl IndependentLoss {
     pub fn p(&self) -> f64 {
         self.skip.p()
     }
+
+    /// Restart as [`IndependentLoss::new`] with `seed` would build the
+    /// model: the same draws from here on.
+    pub fn reseed(&mut self, seed: u64) {
+        self.rng = ChaCha8Rng::seed_from_u64(seed);
+    }
 }
 
 impl LossModel for IndependentLoss {

@@ -112,16 +112,32 @@ impl GilbertLoss {
             "rates must be positive: l0={l0} l1={l1}"
         );
         let s = l0 + l1;
-        let pi1 = l0 / s;
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let state = (0..receivers).map(|_| rng.random::<f64>() < pi1).collect();
-        GilbertLoss {
+        let mut model = GilbertLoss {
             s,
-            pi1,
-            state,
+            pi1: l0 / s,
+            state: vec![false; receivers],
             last: vec![0.0; receivers],
-            rng,
+            rng: ChaCha8Rng::seed_from_u64(seed),
+        };
+        model.start();
+        model
+    }
+
+    /// Restart as the constructors with `seed` would build the model: the
+    /// same draws from here on, in the model's own buffers (no
+    /// allocation).
+    pub fn reseed(&mut self, seed: u64) {
+        self.rng = ChaCha8Rng::seed_from_u64(seed);
+        self.start();
+    }
+
+    /// Draw every chain's state at time 0 from the stationary
+    /// distribution, in receiver order.
+    fn start(&mut self) {
+        for st in &mut self.state {
+            *st = self.rng.random::<f64>() < self.pi1;
         }
+        self.last.fill(0.0);
     }
 
     /// Stationary loss probability `pi_1`.

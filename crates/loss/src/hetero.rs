@@ -58,6 +58,12 @@ impl PerReceiverLoss {
         let run = self.runs.partition_point(|&(end, _)| end as usize <= r);
         self.runs[run].1.p()
     }
+
+    /// Restart as [`PerReceiverLoss::new`] with `seed` would build the
+    /// model: the same draws from here on, and no allocation.
+    pub fn reseed(&mut self, seed: u64) {
+        self.rng = ChaCha8Rng::seed_from_u64(seed);
+    }
 }
 
 impl LossModel for PerReceiverLoss {
@@ -115,6 +121,12 @@ impl TwoClassLoss {
     /// Number of receivers in the high-loss class.
     pub fn high_count(&self) -> usize {
         self.high_count
+    }
+
+    /// Restart as [`TwoClassLoss::new`] with `seed` would build the model:
+    /// the same draws from here on, and no allocation.
+    pub fn reseed(&mut self, seed: u64) {
+        self.inner.reseed(seed);
     }
 }
 

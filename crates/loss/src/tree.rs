@@ -171,6 +171,13 @@ impl TreeLoss {
         }
     }
 
+    /// Restart as the constructor with `seed` would build the model (for
+    /// either topology): the same draws from here on, and no allocation.
+    /// The per-packet scratch is rebuilt by every sample.
+    pub fn reseed(&mut self, seed: u64) {
+        self.rng = ChaCha8Rng::seed_from_u64(seed);
+    }
+
     /// Per-node loss probability of node `id`.
     ///
     /// # Panics

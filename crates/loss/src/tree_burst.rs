@@ -56,6 +56,13 @@ impl TreeBurstLoss {
         }
     }
 
+    /// Restart as [`TreeBurstLoss::new`] with `seed` would build the
+    /// model: the same draws from here on, in the model's own buffers (no
+    /// allocation). The per-node scratch is overwritten by every sample.
+    pub fn reseed(&mut self, seed: u64) {
+        self.chains.reseed(seed);
+    }
+
     /// Tree height.
     pub fn height(&self) -> u32 {
         self.d

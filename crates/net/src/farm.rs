@@ -7,8 +7,7 @@
 //! demultiplexes arriving datagrams by the wire session id (plus the
 //! message's direction: data-plane kinds go to the session's receiver
 //! half, feedback kinds to its sender half). One `Mux` can therefore
-//! drive hundreds of sessions over a single descriptor, which is the
-//! farm mode ROADMAP item 3 asks for.
+//! drive hundreds of sessions over a single descriptor.
 //!
 //! Datagrams that demux to **no registered session** — late packets from
 //! a finished or shed session, strangers on the port — are counted and

@@ -12,9 +12,13 @@
 //! parallel variance combine), so the [`SimResult`] is **bit-identical**
 //! at every worker count, [`Pool::serial`] included, for every scheme ×
 //! environment pair; the `parallel_equivalence` integration test pins
-//! this. Each worker runs its trials on one reusable `Scratch` of trial
-//! buffers, which every trial hands back at rest, so which worker ran a
-//! trial changes none of its bits either.
+//! this. Each worker runs its trials on one reusable `Worker`: a
+//! `Scratch` of trial buffers, which every trial hands back at rest, and
+//! one loss model, built at the worker's first trial and re-seeded in
+//! place by every trial, which then draws exactly what a fresh build
+//! would.
+//! So which worker ran a trial changes none of its bits either, and no
+//! trial allocates loss state.
 
 use pm_loss::{GilbertLoss, IndependentLoss, LossModel, TreeBurstLoss, TreeLoss, TwoClassLoss};
 use pm_obs::{Event, EventBuffer, Obs};
@@ -156,9 +160,9 @@ impl LossEnv {
 }
 
 /// One concrete loss model instance built from a [`LossEnv`] — the
-/// factory product handed to each trial. An enum (not a boxed trait
-/// object) so per-trial construction costs no allocation beyond the
-/// model's own state.
+/// factory product a worker hands to its trials. An enum, not a boxed
+/// trait object, so dispatch is a match and building costs no allocation
+/// beyond the model's own state.
 enum EnvModel {
     Independent(IndependentLoss),
     Tree(TreeLoss),
@@ -193,6 +197,18 @@ impl EnvModel {
             }
         }
     }
+
+    /// Restart as [`EnvModel::build`] with `seed` would: the same draws,
+    /// in the model's own buffers.
+    fn reseed(&mut self, seed: u64) {
+        match self {
+            EnvModel::Independent(m) => m.reseed(seed),
+            EnvModel::Tree(m) => m.reseed(seed),
+            EnvModel::Gilbert(m) => m.reseed(seed),
+            EnvModel::TwoClass(m) => m.reseed(seed),
+            EnvModel::TreeBurst(m) => m.reseed(seed),
+        }
+    }
 }
 
 impl LossModel for EnvModel {
@@ -217,10 +233,19 @@ impl LossModel for EnvModel {
     }
 }
 
-/// Shared trial body of the serial and parallel drivers: build the
-/// trial's model from its mixed seed, run it from simulated time zero,
-/// fold the outputs, and (when tracing) stage + flush a `sim_trial` event
-/// at the trial boundary.
+/// What a worker reuses across its trials: the trial buffers, and the
+/// loss model of the run's environment, built at the worker's first
+/// trial and re-seeded by every trial.
+#[derive(Default)]
+struct Worker {
+    scratch: Scratch,
+    model: Option<EnvModel>,
+}
+
+/// Shared trial body of the serial and parallel drivers: re-seed the
+/// worker's model with the trial's mixed seed, run it from simulated time
+/// zero, fold the outputs, and (when tracing) stage + flush a `sim_trial`
+/// event at the trial boundary.
 struct TrialCtx<'a> {
     cfg: &'a SimConfig,
     scheme: Scheme,
@@ -231,15 +256,13 @@ struct TrialCtx<'a> {
 }
 
 impl TrialCtx<'_> {
-    fn run_into(&self, scratch: &mut Scratch, acc: &mut TracedAccum, trial: usize) {
-        let mut model = EnvModel::build(
-            self.env,
-            self.receivers,
-            self.cfg.delta,
-            mix_seed(self.seed, trial as u64),
-        );
+    fn run_into(&self, worker: &mut Worker, acc: &mut TracedAccum, trial: usize) {
+        let model = worker
+            .model
+            .get_or_insert_with(|| EnvModel::build(self.env, self.receivers, self.cfg.delta, 0));
+        model.reseed(mix_seed(self.seed, trial as u64));
         let mut now = 0.0f64;
-        let out = run_trial(self.cfg, self.scheme, &mut model, &mut now, scratch);
+        let out = run_trial(self.cfg, self.scheme, model, &mut now, &mut worker.scratch);
         if let Some((obs, label)) = self.trace {
             acc.buf.emit(now, || Event::SimTrial {
                 scheme: label.to_string(),
@@ -264,15 +287,15 @@ impl TrialCtx<'_> {
         }
     }
 
-    /// Fan this context's trials across `pool`, one [`Scratch`] per
-    /// worker, and reduce deterministically.
+    /// Fan this context's trials across `pool`, one [`Worker`] per
+    /// worker thread, and reduce deterministically.
     fn run_all(&self, pool: &Pool) -> SimResult {
         pool.par_map_reduce_with(
             self.cfg.trials,
             TRIAL_CHUNK,
-            Scratch::default,
+            Worker::default,
             || self.accum(),
-            |scratch, acc, trial| self.run_into(scratch, acc, trial),
+            |worker, acc, trial| self.run_into(worker, acc, trial),
             |acc, part| acc.stats.merge(&part.stats),
         )
         .stats
