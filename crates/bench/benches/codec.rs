@@ -5,6 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
+use pm_gf::Gf256;
 use pm_rse::{CodeSpec, GroupDecoder, RseDecoder, RseEncoder};
 
 const PACKET: usize = 1024;
@@ -52,14 +53,30 @@ fn bench_encode_kernels(c: &mut Criterion) {
     // same k=20, h=10, P=1024 encode workload. The "uncached_seed" variant
     // rebuilds a 256-entry multiplication row on the stack for every
     // (parity, packet) coefficient application — exactly what the encoder
-    // did before the shared 64 KB table — so the ratio of these two lines
-    // is the cached-vs-uncached speedup quoted in CHANGES.md.
-    use pm_gf::slice::reference::mul_add_slice_uncached;
+    // did before the shared 64 KB table, from the field's log/exp tables as
+    // the seed built it — so the ratio of these two lines is the
+    // cached-vs-uncached speedup quoted in CHANGES.md.
+    fn mul_add_uncached(c: Gf256, src: &[u8], dst: &mut [u8]) {
+        let Some(lc) = c.log() else { return };
+        if c == Gf256::ONE {
+            dst.iter_mut().zip(src).for_each(|(d, s)| *d ^= s);
+            return;
+        }
+        // c·x = alpha^(log c + log x), for every byte x but 0.
+        let (log, exp) = pm_gf::gf256::log_exp();
+        let mut row = [0u8; 256];
+        for (p, &lx) in row.iter_mut().zip(log).skip(1) {
+            *p = exp[usize::from(lc) + usize::from(lx)];
+        }
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d ^= row[usize::from(*s)];
+        }
+    }
 
     let (k, h) = (20usize, 10usize);
     let enc = RseEncoder::new(CodeSpec::new(k, h).unwrap()).unwrap();
     let data = group_data(k);
-    let coeffs: Vec<Vec<pm_gf::Gf256>> = (0..h)
+    let coeffs: Vec<Vec<Gf256>> = (0..h)
         .map(|j| (0..k).map(|i| enc.parity_coeff(j, i).unwrap()).collect())
         .collect();
 
@@ -75,7 +92,7 @@ fn bench_encode_kernels(c: &mut Criterion) {
             for row in &coeffs {
                 let mut out = vec![0u8; PACKET];
                 for (cf, d) in row.iter().zip(data) {
-                    mul_add_slice_uncached(*cf, d, &mut out);
+                    mul_add_uncached(*cf, d, &mut out);
                 }
                 parities.push(out);
             }

@@ -4,12 +4,16 @@
 //! bit symbols: every byte of a packet is an element of GF(256) and parity
 //! byte `j` of symbol position `s` is a field linear combination of the data
 //! bytes at position `s`. [`Gf256`] is a `#[repr(transparent)]` wrapper over
-//! `u8` with operator impls; bulk per-packet operations live in
-//! [`crate::slice`].
+//! `u8` with operator impls; the kernels that apply it to whole packets live
+//! in `pm-simd`.
 //!
 //! The field is generated by the primitive polynomial
 //! `x^8 + x^4 + x^3 + x^2 + 1` (0x11D), the same one used by Rizzo's `fec.c`
 //! and by CCSDS/DVB Reed–Solomon codes.
+//!
+//! Every table read is a `get` on an index the table always holds (a `u8`
+//! into a 256-entry table, a sum of two logs, at most 508, into the
+//! 512-entry `exp`), so nothing here can panic but division by zero.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Sub, SubAssign};
@@ -18,66 +22,69 @@ use std::sync::OnceLock;
 /// The reduction polynomial for GF(2^8): `x^8 + x^4 + x^3 + x^2 + 1`.
 pub const POLY: u32 = 0x11D;
 
-/// Exp/log tables. `exp` is doubled so `exp[log a + log b]` needs no modulo.
+/// Exp/log tables. `exp[i] = alpha^(i mod 255)` for every `i < 512`, so
+/// `exp[log a + log b]` needs no modulo.
 struct Tables {
-    exp: [u8; 510],
+    exp: [u8; 512],
     log: [u8; 256],
-    inv: [u8; 256],
 }
 
-#[expect(
-    clippy::indexing_slicing,
-    clippy::cast_possible_truncation,
-    reason = "the loop bounds keep every index below its table's length, and i < 255 fits u8"
-)]
+impl Tables {
+    /// `alpha^i` for `i < 512`.
+    #[inline]
+    fn exp(&self, i: usize) -> u8 {
+        self.exp.get(i).copied().unwrap_or(0)
+    }
+
+    /// `log_alpha a` for `a != 0` (`0` for `a == 0`).
+    #[inline]
+    fn log(&self, a: u8) -> usize {
+        self.log.get(usize::from(a)).map_or(0, |&l| usize::from(l))
+    }
+}
+
 fn tables() -> &'static Tables {
     static TABLES: OnceLock<Tables> = OnceLock::new();
     TABLES.get_or_init(|| {
-        let mut exp = [0u8; 510];
-        let mut log = [0u8; 256];
-        let mut x: u32 = 1;
-        #[expect(clippy::needless_range_loop, reason = "i feeds both exp[i] and log[]")]
-        for i in 0..255 {
-            exp[i] = (x & 0xff) as u8;
-            log[x as usize] = (i & 0xff) as u8;
-            x <<= 1;
-            if x & 0x100 != 0 {
-                x ^= POLY;
+        let (mut exp, mut log) = ([0u8; 512], [0u8; 256]);
+        // alpha has order 255, so stepping by alpha past 255 repeats the cycle.
+        let mut x = 1u8;
+        for e in &mut exp {
+            *e = x;
+            let reduce = if x & 0x80 != 0 {
+                POLY.to_le_bytes()[0]
+            } else {
+                0
+            };
+            x = (x << 1) ^ reduce;
+        }
+        for (i, &e) in (0..255u8).zip(&exp) {
+            if let Some(l) = log.get_mut(usize::from(e)) {
+                *l = i;
             }
         }
-        for i in 0..255 {
-            exp[255 + i] = exp[i];
-        }
-        let mut inv = [0u8; 256];
-        for a in 1..256usize {
-            inv[a] = exp[255 - log[a] as usize];
-        }
-        Tables { exp, log, inv }
+        Tables { exp, log }
     })
 }
 
 /// The field's log and exp tables, for a loop that works in the log domain
 /// and reads them once: `log[a]` is `log_alpha a` for `a != 0` (`log[0]`
-/// means nothing), and `exp[i] = alpha^(i mod 255)` for `i < 510`, so a sum
+/// means nothing), and `exp[i] = alpha^(i mod 255)` for `i < 512`, so a sum
 /// of two logs indexes it without a modulo.
-pub fn log_exp() -> (&'static [u8; 256], &'static [u8; 510]) {
+pub fn log_exp() -> (&'static [u8; 256], &'static [u8; 512]) {
     let t = tables();
     (&t.log, &t.exp)
 }
 
 /// An element of GF(2^8).
 ///
-/// Arithmetic operators are total except division/inversion: dividing by
-/// zero panics (like integer division); use [`Gf256::checked_div`] and
+/// Arithmetic operators are total except division: dividing by zero panics
+/// (like integer division); use [`Gf256::checked_div`] and
 /// [`Gf256::checked_inv`] where zero divisors are reachable from input data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 #[repr(transparent)]
 pub struct Gf256(pub u8);
 
-#[expect(
-    clippy::indexing_slicing,
-    reason = "a u8 indexes the 256-entry log and inv tables; exp is indexed mod 255"
-)]
 impl Gf256 {
     /// Additive identity.
     pub const ZERO: Gf256 = Gf256(0);
@@ -91,7 +98,7 @@ impl Gf256 {
     /// `alpha^i` with `i` reduced modulo 255.
     #[inline]
     pub fn alpha_pow(i: usize) -> Gf256 {
-        Gf256(tables().exp[i % Self::ORDER])
+        Gf256(tables().exp(i % Self::ORDER))
     }
 
     /// Discrete logarithm base alpha; `None` for zero.
@@ -100,7 +107,7 @@ impl Gf256 {
         if self.0 == 0 {
             None
         } else {
-            Some(tables().log[self.0 as usize])
+            tables().log.get(usize::from(self.0)).copied()
         }
     }
 
@@ -110,7 +117,8 @@ impl Gf256 {
         if self.0 == 0 {
             None
         } else {
-            Some(Gf256(tables().inv[self.0 as usize]))
+            let t = tables();
+            Some(Gf256(t.exp(Self::ORDER - t.log(self.0))))
         }
     }
 
@@ -129,8 +137,9 @@ impl Gf256 {
             return Gf256::ZERO;
         }
         let t = tables();
-        let l = t.log[self.0 as usize] as u64;
-        Gf256(t.exp[((l * (e % 255)) % 255) as usize])
+        // e mod 255 is below 256, so its low byte is all of it.
+        let e = usize::from((e % 255).to_le_bytes()[0]);
+        Gf256(t.exp(t.log(self.0) * e % Self::ORDER))
     }
 
     /// True iff the element is zero.
@@ -210,16 +219,12 @@ impl SubAssign for Gf256 {
 impl Mul for Gf256 {
     type Output = Gf256;
     #[inline]
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "a u8 indexes log, and a sum of two logs (at most 508) indexes the 510-entry exp"
-    )]
     fn mul(self, rhs: Gf256) -> Gf256 {
         if self.0 == 0 || rhs.0 == 0 {
             return Gf256::ZERO;
         }
         let t = tables();
-        Gf256(t.exp[t.log[self.0 as usize] as usize + t.log[rhs.0 as usize] as usize])
+        Gf256(t.exp(t.log(self.0) + t.log(rhs.0)))
     }
 }
 
@@ -242,32 +247,6 @@ impl Div for Gf256 {
     )]
     fn div(self, rhs: Gf256) -> Gf256 {
         self.checked_div(rhs).expect("division by zero in GF(256)")
-    }
-}
-
-/// Fill `row` such that `row[x] = c * x` for every byte `x`.
-///
-/// This is the per-multiplier lookup row used by the bulk slice operations;
-/// generating it costs 256 table multiplications and is amortised over an
-/// entire packet (typically >= 1 KB).
-#[expect(
-    clippy::indexing_slicing,
-    reason = "x < 256 indexes row and log, and lc + log[x] <= 508 indexes the 510-entry exp"
-)]
-pub fn fill_mul_row(c: Gf256, row: &mut [u8; 256]) {
-    if c.0 == 0 {
-        row.fill(0);
-        return;
-    }
-    let t = tables();
-    let lc = t.log[c.0 as usize] as usize;
-    row[0] = 0;
-    #[expect(
-        clippy::needless_range_loop,
-        reason = "x is both index and field element"
-    )]
-    for x in 1..256usize {
-        row[x] = t.exp[lc + t.log[x] as usize];
     }
 }
 
@@ -348,13 +327,13 @@ mod tests {
     }
 
     #[test]
-    fn mul_row_matches_scalar_mul() {
-        let mut row = [0u8; 256];
-        for c in [0u8, 1, 2, 7, 130, 255] {
-            fill_mul_row(Gf256(c), &mut row);
-            for x in 0..=255u8 {
-                assert_eq!(Gf256(row[x as usize]), Gf256(c) * Gf256(x));
-            }
+    fn exp_repeats_with_period_255_across_all_512_entries() {
+        let (log, exp) = log_exp();
+        for (i, &e) in exp.iter().enumerate() {
+            assert_eq!(Gf256(e), Gf256::alpha_pow(i), "exp[{i}]");
+        }
+        for a in 1..=255u8 {
+            assert_eq!(exp[log[a as usize] as usize], a, "exp[log[{a}]]");
         }
     }
 

@@ -12,28 +12,21 @@
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 //! Galois-field arithmetic for Reed–Solomon erasure coding.
 //!
-//! This crate is the arithmetic substrate for the packet-level FEC codec used
-//! in the SIGCOMM '97 reproduction of *Parity-Based Loss Recovery for
-//! Reliable Multicast Transmission* (Nonnenmacher, Biersack, Towsley). It
-//! provides:
+//! This crate is the field under the packet-level FEC codec of the
+//! SIGCOMM '97 reproduction of *Parity-Based Loss Recovery for Reliable
+//! Multicast Transmission* (Nonnenmacher, Biersack, Towsley): [`Gf256`], a
+//! zero-cost scalar wrapper over GF(2^8) with lazily built exp/log tables.
+//! The paper's code is `m = 8` ("for our purposes, m = 8 will be
+//! sufficiently large"), so FEC blocks have `n <= 255`; this is the only
+//! field in the workspace.
 //!
-//! * [`Gf256`] — a zero-cost scalar wrapper over GF(2^8) with statically
-//!   initialised exp/log tables. The paper's code is `m = 8` ("for our
-//!   purposes, m = 8 will be sufficiently large"), so FEC blocks have
-//!   `n <= 255`; this is the only field in the workspace.
-//! * [`mod@mul_table`] — the lazily-built, process-shared 64 KB full
-//!   multiplication table (Rizzo's `gf_mul_table`) whose rows back the bulk
-//!   kernels.
-//! * [`mod@slice`] — the portable row kernels (`dst ^= row[src]`) behind
-//!   `pm-simd`'s scalar backend, including the batched
-//!   [`slice::mul_add_multi_rows`] multi-source kernel, and the per-byte
-//!   [`slice::reference`] oracle every other kernel is tested against.
-//!
-//! There are no polynomials or matrices here: `pm-rse` writes the code's
-//! encode and decode rows down in closed form, in the log domain on the
-//! tables [`gf256::log_exp`] hands out, and keeps the Gauss–Jordan and
-//! polynomial oracles it is tested against in its own test-only modules.
-//! All arithmetic is table-driven and allocation-free on the hot path.
+//! The kernels that apply the field to whole packets (`parity ^= c·data`,
+//! the codec's one inner loop) and the per-byte oracle they are tested
+//! against live in `pm-simd`, one matrix kernel per backend. There are no
+//! polynomials or matrices here either: `pm-rse` writes the code's encode
+//! and decode rows down in closed form, in the log domain on the tables
+//! [`gf256::log_exp`] hands out. Every table read is total, so the one
+//! panic in the crate is division by zero through `/`.
 //!
 //! ```
 //! use pm_gf::Gf256;
@@ -44,11 +37,8 @@
 //! ```
 
 pub mod gf256;
-pub mod mul_table;
-pub mod slice;
 
 pub use gf256::Gf256;
-pub use mul_table::MulTable;
 
 #[cfg(test)]
 mod proptests;

@@ -48,7 +48,7 @@ use crate::generator::Lagrange;
 #[derive(Debug, Clone)]
 pub struct RseDecoder {
     spec: CodeSpec,
-    /// Backend-dispatched slice kernels.
+    /// The backend-dispatched matrix kernel.
     kernels: &'static Kernels,
     /// The closed form's per-code weights, from which decode rows derive.
     lagrange: Lagrange,

@@ -42,7 +42,7 @@ pub struct RseEncoder {
     /// Parity rows only: `h x k`, row-major (the identity top of G is
     /// implicit; empty when `h = 0`).
     parity_rows: Vec<Gf256>,
-    /// The backend-dispatched slice kernels all hot loops run through.
+    /// The backend-dispatched matrix kernel all hot loops run through.
     kernels: &'static Kernels,
     /// Optional encode-latency histogram (nanoseconds per parity call).
     timer: Option<Histogram>,

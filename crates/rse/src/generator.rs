@@ -38,7 +38,7 @@ use pm_gf::Gf256;
 #[derive(Clone, Copy)]
 struct Tables {
     log: &'static [u8; 256],
-    exp: &'static [u8; 510],
+    exp: &'static [u8; 512],
 }
 
 impl Tables {
@@ -47,7 +47,7 @@ impl Tables {
         Tables { log, exp }
     }
 
-    /// `alpha^i` for `i < 510`: a block index's point, or a sum of logs.
+    /// `alpha^i` for `i < 512`: a block index's point, or a sum of logs.
     fn exp(self, i: usize) -> u8 {
         self.exp.get(i).copied().unwrap_or(0)
     }

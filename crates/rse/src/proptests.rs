@@ -94,7 +94,7 @@ impl FullInverseDecoder {
         for &i in &missing {
             for (j, &share) in selected.iter().enumerate() {
                 let payload = slots[share].unwrap();
-                pm_gf::slice::reference::mul_add_slice(inv[(i, j)], payload, &mut out[i]);
+                pm_simd::reference::mul_add_slice(inv[(i, j)], payload, &mut out[i]);
             }
         }
         Ok(out)
@@ -269,7 +269,7 @@ proptest! {
             let fast = enc.parity(j, &data).unwrap();
             let mut scalar = vec![0u8; len];
             for (i, d) in data.iter().enumerate() {
-                pm_gf::slice::reference::mul_add_slice(enc.parity_coeff(j, i).unwrap(), d, &mut scalar);
+                pm_simd::reference::mul_add_slice(enc.parity_coeff(j, i).unwrap(), d, &mut scalar);
             }
             prop_assert_eq!(&fast, &scalar, "parity {}", j);
         }

@@ -9,18 +9,18 @@
 //! ```
 //!
 //! The matrix kernel works in tiles: two outputs by two sources (or one
-//! output by four, the rest narrower) with all their tables in registers, so each loaded,
-//! split source serves two outputs and each output is read and written once
-//! per two sources. Sub-32-byte tails fall back to the coefficients'
-//! 256-entry scalar rows, so arbitrary lengths and unaligned buffers work;
-//! all loads/stores are unaligned (`loadu`/`storeu`).
+//! output by four, the rest narrower) with all their tables in registers,
+//! so each loaded, split source serves two outputs and each output is read
+//! and written once per two sources. The bytes past the last whole 32-byte
+//! step go to the scalar kernel, so arbitrary lengths and unaligned buffers
+//! work; all loads/stores are unaligned (`loadu`/`storeu`).
 //!
 //! # Safety
 //!
-//! The public wrappers call `#[target_feature(enable = "avx2")]` functions,
-//! which is sound only on AVX2 hosts. They are reachable solely through the
+//! The kernel entry calls a `#[target_feature(enable = "avx2")]` function,
+//! which is sound only on AVX2 hosts. It is reachable solely through the
 //! `AVX2_KERNELS` vtable, and `kernels_for` refuses to hand that out unless
-//! `is_x86_feature_detected!("avx2")` holds. The kernels index raw pointers
+//! `is_x86_feature_detected!("avx2")` holds. The kernel indexes raw pointers
 //! at 32-byte granularity; the `Kernels` methods assert the length
 //! preconditions (every source and output of one call has one length)
 //! before the pointers are formed.
@@ -31,24 +31,12 @@ use core::arch::x86::*;
 use core::arch::x86_64::*;
 
 use pm_gf::gf256::Gf256;
-use pm_gf::mul_table::MulTable;
-use pm_gf::slice;
 
-use crate::{tables, CoeffTables};
-
-pub(crate) fn xor(dst: &mut [u8], src: &[u8]) {
-    // SAFETY: only reachable via the AVX2 vtable, selected after runtime
-    // feature detection.
-    unsafe { xor_avx2(dst, src) }
-}
-
-pub(crate) fn mul_add(c: Gf256, src: &[u8], dst: &mut [u8]) {
-    // SAFETY: as above — AVX2 was detected before this vtable existed.
-    unsafe { mul_add_avx2(&CoeffTables::new(c), src, dst) }
-}
+use crate::tables;
 
 pub(crate) fn mul_add_multi_rows(coeffs: &[Gf256], sources: &[&[u8]], outs: &mut [&mut [u8]]) {
-    // SAFETY: as above.
+    // SAFETY: only reachable via the AVX2 vtable, selected after runtime
+    // feature detection.
     unsafe { mul_add_multi_rows_avx2(coeffs, sources, outs) }
 }
 
@@ -95,72 +83,15 @@ fn product32(tables: (__m256i, __m256i), (lo, hi): (__m256i, __m256i)) -> __m256
 }
 
 #[target_feature(enable = "avx2")]
-fn xor_avx2(dst: &mut [u8], src: &[u8]) {
-    let n = dst.len();
-    let mut o = 0;
-    while o + 32 <= n {
-        // SAFETY: o + 32 <= n and the wrapper asserted src.len() == n.
-        unsafe {
-            let d = _mm256_loadu_si256(dst.as_ptr().add(o) as *const __m256i);
-            let s = _mm256_loadu_si256(src.as_ptr().add(o) as *const __m256i);
-            _mm256_storeu_si256(
-                dst.as_mut_ptr().add(o) as *mut __m256i,
-                _mm256_xor_si256(d, s),
-            );
-        }
-        o += 32;
-    }
-    pm_gf::slice::xor_slice(&mut dst[o..], &src[o..]);
-}
-
-#[target_feature(enable = "avx2")]
-fn mul_add_avx2(t: &CoeffTables, src: &[u8], dst: &mut [u8]) {
-    let n = dst.len();
-    let tables = broadcast_tables(t.nib());
-    let mut o = 0;
-    while o + 32 <= n {
-        // SAFETY: o + 32 <= n and the wrapper asserted src.len() == n.
-        unsafe {
-            let s = _mm256_loadu_si256(src.as_ptr().add(o) as *const __m256i);
-            let d = _mm256_loadu_si256(dst.as_ptr().add(o) as *const __m256i);
-            _mm256_storeu_si256(
-                dst.as_mut_ptr().add(o) as *mut __m256i,
-                _mm256_xor_si256(d, product32(tables, split(s))),
-            );
-        }
-        o += 32;
-    }
-    let row = t.row();
-    for (d, s) in dst[o..].iter_mut().zip(&src[o..]) {
-        *d ^= row[*s as usize];
-    }
-}
-
-#[target_feature(enable = "avx2")]
 fn mul_add_multi_rows_avx2(coeffs: &[Gf256], sources: &[&[u8]], outs: &mut [&mut [u8]]) {
-    let nib = tables::nib_table();
     for (rows, outs) in coeffs.chunks(2 * sources.len()).zip(outs.chunks_mut(2)) {
         match outs {
-            [_] => tiles_avx2::<1, 4>(nib, rows, sources, outs),
-            _ => tiles_avx2::<2, 2>(nib, rows, sources, outs),
+            [_] => tiles_avx2::<1, 4>(rows, sources, outs),
+            _ => tiles_avx2::<2, 2>(rows, sources, outs),
         }
     }
-    tail(coeffs, sources, outs);
-}
-
-/// The bytes past the last whole 32-byte step, through the multiplication
-/// rows: at most 31 per output.
-fn tail(coeffs: &[Gf256], sources: &[&[u8]], outs: &mut [&mut [u8]]) {
     let n = outs.first().map_or(0, |out| out.len());
-    if n.is_multiple_of(32) {
-        return;
-    }
-    let (table, o) = (MulTable::shared(), n / 32 * 32);
-    for (row, out) in coeffs.chunks(sources.len()).zip(outs.iter_mut()) {
-        for (&c, src) in row.iter().zip(sources) {
-            slice::mul_add_row(table.row(c), &src[o..], &mut out[o..]);
-        }
-    }
+    crate::vector_tail(n / 32 * 32, coeffs, sources, outs);
 }
 
 /// The `R` outputs over all sources, `G` sources per tile and one
@@ -168,7 +99,6 @@ fn tail(coeffs: &[Gf256], sources: &[&[u8]], outs: &mut [&mut [u8]]) {
 #[inline]
 #[target_feature(enable = "avx2")]
 fn tiles_avx2<const R: usize, const G: usize>(
-    nib: &[[u8; 32]; 256],
     rows: &[Gf256],
     sources: &[&[u8]],
     outs: &mut [&mut [u8]],
@@ -176,14 +106,14 @@ fn tiles_avx2<const R: usize, const G: usize>(
     let k = sources.len();
     let mut s0 = 0;
     while s0 + G <= k {
-        tile_avx2::<R, G>(nib, rows, sources, s0, outs);
+        tile_avx2::<R, G>(rows, sources, s0, outs);
         s0 += G;
     }
     match k - s0 {
         0 => {}
-        1 => tile_avx2::<R, 1>(nib, rows, sources, s0, outs),
-        2 => tile_avx2::<R, 2>(nib, rows, sources, s0, outs),
-        _ => tile_avx2::<R, 3>(nib, rows, sources, s0, outs),
+        1 => tile_avx2::<R, 1>(rows, sources, s0, outs),
+        2 => tile_avx2::<R, 2>(rows, sources, s0, outs),
+        _ => tile_avx2::<R, 3>(rows, sources, s0, outs),
     }
 }
 
@@ -194,7 +124,6 @@ fn tiles_avx2<const R: usize, const G: usize>(
 #[inline]
 #[target_feature(enable = "avx2")]
 fn tile_avx2<const R: usize, const G: usize>(
-    nib: &[[u8; 32]; 256],
     rows: &[Gf256],
     sources: &[&[u8]],
     s0: usize,
@@ -206,7 +135,7 @@ fn tile_avx2<const R: usize, const G: usize>(
     for r in 0..R {
         for g in 0..G {
             let c = rows[r * k + s0 + g];
-            (lo_t[r][g], hi_t[r][g]) = broadcast_tables(&nib[c.0 as usize]);
+            (lo_t[r][g], hi_t[r][g]) = broadcast_tables(tables::nib_tables(c));
         }
     }
     let srcs = &sources[s0..s0 + G];

@@ -11,16 +11,16 @@
 //! prod = gf2p8affine(s, broadcast(matrix(c)), 0)
 //! ```
 //!
-//! Every kernel steps 64 bytes at a time. The last, partial step uses
+//! The kernel steps 64 bytes at a time. The last, partial step uses
 //! byte-masked loads and stores (`_mm512_maskz_loadu_epi8` /
 //! `_mm512_mask_storeu_epi8`), which touch no byte outside the mask, so
 //! there is no scalar tail.
 //!
 //! # Safety
 //!
-//! The public wrappers call `#[target_feature(enable =
-//! "avx512f,avx512bw,gfni")]` functions, which is sound only on hosts with
-//! all three features. They are reachable solely through the `GFNI_KERNELS`
+//! The kernel entry calls a `#[target_feature(enable =
+//! "avx512f,avx512bw,gfni")]` function, which is sound only on hosts with
+//! all three features. It is reachable solely through the `GFNI_KERNELS`
 //! vtable, and `kernels_for` refuses to hand that out unless runtime
 //! detection found `gfni`, `avx512f` and `avx512bw`. The kernels form raw
 //! pointers at offsets below each buffer's length and mask every access to
@@ -34,20 +34,9 @@ use pm_gf::gf256::Gf256;
 
 use crate::tables;
 
-pub(crate) fn xor(dst: &mut [u8], src: &[u8]) {
+pub(crate) fn mul_add_multi_rows(coeffs: &[Gf256], sources: &[&[u8]], outs: &mut [&mut [u8]]) {
     // SAFETY: only reachable via the GFNI vtable, selected after runtime
     // detection of gfni, avx512f and avx512bw.
-    unsafe { xor_gfni(dst, src) }
-}
-
-pub(crate) fn mul_add(c: Gf256, src: &[u8], dst: &mut [u8]) {
-    // SAFETY: as above — the features were detected before this vtable
-    // existed.
-    unsafe { mul_add_gfni(tables::affine_matrix(c), src, dst) }
-}
-
-pub(crate) fn mul_add_multi_rows(coeffs: &[Gf256], sources: &[&[u8]], outs: &mut [&mut [u8]]) {
-    // SAFETY: as above.
     unsafe { mul_add_multi_rows_gfni(coeffs, sources, outs) }
 }
 
@@ -67,41 +56,6 @@ fn step_mask(o: usize, n: usize) -> __mmask64 {
 #[target_feature(enable = "avx512f,avx512bw,gfni")]
 fn product64(matrix: u64, s: __m512i) -> __m512i {
     _mm512_gf2p8affine_epi64_epi8::<0>(s, _mm512_set1_epi64(matrix as i64))
-}
-
-#[target_feature(enable = "avx512f,avx512bw,gfni")]
-fn xor_gfni(dst: &mut [u8], src: &[u8]) {
-    let n = dst.len();
-    let mut o = 0;
-    while o < n {
-        let mask = step_mask(o, n);
-        // SAFETY: o < n, the wrapper asserted src.len() == n, and the mask
-        // limits every access to bytes o..n.
-        unsafe {
-            let d = _mm512_maskz_loadu_epi8(mask, dst.as_ptr().add(o).cast());
-            let s = _mm512_maskz_loadu_epi8(mask, src.as_ptr().add(o).cast());
-            _mm512_mask_storeu_epi8(dst.as_mut_ptr().add(o).cast(), mask, _mm512_xor_si512(d, s));
-        }
-        o += 64;
-    }
-}
-
-#[target_feature(enable = "avx512f,avx512bw,gfni")]
-fn mul_add_gfni(matrix: u64, src: &[u8], dst: &mut [u8]) {
-    let n = dst.len();
-    let mut o = 0;
-    while o < n {
-        let mask = step_mask(o, n);
-        // SAFETY: o < n, the wrapper asserted src.len() == n, and the mask
-        // limits every access to bytes o..n.
-        unsafe {
-            let s = _mm512_maskz_loadu_epi8(mask, src.as_ptr().add(o).cast());
-            let d = _mm512_maskz_loadu_epi8(mask, dst.as_ptr().add(o).cast());
-            let sum = _mm512_xor_si512(d, product64(matrix, s));
-            _mm512_mask_storeu_epi8(dst.as_mut_ptr().add(o).cast(), mask, sum);
-        }
-        o += 64;
-    }
 }
 
 #[target_feature(enable = "avx512f,avx512bw,gfni")]

@@ -1,11 +1,12 @@
-//! Runtime-dispatched SIMD kernels for the GF(2^8) codec hot loops.
+//! Runtime-dispatched kernels for the GF(2^8) codec's one inner loop.
 //!
 //! The paper's Section 5 throughput argument hinges on end-host coding rate:
 //! a packet-level RSE coder spends essentially all of its time in
-//! `parity ^= coeff * data` over whole packets. The table-driven scalar
-//! kernels in `pm-gf` resolve one byte per step through a 256-entry row;
-//! the SIMD backends here resolve 64 (GFNI), 32 (AVX2) or 16 (NEON) bytes
-//! per step.
+//! `parity ^= coeff * data` over whole packets. This crate owns every
+//! kernel that computes it, and a backend is one kernel, the matrix form
+//! below: the scalar backend resolves one byte per step through a row of
+//! the 64 KB multiplication table, the SIMD backends 64 (GFNI), 32 (AVX2)
+//! or 16 (NEON) bytes per step.
 //!
 //! AVX2 and NEON use the classic nibble-split trick: each coefficient `c`
 //! expands to two 16-entry tables — `lo[x] = c·x` and `hi[x] = c·(x<<4)` —
@@ -19,14 +20,16 @@
 //! (polynomial 0x11d here, though the trick holds for any); the 256
 //! matrices are one 2 KB table, and a product needs no shuffle.
 //!
-//! The multi-source kernel is one matrix form for every caller:
+//! The kernel is one matrix form for every caller:
 //! `rows × sources` coefficients, `sources` inputs, `rows` outputs. Per
 //! vector chunk a source is loaded once for several outputs: GFNI holds up
 //! to eight accumulating outputs in registers, AVX2 a tile of two outputs
 //! by two sources with their tables. An encoder's parity is the one-row
-//! case; a decoder reconstructs all `l` missing packets in one call. The
-//! kernels take plain coefficients and index the process-wide tables
-//! themselves, so a caller keeps no per-coefficient state.
+//! case; a decoder reconstructs all `l` missing packets in one call, and
+//! [`Kernels::mul_add_slice`] is the one-by-one case. The kernels take
+//! plain coefficients and index the process-wide tables themselves, so a
+//! caller keeps no per-coefficient state. The AVX2 and NEON kernels hand
+//! the bytes past their last whole vector to the scalar kernel.
 //!
 //! ## Dispatch
 //!
@@ -38,8 +41,8 @@
 //! `auto` prefers GFNI, then AVX2, then NEON, then scalar. Every backend
 //! computes byte-identical results — GF arithmetic is exact — so the choice
 //! affects throughput only, never transcripts; the differential proptests
-//! in this crate pin each backend against the scalar reference across
-//! arbitrary lengths, unaligned offsets, and sub-vector tails.
+//! in this crate pin each backend against the per-byte [`mod@reference`]
+//! across arbitrary lengths, unaligned offsets, and sub-vector tails.
 //!
 //! ## The unsafe boundary
 //!
@@ -58,7 +61,6 @@ use std::fmt;
 use std::sync::OnceLock;
 
 use pm_gf::gf256::Gf256;
-use pm_gf::mul_table::mul_row;
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod avx2;
@@ -76,8 +78,8 @@ pub const ENV_VAR: &str = "PM_SIMD";
 /// A codec kernel backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Backend {
-    /// Portable scalar kernels delegating to the table-driven `pm_gf::slice`
-    /// routines. Always available.
+    /// The portable scalar kernel, one byte per step through the 64 KB
+    /// multiplication table. Always available.
     Scalar,
     /// AVX2 nibble-split kernels, 32 bytes per step (x86/x86_64 with runtime
     /// `avx2` detection).
@@ -199,38 +201,6 @@ impl fmt::Display for DispatchError {
 
 impl std::error::Error for DispatchError {}
 
-/// The nibble-split kernels' tables for one GF(2^8) coefficient: the
-/// 256-entry multiplication row (vector tails) and the 32-byte nibble-split
-/// pair (`lo` table at bytes 0..16, `hi` at 16..32). Both live in
-/// process-wide caches indexed by the coefficient, so callers of
-/// [`Kernels`] pass plain coefficients and a kernel looks up the tables it
-/// uses; the GFNI backend's bit matrices sit beside them in `tables`.
-#[derive(Clone, Copy)]
-pub(crate) struct CoeffTables {
-    row: &'static [u8; 256],
-    nib: &'static [u8; 32],
-}
-
-impl CoeffTables {
-    /// The tables for coefficient `c`.
-    pub(crate) fn new(c: Gf256) -> CoeffTables {
-        CoeffTables {
-            row: mul_row(c),
-            nib: tables::nib_tables(c),
-        }
-    }
-
-    pub(crate) fn row(&self) -> &'static [u8; 256] {
-        self.row
-    }
-
-    pub(crate) fn nib(&self) -> &'static [u8; 32] {
-        self.nib
-    }
-}
-
-type XorFn = fn(&mut [u8], &[u8]);
-type MulFn = fn(Gf256, &[u8], &mut [u8]);
 type MatrixFn = fn(&[Gf256], &[&[u8]], &mut [&mut [u8]]);
 
 /// A backend's kernel vtable. Obtain one via [`kernels`] / [`try_kernels`]
@@ -241,8 +211,6 @@ type MatrixFn = fn(&[Gf256], &[&[u8]], &mut [&mut [u8]]);
 /// backend functions behind the pointers rely on them.
 pub struct Kernels {
     backend: Backend,
-    xor: XorFn,
-    mul_add: MulFn,
     matrix: MatrixFn,
 }
 
@@ -252,20 +220,13 @@ impl Kernels {
         self.backend
     }
 
-    /// `dst ^= c * src` — multiply-accumulate with a scalar coefficient.
+    /// `dst ^= c * src` — multiply-accumulate with a scalar coefficient:
+    /// the one-by-one case of [`Kernels::mul_add_multi_rows`].
     ///
     /// # Panics
     /// Panics if the lengths differ.
     pub fn mul_add_slice(&self, c: Gf256, src: &[u8], dst: &mut [u8]) {
-        assert_eq!(dst.len(), src.len(), "mul_add_slice length mismatch");
-        if c.is_zero() {
-            return;
-        }
-        if c == Gf256::ONE {
-            (self.xor)(dst, src);
-            return;
-        }
-        (self.mul_add)(c, src, dst);
+        self.mul_add_multi_rows(&[c], &[src], &mut [dst]);
     }
 
     /// `outs[r] ^= Σ_s coeffs[r * sources.len() + s] * sources[s]` — the
@@ -312,32 +273,24 @@ impl fmt::Debug for Kernels {
 
 static SCALAR_KERNELS: Kernels = Kernels {
     backend: Backend::Scalar,
-    xor: scalar::xor,
-    mul_add: scalar::mul_add,
     matrix: scalar::mul_add_multi_rows,
 };
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 static AVX2_KERNELS: Kernels = Kernels {
     backend: Backend::Avx2,
-    xor: avx2::xor,
-    mul_add: avx2::mul_add,
     matrix: avx2::mul_add_multi_rows,
 };
 
 #[cfg(target_arch = "x86_64")]
 static GFNI_KERNELS: Kernels = Kernels {
     backend: Backend::Gfni,
-    xor: gfni::xor,
-    mul_add: gfni::mul_add,
     matrix: gfni::mul_add_multi_rows,
 };
 
 #[cfg(target_arch = "aarch64")]
 static NEON_KERNELS: Kernels = Kernels {
     backend: Backend::Neon,
-    xor: neon::xor,
-    mul_add: neon::mul_add,
     matrix: neon::mul_add_multi_rows,
 };
 
@@ -361,7 +314,7 @@ pub fn kernels_for(backend: Backend) -> Option<&'static Kernels> {
 }
 
 fn auto_kernels() -> &'static Kernels {
-    kernels_for(Backend::detect()).expect("detected backend is always available")
+    kernels_for(Backend::detect()).unwrap_or(&SCALAR_KERNELS)
 }
 
 /// The process-wide dispatched kernels: resolved once from `PM_SIMD` plus
@@ -408,6 +361,44 @@ pub fn backend_name() -> &'static str {
     try_kernels()
         .map(|k| k.backend().name())
         .unwrap_or("invalid")
+}
+
+/// Bytes `from..` of every buffer through the scalar kernel: the AVX2 and
+/// NEON kernels' sub-vector tails, one output row by up to four sources
+/// per call, on the suffixes.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64", target_arch = "aarch64"))]
+fn vector_tail(from: usize, coeffs: &[Gf256], sources: &[&[u8]], outs: &mut [&mut [u8]]) {
+    if outs.first().is_none_or(|out| out.len() <= from) {
+        return;
+    }
+    for (row, out) in coeffs.chunks(sources.len().max(1)).zip(outs.iter_mut()) {
+        let mut out = [out.get_mut(from..).unwrap_or_default()];
+        for (cs, srcs) in row.chunks(4).zip(sources.chunks(4)) {
+            let suffixes: [&[u8]; 4] = std::array::from_fn(|i| {
+                srcs.get(i).and_then(|s| s.get(from..)).unwrap_or_default()
+            });
+            scalar::mul_add_multi_rows(cs, suffixes.get(..cs.len()).unwrap_or_default(), &mut out);
+        }
+    }
+}
+
+/// The definitional per-byte field arithmetic: the oracle every kernel is
+/// tested against, here and in `pm-rse`. It shares no table or code path
+/// with the kernels — each byte is multiplied through [`Gf256`]'s exp/log
+/// arithmetic.
+pub mod reference {
+    use pm_gf::gf256::Gf256;
+
+    /// `dst ^= c * src`, one byte at a time.
+    ///
+    /// # Panics
+    /// Panics if the lengths differ.
+    pub fn mul_add_slice(c: Gf256, src: &[u8], dst: &mut [u8]) {
+        assert_eq!(dst.len(), src.len(), "mul_add_slice length mismatch");
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d = (Gf256(*d) + c * Gf256(*s)).0;
+        }
+    }
 }
 
 #[cfg(test)]

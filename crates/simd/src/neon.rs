@@ -3,13 +3,13 @@
 //! Mirrors the AVX2 module at 16-byte granularity, with `vqtbl1q_u8` doing
 //! the nibble lookups (its index type is a full byte, so no broadcast step
 //! is needed — each 16-entry table loads straight into one register).
-//! Sub-16-byte tails fall back to the coefficient's 256-entry scalar row.
+//! The bytes past the last whole 16-byte step go to the scalar kernel.
 //!
 //! # Safety
 //!
 //! NEON is part of the aarch64 baseline ISA, so `Backend::Neon` is always
-//! available on this architecture and the `#[target_feature]` calls in the
-//! wrappers are sound. The kernels index raw pointers at 16-byte
+//! available on this architecture and the `#[target_feature]` call in the
+//! kernel entry is sound. The kernel indexes raw pointers at 16-byte
 //! granularity; the `Kernels` methods assert the length preconditions
 //! before the pointers are formed. The matrix entry runs the four-source
 //! kernel once per output row (there is no multi-output NEON kernel).
@@ -23,31 +23,20 @@ use core::arch::aarch64::*;
 
 use pm_gf::gf256::Gf256;
 
-use crate::CoeffTables;
-
-pub(crate) fn xor(dst: &mut [u8], src: &[u8]) {
-    // SAFETY: aarch64-only module; NEON is baseline there.
-    unsafe { xor_neon(dst, src) }
-}
-
-pub(crate) fn mul_add(c: Gf256, src: &[u8], dst: &mut [u8]) {
-    // SAFETY: as above.
-    unsafe { mul_add_neon(&CoeffTables::new(c), src, dst) }
-}
+use crate::tables;
 
 /// The matrix form, one output row at a time through the four-source
-/// kernel below.
+/// kernel below; the bytes past the last whole 16-byte step go to the
+/// scalar kernel.
 pub(crate) fn mul_add_multi_rows(coeffs: &[Gf256], sources: &[&[u8]], outs: &mut [&mut [u8]]) {
     for (row, out) in coeffs.chunks(sources.len()).zip(outs.iter_mut()) {
         for (cs, srcs) in row.chunks(4).zip(sources.chunks(4)) {
-            let group: [(CoeffTables, &[u8]); 4] = std::array::from_fn(|i| {
-                let i = i.min(cs.len() - 1);
-                (CoeffTables::new(cs[i]), srcs[i])
-            });
-            // SAFETY: as above.
-            unsafe { mul_add_multi_rows_neon(&group[..cs.len()], out) }
+            // SAFETY: aarch64-only module; NEON is baseline there.
+            unsafe { mul_add_multi_rows_neon(cs, srcs, out) }
         }
     }
+    let n = outs.first().map_or(0, |out| out.len());
+    crate::vector_tail(n / 16 * 16, coeffs, sources, outs);
 }
 
 #[inline]
@@ -69,77 +58,29 @@ fn product16(lo_t: uint8x16_t, hi_t: uint8x16_t, s: uint8x16_t) -> uint8x16_t {
     }
 }
 
+/// `dst ^= Σ cs[i]·srcs[i]` over the whole 16-byte steps, for up to four
+/// sources with their tables in registers.
 #[target_feature(enable = "neon")]
-fn xor_neon(dst: &mut [u8], src: &[u8]) {
+fn mul_add_multi_rows_neon(cs: &[Gf256], srcs: &[&[u8]], dst: &mut [u8]) {
     let n = dst.len();
+    // SAFETY: vdupq_n_u8 is a register splat with no memory access.
+    let mut lo_t = unsafe { [vdupq_n_u8(0); 4] };
+    let mut hi_t = lo_t;
+    for (i, &c) in cs.iter().enumerate() {
+        (lo_t[i], hi_t[i]) = load_tables(tables::nib_tables(c));
+    }
     let mut o = 0;
     while o + 16 <= n {
-        // SAFETY: o + 16 <= n and the wrapper asserted src.len() == n.
+        // SAFETY: o + 16 <= n and the wrapper asserted every source
+        // length equals n.
         unsafe {
-            let d = vld1q_u8(dst.as_ptr().add(o));
-            let s = vld1q_u8(src.as_ptr().add(o));
-            vst1q_u8(dst.as_mut_ptr().add(o), veorq_u8(d, s));
+            let mut acc = vld1q_u8(dst.as_ptr().add(o));
+            for (i, src) in srcs.iter().enumerate() {
+                let s = vld1q_u8(src.as_ptr().add(o));
+                acc = veorq_u8(acc, product16(lo_t[i], hi_t[i], s));
+            }
+            vst1q_u8(dst.as_mut_ptr().add(o), acc);
         }
         o += 16;
-    }
-    pm_gf::slice::xor_slice(&mut dst[o..], &src[o..]);
-}
-
-#[target_feature(enable = "neon")]
-fn mul_add_neon(t: &CoeffTables, src: &[u8], dst: &mut [u8]) {
-    let n = dst.len();
-    let (lo_t, hi_t) = load_tables(t.nib());
-    let mut o = 0;
-    while o + 16 <= n {
-        // SAFETY: o + 16 <= n and the wrapper asserted src.len() == n.
-        unsafe {
-            let s = vld1q_u8(src.as_ptr().add(o));
-            let d = vld1q_u8(dst.as_ptr().add(o));
-            vst1q_u8(
-                dst.as_mut_ptr().add(o),
-                veorq_u8(d, product16(lo_t, hi_t, s)),
-            );
-        }
-        o += 16;
-    }
-    let row = t.row();
-    for (d, s) in dst[o..].iter_mut().zip(&src[o..]) {
-        *d ^= row[*s as usize];
-    }
-}
-
-#[target_feature(enable = "neon")]
-fn mul_add_multi_rows_neon(sources: &[(CoeffTables, &[u8])], dst: &mut [u8]) {
-    let n = dst.len();
-    for group in sources.chunks(4) {
-        // SAFETY: vdupq_n_u8 is a register splat with no memory access.
-        let mut lo_t = unsafe { [vdupq_n_u8(0); 4] };
-        let mut hi_t = lo_t;
-        for (i, (t, _)) in group.iter().enumerate() {
-            let (lo, hi) = load_tables(t.nib());
-            lo_t[i] = lo;
-            hi_t[i] = hi;
-        }
-        let mut o = 0;
-        while o + 16 <= n {
-            // SAFETY: o + 16 <= n and the wrapper asserted every source
-            // length equals n.
-            unsafe {
-                let mut acc = vld1q_u8(dst.as_ptr().add(o));
-                for (i, (_, src)) in group.iter().enumerate() {
-                    let s = vld1q_u8(src.as_ptr().add(o));
-                    acc = veorq_u8(acc, product16(lo_t[i], hi_t[i], s));
-                }
-                vst1q_u8(dst.as_mut_ptr().add(o), acc);
-            }
-            o += 16;
-        }
-        for (i, d) in dst[o..].iter_mut().enumerate() {
-            let mut b = *d;
-            for (t, src) in group {
-                b ^= t.row()[src[o + i] as usize];
-            }
-            *d = b;
-        }
     }
 }

@@ -7,9 +7,8 @@
 use proptest::prelude::*;
 
 use pm_gf::gf256::Gf256;
-use pm_gf::slice::reference;
 
-use crate::{kernels_for, Backend, Kernels};
+use crate::{kernels_for, reference, Backend, Kernels};
 
 fn backends() -> Vec<&'static Kernels> {
     [Backend::Scalar, Backend::Avx2, Backend::Gfni, Backend::Neon]
@@ -33,7 +32,7 @@ fn bytes_from_seed(len: usize, seed: u64) -> Vec<u8> {
 
 proptest! {
     /// `mul_add_slice` agrees with the definitional per-byte reference on
-    /// every backend (`c = 1` takes the `xor` slot). `off` slides the
+    /// every backend, `c = 0` and `c = 1` included. `off` slides the
     /// working window through a larger allocation so the vector loops see
     /// misaligned heads; `len` down to 0 exercises the pure-tail path.
     #[test]
@@ -108,25 +107,49 @@ proptest! {
 }
 
 /// Exhaustive over all 256 coefficients — so over all 256 GFNI affine
-/// matrices and nibble-table pairs — at a fixed awkward length (covers
-/// both the vector body and the tail in one buffer), through the single
-/// kernel and the matrix kernel's one-row case: cheap insurance the
-/// proptest sampling can't skip a coefficient.
+/// matrices, nibble-table pairs and multiplication rows — at lengths that
+/// are pure tails (0, 1, 31), one vector step plus a tail on each side of
+/// AVX2's 32 and GFNI's 64 (33, 63, 65) and several steps plus a tail
+/// (141), through the single kernel and the matrix kernel at one to three
+/// output rows, so every backend's tail runs through the scalar kernel
+/// for every coefficient: cheap insurance the proptest sampling can't skip
+/// one.
 #[test]
 fn all_coefficients_match_reference() {
-    let src = bytes_from_seed(141, 0x1234_5678);
-    for c in 0..=255u8 {
-        let c = Gf256(c);
-        let mut want = bytes_from_seed(141, 0xABCD);
-        reference::mul_add_slice(c, &src, &mut want);
-        for k in backends() {
-            let mut dst = bytes_from_seed(141, 0xABCD);
-            k.mul_add_slice(c, &src, &mut dst);
-            assert_eq!(dst, want, "c={:?} backend={}", c, k.backend().name());
+    for len in [0usize, 1, 31, 33, 63, 65, 141] {
+        let src = bytes_from_seed(len, 0x1234_5678);
+        for c in 0..=255u8 {
+            let c = Gf256(c);
+            // Row r's coefficient is c·(r + 1), so each row differs.
+            let row_coeff = |r: usize| c * Gf256(r as u8 + 1);
+            let want = |r: usize| {
+                let mut want = bytes_from_seed(len, 0xABCD + r as u64);
+                reference::mul_add_slice(row_coeff(r), &src, &mut want);
+                want
+            };
+            for k in backends() {
+                let name = k.backend().name();
+                let mut dst = bytes_from_seed(len, 0xABCD);
+                k.mul_add_slice(c, &src, &mut dst);
+                assert_eq!(dst, want(0), "c={c:?} len={len} backend={name}");
 
-            let mut dst = bytes_from_seed(141, 0xABCD);
-            k.mul_add_multi_rows(&[c], &[&src], &mut [&mut dst]);
-            assert_eq!(dst, want, "matrix c={:?} backend={}", c, k.backend().name());
+                for rows in 1..=3 {
+                    let coeffs: Vec<Gf256> = (0..rows).map(row_coeff).collect();
+                    let mut bufs: Vec<Vec<u8>> = (0..rows)
+                        .map(|r| bytes_from_seed(len, 0xABCD + r as u64))
+                        .collect();
+                    let mut outs: Vec<&mut [u8]> =
+                        bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
+                    k.mul_add_multi_rows(&coeffs, &[&src], &mut outs);
+                    for (r, got) in bufs.iter().enumerate() {
+                        assert_eq!(
+                            got,
+                            &want(r),
+                            "matrix c={c:?} len={len} rows={rows} row {r} backend={name}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -4,7 +4,7 @@
 //! must be in place before the process-wide selection is memoized.
 
 use pm_gf::gf256::Gf256;
-use pm_gf::slice::reference;
+use pm_simd::reference;
 use pm_simd::{kernels, try_kernels, Backend, DispatchError, ENV_VAR};
 
 #[test]

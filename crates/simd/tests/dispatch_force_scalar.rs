@@ -4,7 +4,7 @@
 //! kernel access — and wins over whatever `PM_SIMD` the harness inherited.
 
 use pm_gf::gf256::Gf256;
-use pm_gf::slice::reference;
+use pm_simd::reference;
 use pm_simd::{kernels, try_kernels, Backend, ENV_VAR};
 
 #[test]

@@ -13,8 +13,8 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`gf`] | `pm-gf` | GF(2^8) arithmetic: tables and slice kernels |
-//! | [`simd`] | `pm-simd` | runtime-dispatched GFNI/AVX2/NEON GF(2^8) slice kernels (the one sanctioned `unsafe` boundary) |
+//! | [`gf`] | `pm-gf` | the field GF(2^8): total table-driven arithmetic on one byte |
+//! | [`simd`] | `pm-simd` | the codec's kernels: one GF(2^8) matrix multiply-accumulate per backend, scalar or runtime-dispatched GFNI/AVX2/NEON (the one sanctioned `unsafe` boundary) |
 //! | [`rse`] | `pm-rse` | systematic Reed–Solomon erasure codec over packets: encode and decode rows from one closed-form interpolation |
 //! | [`loss`] | `pm-loss` | Bernoulli / heterogeneous / Markov-burst / shared-tree loss models |
 //! | [`analysis`] | `pm-analysis` | Eqs. (2)–(17): E\[M\], rounds, end-host rates |
