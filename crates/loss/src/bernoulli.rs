@@ -1,37 +1,36 @@
 //! Spatially and temporally independent loss (the Section 3 baseline).
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
 use crate::model::LossModel;
-use crate::skip::GeoSkip;
+use crate::skip::{Draws, GeoSkip};
 
 /// Every receiver loses each packet independently with probability `p`;
 /// packets are independent of each other ("independent loss" in the paper:
 /// only the receivers lose packets, interior tree nodes do not).
 ///
 /// Sampled by geometric skipping over the receiver indices: one RNG draw
-/// per *loss*, and no per-receiver state, so the cost of a transmission is
-/// `O(p * R)` at any population size.
+/// per *loss*, its logarithm taken in batches, and no per-receiver state,
+/// so the cost of a transmission is `O(p * R)` at any population size.
 #[derive(Debug, Clone)]
 pub struct IndependentLoss {
     receivers: u32,
     skip: GeoSkip,
-    rng: ChaCha8Rng,
+    draws: Draws,
 }
 
 impl IndependentLoss {
     /// Create the model for `receivers` receivers with loss probability `p`.
     ///
     /// # Panics
-    /// Panics unless `0 <= p <= 1` and `0 < receivers <= u32::MAX`.
+    /// Panics unless `0 <= p <= 1` and `0 < receivers <= u32::MAX`, and if
+    /// `PM_SIMD` is invalid on this host (the gaps' logarithms go through
+    /// pm-simd's dispatch).
     pub fn new(receivers: usize, p: f64, seed: u64) -> Self {
         assert!(receivers > 0, "need at least one receiver");
         assert!((0.0..=1.0).contains(&p), "p must be a probability, got {p}");
         IndependentLoss {
             receivers: u32::try_from(receivers).expect("receiver indices are u32"),
             skip: GeoSkip::new(p),
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            draws: Draws::new(seed),
         }
     }
 
@@ -43,7 +42,7 @@ impl IndependentLoss {
     /// Restart as [`IndependentLoss::new`] with `seed` would build the
     /// model: the same draws from here on.
     pub fn reseed(&mut self, seed: u64) {
-        self.rng = ChaCha8Rng::seed_from_u64(seed);
+        self.draws.reseed(seed);
     }
 }
 
@@ -55,7 +54,7 @@ impl LossModel for IndependentLoss {
     fn sample_lost(&mut self, _time: f64, out: &mut Vec<u32>) {
         out.clear();
         self.skip
-            .for_each_hit(&mut self.rng, 0, self.receivers, |r| out.push(r));
+            .for_each_hit(&mut self.draws, 0, self.receivers, |r| out.push(r));
     }
 }
 
@@ -63,6 +62,9 @@ impl LossModel for IndependentLoss {
 mod tests {
     use super::*;
     use crate::model::empirical_loss_rate;
+    use crate::skip::oracle;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn zero_and_one_are_degenerate() {
@@ -133,5 +135,26 @@ mod tests {
     #[should_panic(expected = "probability")]
     fn invalid_p_panics() {
         let _ = IndependentLoss::new(1, 1.5, 0);
+    }
+
+    #[test]
+    fn hit_lists_equal_the_draw_then_ln_oracle() {
+        for kernels in oracle::backends() {
+            for p in oracle::PS {
+                let receivers = if p < 0.1 { 1024 } else { 16 };
+                let mut model = IndependentLoss::new(receivers, p, 5);
+                model.draws.set_kernels(kernels);
+                let mut rng = ChaCha8Rng::seed_from_u64(5);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                for call in 0..oracle::CALLS {
+                    model.sample_lost(0.0, &mut got);
+                    want.clear();
+                    oracle::for_each_hit(&model.skip, &mut rng, 0, model.receivers, |r| {
+                        want.push(r)
+                    });
+                    assert_eq!(got, want, "{:?} p={p} call {call}", kernels.backend());
+                }
+            }
+        }
     }
 }

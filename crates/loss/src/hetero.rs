@@ -1,28 +1,27 @@
 //! Heterogeneous receiver populations (Section 3.3).
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
 use crate::model::LossModel;
-use crate::skip::GeoSkip;
+use crate::skip::{Draws, GeoSkip};
 
 /// Arbitrary per-receiver loss probabilities, independent in space and time.
 ///
 /// Stored as runs of consecutive receivers with equal `p`; each run
-/// is sampled by its own geometric skip stream, so a population of a few
-/// classes costs `O(losses)` per transmission and `O(classes)` memory.
+/// is sampled by its own geometric skip, all of them drawing from one
+/// stream in run order, so a population of a few classes costs
+/// `O(losses)` per transmission and `O(classes)` memory.
 #[derive(Debug, Clone)]
 pub struct PerReceiverLoss {
     /// `(end, skip)`: the run covers receivers `previous end .. end`.
     runs: Vec<(u32, GeoSkip)>,
-    rng: ChaCha8Rng,
+    draws: Draws,
 }
 
 impl PerReceiverLoss {
     /// One loss probability per receiver.
     ///
     /// # Panics
-    /// Panics if `ps` is empty or contains a non-probability.
+    /// Panics if `ps` is empty or contains a non-probability, and if
+    /// `PM_SIMD` is invalid on this host.
     pub fn new(ps: Vec<f64>, seed: u64) -> Self {
         Self::from_runs(
             ps.chunk_by(|a, b| a == b).map(|run| (run.len(), run[0])),
@@ -49,7 +48,7 @@ impl PerReceiverLoss {
         assert!(!runs.is_empty(), "need at least one receiver");
         PerReceiverLoss {
             runs,
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            draws: Draws::new(seed),
         }
     }
 
@@ -62,7 +61,7 @@ impl PerReceiverLoss {
     /// Restart as [`PerReceiverLoss::new`] with `seed` would build the
     /// model: the same draws from here on, and no allocation.
     pub fn reseed(&mut self, seed: u64) {
-        self.rng = ChaCha8Rng::seed_from_u64(seed);
+        self.draws.reseed(seed);
     }
 }
 
@@ -75,7 +74,7 @@ impl LossModel for PerReceiverLoss {
         out.clear();
         let mut lo = 0;
         for &(end, skip) in &self.runs {
-            skip.for_each_hit(&mut self.rng, lo, end, |r| out.push(r));
+            skip.for_each_hit(&mut self.draws, lo, end, |r| out.push(r));
             lo = end;
         }
     }
@@ -99,7 +98,7 @@ impl TwoClassLoss {
     ///
     /// # Panics
     /// Panics unless `alpha`, `p_low`, `p_high` are probabilities and
-    /// `receivers > 0`.
+    /// `receivers > 0`, and if `PM_SIMD` is invalid on this host.
     pub fn new(receivers: usize, alpha: f64, p_low: f64, p_high: f64, seed: u64) -> Self {
         assert!(receivers > 0, "need at least one receiver");
         assert!((0.0..=1.0).contains(&alpha), "alpha must be a probability");
@@ -144,6 +143,9 @@ impl LossModel for TwoClassLoss {
 mod tests {
     use super::*;
     use crate::model::empirical_loss_rate;
+    use crate::skip::oracle;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn class_sizes_round_correctly() {
@@ -216,5 +218,32 @@ mod tests {
     #[should_panic(expected = "p_high=5 is not a probability")]
     fn bad_probability_of_an_empty_class_panics() {
         let _ = TwoClassLoss::new(10, 0.0, 0.1, 5.0, 0);
+    }
+
+    #[test]
+    fn hit_lists_equal_the_draw_then_ln_oracle() {
+        // Each p as the low class beside another of the list as the high
+        // one, on one stream.
+        for kernels in oracle::backends() {
+            for (i, p) in oracle::PS.into_iter().enumerate() {
+                let p_high = oracle::PS[(i + 3) % oracle::PS.len()];
+                let receivers = if p.max(p_high) < 0.1 { 1024 } else { 16 };
+                let mut model = TwoClassLoss::new(receivers, 0.25, p, p_high, 9);
+                model.inner.draws.set_kernels(kernels);
+                let mut rng = ChaCha8Rng::seed_from_u64(9);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                for call in 0..oracle::CALLS {
+                    model.sample_lost(0.0, &mut got);
+                    want.clear();
+                    let mut lo = 0;
+                    for (end, skip) in &model.inner.runs {
+                        oracle::for_each_hit(skip, &mut rng, lo, *end, |r| want.push(r));
+                        lo = *end;
+                    }
+                    let backend = kernels.backend();
+                    assert_eq!(got, want, "{backend:?} p={p}/{p_high} call {call}");
+                }
+            }
+        }
     }
 }

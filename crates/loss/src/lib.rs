@@ -33,11 +33,17 @@
 //! it without visiting the receivers that got the packet, by geometric
 //! skipping (the distance to the next loss is `floor(ln U / ln(1-p))`,
 //! `U` uniform on `(0, 1]`): [`IndependentLoss`] over the receiver
-//! indices, [`PerReceiverLoss`] / [`TwoClassLoss`] with one skip stream
-//! per run of equal `p`, [`TreeLoss::full_binary`] over the node ids, each
+//! indices, [`PerReceiverLoss`] / [`TwoClassLoss`] with one skip per run
+//! of equal `p`, [`TreeLoss::full_binary`] over the node ids, each
 //! dropped node contributing its contiguous range of leaves. A simulation
 //! that consumes only the list (`pm-sim` does) then costs `O(losses)` per
-//! packet at any `R`. [`GilbertLoss`] and [`TreeBurstLoss`] step one chain
+//! packet at any `R`. Each of these models draws its `U`s 32 at a time and
+//! takes their logarithms in one call of pm-simd's `ln_unit` (four lanes
+//! at a time on AVX-512 hosts); a gap that vector logarithm cannot decide
+//! with certainty is recomputed with libm's, so every list is bit for bit
+//! the one a draw-then-`ln` walk gives, on every `PM_SIMD` backend. That
+//! makes pm-simd's dispatch part of their construction: a `PM_SIMD` value
+//! this host cannot run panics there. [`GilbertLoss`] and [`TreeBurstLoss`] step one chain
 //! per receiver (node) and remain `O(R)`; a sparse burst model — keep the
 //! set of chains in the loss state, skip geometrically over the good ones
 //! — is open work. The trait doc says why the list is ascending.

@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::model::LossModel;
-use crate::skip::GeoSkip;
+use crate::skip::{Draws, GeoSkip};
 
 /// One node of the distribution tree.
 #[derive(Debug, Clone)]
@@ -40,6 +40,7 @@ struct Node {
     receiver: Option<usize>,
 }
 
+/// The generators are boxed, so the two variants are a few words each.
 #[derive(Debug, Clone)]
 enum Topology {
     /// Full binary tree of height `d` in heap order (root 0, children of
@@ -48,11 +49,13 @@ enum Topology {
     FullBinary {
         d: u32,
         skip: GeoSkip,
+        draws: Box<Draws>,
         /// Scratch: leaf ranges `(first, end)` under this packet's drops.
         cut: Vec<(u32, u32)>,
     },
     Explicit {
         nodes: Vec<Node>,
+        rng: Box<ChaCha8Rng>,
         /// Scratch stack for the per-packet walk.
         stack: Vec<(usize, bool)>,
     },
@@ -63,7 +66,6 @@ enum Topology {
 pub struct TreeLoss {
     topology: Topology,
     receivers: usize,
-    rng: ChaCha8Rng,
 }
 
 /// Builder for arbitrary tree topologies.
@@ -137,10 +139,10 @@ impl TreeBuilder {
         TreeLoss {
             topology: Topology::Explicit {
                 nodes: self.nodes,
+                rng: Box::new(ChaCha8Rng::seed_from_u64(seed)),
                 stack: Vec::new(),
             },
             receivers,
-            rng: ChaCha8Rng::seed_from_u64(seed),
         }
     }
 }
@@ -155,7 +157,8 @@ impl TreeLoss {
     ///
     /// # Panics
     /// Panics unless `p` is a probability and `d <= 26` (2^26 receivers is
-    /// the supported ceiling).
+    /// the supported ceiling), and if `PM_SIMD` is invalid on this host
+    /// (the gaps' logarithms go through pm-simd's dispatch).
     pub fn full_binary(d: u32, p: f64, seed: u64) -> Self {
         assert!((0.0..=1.0).contains(&p), "p must be a probability");
         assert!(d <= 26, "FBT height {d} too large");
@@ -164,10 +167,10 @@ impl TreeLoss {
             topology: Topology::FullBinary {
                 d,
                 skip: GeoSkip::new(p_node),
+                draws: Box::new(Draws::new(seed)),
                 cut: Vec::new(),
             },
             receivers: 1 << d,
-            rng: ChaCha8Rng::seed_from_u64(seed),
         }
     }
 
@@ -175,7 +178,10 @@ impl TreeLoss {
     /// either topology): the same draws from here on, and no allocation.
     /// The per-packet scratch is rebuilt by every sample.
     pub fn reseed(&mut self, seed: u64) {
-        self.rng = ChaCha8Rng::seed_from_u64(seed);
+        match &mut self.topology {
+            Topology::FullBinary { draws, .. } => draws.reseed(seed),
+            Topology::Explicit { rng, .. } => **rng = ChaCha8Rng::seed_from_u64(seed),
+        }
     }
 
     /// Per-node loss probability of node `id`.
@@ -234,14 +240,19 @@ impl LossModel for TreeLoss {
     fn sample_lost(&mut self, _time: f64, out: &mut Vec<u32>) {
         out.clear();
         match &mut self.topology {
-            Topology::FullBinary { d, skip, cut } => {
+            Topology::FullBinary {
+                d,
+                skip,
+                draws,
+                cut,
+            } => {
                 // Every node drops independently, so there is nothing to
                 // prune: draw the dropped nodes, then take the union of the
                 // leaf ranges beneath them. Node `id` is the `first`-th of
                 // level `level` and covers `2^(d - level)` leaves.
                 let d = *d;
                 cut.clear();
-                skip.for_each_hit(&mut self.rng, 0, (2 << d) - 1, |id| {
+                skip.for_each_hit(draws, 0, (2 << d) - 1, |id| {
                     let level = (id + 1).ilog2();
                     let first = id + 1 - (1 << level);
                     let span = d - level;
@@ -256,7 +267,7 @@ impl LossModel for TreeLoss {
                     end = end.max(range_end);
                 }
             }
-            Topology::Explicit { nodes, stack } => {
+            Topology::Explicit { nodes, rng, stack } => {
                 // Depth-first walk; once an ancestor drops, everything
                 // below is lost without further sampling (the sharing).
                 stack.clear();
@@ -264,7 +275,7 @@ impl LossModel for TreeLoss {
                 while let Some((id, ancestor_dropped)) = stack.pop() {
                     let node = &nodes[id];
                     let dropped =
-                        ancestor_dropped || (node.p > 0.0 && self.rng.random::<f64>() < node.p);
+                        ancestor_dropped || (node.p > 0.0 && rng.random::<f64>() < node.p);
                     if let (true, Some(r)) = (dropped, node.receiver) {
                         out.push(r as u32);
                     }
@@ -280,6 +291,7 @@ impl LossModel for TreeLoss {
 mod tests {
     use super::*;
     use crate::model::empirical_loss_rate;
+    use crate::skip::oracle;
 
     #[test]
     fn fbt_sizes() {
@@ -400,5 +412,43 @@ mod tests {
     #[should_panic(expected = "no receivers")]
     fn empty_tree_rejected() {
         let _ = TreeBuilder::new(0.0).build(0);
+    }
+
+    /// The leaves under FBT node `id`: its leftmost and rightmost
+    /// descendants at depth `d`, found by walking down.
+    fn leaves_under(d: u32, id: u32) -> std::ops::RangeInclusive<u32> {
+        let first_leaf = (1 << d) - 1;
+        let (mut left, mut right) = (id, id);
+        while left < first_leaf {
+            (left, right) = (2 * left + 1, 2 * right + 2);
+        }
+        left - first_leaf..=right - first_leaf
+    }
+
+    #[test]
+    fn hit_lists_equal_the_draw_then_ln_oracle() {
+        for kernels in oracle::backends() {
+            for p in oracle::PS {
+                let d = if p < 0.1 { 9 } else { 3 };
+                let mut model = TreeLoss::full_binary(d, p, 13);
+                let Topology::FullBinary { skip, draws, .. } = &mut model.topology else {
+                    unreachable!()
+                };
+                draws.set_kernels(kernels);
+                let skip = *skip;
+                let mut rng = ChaCha8Rng::seed_from_u64(13);
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                for call in 0..oracle::CALLS {
+                    model.sample_lost(0.0, &mut got);
+                    want.clear();
+                    oracle::for_each_hit(&skip, &mut rng, 0, (2 << d) - 1, |id| {
+                        want.extend(leaves_under(d, id))
+                    });
+                    want.sort_unstable();
+                    want.dedup();
+                    assert_eq!(got, want, "{:?} p={p} call {call}", kernels.backend());
+                }
+            }
+        }
     }
 }

@@ -80,3 +80,39 @@ fn reseeded_models_draw_the_fresh_models_stream() {
         TreeBurstLoss::reseed,
     );
 }
+
+#[test]
+fn reseeding_mid_buffer_drops_the_buffered_draws() {
+    // The memoryless models draw their uniforms 32 at a time, so a
+    // re-seed usually lands mid-buffer. An `IndependentLoss` walk over
+    // 0..R takes one draw per loss, plus the one that overshoots the end
+    // unless receiver R - 1 lost, so the draws a model has used are known
+    // from its loss lists. Growing the number of calls before the re-seed
+    // walks that count through every position of the buffer.
+    const R: u32 = 70;
+    let mut positions = [false; 32];
+    let (mut a, mut b) = (Vec::new(), Vec::new());
+    for calls in 0..400 {
+        let mut reused = IndependentLoss::new(R as usize, 0.2, 1);
+        let mut used = 0;
+        for _ in 0..calls {
+            reused.sample_lost(0.0, &mut a);
+            used += a.len() + usize::from(a.last() != Some(&(R - 1)));
+        }
+        positions[used % positions.len()] = true;
+        reused.reseed(7);
+        let mut fresh = IndependentLoss::new(R as usize, 0.2, 7);
+        for i in 0..40 {
+            reused.sample_lost(0.0, &mut a);
+            fresh.sample_lost(0.0, &mut b);
+            assert_eq!(
+                a, b,
+                "re-seeded after {calls} calls ({used} draws): sample {i}"
+            );
+        }
+        if positions.iter().all(|&p| p) {
+            return;
+        }
+    }
+    panic!("buffer positions never reached: {positions:?}");
+}

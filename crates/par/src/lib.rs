@@ -27,9 +27,13 @@
 //! The pool is deliberately minimal: threads live for one call (scoped;
 //! `n` workers start `n − 1` of them), there is no work stealing beyond
 //! the shared chunk counter, and the only synchronization is one
-//! `AtomicUsize` fetch-add per chunk. For the
-//! coarse-grained trials this workspace runs (microseconds to milliseconds
-//! each) that overhead is noise.
+//! `AtomicUsize` fetch-add per chunk. The fetch-add is free at any chunk
+//! size this workspace uses; the thread start is not. On a 2-vCPU VM a
+//! worker spawned while the caller already works starts 1–3 ms late, so
+//! a call that lasts less than a few milliseconds — a small-R point of a
+//! simulated figure — gains nothing from a second worker, and one a few
+//! times longer gains less than 2×. Amortising the start over a whole
+//! figure (one pool call for all its points) is ROADMAP item 6 (c).
 //!
 //! ```
 //! use pm_par::Pool;

@@ -40,6 +40,10 @@ pub fn available_workers() -> usize {
 /// [`Pool::par_map_reduce`] spawns `workers − 1` threads inside a
 /// [`std::thread::scope`] and the calling thread works the same chunk
 /// queue as the last worker, so a two-worker call starts one thread.
+/// That start is paid per call: on a 2-vCPU VM the spawned worker joins
+/// 1–3 ms after the caller began, so a call shorter than a few
+/// milliseconds runs at one worker's speed (crate doc; ROADMAP item
+/// 6 (c) amortises it over a figure).
 /// Borrowed data (configs, models, recorders) can be captured by the work
 /// closures without `'static` bounds, and a panic in any chunk — whether
 /// the caller or a spawned worker ran it — re-raises in the caller

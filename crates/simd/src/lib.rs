@@ -1,12 +1,22 @@
-//! Runtime-dispatched kernels for the GF(2^8) codec's one inner loop.
+//! Runtime-dispatched kernels for the workspace's two inner loops: the
+//! GF(2^8) codec's multiply-accumulate and the loss simulator's logarithm.
 //!
 //! The paper's Section 5 throughput argument hinges on end-host coding rate:
 //! a packet-level RSE coder spends essentially all of its time in
 //! `parity ^= coeff * data` over whole packets. This crate owns every
-//! kernel that computes it, and a backend is one kernel, the matrix form
-//! below: the scalar backend resolves one byte per step through a row of
-//! the 64 KB multiplication table, the SIMD backends 64 (GFNI), 32 (AVX2)
-//! or 16 (NEON) bytes per step.
+//! kernel that computes it, and a backend has one such kernel, the matrix
+//! form below: the scalar backend resolves one byte per step through a row
+//! of the 64 KB multiplication table, the SIMD backends 64 (GFNI), 32
+//! (AVX2) or 16 (NEON) bytes per step.
+//!
+//! A backend's second kernel is [`Kernels::ln_unit`], the natural
+//! logarithm of a batch of `x ∈ (0, 1]`: pm-loss draws every geometric gap
+//! of its memoryless models as `⌊ln U / ln(1−p)⌋`, so at the paper's
+//! populations one `ln` per loss is most of a simulated transmission. The
+//! scalar entry is libm's `f64::ln` per element and is the oracle; the
+//! GFNI backend (whose hosts have AVX-512) evaluates fdlibm's polynomial
+//! in four 256-bit lanes, within [`LN_UNIT_REL_ERR`] of libm; AVX2 and
+//! NEON use the scalar entry.
 //!
 //! AVX2 and NEON use the classic nibble-split trick: each coefficient `c`
 //! expands to two 16-entry tables — `lo[x] = c·x` and `hi[x] = c·(x<<4)` —
@@ -36,7 +46,7 @@
 //! Backend selection happens **once per process**: [`try_kernels`] consults
 //! the `PM_SIMD` environment variable (`scalar`, `avx2`, `gfni`, `neon`, or
 //! `auto`; unset means `auto`), performs runtime CPU-feature detection
-//! (`gfni`, `avx512f` and `avx512bw` for GFNI, `avx2` for AVX2; NEON is
+//! (`gfni`, `avx512f`, `avx512bw` and `avx512vl` for GFNI, `avx2` for AVX2; NEON is
 //! baseline on aarch64), and memoizes a `&'static` [`Kernels`] vtable.
 //! `auto` prefers GFNI, then AVX2, then NEON, then scalar. Every backend
 //! computes byte-identical results — GF arithmetic is exact — so the choice
@@ -66,6 +76,8 @@ use pm_gf::gf256::Gf256;
 mod avx2;
 #[cfg(target_arch = "x86_64")]
 mod gfni;
+#[cfg(target_arch = "x86_64")]
+mod ln_avx512;
 #[cfg(target_arch = "aarch64")]
 mod neon;
 mod scalar;
@@ -84,8 +96,9 @@ pub enum Backend {
     /// AVX2 nibble-split kernels, 32 bytes per step (x86/x86_64 with runtime
     /// `avx2` detection).
     Avx2,
-    /// GFNI affine kernels, 64 bytes per step (x86_64 with runtime `gfni`,
-    /// `avx512f` and `avx512bw` detection).
+    /// GFNI affine kernels, 64 bytes per step, and the four-lane AVX-512
+    /// `ln_unit` (x86_64 with runtime `gfni`, `avx512f`, `avx512bw` and
+    /// `avx512vl` detection).
     Gfni,
     /// NEON nibble-split kernels, 16 bytes per step (aarch64, where NEON is
     /// part of the baseline ISA).
@@ -124,6 +137,7 @@ impl Backend {
                     std::arch::is_x86_feature_detected!("gfni")
                         && std::arch::is_x86_feature_detected!("avx512f")
                         && std::arch::is_x86_feature_detected!("avx512bw")
+                        && std::arch::is_x86_feature_detected!("avx512vl")
                 }
                 #[cfg(not(target_arch = "x86_64"))]
                 {
@@ -202,6 +216,16 @@ impl fmt::Display for DispatchError {
 impl std::error::Error for DispatchError {}
 
 type MatrixFn = fn(&[Gf256], &[&[u8]], &mut [&mut [u8]]);
+type LnFn = fn(&[f64], &mut [f64]);
+
+/// How far a vector [`Kernels::ln_unit`] may be from libm's `f64::ln`,
+/// relative to the result, for every `x ∈ (0, 1]`: `2^-51`. The vector
+/// kernel is fdlibm's algorithm, within 1 ulp of the true logarithm, and
+/// libm's `log` is documented within 1 ulp too (glibc); an ulp is at most
+/// `2^-52` of the value, so the two differ by at most twice that. It is
+/// the largest [`Kernels::ln_unit_rel_err`] of any backend; pm-simd's
+/// tests measure each backend's worst case against its own.
+pub const LN_UNIT_REL_ERR: f64 = 1.0 / (1u64 << 51) as f64;
 
 /// A backend's kernel vtable. Obtain one via [`kernels`] / [`try_kernels`]
 /// (dispatched) or [`kernels_for`] (explicit, for benches and differential
@@ -212,6 +236,9 @@ type MatrixFn = fn(&[Gf256], &[&[u8]], &mut [&mut [u8]]);
 pub struct Kernels {
     backend: Backend,
     matrix: MatrixFn,
+    ln: LnFn,
+    /// `ln`'s documented distance from `f64::ln`, relative.
+    ln_rel_err: f64,
 }
 
 impl Kernels {
@@ -261,6 +288,27 @@ impl Kernels {
             (self.matrix)(coeffs, sources, outs);
         }
     }
+
+    /// `out[i] = ln xs[i]` for `xs[i] ∈ (0, 1]`, within
+    /// [`Kernels::ln_unit_rel_err`] of `f64::ln` (and `ln 1 = 0` exactly).
+    /// The scalar, AVX2 and NEON backends call `f64::ln` per element; GFNI
+    /// evaluates four lanes at a time in 256-bit AVX-512F/VL registers.
+    /// Outside `(0, 1]` the values are unspecified, but the call is
+    /// still memory-safe.
+    ///
+    /// # Panics
+    /// Panics if the lengths differ.
+    pub fn ln_unit(&self, xs: &[f64], out: &mut [f64]) {
+        assert_eq!(xs.len(), out.len(), "ln_unit length mismatch");
+        (self.ln)(xs, out);
+    }
+
+    /// The largest relative distance of this backend's
+    /// [`Kernels::ln_unit`] from `f64::ln` on `(0, 1]`: 0 where it *is*
+    /// `f64::ln`, [`LN_UNIT_REL_ERR`] for the vector kernel.
+    pub fn ln_unit_rel_err(&self) -> f64 {
+        self.ln_rel_err
+    }
 }
 
 impl fmt::Debug for Kernels {
@@ -274,24 +322,32 @@ impl fmt::Debug for Kernels {
 static SCALAR_KERNELS: Kernels = Kernels {
     backend: Backend::Scalar,
     matrix: scalar::mul_add_multi_rows,
+    ln: scalar::ln_unit,
+    ln_rel_err: 0.0,
 };
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 static AVX2_KERNELS: Kernels = Kernels {
     backend: Backend::Avx2,
     matrix: avx2::mul_add_multi_rows,
+    ln: scalar::ln_unit,
+    ln_rel_err: 0.0,
 };
 
 #[cfg(target_arch = "x86_64")]
 static GFNI_KERNELS: Kernels = Kernels {
     backend: Backend::Gfni,
     matrix: gfni::mul_add_multi_rows,
+    ln: ln_avx512::ln_unit,
+    ln_rel_err: LN_UNIT_REL_ERR,
 };
 
 #[cfg(target_arch = "aarch64")]
 static NEON_KERNELS: Kernels = Kernels {
     backend: Backend::Neon,
     matrix: neon::mul_add_multi_rows,
+    ln: scalar::ln_unit,
+    ln_rel_err: 0.0,
 };
 
 /// The kernel vtable for a specific backend, or `None` if the current host

@@ -1,8 +1,9 @@
 //! Portable scalar backend: the matrix kernel one byte at a time, through
-//! rows of the shared 64 KB multiplication table (`row[x] == c·x`). It has
-//! no `unsafe` and needs no CPU feature, and the AVX2 and NEON kernels hand
-//! it their sub-vector tails, so the last bytes of every buffer on those
-//! backends are computed here too.
+//! rows of the shared 64 KB multiplication table (`row[x] == c·x`), and
+//! `ln_unit` as libm's `ln` per element. It has no `unsafe` and needs no
+//! CPU feature. The AVX2 and NEON kernels hand it their sub-vector tails,
+//! so the last bytes of every buffer on those backends are computed here
+//! too, and their `ln_unit` slot is this one.
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -58,5 +59,13 @@ pub(crate) fn mul_add_multi_rows(coeffs: &[Gf256], sources: &[&[u8]], outs: &mut
                 _ => {}
             }
         }
+    }
+}
+
+/// `out[i] = xs[i].ln()`: libm's logarithm, the oracle of every vector
+/// `ln_unit`.
+pub(crate) fn ln_unit(xs: &[f64], out: &mut [f64]) {
+    for (o, x) in out.iter_mut().zip(xs) {
+        *o = x.ln();
     }
 }

@@ -1,5 +1,5 @@
 //! Forcing `PM_SIMD=gfni` selects the GFNI backend on a host with `gfni`,
-//! `avx512f` and `avx512bw`, and is a typed `Unavailable` error — not a
+//! `avx512f`, `avx512bw` and `avx512vl`, and is a typed `Unavailable` error — not a
 //! crash in the first kernel call — on any other. Own binary: the value
 //! must be in place before the process-wide selection is memoized.
 
