@@ -169,6 +169,37 @@ fn bench_single_parity(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_encode_round(c: &mut Criterion) {
+    // A repair round of l parities: l one-parity calls (the per-parity
+    // path, a pass over the group each) against one `encode_round` call
+    // (a pass per eight parities), on every backend this host can run.
+    use pm_simd::{kernels_for, Backend};
+
+    for kern in [Backend::Gfni, Backend::Avx2, Backend::Neon, Backend::Scalar]
+        .into_iter()
+        .filter_map(kernels_for)
+    {
+        let mut g = c.benchmark_group(format!("encode_round/{}", kern.backend().name()));
+        for &(k, l) in &[(7usize, 2usize), (20, 4), (100, 8), (100, 16)] {
+            let enc = RseEncoder::with_kernels(CodeSpec::new(k, l).unwrap(), kern);
+            let data = group_data(k);
+            g.throughput(Throughput::Bytes((l * k * PACKET) as u64));
+            g.bench_function(format!("k{k}_l{l}/per_parity"), |b| {
+                b.iter(|| {
+                    let data = std::hint::black_box(&data);
+                    (0..l)
+                        .map(|j| enc.parity(j, data).unwrap())
+                        .collect::<Vec<_>>()
+                });
+            });
+            g.bench_function(format!("k{k}_l{l}/round"), |b| {
+                b.iter(|| enc.encode_round(0, l, std::hint::black_box(&data)).unwrap());
+            });
+        }
+        g.finish();
+    }
+}
+
 fn bench_decode(c: &mut Criterion) {
     let mut g = c.benchmark_group("decode");
     for &(k, lost) in &[(7usize, 1usize), (7, 3), (20, 5), (100, 7)] {
@@ -338,6 +369,7 @@ criterion_group!(
     bench_encode_kernels,
     bench_backend_curves,
     bench_single_parity,
+    bench_encode_round,
     bench_decode,
     bench_decode_repeat_pattern,
     bench_codec_construct,

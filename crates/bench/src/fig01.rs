@@ -26,17 +26,41 @@ fn group(k: usize) -> Vec<Vec<u8>> {
 }
 
 /// Measure encode rate in *data packets per second* while producing `h`
-/// parities per group of `k`.
+/// parities per group of `k` one call each, as the paper's coder does:
+/// every parity is its own pass over the group, so the rate follows the
+/// Fig. 1 law `1 / (h * k)`.
 pub fn measure_encode_rate(k: usize, h: usize, min_groups: usize) -> f64 {
     let spec = CodeSpec::new(k, h).expect("valid spec");
     let enc = RseEncoder::new(spec).expect("encoder");
     let data = group(k);
-    // Warm up tables.
-    let _ = enc.encode_all(&data).unwrap();
+    encode_rate(k, min_groups, || {
+        for j in 0..h {
+            std::hint::black_box(enc.parity(j, std::hint::black_box(&data)).unwrap());
+        }
+    })
+}
+
+/// Measure encode rate in *data packets per second* while producing the
+/// `h` parities per group of `k` as one round, as protocol NP's sender
+/// does: the kernel reads the group once per eight parities, so at small
+/// `h` the rate falls more slowly than `1 / h`.
+pub fn measure_round_rate(k: usize, h: usize, min_groups: usize) -> f64 {
+    let spec = CodeSpec::new(k, h).expect("valid spec");
+    let enc = RseEncoder::new(spec).expect("encoder");
+    let data = group(k);
+    encode_rate(k, min_groups, || {
+        std::hint::black_box(enc.encode_round(0, h, std::hint::black_box(&data)).unwrap());
+    })
+}
+
+/// Data packets per second of `encode`, one call per group of `k`, after
+/// one warm-up call.
+fn encode_rate(k: usize, min_groups: usize, mut encode: impl FnMut()) -> f64 {
+    encode();
     let start = Instant::now();
     let mut groups = 0usize;
     while groups < min_groups || start.elapsed().as_millis() < 30 {
-        std::hint::black_box(enc.encode_all(std::hint::black_box(&data)).unwrap());
+        encode();
         groups += 1;
     }
     (groups * k) as f64 / start.elapsed().as_secs_f64()
@@ -84,6 +108,7 @@ pub fn generate(quality: Quality) -> Figure {
     let mut series = Vec::new();
     for &k in &ks {
         let mut enc_pts = Vec::new();
+        let mut round_pts = Vec::new();
         let mut dec_pts = Vec::new();
         for &rho in &redundancies {
             let h = ((rho * k as f64).round() as usize).max(1);
@@ -92,9 +117,11 @@ pub fn generate(quality: Quality) -> Figure {
             }
             let x = 100.0 * h as f64 / k as f64; // percent, like the paper
             enc_pts.push((x, measure_encode_rate(k, h, min_groups)));
+            round_pts.push((x, measure_round_rate(k, h, min_groups)));
             dec_pts.push((x, measure_decode_rate(k, h, min_groups)));
         }
         series.push(Series::new(format!("encode k={k}"), enc_pts));
+        series.push(Series::new(format!("encode round k={k}"), round_pts));
         series.push(Series::new(format!("decode k={k}"), dec_pts));
     }
     Figure {
@@ -107,6 +134,7 @@ pub fn generate(quality: Quality) -> Figure {
         notes: vec![
             format!("packet size {PACKET} bytes, GF(2^8), systematic Vandermonde codec"),
             "paper hardware: Pentium 133; shape check: rate ∝ 1/(h·k)".into(),
+            "encode: one parity per call, like the paper's coder; encode round: all h in one call, as protocol NP sends them".into(),
         ],
     }
 }

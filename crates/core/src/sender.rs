@@ -502,7 +502,8 @@ fn encoder(encoders: &[RseEncoder], k: usize) -> Result<&RseEncoder, ProtocolErr
         .ok_or_else(|| ProtocolError::Inconsistent(format!("no encoder for k = {k}")))
 }
 
-/// Every group's whole parity budget, encoded up front (and counted).
+/// Every group's whole parity budget, encoded up front (and counted): one
+/// round per group.
 fn preencode(
     encoders: &[RseEncoder],
     groups: &[Vec<Bytes>],
@@ -510,9 +511,10 @@ fn preencode(
 ) -> Result<Vec<Vec<Bytes>>, ProtocolError> {
     let mut all = Vec::with_capacity(groups.len());
     for data in groups {
-        let parities = encoder(encoders, data.len())?.encode_all(data)?;
+        let enc = encoder(encoders, data.len())?;
+        let parities = enc.encode_round(0, enc.spec().h(), data)?;
         counters.parities_encoded += parities.len() as u64;
-        all.push(parities.into_iter().map(Bytes::from).collect());
+        all.push(parities);
     }
     Ok(all)
 }
@@ -533,34 +535,38 @@ impl NpRepair {
     }
 
     /// Produce `count` parity packets for group `g`, falling back to
-    /// original-data retransmission once the budget is exhausted.
+    /// original-data retransmission once the budget is exhausted. The
+    /// round's fresh parities are one [`RseEncoder::encode_round`] call.
     #[expect(
         clippy::indexing_slicing,
-        reason = "g < plan.groups indexes the per-group vectors; j < h and i < k index the group"
+        reason = "g < plan.groups indexes the per-group vectors; parities_used + fresh <= h and i < k index the group"
     )]
     fn produce(s: &mut NpSender, g: u32, count: usize) -> Result<Vec<Message>, ProtocolError> {
         let np = &mut s.repair;
         let data = &s.groups[g as usize];
         let pr = &mut np.progress[g as usize];
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            if pr.parities_used < s.cfg.h {
-                let j = pr.parities_used;
-                pr.parities_used += 1;
-                let payload: Bytes = match &np.preencoded {
-                    Some(all) => all[g as usize][j].clone(),
-                    None => {
-                        s.counters.parities_encoded += 1;
-                        Bytes::from(encoder(&np.encoders, data.len())?.parity(j, data)?)
-                    }
-                };
-                out.push(s.plan.packet(g, (data.len() + j) as u16, payload));
-            } else {
-                // Budget exhausted: resend originals round-robin.
-                let i = pr.resend_cursor % data.len();
-                pr.resend_cursor += 1;
-                out.push(s.plan.packet(g, i as u16, data[i].clone()));
+        let first = pr.parities_used;
+        let fresh = count.min(s.cfg.h.saturating_sub(first));
+        pr.parities_used += fresh;
+        let encoded;
+        let parities: &[Bytes] = match &np.preencoded {
+            Some(all) => &all[g as usize][first..first + fresh],
+            None if fresh == 0 => &[],
+            None => {
+                s.counters.parities_encoded += fresh as u64;
+                encoded = encoder(&np.encoders, data.len())?.encode_round(first, fresh, data)?;
+                &encoded
             }
+        };
+        let mut out = Vec::with_capacity(count);
+        for (j, payload) in (first..).zip(parities) {
+            out.push(s.plan.packet(g, (data.len() + j) as u16, payload.clone()));
+        }
+        // Budget exhausted: resend originals round-robin.
+        for _ in fresh..count {
+            let i = pr.resend_cursor % data.len();
+            pr.resend_cursor += 1;
+            out.push(s.plan.packet(g, i as u16, data[i].clone()));
         }
         Ok(out)
     }

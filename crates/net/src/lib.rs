@@ -3,7 +3,7 @@
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 #![expect(
     clippy::disallowed_types,
-    reason = "keyed lookups only; NakSuppressor's one iteration takes a min or sorts by group"
+    reason = "keyed lookups only: FecTransport finds its receive blocks by (sender, block)"
 )]
 //! Network substrate for the NP reliable-multicast protocol.
 //!

@@ -14,7 +14,7 @@
 //! machine is fully deterministic under test and wall-clock driven in the
 //! runtime.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use pm_obs::{Event, Obs};
 use rand::{Rng, SeedableRng};
@@ -26,6 +26,26 @@ struct PendingNak {
     needed: u16,
     round: u16,
     deadline: f64,
+}
+
+/// `deadline` as a key whose integer order is `f64::total_cmp`'s, so the
+/// deadline index sorts by time.
+fn deadline_key(deadline: f64) -> u64 {
+    let bits = deadline.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The deadline a [`deadline_key`] was made from.
+fn key_deadline(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
 }
 
 /// A NAK that became due and must be multicast now.
@@ -44,7 +64,10 @@ pub struct DueNak {
 pub struct NakSuppressor {
     slot: f64,
     rng: ChaCha8Rng,
-    pending: HashMap<u32, PendingNak>,
+    pending: BTreeMap<u32, PendingNak>,
+    /// `pending` by deadline: `(deadline_key, group)` for each entry, so
+    /// the earliest deadline is the first key.
+    by_deadline: BTreeSet<(u64, u32)>,
     obs: Obs,
     /// High-water mark of the caller-supplied clock, used to timestamp
     /// `nak_suppressed` events (overhearing has no `now` of its own).
@@ -62,7 +85,8 @@ impl NakSuppressor {
         NakSuppressor {
             slot,
             rng: ChaCha8Rng::seed_from_u64(seed),
-            pending: HashMap::new(),
+            pending: BTreeMap::new(),
+            by_deadline: BTreeSet::new(),
             obs: Obs::null(),
             last_seen: 0.0,
         }
@@ -73,6 +97,23 @@ impl NakSuppressor {
         self.obs = obs;
     }
 
+    /// Schedule `nak` for `group`, replacing any earlier schedule.
+    fn schedule(&mut self, group: u32, nak: PendingNak) {
+        if let Some(old) = self.pending.insert(group, nak) {
+            self.by_deadline
+                .remove(&(deadline_key(old.deadline), group));
+        }
+        self.by_deadline.insert((deadline_key(nak.deadline), group));
+    }
+
+    /// Drop `group`'s scheduled NAK, if any.
+    fn unschedule(&mut self, group: u32) {
+        if let Some(old) = self.pending.remove(&group) {
+            self.by_deadline
+                .remove(&(deadline_key(old.deadline), group));
+        }
+    }
+
     /// Handle `POLL(group, sent)` for a group where this receiver still
     /// needs `needed` packets. `needed == 0` clears any pending NAK (we
     /// decoded since the last poll). Re-polling a group replaces its
@@ -80,7 +121,7 @@ impl NakSuppressor {
     pub fn on_poll(&mut self, group: u32, round: u16, sent: u16, needed: u16, now: f64) {
         self.last_seen = self.last_seen.max(now);
         if needed == 0 {
-            self.pending.remove(&group);
+            self.unschedule(group);
             return;
         }
         let slot_index = sent.saturating_sub(needed) as f64;
@@ -92,7 +133,7 @@ impl NakSuppressor {
             round,
             deadline,
         });
-        self.pending.insert(
+        self.schedule(
             group,
             PendingNak {
                 needed,
@@ -113,42 +154,35 @@ impl NakSuppressor {
                     needed,
                     covered_by: m,
                 });
-                self.pending.remove(&group);
+                self.unschedule(group);
             }
         }
     }
 
     /// The group decoded — no more feedback needed.
     pub fn cancel(&mut self, group: u32) {
-        self.pending.remove(&group);
+        self.unschedule(group);
     }
 
     /// Earliest pending deadline, if any (for event-loop timeouts).
     ///
-    /// The mux asks this after every datagram and most receivers have
-    /// nothing scheduled, so the empty case touches no bucket.
+    /// The mux asks this after every datagram, so it reads the first key
+    /// of the deadline index rather than scanning the schedule.
     pub fn next_deadline(&self) -> Option<f64> {
-        if self.pending.is_empty() {
-            return None;
-        }
-        self.pending
-            .values()
-            .map(|p| p.deadline)
-            .min_by(|a, b| a.total_cmp(b))
+        self.by_deadline.first().map(|&(key, _)| key_deadline(key))
     }
 
     /// Pop every NAK whose deadline has passed; each is returned once
-    /// (send it now). Deterministic order (by group id). Allocates only
-    /// when something is due (`collect` of no matches is an empty `Vec`).
+    /// (send it now). Deterministic order (by group id). Walks only the
+    /// due prefix of the deadline index, and allocates only when
+    /// something is due (`collect` of no matches is an empty `Vec`).
     pub fn take_due(&mut self, now: f64) -> Vec<DueNak> {
         self.last_seen = self.last_seen.max(now);
-        if self.pending.is_empty() {
-            return Vec::new();
-        }
         let mut due: Vec<DueNak> = self
-            .pending
+            .by_deadline
             .iter()
-            .filter(|(_, p)| p.deadline <= now)
+            .take_while(|&&(key, _)| key_deadline(key) <= now)
+            .filter_map(|(_, group)| self.pending.get_key_value(group))
             .map(|(&group, p)| DueNak {
                 group,
                 needed: p.needed,
@@ -157,7 +191,7 @@ impl NakSuppressor {
             .collect();
         due.sort_by_key(|d| d.group);
         for d in &due {
-            self.pending.remove(&d.group);
+            self.unschedule(d.group);
         }
         due
     }
@@ -303,6 +337,36 @@ mod tests {
             fired.iter().all(|f| f.needed == max_need),
             "only max-demand slots fire"
         );
+    }
+
+    /// The deadline index agrees with a scan of the schedule through a
+    /// seeded run of polls, damping, cancels and due sweeps.
+    #[test]
+    fn deadline_index_tracks_the_schedule() {
+        let mut s = NakSuppressor::new(0.01, 9);
+        let mut x = 0x9e37_79b9_u64;
+        let mut now = 0.0;
+        for _ in 0..4000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let group = (x >> 8) as u32 % 24;
+            let needed = (x >> 16) as u16 % 8;
+            match x % 5 {
+                0 | 1 => s.on_poll(group, 1, 8, needed, now),
+                2 => s.on_nak_heard(group, needed),
+                3 => s.cancel(group),
+                _ => {
+                    let due = s.take_due(now);
+                    assert!(due.windows(2).all(|w| w[0].group < w[1].group));
+                    assert!(due.iter().all(|d| !s.is_pending(d.group)));
+                }
+            }
+            let scan = s.pending.values().map(|p| p.deadline);
+            assert_eq!(s.next_deadline(), scan.min_by(|a, b| a.total_cmp(b)));
+            assert_eq!(s.by_deadline.len(), s.pending.len());
+            now += 0.003;
+        }
     }
 
     #[test]

@@ -161,7 +161,7 @@ impl GroupDecoder {
 
     /// Reconstruct the `k` data packets. Those that arrived come back as
     /// the inserted [`Bytes`] (a reference-count bump, same storage); only
-    /// the missing ones are computed and allocated.
+    /// the missing ones are computed and allocated, all in one kernel call.
     ///
     /// # Errors
     /// [`RseError::NotEnoughShares`] if fewer than `k` packets have arrived.
@@ -175,24 +175,29 @@ impl GroupDecoder {
         if let Some(data) = self.data_if_complete() {
             return Ok(data);
         }
-        let shares: Vec<(usize, &[u8])> = self
+        // The arrivals are the selection: `k` distinct packets ascending by
+        // block index. All gaps are rebuilt in one kernel call, each into
+        // its own packet-sized buffer: a buffer for all `l` would be a
+        // large-bin allocation whose free lets the allocator trim the heap
+        // and fault the pages back in on the next decode.
+        let _span = decoder.span();
+        let (k, l) = (self.spec.k(), self.spec.k() - self.data_received);
+        let len = self.arrivals.first().map_or(0, |(_, p)| p.len());
+        let mut rebuilt = vec![vec![0u8; len]; l];
+        let mut outs: Vec<&mut [u8]> = rebuilt.iter_mut().map(Vec::as_mut_slice).collect();
+        let selection = self
             .arrivals
             .iter()
-            .map(|(i, p)| (usize::from(*i), p.as_ref()))
-            .collect();
-        // `decode_missing` returns the gaps in ascending index order, and
-        // the data arrivals lead `arrivals` in the same order.
-        let mut rebuilt = decoder.decode_missing(&shares)?.into_iter();
+            .map(|(i, p)| (usize::from(*i), p.as_ref()));
+        decoder.rebuild_into(selection, &mut outs)?;
+        let mut rebuilt = rebuilt.into_iter().map(Bytes::from);
         let mut arrived = self.arrivals.iter().peekable();
-        (0..self.spec.k())
+        (0..k)
             .map(|i| match arrived.next_if(|(j, _)| usize::from(*j) == i) {
                 Some((_, payload)) => Ok(payload.clone()),
-                None => rebuilt
-                    .next()
-                    .map(|(_, payload)| Bytes::from(payload))
-                    .ok_or(RseError::Internal(
-                        "one rebuilt packet per missing data index",
-                    )),
+                None => rebuilt.next().ok_or(RseError::Internal(
+                    "one rebuilt packet per missing data index",
+                )),
             })
             .collect()
     }

@@ -101,7 +101,7 @@ impl RseDecoder {
         &self,
         shares: &[(usize, P)],
     ) -> Result<Vec<(usize, Vec<u8>)>, RseError> {
-        let _span = self.timer.as_ref().map(SpanTimer::start);
+        let _span = self.span();
         let (k, n) = (self.spec.k(), self.spec.n());
         // Deduplicate into per-index slots, validating sizes.
         let mut slots = [None::<&[u8]>; MAX_BLOCK];
@@ -157,18 +157,63 @@ impl RseDecoder {
         // that one share *set* always yields one set of decode rows.
         parities.truncate(missing.len());
         parities.sort_unstable_by_key(|&(index, _)| index);
-        let chosen: Vec<usize> = parities.iter().map(|&(index, _)| index).collect();
-        let rows = self.lagrange.rows(&missing, &chosen, &missing);
+        let arrived = data_slots.iter().enumerate();
+        let arrived = arrived.filter_map(|(i, s)| s.map(|payload| (i, payload)));
+        let mut rebuilt = vec![vec![0u8; len]; missing.len()];
+        let mut outs: Vec<&mut [u8]> = rebuilt.iter_mut().map(Vec::as_mut_slice).collect();
+        self.rebuild_into(arrived.chain(parities), &mut outs)?;
+        Ok(missing.into_iter().zip(rebuilt).collect())
+    }
 
-        // d_M = D * y over the selected shares, all l missing packets in one
-        // matrix-kernel call.
-        let chosen = parities.iter().map(|&(_, payload)| payload);
-        let sources: Vec<&[u8]> = data_slots.iter().flatten().copied().chain(chosen).collect();
-        let mut rebuilt: Vec<(usize, Vec<u8>)> =
-            missing.iter().map(|&i| (i, vec![0u8; len])).collect();
-        let mut outs: Vec<&mut [u8]> = rebuilt.iter_mut().map(|(_, out)| &mut out[..]).collect();
-        self.kernels.mul_add_multi_rows(&rows, &sources, &mut outs);
-        Ok(rebuilt)
+    /// A decode's span on the timer, when one is set.
+    pub(crate) fn span(&self) -> Option<SpanTimer<'_>> {
+        self.timer.as_ref().map(SpanTimer::start)
+    }
+
+    /// Accumulate into `outs` — zeroed, one per missing data index
+    /// ascending, each as long as a share — the data packets missing from
+    /// `selection`: exactly `k` distinct shares of one length, ascending by
+    /// block index, so the data that arrived and then the `l` parities
+    /// chosen to stand in. `d_M = D * y` for all `l` missing packets is one
+    /// matrix-kernel call over the selection's payloads.
+    pub(crate) fn rebuild_into<'s>(
+        &self,
+        selection: impl IntoIterator<Item = (usize, &'s [u8])>,
+        outs: &mut [&mut [u8]],
+    ) -> Result<(), RseError> {
+        let k = self.spec.k();
+        let mut sources = [&[][..]; MAX_BLOCK];
+        let (mut missing, mut chosen) = ([0usize; MAX_BLOCK], [0usize; MAX_BLOCK]);
+        let (mut selected, mut l, mut c, mut next_data) = (0, 0, 0, 0);
+        for ((index, payload), source) in selection.into_iter().zip(sources.iter_mut()) {
+            *source = payload;
+            selected += 1;
+            if index < k {
+                for (slot, m) in missing.iter_mut().skip(l).zip(next_data..index) {
+                    (*slot, l) = (m, l + 1);
+                }
+                next_data = index + 1;
+            } else if let Some(slot) = chosen.get_mut(c) {
+                (*slot, c) = (index, c + 1);
+            }
+        }
+        for (slot, m) in missing.iter_mut().skip(l).zip(next_data..k) {
+            (*slot, l) = (m, l + 1);
+        }
+        if selected != k || c != l || outs.len() != l {
+            return Err(RseError::Internal(
+                "a selection is k shares, l of them parities, and one output per gap",
+            ));
+        }
+        if l == 0 {
+            return Ok(());
+        }
+        let (missing, chosen) = (missing.get(..l), chosen.get(..l));
+        let (missing, chosen) = (missing.unwrap_or_default(), chosen.unwrap_or_default());
+        let rows = self.lagrange.rows(missing, chosen, missing);
+        let sources = sources.get(..k).unwrap_or_default();
+        self.kernels.mul_add_multi_rows(&rows, sources, outs);
+        Ok(())
     }
 
     /// Reconstruct all `k` data packets from `shares` — `(block_index,

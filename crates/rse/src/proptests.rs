@@ -739,3 +739,87 @@ fn closed_form_rows_equal_the_gauss_jordan_inverse() {
         }
     }
 }
+
+/// The round entry equals the per-parity path byte for byte: every
+/// `(first, count)` with `first + count <= h` over [`ROW_SWEEP`]'s
+/// geometries, under every backend, at a 5-byte payload (a scalar tail
+/// for AVX2, one masked step for GFNI); then rounds from a few `first`s at
+/// 1 500 bytes, where every backend's vector loop runs. A round past `h`
+/// is refused.
+#[test]
+fn encode_round_equals_the_per_parity_path() {
+    let mut geometries: Vec<(usize, usize)> = ROW_SWEEP.iter().map(|&(k, h, _)| (k, h)).collect();
+    geometries.dedup();
+    for (k, h) in geometries {
+        let spec = CodeSpec::new(k, h).unwrap();
+        for kern in backends() {
+            let name = kern.backend().name();
+            let enc = RseEncoder::with_kernels(spec, kern);
+            for len in [5, 1500] {
+                let data = make_group(k, len, (k * 1000 + h + len) as u64);
+                let single: Vec<Vec<u8>> = (0..h).map(|j| enc.parity(j, &data).unwrap()).collect();
+                let firsts: Vec<usize> = match len {
+                    5 => (0..=h).collect(),
+                    _ => vec![0, 1.min(h), h / 3, h],
+                };
+                for first in firsts {
+                    let counts: Vec<usize> = match len {
+                        5 => (0..=h - first).collect(),
+                        _ => (0..=(h - first).min(17)).chain([h - first]).collect(),
+                    };
+                    for count in counts {
+                        let round = enc.encode_round(first, count, &data).unwrap();
+                        assert_eq!(round.len(), count);
+                        for (j, parity) in (first..).zip(&round) {
+                            assert_eq!(
+                                parity, &single[j],
+                                "(k, h) = ({k}, {h}), round {first}+{count}, parity {j}, len {len}, {name}"
+                            );
+                        }
+                    }
+                    assert!(matches!(
+                        enc.encode_round(first, h - first + 1, &data),
+                        Err(RseError::IndexOutOfRange { .. })
+                    ));
+                }
+            }
+        }
+    }
+}
+
+/// The protocol's decode path — `GroupDecoder::reconstruct`, arrivals in
+/// any order — rebuilds the data at `l = 1`, `k / 2` and `min(h, k)` over
+/// [`ROW_SWEEP`]'s geometries, handing back the arrived packets' own
+/// storage.
+#[test]
+fn reconstruct_rebuilds_the_missing_packets() {
+    for (case, (k, h, _)) in ROW_SWEEP.into_iter().enumerate() {
+        let spec = CodeSpec::new(k, h).unwrap();
+        let enc = RseEncoder::new(spec).unwrap();
+        let dec = RseDecoder::from_encoder(&enc);
+        let len = 100;
+        let data: Vec<Bytes> = make_group(k, len, case as u64)
+            .into_iter()
+            .map(Bytes::from)
+            .collect();
+        for l in [1, (k / 2).min(h), h.min(k)] {
+            let (missing, chosen) = loss_pattern(k, h, l, (case * 31 + l) as u64);
+            let parities = enc.encode_round(0, h, &data).unwrap();
+            let mut arrivals: Vec<(usize, Bytes)> = (0..k)
+                .filter(|i| !missing.contains(i))
+                .map(|i| (i, data[i].clone()))
+                .chain(chosen.iter().map(|&c| (c, parities[c - k].clone())))
+                .collect();
+            arrivals.reverse();
+            let mut g = GroupDecoder::new(spec);
+            for (i, p) in arrivals {
+                g.insert(i, p).unwrap();
+            }
+            let got = g.reconstruct(&dec).unwrap();
+            assert_eq!(got, data, "(k, h, l) = ({k}, {h}, {l})");
+            for (i, (got, sent)) in got.iter().zip(&data).enumerate() {
+                assert_eq!(got.as_ptr() == sent.as_ptr(), !missing.contains(&i));
+            }
+        }
+    }
+}

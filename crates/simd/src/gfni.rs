@@ -11,10 +11,20 @@
 //! prod = gf2p8affine(s, broadcast(matrix(c)), 0)
 //! ```
 //!
-//! The kernel steps 64 bytes at a time. The last, partial step uses
-//! byte-masked loads and stores (`_mm512_maskz_loadu_epi8` /
-//! `_mm512_mask_storeu_epi8`), which touch no byte outside the mask, so
-//! there is no scalar tail.
+//! The kernel steps 64 bytes at a time, two whole steps per visit to a
+//! source while two remain. The last, partial step uses byte-masked loads
+//! and stores (`_mm512_maskz_loadu_epi8` / `_mm512_mask_storeu_epi8`),
+//! which touch no byte outside the mask, so there is no scalar tail.
+//!
+//! A call resolves its coefficients once: before the first step, each
+//! block of up to eight rows copies its `R × k` matrices out of the table
+//! into a stack array laid out source by source, so a step reads them as
+//! consecutive broadcast operands and never re-reads a coefficient. A step
+//! then waits only on its sources: `k` scattered packets, a cache line of
+//! each per step, more streams than the hardware prefetcher follows. So a
+//! multi-row pass prefetches each source `PREFETCH_AHEAD` bytes past the
+//! lines it reads, wherever the source has such bytes, and reads two
+//! consecutive lines per visit.
 //!
 //! # Safety
 //!
@@ -24,7 +34,8 @@
 //! vtable, and `kernels_for` refuses to hand that out unless runtime
 //! detection found `gfni`, `avx512f` and `avx512bw`. The kernels form raw
 //! pointers at offsets below each buffer's length and mask every access to
-//! the bytes the buffer holds; the `Kernels` methods assert the length
+//! the bytes the buffer holds; a prefetch address is formed only when it
+//! lies inside its source. The `Kernels` methods assert the length
 //! preconditions (every source and output of one call has one length)
 //! before the pointers are formed.
 
@@ -58,57 +69,125 @@ fn product64(matrix: u64, s: __m512i) -> __m512i {
     _mm512_gf2p8affine_epi64_epi8::<0>(s, _mm512_set1_epi64(matrix as i64))
 }
 
+/// Sources per resolved block: eight rows' matrices for 128 sources are an
+/// 8 KB stack array. A call with more sources runs block after block, each
+/// re-reading the outputs the previous one wrote.
+const SOURCE_BLOCK: usize = 128;
+
+/// How far ahead of the bytes in use a source is prefetched: four 64-byte
+/// steps.
+const PREFETCH_AHEAD: usize = 256;
+
 #[target_feature(enable = "avx512f,avx512bw,gfni")]
 fn mul_add_multi_rows_gfni(coeffs: &[Gf256], sources: &[&[u8]], outs: &mut [&mut [u8]]) {
-    let (k, matrices) = (sources.len(), tables::affine_table());
+    let k = sources.len();
     for (rows, outs) in coeffs.chunks(8 * k).zip(outs.chunks_mut(8)) {
         match outs.len() {
-            1 => rows_gfni::<1>(matrices, rows, sources, outs),
-            2 => rows_gfni::<2>(matrices, rows, sources, outs),
-            3 => rows_gfni::<3>(matrices, rows, sources, outs),
-            4 => rows_gfni::<4>(matrices, rows, sources, outs),
-            5 => rows_gfni::<5>(matrices, rows, sources, outs),
-            6 => rows_gfni::<6>(matrices, rows, sources, outs),
-            7 => rows_gfni::<7>(matrices, rows, sources, outs),
-            _ => rows_gfni::<8>(matrices, rows, sources, outs),
+            1 => rows_gfni::<1>(rows, sources, outs),
+            2 => rows_gfni::<2>(rows, sources, outs),
+            3 => rows_gfni::<3>(rows, sources, outs),
+            4 => rows_gfni::<4>(rows, sources, outs),
+            5 => rows_gfni::<5>(rows, sources, outs),
+            6 => rows_gfni::<6>(rows, sources, outs),
+            7 => rows_gfni::<7>(rows, sources, outs),
+            _ => rows_gfni::<8>(rows, sources, outs),
         }
     }
 }
 
-/// `R <= 8` outputs at once: per 64-byte step, each source is loaded once
-/// and accumulated into the `R` outputs, which stay in registers (AVX-512
-/// has 32) for the whole pass over the sources. Each coefficient's matrix
-/// is a broadcast memory operand of the affine instruction.
+/// `R <= 8` outputs at once. The `R × k` coefficients' matrices are
+/// resolved once per call, [`SOURCE_BLOCK`] sources at a time, into a
+/// stack array indexed `[source][row]`; [`block_gfni`] then makes one pass
+/// over the block's sources.
 #[inline]
 #[target_feature(enable = "avx512f,avx512bw,gfni")]
-fn rows_gfni<const R: usize>(
-    matrices: &[u64; 256],
-    rows: &[Gf256],
+fn rows_gfni<const R: usize>(rows: &[Gf256], sources: &[&[u8]], outs: &mut [&mut [u8]]) {
+    let (k, table) = (sources.len(), tables::affine_table());
+    let mut matrices = [[0u64; R]; SOURCE_BLOCK];
+    for (b, block) in sources.chunks(SOURCE_BLOCK).enumerate() {
+        for (s, m) in matrices.iter_mut().take(block.len()).enumerate() {
+            for (r, m) in m.iter_mut().enumerate() {
+                *m = table[rows[r * k + b * SOURCE_BLOCK + s].0 as usize];
+            }
+        }
+        block_gfni(&matrices[..block.len()], block, outs);
+    }
+}
+
+/// One pass over a block of sources and their resolved matrices: two
+/// whole 64-byte steps per visit to a source while two remain, then one
+/// masked step at a time. With more than one row, each visit prefetches
+/// the source's lines [`PREFETCH_AHEAD`] bytes past the ones it reads; one
+/// row does a single product per loaded vector, so its loads already
+/// overlap and a prefetch would only add memory operations.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw,gfni")]
+fn block_gfni<const R: usize>(matrices: &[[u64; R]], sources: &[&[u8]], outs: &mut [&mut [u8]]) {
+    let n = outs[0].len();
+    let mut o = 0;
+    while o + 128 <= n {
+        steps::<R, 2>(matrices, sources, outs, o, [u64::MAX; 2]);
+        o += 128;
+    }
+    while o < n {
+        steps::<R, 1>(matrices, sources, outs, o, [step_mask(o, n)]);
+        o += 64;
+    }
+}
+
+/// `S` consecutive 64-byte steps from offset `o`, step `s` under
+/// `masks[s]`: each source is loaded once per step and accumulated into
+/// the `R` outputs, which stay in registers (AVX-512 has 32) for the whole
+/// pass over the sources. The caller keeps every step's start below the
+/// outputs' length `n` and its mask within bytes `..n`.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw,gfni")]
+fn steps<const R: usize, const S: usize>(
+    matrices: &[[u64; R]],
     sources: &[&[u8]],
     outs: &mut [&mut [u8]],
+    o: usize,
+    masks: [__mmask64; S],
 ) {
-    let (k, n) = (sources.len(), outs[0].len());
-    let mut o = 0;
-    while o < n {
-        let mask = step_mask(o, n);
-        let mut acc = [_mm512_setzero_si512(); R];
-        // SAFETY: o < n, the wrapper asserted that every source and output
-        // has length n, and the mask limits every access to bytes o..n.
-        unsafe {
+    let mut acc = [[_mm512_setzero_si512(); R]; S];
+    // SAFETY: every step starts at o + 64 s < n, the wrapper asserted that
+    // every source and output has length n, and each step's mask limits
+    // its accesses to bytes below n.
+    unsafe {
+        for ((acc, &mask), at) in acc.iter_mut().zip(&masks).zip((o..).step_by(64)) {
             for (a, out) in acc.iter_mut().zip(outs.iter()) {
-                *a = _mm512_maskz_loadu_epi8(mask, out.as_ptr().add(o).cast());
+                *a = _mm512_maskz_loadu_epi8(mask, out.as_ptr().add(at).cast());
             }
-            for (s, src) in sources.iter().enumerate() {
-                let x = _mm512_maskz_loadu_epi8(mask, src.as_ptr().add(o).cast());
-                for (r, a) in acc.iter_mut().enumerate() {
-                    let matrix = matrices[rows[r * k + s].0 as usize];
+        }
+        for (m, src) in matrices.iter().zip(sources) {
+            if R > 1 {
+                for s in 0..S {
+                    prefetch(src, o + PREFETCH_AHEAD + 64 * s);
+                }
+            }
+            for ((acc, &mask), at) in acc.iter_mut().zip(&masks).zip((o..).step_by(64)) {
+                let x = _mm512_maskz_loadu_epi8(mask, src.as_ptr().add(at).cast());
+                for (a, &matrix) in acc.iter_mut().zip(m) {
                     *a = _mm512_xor_si512(*a, product64(matrix, x));
                 }
             }
+        }
+        for ((acc, &mask), at) in acc.iter().zip(&masks).zip((o..).step_by(64)) {
             for (a, out) in acc.iter().zip(outs.iter_mut()) {
-                _mm512_mask_storeu_epi8(out.as_mut_ptr().add(o).cast(), mask, *a);
+                _mm512_mask_storeu_epi8(out.as_mut_ptr().add(at).cast(), mask, *a);
             }
         }
-        o += 64;
+    }
+}
+
+/// Prefetch the cache line holding byte `at` of `src` into L1, when
+/// `src` has that byte.
+#[inline]
+#[target_feature(enable = "avx512f,avx512bw,gfni")]
+fn prefetch(src: &[u8], at: usize) {
+    if at < src.len() {
+        // SAFETY: at < src.len(), so the address lies inside `src`; a
+        // prefetch reads nothing architecturally and cannot fault.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(src.as_ptr().add(at).cast()) }
     }
 }

@@ -34,12 +34,15 @@
 //! `rows × sources` coefficients, `sources` inputs, `rows` outputs. Per
 //! vector chunk a source is loaded once for several outputs: GFNI holds up
 //! to eight accumulating outputs in registers, AVX2 a tile of two outputs
-//! by two sources with their tables. An encoder's parity is the one-row
-//! case; a decoder reconstructs all `l` missing packets in one call, and
-//! [`Kernels::mul_add_slice`] is the one-by-one case. The kernels take
-//! plain coefficients and index the process-wide tables themselves, so a
-//! caller keeps no per-coefficient state. The AVX2 and NEON kernels hand
-//! the bytes past their last whole vector to the scalar kernel.
+//! by two sources with their tables. An encoder's repair round is one call
+//! with a row per parity, a decoder reconstructs all `l` missing packets
+//! in one call, and [`Kernels::mul_add_slice`] is the one-by-one case. The
+//! kernels take plain coefficients and index the process-wide tables
+//! themselves, so a caller keeps no per-coefficient state. GFNI resolves a
+//! call's matrices from its table once, into a stack array it reads
+//! source by source, and prefetches its sources ahead of the step. The
+//! AVX2 and NEON kernels hand the bytes past their last whole vector to
+//! the scalar kernel.
 //!
 //! ## Dispatch
 //!

@@ -179,3 +179,53 @@ fn length_mismatch_panics_on_every_backend() {
         );
     }
 }
+
+/// The GFNI kernel against the per-byte reference at every row-block width
+/// `R = 1..=8`, at `k` from one source to two resolved source blocks
+/// (255), and at every length up to two steps plus a tail (0..=130) and
+/// at 1 024 and 1 500, where the last steps have no prefetch distance
+/// left. Skipped on a host without GFNI.
+#[test]
+fn gfni_kernel_matches_reference_at_every_row_block() {
+    let Some(gfni) = kernels_for(Backend::Gfni) else {
+        return;
+    };
+    let lengths = (0usize..=130).chain([1024, 1500]);
+    for (len, k) in lengths.flat_map(|len| [1usize, 2, 7, 100, 255].map(|k| (len, k))) {
+        let seed = (len * 1000 + k) as u64;
+        let src_bufs: Vec<Vec<u8>> = (0..k)
+            .map(|s| bytes_from_seed(len, seed ^ (s as u64 + 1) << 20))
+            .collect();
+        let sources: Vec<&[u8]> = src_bufs.iter().map(Vec::as_slice).collect();
+        // Row r's coefficients, the same whatever R, so one oracle serves
+        // every width; every 16th is 0 and every 16th 1.
+        let coeff = |r: usize, s: usize| {
+            Gf256(match (r * 7 + s * 13) % 16 {
+                0 => 0,
+                1 => 1,
+                x => (x * 17 + r + s) as u8,
+            })
+        };
+        let init = |r: usize| bytes_from_seed(len, seed ^ 0xD57 ^ (r as u64) << 40);
+        let want: Vec<Vec<u8>> = (0..8)
+            .map(|r| {
+                let mut out = init(r);
+                for (s, src) in sources.iter().enumerate() {
+                    reference::mul_add_slice(coeff(r, s), src, &mut out);
+                }
+                out
+            })
+            .collect();
+        for rows in 1..=8 {
+            let coeffs: Vec<Gf256> = (0..rows)
+                .flat_map(|r| (0..k).map(move |s| coeff(r, s)))
+                .collect();
+            let mut bufs: Vec<Vec<u8>> = (0..rows).map(init).collect();
+            let mut outs: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+            gfni.mul_add_multi_rows(&coeffs, &sources, &mut outs);
+            for (r, (got, want)) in bufs.iter().zip(&want).enumerate() {
+                assert_eq!(got, want, "R = {rows}, k = {k}, len = {len}, row {r}");
+            }
+        }
+    }
+}
