@@ -17,17 +17,6 @@ pub fn expected_transmissions(pop: &Population) -> f64 {
     layered::expected_transmissions(1, 0, pop)
 }
 
-/// Per-receiver expectation `E[M_r] = 1 / (1 - p)`: the geometric mean
-/// number of transmissions until one receiver with loss `p` gets a packet.
-/// Used by the end-host throughput model.
-///
-/// # Panics
-/// Panics unless `p` is in `[0, 1)`.
-pub fn per_receiver_mean(p: f64) -> f64 {
-    assert!((0.0..1.0).contains(&p), "p must be in [0,1)");
-    1.0 / (1.0 - p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -256,8 +256,8 @@ pub fn ext_protocol_scale(quality: Quality) -> Figure {
         let (sent, received) = drive_session(&mut mux, rt, (sender, &mut sender_tp), receivers);
         assert!(received.iter().all(|rep| rep.is_ok()), "a receiver failed");
         let c = sent.expect("session completes").counters;
-        let is_nak = |m: &Message| matches!(m, Message::Nak { .. });
-        let naks = log.lock().received_messages().filter(is_nak).count();
+        let nak = |m: &Message| matches!(m, Message::Nak { .. });
+        let naks = log.lock().unwrap().received_messages().filter(nak).count();
         let bound = integrated::lower_bound(k, 0, &Population::homogeneous(p, r as u64));
         let em = c.packets_sent() as f64 / c.data_sent.max(1) as f64;
         em_pts.push((r as f64, em));

@@ -184,20 +184,6 @@ impl TreeLoss {
         }
     }
 
-    /// Per-node loss probability of node `id`.
-    ///
-    /// # Panics
-    /// Panics if the tree has no node `id`.
-    pub fn node_p(&self, id: usize) -> f64 {
-        match &self.topology {
-            Topology::FullBinary { skip, .. } => {
-                assert!(id < self.node_count(), "node {id} does not exist");
-                skip.p()
-            }
-            Topology::Explicit { nodes, .. } => nodes[id].p,
-        }
-    }
-
     /// Total number of tree nodes.
     pub fn node_count(&self) -> usize {
         match &self.topology {

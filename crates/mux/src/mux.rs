@@ -1900,6 +1900,12 @@ mod tests {
             Ok(())
         }
         fn recv_timeout(&mut self, _timeout: Duration) -> Result<Option<Message>, NetError> {
+            self.poll_recv()
+        }
+    }
+
+    impl PollTransport for Flaky {
+        fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
             if self.sends_seen == 0 {
                 return Ok(None);
             }
@@ -1910,8 +1916,6 @@ mod tests {
             Ok(msg)
         }
     }
-
-    impl PollTransport for Flaky {}
 
     fn flaky_mux<'a>() -> Mux<&'a mut Flaky, VirtualClock> {
         Mux::new(MuxConfig::default(), VirtualClock::new())

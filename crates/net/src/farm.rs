@@ -25,29 +25,23 @@
 //! the socket dry, so the next `N - 1` empty-queue polls (`N` registered
 //! halves) return `None` without a syscall: an idle sweep costs one
 //! `EAGAIN`, not `N`. A drain that ran out of budget arms nothing, a send
-//! through the hub disarms the skip (the socket may be its own peer), and
-//! the blocking `recv_timeout` always drains. Invariant: an empty-queue
-//! poll sees anything already in the kernel buffer within one sweep's
-//! worth of polls, and the rule never reads a clock.
+//! through the hub disarms the skip (the socket may be its own peer).
+//! Invariant: an empty-queue poll sees anything already in the kernel
+//! buffer within one sweep's worth of polls, and the rule never reads a
+//! clock.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use pm_obs::{Event, Obs, Stopwatch};
 
+use crate::lock;
 use crate::poll::PollTransport;
-use crate::transport::{classify_recv_err, NetError, RecvClass, Transport};
+use crate::transport::{classify_recv_err, NetError, RecvClass, Transport, DRAIN_BUDGET, RECV_BUF};
 use crate::wire::Message;
 
-/// Maximum datagram we ever read (mirrors [`crate::udp`]).
-const RECV_BUF: usize = 65_536;
-/// Socket drains per `poll_recv` call: bounds the work one endpoint's
-/// poll can do on everyone's behalf before returning to the sweep.
-/// (Smaller under test, so a flood past it fits a default receive buffer.)
-const DRAIN_BUDGET: usize = if cfg!(test) { 32 } else { 256 };
 /// Bound on one session half's pending-datagram queue. Overflow is
 /// dropped-and-counted exactly like kernel-buffer loss would be.
 pub const FARM_QUEUE_CAP: usize = 8_192;
@@ -250,7 +244,7 @@ impl FarmHub {
 
     /// Where endpoint sends go (defaults to the socket's own address).
     pub fn set_peer(&self, peer: SocketAddr) {
-        self.core.lock().peer = peer;
+        lock(&self.core).peer = peer;
     }
 
     /// The socket's local address.
@@ -258,12 +252,12 @@ impl FarmHub {
     /// # Errors
     /// Propagates the socket's local-address lookup failure.
     pub fn local_addr(&self) -> Result<SocketAddr, NetError> {
-        Ok(self.core.lock().socket.local_addr()?)
+        Ok(lock(&self.core).socket.local_addr()?)
     }
 
     /// Emit `farm_unknown_drop` events to `obs`.
     pub fn with_obs(self, obs: Obs) -> Self {
-        self.core.lock().obs = obs;
+        lock(&self.core).obs = obs;
         self
     }
 
@@ -276,7 +270,7 @@ impl FarmHub {
     /// two live transports demuxing the same key would split its traffic
     /// unpredictably.
     pub fn endpoint(&self, session: u32, role: FarmRole) -> Result<FarmEndpoint, NetError> {
-        let mut core = self.core.lock();
+        let mut core = lock(&self.core);
         let key = (session, role);
         if core.queues.contains_key(&key) {
             return Err(NetError::Io(std::io::Error::new(
@@ -293,17 +287,17 @@ impl FarmHub {
 
     /// Refused-traffic counters (unknown-session, overflow, foreign).
     pub fn stats(&self) -> FarmStats {
-        self.core.lock().stats
+        lock(&self.core).stats
     }
 
     /// Session halves currently registered.
     pub fn len(&self) -> usize {
-        self.core.lock().queues.len()
+        lock(&self.core).queues.len()
     }
 
     /// True when no session half is registered.
     pub fn is_empty(&self) -> bool {
-        self.core.lock().queues.is_empty()
+        lock(&self.core).queues.is_empty()
     }
 
     /// Raw send of `bytes` to the hub's peer, bypassing encode — lets
@@ -312,7 +306,7 @@ impl FarmHub {
     /// # Errors
     /// Propagates socket send errors.
     pub fn inject_raw(&self, bytes: &[u8]) -> Result<(), NetError> {
-        let mut core = self.core.lock();
+        let mut core = lock(&self.core);
         core.skip = 0;
         core.socket.send_to(bytes, core.peer)?;
         Ok(())
@@ -328,45 +322,15 @@ pub struct FarmEndpoint {
     key: (u32, FarmRole),
 }
 
-impl FarmEndpoint {
-    /// The session id this endpoint demuxes.
-    pub fn session(&self) -> u32 {
-        self.key.0
-    }
-
-    /// The session half this endpoint serves.
-    pub fn role(&self) -> FarmRole {
-        self.key.1
-    }
-
-    /// Next datagram demuxed to this half. An empty queue reads the
-    /// socket, unless a drain has proved it dry and `force` is unset.
-    fn poll(&mut self, force: bool) -> Result<Option<Message>, NetError> {
-        let mut core = self.core.lock();
-        // Serve from the queue first: the socket drain below may park a
-        // fatal error that must not eat already-demuxed datagrams.
-        if let Some(item) = core.queues.get_mut(&self.key).and_then(VecDeque::pop_front) {
-            return item.map(Some);
-        }
-        if core.skip > 0 && !force {
-            core.skip -= 1;
-            return Ok(None);
-        }
-        core.drain_socket()?;
-        let queue = core.queues.get_mut(&self.key);
-        queue.and_then(VecDeque::pop_front).transpose()
-    }
-}
-
 impl Drop for FarmEndpoint {
     fn drop(&mut self) {
-        self.core.lock().queues.remove(&self.key);
+        lock(&self.core).queues.remove(&self.key);
     }
 }
 
 impl Transport for FarmEndpoint {
     fn send(&mut self, msg: &Message) -> Result<(), NetError> {
-        let core = &mut *self.core.lock();
+        let core = &mut *lock(&self.core);
         msg.encode_into(&mut core.tx);
         // The socket may be its own peer: what a drain proved is stale.
         core.skip = 0;
@@ -378,29 +342,28 @@ impl Transport for FarmEndpoint {
         }
     }
 
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "a blocking recv deadline: polls the farm's UDP socket every 200 us of wall time"
-    )]
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            match self.poll(true)? {
-                Some(msg) => return Ok(Some(msg)),
-                None => {
-                    if std::time::Instant::now() >= deadline {
-                        return Ok(None);
-                    }
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            }
-        }
+        crate::poll::wait_recv(self, timeout)
     }
 }
 
 impl PollTransport for FarmEndpoint {
+    /// Next datagram demuxed to this half. An empty queue reads the
+    /// socket, unless a drain has proved it dry (module docs).
     fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
-        self.poll(false)
+        let mut core = lock(&self.core);
+        // Serve from the queue first: the socket drain below may park a
+        // fatal error that must not eat already-demuxed datagrams.
+        if let Some(item) = core.queues.get_mut(&self.key).and_then(VecDeque::pop_front) {
+            return item.map(Some);
+        }
+        if core.skip > 0 {
+            core.skip -= 1;
+            return Ok(None);
+        }
+        core.drain_socket()?;
+        let queue = core.queues.get_mut(&self.key);
+        queue.and_then(VecDeque::pop_front).transpose()
     }
 }
 
@@ -571,12 +534,12 @@ mod tests {
             .expect("served within N polls");
         assert_eq!(polls, n, "N - 1 skipped polls, then the drain");
         assert_eq!(hub.stats().socket_reads, 3, "no syscall while skipping");
-        // The blocking API never skips: re-arm, then a zero timeout (one
-        // poll, no sleep) still finds the datagram.
+        // The blocking API is the same polls, napping between them: re-arm,
+        // and it finds the datagram once the skip runs out.
         assert_eq!(eps[0].poll_recv().unwrap(), None);
         send_from_elsewhere(&hub, &Message::Fin { session: 0 });
         assert_eq!(
-            eps[0].recv_timeout(Duration::ZERO).unwrap(),
+            eps[0].recv_timeout(Duration::from_secs(2)).unwrap(),
             Some(Message::Fin { session: 0 })
         );
     }

@@ -21,6 +21,7 @@ use pm_obs::{Event, Obs, Stopwatch};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+use crate::poll::PollTransport;
 use crate::transport::{NetError, Transport};
 use crate::wire::Message;
 
@@ -178,11 +179,6 @@ impl<T: Transport> FaultyTransport<T> {
         self.stats
     }
 
-    /// Access the wrapped transport.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-
     /// Whether the session clock currently sits inside the blackout
     /// window.
     #[expect(
@@ -248,14 +244,41 @@ impl<T: Transport> FaultyTransport<T> {
         };
         (len as u64, err)
     }
+}
 
-    /// The receive-side fault pipeline. `pull` fetches the next datagram
-    /// from the inner endpoint — blocking up to a deadline, or polling —
-    /// and is all the two receive paths differ in.
-    fn recv_with(
-        &mut self,
-        mut pull: impl FnMut(&mut T) -> Result<Option<Message>, NetError>,
-    ) -> Result<Option<Message>, NetError> {
+impl<T: PollTransport> Transport for FaultyTransport<T> {
+    fn send(&mut self, msg: &Message) -> Result<(), NetError> {
+        // Feedback crosses the same hostile network: the blackout window
+        // and send_drop swallow outbound datagrams silently (the network
+        // never reports a lost UDP datagram either).
+        if self.in_blackout() {
+            self.stats.blackout_send += 1;
+            self.obs.emit(&self.clock, || Event::NetBlackout {
+                kind: msg.obs_kind(),
+                tx: true,
+            });
+            return Ok(());
+        }
+        if self.rng.random::<f64>() < self.cfg.send_drop {
+            self.stats.send_dropped += 1;
+            self.obs.emit(&self.clock, || Event::NetDropped {
+                kind: msg.obs_kind(),
+            });
+            return Ok(());
+        }
+        self.inner.send(msg)
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
+        crate::poll::wait_recv(self, timeout)
+    }
+}
+
+/// The receive-side fault pipeline over the inner endpoint's `poll_recv`:
+/// an empty poll reads no clock, so an idle chaos decorator costs a sweep
+/// nothing.
+impl<T: PollTransport> PollTransport for FaultyTransport<T> {
+    fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
         if let Some(dup) = self.pending_dup.take() {
             self.stats.delivered += 1;
             return Ok(Some(dup));
@@ -267,7 +290,7 @@ impl<T: Transport> FaultyTransport<T> {
             return Ok(Some(real));
         }
         loop {
-            let msg = match pull(&mut self.inner)? {
+            let msg = match self.inner.poll_recv()? {
                 Some(m) => m,
                 None => {
                     // Nothing more: flush a held (reordered) message if any
@@ -346,49 +369,6 @@ impl<T: Transport> FaultyTransport<T> {
             self.stats.delivered += 1;
             return Ok(Some(msg));
         }
-    }
-}
-
-impl<T: Transport> Transport for FaultyTransport<T> {
-    fn send(&mut self, msg: &Message) -> Result<(), NetError> {
-        // Feedback crosses the same hostile network: the blackout window
-        // and send_drop swallow outbound datagrams silently (the network
-        // never reports a lost UDP datagram either).
-        if self.in_blackout() {
-            self.stats.blackout_send += 1;
-            self.obs.emit(&self.clock, || Event::NetBlackout {
-                kind: msg.obs_kind(),
-                tx: true,
-            });
-            return Ok(());
-        }
-        if self.rng.random::<f64>() < self.cfg.send_drop {
-            self.stats.send_dropped += 1;
-            self.obs.emit(&self.clock, || Event::NetDropped {
-                kind: msg.obs_kind(),
-            });
-            return Ok(());
-        }
-        self.inner.send(msg)
-    }
-
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "a blocking recv deadline on the wrapped transport, wall-clock by design"
-    )]
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
-        let deadline = std::time::Instant::now() + timeout;
-        self.recv_with(|inner| {
-            inner.recv_timeout(deadline.saturating_duration_since(std::time::Instant::now()))
-        })
-    }
-}
-
-/// The same pipeline over the inner endpoint's own `poll_recv`: an empty
-/// poll reads no clock, so an idle chaos decorator costs a sweep nothing.
-impl<T: crate::poll::PollTransport> crate::poll::PollTransport for FaultyTransport<T> {
-    fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
-        self.recv_with(T::poll_recv)
     }
 }
 

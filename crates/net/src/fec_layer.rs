@@ -32,6 +32,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 
 use pm_rse::{CodeSpec, RseDecoder, RseEncoder};
 
+use crate::poll::PollTransport;
 use crate::transport::{NetError, Transport};
 use crate::wire::Message;
 
@@ -51,19 +52,6 @@ pub struct FecLayerConfig {
     /// Distinguishes concurrent senders on one group; their blocks must
     /// not mix. Pick any value unique per sender (e.g. from a PID or RNG).
     pub sender_tag: u32,
-}
-
-impl FecLayerConfig {
-    /// The paper's layered configuration `k = 7, h = 1` with a 20 ms
-    /// flush.
-    pub fn paper_default(sender_tag: u32) -> Self {
-        FecLayerConfig {
-            k: 7,
-            h: 1,
-            max_delay: Duration::from_millis(20),
-            sender_tag,
-        }
-    }
 }
 
 /// Per-block receive state.
@@ -144,11 +132,6 @@ impl<T: Transport> FecTransport<T> {
     /// Layer counters.
     pub fn stats(&self) -> FecLayerStats {
         self.stats
-    }
-
-    /// Access the wrapped transport.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
     }
 
     /// Flush a part-filled block immediately (pads with empty datagrams).
@@ -304,14 +287,30 @@ impl<T: Transport> FecTransport<T> {
 
 #[expect(
     clippy::disallowed_methods,
-    reason = "the repair timer runs in wall-clock time over the wrapped real transport"
+    reason = "the flush timer runs in wall-clock time over the wrapped real transport"
 )]
-impl<T: Transport> Transport for FecTransport<T> {
-    fn send(&mut self, msg: &Message) -> Result<(), NetError> {
-        self.pending.push(msg.encode());
+impl<T: Transport> FecTransport<T> {
+    /// Start the flush timer when a block gets its first datagram.
+    fn stamp(&mut self) {
         if self.pending_since.is_none() {
             self.pending_since = Some(Instant::now());
         }
+    }
+
+    /// Flush a part-filled block once its oldest datagram has waited
+    /// `max_delay`, so trailing sends are never stranded.
+    fn flush_if_aged(&mut self) -> Result<(), NetError> {
+        match self.pending_since {
+            Some(since) if since.elapsed() >= self.cfg.max_delay => self.flush(),
+            _ => Ok(()),
+        }
+    }
+}
+
+impl<T: PollTransport> Transport for FecTransport<T> {
+    fn send(&mut self, msg: &Message) -> Result<(), NetError> {
+        self.pending.push(msg.encode());
+        self.stamp();
         if self.pending.len() >= self.cfg.k {
             self.emit_block()?;
         }
@@ -319,21 +318,20 @@ impl<T: Transport> Transport for FecTransport<T> {
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
-        let deadline = Instant::now() + timeout;
+        crate::poll::wait_recv(self, timeout)
+    }
+}
+
+/// Drains decoded and ready frames and runs the age-based flush, without
+/// blocking.
+impl<T: PollTransport> PollTransport for FecTransport<T> {
+    fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
         loop {
             if let Some(ready) = self.deliver_queue.pop_front() {
                 return Ok(Some(ready));
             }
-            // Age-based flush keeps trailing sends from stalling forever.
-            if let Some(since) = self.pending_since {
-                if since.elapsed() >= self.cfg.max_delay {
-                    self.flush()?;
-                }
-            }
-            let budget = deadline
-                .saturating_duration_since(Instant::now())
-                .min(self.cfg.max_delay);
-            match self.inner.recv_timeout(budget)? {
+            self.flush_if_aged()?;
+            match self.inner.poll_recv()? {
                 Some(Message::FecFrame {
                     session,
                     block,
@@ -346,19 +344,11 @@ impl<T: Transport> Transport for FecTransport<T> {
                     // Loop: the frame may have queued deliverables.
                 }
                 Some(other) => return Ok(Some(other)), // un-layered traffic passes through
-                None => {
-                    if Instant::now() >= deadline {
-                        return Ok(None);
-                    }
-                }
+                None => return Ok(None),
             }
         }
     }
 }
-
-/// The default `recv_timeout(ZERO)` path drains decoded and ready frames,
-/// runs the age-based flush and returns without parking.
-impl<T: Transport> crate::poll::PollTransport for FecTransport<T> {}
 
 #[cfg(test)]
 mod tests {

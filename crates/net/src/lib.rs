@@ -14,17 +14,18 @@
 //!   packets, parities, sender POLLs, receiver NAKs and session control.
 //! * [`transport`] — the [`Transport`] trait: multicast send +
 //!   timeout-bounded receive.
+//! * [`poll`] — [`PollTransport`], the non-blocking receive every
+//!   transport has natively, the [`PollSet`] a mux sweeps, and
+//!   [`poll::wait_recv`], the one blocking wait. No transport starts a thread.
 //! * [`mem`] — an in-process multicast hub: one shared log that every
 //!   endpoint reads through its own cursor, so a send costs one entry and
 //!   one decode whatever the population and an empty poll one atomic
 //!   load; the workhorse of protocol tests (faults are [`fault`]'s, per
 //!   endpoint).
-//! * [`udp`] — real UDP multicast (`239.0.0.0/8`) via std sockets: one
-//!   socket joins the group and an in-process hub fans packets out to any
-//!   number of endpoints (std cannot set `SO_REUSEPORT`, so multiple OS
-//!   sockets on one port are out of reach without adding a crate; the hub
-//!   preserves multicast semantics for in-process receivers — see
-//!   DESIGN.md).
+//! * [`udp`] — real UDP multicast (`239.0.0.0/8`): one non-blocking socket
+//!   joins the group and feeds a [`mem`] log, so each datagram is decoded
+//!   once for every in-process endpoint, its sender's included (std
+//!   cannot set `SO_REUSEPORT` — see DESIGN.md).
 //! * [`fault`] — a transport decorator that drops / duplicates / reorders
 //!   received packets with configured probabilities (the smoltcp-style
 //!   fault-injection idiom), seedable for reproducibility — plus
@@ -59,6 +60,11 @@ pub use suppression::NakSuppressor;
 pub use transcript::{Transcript, TranscriptTransport};
 pub use transport::{classify_recv_err, NetError, RecvClass, Transport};
 pub use wire::Message;
+
+/// Lock `m`; no pm-net code panics holding one, so a poisoned lock is consistent.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 #[cfg(test)]
 mod proptests;

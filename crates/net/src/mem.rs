@@ -1,4 +1,5 @@
-//! In-process multicast hub — the deterministic test substrate.
+//! In-process multicast hub — the deterministic test substrate, and the
+//! group log [`crate::udp::UdpHub`] feeds from its socket.
 //!
 //! A [`MemHub`] models one multicast group: every endpoint's `send` is
 //! heard by every *other* endpoint (no self-delivery, like IP multicast
@@ -11,23 +12,26 @@
 //! The group is one shared log, not a queue per endpoint: a `send` appends
 //! one entry whatever the population, each endpoint reads through its own
 //! cursor, and an entry goes once its last reader has passed it. A poll
-//! that finds nothing new is one atomic load — no lock, no queue.
+//! that finds nothing new is one atomic load — no lock, no queue, and
+//! nothing here blocks or starts a thread.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
 use pm_obs::{Event, Obs, Stopwatch};
 
+use crate::lock;
 use crate::transport::{NetError, Transport};
 use crate::wire::Message;
 
 /// One multicast datagram in the log, decoded: the message, or the text
 /// of the recoverable [`NetError::Corrupt`] every reader gets instead.
 struct Entry {
+    /// The sending endpoint's id, or `usize::MAX` off a socket.
     from: usize,
     msg: Result<Message, String>,
     /// Joined endpoints other than `from` that have yet to read it.
@@ -54,8 +58,6 @@ struct Log {
     base: u64,
     /// Endpoints currently joined.
     members: usize,
-    /// Threads blocked in `recv_timeout`; a send notifies only if any.
-    parked: usize,
 }
 
 impl Log {
@@ -69,21 +71,41 @@ impl Log {
 }
 
 #[derive(Default)]
-struct Shared {
+pub(crate) struct Shared {
     log: Mutex<Log>,
     /// Sequence number the next entry will get (`base + entries.len()`):
     /// bumped (`Release`) under the log lock after a push, loaded
     /// (`Acquire`) lock-free by a poll to learn whether its cursor is at
     /// the tail.
     published: AtomicU64,
-    wake: Condvar,
 }
 
 impl Shared {
-    /// Nothing panics while holding the lock (no caller code runs under
-    /// it), so a poisoned log is still a consistent one.
-    fn lock(&self) -> MutexGuard<'_, Log> {
-        self.log.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Log a datagram's decode outcome for every joined endpoint but
+    /// `from` (`None`: a datagram off a socket, which every endpoint
+    /// reads). Damaged own traffic is logged, to surface (recoverable) at
+    /// every reader so its driver can count and drop it; a foreign
+    /// datagram (bad magic, short header) every reader would skip is not,
+    /// and neither is one nobody else is joined to hear.
+    pub(crate) fn publish(&self, from: Option<&MemEndpoint>, decoded: Result<Message, NetError>) {
+        let msg = match decoded {
+            Ok(msg) => Ok(msg),
+            Err(NetError::Corrupt(text)) => Err(text),
+            Err(_) => return,
+        };
+        let mut log = lock(&self.log);
+        let (from, readers_left) = match from {
+            Some(ep) => (ep.id, log.members - usize::from(ep.left.borrow().is_none())),
+            None => (usize::MAX, log.members),
+        };
+        if readers_left > 0 {
+            log.entries.push_back(Entry {
+                from,
+                msg,
+                readers_left,
+            });
+            self.published.fetch_add(1, Ordering::Release);
+        }
     }
 }
 
@@ -104,7 +126,7 @@ impl MemHub {
     pub fn join(&self) -> MemEndpoint {
         static NEXT_ID: AtomicUsize = AtomicUsize::new(0);
         let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-        let mut log = self.state.lock();
+        let mut log = lock(&self.state.log);
         log.members += 1;
         MemEndpoint {
             id,
@@ -118,19 +140,19 @@ impl MemHub {
 
     /// Number of endpoints currently joined.
     pub fn endpoints(&self) -> usize {
-        self.state.lock().members
+        lock(&self.state.log).members
     }
 
     /// Datagrams the group still holds for an endpoint yet to read them.
     pub fn retained(&self) -> usize {
-        self.state.lock().entries.len()
+        lock(&self.state.log).entries.len()
     }
 }
 
 /// One endpoint of a [`MemHub`] group.
 pub struct MemEndpoint {
     id: usize,
-    hub: Arc<Shared>,
+    pub(crate) hub: Arc<Shared>,
     /// Sequence number of the next log entry to read. Own entries are not
     /// waited for, so the log's `base` may have passed it.
     cursor: u64,
@@ -138,8 +160,8 @@ pub struct MemEndpoint {
     /// decoded as in the log. They remain receivable; after them the
     /// endpoint is `Closed`.
     left: RefCell<Option<VecDeque<Result<Message, String>>>>,
-    obs: Obs,
-    clock: Stopwatch,
+    pub(crate) obs: Obs,
+    pub(crate) clock: Stopwatch,
 }
 
 impl MemEndpoint {
@@ -164,7 +186,7 @@ impl MemEndpoint {
         if left.is_some() {
             return;
         }
-        let mut log = self.hub.lock();
+        let mut log = lock(&self.hub.log);
         log.members -= 1;
         let read = self.cursor.saturating_sub(log.base) as usize;
         let mut backlog = VecDeque::new();
@@ -182,28 +204,13 @@ impl MemEndpoint {
     /// garbage bytes on the wire exactly as a damaged UDP datagram would
     /// arrive.
     pub fn send_raw(&self, raw: Bytes) {
-        let msg = match Message::decode(raw) {
-            Ok(msg) => Ok(msg),
-            // Damaged own traffic surfaces (recoverable) at every reader so
-            // its driver can count and drop it; a foreign datagram (bad
-            // magic, short header) every reader would skip is not kept.
-            Err(NetError::Corrupt(text)) => Err(text),
-            Err(_) => return,
-        };
-        let mut log = self.hub.lock();
-        // No self-delivery; with nobody else to hear it nothing is kept.
-        let readers_left = log.members - usize::from(self.left.borrow().is_none());
-        if readers_left > 0 {
-            log.entries.push_back(Entry {
-                from: self.id,
-                msg,
-                readers_left,
-            });
-            self.hub.published.fetch_add(1, Ordering::Release);
-            if log.parked > 0 {
-                self.hub.wake.notify_all();
-            }
-        }
+        self.hub.publish(Some(self), Message::decode(raw));
+    }
+
+    /// Whether the log holds nothing past this endpoint's cursor: one
+    /// atomic load.
+    pub(crate) fn at_tail(&self) -> bool {
+        self.cursor == self.hub.published.load(Ordering::Acquire)
     }
 
     /// The next unread datagram from another endpoint, without blocking.
@@ -215,10 +222,10 @@ impl MemEndpoint {
         if let Some(backlog) = self.left.get_mut() {
             return backlog.pop_front().map(Some).ok_or(NetError::Closed);
         }
-        if self.cursor == self.hub.published.load(Ordering::Acquire) {
+        if self.at_tail() {
             return Ok(None);
         }
-        let log = &mut *self.hub.lock();
+        let log = &mut *lock(&self.hub.log);
         self.cursor = self.cursor.max(log.base);
         let mut found = None;
         while let Some(entry) = log.entries.get_mut((self.cursor - log.base) as usize) {
@@ -248,30 +255,8 @@ impl Transport for MemEndpoint {
         Ok(())
     }
 
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "a blocking recv deadline: the endpoint parks on the hub's condvar in wall time"
-    )]
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
-        use crate::poll::PollTransport;
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if let Some(msg) = self.poll_recv()? {
-                return Ok(Some(msg));
-            }
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                return Ok(None);
-            }
-            // Park until a send: `parked` is only touched under the lock,
-            // and the tail is rechecked under it, so no wakeup is missed.
-            let mut log = self.hub.lock();
-            if self.cursor == self.hub.published.load(Ordering::Relaxed) {
-                log.parked += 1;
-                let woken = self.hub.wake.wait_timeout(log, remaining);
-                woken.unwrap_or_else(PoisonError::into_inner).0.parked -= 1;
-            }
-        }
+        crate::poll::wait_recv(self, timeout)
     }
 }
 
@@ -504,24 +489,6 @@ mod tests {
         assert_eq!(hub.endpoints(), 2);
         // Dropping with a backlog releases it the same way.
         drop(a);
-        assert_eq!(hub.retained(), 0);
-    }
-
-    #[test]
-    fn a_parked_receiver_wakes_on_send() {
-        let hub = MemHub::new();
-        let mut tx = hub.join();
-        let mut rx = hub.join();
-        std::thread::scope(|scope| {
-            let parked = scope.spawn(|| rx.recv_timeout(Duration::from_secs(60)));
-            // Send only once the receiver is inside the condvar wait.
-            while hub.state.lock().parked == 0 {
-                std::thread::yield_now();
-            }
-            tx.send(&fin(5)).unwrap();
-            assert_eq!(parked.join().unwrap().unwrap(), Some(fin(5)));
-        });
-        assert_eq!(hub.state.lock().parked, 0);
         assert_eq!(hub.retained(), 0);
     }
 

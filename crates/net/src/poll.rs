@@ -1,7 +1,7 @@
-//! Non-blocking readiness layer: [`PollTransport`] and the [`PollSet`]
-//! registry.
+//! Non-blocking readiness layer: [`PollTransport`], the [`PollSet`]
+//! registry, and [`wait_recv`], the one blocking wait built on them.
 //!
-//! The blocking [`Transport`] contract parks the calling thread in
+//! The blocking [`Transport`] contract holds the calling thread in
 //! `recv_timeout` — one thread per endpoint. An event-driven runtime
 //! (`pm-mux`) needs the opposite: ask *many* endpoints "anything ready?"
 //! from one thread and never park on any single session's behalf.
@@ -10,6 +10,8 @@
 //! register endpoints, then sweep them round-robin with a per-endpoint
 //! budget so one firehose session cannot starve its neighbors.
 
+use std::time::{Duration, Instant};
+
 use crate::transport::{NetError, Transport};
 use crate::wire::Message;
 
@@ -17,20 +19,43 @@ use crate::wire::Message;
 /// blocking.
 ///
 /// `poll_recv` must return immediately: `Ok(Some)` with a decoded
-/// datagram, `Ok(None)` when the queue is empty, or an error exactly as
-/// `recv_timeout` would surface it (recoverable corruption included). The
-/// default implementation delegates to `recv_timeout(Duration::ZERO)`,
-/// which every bundled transport honors as a non-blocking drain; endpoints
-/// with a cheaper native path (e.g. [`crate::mem::MemEndpoint`]) override
-/// it.
+/// datagram, `Ok(None)` when nothing is ready, or an error (recoverable
+/// corruption included, see [`Transport::recv_timeout`]). Every pm-net
+/// transport implements it natively, and its `recv_timeout` is
+/// [`wait_recv`] over it.
 pub trait PollTransport: Transport {
     /// Non-blocking receive.
     ///
     /// # Errors
     /// Same surface as [`Transport::recv_timeout`]: recoverable damage
     /// (count-and-drop) or fatal transport failure.
-    fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
-        self.recv_timeout(std::time::Duration::ZERO)
+    fn poll_recv(&mut self) -> Result<Option<Message>, NetError>;
+}
+
+/// The crate's one blocking wait, every pm-net `recv_timeout`: poll `t`
+/// until it yields, napping 200 µs between empty polls, and return
+/// `Ok(None)` once `timeout` has passed (a zero `timeout` polls once).
+///
+/// # Errors
+/// Whatever `t.poll_recv()` returns.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one blocking wait: a wall-clock deadline and a nap between empty polls"
+)]
+pub fn wait_recv<T: PollTransport + ?Sized>(
+    t: &mut T,
+    timeout: Duration,
+) -> Result<Option<Message>, NetError> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        if let Some(msg) = t.poll_recv()? {
+            return Ok(Some(msg));
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Ok(None);
+        }
+        std::thread::sleep(left.min(Duration::from_micros(200)));
     }
 }
 
@@ -44,27 +69,12 @@ impl Transport for Box<dyn PollTransport> {
     fn send(&mut self, msg: &Message) -> Result<(), NetError> {
         (**self).send(msg)
     }
-    fn recv_timeout(&mut self, timeout: std::time::Duration) -> Result<Option<Message>, NetError> {
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
         (**self).recv_timeout(timeout)
     }
 }
 
 impl PollTransport for Box<dyn PollTransport> {
-    fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
-        (**self).poll_recv()
-    }
-}
-
-impl Transport for Box<dyn PollTransport + Send> {
-    fn send(&mut self, msg: &Message) -> Result<(), NetError> {
-        (**self).send(msg)
-    }
-    fn recv_timeout(&mut self, timeout: std::time::Duration) -> Result<Option<Message>, NetError> {
-        (**self).recv_timeout(timeout)
-    }
-}
-
-impl PollTransport for Box<dyn PollTransport + Send> {
     fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
         (**self).poll_recv()
     }
@@ -330,7 +340,7 @@ mod tests {
     fn boxed_poll_transport_objects_work() {
         let hub = MemHub::new();
         let mut a = hub.join();
-        let mut boxed: Box<dyn PollTransport + Send> = Box::new(hub.join());
+        let mut boxed: Box<dyn PollTransport> = Box::new(hub.join());
         a.send(&Message::Fin { session: 8 }).unwrap();
         assert_eq!(
             boxed.poll_recv().unwrap(),

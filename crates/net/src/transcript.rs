@@ -8,11 +8,11 @@
 //! compare [`Transcript`]s: two runs are equivalent iff their ordered
 //! `(sent, received)` byte sequences match exactly.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
+use crate::lock;
 use crate::poll::PollTransport;
 use crate::transport::{NetError, Transport};
 use crate::wire::Message;
@@ -72,19 +72,15 @@ impl<T: Transport> TranscriptTransport<T> {
     }
 }
 
-impl<T: Transport> Transport for TranscriptTransport<T> {
+impl<T: PollTransport> Transport for TranscriptTransport<T> {
     fn send(&mut self, msg: &Message) -> Result<(), NetError> {
         self.inner.send(msg)?;
-        self.log.lock().sent.push(msg.encode());
+        lock(&self.log).sent.push(msg.encode());
         Ok(())
     }
 
     fn recv_timeout(&mut self, timeout: std::time::Duration) -> Result<Option<Message>, NetError> {
-        let got = self.inner.recv_timeout(timeout)?;
-        if let Some(msg) = &got {
-            self.log.lock().received.push(msg.encode());
-        }
-        Ok(got)
+        crate::poll::wait_recv(self, timeout)
     }
 }
 
@@ -92,7 +88,7 @@ impl<T: PollTransport> PollTransport for TranscriptTransport<T> {
     fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
         let got = self.inner.poll_recv()?;
         if let Some(msg) = &got {
-            self.log.lock().received.push(msg.encode());
+            lock(&self.log).received.push(msg.encode());
         }
         Ok(got)
     }
@@ -122,7 +118,7 @@ mod tests {
             .is_some());
         peer.send(&Message::Fin { session: 1 }).unwrap();
         assert!(tp.poll_recv().unwrap().is_some());
-        let t = log.lock();
+        let t = log.lock().unwrap();
         assert_eq!(t.sent.len(), 1);
         assert_eq!(t.received.len(), 2);
         assert_eq!(t.sent[0], Message::Fin { session: 1 }.encode());
@@ -145,7 +141,7 @@ mod tests {
                 .unwrap();
                 tp.poll_recv().unwrap();
             }
-            tp.transcript().lock().clone()
+            tp.transcript().lock().unwrap().clone()
         };
         assert_eq!(run(), run());
     }

@@ -67,10 +67,16 @@ impl PartialEq for NetError {
     }
 }
 
+/// Largest datagram a real-socket receive path reads.
+pub(crate) const RECV_BUF: usize = 65_536;
+/// Socket reads per drain, the work one poll does on everyone's behalf
+/// (smaller under test, so a flood past it fits a receive buffer).
+pub(crate) const DRAIN_BUDGET: usize = if cfg!(test) { 32 } else { 256 };
+
 /// What a UDP `recv` error means for the loop that hit it. One total
 /// classification shared by every real-socket receive path — the
-/// [`crate::udp::UdpHub`] reader thread and the farm's poll-side drain —
-/// so the two can never drift on which errors retry and which abort.
+/// [`crate::udp::UdpHub`] and farm drains — so the two can never drift on
+/// which errors retry and which abort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvClass {
     /// Nothing to read right now (`WouldBlock` / `TimedOut`): yield and
@@ -121,19 +127,13 @@ pub trait Transport: Send {
     /// caller can count and drop them (see
     /// [`NetError::is_recoverable`]).
     ///
+    /// Every pm-net transport's is [`crate::poll::wait_recv`] over its
+    /// own `poll_recv`, and no library code calls it: it stays for the
+    /// end-to-end benchmark's wrappers, which implement and forward it.
+    ///
     /// # Errors
     /// [`NetError::Closed`] when the group is gone.
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError>;
-}
-
-/// Blanket impl so boxed transports compose with the fault decorator.
-impl Transport for Box<dyn Transport> {
-    fn send(&mut self, msg: &Message) -> Result<(), NetError> {
-        (**self).send(msg)
-    }
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
-        (**self).recv_timeout(timeout)
-    }
 }
 
 /// A borrowed transport is a transport: lets a driver that owns its

@@ -1,50 +1,80 @@
 //! Real UDP multicast transport.
 //!
-//! One [`UdpHub`] binds a socket to the group port, joins the multicast
-//! group (administratively scoped `239.0.0.0/8` recommended) with loopback
-//! enabled, and a reader thread fans every datagram out to the in-process
-//! endpoints. Endpoints send through their own unbound-port sockets
-//! straight to the group address, so datagrams really traverse the kernel
-//! multicast path.
+//! One [`UdpHub`] binds a non-blocking socket to the group port and joins
+//! the multicast group (administratively scoped `239.0.0.0/8`
+//! recommended) with loopback enabled. Endpoints send through their own
+//! unbound-port sockets straight to the group address, so datagrams really
+//! traverse the kernel multicast path.
 //!
-//! Semantics differ from [`crate::mem::MemHub`] in one documented way:
-//! because `IP_MULTICAST_LOOP` is on and all endpoints share the hub's
-//! receive socket, **every endpoint sees every datagram, including its
-//! own**. Protocol state machines in `pm-core` are written to tolerate
+//! The receive side is a [`MemHub`] group log fed from the socket, and no
+//! thread: an endpoint whose poll finds its cursor at the log's tail
+//! drains the socket, up to a budget, into the log, where every endpoint
+//! reads it. Each datagram is decoded once, in that drain. A fatal socket
+//! error reaches every endpoint as [`NetError::Io`] once it has read what
+//! was logged before it. The endpoints share the socket, so it stays open
+//! while any of them lives, after the hub handle has dropped.
+//!
+//! Semantics differ from [`MemHub`] in one documented way: because
+//! `IP_MULTICAST_LOOP` is on and all endpoints share the hub's receive
+//! socket, **every endpoint sees every datagram, including its own**.
+//! Protocol state machines in `pm-core` are written to tolerate
 //! self-delivery (a sender ignores packet types only receivers handle and
 //! vice versa).
 
 use std::net::{Ipv4Addr, SocketAddrV4, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-use pm_obs::{Event, Obs, Stopwatch};
+use pm_obs::Event;
 
-use crate::transport::{NetError, Transport};
+use crate::lock;
+use crate::mem::{MemEndpoint, MemHub, Shared};
+use crate::poll::PollTransport;
+use crate::transport::{classify_recv_err, NetError, RecvClass, Transport, DRAIN_BUDGET, RECV_BUF};
 use crate::wire::Message;
 
-/// Maximum datagram we ever read.
-const RECV_BUF: usize = 65_536;
-
-struct HubShared {
-    sinks: Mutex<Vec<Sender<Bytes>>>,
-    shutdown: AtomicBool,
+/// The group socket, read by whichever endpoint drains it.
+struct Feed {
+    socket: UdpSocket,
+    buf: Vec<u8>,
+    /// The first fatal socket error; once set, the socket is not read again.
+    fatal: Option<std::io::ErrorKind>,
 }
 
-/// A joined UDP multicast group with an in-process fan-out.
+impl Feed {
+    /// Read up to `DRAIN_BUDGET` datagrams into `log`, decoding each once.
+    /// Returns the fatal socket error, if one has been hit.
+    fn drain(&mut self, log: &Shared) -> Option<std::io::ErrorKind> {
+        for _ in 0..DRAIN_BUDGET {
+            if self.fatal.is_some() {
+                break;
+            }
+            match self.socket.recv_from(&mut self.buf) {
+                Ok((len, _src)) => {
+                    let raw = Bytes::copy_from_slice(&self.buf[..len]);
+                    log.publish(None, Message::decode(raw));
+                }
+                Err(e) => match classify_recv_err(&e) {
+                    RecvClass::WouldBlock => break,
+                    RecvClass::Transient => continue,
+                    RecvClass::Fatal => self.fatal = Some(e.kind()),
+                },
+            }
+        }
+        self.fatal
+    }
+}
+
+/// A joined UDP multicast group, read into one group log.
 pub struct UdpHub {
     group: SocketAddrV4,
-    shared: Arc<HubShared>,
-    reader: Option<std::thread::JoinHandle<()>>,
+    log: MemHub,
+    feed: Arc<Mutex<Feed>>,
 }
 
 impl UdpHub {
-    /// Bind the group socket, join `group` on all interfaces, and start
-    /// the reader thread.
+    /// Bind the group socket and join `group` on all interfaces.
     ///
     /// # Errors
     /// Propagates socket errors (bind, join). A host without multicast
@@ -60,39 +90,16 @@ impl UdpHub {
         let socket = UdpSocket::bind(SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, group.port()))?;
         socket.join_multicast_v4(group.ip(), &Ipv4Addr::UNSPECIFIED)?;
         socket.set_multicast_loop_v4(true)?;
-        socket.set_read_timeout(Some(Duration::from_millis(50)))?;
-        let shared = Arc::new(HubShared {
-            sinks: Mutex::new(Vec::new()),
-            shutdown: AtomicBool::new(false),
-        });
-        let reader_shared = shared.clone();
-        let reader = std::thread::Builder::new()
-            .name("pm-udp-hub".into())
-            .spawn(move || {
-                let mut buf = vec![0u8; RECV_BUF];
-                while !reader_shared.shutdown.load(Ordering::Relaxed) {
-                    match socket.recv_from(&mut buf) {
-                        Ok((len, _src)) => {
-                            let datagram = Bytes::copy_from_slice(&buf[..len]);
-                            let sinks = reader_shared.sinks.lock();
-                            for sink in sinks.iter() {
-                                let _ = sink.send(datagram.clone());
-                            }
-                        }
-                        // Same classification the farm's poll path uses:
-                        // only a Fatal socket error stops the reader.
-                        Err(e) => match crate::transport::classify_recv_err(&e) {
-                            crate::transport::RecvClass::WouldBlock
-                            | crate::transport::RecvClass::Transient => continue,
-                            crate::transport::RecvClass::Fatal => break,
-                        },
-                    }
-                }
-            })?;
+        socket.set_nonblocking(true)?;
+        let buf = vec![0u8; RECV_BUF];
         Ok(UdpHub {
             group,
-            shared,
-            reader: Some(reader),
+            log: MemHub::new(),
+            feed: Arc::new(Mutex::new(Feed {
+                socket,
+                buf,
+                fatal: None,
+            })),
         })
     }
 
@@ -101,41 +108,31 @@ impl UdpHub {
         self.group
     }
 
-    /// Create a new endpoint on this group.
+    /// Create a new endpoint on this group. It hears what arrives from now
+    /// on.
     ///
     /// # Errors
     /// Fails if the endpoint's send socket cannot be created.
     pub fn endpoint(&self) -> Result<UdpEndpoint, NetError> {
         let send_socket = UdpSocket::bind(SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, 0))?;
         send_socket.set_multicast_loop_v4(true)?;
-        let (tx, rx) = unbounded();
-        self.shared.sinks.lock().push(tx);
         Ok(UdpEndpoint {
             group: self.group,
             send_socket,
-            rx,
-            obs: Obs::null(),
-            clock: Stopwatch::start(),
+            reader: self.log.join(),
+            feed: self.feed.clone(),
         })
     }
 }
 
-impl Drop for UdpHub {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.reader.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// One endpoint of a [`UdpHub`] group.
+/// One endpoint of a [`UdpHub`] group. Dropping it gives up its share of
+/// what it has not read.
 pub struct UdpEndpoint {
     group: SocketAddrV4,
     send_socket: UdpSocket,
-    rx: Receiver<Bytes>,
-    obs: Obs,
-    clock: Stopwatch,
+    /// Its cursor into the group log.
+    reader: MemEndpoint,
+    feed: Arc<Mutex<Feed>>,
 }
 
 impl UdpEndpoint {
@@ -143,56 +140,41 @@ impl UdpEndpoint {
     /// seconds since endpoint creation. The clock is read only for an
     /// enabled `obs`, so a disabled one adds no clock read to a send or
     /// receive.
-    pub fn with_obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
+    pub fn with_obs(mut self, obs: pm_obs::Obs) -> Self {
+        self.reader = self.reader.with_obs(obs);
         self
     }
 }
 
 impl Transport for UdpEndpoint {
     fn send(&mut self, msg: &Message) -> Result<(), NetError> {
-        self.obs.emit(&self.clock, || Event::NetSent {
+        let reader = &self.reader;
+        reader.obs.emit(&reader.clock, || Event::NetSent {
             kind: msg.obs_kind(),
         });
-        let encoded = msg.encode();
-        self.send_socket.send_to(&encoded, self.group)?;
+        self.send_socket.send_to(&msg.encode(), self.group)?;
         Ok(())
     }
 
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "a blocking recv deadline on the multicast socket's reader channel"
-    )]
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            match self.rx.recv_timeout(remaining) {
-                Ok(raw) => match Message::decode(raw) {
-                    Ok(msg) => {
-                        self.obs.emit(&self.clock, || Event::NetRecv {
-                            kind: msg.obs_kind(),
-                        });
-                        return Ok(Some(msg));
-                    }
-                    // Our magic but a failed checksum: damaged in
-                    // flight, surfaced (recoverable) for the driver to
-                    // count and drop. Anything else is a foreign
-                    // datagram on the group — silent skip.
-                    Err(e @ NetError::Corrupt(_)) => return Err(e),
-                    Err(_) => continue,
-                },
-                Err(RecvTimeoutError::Timeout) => return Ok(None),
-                Err(RecvTimeoutError::Disconnected) => return Err(NetError::Closed),
-            }
-        }
+        crate::poll::wait_recv(self, timeout)
     }
 }
 
-/// The default `recv_timeout(ZERO)` path drains the reader thread's
-/// channel without parking, which is exactly the readiness semantic the
-/// multiplexer needs.
-impl crate::poll::PollTransport for UdpEndpoint {}
+impl PollTransport for UdpEndpoint {
+    /// The next logged datagram; at the log's tail, drain the socket first.
+    fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
+        let fatal = if self.reader.at_tail() {
+            lock(&self.feed).drain(&self.reader.hub)
+        } else {
+            None
+        };
+        match (self.reader.poll_recv()?, fatal) {
+            (None, Some(kind)) => Err(NetError::Io(kind.into())),
+            (msg, _) => Ok(msg),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -290,5 +272,152 @@ mod tests {
         let Some(hub) = try_hub(41881) else { return };
         let mut a = hub.endpoint().unwrap();
         assert_eq!(a.recv_timeout(Duration::from_millis(30)).unwrap(), None);
+    }
+
+    /// A socket outside the group's endpoints: every endpoint hears what
+    /// it sends, and the log waits for no read of its own.
+    fn outsider() -> UdpSocket {
+        let tx = UdpSocket::bind(SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, 0)).unwrap();
+        tx.set_multicast_loop_v4(true).unwrap();
+        tx
+    }
+
+    fn fin(session: u32) -> Message {
+        Message::Fin { session }
+    }
+
+    const WAIT: Duration = Duration::from_secs(2);
+
+    #[test]
+    fn one_decode_serves_every_endpoint() {
+        use crate::poll::PollTransport;
+        let Some(hub) = try_hub(41885) else { return };
+        let to = hub.group();
+        let mut eps: Vec<UdpEndpoint> = (0..4).map(|_| hub.endpoint().unwrap()).collect();
+        // The endpoints keep the socket open without the hub handle.
+        drop(hub);
+        let sent = Message::Packet {
+            session: 1,
+            group: 3,
+            index: 0,
+            k: 7,
+            n: 255,
+            payload: Bytes::from(vec![3u8; 64]),
+        };
+        outsider().send_to(&sent.encode(), to).unwrap();
+        let payload_at = |msg: &Message| match msg {
+            Message::Packet { payload, .. } => payload.as_ptr(),
+            other => panic!("expected a packet, got {other:?}"),
+        };
+        let first = eps[0].recv_timeout(WAIT).unwrap().expect("a packet");
+        assert_eq!(first, sent);
+        for ep in &mut eps[1..] {
+            // Logged by the first endpoint's drain: no socket read here.
+            let got = ep.poll_recv().unwrap().expect("the logged packet");
+            assert_eq!(got, sent);
+            assert_eq!(
+                payload_at(&got),
+                payload_at(&first),
+                "one buffer, one decode"
+            );
+        }
+    }
+
+    #[test]
+    fn a_dropped_endpoint_gives_up_its_share() {
+        let Some(hub) = try_hub(41887) else { return };
+        let mut a = hub.endpoint().unwrap();
+        let b = hub.endpoint().unwrap();
+        let tx = outsider();
+        for s in 0..3 {
+            tx.send_to(&fin(s).encode(), hub.group()).unwrap();
+        }
+        for s in 0..3 {
+            assert_eq!(a.recv_timeout(WAIT).unwrap(), Some(fin(s)));
+        }
+        assert_eq!(hub.log.retained(), 3, "b has three to read");
+        drop(b);
+        assert_eq!(hub.log.retained(), 0, "the log does not wait for a leaver");
+    }
+
+    #[test]
+    fn endpoints_on_two_threads_each_hear_everything_once_in_order() {
+        const N: u32 = 100;
+        let Some(hub) = try_hub(41889) else { return };
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let mut ep = hub.endpoint().unwrap();
+                std::thread::spawn(move || {
+                    let mut got = Vec::new();
+                    while got.len() < N as usize {
+                        match ep.recv_timeout(WAIT).unwrap() {
+                            Some(Message::Fin { session }) => got.push(session),
+                            other => panic!("expected a FIN, got {other:?}"),
+                        }
+                    }
+                    let quiet = ep.recv_timeout(Duration::from_millis(50)).unwrap();
+                    assert_eq!(quiet, None, "nothing heard twice");
+                    (got, ep)
+                })
+            })
+            .collect();
+        let tx = outsider();
+        for s in 0..N {
+            tx.send_to(&fin(s).encode(), hub.group()).unwrap();
+        }
+        let mut eps = Vec::new();
+        for reader in readers {
+            let (got, ep) = reader.join().unwrap();
+            assert_eq!(got, (0..N).collect::<Vec<_>>());
+            eps.push(ep);
+        }
+        assert_eq!(hub.log.retained(), 0, "both joined, both through");
+    }
+
+    #[test]
+    fn foreign_bytes_stop_at_the_drain_and_damage_reaches_every_endpoint() {
+        use crate::poll::PollTransport;
+        let Some(hub) = try_hub(41891) else { return };
+        let mut eps: Vec<UdpEndpoint> = (0..3).map(|_| hub.endpoint().unwrap()).collect();
+        let tx = outsider();
+        let mut damaged = fin(5).encode().to_vec();
+        damaged[9] ^= 0x08;
+        for raw in [
+            &b"\x00\x00definitely not ours"[..],
+            &damaged,
+            &fin(6).encode(),
+        ] {
+            tx.send_to(raw, hub.group()).unwrap();
+        }
+        match eps[0].recv_timeout(WAIT) {
+            Err(e) => assert!(e.is_recoverable(), "expected recoverable, got {e}"),
+            other => panic!("expected Corrupt error, got {other:?}"),
+        }
+        assert_eq!(eps[0].recv_timeout(WAIT).unwrap(), Some(fin(6)));
+        // All three were drained; the foreign one was never logged.
+        assert_eq!(hub.log.retained(), 2);
+        for ep in &mut eps[1..] {
+            assert!(ep.poll_recv().unwrap_err().is_recoverable());
+            assert_eq!(ep.poll_recv().unwrap(), Some(fin(6)));
+        }
+        assert_eq!(hub.log.retained(), 0);
+    }
+
+    #[test]
+    fn a_fatal_socket_error_reaches_every_endpoint_after_what_was_logged() {
+        use crate::poll::PollTransport;
+        use std::io::ErrorKind::BrokenPipe;
+        let Some(hub) = try_hub(41893) else { return };
+        let mut a = hub.endpoint().unwrap();
+        let mut b = hub.endpoint().unwrap();
+        outsider().send_to(&fin(1).encode(), hub.group()).unwrap();
+        assert_eq!(a.recv_timeout(WAIT).unwrap(), Some(fin(1)));
+        // What a drain leaves behind when the socket breaks.
+        lock(&hub.feed).fatal = Some(BrokenPipe);
+        let broken = |got| matches!(got, Err(NetError::Io(e)) if e.kind() == BrokenPipe);
+        assert!(broken(a.poll_recv()));
+        assert_eq!(b.poll_recv().unwrap(), Some(fin(1)));
+        assert!(broken(b.poll_recv()));
+        assert!(broken(b.recv_timeout(WAIT)));
     }
 }

@@ -117,7 +117,7 @@ where
         let rep = rep.as_ref().unwrap_or_else(|e| panic!("receiver {i}: {e}"));
         assert_eq!(rep.data, data, "receiver {i} bytes");
     }
-    let history = log.lock().clone();
+    let history = log.lock().unwrap().clone();
     (sent.expect("sender completes"), history)
 }
 
@@ -233,8 +233,8 @@ pub fn run_pinned_farm() -> Vec<PairRun> {
                 .iter()
                 .find(|(t, _)| *t == r_tok)
                 .expect("receiver outcome");
-            let sent = sender_log.lock().clone();
-            let received = receiver_log.lock().clone();
+            let sent = sender_log.lock().unwrap().clone();
+            let received = receiver_log.lock().unwrap().clone();
             PairRun {
                 sent,
                 received,
@@ -428,7 +428,7 @@ where
     let pairs = pairs
         .into_iter()
         .map(|(logs, tokens)| LossyPair {
-            transcripts: logs.iter().map(|log| log.lock().clone()).collect(),
+            transcripts: logs.iter().map(|log| log.lock().unwrap().clone()).collect(),
             delivered: tokens
                 .iter()
                 .map(|tok| {

@@ -380,13 +380,13 @@ fn survivors_produce_transcripts_byte_identical_to_an_unloaded_run() {
         }
         survivors += 1;
         assert_eq!(
-            *loaded_logs.0.lock(),
-            *unloaded_logs.0.lock(),
+            *loaded_logs.0.lock().unwrap(),
+            *unloaded_logs.0.lock().unwrap(),
             "pair {i}: surviving sender transcript diverged under load"
         );
         assert_eq!(
-            *loaded_logs.1.lock(),
-            *unloaded_logs.1.lock(),
+            *loaded_logs.1.lock().unwrap(),
+            *unloaded_logs.1.lock().unwrap(),
             "pair {i}: surviving receiver transcript diverged under load"
         );
     }
