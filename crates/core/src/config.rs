@@ -37,9 +37,12 @@ pub struct NpConfig {
     pub payload_len: usize,
     /// NAK slot width `Ts`, seconds.
     pub nak_slot: f64,
-    /// How long the sender waits for NAKs after a poll before assuming the
-    /// round satisfied everyone, seconds. Should comfortably exceed
-    /// `k * nak_slot` plus one RTT.
+    /// Cap on the NP sender's duplicate window, seconds. After servicing a
+    /// group's NAK, the sender drops a NAK that echoes an older round of
+    /// that group as a duplicate for `(s + 1) · nak_slot`, `s` the most
+    /// packets any of the group's polls announced, and at most this long;
+    /// later, such a NAK is a receiver's recovery request after losing a
+    /// whole repair round, and is serviced. The sender never waits on it.
     pub round_timeout: f64,
     /// Pre-encode all parities before transmission starts (Fig. 18's
     /// "NP pre-encode").

@@ -96,7 +96,7 @@ impl Repair for N2Repair {
 
     /// A poll opens a new round: packets NAKed from here on deserve fresh
     /// retransmissions.
-    fn polled(&mut self, group: u32) {
+    fn polled(&mut self, group: u32, _sent: u16) {
         self.serviced.remove(&group);
     }
 

@@ -18,11 +18,13 @@
 //!
 //! NP (Section 5.1) encodes the parities on demand or takes them from the
 //! pre-encoded store. Per-group round counters make duplicate NAKs of an
-//! already-serviced round harmless. If a pathological receiver exhausts
-//! the parity budget `h`, NP falls back to retransmitting original data
-//! packets (functionally the paper's "place the packets into a new TG" —
-//! the receiver needs at most `k` specific packets at that point, and
-//! originals always help).
+//! already-serviced round harmless: one that echoes an older round is
+//! dropped for as long as the group's NAK slots could still hold answers
+//! to its polls, and serviced as a recovery NAK after that. If a
+//! pathological receiver exhausts the parity budget `h`, NP falls back to
+//! retransmitting original data packets (functionally the paper's "place
+//! the packets into a new TG" — the receiver needs at most `k` specific
+//! packets at that point, and originals always help).
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -147,8 +149,9 @@ pub trait Repair: Send + Sized {
     /// Whether block packet `index` (of a group of `k`), about to go out,
     /// counts as a repair rather than as data.
     fn is_repair(s: &Sender<Self>, index: u16, k: u16) -> bool;
-    /// A poll of `group` went out (or came back on a loopback).
-    fn polled(&mut self, _group: u32) {}
+    /// A poll of `group` announcing `sent` packets went out (or came back
+    /// on a loopback).
+    fn polled(&mut self, _group: u32, _sent: u16) {}
     /// Feedback-dependent state in bytes, beyond the roll.
     fn state_bytes(&self) -> usize {
         0
@@ -312,7 +315,7 @@ impl<R: Repair> Sender<R> {
                     sent,
                     round,
                 });
-                self.repair.polled(group);
+                self.repair.polled(group, sent);
             }
             Message::Announce { session, .. } => {
                 self.counters.feedback_sent += 1;
@@ -405,7 +408,7 @@ impl<R: Repair> SenderMachine for Sender<R> {
                 });
             }
             // Our own poll, self-delivered on UDP.
-            Message::Poll { group, .. } => self.repair.polled(*group),
+            Message::Poll { group, sent, .. } => self.repair.polled(*group, *sent),
             _ => {
                 if let Some(repair) = R::on_nak(self, msg, now)? {
                     self.last_demand = now;
@@ -467,6 +470,19 @@ struct GroupProgress {
     resend_cursor: usize,
     /// When this group last had a repair serviced (recovery-NAK gate).
     last_service: f64,
+    /// The most packets any of the group's polls announced: its NAK slots
+    /// span this many slot widths.
+    max_sent: u16,
+}
+
+impl GroupProgress {
+    /// How long after a service a NAK echoing an older round may still be
+    /// a duplicate: a receiver answers a poll of `sent` packets within
+    /// `sent` NAK slots, so `(sent + 1) · nak_slot` covers the slots and
+    /// one slot of delivery, capped at `round_timeout`.
+    fn duplicate_window(&self, cfg: &NpConfig) -> f64 {
+        ((f64::from(self.max_sent) + 1.0) * cfg.nak_slot).min(cfg.round_timeout)
+    }
 }
 
 /// NP's repair: `NAK(i, l)` is answered with `l` fresh parities of group
@@ -592,6 +608,7 @@ impl Repair for NpRepair {
             parities_used: 0,
             resend_cursor: 0,
             last_service: f64::NEG_INFINITY,
+            max_sent: 0,
         };
         Ok(NpRepair {
             encoders,
@@ -636,13 +653,14 @@ impl Repair for NpRepair {
         if needed == 0 {
             return Ok(None);
         }
-        // A NAK echoing the current round is serviced immediately. A
-        // *stale* round usually means a duplicate that escaped suppression
-        // — ignored — but it can also be a recovery NAK from a receiver
-        // that lost an entire repair round (including its poll). Those
-        // must still be serviced or the session livelocks, so stale NAKs
-        // pass once the group has been quiet for a full round_timeout.
-        if stale && now - pr.last_service < s.cfg.round_timeout {
+        // A NAK echoing the current round is serviced immediately. One
+        // echoing an older round is a duplicate that escaped suppression
+        // while answers to the serviced poll can still arrive, and is
+        // ignored; after that it is a recovery NAK from a receiver that
+        // lost a whole repair round (poll included) and asked again at the
+        // announce heartbeat. It must be serviced or the session
+        // livelocks, and every slot it waits adds to the session's tail.
+        if stale && now - pr.last_service < pr.duplicate_window(&s.cfg) {
             return Ok(Some(Vec::new()));
         }
         pr.last_service = now;
@@ -655,6 +673,12 @@ impl Repair for NpRepair {
 
     fn is_repair(_s: &NpSender, index: u16, k: u16) -> bool {
         index >= k
+    }
+
+    fn polled(&mut self, group: u32, sent: u16) {
+        if let Some(pr) = self.progress.get_mut(group as usize) {
+            pr.max_sent = pr.max_sent.max(sent);
+        }
     }
 }
 
@@ -825,6 +849,90 @@ mod tests {
             drain(&mut s, 0.015).is_empty(),
             "stale NAK must not trigger repair"
         );
+    }
+
+    /// The repair round (packets and poll) that a NAK of `group` for one
+    /// packet, echoing `round` and handled at `now`, makes the sender send.
+    fn nak_at(s: &mut NpSender, group: u32, round: u16, now: f64) -> Vec<Message> {
+        let nak = Message::Nak {
+            session: SESSION,
+            group,
+            needed: 1,
+            round,
+        };
+        s.handle(&nak, now).unwrap();
+        let mut sent = drain(s, now);
+        sent.retain(|m| !matches!(m, Message::Announce { .. }));
+        sent
+    }
+
+    /// A slot of 2^-7 s keeps every window boundary exact in `f64`.
+    const SLOT: f64 = 1.0 / 128.0;
+
+    #[test]
+    fn an_older_round_is_a_duplicate_only_within_the_nak_slots() {
+        let mut cfg = config(1);
+        cfg.nak_slot = SLOT;
+        // One group of k = 3: its round-1 poll announces 3 packets, so
+        // answers to it come within 3 slots, and the window is 4.
+        let window = 4.0 * SLOT;
+        let mut s = NpSender::new(SESSION, &data(48), cfg).unwrap();
+        let _ = drain(&mut s, 0.0);
+        assert_eq!(nak_at(&mut s, 0, 1, 1.0).len(), 2, "a parity and a poll");
+        let early = 1.0 + window - SLOT / 8.0;
+        assert!(nak_at(&mut s, 0, 1, early).is_empty(), "a duplicate");
+        let recovery = nak_at(&mut s, 0, 1, 1.0 + window);
+        assert_eq!(recovery.len(), 2, "a recovery NAK: {recovery:?}");
+        assert!(matches!(recovery[1], Message::Poll { round: 3, .. }));
+        // The recovery's own service opens a new window, for every older
+        // round.
+        let again = 1.0 + window + SLOT / 8.0;
+        assert!(nak_at(&mut s, 0, 2, again).is_empty());
+        assert!(nak_at(&mut s, 0, 1, again).is_empty());
+    }
+
+    #[test]
+    fn the_duplicate_window_spans_the_largest_poll_adaptive_parity_included() {
+        let mut cfg = config(1);
+        cfg.nak_slot = SLOT;
+        cfg.adaptive_parity = true;
+        cfg.h = 6;
+        // Groups of 3, 3 and 1: group 0's round-1 demand of 2 makes group
+        // 1's poll announce 3 + 2 packets, so its window is 6 slots.
+        let mut s = NpSender::new(SESSION, &data(100), cfg).unwrap();
+        while !matches!(s.next_step(0.0), SenderStep::Transmit(Message::Poll { .. })) {}
+        s.handle(
+            &Message::Nak {
+                session: SESSION,
+                group: 0,
+                needed: 2,
+                round: 1,
+            },
+            0.001,
+        )
+        .unwrap();
+        let rest = drain(&mut s, 0.002);
+        assert!(rest.contains(&Message::Poll {
+            session: SESSION,
+            group: 1,
+            sent: 5,
+            round: 1
+        }));
+        let _ = nak_at(&mut s, 1, 1, 1.0);
+        assert!(nak_at(&mut s, 1, 1, 1.0 + 5.5 * SLOT).is_empty());
+        assert_eq!(nak_at(&mut s, 1, 1, 1.0 + 6.0 * SLOT).len(), 2);
+    }
+
+    #[test]
+    fn round_timeout_caps_the_duplicate_window() {
+        let mut cfg = config(1);
+        cfg.nak_slot = SLOT;
+        cfg.round_timeout = 2.0 * SLOT; // below the 4 slots of k = 3
+        let mut s = NpSender::new(SESSION, &data(48), cfg).unwrap();
+        let _ = drain(&mut s, 0.0);
+        let _ = nak_at(&mut s, 0, 1, 1.0);
+        assert!(nak_at(&mut s, 0, 1, 1.0 + 1.5 * SLOT).is_empty());
+        assert_eq!(nak_at(&mut s, 0, 1, 1.0 + 2.0 * SLOT).len(), 2);
     }
 
     #[test]

@@ -32,8 +32,8 @@ use std::time::Duration;
 use pm_core::error::ProtocolError;
 use pm_core::receiver::ReceiverAction;
 use pm_core::runtime::{
-    absorb_feedback, clamp_wait, error_outcome, ReceiverMachine, ReceiverReport, ResilienceCore,
-    RuntimeConfig, SenderMachine, SessionReport,
+    absorb_feedback, error_outcome, ReceiverMachine, ReceiverReport, ResilienceCore, RuntimeConfig,
+    SenderMachine, SessionReport,
 };
 use pm_core::sender::SenderStep;
 use pm_net::{Message, NetError, PollSet, PollTransport, Token};
@@ -373,6 +373,9 @@ enum Flush {
 pub struct Mux<T: PollTransport, C: MuxClock> {
     cfg: MuxConfig,
     tick_secs: f64,
+    /// `cfg.tick` in whole nanoseconds, at least one: every delay becomes
+    /// ticks by one `u64` division.
+    tick_ns: u64,
     clock: C,
     wheel: TimerWheel<TimerKey>,
     sockets: PollSet<T>,
@@ -401,6 +404,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
     pub fn new(cfg: MuxConfig, clock: C) -> Self {
         let tick_secs = cfg.tick.max(Duration::from_nanos(1)).as_secs_f64();
         Mux {
+            tick_ns: tick_nanos(cfg.tick),
             cfg,
             tick_secs,
             clock,
@@ -775,7 +779,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
     fn on_io(&mut self, token: Token, outcome: Result<Message, NetError>) {
         let now_abs = self.clock.now();
         let wheel_now = self.wheel.now();
-        let tick = self.cfg.tick;
+        let tick = self.tick_ns;
         let after = {
             let Some(sess) = self
                 .sessions
@@ -899,7 +903,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
     /// or finishes the session.
     fn drive_sender_session(&mut self, token: Token) {
         let now_abs = self.clock.now();
-        let tick = self.cfg.tick;
+        let tick = self.tick_ns;
         let Mux {
             sessions,
             sockets,
@@ -1010,9 +1014,10 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                                 },
                             )));
                         }
-                        let wait = clamp_wait(t - now_rel, tick, SENDER_WAIT_CEIL);
+                        let wait = wait_ticks(t - now_rel, tick, SENDER_WAIT_CEIL);
+                        let at = wheel.now().saturating_add(wait);
                         sess.wait_armed = true;
-                        arm(wheel, sess, TimerKind::Wake, wait, tick);
+                        arm_at(wheel, sess, TimerKind::Wake, at);
                         break 'drive None;
                     }
                 }
@@ -1027,7 +1032,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
     /// run the end-of-session checks, re-arm the poll cadence.
     fn drive_receiver_session(&mut self, token: Token) {
         let now_abs = self.clock.now();
-        let tick = self.cfg.tick;
+        let tick = self.tick_ns;
         let Mux {
             sessions,
             sockets,
@@ -1094,7 +1099,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
     /// A Retry timer fired: re-attempt the parked transmission.
     fn fire_retry(&mut self, token: Token) {
         let now_abs = self.clock.now();
-        let tick = self.cfg.tick;
+        let tick = self.tick_ns;
         let after = {
             let Mux {
                 sessions,
@@ -1272,22 +1277,45 @@ fn elapsed_of(now_rel: f64) -> Duration {
     }
 }
 
-/// Ceil a delay to whole ticks, at least one: a timer never fires early,
-/// and "now" is never a valid future deadline.
-fn ticks_for(tick: Duration, delay: Duration) -> u64 {
-    let t = tick.as_nanos().max(1);
-    let ticks = delay.as_nanos().div_ceil(t).max(1);
-    u64::try_from(ticks).unwrap_or(u64::MAX)
+/// A tick length in whole nanoseconds, at least one (and at most
+/// `u64::MAX`, some 584 years).
+fn tick_nanos(tick: Duration) -> u64 {
+    u64::try_from(tick.as_nanos()).unwrap_or(u64::MAX).max(1)
+}
+
+/// Ceil a delay to whole ticks of `tick_ns` nanoseconds, at least one: a
+/// timer never fires early, and "now" is never a valid future deadline.
+fn ticks_for(tick_ns: u64, delay: Duration) -> u64 {
+    let ticks = match u64::try_from(delay.as_nanos()) {
+        Ok(ns) => ns.div_ceil(tick_ns),
+        // Past 584 years: the wide division, saturating.
+        Err(_) => u64::try_from(delay.as_nanos().div_ceil(u128::from(tick_ns))).unwrap_or(u64::MAX),
+    };
+    ticks.max(1)
+}
+
+/// Ticks to wait for a machine's wake-up `delta_secs` away: the wait is
+/// [`clamp_wait`](pm_core::runtime::clamp_wait)`(delta_secs, tick, ceil)`,
+/// total over every float, and a delta the clamp sends to either bound
+/// skips the `Duration`.
+fn wait_ticks(delta_secs: f64, tick_ns: u64, ceil: Duration) -> u64 {
+    if delta_secs.is_nan() || delta_secs <= 0.0 {
+        1
+    } else if delta_secs >= ceil.as_secs_f64() {
+        ticks_for(tick_ns, ceil)
+    } else {
+        ticks_for(tick_ns, Duration::from_secs_f64(delta_secs).min(ceil))
+    }
 }
 
 /// The tick a receiver's Wake belongs at: its earliest NAK `deadline`
 /// (session-relative seconds), or the check cadence when it has none.
-fn receiver_wake_tick(wheel_now: u64, deadline: Option<f64>, now_rel: f64, tick: Duration) -> u64 {
+fn receiver_wake_tick(wheel_now: u64, deadline: Option<f64>, now_rel: f64, tick_ns: u64) -> u64 {
     let wait = match deadline {
-        Some(d) => clamp_wait(d - now_rel, tick, RECEIVER_WAIT_CEIL),
-        None => RECEIVER_WAIT_CEIL,
+        Some(d) => wait_ticks(d - now_rel, tick_ns, RECEIVER_WAIT_CEIL),
+        None => ticks_for(tick_ns, RECEIVER_WAIT_CEIL),
     };
-    wheel_now.saturating_add(ticks_for(tick, wait))
+    wheel_now.saturating_add(wait)
 }
 
 /// Arm (or re-arm) `kind` for `sess` at `delay` from now. Bumping the
@@ -1298,9 +1326,9 @@ fn arm(
     sess: &mut SessionState,
     kind: TimerKind,
     delay: Duration,
-    tick: Duration,
+    tick_ns: u64,
 ) {
-    let at = wheel.now().saturating_add(ticks_for(tick, delay));
+    let at = wheel.now().saturating_add(ticks_for(tick_ns, delay));
     arm_at(wheel, sess, kind, at);
 }
 
@@ -1331,7 +1359,7 @@ fn transmit<T: PollTransport>(
     sess: &mut SessionState,
     sockets: &mut PollSet<T>,
     wheel: &mut TimerWheel<TimerKey>,
-    tick: Duration,
+    tick: u64,
     now_abs: f64,
     send: PendingSend,
 ) -> Flush {
@@ -2384,5 +2412,81 @@ mod tests {
         drop(m);
         assert_eq!(tp.sends_seen, 1 + 2, "one failure, then the retry landed");
         assert_eq!(tp.sent.len(), 1);
+    }
+
+    /// The tick arithmetic as it was, over `Duration` and `u128`.
+    mod oracle {
+        use std::time::Duration;
+
+        use pm_core::runtime::clamp_wait;
+
+        use super::super::RECEIVER_WAIT_CEIL;
+
+        pub fn ticks_for(tick: Duration, delay: Duration) -> u64 {
+            let t = tick.as_nanos().max(1);
+            let ticks = delay.as_nanos().div_ceil(t).max(1);
+            u64::try_from(ticks).unwrap_or(u64::MAX)
+        }
+
+        pub fn receiver_wake_tick(
+            wheel_now: u64,
+            deadline: Option<f64>,
+            now_rel: f64,
+            tick: Duration,
+        ) -> u64 {
+            let wait = match deadline {
+                Some(d) => clamp_wait(d - now_rel, tick, RECEIVER_WAIT_CEIL),
+                None => RECEIVER_WAIT_CEIL,
+            };
+            wheel_now.saturating_add(ticks_for(tick, wait))
+        }
+    }
+
+    /// Any `f64` bit pattern (NaN, both infinities, negatives, subnormals,
+    /// huge values) as often as an ordinary delay of up to a second.
+    fn any_secs() -> impl proptest::strategy::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        prop_oneof![any::<u64>().prop_map(f64::from_bits), 0.0..1.0f64]
+    }
+
+    proptest::proptest! {
+        /// Ticks up to `RECEIVER_WAIT_CEIL`: past it the oracle's clamp
+        /// panics (floor above ceiling).
+        #[test]
+        fn u64_ticks_agree_with_the_duration_oracle(
+            tick_ns in 0u64..=20_000_000,
+            delay_secs in proptest::prop_oneof![0u64..4, proptest::prelude::any::<u64>()],
+            delay_nanos in 0u32..1_000_000_000,
+            delta in any_secs(),
+            now_rel in any_secs(),
+            wheel_now in proptest::prelude::any::<u64>(),
+            has_deadline in proptest::prelude::any::<bool>(),
+        ) {
+            use pm_core::runtime::clamp_wait;
+            use proptest::prop_assert_eq;
+            let tick = Duration::from_nanos(tick_ns);
+            let t = tick_nanos(tick);
+            let delay = Duration::new(delay_secs, delay_nanos);
+            prop_assert_eq!(ticks_for(t, delay), oracle::ticks_for(tick, delay));
+            for ceil in [SENDER_WAIT_CEIL, RECEIVER_WAIT_CEIL] {
+                let want = oracle::ticks_for(tick, clamp_wait(delta, tick, ceil));
+                prop_assert_eq!(wait_ticks(delta, t, ceil), want);
+            }
+            let deadline = has_deadline.then_some(delta);
+            prop_assert_eq!(
+                receiver_wake_tick(wheel_now, deadline, now_rel, t),
+                oracle::receiver_wake_tick(wheel_now, deadline, now_rel, tick)
+            );
+        }
+    }
+
+    #[test]
+    fn a_tick_above_the_wait_ceilings_waits_one_tick() {
+        // The oracle's `clamp_wait(_, tick, ceil)` panics here.
+        let tick = tick_nanos(Duration::from_millis(60));
+        for delta in [f64::NAN, -1.0, 0.001, 0.03, f64::INFINITY] {
+            assert_eq!(wait_ticks(delta, tick, SENDER_WAIT_CEIL), 1);
+            assert_eq!(receiver_wake_tick(7, Some(delta), 0.0, tick), 8);
+        }
     }
 }

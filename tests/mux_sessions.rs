@@ -20,8 +20,9 @@
 //! 7. **Feedback proportional to need** — a `Poll` solicits NAKs, never
 //!    `Done`: exactly one `Done` per receiver on a lossless wire, a lost
 //!    `Done` recovered by the keep-alive announce within one
-//!    `announce_interval`, and a counted feedback gate at the paper's
-//!    R = 64, k = 7, p = 0.01.
+//!    `announce_interval`, a lost repair round recovered at the first
+//!    heartbeat, and a counted feedback gate at the paper's R = 64,
+//!    k = 7, p = 0.01.
 
 mod common;
 
@@ -484,27 +485,28 @@ fn lossless_sessions_put_exactly_one_done_per_receiver_on_the_wire() {
     }
 }
 
-/// Loses the first `Done` of every receiver, as a sender's downlink might.
-struct DropFirstDone<T> {
+/// Loses every datagram `lose` picks out of what reaches the endpoint, as
+/// a lossy downlink might.
+struct DropWhere<T, F> {
     inner: T,
-    dropped: std::collections::BTreeSet<u32>,
+    lose: F,
 }
 
-impl<T> DropFirstDone<T> {
+impl<T, F: FnMut(&Message) -> bool> DropWhere<T, F> {
     fn filter(
         &mut self,
         mut recv: impl FnMut(&mut T) -> Result<Option<Message>, NetError>,
     ) -> Result<Option<Message>, NetError> {
         loop {
             match recv(&mut self.inner)? {
-                Some(Message::Done { receiver, .. }) if self.dropped.insert(receiver) => continue,
+                Some(msg) if (self.lose)(&msg) => continue,
                 other => return Ok(other),
             }
         }
     }
 }
 
-impl<T: Transport> Transport for DropFirstDone<T> {
+impl<T: Transport, F: FnMut(&Message) -> bool + Send> Transport for DropWhere<T, F> {
     fn send(&mut self, msg: &Message) -> Result<(), NetError> {
         self.inner.send(msg)
     }
@@ -513,7 +515,7 @@ impl<T: Transport> Transport for DropFirstDone<T> {
     }
 }
 
-impl<T: PollTransport> PollTransport for DropFirstDone<T> {
+impl<T: PollTransport, F: FnMut(&Message) -> bool + Send> PollTransport for DropWhere<T, F> {
     fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
         self.filter(T::poll_recv)
     }
@@ -523,9 +525,15 @@ impl<T: PollTransport> PollTransport for DropFirstDone<T> {
 fn a_lost_done_is_recovered_by_the_keepalive_announce_within_one_interval() {
     const R: u32 = 16;
     let data = payload(3 * 8 * 128); // three full groups
-    let lossy_downlink = |ep| DropFirstDone {
-        inner: ep,
-        dropped: Default::default(),
+
+    // Loses the first `Done` of every receiver, as a sender's downlink
+    // might.
+    let lossy_downlink = |ep| {
+        let mut dropped = std::collections::BTreeSet::new();
+        DropWhere {
+            inner: ep,
+            lose: move |m: &Message| matches!(m, Message::Done { receiver, .. } if dropped.insert(*receiver)),
+        }
     };
     let (np, np_log) = run_fanout(
         NpSender::new(1, &data, fanout_cfg(R)).expect("valid config"),
@@ -573,6 +581,69 @@ fn a_lost_done_is_recovered_by_the_keepalive_announce_within_one_interval() {
             report.elapsed
         );
     }
+}
+
+#[test]
+fn a_lost_repair_round_is_recovered_at_the_first_heartbeat() {
+    // One receiver loses a data packet of the last group, then the whole
+    // repair round that answers its NAK: the parity and the round-2 poll.
+    // Only the keep-alive announce can make it ask again, with a NAK that
+    // echoes round 1, and the sender serves that NAK once the group's NAK
+    // slots are past instead of holding it off for `round_timeout`.
+    const LAST: u32 = 2;
+    let cfg = fanout_cfg(1);
+    let data = payload(3 * cfg.k * cfg.payload_len); // three full groups
+    let k = cfg.k as u16;
+    let (report, log) = run_fanout(
+        NpSender::new(1, &data, cfg.clone()).expect("valid config"),
+        vec![NpReceiver::new(0, 1, cfg.nak_slot, 0)],
+        &data,
+        |ep| ep,
+        |ep, _| DropWhere {
+            inner: ep,
+            lose: move |m: &Message| match *m {
+                // Data packet 0, then round 2's one parity (fresh parities
+                // are numbered from k).
+                Message::Packet { group, index, .. } => group == LAST && (index == 0 || index == k),
+                Message::Poll { group, round, .. } => group == LAST && round == 2,
+                _ => false,
+            },
+        },
+    );
+    assert_eq!(report.completed, vec![0]);
+    assert!(!report.is_degraded());
+    let naks: Vec<u16> = log
+        .received_messages()
+        .filter_map(|m| match m {
+            Message::Nak { group, round, .. } => {
+                assert_eq!(group, LAST, "only the last group lost anything");
+                Some(round)
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(naks, [1, 1], "the round-1 NAK and one recovery NAK");
+    // Sends go out one per `packet_spacing` from t = 0 until the last data
+    // packet: without loss, the receiver completes there. The announce
+    // before the last group restarts the keep-alive interval, so the
+    // heartbeat comes within one interval of it, and the recovery NAK in
+    // the first of its slots; the window covers that slot and the repair.
+    let last_data = log
+        .sent
+        .iter()
+        .rposition(|raw| {
+            matches!(Message::decode(raw.clone()), Ok(Message::Packet { index, k, .. }) if index < k)
+        })
+        .expect("data was sent");
+    let lossless = rt().packet_spacing * last_data as u32;
+    let window = Duration::from_secs_f64((f64::from(k) + 1.0) * cfg.nak_slot);
+    let interval = Duration::from_secs_f64(cfg.announce_interval);
+    let bound = lossless + interval + window + MuxConfig::default().tick;
+    assert!(
+        report.elapsed <= bound,
+        "ended at {:?}, bound {bound:?}",
+        report.elapsed
+    );
 }
 
 #[test]
