@@ -69,6 +69,7 @@ mod tests {
 
     #[test]
     fn shared_loss_lowers_transmissions() {
+        let _cores = crate::tests::cores_shared();
         let fig = generate(Quality::Quick);
         let indep = fig
             .series_named("non-FEC, indep. loss")
@@ -92,6 +93,7 @@ mod tests {
 
     #[test]
     fn layered_crossover_later_under_shared_loss() {
+        let _cores = crate::tests::cores_shared();
         // Layered beats no-FEC for R > ~20 under independent loss but only
         // for R > ~60 under shared loss; check the ordering flips in the
         // right direction at a mid-size R.

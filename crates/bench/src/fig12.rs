@@ -22,6 +22,7 @@ mod tests {
 
     #[test]
     fn integrated_benefit_remains_substantial_but_smaller_when_shared() {
+        let _cores = crate::tests::cores_shared();
         let fig = generate(Quality::Quick);
         let at_edge = |label: &str| fig.series_named(label).unwrap().last_y().unwrap();
         let arq_i = at_edge("non-FEC, indep. loss");

@@ -70,6 +70,7 @@ mod tests {
 
     #[test]
     fn layered_loses_to_nofec_under_bursts() {
+        let _cores = crate::tests::cores_shared();
         // The paper's headline negative result: with bursts of mean 2,
         // layered FEC at k = 7 is WORSE than plain ARQ.
         let fig = generate(Quality::Quick);

@@ -30,6 +30,7 @@ mod tests {
 
     #[test]
     fn interleaving_helps_small_k_only() {
+        let _cores = crate::tests::cores_shared();
         let fig = generate(Quality::Quick);
         let edge = |label: &str| fig.series_named(label).unwrap().last_y().unwrap();
         // k = 7: the spread-out variant 2 clearly beats variant 1.
@@ -49,6 +50,7 @@ mod tests {
 
     #[test]
     fn larger_groups_monotonically_better() {
+        let _cores = crate::tests::cores_shared();
         let fig = generate(Quality::Quick);
         let edge = |label: &str| fig.series_named(label).unwrap().last_y().unwrap();
         assert!(edge("integrated2(k=20)") < edge("integrated2(k=7)"));

@@ -76,7 +76,24 @@ pub fn all_figures() -> Vec<(&'static str, FigureFn)> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
     use super::*;
+
+    /// The cores this test binary runs on. A test that compares wall-clock
+    /// rates holds them alone; the tests whose figures run on the thread
+    /// pool share them with each other, never with a timed one.
+    static CORES: RwLock<()> = RwLock::new(());
+
+    /// Hold the cores alone, for a timed comparison.
+    pub(crate) fn cores_alone() -> RwLockWriteGuard<'static, ()> {
+        CORES.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Share the cores with the other pooled tests.
+    pub(crate) fn cores_shared() -> RwLockReadGuard<'static, ()> {
+        CORES.read().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn registry_is_complete_and_unique() {
@@ -93,6 +110,7 @@ mod tests {
     /// the integration suite.)
     #[test]
     fn all_figures_generate_quick() {
+        let _cores = cores_shared();
         for (id, f) in all_figures() {
             let fig = f(Quality::Quick);
             assert!(!fig.series.is_empty(), "{id} has no series");

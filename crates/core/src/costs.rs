@@ -4,8 +4,8 @@
 //! packet causes at the end hosts. The state machines increment these
 //! counters as they run, and [`CostCounters::processing_time`] prices them
 //! with the paper's cost table, giving a measured counterpart to the
-//! analytical rates of `pm_analysis::endhost` (used by the Fig. 17/18
-//! cross-checks and the protocol benchmarks).
+//! analytical rates of `pm_analysis::endhost`. Session reports carry the
+//! counters; only this module's tests call the pricing.
 
 use pm_analysis::CostModel;
 use pm_obs::MetricsRegistry;

@@ -15,8 +15,9 @@
 
 use std::time::Duration;
 
-use pm_net::{splitmix64, Message, NetError};
+use pm_net::{Message, NetError};
 use pm_obs::{Event, Obs};
+use pm_par::splitmix64;
 
 use crate::costs::CostCounters;
 use crate::error::ProtocolError;

@@ -57,30 +57,27 @@ impl MuxClock for VirtualClock {
     }
 }
 
+/// The shortest nap a [`WallClock`] takes.
+const MIN_NAP: Duration = Duration::from_micros(20);
+/// The longest nap a [`WallClock`] takes.
+const MAX_NAP: Duration = Duration::from_micros(500);
+
 /// Real time, read through the observability stopwatch.
 ///
-/// `advance_to` naps at most `max_nap` per call so a far-out timer can
+/// `advance_to` naps at most [`MAX_NAP`] per call so a far-out timer can
 /// never blind the mux to arriving datagrams: the run loop re-polls every
 /// endpoint between naps.
 #[derive(Debug, Clone)]
 pub struct WallClock {
     epoch: Stopwatch,
-    max_nap: Duration,
 }
 
 impl WallClock {
-    /// A clock whose epoch is now, napping at most 500µs at a time.
+    /// A clock whose epoch is now.
     pub fn new() -> Self {
         WallClock {
             epoch: Stopwatch::start(),
-            max_nap: Duration::from_micros(500),
         }
-    }
-
-    /// Override the nap ceiling (coarser naps trade latency for CPU).
-    pub fn with_max_nap(mut self, max_nap: Duration) -> Self {
-        self.max_nap = max_nap.max(Duration::from_micros(1));
-        self
     }
 }
 
@@ -104,12 +101,7 @@ impl MuxClock for WallClock {
         reason = "a wall-clock mux naps until its next timer while its real sockets fill"
     )]
     fn advance_to(&mut self, deadline: f64) {
-        let nap = clamp_wait(
-            deadline - self.now(),
-            Duration::from_micros(20),
-            self.max_nap,
-        );
-        std::thread::sleep(nap);
+        std::thread::sleep(clamp_wait(deadline - self.now(), MIN_NAP, MAX_NAP));
     }
 }
 
@@ -133,14 +125,19 @@ mod tests {
 
     #[test]
     fn wall_clock_naps_are_bounded() {
-        let mut c = WallClock::new().with_max_nap(Duration::from_millis(1));
+        let mut c = WallClock::new();
         let before = c.now();
-        // An hour-out (and an infinite) deadline must return promptly.
+        // An hour-out and an infinite deadline nap MAX_NAP each, a NaN one
+        // the floor: all three return promptly.
         c.advance_to(before + 3600.0);
         c.advance_to(f64::INFINITY);
         c.advance_to(f64::NAN);
         let waited = c.now() - before;
-        assert!(waited < 0.5, "bounded naps, waited {waited}s");
-        assert!(c.now() >= before);
+        let bound = 3.0 * MAX_NAP.as_secs_f64() + 0.5;
+        assert!(waited < bound, "bounded naps, waited {waited}s");
+        assert!(
+            waited >= 2.0 * MAX_NAP.as_secs_f64(),
+            "two full naps, waited {waited}s"
+        );
     }
 }

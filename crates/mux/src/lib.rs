@@ -48,6 +48,6 @@ pub mod wheel;
 
 pub use clock::{MuxClock, VirtualClock, WallClock};
 pub use drive::{drive_receiver, drive_sender, drive_session};
-pub use mux::{Mux, MuxConfig, MuxMetrics, SessionOutcome, ShedReport};
+pub use mux::{Mux, MuxConfig, MuxMetrics, SessionOutcome, ShedReport, TICK};
 pub use overload::{AdmissionError, OverloadConfig, OverloadPolicy, OverloadSignal};
 pub use wheel::TimerWheel;

@@ -54,15 +54,19 @@ const SENDER_WAIT_CEIL: Duration = Duration::from_millis(50);
 /// with no NAK timer pending still gets its FIN/linger/stall checks.
 const RECEIVER_WAIT_CEIL: Duration = Duration::from_millis(20);
 
+/// [`TICK`] in nanoseconds: every delay becomes ticks by one `u64` division.
+const TICK_NS: u64 = 50_000;
+/// Timer-wheel granularity, 50 µs. Deadlines round up to the next tick, so
+/// this bounds both scheduling error and the idle nap length.
+pub const TICK: Duration = Duration::from_nanos(TICK_NS);
+const TICK_SECS: f64 = TICK.as_secs_f64();
+/// Datagrams drained per endpoint per sweep — the fairness bound: a
+/// flooding session yields the sweep after this many datagrams.
+const POLL_BUDGET: usize = 32;
+
 /// Tuning knobs of a [`Mux`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MuxConfig {
-    /// Timer-wheel granularity. Deadlines round up to the next tick, so
-    /// this bounds both scheduling error and the idle nap length.
-    pub tick: Duration,
-    /// Datagrams drained per endpoint per sweep — the fairness bound: a
-    /// flooding session yields the sweep after this many datagrams.
-    pub poll_budget: usize,
     /// When set, every session gets a flight-recorder [`RingRecorder`] of
     /// this capacity (0 means 1): its driver lifecycle and I/O events are
     /// retained, and a session ending degraded or errored leaves a
@@ -75,17 +79,6 @@ pub struct MuxConfig {
     /// past the high-water mark, and sustained saturation sheds sessions
     /// with typed [`SessionOutcome::Shed`] outcomes.
     pub overload: Option<OverloadConfig>,
-}
-
-impl Default for MuxConfig {
-    fn default() -> Self {
-        MuxConfig {
-            tick: Duration::from_micros(50),
-            poll_budget: 32,
-            flight_capacity: None,
-            overload: None,
-        }
-    }
 }
 
 /// Which of a session's schedulable waits a timer entry represents.
@@ -372,10 +365,6 @@ enum Flush {
 /// ```
 pub struct Mux<T: PollTransport, C: MuxClock> {
     cfg: MuxConfig,
-    tick_secs: f64,
-    /// `cfg.tick` in whole nanoseconds, at least one: every delay becomes
-    /// ticks by one `u64` division.
-    tick_ns: u64,
     clock: C,
     wheel: TimerWheel<TimerKey>,
     sockets: PollSet<T>,
@@ -402,11 +391,8 @@ pub struct Mux<T: PollTransport, C: MuxClock> {
 impl<T: PollTransport, C: MuxClock> Mux<T, C> {
     /// An empty mux over `clock`.
     pub fn new(cfg: MuxConfig, clock: C) -> Self {
-        let tick_secs = cfg.tick.max(Duration::from_nanos(1)).as_secs_f64();
         Mux {
-            tick_ns: tick_nanos(cfg.tick),
             cfg,
-            tick_secs,
             clock,
             wheel: TimerWheel::new(),
             sockets: PollSet::new(),
@@ -660,7 +646,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
         // 1. Fair I/O sweep over every live endpoint.
         let mut sink = std::mem::take(&mut self.io_sink);
         sink.clear();
-        let got = self.sockets.poll_round(self.cfg.poll_budget, &mut sink);
+        let got = self.sockets.poll_round(POLL_BUDGET, &mut sink);
         if let Some(m) = &self.metrics {
             // poll_round drains each endpoint contiguously, so run
             // lengths are per-session backlog depths.
@@ -687,7 +673,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
         self.io_sink = sink;
 
         // 2. Fire timers due at the current tick.
-        let now_tick = self.tick_of(self.clock.now());
+        let now_tick = Self::tick_of(self.clock.now());
         let mut fired = std::mem::take(&mut self.fired);
         fired.clear();
         self.wheel.advance(now_tick, &mut fired);
@@ -700,7 +686,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
         // Budget accounting: how much of this turn's capacity (datagrams
         // per sweep, drive passes per turn) the population consumed,
         // folded into the policy's rolling estimate.
-        let io_capacity = (self.live.max(1) * self.cfg.poll_budget.max(1)) as f64;
+        let io_capacity = (self.live.max(1) * POLL_BUDGET) as f64;
         let turn_drives = self.turn_drives;
         let signal = self.policy.as_mut().map(|policy| {
             let io_frac = got as f64 / io_capacity;
@@ -745,14 +731,14 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
             let now = self.clock.now();
             let target = match self.wheel.next_deadline() {
                 Some(t) => {
-                    let deadline = t as f64 * self.tick_secs;
+                    let deadline = t as f64 * TICK_SECS;
                     if deadline > now {
                         deadline
                     } else {
-                        now + self.tick_secs
+                        now + TICK_SECS
                     }
                 }
-                None => now + self.tick_secs,
+                None => now + TICK_SECS,
             };
             self.clock.advance_to(target);
         }
@@ -766,8 +752,8 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
     /// `f64` seconds and back must be the identity, or a virtual clock
     /// that jumped to "tick 100 exactly" could land on tick 99 and strand
     /// the wheel one tick short of its deadline forever.
-    fn tick_of(&self, secs: f64) -> u64 {
-        let t = secs / self.tick_secs;
+    fn tick_of(secs: f64) -> u64 {
+        let t = secs / TICK_SECS;
         if t.is_finite() && t > 0.0 {
             t.round() as u64
         } else {
@@ -779,7 +765,6 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
     fn on_io(&mut self, token: Token, outcome: Result<Message, NetError>) {
         let now_abs = self.clock.now();
         let wheel_now = self.wheel.now();
-        let tick = self.tick_ns;
         let after = {
             let Some(sess) = self
                 .sessions
@@ -852,8 +837,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                                 // would have (linger and stall cannot
                                 // trip the moment a datagram arrived).
                                 let wake_moved_up = machine.next_deadline().is_some_and(|d| {
-                                    receiver_wake_tick(wheel_now, Some(d), now_rel, tick)
-                                        < sess.wake_at
+                                    receiver_wake_tick(wheel_now, Some(d), now_rel) < sess.wake_at
                                 });
                                 if !sess.outbound.is_empty() || machine.fin_seen() || wake_moved_up
                                 {
@@ -903,7 +887,6 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
     /// or finishes the session.
     fn drive_sender_session(&mut self, token: Token) {
         let now_abs = self.clock.now();
-        let tick = self.tick_ns;
         let Mux {
             sessions,
             sockets,
@@ -986,10 +969,10 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                             keepalive,
                         };
                         sess.wait_armed = false;
-                        break 'drive match transmit(sess, sockets, wheel, tick, now_abs, send) {
+                        break 'drive match transmit(sess, sockets, wheel, now_abs, send) {
                             Flush::Clear => {
                                 let spacing = sess.rt.packet_spacing;
-                                arm(wheel, sess, TimerKind::Pace, spacing, tick);
+                                arm(wheel, sess, TimerKind::Pace, spacing);
                                 None
                             }
                             Flush::Parked => None,
@@ -1014,7 +997,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                                 },
                             )));
                         }
-                        let wait = wait_ticks(t - now_rel, tick, SENDER_WAIT_CEIL);
+                        let wait = wait_ticks(t - now_rel, SENDER_WAIT_CEIL);
                         let at = wheel.now().saturating_add(wait);
                         sess.wait_armed = true;
                         arm_at(wheel, sess, TimerKind::Wake, at);
@@ -1032,7 +1015,6 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
     /// run the end-of-session checks, re-arm the poll cadence.
     fn drive_receiver_session(&mut self, token: Token) {
         let now_abs = self.clock.now();
-        let tick = self.tick_ns;
         let Mux {
             sessions,
             sockets,
@@ -1072,7 +1054,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                     attempt: 0,
                     keepalive: false,
                 };
-                match transmit(sess, sockets, wheel, tick, now_abs, send) {
+                match transmit(sess, sockets, wheel, now_abs, send) {
                     Flush::Clear => {}
                     Flush::Parked => break 'drive None,
                     Flush::Fatal(e) => break 'drive Some(SessionOutcome::Receiver(Err(e))),
@@ -1087,7 +1069,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                 };
                 machine.next_deadline()
             };
-            let at = receiver_wake_tick(wheel.now(), deadline, now_rel, tick);
+            let at = receiver_wake_tick(wheel.now(), deadline, now_rel);
             arm_at(wheel, sess, TimerKind::Wake, at);
             None
         };
@@ -1099,7 +1081,6 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
     /// A Retry timer fired: re-attempt the parked transmission.
     fn fire_retry(&mut self, token: Token) {
         let now_abs = self.clock.now();
-        let tick = self.tick_ns;
         let after = {
             let Mux {
                 sessions,
@@ -1117,13 +1098,13 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
             let Some(pending) = sess.pending.take() else {
                 return;
             };
-            match transmit(sess, sockets, wheel, tick, now_abs, pending) {
+            match transmit(sess, sockets, wheel, now_abs, pending) {
                 Flush::Clear => match sess.engine {
                     Engine::Sender(_) => {
                         // The send finally landed: resume pacing from
                         // here.
                         let spacing = sess.rt.packet_spacing;
-                        arm(wheel, sess, TimerKind::Pace, spacing, tick);
+                        arm(wheel, sess, TimerKind::Pace, spacing);
                         AfterIo::Nothing
                     }
                     Engine::Receiver(_) => AfterIo::DriveReceiver,
@@ -1277,43 +1258,37 @@ fn elapsed_of(now_rel: f64) -> Duration {
     }
 }
 
-/// A tick length in whole nanoseconds, at least one (and at most
-/// `u64::MAX`, some 584 years).
-fn tick_nanos(tick: Duration) -> u64 {
-    u64::try_from(tick.as_nanos()).unwrap_or(u64::MAX).max(1)
-}
-
-/// Ceil a delay to whole ticks of `tick_ns` nanoseconds, at least one: a
-/// timer never fires early, and "now" is never a valid future deadline.
-fn ticks_for(tick_ns: u64, delay: Duration) -> u64 {
+/// Ceil a delay to whole ticks, at least one: a timer never fires early,
+/// and "now" is never a valid future deadline.
+fn ticks_for(delay: Duration) -> u64 {
     let ticks = match u64::try_from(delay.as_nanos()) {
-        Ok(ns) => ns.div_ceil(tick_ns),
+        Ok(ns) => ns.div_ceil(TICK_NS),
         // Past 584 years: the wide division, saturating.
-        Err(_) => u64::try_from(delay.as_nanos().div_ceil(u128::from(tick_ns))).unwrap_or(u64::MAX),
+        Err(_) => u64::try_from(delay.as_nanos().div_ceil(u128::from(TICK_NS))).unwrap_or(u64::MAX),
     };
     ticks.max(1)
 }
 
 /// Ticks to wait for a machine's wake-up `delta_secs` away: the wait is
-/// [`clamp_wait`](pm_core::runtime::clamp_wait)`(delta_secs, tick, ceil)`,
+/// [`clamp_wait`](pm_core::runtime::clamp_wait)`(delta_secs, TICK, ceil)`,
 /// total over every float, and a delta the clamp sends to either bound
 /// skips the `Duration`.
-fn wait_ticks(delta_secs: f64, tick_ns: u64, ceil: Duration) -> u64 {
+fn wait_ticks(delta_secs: f64, ceil: Duration) -> u64 {
     if delta_secs.is_nan() || delta_secs <= 0.0 {
         1
     } else if delta_secs >= ceil.as_secs_f64() {
-        ticks_for(tick_ns, ceil)
+        ticks_for(ceil)
     } else {
-        ticks_for(tick_ns, Duration::from_secs_f64(delta_secs).min(ceil))
+        ticks_for(Duration::from_secs_f64(delta_secs).min(ceil))
     }
 }
 
 /// The tick a receiver's Wake belongs at: its earliest NAK `deadline`
 /// (session-relative seconds), or the check cadence when it has none.
-fn receiver_wake_tick(wheel_now: u64, deadline: Option<f64>, now_rel: f64, tick_ns: u64) -> u64 {
+fn receiver_wake_tick(wheel_now: u64, deadline: Option<f64>, now_rel: f64) -> u64 {
     let wait = match deadline {
-        Some(d) => wait_ticks(d - now_rel, tick_ns, RECEIVER_WAIT_CEIL),
-        None => ticks_for(tick_ns, RECEIVER_WAIT_CEIL),
+        Some(d) => wait_ticks(d - now_rel, RECEIVER_WAIT_CEIL),
+        None => ticks_for(RECEIVER_WAIT_CEIL),
     };
     wheel_now.saturating_add(wait)
 }
@@ -1326,9 +1301,8 @@ fn arm(
     sess: &mut SessionState,
     kind: TimerKind,
     delay: Duration,
-    tick_ns: u64,
 ) {
-    let at = wheel.now().saturating_add(ticks_for(tick_ns, delay));
+    let at = wheel.now().saturating_add(ticks_for(delay));
     arm_at(wheel, sess, kind, at);
 }
 
@@ -1359,7 +1333,6 @@ fn transmit<T: PollTransport>(
     sess: &mut SessionState,
     sockets: &mut PollSet<T>,
     wheel: &mut TimerWheel<TimerKey>,
-    tick: u64,
     now_abs: f64,
     send: PendingSend,
 ) -> Flush {
@@ -1386,7 +1359,7 @@ fn transmit<T: PollTransport>(
             let attempt = send.attempt + 1;
             let backoff = sess.res.retry_backoff(attempt, now_rel, &sess.obs);
             sess.pending = Some(PendingSend { attempt, ..send });
-            arm(wheel, sess, TimerKind::Retry, backoff, tick);
+            arm(wheel, sess, TimerKind::Retry, backoff);
             Flush::Parked
         }
         Err(e) => Flush::Fatal(e.into()),
@@ -1881,7 +1854,7 @@ mod tests {
             Some((_, SessionOutcome::Sender(Ok(report)))) => {
                 assert_eq!(report.completed, Vec::<u32>::new());
                 // NaN wakes at the floor, +inf at the ceiling — not never.
-                assert!(report.elapsed <= SENDER_WAIT_CEIL + 2 * MuxConfig::default().tick);
+                assert!(report.elapsed <= SENDER_WAIT_CEIL + 2 * TICK);
             }
             other => panic!("hostile wakeups must not abort: {other:?}"),
         }
@@ -2298,7 +2271,7 @@ mod tests {
         m.turn_once();
         let armed = live(&m, tok).wake_at;
         assert_eq!(
-            armed as f64 * m.tick_secs,
+            armed as f64 * TICK_SECS,
             nak_at,
             "Wake sits on the deadline"
         );
@@ -2450,11 +2423,8 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Ticks up to `RECEIVER_WAIT_CEIL`: past it the oracle's clamp
-        /// panics (floor above ceiling).
         #[test]
         fn u64_ticks_agree_with_the_duration_oracle(
-            tick_ns in 0u64..=20_000_000,
             delay_secs in proptest::prop_oneof![0u64..4, proptest::prelude::any::<u64>()],
             delay_nanos in 0u32..1_000_000_000,
             delta in any_secs(),
@@ -2464,29 +2434,17 @@ mod tests {
         ) {
             use pm_core::runtime::clamp_wait;
             use proptest::prop_assert_eq;
-            let tick = Duration::from_nanos(tick_ns);
-            let t = tick_nanos(tick);
             let delay = Duration::new(delay_secs, delay_nanos);
-            prop_assert_eq!(ticks_for(t, delay), oracle::ticks_for(tick, delay));
+            prop_assert_eq!(ticks_for(delay), oracle::ticks_for(TICK, delay));
             for ceil in [SENDER_WAIT_CEIL, RECEIVER_WAIT_CEIL] {
-                let want = oracle::ticks_for(tick, clamp_wait(delta, tick, ceil));
-                prop_assert_eq!(wait_ticks(delta, t, ceil), want);
+                let want = oracle::ticks_for(TICK, clamp_wait(delta, TICK, ceil));
+                prop_assert_eq!(wait_ticks(delta, ceil), want);
             }
             let deadline = has_deadline.then_some(delta);
             prop_assert_eq!(
-                receiver_wake_tick(wheel_now, deadline, now_rel, t),
-                oracle::receiver_wake_tick(wheel_now, deadline, now_rel, tick)
+                receiver_wake_tick(wheel_now, deadline, now_rel),
+                oracle::receiver_wake_tick(wheel_now, deadline, now_rel, TICK)
             );
-        }
-    }
-
-    #[test]
-    fn a_tick_above_the_wait_ceilings_waits_one_tick() {
-        // The oracle's `clamp_wait(_, tick, ceil)` panics here.
-        let tick = tick_nanos(Duration::from_millis(60));
-        for delta in [f64::NAN, -1.0, 0.001, 0.03, f64::INFINITY] {
-            assert_eq!(wait_ticks(delta, tick, SENDER_WAIT_CEIL), 1);
-            assert_eq!(receiver_wake_tick(7, Some(delta), 0.0, tick), 8);
         }
     }
 }

@@ -21,7 +21,7 @@
 
 use std::fmt;
 
-use pm_net::splitmix64;
+use pm_par::splitmix64;
 
 /// Tuning knobs of the mux's overload policy.
 #[derive(Debug, Clone, Copy, PartialEq)]

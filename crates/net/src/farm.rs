@@ -4,10 +4,10 @@
 //! feed and lets the protocol machines discard what is not theirs — fine
 //! for a handful of sessions, quadratic in traffic for a farm. A
 //! [`FarmHub`] instead owns **one non-blocking UDP socket** and
-//! demultiplexes arriving datagrams by the wire session id (plus the
-//! message's direction: data-plane kinds go to the session's receiver
-//! half, feedback kinds to its sender half). One `Mux` can therefore
-//! drive hundreds of sessions over a single descriptor.
+//! demultiplexes arriving datagrams by the session and direction that
+//! [`crate::wire`] reads off each one ([`Message::role`], or a damaged
+//! datagram's header claim). One `Mux` can therefore drive hundreds of
+//! sessions over a single descriptor.
 //!
 //! Datagrams that demux to **no registered session** — late packets from
 //! a finished or shed session, strangers on the port — are counted and
@@ -18,8 +18,11 @@
 //! *live* sessions no matter how hostile the port is.
 //!
 //! There is no reader thread: whichever endpoint polls first drains the
-//! socket (budget-bounded) into everyone's queues, which is exactly the
-//! event-driven mux's sweep pattern.
+//! socket into everyone's queues, which is exactly the event-driven mux's
+//! sweep pattern. The drain is the `Feed` under [`crate::udp::UdpHub`]
+//! too (budget, error classes, the latched fatal error and the read
+//! count); this module adds only the routing, the bounded queues and the
+//! skip rule below.
 //!
 //! **One drain per sweep.** A drain that ends on `WouldBlock` has proved
 //! the socket dry, so the next `N - 1` empty-queue polls (`N` registered
@@ -35,51 +38,22 @@ use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use bytes::Bytes;
 use pm_obs::{Event, Obs, Stopwatch};
 
 use crate::lock;
 use crate::poll::PollTransport;
-use crate::transport::{classify_recv_err, NetError, RecvClass, Transport, DRAIN_BUDGET, RECV_BUF};
-use crate::wire::Message;
+use crate::transport::{NetError, Transport};
+use crate::udp::{Drained, Feed};
+use crate::wire::{self, Message};
 
 /// Bound on one session half's pending-datagram queue. Overflow is
 /// dropped-and-counted exactly like kernel-buffer loss would be.
 pub const FARM_QUEUE_CAP: usize = 8_192;
 
-/// Which half of a session an endpoint serves. The demux routes
-/// data-plane kinds (packets, polls, announce, FIN, FEC frames) to the
-/// `Receiver` half and feedback kinds (NAKs, DONE) to the `Sender` half,
-/// so the two halves of one session can share the socket without
-/// stealing each other's traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum FarmRole {
-    /// The session's sending half (receives feedback).
-    Sender,
-    /// A session's receiving half (receives the data plane).
-    Receiver,
-}
-
-/// Which half of session `s` a message belongs to.
-fn dest_role(msg: &Message) -> FarmRole {
-    match msg {
-        Message::Nak { .. } | Message::NakPacket { .. } | Message::Done { .. } => FarmRole::Sender,
-        Message::Packet { .. }
-        | Message::Poll { .. }
-        | Message::Announce { .. }
-        | Message::Fin { .. }
-        | Message::FecFrame { .. } => FarmRole::Receiver,
-    }
-}
-
-/// `dest_role` from a raw wire type byte (used to route datagrams whose
-/// checksum failed but whose header is intact).
-fn dest_role_of_type(ty: u8) -> FarmRole {
-    // TYPE_NAK = 3, TYPE_NAK_PACKET = 4, TYPE_DONE = 6 (see wire.rs).
-    match ty {
-        3 | 4 | 6 => FarmRole::Sender,
-        _ => FarmRole::Receiver,
-    }
-}
+/// Which half of a session an endpoint serves: each message goes to the
+/// half its [`Message::role`] names, so the halves share the socket.
+pub use crate::wire::Role as FarmRole;
 
 /// Counters a farm maintains about traffic it refused to deliver.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -96,74 +70,27 @@ pub struct FarmStats {
     pub socket_reads: u64,
 }
 
-struct FarmCore {
-    socket: UdpSocket,
-    peer: SocketAddr,
+/// The per-session queues the socket drains into.
+struct Demux {
     queues: BTreeMap<(u32, FarmRole), VecDeque<Result<Message, NetError>>>,
+    /// Every counter but `socket_reads`, which the feed keeps.
     stats: FarmStats,
-    /// First fatal socket error; once set, every endpoint's poll fails.
-    fatal: Option<std::io::ErrorKind>,
-    buf: Vec<u8>,
-    /// Encode scratch, so a send allocates nothing.
-    tx: Vec<u8>,
-    /// Empty-queue polls that may still skip the socket read (module docs).
-    skip: usize,
     obs: Obs,
     clock: Stopwatch,
 }
 
-impl FarmCore {
-    /// Drain up to `DRAIN_BUDGET` datagrams into the per-session queues;
-    /// a dry socket arms the skip. Returns the first fatal error, if any.
-    fn drain_socket(&mut self) -> Result<(), NetError> {
-        if let Some(kind) = self.fatal {
-            return Err(NetError::Io(kind.into()));
-        }
-        self.skip = 0;
-        for _ in 0..DRAIN_BUDGET {
-            self.stats.socket_reads += 1;
-            match self.socket.recv_from(&mut self.buf) {
-                Ok((len, _src)) => {
-                    let raw = bytes::Bytes::copy_from_slice(&self.buf[..len]);
-                    self.route(raw);
-                }
-                Err(e) => match classify_recv_err(&e) {
-                    RecvClass::WouldBlock => {
-                        self.skip = self.queues.len().saturating_sub(1);
-                        break;
-                    }
-                    RecvClass::Transient => continue,
-                    RecvClass::Fatal => {
-                        self.fatal = Some(e.kind());
-                        return Err(NetError::Io(e));
-                    }
-                },
-            }
-        }
-        Ok(())
-    }
-
+impl Demux {
     /// Demultiplex one raw datagram into a session queue, the unknown
     /// counter, or the foreign tally.
-    fn route(&mut self, raw: bytes::Bytes) {
-        // Header: magic u16 | version u8 | type u8 | cksum u32 | session u32.
-        let header = |raw: &bytes::Bytes| -> Option<(u32, FarmRole)> {
-            if raw.len() < 12 {
-                return None;
-            }
-            let session = u32::from_be_bytes([raw[8], raw[9], raw[10], raw[11]]);
-            Some((session, dest_role_of_type(raw[3])))
-        };
-        match Message::decode(raw.clone()) {
-            Ok(msg) => {
-                let key = (msg.session(), dest_role(&msg));
-                self.deliver(key, Ok(msg));
-            }
+    fn route(&mut self, raw: Bytes) {
+        let claim = wire::claimed_route(&raw);
+        match Message::decode(raw) {
+            Ok(msg) => self.deliver((msg.session(), msg.role()), Ok(msg)),
             // Ours but damaged in flight: the header's session claim is
             // the best routing information there is. The owning session's
             // resilience policy counts it; with no owner it is an unknown
             // drop like any other stray.
-            Err(e @ NetError::Corrupt(_)) => match header(&raw) {
+            Err(e @ NetError::Corrupt(_)) => match claim {
                 Some(key) => self.deliver(key, Err(e)),
                 None => self.count_unknown(0),
             },
@@ -190,6 +117,16 @@ impl FarmCore {
         self.obs
             .emit(&self.clock, || Event::FarmUnknownDrop { session });
     }
+}
+
+struct FarmCore {
+    feed: Feed,
+    demux: Demux,
+    peer: SocketAddr,
+    /// Encode scratch, so a send allocates nothing.
+    tx: Vec<u8>,
+    /// Empty-queue polls that may still skip the socket read (module docs).
+    skip: usize,
 }
 
 /// One non-blocking UDP socket shared by every session of a farm, with
@@ -220,16 +157,16 @@ impl FarmHub {
         };
         Ok(FarmHub {
             core: Arc::new(Mutex::new(FarmCore {
-                socket,
+                feed: Feed::new(socket),
+                demux: Demux {
+                    queues: BTreeMap::new(),
+                    stats: FarmStats::default(),
+                    obs: Obs::null(),
+                    clock: Stopwatch::start(),
+                },
                 peer,
-                queues: BTreeMap::new(),
-                stats: FarmStats::default(),
-                fatal: None,
-                buf: vec![0u8; RECV_BUF],
                 tx: Vec::new(),
                 skip: 0,
-                obs: Obs::null(),
-                clock: Stopwatch::start(),
             })),
         })
     }
@@ -252,12 +189,12 @@ impl FarmHub {
     /// # Errors
     /// Propagates the socket's local-address lookup failure.
     pub fn local_addr(&self) -> Result<SocketAddr, NetError> {
-        Ok(lock(&self.core).socket.local_addr()?)
+        Ok(lock(&self.core).feed.socket.local_addr()?)
     }
 
     /// Emit `farm_unknown_drop` events to `obs`.
     pub fn with_obs(self, obs: Obs) -> Self {
-        lock(&self.core).obs = obs;
+        lock(&self.core).demux.obs = obs;
         self
     }
 
@@ -270,15 +207,15 @@ impl FarmHub {
     /// two live transports demuxing the same key would split its traffic
     /// unpredictably.
     pub fn endpoint(&self, session: u32, role: FarmRole) -> Result<FarmEndpoint, NetError> {
-        let mut core = lock(&self.core);
+        let queues = &mut lock(&self.core).demux.queues;
         let key = (session, role);
-        if core.queues.contains_key(&key) {
+        if queues.contains_key(&key) {
             return Err(NetError::Io(std::io::Error::new(
                 std::io::ErrorKind::AlreadyExists,
                 format!("farm session {session} {role:?} half already registered"),
             )));
         }
-        core.queues.insert(key, VecDeque::new());
+        queues.insert(key, VecDeque::new());
         Ok(FarmEndpoint {
             core: self.core.clone(),
             key,
@@ -287,17 +224,21 @@ impl FarmHub {
 
     /// Refused-traffic counters (unknown-session, overflow, foreign).
     pub fn stats(&self) -> FarmStats {
-        lock(&self.core).stats
+        let core = lock(&self.core);
+        FarmStats {
+            socket_reads: core.feed.reads,
+            ..core.demux.stats
+        }
     }
 
     /// Session halves currently registered.
     pub fn len(&self) -> usize {
-        lock(&self.core).queues.len()
+        lock(&self.core).demux.queues.len()
     }
 
     /// True when no session half is registered.
     pub fn is_empty(&self) -> bool {
-        lock(&self.core).queues.is_empty()
+        lock(&self.core).demux.queues.is_empty()
     }
 
     /// Raw send of `bytes` to the hub's peer, bypassing encode — lets
@@ -308,7 +249,7 @@ impl FarmHub {
     pub fn inject_raw(&self, bytes: &[u8]) -> Result<(), NetError> {
         let mut core = lock(&self.core);
         core.skip = 0;
-        core.socket.send_to(bytes, core.peer)?;
+        core.feed.socket.send_to(bytes, core.peer)?;
         Ok(())
     }
 }
@@ -324,7 +265,7 @@ pub struct FarmEndpoint {
 
 impl Drop for FarmEndpoint {
     fn drop(&mut self) {
-        lock(&self.core).queues.remove(&self.key);
+        lock(&self.core).demux.queues.remove(&self.key);
     }
 }
 
@@ -334,7 +275,7 @@ impl Transport for FarmEndpoint {
         msg.encode_into(&mut core.tx);
         // The socket may be its own peer: what a drain proved is stale.
         core.skip = 0;
-        match core.socket.send_to(&core.tx, core.peer) {
+        match core.feed.socket.send_to(&core.tx, core.peer) {
             Ok(_) => Ok(()),
             // Transient pushback (full socket buffer) surfaces as an I/O
             // error; the drivers' retry-with-backoff machinery owns it.
@@ -351,25 +292,32 @@ impl PollTransport for FarmEndpoint {
     /// Next datagram demuxed to this half. An empty queue reads the
     /// socket, unless a drain has proved it dry (module docs).
     fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
-        let mut core = lock(&self.core);
+        let FarmCore {
+            feed, demux, skip, ..
+        } = &mut *lock(&self.core);
         // Serve from the queue first: the socket drain below may park a
         // fatal error that must not eat already-demuxed datagrams.
-        if let Some(item) = core.queues.get_mut(&self.key).and_then(VecDeque::pop_front) {
+        let queue = |demux: &mut Demux| demux.queues.get_mut(&self.key)?.pop_front();
+        if let Some(item) = queue(demux) {
             return item.map(Some);
         }
-        if core.skip > 0 {
-            core.skip -= 1;
+        if *skip > 0 {
+            *skip -= 1;
             return Ok(None);
         }
-        core.drain_socket()?;
-        let queue = core.queues.get_mut(&self.key);
-        queue.and_then(VecDeque::pop_front).transpose()
+        match feed.drain(|raw| demux.route(raw)) {
+            Drained::Dry => *skip = demux.queues.len().saturating_sub(1),
+            Drained::Budget => {}
+            Drained::Fatal(kind) => return Err(NetError::Io(kind.into())),
+        }
+        queue(demux).transpose()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::udp::DRAIN_BUDGET;
 
     fn hub() -> FarmHub {
         FarmHub::loopback().expect("loopback farm socket")

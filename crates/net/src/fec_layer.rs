@@ -12,9 +12,10 @@
 //!   `max_delay` pads out and flushes a part-filled block so trailing
 //!   traffic is never stranded.
 //! * **Receive path** — data slots are unwrapped and delivered at once (no
-//!   added latency when nothing is lost); frames are also retained per
-//!   block, and as soon as any `k` of the `n` arrive the missing data
-//!   slots are reconstructed and delivered late. "Whenever the FEC layer
+//!   added latency when nothing is lost); frames are also accumulated per
+//!   block in a [`GroupDecoder`], the NP receiver's accumulator, and as
+//!   soon as any `k` of the `n` arrive the missing data slots are
+//!   reconstructed and delivered late. "Whenever the FEC layer
 //!   receives at least `k` out of `k + h` packets, all of the lost
 //!   original packets are reconstructed and delivered to the RM layer."
 //! * If fewer than `k` arrive, the block is eventually garbage-collected
@@ -25,12 +26,13 @@
 //! the paper's layered architecture live, which
 //! `tests/layered_transport.rs` demonstrates against plain N2.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use bytes::{BufMut, Bytes, BytesMut};
 
-use pm_rse::{CodeSpec, RseDecoder, RseEncoder};
+use pm_rse::{CodeSpec, GroupDecoder, InsertOutcome, RseDecoder, RseEncoder};
 
 use crate::poll::PollTransport;
 use crate::transport::{NetError, Transport};
@@ -52,17 +54,6 @@ pub struct FecLayerConfig {
     /// Distinguishes concurrent senders on one group; their blocks must
     /// not mix. Pick any value unique per sender (e.g. from a PID or RNG).
     pub sender_tag: u32,
-}
-
-/// Per-block receive state.
-struct RxBlock {
-    k: usize,
-    /// Slot payloads (padded form), `n` entries.
-    slots: Vec<Option<Bytes>>,
-    received: usize,
-    /// Data slots already delivered upward (so late repair skips them).
-    delivered: Vec<bool>,
-    done: bool,
 }
 
 /// Counters exposed for tests and reporting.
@@ -93,7 +84,9 @@ pub struct FecTransport<T> {
     pending_since: Option<Instant>,
     next_block: u32,
     // --- receive state ---
-    rx_blocks: HashMap<(u32, u32), RxBlock>,
+    /// Each retained block's frames by `(sender, block)`, and the keys
+    /// oldest first.
+    rx_blocks: BTreeMap<(u32, u32), GroupDecoder>,
     rx_order: VecDeque<(u32, u32)>,
     deliver_queue: VecDeque<Message>,
     stats: FecLayerStats,
@@ -105,14 +98,10 @@ impl<T: Transport> FecTransport<T> {
     /// # Errors
     /// Invalid `(k, h)` geometry.
     pub fn new(inner: T, cfg: FecLayerConfig) -> Result<Self, NetError> {
-        if cfg.k == 0 || cfg.k + cfg.h > 255 {
-            return Err(NetError::Decode(format!(
-                "invalid FEC layer geometry k={} h={}",
-                cfg.k, cfg.h
-            )));
-        }
-        let spec = CodeSpec::new(cfg.k, cfg.h).expect("validated above");
-        let encoder = RseEncoder::new(spec).expect("valid spec");
+        let invalid = |e| NetError::Decode(format!("invalid FEC layer geometry: {e}"));
+        let encoder = CodeSpec::new(cfg.k, cfg.h)
+            .and_then(RseEncoder::new)
+            .map_err(invalid)?;
         let decoder = RseDecoder::from_encoder(&encoder);
         Ok(FecTransport {
             inner,
@@ -122,7 +111,7 @@ impl<T: Transport> FecTransport<T> {
             pending: Vec::new(),
             pending_since: None,
             next_block: 0,
-            rx_blocks: HashMap::new(),
+            rx_blocks: BTreeMap::new(),
             rx_order: VecDeque::new(),
             deliver_queue: VecDeque::new(),
             stats: FecLayerStats::default(),
@@ -204,83 +193,54 @@ impl<T: Transport> FecTransport<T> {
 
     /// Strip the length prefix from a padded slot; `None` for padding
     /// datagrams or garbage.
-    fn unwrap_inner(padded: &[u8]) -> Option<Message> {
-        if padded.len() < 2 {
+    fn unwrap_inner(padded: &Bytes) -> Option<Message> {
+        let [hi, lo, rest @ ..] = padded.as_ref() else {
             return None;
-        }
-        let len = u16::from_be_bytes([padded[0], padded[1]]) as usize;
-        if len == 0 || padded.len() < 2 + len {
-            return None;
-        }
-        Message::decode(Bytes::copy_from_slice(&padded[2..2 + len])).ok()
+        };
+        let len = usize::from(u16::from_be_bytes([*hi, *lo]));
+        let inner = rest.get(..len).filter(|_| len > 0)?;
+        Message::decode(Bytes::copy_from_slice(inner)).ok()
     }
 
-    fn on_fec_frame(
-        &mut self,
-        sender: u32,
-        block: u32,
-        index: u16,
-        k: u16,
-        n: u16,
-        payload: Bytes,
-    ) {
-        let key = (sender, block);
-        let (k, n, index) = (k as usize, n as usize, index as usize);
-        if let std::collections::hash_map::Entry::Vacant(e) = self.rx_blocks.entry(key) {
-            e.insert(RxBlock {
-                k,
-                slots: vec![None; n],
-                received: 0,
-                delivered: vec![false; k],
-                done: false,
-            });
-            self.rx_order.push_back(key);
-            // Bounded memory: abandon the oldest blocks.
-            while self.rx_order.len() > BLOCK_RETENTION {
-                if let Some(old) = self.rx_order.pop_front() {
-                    if let Some(b) = self.rx_blocks.remove(&old) {
-                        if !b.done && b.received < b.k {
-                            self.stats.blocks_abandoned += 1;
-                        }
-                    }
-                }
+    /// Accumulate one frame of block `key` in its decoder. A data frame
+    /// it stores is passed up at once; the frame that completes `k` also
+    /// passes up the rebuilt data frames that never arrived. A frame the
+    /// decoder refuses (a duplicate, one past `k`, a size or `(k, n)` that
+    /// differs from the block's) is ignored.
+    fn on_fec_frame(&mut self, key: (u32, u32), index: u16, k: u16, n: u16, payload: Bytes) {
+        let (k, n, index) = (usize::from(k), usize::from(n), usize::from(index));
+        let group = match self.rx_blocks.entry(key) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let Ok(spec) = CodeSpec::new(k, n - k) else {
+                    return; // no RSE code has this geometry
+                };
+                self.rx_order.push_back(key);
+                e.insert(GroupDecoder::new(spec))
             }
-        }
-        let st = self.rx_blocks.get_mut(&key).expect("inserted above");
-        if st.k != k || st.slots.len() != n || index >= n || st.slots[index].is_some() {
-            return; // geometry conflict or duplicate: ignore the frame
-        }
-        // Immediate pass-through for fresh data slots.
-        if index < k && !st.delivered[index] {
-            st.delivered[index] = true;
-            if let Some(msg) = Self::unwrap_inner(&payload) {
-                self.stats.delivered_direct += 1;
-                self.deliver_queue.push_back(msg);
+        };
+        let fits = (group.spec().k(), group.spec().n()) == (k, n);
+        let (direct, rebuilt) = match fits.then(|| group.insert(index, payload.clone())) {
+            Some(Ok(InsertOutcome::Stored)) => (index < k, Vec::new()),
+            Some(Ok(InsertOutcome::Decodable)) => {
+                let data = group.reconstruct(&self.decoder).unwrap_or_default();
+                let gaps = group.missing_data().into_iter();
+                let rebuilt = gaps.filter_map(|i| data.get(i).cloned()).collect();
+                (index < k, rebuilt)
             }
-        }
-        st.slots[index] = Some(payload);
-        st.received += 1;
-        // Late repair once k frames are in and data slots are missing.
-        if !st.done && st.received >= st.k {
-            st.done = true;
-            let missing: Vec<usize> = (0..st.k).filter(|&i| st.slots[i].is_none()).collect();
-            if !missing.is_empty() {
-                let shares: Vec<(usize, &[u8])> = st
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, s)| s.as_ref().map(|b| (i, b.as_ref())))
-                    .collect();
-                if let Ok(recovered) = self.decoder.decode_missing(&shares) {
-                    for (i, padded) in recovered {
-                        st.delivered[i] = true;
-                        if let Some(msg) = Self::unwrap_inner(&padded) {
-                            self.stats.delivered_recovered += 1;
-                            self.deliver_queue.push_back(msg);
-                        }
-                    }
-                }
-            }
+            _ => (false, Vec::new()),
+        };
+        let direct = direct.then(|| Self::unwrap_inner(&payload)).flatten();
+        let recovered: Vec<_> = rebuilt.iter().filter_map(Self::unwrap_inner).collect();
+        self.stats.delivered_direct += u64::from(direct.is_some());
+        self.stats.delivered_recovered += recovered.len() as u64;
+        self.deliver_queue.extend(direct);
+        self.deliver_queue.extend(recovered);
+        // Bounded memory: abandon the oldest blocks.
+        let excess = self.rx_order.len().saturating_sub(BLOCK_RETENTION);
+        for old in self.rx_order.drain(..excess) {
+            let gone = self.rx_blocks.remove(&old);
+            self.stats.blocks_abandoned += u64::from(gone.is_some_and(|g| !g.is_decodable()));
         }
     }
 }
@@ -340,7 +300,7 @@ impl<T: PollTransport> PollTransport for FecTransport<T> {
                     n,
                     payload,
                 }) => {
-                    self.on_fec_frame(session, block, index, k, n, payload);
+                    self.on_fec_frame((session, block), index, k, n, payload);
                     // Loop: the frame may have queued deliverables.
                 }
                 Some(other) => return Ok(Some(other)), // un-layered traffic passes through
@@ -530,5 +490,96 @@ mod tests {
         let hub = MemHub::new();
         assert!(FecTransport::new(hub.join(), cfg(0, 1, 1)).is_err());
         assert!(FecTransport::new(hub.join(), cfg(200, 100, 1)).is_err());
+    }
+
+    /// The frames a `(3, 2)` sender puts on the wire for `blocks` full
+    /// blocks of FINs (block `b` carries sessions `3b..3b + 3`), by block.
+    fn wire_frames(blocks: u32) -> Vec<Vec<Message>> {
+        let hub = MemHub::new();
+        let mut tx = FecTransport::new(hub.join(), cfg(3, 2, 5)).unwrap();
+        let mut tap = hub.join();
+        for m in fins(3 * blocks) {
+            tx.send(&m).unwrap();
+        }
+        let frames: Vec<Message> = std::iter::from_fn(|| tap.poll_recv().unwrap()).collect();
+        assert_eq!(frames.len(), 5 * blocks as usize);
+        frames.chunks(5).map(<[Message]>::to_vec).collect()
+    }
+
+    /// Feed `frames` to a fresh `(3, 2)` receiver; what it delivers, by
+    /// FIN session, and its counters.
+    fn receive(frames: &[Message]) -> (Vec<u32>, FecLayerStats) {
+        let hub = MemHub::new();
+        let mut wire = hub.join();
+        let mut rx = FecTransport::new(hub.join(), cfg(3, 2, 6)).unwrap();
+        for f in frames {
+            wire.send(f).unwrap();
+        }
+        let got = std::iter::from_fn(|| rx.poll_recv().unwrap())
+            .map(|m| match m {
+                Message::Fin { session } => session,
+                other => panic!("expected a FIN, got {other:?}"),
+            })
+            .collect();
+        (got, rx.stats())
+    }
+
+    fn stats(direct: u64, recovered: u64, abandoned: u64) -> FecLayerStats {
+        FecLayerStats {
+            delivered_direct: direct,
+            delivered_recovered: recovered,
+            blocks_abandoned: abandoned,
+            ..FecLayerStats::default()
+        }
+    }
+
+    #[test]
+    fn edge_frames_deliver_each_datagram_at_most_once() {
+        let b = wire_frames(BLOCK_RETENTION as u32 + 3);
+        // An exact duplicate of a data frame, then of a parity frame.
+        let (got, st) = receive(&[
+            b[0][0].clone(),
+            b[0][0].clone(),
+            b[0][3].clone(),
+            b[0][3].clone(),
+        ]);
+        assert_eq!((got, st), (vec![0], stats(1, 0, 0)));
+        // Rebuilt from data 0 and both parities; the late data and
+        // parity frames that follow pass nothing up.
+        let late = [&b[0][0], &b[0][3], &b[0][4], &b[0][1], &b[0][2], &b[0][4]];
+        let (got, st) = receive(&late.map(Message::clone));
+        assert_eq!((got, st), (vec![0, 1, 2], stats(1, 2, 0)));
+        // A frame claiming another (k, n) for a block already open is
+        // ignored, though it carries a datagram the block lacks.
+        let Message::FecFrame {
+            session,
+            block,
+            payload,
+            ..
+        } = b[0][1].clone()
+        else {
+            panic!("a frame")
+        };
+        let conflicting = Message::FecFrame {
+            session,
+            block,
+            index: 1,
+            k: 2,
+            n: 4,
+            payload,
+        };
+        let (got, st) = receive(&[b[0][0].clone(), conflicting]);
+        assert_eq!((got, st), (vec![0], stats(1, 0, 0)));
+        // One data frame per block: the first blocks past the retention
+        // window are abandoned; a rebuilt block leaving it is not.
+        let mut frames: Vec<Message> = b[0][..3].to_vec();
+        frames.extend(b[1..].iter().map(|block| block[0].clone()));
+        let (got, st) = receive(&frames);
+        let want: Vec<u32> = [0, 1, 2]
+            .into_iter()
+            .chain((1..b.len() as u32).map(|i| 3 * i))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(st, stats(want.len() as u64, 0, 2));
     }
 }

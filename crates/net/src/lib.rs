@@ -1,10 +1,6 @@
 #![forbid(unsafe_code)]
 // Test fixtures build bytes from loop counters; library casts must not truncate.
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
-#![expect(
-    clippy::disallowed_types,
-    reason = "keyed lookups only: FecTransport finds its receive blocks by (sender, block)"
-)]
 //! Network substrate for the NP reliable-multicast protocol.
 //!
 //! This crate supplies everything `pm-core` needs to run over a real or
@@ -12,6 +8,7 @@
 //!
 //! * [`wire`] — the packet format: one compact binary encoding for data
 //!   packets, parities, sender POLLs, receiver NAKs and session control.
+//!   Only it reads a header, down to the half of a session it is for.
 //! * [`transport`] — the [`Transport`] trait: multicast send +
 //!   timeout-bounded receive.
 //! * [`poll`] — [`PollTransport`], the non-blocking receive every
@@ -25,12 +22,15 @@
 //! * [`udp`] — real UDP multicast (`239.0.0.0/8`): one non-blocking socket
 //!   joins the group and feeds a [`mem`] log, so each datagram is decoded
 //!   once for every in-process endpoint, its sender's included (std
-//!   cannot set `SO_REUSEPORT` — see DESIGN.md).
+//!   cannot set `SO_REUSEPORT` — see DESIGN.md). Its `Feed` is pm-net's
+//!   one socket reader; [`farm`] drains its shared socket with it too.
 //! * [`fault`] — a transport decorator that drops / duplicates / reorders
 //!   received packets with configured probabilities (the smoltcp-style
 //!   fault-injection idiom), seedable for reproducibility — plus
 //!   datagram-level faults: bit-flip corruption, truncation, garbage
 //!   injection, send-path loss, and scheduled blackout windows.
+//! * [`fec_layer`] — the layered FEC of the paper's Fig. 2(a), each block
+//!   accumulated in the NP receiver's `pm_rse::GroupDecoder`.
 //! * [`chaos`] — named fault presets (light/heavy/blackout) and the
 //!   seeded {corruption × blackout × churn × receiver-death} scenario
 //!   grid behind the chaos tests.
@@ -50,7 +50,7 @@ pub mod transport;
 pub mod udp;
 pub mod wire;
 
-pub use chaos::{scenario_grid, splitmix64, ChaosPreset, ChaosScenario};
+pub use chaos::{scenario_grid, ChaosPreset, ChaosScenario};
 pub use farm::{FarmEndpoint, FarmHub, FarmRole, FarmStats};
 pub use fault::{FaultConfig, FaultStats, FaultyTransport};
 pub use fec_layer::{FecLayerConfig, FecTransport};

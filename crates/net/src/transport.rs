@@ -67,16 +67,9 @@ impl PartialEq for NetError {
     }
 }
 
-/// Largest datagram a real-socket receive path reads.
-pub(crate) const RECV_BUF: usize = 65_536;
-/// Socket reads per drain, the work one poll does on everyone's behalf
-/// (smaller under test, so a flood past it fits a receive buffer).
-pub(crate) const DRAIN_BUDGET: usize = if cfg!(test) { 32 } else { 256 };
-
-/// What a UDP `recv` error means for the loop that hit it. One total
-/// classification shared by every real-socket receive path — the
-/// [`crate::udp::UdpHub`] and farm drains — so the two can never drift on
-/// which errors retry and which abort.
+/// What a UDP `recv` error means for the loop that hit it: the one total
+/// classification that pm-net's one socket drain (the `Feed` under
+/// [`crate::udp::UdpHub`] and [`crate::farm::FarmHub`]) applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecvClass {
     /// Nothing to read right now (`WouldBlock` / `TimedOut`): yield and

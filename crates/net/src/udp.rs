@@ -9,10 +9,11 @@
 //! The receive side is a [`MemHub`] group log fed from the socket, and no
 //! thread: an endpoint whose poll finds its cursor at the log's tail
 //! drains the socket, up to a budget, into the log, where every endpoint
-//! reads it. Each datagram is decoded once, in that drain. A fatal socket
-//! error reaches every endpoint as [`NetError::Io`] once it has read what
-//! was logged before it. The endpoints share the socket, so it stays open
-//! while any of them lives, after the hub handle has dropped.
+//! reads it. Each datagram is decoded once, as it is logged. The drain,
+//! `Feed`, is the one loop in pm-net that reads a socket (the farm's too).
+//! A fatal socket error reaches every endpoint as [`NetError::Io`] once it
+//! has read what was logged before it. The endpoints share the socket, so
+//! it stays open while any of them lives, after the hub handle has dropped.
 //!
 //! Semantics differ from [`MemHub`] in one documented way: because
 //! `IP_MULTICAST_LOOP` is on and all endpoints share the hub's receive
@@ -29,40 +30,69 @@ use bytes::Bytes;
 use pm_obs::Event;
 
 use crate::lock;
-use crate::mem::{MemEndpoint, MemHub, Shared};
+use crate::mem::{MemEndpoint, MemHub};
 use crate::poll::PollTransport;
-use crate::transport::{classify_recv_err, NetError, RecvClass, Transport, DRAIN_BUDGET, RECV_BUF};
+use crate::transport::{classify_recv_err, NetError, RecvClass, Transport};
 use crate::wire::Message;
 
-/// The group socket, read by whichever endpoint drains it.
-struct Feed {
-    socket: UdpSocket,
+/// Largest datagram a socket read takes.
+const RECV_BUF: usize = 65_536;
+/// Socket reads per drain, the work one poll does on everyone's behalf
+/// (smaller under test, so a flood past it fits a receive buffer).
+pub(crate) const DRAIN_BUDGET: usize = if cfg!(test) { 32 } else { 256 };
+
+/// How a [`Feed::drain`] ended: a read found the socket empty, it spent
+/// `DRAIN_BUDGET` reads, or the socket is broken (and not read again).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Drained {
+    Dry,
+    Budget,
+    Fatal(std::io::ErrorKind),
+}
+
+/// A non-blocking socket and the one loop that reads it, shared by
+/// [`UdpHub`] and [`crate::farm::FarmHub`].
+pub(crate) struct Feed {
+    pub(crate) socket: UdpSocket,
     buf: Vec<u8>,
     /// The first fatal socket error; once set, the socket is not read again.
     fatal: Option<std::io::ErrorKind>,
+    /// `recv_from` calls issued, `EAGAIN` included.
+    pub(crate) reads: u64,
 }
 
 impl Feed {
-    /// Read up to `DRAIN_BUDGET` datagrams into `log`, decoding each once.
-    /// Returns the fatal socket error, if one has been hit.
-    fn drain(&mut self, log: &Shared) -> Option<std::io::ErrorKind> {
+    pub(crate) fn new(socket: UdpSocket) -> Self {
+        Feed {
+            socket,
+            buf: vec![0u8; RECV_BUF],
+            fatal: None,
+            reads: 0,
+        }
+    }
+
+    /// Read up to `DRAIN_BUDGET` datagrams, handing each to `sink` as its
+    /// own `Bytes`. Transient errors are skipped; the first fatal one is
+    /// latched.
+    pub(crate) fn drain(&mut self, mut sink: impl FnMut(Bytes)) -> Drained {
+        if let Some(kind) = self.fatal {
+            return Drained::Fatal(kind);
+        }
         for _ in 0..DRAIN_BUDGET {
-            if self.fatal.is_some() {
-                break;
-            }
+            self.reads += 1;
             match self.socket.recv_from(&mut self.buf) {
-                Ok((len, _src)) => {
-                    let raw = Bytes::copy_from_slice(&self.buf[..len]);
-                    log.publish(None, Message::decode(raw));
-                }
+                Ok((len, _src)) => sink(Bytes::copy_from_slice(&self.buf[..len])),
                 Err(e) => match classify_recv_err(&e) {
-                    RecvClass::WouldBlock => break,
-                    RecvClass::Transient => continue,
-                    RecvClass::Fatal => self.fatal = Some(e.kind()),
+                    RecvClass::WouldBlock => return Drained::Dry,
+                    RecvClass::Transient => {}
+                    RecvClass::Fatal => {
+                        self.fatal = Some(e.kind());
+                        return Drained::Fatal(e.kind());
+                    }
                 },
             }
         }
-        self.fatal
+        Drained::Budget
     }
 }
 
@@ -91,15 +121,10 @@ impl UdpHub {
         socket.join_multicast_v4(group.ip(), &Ipv4Addr::UNSPECIFIED)?;
         socket.set_multicast_loop_v4(true)?;
         socket.set_nonblocking(true)?;
-        let buf = vec![0u8; RECV_BUF];
         Ok(UdpHub {
             group,
             log: MemHub::new(),
-            feed: Arc::new(Mutex::new(Feed {
-                socket,
-                buf,
-                fatal: None,
-            })),
+            feed: Arc::new(Mutex::new(Feed::new(socket))),
         })
     }
 
@@ -162,15 +187,14 @@ impl Transport for UdpEndpoint {
 }
 
 impl PollTransport for UdpEndpoint {
-    /// The next logged datagram; at the log's tail, drain the socket first.
+    /// The next logged datagram; at the log's tail, drain the socket into
+    /// the log first, decoding each datagram once.
     fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
-        let fatal = if self.reader.at_tail() {
-            lock(&self.feed).drain(&self.reader.hub)
-        } else {
-            None
-        };
-        match (self.reader.poll_recv()?, fatal) {
-            (None, Some(kind)) => Err(NetError::Io(kind.into())),
+        let (log, feed) = (&self.reader.hub, &self.feed);
+        let publish = |raw| log.publish(None, Message::decode(raw));
+        let drained = self.reader.at_tail().then(|| lock(feed).drain(publish));
+        match (self.reader.poll_recv()?, drained) {
+            (None, Some(Drained::Fatal(kind))) => Err(NetError::Io(kind.into())),
             (msg, _) => Ok(msg),
         }
     }

@@ -172,6 +172,33 @@ const TYPE_DONE: u8 = 6;
 const TYPE_FIN: u8 = 7;
 const TYPE_FEC_FRAME: u8 = 8;
 
+/// The half of its session a message is for: feedback (NAKs, DONE) goes
+/// to the sender, the data plane to the receivers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Role {
+    /// The session's sending half (receives feedback).
+    Sender,
+    /// A session's receiving half (receives the data plane).
+    Receiver,
+}
+
+/// The role a type byte is addressed to.
+fn role_of_type(ty: u8) -> Role {
+    match ty {
+        TYPE_NAK | TYPE_NAK_PACKET | TYPE_DONE => Role::Sender,
+        _ => Role::Receiver,
+    }
+}
+
+/// The session and role a datagram's header claims, its seal unchecked:
+/// where a damaged datagram of ours is routed.
+pub fn claimed_route(datagram: &[u8]) -> Option<(u32, Role)> {
+    let [_, _, _, ty, _, _, _, _, s0, s1, s2, s3, ..] = *datagram else {
+        return None;
+    };
+    Some((u32::from_be_bytes([s0, s1, s2, s3]), role_of_type(ty)))
+}
+
 /// One protocol message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
@@ -269,6 +296,11 @@ impl Message {
             | Message::Fin { session }
             | Message::FecFrame { session, .. } => session,
         }
+    }
+
+    /// The half of its session this message is addressed to.
+    pub fn role(&self) -> Role {
+        role_of_type(self.type_byte())
     }
 
     /// Observability classification of this message. `Packet` splits into
@@ -951,5 +983,46 @@ mod tests {
             .session(),
             3
         );
+    }
+
+    #[test]
+    fn feedback_goes_to_the_sender_and_a_header_claims_its_route() {
+        let nak = Message::Nak {
+            session: 4,
+            group: 2,
+            needed: 3,
+            round: 2,
+        };
+        let nak_packet = Message::NakPacket {
+            session: 5,
+            group: 0,
+            index: 11,
+        };
+        let done = Message::Done {
+            session: 6,
+            receiver: 17,
+        };
+        let packet = Message::Packet {
+            session: 7,
+            group: 1,
+            index: 0,
+            k: 1,
+            n: 2,
+            payload: Bytes::new(),
+        };
+        let fin = Message::Fin { session: 8 };
+        for (msg, role) in [
+            (nak, Role::Sender),
+            (nak_packet, Role::Sender),
+            (done, Role::Sender),
+            (packet, Role::Receiver),
+            (fin, Role::Receiver),
+        ] {
+            assert_eq!(msg.role(), role, "{msg:?}");
+            let mut raw = msg.encode().to_vec();
+            raw[5] ^= 0xFF; // damaged: the claim still reads the header
+            assert_eq!(claimed_route(&raw), Some((msg.session(), role)));
+        }
+        assert_eq!(claimed_route(&[0u8; HEADER_LEN - 1]), None);
     }
 }

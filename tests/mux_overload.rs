@@ -198,7 +198,6 @@ fn shed_run(
     let cfg = MuxConfig {
         flight_capacity: Some(128),
         overload: Some(overload),
-        ..MuxConfig::default()
     };
     let mut mux: Mux<Box<dyn PollTransport>, VirtualClock> = Mux::new(cfg, VirtualClock::new())
         .with_obs(Obs::new(Arc::new(JsonlRecorder::new(buf.clone()))));
@@ -317,7 +316,6 @@ fn survivors_produce_transcripts_byte_identical_to_an_unloaded_run() {
         let cfg = MuxConfig {
             flight_capacity: Some(64),
             overload,
-            ..MuxConfig::default()
         };
         let mut mux: Mux<Box<dyn PollTransport>, VirtualClock> = Mux::new(cfg, VirtualClock::new());
         let mut pairs = Vec::new();
@@ -506,7 +504,6 @@ fn churn_soak_over_a_virtual_hour_stays_bounded_and_reconciles() {
     let cfg = MuxConfig {
         flight_capacity: Some(64),
         overload: Some(overload),
-        ..MuxConfig::default()
     };
     let buf = SharedBuf::default();
     let reg = MetricsRegistry::new();

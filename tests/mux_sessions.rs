@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::{feedback_in, np_cfg, payload, rt, run_fanout};
-use parity_multicast::mux::{Mux, MuxConfig, SessionOutcome, VirtualClock};
+use parity_multicast::mux::{Mux, MuxConfig, SessionOutcome, VirtualClock, TICK};
 use parity_multicast::net::{
     ChaosPreset, FaultConfig, FaultyTransport, MemHub, Message, NetError, PollTransport, Transport,
 };
@@ -178,7 +178,7 @@ fn clean_session_elapsed(with_hostile: bool) -> Duration {
 fn heavy_hostile_neighbor_delays_clean_session_by_at_most_one_tick() {
     let solo = clean_session_elapsed(false);
     let contended = clean_session_elapsed(true);
-    let tick = MuxConfig::default().tick;
+    let tick = TICK;
     let diff = contended.abs_diff(solo);
     assert!(
         diff <= tick,
@@ -554,7 +554,7 @@ fn a_lost_done_is_recovered_by_the_keepalive_announce_within_one_interval() {
         |ep, _| ep,
     );
     let cfg = fanout_cfg(R);
-    let tick = MuxConfig::default().tick;
+    let tick = TICK;
     for (proto, report, log) in [("NP", &np, &np_log), ("N2", &n2, &n2_log)] {
         assert_eq!(
             report.completed.len(),
@@ -638,7 +638,7 @@ fn a_lost_repair_round_is_recovered_at_the_first_heartbeat() {
     let lossless = rt().packet_spacing * last_data as u32;
     let window = Duration::from_secs_f64((f64::from(k) + 1.0) * cfg.nak_slot);
     let interval = Duration::from_secs_f64(cfg.announce_interval);
-    let bound = lossless + interval + window + MuxConfig::default().tick;
+    let bound = lossless + interval + window + TICK;
     assert!(
         report.elapsed <= bound,
         "ended at {:?}, bound {bound:?}",
