@@ -97,32 +97,58 @@ pub fn measure_decode_rate(k: usize, h: usize, min_groups: usize) -> f64 {
     (groups * k) as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Generate Figure 1.
+/// The median of `rates`.
+fn median(rates: &[f64]) -> f64 {
+    let mut sorted = rates.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
+}
+
+/// Generate Figure 1. At full quality each point is the median of nine
+/// 30-ms windows, and the windows are interleaved: every pass times
+/// every point once, so a stretch of slow host (preemption, a frequency
+/// step) lands on all points alike rather than bending one series. A
+/// quick figure times one window per point.
 pub fn generate(quality: Quality) -> Figure {
-    let min_groups = match quality {
-        Quality::Quick => 2,
-        Quality::Full => 20,
+    // (groups per window at least, windows per point)
+    let (min_groups, windows_per_point) = match quality {
+        Quality::Quick => (2, 1),
+        Quality::Full => (20, 9),
     };
     let ks = [7usize, 20, 100];
     let redundancies = [0.1f64, 0.2, 0.4, 0.6, 0.8, 1.0];
+    let mut points: Vec<(usize, usize)> = ks
+        .iter()
+        .flat_map(|&k| {
+            redundancies
+                .iter()
+                .map(move |&rho| (k, ((rho * k as f64).round() as usize).max(1)))
+        })
+        .filter(|&(k, h)| k + h <= 255)
+        .collect();
+    // Two redundancies can round to one h (k = 7 at 10 % and 20 %).
+    points.dedup();
+    let measures: [fn(usize, usize, usize) -> f64; 3] =
+        [measure_encode_rate, measure_round_rate, measure_decode_rate];
+    // windows[point][measure]: one rate per pass.
+    let mut windows = vec![<[Vec<f64>; 3]>::default(); points.len()];
+    for _ in 0..windows_per_point {
+        for (&(k, h), rates) in points.iter().zip(&mut windows) {
+            for (measure, rates) in measures.iter().zip(rates) {
+                rates.push(measure(k, h, min_groups));
+            }
+        }
+    }
     let mut series = Vec::new();
     for &k in &ks {
-        let mut enc_pts = Vec::new();
-        let mut round_pts = Vec::new();
-        let mut dec_pts = Vec::new();
-        for &rho in &redundancies {
-            let h = ((rho * k as f64).round() as usize).max(1);
-            if k + h > 255 {
-                continue;
-            }
-            let x = 100.0 * h as f64 / k as f64; // percent, like the paper
-            enc_pts.push((x, measure_encode_rate(k, h, min_groups)));
-            round_pts.push((x, measure_round_rate(k, h, min_groups)));
-            dec_pts.push((x, measure_decode_rate(k, h, min_groups)));
+        let rows = points.iter().zip(&windows).filter(|((pk, _), _)| *pk == k);
+        for (m, name) in ["encode", "encode round", "decode"].iter().enumerate() {
+            // x in percent, like the paper.
+            let pts = rows
+                .clone()
+                .map(|(&(_, h), rates)| (100.0 * h as f64 / k as f64, median(&rates[m])));
+            series.push(Series::new(format!("{name} k={k}"), pts.collect()));
         }
-        series.push(Series::new(format!("encode k={k}"), enc_pts));
-        series.push(Series::new(format!("encode round k={k}"), round_pts));
-        series.push(Series::new(format!("decode k={k}"), dec_pts));
     }
     Figure {
         id: "fig1".into(),
@@ -135,6 +161,7 @@ pub fn generate(quality: Quality) -> Figure {
             format!("packet size {PACKET} bytes, GF(2^8), systematic Vandermonde codec"),
             "paper hardware: Pentium 133; shape check: rate ∝ 1/(h·k)".into(),
             "encode: one parity per call, like the paper's coder; encode round: all h in one call, as protocol NP sends them".into(),
+            format!("each point: the median of {windows_per_point} interleaved 30-ms windows"),
         ],
     }
 }

@@ -19,11 +19,12 @@
 //! failure parks the message on a `Retry` timer.
 //!
 //! The run loop is three strokes per turn: sweep the socket set
-//! ([`PollSet::poll_round`] — fairness-bounded, round-robin), fire due
-//! timers ([`TimerWheel::advance`] — deadline order, FIFO within a tick),
-//! and only when *both* came up empty, advance the clock to the next
-//! deadline. A hostile session can therefore cost its neighbors at most
-//! its own bounded slice of each sweep — never a blocking wait.
+//! ([`PollSet::poll_ready`] — the ready endpoints only, fairness-bounded,
+//! round-robin), fire due timers ([`TimerWheel::advance`] — deadline
+//! order, FIFO within a tick), and only when *both* came up empty,
+//! advance the clock to the next deadline. A hostile session can
+//! therefore cost its neighbors at most its own bounded slice of each
+//! sweep — never a blocking wait.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -358,7 +359,7 @@ enum Flush {
 ///
 /// ```text
 /// loop {                       // Mux::run
-///     sockets.poll_round()     // fair I/O sweep   -> on_io per datagram
+///     sockets.poll_ready()     // fair I/O sweep   -> on_io per datagram
 ///     wheel.advance(now)       // due timers       -> drive / retry
 ///     if idle { clock.advance_to(next deadline) }  // the ONLY wait
 /// }
@@ -643,12 +644,12 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
     /// were empty — one bounded clock advance toward the next deadline.
     fn turn(&mut self) {
         self.turn_drives = 0;
-        // 1. Fair I/O sweep over every live endpoint.
+        // 1. Fair I/O sweep over every ready endpoint.
         let mut sink = std::mem::take(&mut self.io_sink);
         sink.clear();
-        let got = self.sockets.poll_round(POLL_BUDGET, &mut sink);
+        let got = self.sockets.poll_ready(POLL_BUDGET, &mut sink);
         if let Some(m) = &self.metrics {
-            // poll_round drains each endpoint contiguously, so run
+            // poll_ready drains each endpoint contiguously, so run
             // lengths are per-session backlog depths.
             let mut run = 0u64;
             let mut cur: Option<Token> = None;

@@ -28,7 +28,7 @@
 //! the socket dry, so the next `N - 1` empty-queue polls (`N` registered
 //! halves) return `None` without a syscall: an idle sweep costs one
 //! `EAGAIN`, not `N`. A drain that ran out of budget arms nothing, a send
-//! through the hub disarms the skip (the socket may be its own peer).
+//! through the hub disarms the skip (the socket is its own peer).
 //! Invariant: an empty-queue poll sees anything already in the kernel
 //! buffer within one sweep's worth of polls, and the rule never reads a
 //! clock.
@@ -122,6 +122,8 @@ impl Demux {
 struct FarmCore {
     feed: Feed,
     demux: Demux,
+    /// Where every send goes: the socket's own address (loopback for an
+    /// unspecified bind), so a session's two halves share the descriptor.
     peer: SocketAddr,
     /// Encode scratch, so a send allocates nothing.
     tx: Vec<u8>,
@@ -136,10 +138,7 @@ pub struct FarmHub {
 }
 
 impl FarmHub {
-    /// Bind a non-blocking socket on `addr` (port 0 for ephemeral). Until
-    /// [`FarmHub::set_peer`] is called, endpoints send to the socket's
-    /// own address — the loopback-farm topology where every session's
-    /// both halves share the descriptor.
+    /// Bind a non-blocking socket on `addr` (port 0 for ephemeral).
     ///
     /// # Errors
     /// Propagates socket errors (bind, local-address lookup).
@@ -177,11 +176,6 @@ impl FarmHub {
     /// Propagates socket errors.
     pub fn loopback() -> Result<Self, NetError> {
         Self::bind(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0))
-    }
-
-    /// Where endpoint sends go (defaults to the socket's own address).
-    pub fn set_peer(&self, peer: SocketAddr) {
-        lock(&self.core).peer = peer;
     }
 
     /// The socket's local address.
@@ -241,7 +235,7 @@ impl FarmHub {
         lock(&self.core).demux.queues.is_empty()
     }
 
-    /// Raw send of `bytes` to the hub's peer, bypassing encode — lets
+    /// Raw send of `bytes` to the hub's own socket, bypassing encode — lets
     /// tests and drills inject damaged or foreign datagrams on the wire.
     ///
     /// # Errors
@@ -255,7 +249,7 @@ impl FarmHub {
 }
 
 /// One `(session, role)` half of a [`FarmHub`]. Sends go out the shared
-/// socket to the hub's peer address; receives are the datagrams the hub
+/// socket to the socket's own address; receives are the datagrams the hub
 /// demultiplexed to this half. Dropping the endpoint deregisters the
 /// half: later datagrams for it are counted-and-dropped.
 pub struct FarmEndpoint {
@@ -273,7 +267,7 @@ impl Transport for FarmEndpoint {
     fn send(&mut self, msg: &Message) -> Result<(), NetError> {
         let core = &mut *lock(&self.core);
         msg.encode_into(&mut core.tx);
-        // The socket may be its own peer: what a drain proved is stale.
+        // The socket is its own peer: what a drain proved is stale.
         core.skip = 0;
         match core.feed.socket.send_to(&core.tx, core.peer) {
             Ok(_) => Ok(()),
@@ -456,14 +450,14 @@ mod tests {
         }
         let mut sink = Vec::new();
         // Idle: 17 halves registered, one EAGAIN for the whole sweep.
-        assert_eq!(set.poll_round(64, &mut sink), 0);
+        assert_eq!(set.poll_ready(64, &mut sink), 0);
         assert_eq!(hub.stats().socket_reads, 1);
         // Five datagrams pending: five reads, the EAGAIN that ends the
         // drain, and at most one more when the skip runs out mid-sweep.
         for s in [3, 3, 7, 11, 15] {
             feeder.send(&Message::Fin { session: s }).unwrap();
         }
-        assert_eq!(set.poll_round(64, &mut sink), 5);
+        assert_eq!(set.poll_ready(64, &mut sink), 5);
         let reads = hub.stats().socket_reads - 1;
         assert!((6..=7).contains(&reads), "{reads} reads for 5 datagrams");
         assert_eq!(hub.stats().unknown_session, 0);

@@ -276,9 +276,21 @@ impl<T: PollTransport> Transport for FaultyTransport<T> {
 
 /// The receive-side fault pipeline over the inner endpoint's `poll_recv`:
 /// an empty poll reads no clock, so an idle chaos decorator costs a sweep
-/// nothing.
+/// nothing. While it holds a duplicate, a stashed or a reordered message,
+/// its token stays ready ([`crate::poll::keep_ready`]).
 impl<T: PollTransport> PollTransport for FaultyTransport<T> {
     fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
+        let got = self.next_faulty();
+        if self.pending_dup.is_some() || self.stash.is_some() || self.held.is_some() {
+            crate::poll::keep_ready();
+        }
+        got
+    }
+}
+
+impl<T: PollTransport> FaultyTransport<T> {
+    /// The next message through the fault pipeline.
+    fn next_faulty(&mut self) -> Result<Option<Message>, NetError> {
         if let Some(dup) = self.pending_dup.take() {
             self.stats.delivered += 1;
             return Ok(Some(dup));

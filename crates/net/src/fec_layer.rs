@@ -283,9 +283,22 @@ impl<T: PollTransport> Transport for FecTransport<T> {
 }
 
 /// Drains decoded and ready frames and runs the age-based flush, without
-/// blocking.
+/// blocking. While frames wait in the delivery queue or a part-filled
+/// block waits for its flush, the token stays ready
+/// ([`crate::poll::keep_ready`]).
 impl<T: PollTransport> PollTransport for FecTransport<T> {
     fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
+        let got = self.next_frame();
+        if !self.deliver_queue.is_empty() || !self.pending.is_empty() {
+            crate::poll::keep_ready();
+        }
+        got
+    }
+}
+
+impl<T: PollTransport> FecTransport<T> {
+    /// The next delivery, after running the age flush.
+    fn next_frame(&mut self) -> Result<Option<Message>, NetError> {
         loop {
             if let Some(ready) = self.deliver_queue.pop_front() {
                 return Ok(Some(ready));

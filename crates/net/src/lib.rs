@@ -12,8 +12,10 @@
 //! * [`transport`] — the [`Transport`] trait: multicast send +
 //!   timeout-bounded receive.
 //! * [`poll`] — [`PollTransport`], the non-blocking receive every
-//!   transport has natively, the [`PollSet`] a mux sweeps, and
-//!   [`poll::wait_recv`], the one blocking wait. No transport starts a thread.
+//!   transport has natively, the [`PollSet`] a mux sweeps (only its ready
+//!   endpoints: a hub endpoint at its log's tail parks until the next
+//!   publish), and [`poll::wait_recv`], the one blocking wait. No
+//!   transport starts a thread.
 //! * [`mem`] — an in-process multicast hub: one shared log that every
 //!   endpoint reads through its own cursor, so a send costs one entry and
 //!   one decode whatever the population and an empty poll one atomic

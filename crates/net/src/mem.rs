@@ -14,6 +14,11 @@
 //! cursor, and an entry goes once its last reader has passed it. A poll
 //! that finds nothing new is one atomic load — no lock, no queue, and
 //! nothing here blocks or starts a thread.
+//!
+//! Under a [`crate::PollSet`] an endpoint that reads to the log's tail
+//! parks the poll: it leaves the token's waker with the log, under the
+//! log's lock, and the next publish (or a member leaving) wakes every
+//! waker left there. A parked endpoint costs a sweep nothing until then.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -25,6 +30,7 @@ use bytes::Bytes;
 use pm_obs::{Event, Obs, Stopwatch};
 
 use crate::lock;
+use crate::poll::{WakeList, Waker};
 use crate::transport::{NetError, Transport};
 use crate::wire::Message;
 
@@ -58,6 +64,8 @@ struct Log {
     base: u64,
     /// Endpoints currently joined.
     members: usize,
+    /// The parked polls' tokens, woken by the next publish.
+    wakers: WakeList,
 }
 
 impl Log {
@@ -67,6 +75,17 @@ impl Log {
             self.entries.pop_front();
             self.base += 1;
         }
+    }
+
+    /// Park a poll whose endpoint's cursor is `cursor`: the next publish
+    /// wakes `waker`'s token. False, and no park, if the log has grown
+    /// past `cursor`.
+    fn park(&mut self, cursor: u64, waker: &Waker) -> bool {
+        if cursor != self.base + self.entries.len() as u64 {
+            return false;
+        }
+        self.wakers.add(waker);
+        true
     }
 }
 
@@ -105,6 +124,7 @@ impl Shared {
                 readers_left,
             });
             self.published.fetch_add(1, Ordering::Release);
+            log.wakers.wake_all();
         }
     }
 }
@@ -147,6 +167,11 @@ impl MemHub {
     pub fn retained(&self) -> usize {
         lock(&self.state.log).entries.len()
     }
+
+    /// Parked polls the group's next publish will wake.
+    pub fn parked(&self) -> usize {
+        lock(&self.state.log).wakers.len()
+    }
 }
 
 /// One endpoint of a [`MemHub`] group.
@@ -176,7 +201,8 @@ impl MemEndpoint {
 
     /// Leave the group (subsequent sends by others skip this endpoint),
     /// giving up its share of every entry it has not read. Dropping the
-    /// endpoint leaves implicitly.
+    /// endpoint leaves implicitly. Every parked poll is woken, so that a
+    /// [`crate::PollSet`] polling this endpoint sees it `Closed`.
     #[expect(
         clippy::cast_possible_truncation,
         reason = "cursor - base <= the log's length"
@@ -196,6 +222,7 @@ impl MemEndpoint {
             }
         }
         log.trim();
+        log.wakers.wake_all();
         *left = Some(backlog);
     }
 
@@ -216,11 +243,13 @@ impl MemEndpoint {
 
     /// The next unread datagram from another endpoint, without blocking;
     /// the caller has found this endpoint left or behind the log's tail.
+    /// With `park`, a read that leaves the cursor at the tail parks the
+    /// poll.
     #[expect(
         clippy::cast_possible_truncation,
         reason = "cursor - base <= the log's length"
     )]
-    fn next_msg(&mut self) -> Result<Option<Result<Message, String>>, NetError> {
+    fn next_msg(&mut self, park: bool) -> Result<Option<Result<Message, String>>, NetError> {
         if let Some(backlog) = self.left.get_mut() {
             return backlog.pop_front().map(Some).ok_or(NetError::Closed);
         }
@@ -234,15 +263,31 @@ impl MemEndpoint {
                 break;
             }
         }
+        if park {
+            crate::poll::park(|waker| log.park(self.cursor, waker));
+        }
         log.trim();
         Ok(found)
     }
 
-    /// [`poll_recv`](crate::poll::PollTransport::poll_recv) past its
-    /// empty fast path.
+    /// The next datagram, without blocking; with `park`, a read that
+    /// leaves this endpoint at the tail parks the poll. A socket-fed
+    /// reader ([`crate::udp::UdpEndpoint`]) never parks.
+    #[inline]
+    pub(crate) fn read(&mut self, park: bool) -> Result<Option<Message>, NetError> {
+        if self.left.get_mut().is_none() && self.at_tail() {
+            if park {
+                crate::poll::park(|waker| lock(&self.hub.log).park(self.cursor, waker));
+            }
+            return Ok(None);
+        }
+        self.poll_more(park)
+    }
+
+    /// [`MemEndpoint::read`] past its empty fast path.
     #[inline(never)]
-    fn poll_more(&mut self) -> Result<Option<Message>, NetError> {
-        let Some(msg) = self.next_msg()? else {
+    fn poll_more(&mut self, park: bool) -> Result<Option<Message>, NetError> {
+        let Some(msg) = self.next_msg(park)? else {
             return Ok(None);
         };
         let msg = msg.map_err(NetError::Corrupt)?;
@@ -278,13 +323,11 @@ impl crate::poll::PollTransport for MemEndpoint {
     /// wall clock at all, so under the event-driven multiplexer's virtual
     /// clock the in-memory substrate stays fully deterministic. An empty
     /// poll of a joined endpoint is one atomic load, inlined into the
-    /// caller's sweep; the rest is out of line.
+    /// caller's sweep; the rest is out of line. A read that reaches the
+    /// log's tail parks the poll (module docs).
     #[inline]
     fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
-        if self.left.get_mut().is_none() && self.at_tail() {
-            return Ok(None);
-        }
-        self.poll_more()
+        self.read(true)
     }
 }
 

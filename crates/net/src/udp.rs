@@ -188,12 +188,13 @@ impl Transport for UdpEndpoint {
 
 impl PollTransport for UdpEndpoint {
     /// The next logged datagram; at the log's tail, drain the socket into
-    /// the log first, decoding each datagram once.
+    /// the log first, decoding each datagram once. It never parks: what
+    /// the kernel holds wakes no token.
     fn poll_recv(&mut self) -> Result<Option<Message>, NetError> {
         let (log, feed) = (&self.reader.hub, &self.feed);
         let publish = |raw| log.publish(None, Message::decode(raw));
         let drained = self.reader.at_tail().then(|| lock(feed).drain(publish));
-        match (self.reader.poll_recv()?, drained) {
+        match (self.reader.read(false)?, drained) {
             (None, Some(Drained::Fatal(kind))) => Err(NetError::Io(kind.into())),
             (msg, _) => Ok(msg),
         }
