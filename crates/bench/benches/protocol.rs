@@ -1,6 +1,8 @@
 //! Criterion benchmarks of the full NP/N2 protocol over the in-memory
 //! multicast hub: end-to-end transfer throughput with and without loss —
-//! the measured counterpart to Fig. 18's modelled comparison.
+//! the measured counterpart to Fig. 18's modelled comparison. Each
+//! transfer runs on one virtual-clock mux, so a sample is the CPU work of
+//! the transfer and none of its pacing gaps.
 
 use std::time::Duration;
 
@@ -8,9 +10,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use pm_core::runtime::RuntimeConfig;
 use pm_core::{CompletionPolicy, NpConfig, NpReceiver, NpSender};
-use pm_mux::{drive_receiver, drive_sender};
-use pm_net::{FaultConfig, FaultyTransport, MemHub};
-use pm_obs::Obs;
+use pm_mux::{drive_session, Mux, MuxConfig, VirtualClock};
+use pm_net::{FaultConfig, FaultyTransport, MemHub, PollTransport};
 
 const TRANSFER: usize = 64 * 1024;
 
@@ -32,24 +33,26 @@ fn rt() -> RuntimeConfig {
     }
 }
 
-/// One full transfer: sender thread + one receiver with `drop` loss.
+/// One full transfer: a sender and one receiver with `drop` loss.
 fn transfer_np(drop: f64, preencode: bool, seed: u64) -> usize {
     let hub = MemHub::new();
     let data: Vec<u8> = (0..TRANSFER).map(|i| (i * 31 % 251) as u8).collect();
     let mut cfg = config();
     cfg.preencode = preencode;
     let mut sender_tp = hub.join();
-    let recv_ep = hub.join();
-    let expect = data.len();
-    let sender = std::thread::spawn(move || {
-        let s = NpSender::new(1, &data, cfg).unwrap();
-        drive_sender(s, &mut sender_tp, &rt(), &Obs::null()).unwrap();
-    });
-    let mut tp = FaultyTransport::new(recv_ep, FaultConfig::drop_only(drop), seed);
+    let mut tp = FaultyTransport::new(hub.join(), FaultConfig::drop_only(drop), seed);
+    let s = NpSender::new(1, &data, cfg).unwrap();
     let r = NpReceiver::new(1, 1, 0.0005, seed);
-    let report = drive_receiver(r, &mut tp, &rt(), &Obs::null()).unwrap();
-    sender.join().unwrap();
-    assert_eq!(report.data.len(), expect);
+    let mut mux = Mux::new(MuxConfig::default(), VirtualClock::new());
+    let (sent, mut got) = drive_session(
+        &mut mux,
+        rt(),
+        (s, &mut sender_tp),
+        [(r, &mut tp as &mut dyn PollTransport)],
+    );
+    sent.unwrap();
+    let report = got.pop().unwrap().unwrap();
+    assert_eq!(report.data, data);
     report.data.len()
 }
 

@@ -43,9 +43,8 @@
 //!
 //! Every layer optionally emits structured [`pm_obs`] events: construct the
 //! machines with `with_obs` and hand the same handle to the driver
-//! (`pm_mux::drive_sender`/`pm_mux::drive_receiver`, or `Mux::with_obs`
-//! ahead of `pm_mux::drive_session`)
-//! to get a full session trace (see `crates/obs`).
+//! (`Mux::with_obs` ahead of `pm_mux::drive_session`) to get a full
+//! session trace (see `crates/obs`).
 
 pub mod config;
 pub mod costs;

@@ -8,10 +8,10 @@
 //! N2 by feedback policy). Their driver methods are those impls, so a
 //! caller names the trait to call them.
 //!
-//! Nothing here reads a clock or touches a socket. The loop that does —
-//! pacing, retry backoff, stall/linger/eviction deadlines — is `pm-mux`
-//! (`pm_mux::Mux`; `pm_mux::drive_sender` / `pm_mux::drive_receiver` run
-//! one session on the calling thread).
+//! Nothing here reads a clock, touches a socket or computes a wait. The
+//! loop that does — pacing, retry backoff, stall/linger/eviction
+//! deadlines — is `pm-mux` (`pm_mux::Mux`; `pm_mux::drive_session` runs a
+//! sender and its receivers on one).
 
 use std::time::Duration;
 
@@ -38,7 +38,7 @@ pub struct RuntimeConfig {
     /// concluding the sender's FIN was lost and returning anyway. Should
     /// exceed a few announce intervals; much shorter than `stall_timeout`.
     pub complete_linger: Duration,
-    /// Hostile-network posture: corruption tolerance, send retries and
+    /// Hostile-network posture: corruption tolerance, retry backoff cap and
     /// receiver eviction.
     pub resilience: ResiliencePolicy,
 }
@@ -58,8 +58,9 @@ impl Default for RuntimeConfig {
 /// absorb, how hard to retry transient send failures, and when the sender
 /// gives up on silent receivers.
 ///
-/// The defaults absorb corruption essentially forever, retry sends a few
-/// times, and never evict — byte damage alone cannot abort a session.
+/// The defaults absorb corruption essentially forever and never evict —
+/// byte damage alone cannot abort a session. A transient send failure is
+/// retried [`SEND_RETRIES`] times whatever the policy.
 /// Eviction is opt-in because it trades completeness for liveness: with a
 /// deadline set, a session facing a dead receiver finishes *degraded*
 /// (see [`SessionReport::is_degraded`]) instead of stalling out.
@@ -69,12 +70,7 @@ pub struct ResiliencePolicy {
     /// dropped — before the driver aborts with
     /// [`ProtocolError::Quarantined`].
     pub corrupt_quarantine: u64,
-    /// Transient I/O send failures retried per message before the error
-    /// becomes fatal.
-    pub send_retries: u32,
-    /// Backoff before the first send retry; doubles per attempt.
-    pub retry_backoff: Duration,
-    /// Upper bound on the per-attempt backoff.
+    /// Upper bound on the per-attempt retry backoff.
     pub retry_backoff_cap: Duration,
     /// Sender only: once at least one receiver finished and *nothing* has
     /// been heard for this long, evict the receivers still outstanding and
@@ -83,22 +79,26 @@ pub struct ResiliencePolicy {
     /// intervals and stay below `stall_timeout`, which remains the
     /// backstop when *no* receiver ever finishes.
     pub eviction_timeout: Option<Duration>,
-    /// Seed of the deterministic retry-backoff jitter.
-    pub retry_seed: u64,
 }
 
 impl Default for ResiliencePolicy {
     fn default() -> Self {
         ResiliencePolicy {
             corrupt_quarantine: 10_000,
-            send_retries: 3,
-            retry_backoff: Duration::from_millis(1),
             retry_backoff_cap: Duration::from_millis(20),
             eviction_timeout: None,
-            retry_seed: 0x9E37_79B9_7F4A_7C15,
         }
     }
 }
+
+/// Transient I/O send failures retried per message before the error
+/// becomes fatal.
+pub const SEND_RETRIES: u32 = 3;
+/// Backoff before the first send retry; doubles per attempt up to
+/// [`ResiliencePolicy::retry_backoff_cap`].
+const RETRY_BACKOFF: Duration = Duration::from_millis(1);
+/// Seed of the deterministic retry-backoff jitter.
+const RETRY_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Clock-agnostic resilience accounting: damage counters plus the
 /// deterministic jitter RNG, wrapped around every transport interaction.
@@ -122,7 +122,7 @@ impl ResilienceCore {
             policy,
             corrupt_dropped: 0,
             send_retries: 0,
-            rng: splitmix64(policy.retry_seed),
+            rng: splitmix64(RETRY_SEED),
         }
     }
 
@@ -182,9 +182,7 @@ impl ResilienceCore {
         self.send_retries += 1;
         obs.emit(now, || Event::SendRetry { attempt });
         let exp = attempt.saturating_sub(1).min(16);
-        let base = self
-            .policy
-            .retry_backoff
+        let base = RETRY_BACKOFF
             .saturating_mul(1u32 << exp)
             .min(self.policy.retry_backoff_cap);
         let half_span = (base.as_nanos() / 2) as u64;
@@ -204,22 +202,6 @@ impl ResilienceCore {
             }
         }
     }
-}
-
-/// Convert a machine-reported wakeup delta (seconds from now) into a
-/// bounded wait the driver can actually sleep. Total over every float
-/// input: `NaN` and non-positive deltas clamp to `floor` (wake
-/// immediately-ish), `+inf` and oversized deltas clamp to `ceil` — a
-/// misbehaving machine can delay the driver, never panic it (naive
-/// `Duration::from_secs_f64` panics on non-finite input).
-pub fn clamp_wait(delta_secs: f64, floor: Duration, ceil: Duration) -> Duration {
-    if delta_secs.is_nan() || delta_secs <= 0.0 {
-        return floor;
-    }
-    if delta_secs >= ceil.as_secs_f64() {
-        return ceil;
-    }
-    Duration::from_secs_f64(delta_secs).clamp(floor, ceil)
 }
 
 /// Sender-side protocol machine, abstracted over NP/N2.
@@ -339,24 +321,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn clamp_wait_is_total_over_hostile_floats() {
-        let floor = Duration::from_micros(100);
-        let ceil = Duration::from_millis(50);
-        // NaN and non-positive deltas wake immediately-ish at the floor.
-        assert_eq!(clamp_wait(f64::NAN, floor, ceil), floor);
-        assert_eq!(clamp_wait(f64::NEG_INFINITY, floor, ceil), floor);
-        assert_eq!(clamp_wait(-1.0, floor, ceil), floor);
-        assert_eq!(clamp_wait(0.0, floor, ceil), floor);
-        assert_eq!(clamp_wait(1e-9, floor, ceil), floor);
-        // Oversized and infinite deltas cap at the ceiling.
-        assert_eq!(clamp_wait(f64::INFINITY, floor, ceil), ceil);
-        assert_eq!(clamp_wait(1e300, floor, ceil), ceil);
-        assert_eq!(clamp_wait(3600.0, floor, ceil), ceil);
-        // In-range deltas pass through.
-        assert_eq!(clamp_wait(0.001, floor, ceil), Duration::from_millis(1));
-    }
-
-    #[test]
     fn retry_jitter_is_unbiased_and_deterministic() {
         let mut a = ResilienceCore::new(ResiliencePolicy::default());
         let mut b = ResilienceCore::new(ResiliencePolicy::default());
@@ -393,8 +357,7 @@ mod tests {
         let pol = ResiliencePolicy::default();
         for attempt in 1u32..=8 {
             let exp = attempt.saturating_sub(1).min(16);
-            let base = pol
-                .retry_backoff
+            let base = RETRY_BACKOFF
                 .saturating_mul(1u32 << exp)
                 .min(pol.retry_backoff_cap);
             let d = c.retry_backoff(attempt, 0.0, &obs);

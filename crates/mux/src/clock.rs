@@ -11,7 +11,6 @@
 
 use std::time::Duration;
 
-use pm_core::runtime::clamp_wait;
 use pm_obs::Stopwatch;
 
 /// Time source driving a [`Mux`](crate::Mux).
@@ -25,6 +24,21 @@ pub trait MuxClock {
     /// hostile inputs: a `NaN`, infinite or past deadline advances by at
     /// most one minimal step and never panics.
     fn advance_to(&mut self, deadline: f64);
+}
+
+/// Clamp a wait `delta_secs` from now to `[floor, ceil]`, total over every
+/// float: `NaN` and non-positive deltas clamp to `floor`, `+inf` and
+/// oversized ones to `ceil` — a misbehaving machine can delay the mux,
+/// never panic it (`Duration::from_secs_f64` panics on non-finite input).
+/// The mux's timer waits and a [`WallClock`]'s naps both go through here.
+pub(crate) fn clamp_wait(delta_secs: f64, floor: Duration, ceil: Duration) -> Duration {
+    if delta_secs.is_nan() || delta_secs <= 0.0 {
+        return floor;
+    }
+    if delta_secs >= ceil.as_secs_f64() {
+        return ceil;
+    }
+    Duration::from_secs_f64(delta_secs).clamp(floor, ceil)
 }
 
 /// Deterministic simulated time: starts at zero, moves only when told to.
@@ -108,6 +122,24 @@ impl MuxClock for WallClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clamp_wait_is_total_over_hostile_floats() {
+        let floor = Duration::from_micros(100);
+        let ceil = Duration::from_millis(50);
+        // NaN and non-positive deltas wake immediately-ish at the floor.
+        assert_eq!(clamp_wait(f64::NAN, floor, ceil), floor);
+        assert_eq!(clamp_wait(f64::NEG_INFINITY, floor, ceil), floor);
+        assert_eq!(clamp_wait(-1.0, floor, ceil), floor);
+        assert_eq!(clamp_wait(0.0, floor, ceil), floor);
+        assert_eq!(clamp_wait(1e-9, floor, ceil), floor);
+        // Oversized and infinite deltas cap at the ceiling.
+        assert_eq!(clamp_wait(f64::INFINITY, floor, ceil), ceil);
+        assert_eq!(clamp_wait(1e300, floor, ceil), ceil);
+        assert_eq!(clamp_wait(3600.0, floor, ceil), ceil);
+        // In-range deltas pass through.
+        assert_eq!(clamp_wait(0.001, floor, ceil), Duration::from_millis(1));
+    }
 
     #[test]
     fn virtual_clock_jumps_forward_only() {

@@ -1,8 +1,4 @@
 #![forbid(unsafe_code)]
-#![expect(
-    clippy::disallowed_types,
-    reason = "drive_session's outcome map is read by key, never iterated"
-)]
 //! # pm-mux — event-driven session multiplexer
 //!
 //! Runs N concurrent sender/receiver protocol machines on **one thread**
@@ -22,9 +18,9 @@
 //! eviction liveness classification, and the
 //! [`SessionReport`](pm_core::runtime::SessionReport) /
 //! [`ReceiverReport`](pm_core::runtime::ReceiverReport) a session ends
-//! with. [`drive_sender`] / [`drive_receiver`] run one session to its end
-//! on the calling thread; [`drive_session`] runs a sender and all its
-//! receivers there, on a mux (and so a clock) of the caller's choosing.
+//! with. [`drive_session`] runs a sender and all its receivers to their
+//! end on the calling thread, on a mux (and so a clock) of the caller's
+//! choosing: a group is one mux, never a thread per session.
 //!
 //! Time comes from a [`MuxClock`]: [`VirtualClock`] for deterministic
 //! tests (the clock jumps to the next timer deadline when the system is
@@ -47,7 +43,7 @@ pub mod overload;
 pub mod wheel;
 
 pub use clock::{MuxClock, VirtualClock, WallClock};
-pub use drive::{drive_receiver, drive_sender, drive_session};
+pub use drive::drive_session;
 pub use mux::{Mux, MuxConfig, MuxMetrics, SessionOutcome, ShedReport, TICK};
 pub use overload::{AdmissionError, OverloadConfig, OverloadPolicy, OverloadSignal};
 pub use wheel::TimerWheel;

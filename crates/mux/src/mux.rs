@@ -2,21 +2,23 @@
 //!
 //! Every wait a session needs — packet pacing, retry backoff, machine
 //! wakeups, the receiver poll cadence — is a [`TimerWheel`] entry keyed by
-//! `(session, kind, generation)`. Stall, linger and eviction deadlines are
-//! not timers but checks made on every drive pass, so a session pinned in
-//! back-to-back transmits meets them as promptly as an idle one.
+//! `(session, generation)`. A session waits for one thing at a time, so it
+//! has one live entry: arming the next makes the last stale. Stall, linger
+//! and eviction deadlines are not timers but checks made on every drive
+//! pass, so a session pinned in back-to-back transmits meets them as
+//! promptly as an idle one.
 //!
 //! A receiver is driven on *change*, not on arrival: its machine absorbs
 //! every datagram, but a drive pass follows only when that left something
-//! to send, a FIN to act on, or a NAK due before the Wake already armed
-//! (`SessionState::wake_at`). Everything else — most of what a receiver
-//! in a large group hears is other receivers' feedback — waits for that
-//! Wake, which is never further off than `RECEIVER_WAIT_CEIL`.
+//! to send, a FIN to act on, or a NAK due before the wake-up already
+//! armed (`SessionState::wake_at`). Everything else — most of what a
+//! receiver in a large group hears is other receivers' feedback — waits
+//! for that wake-up, which is never further off than `RECEIVER_WAIT_CEIL`.
 //!
 //! Every datagram a session sends — a sender's `Transmit`, a receiver's
 //! queued feedback, a parked retry — goes through one function,
 //! `transmit`, which alone decides what counts as progress and when a
-//! failure parks the message on a `Retry` timer.
+//! failure parks the message until its retry backoff has passed.
 //!
 //! The run loop is three strokes per turn: sweep the socket set
 //! ([`PollSet::poll_ready`] — the ready endpoints only, fairness-bounded,
@@ -34,7 +36,7 @@ use pm_core::error::ProtocolError;
 use pm_core::receiver::ReceiverAction;
 use pm_core::runtime::{
     absorb_feedback, error_outcome, ReceiverMachine, ReceiverReport, ResilienceCore, RuntimeConfig,
-    SenderMachine, SessionReport,
+    SenderMachine, SessionReport, SEND_RETRIES,
 };
 use pm_core::sender::SenderStep;
 use pm_net::{Message, NetError, PollSet, PollTransport, Token};
@@ -43,7 +45,7 @@ use pm_obs::{
     RingRecorder, Role,
 };
 
-use crate::clock::MuxClock;
+use crate::clock::{clamp_wait, MuxClock};
 use crate::overload::{AdmissionError, OverloadConfig, OverloadPolicy, OverloadSignal};
 use crate::wheel::TimerWheel;
 
@@ -82,28 +84,15 @@ pub struct MuxConfig {
     pub overload: Option<OverloadConfig>,
 }
 
-/// Which of a session's schedulable waits a timer entry represents.
-///
-/// Stall, linger and eviction are *not* timer kinds — they are deadline
-/// checks made on every drive pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum TimerKind {
-    /// Inter-packet pacing gap after a successful transmit (sender).
-    Pace,
-    /// Machine-requested wakeup (`WaitUntil` for senders, the NAK/poll
-    /// cadence for receivers).
-    Wake,
-    /// Retry backoff for a parked transmission.
-    Retry,
-}
-
-/// Wheel key: token + kind + arming generation. Cancellation is lazy — a
-/// fired entry whose generation no longer matches the session's current
-/// one for that kind is simply stale and ignored.
+/// Wheel key: token + arming generation. A session's one live entry is
+/// its pacing gap after a transmit, its wake-up (a sender's `WaitUntil`, a
+/// receiver's NAK/poll cadence) or, while a send is parked, its retry
+/// backoff; when it fires, a parked send is retried and otherwise the
+/// session is driven. Cancellation is lazy — a fired entry whose
+/// generation is no longer the session's is stale and ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct TimerKey {
     token: Token,
-    kind: TimerKind,
     generation: u64,
 }
 
@@ -149,15 +138,14 @@ struct SessionState {
     pending: Option<PendingSend>,
     /// Receiver-side transmissions queued behind a parked retry.
     outbound: VecDeque<Message>,
-    gen_pace: u64,
-    gen_wake: u64,
-    gen_retry: u64,
-    /// Wheel tick of the live (current-generation) Wake entry. A receiver
-    /// that is not parked on a retry always has one, no later than
-    /// `RECEIVER_WAIT_CEIL` ahead — which is what lets `on_io` leave a
-    /// receiver alone when a datagram changed nothing about its schedule.
+    /// Generation of the live timer entry; arming bumps it.
+    generation: u64,
+    /// Wheel tick of a receiver's wake-up, its live entry whenever no send
+    /// is parked, and never further than `RECEIVER_WAIT_CEIL` ahead —
+    /// which is what lets `on_io` leave a receiver alone when a datagram
+    /// changed nothing about its schedule.
     wake_at: u64,
-    /// True while a sender sits in `WaitUntil` with a Wake armed — the
+    /// True while a sender sits in `WaitUntil` with its wake-up armed — the
     /// only state where fresh feedback warrants an immediate re-drive.
     wait_armed: bool,
     /// Drive passes consumed (the fairness unit).
@@ -184,22 +172,6 @@ impl SessionState {
         match self.engine {
             Engine::Sender(_) => SessionOutcome::Sender(Err(e)),
             Engine::Receiver(_) => SessionOutcome::Receiver(Err(e)),
-        }
-    }
-
-    fn generation(&self, kind: TimerKind) -> u64 {
-        match kind {
-            TimerKind::Pace => self.gen_pace,
-            TimerKind::Wake => self.gen_wake,
-            TimerKind::Retry => self.gen_retry,
-        }
-    }
-
-    fn generation_mut(&mut self, kind: TimerKind) -> &mut u64 {
-        match kind {
-            TimerKind::Pace => &mut self.gen_pace,
-            TimerKind::Wake => &mut self.gen_wake,
-            TimerKind::Retry => &mut self.gen_retry,
         }
     }
 }
@@ -348,7 +320,7 @@ enum AfterIo {
 enum Flush {
     /// It went out.
     Clear,
-    /// A transient failure parked a message; a Retry timer is armed.
+    /// A transient failure parked a message; its backoff is armed.
     Parked,
     /// A fatal transport failure.
     Fatal(ProtocolError),
@@ -360,7 +332,7 @@ enum Flush {
 /// ```text
 /// loop {                       // Mux::run
 ///     sockets.poll_ready()     // fair I/O sweep   -> on_io per datagram
-///     wheel.advance(now)       // due timers       -> drive / retry
+///     wheel.advance(now)       // due timers       -> retry / drive
 ///     if idle { clock.advance_to(next deadline) }  // the ONLY wait
 /// }
 /// ```
@@ -535,12 +507,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
         transport: T,
         rt: RuntimeConfig,
     ) -> Token {
-        self.add_session(
-            Engine::Sender(Box::new(machine)),
-            transport,
-            rt,
-            TimerKind::Pace,
-        )
+        self.add_session(Engine::Sender(Box::new(machine)), transport, rt)
     }
 
     /// Add a receiver session; it is driven from the next turn on.
@@ -550,21 +517,10 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
         transport: T,
         rt: RuntimeConfig,
     ) -> Token {
-        self.add_session(
-            Engine::Receiver(Box::new(machine)),
-            transport,
-            rt,
-            TimerKind::Wake,
-        )
+        self.add_session(Engine::Receiver(Box::new(machine)), transport, rt)
     }
 
-    fn add_session(
-        &mut self,
-        engine: Engine,
-        transport: T,
-        rt: RuntimeConfig,
-        first: TimerKind,
-    ) -> Token {
+    fn add_session(&mut self, engine: Engine, transport: T, rt: RuntimeConfig) -> Token {
         let token = self.sockets.register(transport);
         let slot = token.slot();
         if self.sessions.len() <= slot {
@@ -589,9 +545,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
             last_event: None,
             pending: None,
             outbound: VecDeque::new(),
-            gen_pace: 0,
-            gen_wake: 0,
-            gen_retry: 0,
+            generation: 0,
             wake_at: 0,
             wait_armed: false,
             drives: 0,
@@ -603,7 +557,8 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
         // First drive is due immediately: the entry lands in the wheel's
         // due queue and fires on the next advance, before time moves.
         let at = self.wheel.now();
-        arm_at(&mut self.wheel, &mut sess, first, at);
+        sess.wake_at = at;
+        arm_at(&mut self.wheel, &mut sess, at);
         self.sessions[slot] = Some(sess);
         self.live += 1;
         let active = self.live as u32;
@@ -808,12 +763,12 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                                     // Feedback while parked in WaitUntil
                                     // may change the machine's plan (a NAK
                                     // wants repairs *now*): cancel the
-                                    // armed Wake and re-drive immediately.
+                                    // armed wake-up and re-drive at once.
                                     // The generation bump is what prevents
-                                    // the stale Wake from later double-
+                                    // the stale wake-up from later double-
                                     // driving alongside the new schedule.
                                     if sess.wait_armed && sess.pending.is_none() {
-                                        sess.gen_wake += 1;
+                                        sess.generation += 1;
                                         sess.wait_armed = false;
                                         AfterIo::DriveSender
                                     } else {
@@ -832,8 +787,8 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                                 }
                                 // Drive on change, not on arrival: only
                                 // something to send, a FIN to act on, or a
-                                // NAK due before the live Wake needs a
-                                // pass now. Otherwise that Wake fires on
+                                // NAK due before the live wake-up needs
+                                // a pass now. Otherwise that fires on
                                 // time and does every check a pass here
                                 // would have (linger and stall cannot
                                 // trip the moment a datagram arrived).
@@ -855,38 +810,35 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
         match after {
             AfterIo::Nothing => {}
             AfterIo::Finish(o) => self.finish(token, o),
-            AfterIo::DriveSender => self.drive_sender_session(token),
-            AfterIo::DriveReceiver => self.drive_receiver_session(token),
+            AfterIo::DriveSender => self.sender_pass(token),
+            AfterIo::DriveReceiver => self.receiver_pass(token),
         }
     }
 
-    /// Dispatch one fired timer entry, dropping stale generations.
+    /// Dispatch one fired timer entry, dropping stale generations: the live
+    /// entry retries a parked send, or else drives the session.
     fn on_fired(&mut self, key: TimerKey) {
-        let Some(is_sender) = self
+        let Some(sess) = self
             .sessions
             .get(key.token.slot())
             .and_then(|s| s.as_ref())
-            .filter(|s| s.token == key.token && s.generation(key.kind) == key.generation)
-            .map(|s| matches!(s.engine, Engine::Sender(_)))
+            .filter(|s| s.token == key.token && s.generation == key.generation)
         else {
             return; // lazily cancelled or session gone
         };
-        match key.kind {
-            TimerKind::Retry => self.fire_retry(key.token),
-            TimerKind::Pace | TimerKind::Wake => {
-                if is_sender {
-                    self.drive_sender_session(key.token);
-                } else {
-                    self.drive_receiver_session(key.token);
-                }
-            }
+        if sess.pending.is_some() {
+            self.fire_retry(key.token);
+        } else if matches!(sess.engine, Engine::Sender(_)) {
+            self.sender_pass(key.token);
+        } else {
+            self.receiver_pass(key.token);
         }
     }
 
     /// One sender drive pass: evict if due, ask the machine for its next
-    /// step, act on it. Exits after arming exactly one of Pace/Wake/Retry,
-    /// or finishes the session.
-    fn drive_sender_session(&mut self, token: Token) {
+    /// step, act on it. Exits after arming its one timer (the pacing gap,
+    /// a wake-up or a retry backoff), or finishes the session.
+    fn sender_pass(&mut self, token: Token) {
         let now_abs = self.clock.now();
         let Mux {
             sessions,
@@ -905,7 +857,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                 break 'drive None;
             };
             if sess.pending.is_some() {
-                break 'drive None; // parked on a retry; Retry timer owns us
+                break 'drive None; // parked; the retry backoff owns us
             }
             sess.drives += 1;
             *turn_drives += 1;
@@ -973,7 +925,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                         break 'drive match transmit(sess, sockets, wheel, now_abs, send) {
                             Flush::Clear => {
                                 let spacing = sess.rt.packet_spacing;
-                                arm(wheel, sess, TimerKind::Pace, spacing);
+                                arm(wheel, sess, spacing);
                                 None
                             }
                             Flush::Parked => None,
@@ -1001,7 +953,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                         let wait = wait_ticks(t - now_rel, SENDER_WAIT_CEIL);
                         let at = wheel.now().saturating_add(wait);
                         sess.wait_armed = true;
-                        arm_at(wheel, sess, TimerKind::Wake, at);
+                        arm_at(wheel, sess, at);
                         break 'drive None;
                     }
                 }
@@ -1014,7 +966,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
 
     /// One receiver drive pass: fire machine timers, flush outbound,
     /// run the end-of-session checks, re-arm the poll cadence.
-    fn drive_receiver_session(&mut self, token: Token) {
+    fn receiver_pass(&mut self, token: Token) {
         let now_abs = self.clock.now();
         let Mux {
             sessions,
@@ -1032,7 +984,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                 break 'drive None;
             };
             if sess.pending.is_some() {
-                break 'drive None; // parked on a retry; Retry timer owns us
+                break 'drive None; // parked; the retry backoff owns us
             }
             sess.drives += 1;
             *turn_drives += 1;
@@ -1071,7 +1023,8 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                 machine.next_deadline()
             };
             let at = receiver_wake_tick(wheel.now(), deadline, now_rel);
-            arm_at(wheel, sess, TimerKind::Wake, at);
+            sess.wake_at = at;
+            arm_at(wheel, sess, at);
             None
         };
         if let Some(o) = outcome {
@@ -1079,7 +1032,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
         }
     }
 
-    /// A Retry timer fired: re-attempt the parked transmission.
+    /// A parked send's backoff fired: re-attempt the transmission.
     fn fire_retry(&mut self, token: Token) {
         let now_abs = self.clock.now();
         let after = {
@@ -1105,7 +1058,7 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
                         // The send finally landed: resume pacing from
                         // here.
                         let spacing = sess.rt.packet_spacing;
-                        arm(wheel, sess, TimerKind::Pace, spacing);
+                        arm(wheel, sess, spacing);
                         AfterIo::Nothing
                     }
                     Engine::Receiver(_) => AfterIo::DriveReceiver,
@@ -1117,8 +1070,8 @@ impl<T: PollTransport, C: MuxClock> Mux<T, C> {
         match after {
             AfterIo::Nothing => {}
             AfterIo::Finish(o) => self.finish(token, o),
-            AfterIo::DriveReceiver => self.drive_receiver_session(token),
-            AfterIo::DriveSender => self.drive_sender_session(token),
+            AfterIo::DriveReceiver => self.receiver_pass(token),
+            AfterIo::DriveSender => self.sender_pass(token),
         }
     }
 
@@ -1270,21 +1223,13 @@ fn ticks_for(delay: Duration) -> u64 {
     ticks.max(1)
 }
 
-/// Ticks to wait for a machine's wake-up `delta_secs` away: the wait is
-/// [`clamp_wait`](pm_core::runtime::clamp_wait)`(delta_secs, TICK, ceil)`,
-/// total over every float, and a delta the clamp sends to either bound
-/// skips the `Duration`.
+/// Ticks to wait for a machine's wake-up `delta_secs` away, clamped to
+/// `[TICK, ceil]`; total over every float.
 fn wait_ticks(delta_secs: f64, ceil: Duration) -> u64 {
-    if delta_secs.is_nan() || delta_secs <= 0.0 {
-        1
-    } else if delta_secs >= ceil.as_secs_f64() {
-        ticks_for(ceil)
-    } else {
-        ticks_for(Duration::from_secs_f64(delta_secs).min(ceil))
-    }
+    ticks_for(clamp_wait(delta_secs, TICK, ceil))
 }
 
-/// The tick a receiver's Wake belongs at: its earliest NAK `deadline`
+/// The tick a receiver's wake-up belongs at: its earliest NAK `deadline`
 /// (session-relative seconds), or the check cadence when it has none.
 fn receiver_wake_tick(wheel_now: u64, deadline: Option<f64>, now_rel: f64) -> u64 {
     let wait = match deadline {
@@ -1294,32 +1239,21 @@ fn receiver_wake_tick(wheel_now: u64, deadline: Option<f64>, now_rel: f64) -> u6
     wheel_now.saturating_add(wait)
 }
 
-/// Arm (or re-arm) `kind` for `sess` at `delay` from now. Bumping the
-/// generation first makes any previously armed entry of the same kind
-/// stale — cancellation without touching the wheel.
-fn arm(
-    wheel: &mut TimerWheel<TimerKey>,
-    sess: &mut SessionState,
-    kind: TimerKind,
-    delay: Duration,
-) {
+/// Arm `sess`'s timer at `delay` from now; see [`arm_at`].
+fn arm(wheel: &mut TimerWheel<TimerKey>, sess: &mut SessionState, delay: Duration) {
     let at = wheel.now().saturating_add(ticks_for(delay));
-    arm_at(wheel, sess, kind, at);
+    arm_at(wheel, sess, at);
 }
 
-fn arm_at(wheel: &mut TimerWheel<TimerKey>, sess: &mut SessionState, kind: TimerKind, at: u64) {
-    if kind == TimerKind::Wake {
-        sess.wake_at = at;
-    }
-    let generation = sess.generation_mut(kind);
-    *generation += 1;
-    let generation = *generation;
+/// Arm `sess`'s timer at tick `at`. Bumping the generation first makes the
+/// entry armed before it stale — cancellation without touching the wheel.
+fn arm_at(wheel: &mut TimerWheel<TimerKey>, sess: &mut SessionState, at: u64) {
+    sess.generation += 1;
     wheel.insert(
         at,
         TimerKey {
             token: sess.token,
-            kind,
-            generation,
+            generation: sess.generation,
         },
     );
 }
@@ -1328,7 +1262,7 @@ fn arm_at(wheel: &mut TimerWheel<TimerKey>, sess: &mut SessionState, kind: Timer
 ///
 /// A landed send is progress (the stall clock, the `Stalled` context and
 /// the flight ring) unless it is a keep-alive. A transient I/O failure
-/// with retries left parks the message and arms `Retry`; any other
+/// with retries left parks the message and arms its backoff; any other
 /// failure is fatal.
 fn transmit<T: PollTransport>(
     sess: &mut SessionState,
@@ -1356,11 +1290,11 @@ fn transmit<T: PollTransport>(
             }
             Flush::Clear
         }
-        Err(NetError::Io(_)) if send.attempt < sess.res.policy().send_retries => {
+        Err(NetError::Io(_)) if send.attempt < SEND_RETRIES => {
             let attempt = send.attempt + 1;
             let backoff = sess.res.retry_backoff(attempt, now_rel, &sess.obs);
             sess.pending = Some(PendingSend { attempt, ..send });
-            arm(wheel, sess, TimerKind::Retry, backoff);
+            arm(wheel, sess, backoff);
             Flush::Parked
         }
         Err(e) => Flush::Fatal(e.into()),
@@ -2171,8 +2105,8 @@ mod tests {
         assert_eq!(m.wheel.now(), armed);
 
         // A parked retry: the failed `Done` owns the session until the
-        // Retry timer lands it, and that turn drives the receiver on (the
-        // Wake a parked session lacks is armed again).
+        // retry backoff lands it, and that turn drives the receiver on (its
+        // wake-up, stale while the send was parked, is armed again).
         let mut tp = Flaky::delivering(1, two_group_schedule(session));
         let mut m = flaky_mux();
         let tok = m.add_receiver(NpReceiver::new(1, session, 0.001, 3), &mut tp, rt());
@@ -2321,7 +2255,7 @@ mod tests {
 
     #[test]
     fn exhausted_retries_end_either_side_with_the_io_error() {
-        let attempts = 1 + rt().resilience.send_retries;
+        let attempts = 1 + SEND_RETRIES;
         let mut tp = Flaky::delivering(u32::MAX, Vec::new());
         let mut m = flaky_mux();
         let fin = SenderStep::Transmit(Message::Fin { session: 1 });
@@ -2388,13 +2322,50 @@ mod tests {
         assert_eq!(tp.sent.len(), 1);
     }
 
+    #[test]
+    fn a_send_parked_while_the_wake_is_armed_leaves_one_live_timer() {
+        // 32 datagrams that change nothing fill the first sweep, so the
+        // registration drive arms the wake-up a full ceiling ahead before
+        // the poll arrives. The poll's NAK is due at once: it is sent from
+        // the sweep, fails, and parks while that wake-up is still armed.
+        let filler = Message::Done {
+            session: 1,
+            receiver: 9,
+        };
+        let mut incoming = vec![filler; POLL_BUDGET];
+        incoming.push(ONE_POLL);
+        let mut tp = Flaky::delivering(1, incoming);
+        let mut m = flaky_mux();
+        let tok = m.add_receiver(OneNak::new(0.0, Vec::new()), &mut tp, rt());
+        let live_timers = |m: &Mux<&mut Flaky, VirtualClock>| {
+            let generation = live(m, tok).generation;
+            let keys = m.wheel.keys();
+            keys.filter(|k| k.token == tok && k.generation == generation)
+                .count()
+        };
+        m.turn_once();
+        let wake_at = live(&m, tok).wake_at;
+        assert_eq!(wake_at, ticks_for(RECEIVER_WAIT_CEIL));
+        let mut drives = vec![drives_of(&m, tok)];
+        // Past the superseded wake-up's tick, to the wake-up armed after it.
+        while m.wheel.now() <= wake_at {
+            m.turn_once();
+            assert!(live_timers(&m) <= 1, "turn {}", drives.len() + 1);
+            drives.push(drives_of(&m, tok));
+        }
+        // Registration, the NAK that parked, the drive once it landed, the
+        // next wake-up; the superseded one costs no drive.
+        assert_eq!(drives, [1, 2, 2, 3, 3, 3, 3, 4]);
+        assert_eq!(live_timers(&m), 1);
+        drop(m);
+        assert_eq!(tp.sent, [ONE_NAK]);
+    }
+
     /// The tick arithmetic as it was, over `Duration` and `u128`.
     mod oracle {
         use std::time::Duration;
 
-        use pm_core::runtime::clamp_wait;
-
-        use super::super::RECEIVER_WAIT_CEIL;
+        use super::super::{clamp_wait, RECEIVER_WAIT_CEIL};
 
         pub fn ticks_for(tick: Duration, delay: Duration) -> u64 {
             let t = tick.as_nanos().max(1);
@@ -2433,7 +2404,6 @@ mod tests {
             wheel_now in proptest::prelude::any::<u64>(),
             has_deadline in proptest::prelude::any::<bool>(),
         ) {
-            use pm_core::runtime::clamp_wait;
             use proptest::prop_assert_eq;
             let delay = Duration::new(delay_secs, delay_nanos);
             prop_assert_eq!(ticks_for(delay), oracle::ticks_for(TICK, delay));

@@ -2,9 +2,9 @@
 //!
 //! The multiplexer replaces every blocking wait — pacing, retry backoff,
 //! machine wakeups, receiver poll cadence — with an entry here, so the
-//! driver thread never parks on one session's behalf. A mux holds at most
-//! three live entries per session (Pace, Wake, Retry) plus stale ones
-//! waiting to be dropped, so a heap is all the structure it needs:
+//! driver thread never parks on one session's behalf. A mux holds one
+//! live entry per session (its pacing gap, wake-up or retry backoff) plus
+//! stale ones waiting to be dropped, so a heap is all the structure it needs:
 //! O(log n) per insert and per expiration, and its top is the exact next
 //! deadline. The type is still called `TimerWheel`, the name of the
 //! hierarchical wheel it replaced, because the benchmark binds that name.
@@ -90,6 +90,12 @@ impl<K: Copy + Ord> TimerWheel<K> {
             PeekMut::pop(top);
             expired.push((deadline, key));
         }
+    }
+
+    /// Every pending key, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> impl Iterator<Item = K> + '_ {
+        self.heap.iter().map(|Reverse((.., key))| *key)
     }
 }
 

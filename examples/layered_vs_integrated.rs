@@ -15,14 +15,13 @@
 
 use std::time::Duration;
 
-use parity_multicast::mux::{drive_receiver, drive_sender};
+use parity_multicast::mux::{drive_session, Mux, MuxConfig, WallClock};
 use parity_multicast::net::{
     FaultConfig, FaultyTransport, FecLayerConfig, FecTransport, MemHub, PollTransport,
 };
-use parity_multicast::obs::Obs;
 use parity_multicast::protocol::n2::{N2Receiver, N2Sender};
-use parity_multicast::protocol::runtime::RuntimeConfig;
-use parity_multicast::protocol::{CompletionPolicy, NpConfig, NpReceiver, NpSender};
+use parity_multicast::protocol::runtime::{ReceiverMachine, RuntimeConfig, SenderMachine};
+use parity_multicast::protocol::{CompletionPolicy, NpConfig, NpReceiver, NpSender, Payload};
 
 struct Args {
     receivers: u32,
@@ -113,44 +112,55 @@ fn run(arch: &Arch, data: &[u8], receivers: u32, drop: f64) -> (u64, bool) {
         }
     };
     let layered = matches!(arch, Arch::Layered);
-    let integrated = matches!(arch, Arch::Integrated);
-
-    let handles: Vec<_> = (0..receivers)
-        .map(|id| {
-            let mut tp = wrap(hub.join(), 100 + id, true, 7 * id as u64 + 3, layered);
-            std::thread::spawn(move || {
-                if integrated {
-                    let m = NpReceiver::new(id, session, 0.001, id as u64);
-                    drive_receiver(m, &mut tp, &rt(), &Obs::null())
-                        .expect("receiver")
-                        .data
-                } else {
-                    let m = N2Receiver::new(id, session, 0.001, id as u64);
-                    drive_receiver(m, &mut tp, &rt(), &Obs::null())
-                        .expect("receiver")
-                        .data
-                }
-            })
-        })
+    let mut receiver_tps: Vec<_> = (0..receivers)
+        .map(|id| wrap(hub.join(), 100 + id, true, 7 * id as u64 + 3, layered))
         .collect();
-
     let mut sender_tp = wrap(hub.join(), 1, false, 0, layered);
-    let frames = if integrated {
+    let (frames, delivered) = if matches!(arch, Arch::Integrated) {
         let s = NpSender::new(session, data, config(receivers, 120)).expect("config");
-        let r = drive_sender(s, &mut sender_tp, &rt(), &Obs::null()).expect("sender");
-        r.counters.data_sent + r.counters.repairs_sent
+        let rs = (0..receivers).map(|id| NpReceiver::new(id, session, 0.001, id as u64));
+        run_group(s, rs, &mut sender_tp, &mut receiver_tps)
     } else {
         // For the layered run the caller scales by n/k afterwards — that
         // is the honest wire cost (Figs. 3-4's expansion factor).
         let s = N2Sender::new(session, data, config(receivers, 0)).expect("config");
-        let r = drive_sender(s, &mut sender_tp, &rt(), &Obs::null()).expect("sender");
-        r.counters.data_sent + r.counters.repairs_sent
+        let rs = (0..receivers).map(|id| N2Receiver::new(id, session, 0.001, id as u64));
+        run_group(s, rs, &mut sender_tp, &mut receiver_tps)
     };
-    let mut ok = true;
-    for h in handles {
-        ok &= h.join().expect("thread") == data;
-    }
-    (frames, ok)
+    (frames, delivered.iter().all(|d| d == data))
+}
+
+/// One sender and its receivers on one mux, on this thread. The clock is
+/// the wall's: the FEC sublayer sends a part-filled block once it has
+/// waited `max_delay` of real time. Returns the sender's wire frames and
+/// what each receiver delivered.
+fn run_group<S, R>(
+    sender: S,
+    receivers: impl Iterator<Item = R>,
+    sender_tp: &mut Box<dyn PollTransport>,
+    receiver_tps: &mut [Box<dyn PollTransport>],
+) -> (u64, Vec<Payload>)
+where
+    S: SenderMachine + 'static,
+    R: ReceiverMachine + 'static,
+{
+    let mut mux = Mux::new(MuxConfig::default(), WallClock::new());
+    let (sent, got) = drive_session(
+        &mut mux,
+        rt(),
+        (sender, sender_tp.as_mut()),
+        receivers.zip(
+            receiver_tps
+                .iter_mut()
+                .map(|tp| tp.as_mut() as &mut dyn PollTransport),
+        ),
+    );
+    let sent = sent.expect("sender");
+    let delivered = got.into_iter().map(|r| r.expect("receiver").data);
+    (
+        sent.counters.data_sent + sent.counters.repairs_sent,
+        delivered.collect(),
+    )
 }
 
 fn main() {

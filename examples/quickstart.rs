@@ -8,9 +8,8 @@
 
 use std::time::Duration;
 
-use parity_multicast::mux::{drive_receiver, drive_sender};
-use parity_multicast::net::{FaultConfig, FaultyTransport, MemHub};
-use parity_multicast::obs::Obs;
+use parity_multicast::mux::{drive_session, Mux, MuxConfig, VirtualClock};
+use parity_multicast::net::{FaultConfig, FaultyTransport, MemHub, PollTransport};
 use parity_multicast::protocol::runtime::RuntimeConfig;
 use parity_multicast::protocol::{CompletionPolicy, NpConfig, NpReceiver, NpSender};
 use parity_multicast::rse::{CodeSpec, RseDecoder, RseEncoder};
@@ -66,29 +65,28 @@ fn protocol_demo() {
     };
 
     let mut sender_tp = hub.join();
-    let to_send = payload.clone();
-    let sender_cfg = cfg.clone();
-    let sender = std::thread::spawn(move || {
-        let s = NpSender::new(99, &to_send, sender_cfg).expect("valid config");
-        drive_sender(s, &mut sender_tp, &rt, &Obs::null()).expect("sender completes")
-    });
-
+    let sender = NpSender::new(99, &payload, cfg).expect("valid config");
     // Three receivers, each independently dropping 10% of packets.
-    let receivers: Vec<_> = (0..3)
-        .map(|id| {
-            let endpoint = hub.join();
-            std::thread::spawn(move || {
-                let mut tp =
-                    FaultyTransport::new(endpoint, FaultConfig::drop_only(0.10), id as u64);
-                let r = NpReceiver::new(id, 99, 0.001, id as u64);
-                drive_receiver(r, &mut tp, &rt, &Obs::null()).expect("receiver completes")
-            })
-        })
+    let mut receiver_tps: Vec<_> = (0..3)
+        .map(|id| FaultyTransport::new(hub.join(), FaultConfig::drop_only(0.10), id))
         .collect();
 
-    let sender_report = sender.join().expect("sender thread");
-    for (id, r) in receivers.into_iter().enumerate() {
-        let report = r.join().expect("receiver thread");
+    // The whole group runs on one mux, on this thread. Its virtual clock
+    // jumps to the next timer whenever nothing is in flight, so the run
+    // takes no wall time to wait and is the same every time.
+    let mut mux = Mux::new(MuxConfig::default(), VirtualClock::new());
+    let (sender_report, receiver_reports) = drive_session(
+        &mut mux,
+        rt,
+        (sender, &mut sender_tp),
+        receiver_tps.iter_mut().zip(0..).map(|(tp, id)| {
+            let r = NpReceiver::new(id, 99, 0.001, u64::from(id));
+            (r, tp as &mut dyn PollTransport)
+        }),
+    );
+    let sender_report = sender_report.expect("sender completes");
+    for (id, r) in receiver_reports.into_iter().enumerate() {
+        let report = r.expect("receiver completes");
         assert_eq!(report.data, payload, "receiver {id} data mismatch");
         println!(
             "   receiver {id}: {} bytes OK, {} pkts received, {} decoded by parity, {} unneeded",
@@ -100,7 +98,7 @@ fn protocol_demo() {
     }
     let c = sender_report.counters;
     println!(
-        "   sender: {} data + {} parity transmissions ({} NAKs heard) in {:?}",
+        "   sender: {} data + {} parity transmissions ({} NAKs heard) in {:?} of session time",
         c.data_sent, c.repairs_sent, c.feedback_received, sender_report.elapsed,
     );
     println!(

@@ -54,14 +54,14 @@
 //! assert_eq!(recovered, group);
 //! ```
 //!
-//! Run the full NP protocol over an in-memory multicast group (see
-//! `examples/file_multicast.rs` for the real-UDP version):
+//! Run the full NP protocol over an in-memory multicast group, sender and
+//! receiver on one mux under a virtual clock (see
+//! `examples/file_multicast.rs` for the real-UDP version, on a wall clock):
 //!
 //! ```
 //! use std::time::Duration;
-//! use parity_multicast::mux::{drive_receiver, drive_sender};
-//! use parity_multicast::net::MemHub;
-//! use parity_multicast::obs::Obs;
+//! use parity_multicast::mux::{drive_session, Mux, MuxConfig, VirtualClock};
+//! use parity_multicast::net::{MemHub, PollTransport};
 //! use parity_multicast::protocol::{
 //!     runtime::RuntimeConfig, CompletionPolicy, NpConfig, NpReceiver, NpSender,
 //! };
@@ -79,15 +79,17 @@
 //!
 //! let mut sender_tp = hub.join();
 //! let mut receiver_tp = hub.join();
-//! let to_send = payload.clone();
-//! let sender = std::thread::spawn(move || {
-//!     let s = NpSender::new(1, &to_send, cfg).unwrap();
-//!     drive_sender(s, &mut sender_tp, &rt, &Obs::null()).unwrap()
-//! });
+//! let s = NpSender::new(1, &payload, cfg).unwrap();
 //! let r = NpReceiver::new(1, 1, 0.001, 42);
-//! let report = drive_receiver(r, &mut receiver_tp, &rt, &Obs::null()).unwrap();
-//! sender.join().unwrap();
-//! assert_eq!(report.data, payload);
+//! let mut mux = Mux::new(MuxConfig::default(), VirtualClock::new());
+//! let (sent, mut got) = drive_session(
+//!     &mut mux,
+//!     rt,
+//!     (s, &mut sender_tp),
+//!     [(r, &mut receiver_tp as &mut dyn PollTransport)],
+//! );
+//! assert_eq!(sent.unwrap().completed, [1]);
+//! assert_eq!(got.pop().unwrap().unwrap().data, payload);
 //! ```
 
 pub use pm_analysis as analysis;

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::run_session;
-use parity_multicast::mux::{drive_receiver, drive_sender, MuxClock, VirtualClock, WallClock};
+use parity_multicast::mux::{Mux, MuxClock, MuxConfig, SessionOutcome, VirtualClock, WallClock};
 use parity_multicast::net::mem::MemEndpoint;
 use parity_multicast::net::{
     FaultConfig, FaultStats, FaultyTransport, MemHub, Message, PollTransport, Transport,
@@ -75,8 +75,10 @@ fn hostile_garbage_on_the_group_is_ignored() {
     let session = 0xFA11;
 
     // The saboteur: floods Done/Nak messages for ANOTHER session from its
-    // own thread, so the flood really does overlap the transfer (wall
-    // clock: under a virtual clock a non-empty queue freezes time).
+    // own thread. It needs one: this test is about traffic the mux does
+    // not schedule, so the flood must overlap the transfer in wall time
+    // (on the mux it would be a session like any other, and under a
+    // virtual clock a non-empty queue freezes time).
     let mut saboteur = hub.join();
     let endpoints = (hub.join(), hub.join());
     let sab = std::thread::spawn(move || {
@@ -230,13 +232,17 @@ fn stalled_errors_carry_last_progress_context() {
     // A sender with no receivers transmits its whole schedule, then stalls
     // waiting for feedback: the error must remember the last transmission.
     let hub = MemHub::new();
-    let mut tp = hub.join();
     let s = NpSender::new(3, &payload(500), config(1)).expect("config");
-    match drive_sender(s, &mut tp, &fast, &Obs::null()) {
-        Err(ProtocolError::Stalled {
-            last_progress: Some(ev),
-            ..
-        }) => {
+    let mut mux = Mux::new(MuxConfig::default(), VirtualClock::new());
+    mux.add_sender(s, hub.join(), fast);
+    match mux.run().pop() {
+        Some((
+            _,
+            SessionOutcome::Sender(Err(ProtocolError::Stalled {
+                last_progress: Some(ev),
+                ..
+            })),
+        )) => {
             assert!(
                 matches!(ev, Event::NetSent { .. }),
                 "sender progress is its own transmissions, got {ev:?}"
@@ -247,13 +253,17 @@ fn stalled_errors_carry_last_progress_context() {
 
     // A receiver that never hears anything has no progress to report.
     let hub = MemHub::new();
-    let mut tp = hub.join();
     let r = NpReceiver::new(1, 1, 0.001, 5);
-    match drive_receiver(r, &mut tp, &fast, &Obs::null()) {
-        Err(ProtocolError::Stalled {
-            last_progress: None,
-            waited_secs,
-        }) => assert!(waited_secs >= 0.15),
+    let mut mux = Mux::new(MuxConfig::default(), VirtualClock::new());
+    mux.add_receiver(r, hub.join(), fast);
+    match mux.run().pop() {
+        Some((
+            _,
+            SessionOutcome::Receiver(Err(ProtocolError::Stalled {
+                last_progress: None,
+                waited_secs,
+            })),
+        )) => assert!(waited_secs >= 0.15),
         other => panic!("expected bare stall, got {other:?}"),
     }
 
@@ -427,23 +437,27 @@ fn corruption_over_real_udp_completes() {
         ..FaultConfig::none()
     };
 
-    let recv = {
-        let ep = hub.endpoint().expect("endpoint");
-        std::thread::spawn(move || {
-            let mut tp = FaultyTransport::new(ep, fault, 0x0DD);
-            let m = NpReceiver::new(0, session, 0.002, 21);
-            let report =
-                drive_receiver(m, &mut tp, &rt(), &Obs::null()).expect("receiver completes");
-            (report, tp.stats())
-        })
-    };
+    let mut tp = FaultyTransport::new(hub.endpoint().expect("endpoint"), fault, 0x0DD);
     let mut sender_tp = hub.endpoint().expect("endpoint");
     let mut cfg = config(1);
     cfg.payload_len = 512;
     let sender = NpSender::new(session, &data, cfg).expect("config");
-    drive_sender(sender, &mut sender_tp, &rt(), &Obs::null()).expect("sender completes");
-
-    let (report, stats) = recv.join().unwrap();
+    let (sr, mut rrs) = run_session(
+        WallClock::new(),
+        rt(),
+        &Obs::null(),
+        (sender, &mut sender_tp),
+        [(
+            NpReceiver::new(0, session, 0.002, 21),
+            &mut tp as &mut dyn PollTransport,
+        )],
+    );
+    sr.expect("sender completes");
+    let report = rrs
+        .pop()
+        .expect("one receiver")
+        .expect("receiver completes");
+    let stats = tp.stats();
     assert_eq!(report.data, data);
     assert!(stats.corrupted > 0, "corruption must have fired: {stats:?}");
     assert!(

@@ -164,6 +164,8 @@ fn a_publish_from_another_thread_wakes_a_parked_token() {
     assert_eq!(hub.parked(), 1, "the empty poll parked");
     assert_eq!(sweep(&mut set), 0, "and is not polled again");
     let mut tx = hub.join();
+    // A second thread because the wake under test crosses threads: a
+    // publish on the mux's own thread never reaches a parked waker late.
     std::thread::spawn(move || tx.send(&Message::Fin { session: 1 }).unwrap())
         .join()
         .unwrap();
@@ -182,6 +184,8 @@ fn a_token_parking_while_another_thread_publishes_loses_no_wake_up() {
     let sent = Arc::new(AtomicU64::new(0));
     let publisher = {
         let sent = sent.clone();
+        // A second thread because the race under test needs a publish that
+        // lands while the token parks, which one thread cannot interleave.
         std::thread::spawn(move || {
             for i in 0..N {
                 tx.send(&Message::Fin { session: i as u32 }).unwrap();

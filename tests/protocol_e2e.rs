@@ -1,16 +1,15 @@
 //! End-to-end protocol tests: NP and N2 over the in-memory multicast hub
 //! with receive-side fault injection — the full stack from application
 //! bytes through wire format, suppression, parity repair and reassembly.
-//! Sessions run on one mux under a virtual clock (deterministic, no
-//! threads); the tests about wall-clock behaviour use the blocking
-//! `drive_*` wrappers.
+//! Every group runs on one mux under a virtual clock: deterministic, no
+//! threads, no sleeps.
 
 mod common;
 
 use std::time::Duration;
 
 use common::run_session;
-use parity_multicast::mux::{drive_receiver, drive_sender, VirtualClock};
+use parity_multicast::mux::{Mux, MuxConfig, SessionOutcome, VirtualClock};
 use parity_multicast::net::{FaultConfig, FaultyTransport, MemHub, PollTransport};
 use parity_multicast::obs::Obs;
 use parity_multicast::protocol::n2::{N2Receiver, N2Sender};
@@ -228,17 +227,22 @@ fn quiescence_completion_without_done() {
     let mut cfg = np_config(1, 7, 20);
     cfg.completion = CompletionPolicy::Quiescence(0.2);
     let hub = MemHub::new();
-    let mut sender_tp = hub.join();
-    let recv = {
-        let mut tp = hub.join();
-        std::thread::spawn(move || {
-            let m = NpReceiver::new(0, 7008, 0.001, 8);
-            drive_receiver(m, &mut tp, &rt(), &Obs::null()).expect("receiver failed")
-        })
-    };
-    let sender = NpSender::new(7008, &data, cfg).expect("config");
-    let sr = drive_sender(sender, &mut sender_tp, &rt(), &Obs::null()).expect("sender");
-    let rr = recv.join().unwrap();
+    let (mut sender_tp, mut tp) = (hub.join(), hub.join());
+    let (sr, mut rrs) = run_session(
+        VirtualClock::new(),
+        rt(),
+        &Obs::null(),
+        (
+            NpSender::new(7008, &data, cfg).expect("config"),
+            &mut sender_tp,
+        ),
+        [(
+            NpReceiver::new(0, 7008, 0.001, 8),
+            &mut tp as &mut dyn PollTransport,
+        )],
+    );
+    let sr = sr.expect("sender");
+    let rr = rrs.pop().expect("one receiver").expect("receiver failed");
     assert_eq!(rr.data, data);
     assert!(
         sr.elapsed >= Duration::from_millis(180),
@@ -284,7 +288,6 @@ fn duplicate_and_reordered_packets_tolerated() {
 #[test]
 fn receiver_without_sender_stalls_cleanly() {
     let hub = MemHub::new();
-    let mut tp = hub.join();
     let m = NpReceiver::new(0, 1, 0.001, 1);
     let fast = RuntimeConfig {
         packet_spacing: Duration::from_micros(50),
@@ -292,8 +295,10 @@ fn receiver_without_sender_stalls_cleanly() {
         complete_linger: Duration::from_millis(50),
         ..RuntimeConfig::default()
     };
-    match drive_receiver(m, &mut tp, &fast, &Obs::null()) {
-        Err(ProtocolError::Stalled { .. }) => {}
+    let mut mux = Mux::new(MuxConfig::default(), VirtualClock::new());
+    mux.add_receiver(m, hub.join(), fast);
+    match mux.run().pop() {
+        Some((_, SessionOutcome::Receiver(Err(ProtocolError::Stalled { .. })))) => {}
         other => panic!("expected stall, got {other:?}"),
     }
 }

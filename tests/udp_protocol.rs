@@ -1,12 +1,16 @@
 //! Protocol NP over *real* UDP multicast sockets (kernel loopback path).
-//! Skips gracefully (with a note) on hosts without multicast support.
+//! Each group runs on one wall-clock mux on the test's thread. Skips
+//! gracefully (with a note) on hosts without multicast support.
+
+mod common;
 
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::time::Duration;
 
-use parity_multicast::mux::{drive_receiver, drive_sender};
+use common::run_session;
+use parity_multicast::mux::{Mux, MuxConfig, SessionOutcome, WallClock};
 use parity_multicast::net::udp::UdpHub;
-use parity_multicast::net::{FaultConfig, FaultyTransport};
+use parity_multicast::net::{FaultConfig, FaultyTransport, PollTransport};
 use parity_multicast::obs::Obs;
 use parity_multicast::protocol::runtime::RuntimeConfig;
 use parity_multicast::protocol::{CompletionPolicy, NpConfig, NpReceiver, NpSender};
@@ -45,24 +49,27 @@ fn np_over_udp_with_loss() {
     cfg.nak_slot = 0.002;
     cfg.round_timeout = 0.1;
 
-    let handles: Vec<_> = (0..receivers)
+    let mut tps: Vec<_> = (0..receivers)
         .map(|id| {
             let ep = hub.endpoint().expect("endpoint");
-            std::thread::spawn(move || {
-                let mut tp =
-                    FaultyTransport::new(ep, FaultConfig::drop_only(0.10), 0xFACE + id as u64);
-                let m = NpReceiver::new(id, session, 0.002, id as u64);
-                drive_receiver(m, &mut tp, &rt(), &Obs::null()).expect("receiver failed")
-            })
+            FaultyTransport::new(ep, FaultConfig::drop_only(0.10), 0xFACE + id as u64)
         })
         .collect();
-
     let mut sender_tp = hub.endpoint().expect("endpoint");
     let sender = NpSender::new(session, &data, cfg).expect("config");
-    let sr = drive_sender(sender, &mut sender_tp, &rt(), &Obs::null()).expect("sender failed");
-    for (id, h) in handles.into_iter().enumerate() {
-        let rr = h.join().expect("receiver thread");
-        assert_eq!(rr.data, data, "receiver {id}");
+    let (sr, rrs) = run_session(
+        WallClock::new(),
+        rt(),
+        &Obs::null(),
+        (sender, &mut sender_tp),
+        tps.iter_mut().enumerate().map(|(id, tp)| {
+            let m = NpReceiver::new(id as u32, session, 0.002, id as u64);
+            (m, tp as &mut dyn PollTransport)
+        }),
+    );
+    let sr = sr.expect("sender failed");
+    for (id, rr) in rrs.into_iter().enumerate() {
+        assert_eq!(rr.expect("receiver failed").data, data, "receiver {id}");
     }
     assert!(
         sr.counters.repairs_sent > 0,
@@ -83,18 +90,23 @@ fn n2_over_udp_lossless() {
     cfg.h = 0; // N2 has no parities; keep k + h within the block limit
     cfg.payload_len = 512;
 
-    let handle = {
-        let ep = hub.endpoint().expect("endpoint");
-        std::thread::spawn(move || {
-            let mut tp = FaultyTransport::new(ep, FaultConfig::none(), 5);
-            let m = N2Receiver::new(0, session, 0.001, 5);
-            drive_receiver(m, &mut tp, &rt(), &Obs::null()).expect("receiver failed")
-        })
-    };
+    let ep = hub.endpoint().expect("endpoint");
+    let mut tp = FaultyTransport::new(ep, FaultConfig::none(), 5);
     let mut sender_tp = hub.endpoint().expect("endpoint");
     let sender = N2Sender::new(session, &data, cfg).expect("config");
-    drive_sender(sender, &mut sender_tp, &rt(), &Obs::null()).expect("sender failed");
-    assert_eq!(handle.join().unwrap().data, data);
+    let (sr, mut rrs) = run_session(
+        WallClock::new(),
+        rt(),
+        &Obs::null(),
+        (sender, &mut sender_tp),
+        [(
+            N2Receiver::new(0, session, 0.001, 5),
+            &mut tp as &mut dyn PollTransport,
+        )],
+    );
+    sr.expect("sender failed");
+    let rr = rrs.pop().expect("one receiver").expect("receiver failed");
+    assert_eq!(rr.data, data);
 }
 
 #[test]
@@ -109,30 +121,33 @@ fn two_sessions_share_one_group() {
     cfg.h = 40;
     cfg.payload_len = 512;
 
-    let mk_receiver = |session: u32, seed: u64| {
+    // Both groups' senders and receivers on one mux.
+    let lossy = |seed| {
         let ep = hub.endpoint().expect("endpoint");
-        std::thread::spawn(move || {
-            let mut tp = FaultyTransport::new(ep, FaultConfig::drop_only(0.05), seed);
-            let m = NpReceiver::new(seed as u32, session, 0.002, seed);
-            drive_receiver(m, &mut tp, &rt(), &Obs::null()).expect("receiver failed")
-        })
+        Box::new(FaultyTransport::new(ep, FaultConfig::drop_only(0.05), seed))
+            as Box<dyn PollTransport>
     };
-    let ra = mk_receiver(1, 100);
-    let rb = mk_receiver(2, 200);
-
-    let cfg_b = cfg.clone();
-    let hub_b = hub.endpoint().expect("endpoint");
-    let db = data_b.clone();
-    let sb = std::thread::spawn(move || {
-        let mut t = hub_b;
-        let s = NpSender::new(2, &db, cfg_b).expect("config");
-        drive_sender(s, &mut t, &rt(), &Obs::null()).expect("sender b failed")
-    });
-    let mut ta = hub.endpoint().expect("endpoint");
-    let sa = NpSender::new(1, &data_a, cfg).expect("config");
-    drive_sender(sa, &mut ta, &rt(), &Obs::null()).expect("sender a failed");
-    sb.join().unwrap();
-
-    assert_eq!(ra.join().unwrap().data, data_a);
-    assert_eq!(rb.join().unwrap().data, data_b);
+    let mut mux = Mux::new(MuxConfig::default(), WallClock::new());
+    let ra = mux.add_receiver(NpReceiver::new(100, 1, 0.002, 100), lossy(100), rt());
+    let rb = mux.add_receiver(NpReceiver::new(200, 2, 0.002, 200), lossy(200), rt());
+    for (session, data) in [(2, &data_b), (1, &data_a)] {
+        let ep = Box::new(hub.endpoint().expect("endpoint"));
+        let s = NpSender::new(session, data, cfg.clone()).expect("config");
+        mux.add_sender(s, ep, rt());
+    }
+    let outcomes = mux.run();
+    assert_eq!(outcomes.len(), 4);
+    for (tok, outcome) in outcomes {
+        match outcome {
+            SessionOutcome::Sender(r) => {
+                r.expect("sender failed");
+            }
+            SessionOutcome::Receiver(r) => {
+                let want = if tok == ra { &data_a } else { &data_b };
+                assert!(tok == ra || tok == rb);
+                assert_eq!(&r.expect("receiver failed").data, want);
+            }
+            SessionOutcome::Shed(r) => panic!("nothing sheds without a policy: {r:?}"),
+        }
+    }
 }
